@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from . import census
-from .census import enumerate_parameters  # noqa: F401  (part of this module's surface)
 from .bernstein import GLFactor, InertialTriple, hecke_parameters, torus_dim, weyl_descriptor
 from .cuspsupport import CuspidalSupport, check_support, support
 from .errors import (
@@ -396,9 +395,20 @@ def _render_support(sup: CuspidalSupport, param, eta) -> dict:
     }
 
 
+def _env_bound() -> int:
+    raw = os.environ.get(ENV_BOUND)
+    if raw is None:
+        return DEFAULT_BOUND
+    try:
+        return int(raw)
+    except ValueError:
+        raise SchemaError("/", f"environment variable {ENV_BOUND} must be an integer, "
+                               f"got {raw!r}") from None
+
+
 def run(job: JobSpec, bound: Optional[int] = None) -> dict:
     """Execute a parsed job and return its output document."""
-    bound = bound if bound is not None else int(os.environ.get(ENV_BOUND, DEFAULT_BOUND))
+    bound = bound if bound is not None else _env_bound()
     if job.command == "validate":
         if job.payload[0] == "partition":
             _, kind, p = job.payload
@@ -526,14 +536,7 @@ def _render_bernstein(triple: InertialTriple) -> dict:
 def _selfcheck(bounds: dict, bound: int) -> dict:
     from . import verifications
 
-    limits = verifications.Limits(
-        defect=min(bounds.get("defect", 14), bound),
-        orders=min(bounds.get("orders", 12), bound),
-        support=min(bounds.get("support", 10), bound),
-        census=min(bounds.get("census", 8), bound),
-        cuspidal=min(bounds.get("cuspidal", 20), 25),
-    )
-    results = verifications.run_all(limits)
+    results = verifications.run_all(verifications.selfcheck_limits(bounds, bound))
     checks = [{"name": name, "status": "pass" if ok else "fail", "detail": detail}
               for name, ok, detail in results]
     doc = {"ok": all(c["status"] == "pass" for c in checks), "checks": checks}
@@ -571,7 +574,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--input", default=None, metavar="FILE",
                         help="job document (JSON); '-' reads standard input")
     parser.add_argument("--bound", type=int, default=None,
-                        help=f"enumeration cap (default: ${ENV_BOUND} or {DEFAULT_BOUND})")
+                        help=f"cap on enumeration sizes and selfcheck ranges "
+                             f"(default: ${ENV_BOUND} or {DEFAULT_BOUND})")
     parser.add_argument("--json", action="store_true",
                         help="compact single-line output")
     args = parser.parse_args(argv)

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DomainMismatch, InternalCheckError, InvalidParameter
-from .orbits import Family, GroupKind, Partition, SignCharacter
-from .springer import CuspidalDatum, springer_datum
+from .errors import InternalCheckError, InvalidParameter
+from .orbits import Family, GroupKind, Partition, SignCharacter, require_domain
+from .springer import CuspidalDatum, eliminate, elimination_outcomes, springer_datum
 from .lparams import (
     BlockGroupSide,
     DiscreteParameter,
@@ -57,11 +57,6 @@ def _slice_group(side: BlockGroupSide, m: int) -> GroupKind:
 
 def _slice_character(label: IrrLabel, sizes: Iterable[int], eta: ParameterCharacter) -> SignCharacter:
     return SignCharacter({a: eta((label.name, a)) for a in sizes})
-
-
-def _check_char(p: DiscreteParameter, eta: ParameterCharacter) -> None:
-    if set(eta.keys()) != set(p.block_keys()):
-        raise DomainMismatch(f"character domain {eta.keys()} does not match blocks of {p}")
 
 
 @dataclass(frozen=True)
@@ -172,7 +167,7 @@ def _assemble(dual: GroupKind, slices: list[SliceSupport]) -> CuspidalSupport:
 def support(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSupport:
     """Cuspidal support via per-slice data and correction multisets."""
     require_valid_parameter(p)
-    _check_char(p, eta)
+    require_domain(eta, p.block_keys(), "blocks", p)
     slices = []
     for label in p.labels():
         sizes = p.sizes_of(label)
@@ -203,7 +198,6 @@ def _segment(top: int, length: int, label: IrrLabel) -> ExponentMultiset:
 
 
 def _slice_psi_support(label: IrrLabel, side: BlockGroupSide, sizes: tuple[int, ...],
-                       slice_char: SignCharacter,
                        removed: Sequence[tuple[int, int]],
                        terminal: Partition, terminal_char: SignCharacter) -> SliceSupport:
     """Assemble one slice's support from an elimination history."""
@@ -232,20 +226,6 @@ def _slice_psi_support(label: IrrLabel, side: BlockGroupSide, sizes: tuple[int, 
     return SliceSupport(label, side, sizes, datum, correction)
 
 
-def _eliminate_leftmost(sizes: tuple[int, ...], slice_char: SignCharacter):
-    removed: list[tuple[int, int]] = []
-    current, char = Partition(sizes), slice_char
-    while True:
-        parts = current.increasing()
-        site = next((j for j in range(len(parts) - 1)
-                     if char(parts[j]) == char(parts[j + 1])), None)
-        if site is None:
-            return removed, current, char
-        removed.append((parts[site], parts[site + 1]))
-        keep = parts[:site] + parts[site + 2:]
-        current, char = Partition(keep), char.restrict(keep)
-
-
 def support_via_psi(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSupport:
     """Cuspidal support through the normal form and the block map psi.
 
@@ -254,15 +234,14 @@ def support_via_psi(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSu
     length (lo + hi)/2 below hi.  Must equal :func:`support`.
     """
     require_valid_parameter(p)
-    _check_char(p, eta)
+    require_domain(eta, p.block_keys(), "blocks", p)
     slices = []
     for label in p.labels():
         sizes = p.sizes_of(label)
         side = block_group_type(p.dual_group, label)
-        slice_char = _slice_character(label, sizes, eta)
-        removed, terminal, terminal_char = _eliminate_leftmost(sizes, slice_char)
-        slices.append(_slice_psi_support(label, side, sizes, slice_char,
-                                         removed, terminal, terminal_char))
+        terminal, terminal_char, removed = eliminate(
+            Partition(sizes), _slice_character(label, sizes, eta))
+        slices.append(_slice_psi_support(label, side, sizes, removed, terminal, terminal_char))
     result = _assemble(p.dual_group, slices)
     direct_key = support(p, eta).key()
     if result.key() != direct_key:
@@ -279,22 +258,18 @@ def all_order_slice_supports(label: IrrLabel, side: BlockGroupSide,
     Returns the set of (twist multiset, cuspidal blocks, cuspidal values)
     triples; order independence of the support means this is a singleton.
     """
+    return outcome_supports(label, side, sizes, elimination_outcomes(Partition(sizes), slice_char))
+
+
+def outcome_supports(label: IrrLabel, side: BlockGroupSide, sizes: tuple[int, ...],
+                     outcomes: Iterable) -> set:
+    """The slice support triples of the given :func:`elimination_outcomes`."""
     out = set()
-
-    def walk(parts: tuple[int, ...], char: SignCharacter,
-             removed: tuple[tuple[int, int], ...]) -> None:
-        sites = [j for j in range(len(parts) - 1) if char(parts[j]) == char(parts[j + 1])]
-        if not sites:
-            s = _slice_psi_support(label, side, sizes, slice_char,
-                                   removed, Partition(parts), char)
-            out.add((s.correction.e_prime, s.datum.cusp_partition.parts,
-                     s.datum.cusp_character.values))
-            return
-        for j in sites:
-            keep = parts[:j] + parts[j + 2:]
-            walk(keep, char.restrict(keep), removed + ((parts[j], parts[j + 1]),))
-
-    walk(tuple(sorted(sizes)), slice_char, ())
+    for parts, values, removed in outcomes:
+        s = _slice_psi_support(label, side, sizes, removed, Partition(parts),
+                               SignCharacter(values))
+        out.add((s.correction.e_prime, s.datum.cusp_partition.parts,
+                 s.datum.cusp_character.values))
     return out
 
 

@@ -30,7 +30,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainMismatch, InvalidParameter
-from .orbits import ComponentGroupDescriptor, Family, GroupKind, Relation, SignCharacter
+from .orbits import (ComponentGroupDescriptor, Family, GroupKind, Relation, SignCharacter,
+                     Verdict, require_domain)
 
 
 class SelfDualType(str, Enum):
@@ -107,15 +108,6 @@ class DiscreteParameter:
         return f"{{{inner}}}"
 
 
-@dataclass(frozen=True)
-class ParameterVerdict:
-    valid: bool
-    problems: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.valid
-
-
 def block_group_type(dual: GroupKind, label: IrrLabel) -> BlockGroupSide:
     """Type of the group acting on the multiplicity space of a label.
 
@@ -137,12 +129,12 @@ def required_block_parity(dual: GroupKind, label: IrrLabel) -> int:
     return 0 if side is BlockGroupSide.SP_SIDE else 1
 
 
-def validate_parameter(p: DiscreteParameter) -> ParameterVerdict:
+def validate_parameter(p: DiscreteParameter) -> Verdict:
     problems = []
     if p.dual_group.family not in _CLASSICAL_DUALS:
         problems.append(f"dual group {p.dual_group} is not a classical dual "
                         "(Sp / SOodd / SOeven)")
-        return ParameterVerdict(False, tuple(problems))
+        return Verdict(False, tuple(problems))
     seen = Counter(p.block_keys())
     for key, count in sorted(seen.items()):
         if count > 1:
@@ -165,7 +157,7 @@ def validate_parameter(p: DiscreteParameter) -> ParameterVerdict:
                 f"in {p.dual_group.family.value}")
     if p.dimension != p.dual_group.size:
         problems.append(f"blocks span dimension {p.dimension}, expected {p.dual_group.size}")
-    return ParameterVerdict(not problems, tuple(problems))
+    return Verdict(not problems, tuple(problems))
 
 
 def require_valid_parameter(p: DiscreteParameter) -> None:
@@ -183,12 +175,6 @@ def character_on(p: DiscreteParameter, signs: Iterable[int]) -> ParameterCharact
     if len(signs) != len(p.blocks):
         raise DomainMismatch(f"{len(signs)} signs for {len(p.blocks)} blocks")
     return SignCharacter(dict(zip(p.block_keys(), signs)))
-
-
-def _check_parameter_char(p: DiscreteParameter, eta: ParameterCharacter) -> None:
-    if set(eta.keys()) != set(p.block_keys()):
-        raise DomainMismatch(
-            f"character domain {eta.keys()} does not match blocks of {p}")
 
 
 def det_flip(p: DiscreteParameter, eta: ParameterCharacter) -> ParameterCharacter:
@@ -228,7 +214,7 @@ def agroup(p: DiscreteParameter) -> tuple[ComponentGroupDescriptor, tuple[BlockK
 
 def sgroup_factors(p: DiscreteParameter, eta: ParameterCharacter) -> bool:
     """Whether eta is trivial on the image of the center (defines a packet member)."""
-    _check_parameter_char(p, eta)
+    require_domain(eta, p.block_keys(), "blocks", p)
     _, center_image = agroup(p)
     return eta.product(center_image) == 1
 
@@ -246,7 +232,7 @@ def is_alternating(p: DiscreteParameter, eta: ParameterCharacter) -> bool:
     so the answer is the same for the two value tables of an orthogonal
     character.
     """
-    _check_parameter_char(p, eta)
+    require_domain(eta, p.block_keys(), "blocks", p)
     for label in p.labels():
         sizes = p.sizes_of(label)
         for lo, hi in zip(sizes, sizes[1:]):
@@ -371,8 +357,7 @@ def reducibility_point(label: IrrLabel, jord: DiscreteParameter | Iterable[tuple
     sizes = [a for lab, a in blocks if lab == label]
     if sizes:
         return Fraction(max(sizes) + 1, 2)
-    matched = (dual.is_symplectic and label.sd_type is SelfDualType.SYMPLECTIC) or (
-        dual.is_special_orthogonal and label.sd_type is SelfDualType.ORTHOGONAL)
+    matched = block_group_type(dual, label) is BlockGroupSide.O_SIDE
     return Fraction(1, 2) if matched else Fraction(0)
 
 

@@ -216,17 +216,19 @@ class SignCharacter:
         return "(" + ",".join("+" if s == 1 else "-" for _, s in self.values) + ")"
 
 
-def trivial_character(keys: Iterable) -> SignCharacter:
-    return SignCharacter({k: 1 for k in keys})
+def require_domain(eta: SignCharacter, keys: Iterable, what: str, owner) -> None:
+    """Raise unless eta is given on exactly the generators ``keys``.
 
-
-def same_up_to_flip(left: SignCharacter, right: SignCharacter) -> bool:
-    """Equality of SO-characters represented at the O-level."""
-    return left == right or left == right.flipped()
+    The message reads "character domain ... does not match <what> of <owner>".
+    """
+    if set(eta.keys()) != set(keys):
+        raise DomainMismatch(f"character domain {eta.keys()} does not match {what} of {owner}")
 
 
 @dataclass(frozen=True)
-class PartitionVerdict:
+class Verdict:
+    """Outcome of a validation: valid, or the list of problems found."""
+
     valid: bool
     problems: tuple[str, ...] = ()
 
@@ -234,7 +236,7 @@ class PartitionVerdict:
         return self.valid
 
 
-def validate_partition(kind: GroupKind, p: Partition) -> PartitionVerdict:
+def validate_partition(kind: GroupKind, p: Partition) -> Verdict:
     """Check p against the Jordan-type rules of the group.
 
     Sp: odd parts need even multiplicity; (S)O: even parts need even
@@ -254,7 +256,7 @@ def validate_partition(kind: GroupKind, p: Partition) -> PartitionVerdict:
         for q in p.distinct_parts():
             if q % 2 == bad_parity and p.multiplicity(q) % 2:
                 problems.append(f"{rule} part {q} has odd multiplicity {p.multiplicity(q)}")
-    return PartitionVerdict(not problems, tuple(problems))
+    return Verdict(not problems, tuple(problems))
 
 
 def require_valid(kind: GroupKind, p: Partition) -> None:

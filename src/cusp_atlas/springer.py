@@ -2,12 +2,15 @@
 
 For a distinguished class with character, repeatedly deleting a pair of
 adjacent parts carrying equal signs ("elimination") terminates in a normal
-form with strictly alternating signs.  The normal form does not depend on
-the deletion order, the symbol defect survives every step, and the defect
-(equivalently the shape of the normal form) determines a cuspidal datum:
-a torus rank, the triangular/staircase cuspidal partition, and its sign
-character.  Both computation routes, the closed defect formula and the
-normal form, are always run and compared; disagreement raises.
+form with strictly alternating signs.  The content of the normal form
+(length, sign pattern, d) does not depend on the deletion order, the symbol
+defect survives every step, and the defect (equivalently the shape of the
+normal form) determines a cuspidal datum: a torus rank, the
+triangular/staircase cuspidal partition, and its sign character.  Both
+computation routes, the closed defect formula and the normal form, are
+always run and compared; disagreement raises.  :func:`eliminate` (the
+leftmost path, with its history) and :func:`elimination_outcomes` (every
+order) are the only two places that eliminate.
 
 The second half extends the dictionary beyond the connected groups: to the
 full orthogonal group O_N (three cases, by the shape of the quasi-Levi and
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DomainMismatch, InternalCheckError, InvalidPartition
 from .orbits import (
@@ -32,6 +35,7 @@ from .orbits import (
     is_distinguished,
     orthogonal_cuspidal_lift,
     orthogonal_cuspidal_partition,
+    require_domain,
     require_valid,
     symplectic_cuspidal_character,
     symplectic_cuspidal_partition,
@@ -44,12 +48,6 @@ def _require_distinguished(kind: GroupKind, p: Partition) -> None:
         raise InvalidPartition(f"{p} is not distinguished for {kind}")
 
 
-def _check_char_domain(p: Partition, eta: SignCharacter) -> None:
-    if set(eta.keys()) != set(p.parts):
-        raise DomainMismatch(
-            f"character domain {eta.keys()} does not match parts of {p}")
-
-
 def eliminate_once(p: Partition, eta: SignCharacter, index: int) -> tuple[Partition, SignCharacter]:
     """Delete the adjacent parts p[index], p[index+1] (increasing order, 0-based).
 
@@ -57,7 +55,7 @@ def eliminate_once(p: Partition, eta: SignCharacter, index: int) -> tuple[Partit
     unchanged by the deletion.
     """
     parts = p.increasing()
-    _check_char_domain(p, eta)
+    require_domain(eta, p.parts, "parts", p)
     if not 0 <= index < len(parts) - 1:
         raise IndexError(f"no adjacent pair at position {index} in {p}")
     lo, hi = parts[index], parts[index + 1]
@@ -68,54 +66,66 @@ def eliminate_once(p: Partition, eta: SignCharacter, index: int) -> tuple[Partit
     return Partition(remaining), eta.restrict(remaining)
 
 
-def _removable(parts: Sequence[int], eta: SignCharacter) -> list[int]:
-    return [j for j in range(len(parts) - 1) if eta(parts[j]) == eta(parts[j + 1])]
+def removable_sites(parts: Sequence[int], sign: Callable[[int], int]) -> list[int]:
+    """Positions j where the increasing parts j, j+1 carry equal signs."""
+    return [j for j in range(len(parts) - 1) if sign(parts[j]) == sign(parts[j + 1])]
 
 
-def eliminate(p: Partition, eta: SignCharacter) -> tuple[Partition, SignCharacter]:
-    """Full elimination: the unique normal form with alternating signs.
+def eliminate(p: Partition, eta: SignCharacter) -> tuple[Partition, SignCharacter, tuple[tuple[int, int], ...]]:
+    """Full elimination along the leftmost path, with its history.
 
-    Deterministically removes the leftmost admissible pair; order
-    independence is a theorem (and is exhaustively exercised by
-    :func:`elimination_normal_forms`).
+    Returns the normal form (strictly alternating signs), its character and
+    the deleted (lo, hi) pairs in deletion order.  Always deleting the
+    leftmost admissible pair is one pass over the increasing parts with a
+    stack: a part cancels the top of the stack when their signs agree and is
+    pushed otherwise.  Other orders may delete other pairs and end at other
+    parts; what they share is the subject of :func:`elimination_outcomes`.
     """
-    _check_char_domain(p, eta)
-    current, char = p, eta
-    while True:
-        parts = current.increasing()
-        sites = _removable(parts, char)
-        if not sites:
-            return current, char
-        current, char = eliminate_once(current, char, sites[0])
+    require_domain(eta, p.parts, "parts", p)
+    signs = eta.as_dict()
+    kept: list[int] = []
+    removed: list[tuple[int, int]] = []
+    for q in p.increasing():
+        if kept and signs[kept[-1]] == signs[q]:
+            removed.append((kept.pop(), q))
+        else:
+            kept.append(q)
+    return Partition(kept), eta.restrict(kept), tuple(removed)
 
 
-def elimination_normal_forms(p: Partition, eta: SignCharacter) -> set[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
-    """Normal forms reachable by every admissible deletion order (test hook).
+def elimination_outcomes(p: Partition, eta: SignCharacter) -> set[tuple]:
+    """Outcomes of elimination over every admissible deletion order.
 
-    The literal terminal partition may depend on the order: from (1,3,5)
-    with signs (+,+,+) one deletion order ends at (5), the other at (1).
-    What is order-independent is the invariant content captured by
-    :func:`normal_form_content` — and, downstream, the cuspidal support.
+    An outcome is (normal parts increasing, normal character values, the
+    deleted (lo, hi) pairs sorted).  The literal terminal partition may
+    depend on the order: from (1,3,5) with signs (+,+,+) one deletion order
+    ends at (5), the other at (1).  What is order-independent is the
+    invariant content captured by :func:`normal_form_content` and, downstream,
+    the cuspidal support, which adds one segment per deleted pair and so sees
+    the pairs only as a set.
+
+    The search is memoised on its state, the remaining parts with their
+    signs (the sign of a part never changes, so the parts are the key): the
+    outcomes of a state are found once, however many orders reach it.
     """
-    _check_char_domain(p, eta)
-    seen: set = set()
-    out: set = set()
+    require_domain(eta, p.parts, "parts", p)
+    sign = eta.as_dict().__getitem__
+    memo: dict[tuple[int, ...], set[tuple]] = {}
 
-    def walk(parts: tuple[int, ...], char: SignCharacter) -> None:
-        key = (parts, char.values)
-        if key in seen:
-            return
-        seen.add(key)
-        sites = _removable(parts, char)
-        if not sites:
-            out.add((parts, char.values))
-            return
+    def search(parts: tuple[int, ...]) -> set[tuple]:
+        found = memo.get(parts)
+        if found is not None:
+            return found
+        sites = removable_sites(parts, sign)
+        found = set() if sites else {(parts, eta.restrict(parts).values, ())}
         for j in sites:
-            sub = Partition(parts[:j] + parts[j + 2:])
-            walk(sub.increasing(), char.restrict(sub.parts))
+            pair = parts[j:j + 2]
+            for normal, values, removed in search(parts[:j] + parts[j + 2:]):
+                found.add((normal, values, tuple(sorted(removed + (pair,)))))
+        memo[parts] = found
+        return found
 
-    walk(p.increasing(), eta)
-    return out
+    return search(p.increasing())
 
 
 def normal_form_content(kind: GroupKind, parts: tuple[int, ...],
@@ -132,13 +142,12 @@ def normal_form_content(kind: GroupKind, parts: tuple[int, ...],
 
 
 def is_normal_form(p: Partition, eta: SignCharacter) -> bool:
-    parts = p.increasing()
-    return not _removable(parts, eta)
+    return not removable_sites(p.increasing(), eta)
 
 
 def d_from_normal_form(kind: GroupKind, p: Partition, eta: SignCharacter) -> int:
     """Read the cuspidal size parameter d off an elimination normal form."""
-    _check_char_domain(p, eta)
+    require_domain(eta, p.parts, "parts", p)
     if not is_normal_form(p, eta):
         raise InvalidPartition(f"{p} with {eta} is not elimination-normal")
     parts = p.increasing()
@@ -192,13 +201,12 @@ def springer_datum(kind: GroupKind, p: Partition, eta: SignCharacter) -> Cuspida
     d = |d'| in the orthogonal one, and the agreement is enforced.
     """
     _require_distinguished(kind, p)
-    _check_char_domain(p, eta)
+    normal_p, normal_eta, _ = eliminate(p, eta)
     dprime = defect_formula(kind, p, eta)
     sym = symbol_from_character(kind, p, eta)
     if sym.defect != dprime:
         raise InternalCheckError(
             f"defect formula {dprime} != symbol defect {sym.defect} on {p}, {eta}")
-    normal_p, normal_eta = eliminate(p, eta)
     d = d_from_normal_form(kind, normal_p, normal_eta)
     if d != d_from_defect(kind, dprime):
         raise InternalCheckError(
@@ -307,9 +315,7 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
     kind_so = GroupKind(so_family, n)
     kind_o = GroupKind(Family.O_ODD if n % 2 else Family.O_EVEN, n)
     require_valid(kind_o, p)
-    if set(eta.keys()) != set(p.distinct_parts_of_parity(1)):
-        raise DomainMismatch(
-            f"character domain {eta.keys()} does not match the odd parts of {p}")
+    require_domain(eta, p.distinct_parts_of_parity(1), "the odd parts", p)
 
     if is_degenerate(p) and len(p):
         torus_rank = n // 2
@@ -421,10 +427,8 @@ def springer_product(factors: Sequence[ProductFactor]) -> ProductSpringerDatum:
         n = f.size
         kind_o = GroupKind(Family.O_ODD if n % 2 else Family.O_EVEN, n)
         require_valid(kind_o, f.partition)
-        expected = set(f.partition.distinct_parts_of_parity(1))
-        if set(f.character.keys()) != expected:
-            raise DomainMismatch(
-                f"factor {f.partition}: character domain does not match its odd parts")
+        require_domain(f.character, f.partition.distinct_parts_of_parity(1), "the odd parts",
+                       f.partition)
 
     cases = [_factor_case(f) for f in factors]
     ones = tuple(i for i, c in enumerate(cases) if c is OCase.I)

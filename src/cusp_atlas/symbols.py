@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainMismatch, InternalCheckError, InvalidPartition
+from .errors import InternalCheckError, InvalidPartition
 from .orbits import GroupKind, Partition, SignCharacter, require_valid
 
 
@@ -150,12 +150,6 @@ class IntervalStructure:
     intervals: tuple[tuple[int, ...], ...]
     parts: tuple[int, ...]
     h: tuple[int, ...]
-
-    def interval_for_part(self, q: int) -> tuple[int, ...]:
-        try:
-            return self.intervals[self.parts.index(q)]
-        except ValueError:
-            raise DomainMismatch(f"partition {self.partition} has no generator part {q}") from None
 
 
 def _padded_increasing(kind: GroupKind, p: Partition) -> tuple[int, ...]:

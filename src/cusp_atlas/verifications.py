@@ -7,18 +7,19 @@ suite pushes the documented bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from typing import Callable, Mapping
 
 from . import census
-from .cuspsupport import all_order_slice_supports, check_support
+from .cuspsupport import check_support, outcome_supports
 from .errors import InternalCheckError
 from .lparams import BlockGroupSide, IrrLabel, SelfDualType
 from .orbits import Family, GroupKind, cuspidal_pair
 from .springer import (
-    elimination_normal_forms,
     eliminate_once,
+    elimination_outcomes,
     normal_form_content,
+    removable_sites,
     springer_datum,
 )
 from .symbols import defect_formula, symbol_from_character
@@ -26,11 +27,22 @@ from .symbols import defect_formula, symbol_from_character
 
 @dataclass(frozen=True)
 class Limits:
+    """Range of each check; the defaults are the documented acceptance bounds."""
+
     defect: int = 20
     orders: int = 16
     support: int = 14
     census: int = 12
     cuspidal: int = 25
+
+
+QUICK = Limits(defect=14, orders=12, support=10, census=8, cuspidal=20)
+
+
+def selfcheck_limits(overrides: Mapping[str, int], bound: int) -> Limits:
+    """The quick limits of `selfcheck`, with per-check overrides, each capped by bound."""
+    return Limits(**{f.name: min(overrides.get(f.name, getattr(QUICK, f.name)), bound)
+                     for f in fields(Limits)})
 
 
 def _distinguished_kinds(n: int) -> list[GroupKind]:
@@ -52,10 +64,7 @@ def check_defect_coherence(limit: int) -> tuple[bool, str]:
                 before = defect_formula(kind, p, eta)
                 if symbol_from_character(kind, p, eta).defect != before:
                     return False, f"defect mismatch at {kind} {p} {eta}"
-                parts = p.increasing()
-                for j in range(len(parts) - 1):
-                    if eta(parts[j]) != eta(parts[j + 1]):
-                        continue
+                for j in removable_sites(p.increasing(), eta):
                     q, chi = eliminate_once(p, eta, j)
                     shrunk = GroupKind(kind.family, q.total) if q.total else kind
                     after = (defect_formula(shrunk, q, chi) if len(q)
@@ -75,14 +84,14 @@ def check_order_independence(limit: int) -> tuple[bool, str]:
                     else BlockGroupSide.O_SIDE)
             label = IrrLabel("u", 1, SelfDualType.ORTHOGONAL)
             for p, eta in census.distinguished_pairs(kind):
-                shrunk_kind = kind
+                outcomes = elimination_outcomes(p, eta)
                 contents = {
-                    normal_form_content(GroupKind(kind.family, sum(parts)) if parts
-                                        else shrunk_kind, parts, values)
-                    for parts, values in elimination_normal_forms(p, eta)}
+                    normal_form_content(GroupKind(kind.family, sum(parts)) if parts else kind,
+                                        parts, values)
+                    for parts, values, _ in outcomes}
                 if len(contents) != 1:
                     return False, f"{len(contents)} normal-form contents for {kind} {p} {eta}"
-                supports = all_order_slice_supports(label, side, p.increasing(), eta)
+                supports = outcome_supports(label, side, p.increasing(), outcomes)
                 if len(supports) != 1:
                     return False, f"{len(supports)} supports for {kind} {p} {eta}"
                 checked += 1

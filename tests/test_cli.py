@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -169,6 +170,10 @@ def test_main_selfcheck_quick(capsys):
     assert main(["selfcheck", "--bound", "6", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ok"] is True
+    # --bound caps every check, the cuspidal fixed points included
+    checks = {c["name"]: c["detail"] for c in out["checks"]}
+    assert checks["cuspidal-fixed-points"] == "4 cuspidal pairs fixed"
+    assert checks["count-identity"] == "Sp_N census matches for even N <= 6"
 
 
 def test_command_mismatch_rejected():
@@ -176,3 +181,17 @@ def test_command_mismatch_rejected():
         parse_input(SUPPORT_DOC, command="enumerate")
     job = parse_input(dict(SUPPORT_DOC), command="support")
     assert isinstance(job, JobSpec)
+
+
+def test_bad_env_bound_is_a_schema_error(monkeypatch, capsys):
+    monkeypatch.setenv("CUSP_ATLAS_BOUND", "x")
+    assert main(["selfcheck"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "schema" and "CUSP_ATLAS_BOUND" in error["message"]
+    # an explicit --bound does not read the variable
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"command": "enumerate", "group": {"family": "Sp", "N": 4}})))
+    assert main(["enumerate", "--input", "-", "--bound", "6", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["pairs"] == 7

@@ -1,7 +1,7 @@
 import pytest
 
 from cusp_atlas.census import distinguished_pairs, group_partitions, springer_count_identity
-from cusp_atlas.cuspsupport import all_order_slice_supports
+from cusp_atlas.cuspsupport import all_order_slice_supports, outcome_supports
 from cusp_atlas.errors import DomainMismatch, InvalidPartition
 from cusp_atlas.lparams import BlockGroupSide, IrrLabel, SelfDualType
 from cusp_atlas.orbits import (
@@ -21,7 +21,7 @@ from cusp_atlas.springer import (
     d_from_normal_form,
     eliminate,
     eliminate_once,
-    elimination_normal_forms,
+    elimination_outcomes,
     normal_form_content,
     springer_datum,
     springer_o,
@@ -45,50 +45,84 @@ def test_eliminate_once_fixtures():
 
 
 def test_eliminate_fixtures():
-    assert eliminate(Partition((4, 2)), SignCharacter({2: 1, 4: 1}))[0] == Partition(())
+    p, eta, removed = eliminate(Partition((4, 2)), SignCharacter({2: 1, 4: 1}))
+    assert (p, eta.keys(), removed) == (Partition(()), (), ((2, 4),))
     p = Partition((4, 2))
     eta = SignCharacter({2: -1, 4: 1})
-    assert eliminate(p, eta) == (p, eta)  # alternating input is a fixed point
-    full, _ = eliminate(Partition((8, 6, 4, 2)),
-                        SignCharacter({2: 1, 4: 1, 6: -1, 8: -1}))
-    assert full == Partition(())
+    assert eliminate(p, eta) == (p, eta, ())  # alternating input is a fixed point
+    full, _, removed = eliminate(Partition((8, 6, 4, 2)),
+                                 SignCharacter({2: 1, 4: 1, 6: -1, 8: -1}))
+    assert full == Partition(()) and removed == ((2, 4), (6, 8))
+    # the leftmost path: (3,5) goes first, which makes 1 and 7 adjacent
+    normal, chi, removed = eliminate(Partition((9, 7, 5, 3, 1)),
+                                     SignCharacter({1: 1, 3: -1, 5: -1, 7: 1, 9: -1}))
+    assert (normal, chi.as_dict(), removed) == (Partition((9,)), {9: -1}, ((3, 5), (1, 7)))
+    with pytest.raises(DomainMismatch):
+        eliminate(Partition((4, 2)), SignCharacter({2: 1}))
 
 
 def test_collapse_order_insensitive_for_full_collapse():
     eta = SignCharacter({2: 1, 4: 1, 6: -1, 8: -1})
-    forms = elimination_normal_forms(Partition((8, 6, 4, 2)), eta)
-    assert forms == {((), ())}
+    outcomes = elimination_outcomes(Partition((8, 6, 4, 2)), eta)
+    assert outcomes == {((), (), ((2, 4), (6, 8)))}
 
 
 def test_normal_form_values_can_depend_on_order():
     # the terminal parts are a computation device: from (1,3,5) with all
     # signs equal, one order ends at (5), the other at (1) ...
-    forms = elimination_normal_forms(Partition((5, 3, 1)), SignCharacter({1: 1, 3: 1, 5: 1}))
-    assert {parts for parts, _ in forms} == {(5,), (1,)}
+    outcomes = elimination_outcomes(Partition((5, 3, 1)), SignCharacter({1: 1, 3: 1, 5: 1}))
+    assert {(parts, removed) for parts, _, removed in outcomes} == {
+        ((5,), ((1, 3),)), ((1,), ((3, 5),))}
     # ... but the invariant content and the produced support do not move
     contents = {normal_form_content(GroupKind(Family.SO_ODD, sum(parts)), parts, values)
-                for parts, values in forms}
+                for parts, values, _ in outcomes}
     assert contents == {(1, (1,), 1)}
     supports = all_order_slice_supports(LABEL, BlockGroupSide.O_SIDE, (1, 3, 5),
                                         SignCharacter({1: 1, 3: 1, 5: 1}))
     assert len(supports) == 1
 
 
+def _distinguished_kinds(n):
+    kinds = [GroupKind(Family.SP, n)] if n % 2 == 0 else []
+    kinds.append(GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n))
+    return kinds
+
+
 def test_order_independence_of_content_and_support():
     for n in range(1, 13):
-        kinds = [GroupKind(Family.SP, n)] if n % 2 == 0 else []
-        kinds.append(GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n))
-        for kind in kinds:
+        for kind in _distinguished_kinds(n):
             side = BlockGroupSide.SP_SIDE if kind.is_symplectic else BlockGroupSide.O_SIDE
             for p, eta in distinguished_pairs(kind):
-                forms = elimination_normal_forms(p, eta)
+                outcomes = elimination_outcomes(p, eta)
                 contents = {
                     normal_form_content(
                         GroupKind(kind.family, sum(parts)) if parts else kind,
                         parts, values)
-                    for parts, values in forms}
+                    for parts, values, _ in outcomes}
                 assert len(contents) == 1
-                assert len(all_order_slice_supports(LABEL, side, p.increasing(), eta)) == 1
+                assert len(outcome_supports(LABEL, side, p.increasing(), outcomes)) == 1
+
+
+def _walk_every_order(parts, signs, removed=()):
+    """Outcomes of elimination, one deletion path at a time, without a memo."""
+    sites = [j for j in range(len(parts) - 1) if signs[parts[j]] == signs[parts[j + 1]]]
+    if not sites:
+        yield parts, tuple((q, signs[q]) for q in parts), tuple(sorted(removed))
+    for j in sites:
+        yield from _walk_every_order(parts[:j] + parts[j + 2:], signs,
+                                     removed + (parts[j:j + 2],))
+
+
+def test_elimination_outcomes_match_path_walker():
+    # from N = 16 on some orders delete two pairs; N = 20 adds the four-part
+    # symplectic classes and N = 25 the five-part class (9,7,5,3,1)
+    for n in list(range(1, 17)) + [20, 25]:
+        for kind in _distinguished_kinds(n):
+            for p, eta in distinguished_pairs(kind):
+                walked = set(_walk_every_order(p.increasing(), eta.as_dict()))
+                assert elimination_outcomes(p, eta) == walked
+                normal, chi, removed = eliminate(p, eta)
+                assert (normal.increasing(), chi.values, tuple(sorted(removed))) in walked
 
 
 def test_d_from_normal_form():
