@@ -22,7 +22,7 @@ from typing import Any, Optional
 
 from . import census
 from .bernstein import GLFactor, InertialTriple, hecke_parameters, torus_dim, weyl_descriptor
-from .cuspsupport import CuspidalSupport, check_support, support
+from .cuspsupport import SupportReport, check_support
 from .errors import (
     BoundExceeded,
     CuspAtlasError,
@@ -86,6 +86,12 @@ def _expect_object(doc, pointer: str, required: dict, optional: dict = {}) -> di
 def _int(value, pointer: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(pointer, "expected an integer")
+    return value
+
+
+def _positive_int(value, pointer: str) -> int:
+    if _int(value, pointer) < 1:
+        raise SchemaError(pointer, "expected a positive integer")
     return value
 
 
@@ -329,8 +335,7 @@ def _product_factors(value, pointer):
 
 
 def _selfcheck_bounds(value, pointer):
-    allowed = {"defect": _int, "orders": _int, "support": _int,
-               "census": _int, "cuspidal": _int}
+    allowed = dict.fromkeys(("defect", "orders", "support", "census", "cuspidal"), _positive_int)
     return _expect_object(value, pointer, {}, allowed)
 
 
@@ -375,10 +380,10 @@ def _render_datum(datum) -> dict:
     }
 
 
-def _render_support(sup: CuspidalSupport, param, eta) -> dict:
+def _render_support(report: SupportReport) -> dict:
+    sup = report.support
     twists = sorted(((label.name, e) for label, e in sup.gl_twists),
                     key=lambda t: (t[0], -t[1]))
-    report = check_support(param, eta)
     return {
         "levi": str(sup.levi),
         "gl_twists": [[name, _frac(e)] for name, e in twists],
@@ -400,15 +405,24 @@ def _env_bound() -> int:
     if raw is None:
         return DEFAULT_BOUND
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError:
-        raise SchemaError("/", f"environment variable {ENV_BOUND} must be an integer, "
-                               f"got {raw!r}") from None
+        bound = None
+    if bound is None or bound < 1:
+        raise SchemaError("/", f"environment variable {ENV_BOUND} must be a positive integer, "
+                               f"got {raw!r}")
+    return bound
 
 
 def run(job: JobSpec, bound: Optional[int] = None) -> dict:
-    """Execute a parsed job and return its output document."""
-    bound = bound if bound is not None else _env_bound()
+    """Execute a parsed job and return its output document.
+
+    A bound below 1 would empty every selfcheck range, so it is a schema error.
+    """
+    if bound is None:
+        bound = _env_bound()
+    elif bound < 1:
+        raise SchemaError("/", f"the bound must be a positive integer, got {bound}")
     if job.command == "validate":
         if job.payload[0] == "partition":
             _, kind, p = job.payload
@@ -462,8 +476,7 @@ def run(job: JobSpec, bound: Optional[int] = None) -> dict:
 
     if job.command == "support":
         param, eta = job.payload
-        sup = support(param, eta)
-        doc = _render_support(sup, param, eta)
+        doc = _render_support(check_support(param, eta))
         doc["group"] = _group_json(param.dual_group)
         doc["p_adic_group"] = _p_adic_name(param.dual_group)
         return doc

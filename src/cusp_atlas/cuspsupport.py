@@ -19,15 +19,21 @@ The second route rewrites the normal form through the increasing block map
 psi (size 2(i-1) or 2i on the symplectic side by the leading sign, 2i-1 on
 the orthogonal side) and harvests the twists as integer segments, one per
 surviving block plus one per eliminated pair.  The two routes must produce
-identical supports; :func:`check_support` bundles that comparison with the
+identical supports.  Neither route calls the other: :func:`check_support`
+computes each once, compares them, and bundles that comparison with the
 conservation laws (infinitesimal character, dimension, idempotence, and the
 fixed-point criterion: support = self exactly for gapless alternating data).
+Its report carries the support it checked, so a caller that wants both the
+support and its checks computes the support only there.
+
+Exponents are half-integers; :class:`~cusp_atlas.lparams.ExponentMultiset`
+counts them as the integers 2e, and the segments below are built directly
+from ranges of those integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InternalCheckError, InvalidParameter
@@ -68,19 +74,14 @@ class ECMultiset:
 
 
 def staircase_exponents(label: IrrLabel, side: BlockGroupSide, d: int) -> ExponentMultiset:
-    out = ExponentMultiset()
     sizes = range(2, 2 * d + 1, 2) if side is BlockGroupSide.SP_SIDE else range(1, 2 * d, 2)
-    for a in sizes:
-        out = out.union(block_exponents(label, a))
-    return out
+    return ExponentMultiset.union_all(block_exponents(label, a) for a in sizes)
 
 
 def ec_multiset(label: IrrLabel, side: BlockGroupSide, sizes: Iterable[int], d: int) -> ECMultiset:
     """E_c = slice exponents minus staircase exponents, split as E' + (-E')."""
     sizes = tuple(sizes)
-    total = ExponentMultiset()
-    for a in sizes:
-        total = total.union(block_exponents(label, a))
+    total = ExponentMultiset.union_all(block_exponents(label, a) for a in sizes)
     try:
         e_c = total.minus(staircase_exponents(label, side, d))
     except InvalidParameter as exc:
@@ -146,12 +147,11 @@ def _classical_part(dual: GroupKind, blocks, chars) -> tuple[DiscreteParameter, 
 
 
 def _assemble(dual: GroupKind, slices: list[SliceSupport]) -> CuspidalSupport:
-    twists = ExponentMultiset()
+    twists = ExponentMultiset.union_all(s.correction.e_prime for s in slices)
     blocks: list[tuple[IrrLabel, int]] = []
     chars: dict = {}
     gl_ranks = []
     for s in slices:
-        twists = twists.union(s.correction.e_prime)
         for a in s.datum.cusp_partition.parts:
             blocks.append((s.label, a))
             chars[(s.label.name, a)] = s.datum.cusp_character(a)
@@ -193,8 +193,7 @@ def _psi_map(side: BlockGroupSide, normal: Partition, char: SignCharacter) -> tu
 
 def _segment(top: int, length: int, label: IrrLabel) -> ExponentMultiset:
     """Exponents (top-1)/2 - f for f = 0..length-1, folded to be nonnegative."""
-    start = Fraction(top - 1, 2)
-    return ExponentMultiset((label, abs(start - f)) for f in range(length))
+    return ExponentMultiset.from_doubled(label, map(abs, range(top - 1, top - 1 - 2 * length, -2)))
 
 
 def _slice_psi_support(label: IrrLabel, side: BlockGroupSide, sizes: tuple[int, ...],
@@ -203,14 +202,14 @@ def _slice_psi_support(label: IrrLabel, side: BlockGroupSide, sizes: tuple[int, 
     """Assemble one slice's support from an elimination history."""
     group = _slice_group(side, sum(sizes))
     psi, d = _psi_map(side, terminal, terminal_char)
-    twists = ExponentMultiset()
+    segments = []
     cusp_values: dict[int, int] = {}
     for a, image in zip(terminal.increasing(), psi):
-        twists = twists.union(_segment(a, (a - image) // 2, label))
+        segments.append(_segment(a, (a - image) // 2, label))
         if image >= 1:
             cusp_values[image] = terminal_char(a)
-    for lo, hi in removed:
-        twists = twists.union(_segment(hi, (lo + hi) // 2, label))
+    segments.extend(_segment(hi, (lo + hi) // 2, label) for lo, hi in removed)
+    twists = ExponentMultiset.union_all(segments)
 
     if side is BlockGroupSide.SP_SIDE:
         cusp = Partition(range(2, 2 * d + 1, 2))
@@ -231,7 +230,8 @@ def support_via_psi(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSu
 
     Surviving blocks contribute the segment from their size down to their
     psi-image; each eliminated pair (lo, hi) contributes the segment of
-    length (lo + hi)/2 below hi.  Must equal :func:`support`.
+    length (lo + hi)/2 below hi.  The result is compared with
+    :func:`support` in :func:`check_support`.
     """
     require_valid_parameter(p)
     require_domain(eta, p.block_keys(), "blocks", p)
@@ -242,12 +242,7 @@ def support_via_psi(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSu
         terminal, terminal_char, removed = eliminate(
             Partition(sizes), _slice_character(label, sizes, eta))
         slices.append(_slice_psi_support(label, side, sizes, removed, terminal, terminal_char))
-    result = _assemble(p.dual_group, slices)
-    direct_key = support(p, eta).key()
-    if result.key() != direct_key:
-        raise InternalCheckError(
-            f"the two support routes disagree on {p}, {eta}")
-    return result
+    return _assemble(p.dual_group, slices)
 
 
 def all_order_slice_supports(label: IrrLabel, side: BlockGroupSide,
@@ -284,6 +279,9 @@ def _dprime_from(side: BlockGroupSide, d: int, char: SignCharacter, normal: Part
 
 @dataclass(frozen=True)
 class SupportReport:
+    """The conservation laws and the route comparison for one support."""
+
+    support: CuspidalSupport
     infinitesimal_preserved: bool
     dimension_conserved: bool
     idempotent: bool
@@ -306,12 +304,12 @@ def support_infinitesimal(sup: CuspidalSupport) -> ExponentMultiset:
     An exponent-0 twist is an untwisted self-dual pair and contributes the
     entry (label, 0) twice, which the plain symmetrization already does.
     """
-    out = infinitesimal_character(sup.cusp_param)
-    doubled = sup.gl_twists.union(sup.gl_twists.negated())
-    return out.union(doubled)
+    return ExponentMultiset.union_all((infinitesimal_character(sup.cusp_param),
+                                       sup.gl_twists, sup.gl_twists.negated()))
 
 
 def check_support(p: DiscreteParameter, eta: ParameterCharacter) -> SupportReport:
+    """Compute the support once and check it: both routes, all five laws."""
     sup = support(p, eta)
     inf_ok = infinitesimal_character(p) == support_infinitesimal(sup)
     twist_dims = 2 * sum(label.dim for label, _ in sup.gl_twists)
@@ -321,8 +319,7 @@ def check_support(p: DiscreteParameter, eta: ParameterCharacter) -> SupportRepor
     fixed = sup.is_self(p, eta)
     fix_ok = fixed == is_cuspidal(p, eta)
     try:
-        via = support_via_psi(p, eta)
-        routes_ok = via.key() == sup.key()
+        routes_ok = support_via_psi(p, eta).key() == sup.key()
     except InternalCheckError:
         routes_ok = False
-    return SupportReport(inf_ok, dim_ok, idem_ok, fix_ok, routes_ok)
+    return SupportReport(sup, inf_ok, dim_ok, idem_ok, fix_ok, routes_ok)

@@ -30,7 +30,8 @@ class InternalCheckError(CuspAtlasError, RuntimeError):
 
     The two independent computation routes (closed formulas versus normal
     forms, direct supports versus rewriting maps) must agree.  Divergence is
-    never ignored: it is surfaced through this exception.
+    never ignored: it is surfaced through this exception, or, for the two
+    support routes, as a failed `routes_agree` in `check_support`.
     """
 
 

@@ -248,27 +248,57 @@ def is_cuspidal(p: DiscreteParameter, eta: ParameterCharacter) -> bool:
     return has_no_gaps(p) and is_alternating(p, eta)
 
 
+def _doubled(e) -> int:
+    """2e for a half-integer e; InvalidParameter for anything else."""
+    two_e = 2 * Fraction(e)
+    if two_e.denominator != 1:
+        raise InvalidParameter(f"exponent {e} is not a half-integer")
+    return two_e.numerator
+
+
 class ExponentMultiset:
     """Multiset of (label, half-integer) pairs, kept exact.
 
     Supports the few operations the support construction needs: union,
     checked difference, the canonical nonnegative half of a symmetric
     multiset, and symmetry checking.
+
+    Entries are counted in a plain dict under the key (label, 2e), with 2e
+    an integer and no zero count, so no rational arithmetic happens inside
+    the operations and equality is dict equality.  Exponents cross the
+    public edges as Fractions: the constructor, iteration, `entries`,
+    `multiplicity` and `in`.  `from_doubled` takes the integers 2e directly.
     """
 
     __slots__ = ("_counts",)
 
     def __init__(self, entries: Iterable[tuple[IrrLabel, Fraction]] = ()):
-        counts = Counter()
-        for label, e in entries:
-            counts[(label, Fraction(e))] += 1
-        self._counts = counts
+        self._counts = dict(Counter((label, _doubled(e)) for label, e in entries))
 
     @classmethod
-    def _from_counter(cls, counts: Counter) -> "ExponentMultiset":
-        out = cls()
-        out._counts = Counter({k: v for k, v in counts.items() if v})
+    def _wrap(cls, counts: dict) -> "ExponentMultiset":
+        """The multiset of counts, which must hold no zero count."""
+        out = cls.__new__(cls)
+        out._counts = counts
         return out
+
+    @classmethod
+    def from_doubled(cls, label: IrrLabel, doubled: Iterable[int]) -> "ExponentMultiset":
+        """The entries (label, v/2) for the integers v in doubled."""
+        return cls._wrap(dict(Counter(zip(itertools.repeat(label), doubled))))
+
+    @classmethod
+    def union_all(cls, parts: Iterable["ExponentMultiset"]) -> "ExponentMultiset":
+        """The union of several multisets, accumulated in one dict."""
+        counts: dict = {}
+        for part in parts:
+            if not counts:
+                counts.update(part._counts)
+                continue
+            get = counts.get
+            for key, count in part._counts.items():
+                counts[key] = get(key, 0) + count
+        return cls._wrap(counts)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExponentMultiset) and self._counts == other._counts
@@ -280,47 +310,56 @@ class ExponentMultiset:
         return sum(self._counts.values())
 
     def __iter__(self):
-        for (label, e), count in sorted(self._counts.items()):
+        for (label, two_e), count in sorted(self._counts.items()):
+            e = Fraction(two_e, 2)
             for _ in range(count):
                 yield label, e
 
     def __contains__(self, entry) -> bool:
         label, e = entry
-        return self._counts[(label, Fraction(e))] > 0
+        return self.multiplicity(label, e) > 0
 
     def multiplicity(self, label: IrrLabel, e) -> int:
-        return self._counts[(label, Fraction(e))]
+        two_e = 2 * Fraction(e)
+        return self._counts.get((label, two_e.numerator), 0) if two_e.denominator == 1 else 0
 
     def union(self, other: "ExponentMultiset") -> "ExponentMultiset":
-        return ExponentMultiset._from_counter(self._counts + other._counts)
+        return ExponentMultiset.union_all((self, other))
 
     def minus(self, other: "ExponentMultiset") -> "ExponentMultiset":
-        diff = Counter(self._counts)
+        diff = self._counts.copy()
         for key, count in other._counts.items():
-            diff[key] -= count
-            if diff[key] < 0:
-                raise InvalidParameter(f"multiset difference would be negative at {key}")
-        return ExponentMultiset._from_counter(diff)
+            left = diff.get(key, 0) - count
+            if left < 0:
+                label, two_e = key
+                raise InvalidParameter("multiset difference would be negative at "
+                                       f"{(label, Fraction(two_e, 2))}")
+            if left:
+                diff[key] = left
+            else:
+                del diff[key]
+        return ExponentMultiset._wrap(diff)
 
     def is_symmetric(self) -> bool:
-        return all(count == self._counts[(label, -e)]
-                   for (label, e), count in self._counts.items())
+        get = self._counts.get
+        return all(count == get((label, -two_e), 0)
+                   for (label, two_e), count in self._counts.items())
 
     def nonnegative_half(self) -> "ExponentMultiset":
         """H with self = H + (-H); positives keep their multiplicity, zeros halve."""
         if not self.is_symmetric():
             raise InvalidParameter("multiset is not symmetric under negation")
-        half = Counter()
-        for (label, e), count in self._counts.items():
-            if e > 0:
-                half[(label, e)] = count
-            elif e == 0:
-                half[(label, e)] = count // 2
-        return ExponentMultiset._from_counter(half)
+        half = {}
+        for (label, two_e), count in self._counts.items():
+            if two_e > 0:
+                half[(label, two_e)] = count
+            elif two_e == 0 and count > 1:
+                half[(label, 0)] = count // 2
+        return ExponentMultiset._wrap(half)
 
     def negated(self) -> "ExponentMultiset":
-        return ExponentMultiset._from_counter(
-            Counter({(label, -e): c for (label, e), c in self._counts.items()}))
+        return ExponentMultiset._wrap(
+            {(label, -two_e): c for (label, two_e), c in self._counts.items()})
 
     def entries(self) -> tuple[tuple[IrrLabel, Fraction], ...]:
         return tuple(self)
@@ -332,15 +371,11 @@ class ExponentMultiset:
 
 def block_exponents(label: IrrLabel, a: int) -> ExponentMultiset:
     """Exponents (a-1)/2 - j, j = 0..a-1, of one size-a block."""
-    half = Fraction(a - 1, 2)
-    return ExponentMultiset((label, half - j) for j in range(a))
+    return ExponentMultiset.from_doubled(label, range(a - 1, -a, -2))
 
 
 def infinitesimal_character(p: DiscreteParameter) -> ExponentMultiset:
-    out = ExponentMultiset()
-    for label, a in p.blocks:
-        out = out.union(block_exponents(label, a))
-    return out
+    return ExponentMultiset.union_all(block_exponents(label, a) for label, a in p.blocks)
 
 
 def reducibility_point(label: IrrLabel, jord: DiscreteParameter | Iterable[tuple[IrrLabel, int]],

@@ -195,3 +195,49 @@ def test_bad_env_bound_is_a_schema_error(monkeypatch, capsys):
         {"command": "enumerate", "group": {"family": "Sp", "N": 4}})))
     assert main(["enumerate", "--input", "-", "--bound", "6", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["pairs"] == 7
+
+
+def schema_error_of(capsys) -> dict:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "schema"
+    return error
+
+
+@pytest.mark.parametrize("bound", ["-3", "0"])
+def test_nonpositive_bound_is_a_schema_error(bound, capsys):
+    # a bound below 1 would empty every selfcheck range and pass
+    assert main(["selfcheck", "--bound", bound]) == 2
+    assert bound in schema_error_of(capsys)["message"]
+
+
+@pytest.mark.parametrize("raw", ["0", "-1"])
+def test_nonpositive_env_bound_is_a_schema_error(raw, monkeypatch, capsys):
+    monkeypatch.setenv("CUSP_ATLAS_BOUND", raw)
+    assert main(["selfcheck"]) == 2
+    assert "CUSP_ATLAS_BOUND" in schema_error_of(capsys)["message"]
+
+
+def test_nonpositive_check_bound_is_a_schema_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"command": "selfcheck", "bounds": {"support": 4, "census": 0}})))
+    assert main(["selfcheck", "--input", "-"]) == 2
+    assert schema_error_of(capsys)["pointer"] == "/bounds/census"
+
+
+def test_support_job_computes_the_support_twice(support_calls):
+    # once on the input and once on its cuspidal part (idempotence); the
+    # rendered support is the one the checks ran on
+    out = run(parse_input(SUPPORT_DOC))
+    assert len(support_calls) == 2
+    assert out["cusp_blocks"] == [[label.name, a] for label, a in support_calls[1].blocks]
+
+
+def test_support_job_reports_disagreeing_routes(lossy_psi_route, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(SUPPORT_DOC)))
+    assert main(["support", "--input", "-"]) == 0
+    out = capsys.readouterr().out
+    assert '"routes_agree": false' in out
+    checks = json.loads(out)["checks"]
+    assert all(ok for name, ok in checks.items() if name != "routes_agree")

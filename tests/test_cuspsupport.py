@@ -47,6 +47,22 @@ def to_counter(m):
     return Counter(tuple(m))
 
 
+def half_oracle(counts):
+    """Nonnegative half of a symmetric Counter: positives kept, zeros halved."""
+    half = Counter({(label, e): n for (label, e), n in counts.items() if e > 0})
+    half.update({(label, e): n // 2 for (label, e), n in counts.items() if e == 0})
+    return +half
+
+
+# (side, slice sizes up to a = 801, the d values whose staircase embeds)
+LARGE_SLICES = [
+    (BlockGroupSide.SP_SIDE, (2, 4, 800), (0, 1, 2)),
+    (BlockGroupSide.SP_SIDE, (6, 8), (0, 1)),
+    (BlockGroupSide.O_SIDE, (1, 3, 801), (1, 2)),
+    (BlockGroupSide.O_SIDE, (5, 99, 801), (0, 1, 3)),
+]
+
+
 def test_support_fixture_sp6():
     param = DiscreteParameter(SP6, [(P, 2), (P, 4)])
     eta = character_on(param, (1, -1))
@@ -222,3 +238,83 @@ def test_check_support_mixed_signatures():
                     assert check_support(param, eta).ok(), (param, eta)
                     checked += 1
     assert checked > 200
+
+
+@pytest.mark.parametrize("side, sizes, ds", LARGE_SLICES)
+def test_integer_core_matches_fraction_oracle(side, sizes, ds):
+    dual = GroupKind(Family.SP if side is BlockGroupSide.SP_SIDE else Family.SO_ODD, sum(sizes))
+    param = DiscreteParameter(dual, [(P, a) for a in sizes])
+    assert to_counter(infinitesimal_character(param)) == exponent_oracle(P, sizes)
+    for d in ds:
+        stair = range(2, 2 * d + 1, 2) if side is BlockGroupSide.SP_SIDE else range(1, 2 * d, 2)
+        oracle = exponent_oracle(P, sizes)
+        oracle.subtract(exponent_oracle(P, stair))
+        out = ec_multiset(P, side, sizes, d)
+        assert to_counter(out.e_c) == +oracle
+        assert to_counter(out.e_prime) == half_oracle(+oracle)
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, 1), (-1, 1, -1)])
+def test_support_infinitesimal_matches_fraction_oracle(signs):
+    sizes = (2, 4, 800)
+    param = DiscreteParameter(GroupKind(Family.SP, sum(sizes)), [(P, a) for a in sizes])
+    sup = support(param, character_on(param, signs))
+    oracle = Counter()
+    for label, a in sup.cusp_param.blocks:
+        oracle += exponent_oracle(label, (a,))
+    for label, e in sup.gl_twists:
+        oracle[(label, e)] += 1
+        oracle[(label, -e)] += 1
+    assert to_counter(support_infinitesimal(sup)) == oracle == exponent_oracle(P, sizes)
+
+
+def test_exponent_accessors_speak_fractions():
+    m = block_exponents(P, 5).union(block_exponents(P, 2))
+    assert all(type(e) is Fraction for _, e in m)
+    assert all(type(e) is Fraction for _, e in m.entries())
+    assert [e for _, e in m] == sorted(Fraction(k, 2) for k in (4, 2, 0, -2, -4, 1, -1))
+    assert m.multiplicity(P, Fraction(1, 2)) == 1 and m.multiplicity(P, 1) == 1
+    assert m.multiplicity(P, "-2") == 1 and m.multiplicity(P, Fraction(1, 3)) == 0
+    assert (P, Fraction(-1, 2)) in m and (P, Fraction(5, 2)) not in m
+    assert (P, Fraction(1, 3)) not in m and (MU1, 0) not in m
+    assert repr(ExponentMultiset([(P, Fraction(-3, 2)), (P, 1)])) == "{{(p,-3/2),(p,1)}}"
+
+
+def test_exponent_multiset_rejects_non_half_integers():
+    with pytest.raises(InvalidParameter):
+        ExponentMultiset([(P, Fraction(1, 3))])
+    with pytest.raises(InvalidParameter):
+        ExponentMultiset([(P, Fraction(1, 2)), (P, 0.25)])
+
+
+def test_exponent_multiset_keeps_no_zero_counts():
+    m = block_exponents(P, 7)
+    empty = m.minus(m)
+    assert empty == ExponentMultiset() and hash(empty) == hash(ExponentMultiset())
+    assert len(empty) == 0 and empty.entries() == ()
+    rest = m.minus(block_exponents(P, 3))
+    assert rest == ExponentMultiset([(P, e) for e in (3, 2, -2, -3)])
+    assert hash(rest) == hash(ExponentMultiset([(P, e) for e in (-3, -2, 2, 3)]))
+
+
+def test_check_support_computes_the_support_twice(support_calls):
+    param = DiscreteParameter(SP6, [(P, 2), (P, 4)])
+    report = check_support(param, character_on(param, (1, -1)))
+    assert report.ok()
+    # the input, then its cuspidal part for idempotence
+    assert support_calls == [param, report.support.cusp_param]
+    assert report.support.key() == support(param, character_on(param, (1, -1))).key()
+
+
+def test_support_via_psi_does_not_call_support(support_calls):
+    param = DiscreteParameter(SP6, [(P, 2), (P, 4)])
+    for signs in ((1, -1), (1, 1), (-1, 1), (-1, -1)):
+        support_via_psi(param, character_on(param, signs))
+    assert support_calls == []
+
+
+def test_check_support_sees_a_perturbed_psi_route(lossy_psi_route):
+    param = DiscreteParameter(SP6, [(P, 2), (P, 4)])
+    report = check_support(param, character_on(param, (1, -1)))
+    assert report.routes_agree is False
+    assert report.failures() == ("routes_agree",)
