@@ -1,7 +1,8 @@
 """Command-line front end: JSON jobs in, deterministic JSON documents out.
 
-Commands: validate, springer, support, cuspidal-test, reducibility,
-bernstein, hecke, enumerate, selfcheck.  A job is a JSON object carrying
+The commands live in ``COMMANDS``, one ``(parse, run)`` entry each: the
+parser turns a job document into a payload, the runner turns the payload and
+the bound into the output document.  A job is a JSON object carrying
 "command" plus the payload fields of that command; unknown fields are
 rejected with a JSON-pointer path.  Half-integers are serialized as exact
 fraction strings, never floats, and keys are emitted sorted, so identical
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
-from . import census
+from . import census, verifications
 from .bernstein import GLFactor, InertialTriple, hecke_parameters, torus_dim, weyl_descriptor
-from .cuspsupport import SupportReport, check_support
+from .cuspsupport import SUPPORT_CHECKS, check_support
 from .errors import (
     BoundExceeded,
     CuspAtlasError,
@@ -52,9 +53,6 @@ from .springer import ProductFactor, springer_datum, springer_o, springer_produc
 
 ENV_BOUND = "CUSP_ATLAS_BOUND"
 DEFAULT_BOUND = 24
-
-COMMANDS = ("validate", "springer", "support", "cuspidal-test", "reducibility",
-            "bernstein", "hecke", "enumerate", "selfcheck")
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,7 @@ def _string(value, pointer: str) -> str:
 
 
 def _sign(value, pointer: str) -> int:
-    if value not in (1, -1):
+    if type(value) is not int or value not in (1, -1):
         raise SchemaError(pointer, "expected +1 or -1")
     return value
 
@@ -159,7 +157,7 @@ def _blocks(value, pointer: str, registry: _LabelRegistry, with_signs: bool):
     blocks, signs = [], {}
     for i, item in enumerate(value):
         here = f"{pointer}/{i}"
-        spec = {"pi": lambda v, p: registry.resolve(v, p), "a": _int}
+        spec = {"pi": registry.resolve, "a": _int}
         if with_signs:
             spec["sign"] = _sign
         fields = _expect_object(item, here, spec)
@@ -189,135 +187,42 @@ def _signs_for(parts: tuple[int, ...], value, pointer: str) -> SignCharacter:
 
 
 # -- payload parsing ---------------------------------------------------------
+#
+# Each parser takes the job document without its "command" field.
 
 def _parse_orbit_payload(doc, with_signs: bool):
-    spec = {"command": _string, "group": _group, "partition": _partition}
+    spec = {"group": _group, "partition": _partition}
     if with_signs:
         spec["signs"] = lambda v, p: v  # validated against the group below
     fields = _expect_object(doc, "", spec)
     kind, p = fields["group"], fields["partition"]
-    eta = None
-    if with_signs:
-        parity = kind.generator_parity
-        gens = p.distinct_parts_of_parity(parity) if parity is not None else ()
-        eta = _signs_for(gens, fields["signs"], "/signs")
-    return kind, p, eta
+    if not with_signs:
+        return kind, p
+    parity = kind.generator_parity
+    gens = p.distinct_parts_of_parity(parity) if parity is not None else ()
+    return kind, p, _signs_for(gens, fields["signs"], "/signs")
 
 
 def _parse_parameter_payload(doc, with_signs: bool):
     registry = _LabelRegistry()
     fields = _expect_object(
         doc, "",
-        {"command": _string, "group": _group,
-         "blocks": lambda v, p: _blocks(v, p, registry, with_signs)})
+        {"group": _group, "blocks": lambda v, p: _blocks(v, p, registry, with_signs)})
     blocks, signs = fields["blocks"]
     param = DiscreteParameter(fields["group"], blocks)
-    eta = SignCharacter(signs) if with_signs else None
-    return registry, param, eta
+    return (param, SignCharacter(signs)) if with_signs else param
 
 
-def _parse_triple(doc, with_theta: bool):
-    registry = _LabelRegistry()
-
-    def factors(value, pointer):
-        if not isinstance(value, list):
-            raise SchemaError(pointer, "expected a list")
-        out = []
-        for i, item in enumerate(value):
-            here = f"{pointer}/{i}"
-            fields = _expect_object(
-                item, here,
-                {"pi": lambda v, p: registry.resolve(v, p), "ell": _int},
-                {"torsion": _int, "partner_mprime": _int})
-            try:
-                out.append(GLFactor(fields["pi"], fields["ell"],
-                                    fields.get("torsion", 1),
-                                    fields.get("partner_mprime", 0)))
-            except ValueError as exc:
-                raise SchemaError(here, str(exc)) from None
-        return out
-
-    spec = {"command": _string, "group": _group, "gl_factors": factors,
-            "cusp_blocks": lambda v, p: _blocks(v, p, registry, with_signs=False)}
-    if with_theta:
-        spec_opt = {"theta": lambda v, p: _theta(v, p)}
-    else:
-        spec_opt = {}
-    fields = _expect_object(doc, "", spec, spec_opt)
-    blocks, _ = fields["cusp_blocks"]
-    n_sharp = sum(label.dim * a for label, a in blocks)
-    try:
-        sharp_kind = GroupKind(fields["group"].family, n_sharp)
-    except ValueError as exc:
-        raise SchemaError("/cusp_blocks", str(exc)) from None
-    cusp = DiscreteParameter(sharp_kind, blocks)
-    triple = InertialTriple(fields["group"], fields["gl_factors"], cusp)
-    return triple, fields.get("theta", {})
+def _parse_validate(doc):
+    if "partition" in doc:
+        return _parse_orbit_payload(doc, with_signs=False)
+    return _parse_parameter_payload(doc, with_signs=False)
 
 
-def _theta(value, pointer):
-    if not isinstance(value, dict):
-        raise SchemaError(pointer, "expected an object of label -> +1/-1")
-    return {name: _sign(sign, f"{pointer}/{name}") for name, sign in value.items()}
-
-
-def parse_input(document, command: Optional[str] = None) -> JobSpec:
-    """Validate a job document into a typed JobSpec.
-
-    When ``command`` is given (from the command line) the document may omit
-    its "command" field; if both are present they must agree.
-    """
-    if not isinstance(document, dict):
-        raise SchemaError("/", "expected an object")
-    doc = dict(document)
-    declared = doc.get("command")
-    if declared is None:
-        if command is None:
-            raise SchemaError("/command", "missing required field")
-        doc["command"] = command
-    elif command is not None and declared != command:
-        raise SchemaError("/command", f"document says {declared!r}, requested {command!r}")
-    cmd = doc["command"]
-    if cmd not in COMMANDS:
-        raise SchemaError("/command", f"unknown command {cmd!r}")
-
-    if cmd == "validate":
-        if "partition" in doc:
-            kind, p, _ = _parse_orbit_payload(doc, with_signs=False)
-            return JobSpec(cmd, ("partition", kind, p))
-        registry, param, _ = _parse_parameter_payload(doc, with_signs=False)
-        return JobSpec(cmd, ("parameter", param))
-    if cmd == "springer":
-        if "factors" in doc:
-            fields = _expect_object(doc, "", {"command": _string,
-                                              "factors": _product_factors})
-            return JobSpec(cmd, ("product", fields["factors"]))
-        kind, p, eta = _parse_orbit_payload(doc, with_signs=True)
-        return JobSpec(cmd, ("single", kind, p, eta))
-    if cmd in ("support", "cuspidal-test"):
-        _, param, eta = _parse_parameter_payload(doc, with_signs=True)
-        return JobSpec(cmd, (param, eta))
-    if cmd == "reducibility":
-        registry = _LabelRegistry()
-        fields = _expect_object(
-            doc, "",
-            {"command": _string, "group": _group,
-             "blocks": lambda v, p: _blocks(v, p, registry, with_signs=False),
-             "pi": lambda v, p: registry.resolve(v, p)})
-        blocks, _ = fields["blocks"]
-        return JobSpec(cmd, (fields["group"], blocks, fields["pi"]))
-    if cmd == "bernstein":
-        triple, _ = _parse_triple(doc, with_theta=False)
-        return JobSpec(cmd, triple)
-    if cmd == "hecke":
-        triple, theta = _parse_triple(doc, with_theta=True)
-        return JobSpec(cmd, (triple, theta))
-    if cmd == "enumerate":
-        fields = _expect_object(doc, "", {"command": _string, "group": _group})
-        return JobSpec(cmd, fields["group"])
-    fields = _expect_object(doc, "", {"command": _string},
-                            {"bounds": _selfcheck_bounds})
-    return JobSpec(cmd, fields.get("bounds", {}))
+def _parse_springer(doc):
+    if "factors" in doc:
+        return _expect_object(doc, "", {"factors": _product_factors})["factors"]
+    return _parse_orbit_payload(doc, with_signs=True)
 
 
 def _product_factors(value, pointer):
@@ -334,6 +239,63 @@ def _product_factors(value, pointer):
     return out
 
 
+def _parse_reducibility(doc):
+    registry = _LabelRegistry()
+    fields = _expect_object(
+        doc, "",
+        {"group": _group,
+         "blocks": lambda v, p: _blocks(v, p, registry, with_signs=False),
+         "pi": registry.resolve})
+    blocks, _ = fields["blocks"]
+    return fields["group"], blocks, fields["pi"]
+
+
+def _parse_triple(doc, with_theta: bool):
+    registry = _LabelRegistry()
+
+    def factors(value, pointer):
+        if not isinstance(value, list):
+            raise SchemaError(pointer, "expected a list")
+        out = []
+        for i, item in enumerate(value):
+            here = f"{pointer}/{i}"
+            fields = _expect_object(item, here, {"pi": registry.resolve, "ell": _int},
+                                    {"torsion": _int, "partner_mprime": _int})
+            try:
+                out.append(GLFactor(fields["pi"], fields["ell"],
+                                    fields.get("torsion", 1),
+                                    fields.get("partner_mprime", 0)))
+            except ValueError as exc:
+                raise SchemaError(here, str(exc)) from None
+        return out
+
+    spec = {"group": _group, "gl_factors": factors,
+            "cusp_blocks": lambda v, p: _blocks(v, p, registry, with_signs=False)}
+    fields = _expect_object(doc, "", spec, {"theta": _theta} if with_theta else {})
+    blocks, _ = fields["cusp_blocks"]
+    n_sharp = sum(label.dim * a for label, a in blocks)
+    try:
+        sharp_kind = GroupKind(fields["group"].family, n_sharp)
+    except ValueError as exc:
+        raise SchemaError("/cusp_blocks", str(exc)) from None
+    cusp = DiscreteParameter(sharp_kind, blocks)
+    triple = InertialTriple(fields["group"], fields["gl_factors"], cusp)
+    theta = fields.get("theta", {})
+    for name in theta:
+        registry.resolve(name, f"/theta/{name}")
+    return triple, theta
+
+
+def _theta(value, pointer):
+    if not isinstance(value, dict):
+        raise SchemaError(pointer, "expected an object of label -> +1/-1")
+    return {name: _sign(sign, f"{pointer}/{name}") for name, sign in value.items()}
+
+
+def _parse_selfcheck(doc):
+    return _expect_object(doc, "", {}, {"bounds": _selfcheck_bounds}).get("bounds", {})
+
+
 def _selfcheck_bounds(value, pointer):
     allowed = dict.fromkeys(("defect", "orders", "support", "census", "cuspidal"), _positive_int)
     return _expect_object(value, pointer, {}, allowed)
@@ -341,8 +303,8 @@ def _selfcheck_bounds(value, pointer):
 
 # -- output rendering --------------------------------------------------------
 
-def _frac(x: Fraction) -> str:
-    return str(Fraction(x))
+def _frac(x: Optional[Fraction]) -> Optional[str]:
+    return None if x is None else str(Fraction(x))
 
 
 def _render_char(eta: SignCharacter) -> list:
@@ -380,7 +342,65 @@ def _render_datum(datum) -> dict:
     }
 
 
-def _render_support(report: SupportReport) -> dict:
+# -- runners -----------------------------------------------------------------
+#
+# Each runner takes the payload of its parser and the bound.
+
+def _run_validate(payload, bound: int) -> dict:
+    if isinstance(payload, DiscreteParameter):
+        verdict = validate_parameter(payload)
+        return {"valid": verdict.valid, "problems": list(verdict.problems)}
+    kind, p = payload
+    verdict = validate_partition(kind, p)
+    doc = {"valid": verdict.valid, "problems": list(verdict.problems)}
+    if verdict:
+        doc["orbit_count"] = orbit_count(kind, p)
+        desc = component_group(kind, p)
+        doc["component_group"] = {
+            "generators": list(desc.labels()),
+            "relation": desc.relation.value,
+            "order": desc.order,
+        }
+        doc["distinguished"] = is_distinguished(kind, p)
+    return doc
+
+
+def _run_springer(payload, bound: int) -> dict:
+    if isinstance(payload, list):
+        datum = springer_product(payload)
+        return {
+            "blocks": {"case_I": list(datum.block_i),
+                       "case_II": list(datum.block_ii),
+                       "case_III": list(datum.block_iii)},
+            "c_levi": list(datum.generator_labels(datum.c_levi)),
+            "c_orbit": list(datum.generator_labels(datum.c_orbit)),
+            "c_induction": list(datum.generator_labels(datum.c_induction)),
+            "chi_levi": list(datum.chi_levi),
+            "chi_orbit": list(datum.chi_orbit),
+            "quasi_levi": [str(q) for q in datum.quasi_levi],
+            "cusp_data": [_render_datum(d) for d in datum.cusp_data],
+            "weyl_rep": {"extended": datum.extended, "induced": datum.induced},
+        }
+    kind, p, eta = payload
+    if kind.is_full_orthogonal:
+        out = springer_o(p, eta)
+        return {
+            "case": out.case.value,
+            "quasi_levi": str(out.quasi_levi),
+            "datum": _render_datum(out.datum),
+            "weyl_rep": out.weyl_rep.value,
+            "chi": out.chi,
+            "cusp_character_o": (_render_char(out.cusp_character_o)
+                                 if out.cusp_character_o else None),
+            "fused_orbits": list(out.fused_orbit_tags),
+        }
+    datum = springer_datum(kind, p, eta)
+    return {"group": _group_json(kind), "datum": _render_datum(datum)}
+
+
+def _run_support(payload, bound: int) -> dict:
+    param, eta = payload
+    report = check_support(param, eta)
     sup = report.support
     twists = sorted(((label.name, e) for label, e in sup.gl_twists),
                     key=lambda t: (t[0], -t[1]))
@@ -390,14 +410,106 @@ def _render_support(report: SupportReport) -> dict:
         "cusp_blocks": [[label.name, a] for label, a in sup.cusp_param.blocks],
         "cusp_char": _render_char(sup.cusp_char),
         "cusp_group": _group_json(sup.cusp_param.dual_group),
-        "checks": {
-            "infinitesimal_preserved": report.infinitesimal_preserved,
-            "dimension_conserved": report.dimension_conserved,
-            "idempotent": report.idempotent,
-            "fixed_point_iff_cuspidal": report.fixed_point_iff_cuspidal,
-            "routes_agree": report.routes_agree,
-        },
+        "checks": {name: getattr(report, name) for name in SUPPORT_CHECKS},
+        "group": _group_json(param.dual_group),
+        "p_adic_group": _p_adic_name(param.dual_group),
     }
+
+
+def _run_cuspidal_test(payload, bound: int) -> dict:
+    param, eta = payload
+    return {
+        "cuspidal": is_cuspidal(param, eta),
+        "sgroup_factors": sgroup_factors(param, eta),
+    }
+
+
+def _run_reducibility(payload, bound: int) -> dict:
+    kind, blocks, label = payload
+    x = reducibility_point(label, blocks, kind)
+    return {"pi": label.name, "x": _frac(x)}
+
+
+def _run_bernstein(payload, bound: int) -> dict:
+    triple, _ = payload
+    descriptor = weyl_descriptor(triple)
+    torus = torus_dim(triple)
+    return {
+        "factors": [{"pi": w.label.name, "type": w.root_type.value,
+                     "rank": w.rank, "star": w.star} for w in descriptor.factors],
+        "r_group": {"case": descriptor.r_group.case,
+                    "generators": list(descriptor.r_group.generators),
+                    "order": descriptor.r_group.order},
+        "torus_dim": torus.total,
+        "torsions": [list(t) for t in torus.torsions],
+        "n_sharp": triple.n_sharp,
+    }
+
+
+def _run_hecke(payload, bound: int) -> dict:
+    triple, theta = payload
+    params = hecke_parameters(triple, theta)
+    return {"factors": [{
+        "pi": f.label.name,
+        "type": f.root_type.value,
+        "rank": f.rank,
+        "x_plus": _frac(f.x_plus),
+        "x_minus": _frac(f.x_minus),
+        "lambda": _frac(f.lam),
+        "lambda_star": _frac(f.lam_star),
+        "mu_short": _frac(f.mu_short),
+        "mu_other": f.mu_other,
+    } for f in params.factors]}
+
+
+def _run_enumerate(kind: GroupKind, bound: int) -> dict:
+    if kind.size > bound:
+        raise BoundExceeded(f"size {kind.size} exceeds the bound {bound}")
+    table = census.unipotent_census(kind)
+    return {"pairs": table["pairs"],
+            "by_triple": {f"d={d}": n for d, n in table["by_d"].items()}}
+
+
+def _run_selfcheck(bounds: dict, bound: int) -> dict:
+    results = verifications.run_all(verifications.selfcheck_limits(bounds, bound))
+    checks = [{"name": name, "status": "pass" if ok else "fail", "detail": detail}
+              for name, ok, detail in results]
+    return {"ok": all(c["status"] == "pass" for c in checks), "checks": checks}
+
+
+COMMANDS = {
+    "validate": (_parse_validate, _run_validate),
+    "springer": (_parse_springer, _run_springer),
+    "support": (lambda doc: _parse_parameter_payload(doc, with_signs=True), _run_support),
+    "cuspidal-test": (lambda doc: _parse_parameter_payload(doc, with_signs=True),
+                      _run_cuspidal_test),
+    "reducibility": (_parse_reducibility, _run_reducibility),
+    "bernstein": (lambda doc: _parse_triple(doc, with_theta=False), _run_bernstein),
+    "hecke": (lambda doc: _parse_triple(doc, with_theta=True), _run_hecke),
+    "enumerate": (lambda doc: _expect_object(doc, "", {"group": _group})["group"], _run_enumerate),
+    "selfcheck": (_parse_selfcheck, _run_selfcheck),
+}
+
+
+def parse_input(document, command: Optional[str] = None) -> JobSpec:
+    """Validate a job document into a typed JobSpec.
+
+    When ``command`` is given (from the command line) the document may omit
+    its "command" field; if both are present they must agree.
+    """
+    if not isinstance(document, dict):
+        raise SchemaError("/", "expected an object")
+    doc = dict(document)
+    declared = doc.pop("command", None)
+    if declared is None:
+        if command is None:
+            raise SchemaError("/command", "missing required field")
+        declared = command
+    elif command is not None and declared != command:
+        raise SchemaError("/command", f"document says {declared!r}, requested {command!r}")
+    if not isinstance(declared, str) or declared not in COMMANDS:
+        raise SchemaError("/command", f"unknown command {declared!r}")
+    return JobSpec(declared, COMMANDS[declared][0](doc))
 
 
 def _env_bound() -> int:
@@ -423,137 +535,7 @@ def run(job: JobSpec, bound: Optional[int] = None) -> dict:
         bound = _env_bound()
     elif bound < 1:
         raise SchemaError("/", f"the bound must be a positive integer, got {bound}")
-    if job.command == "validate":
-        if job.payload[0] == "partition":
-            _, kind, p = job.payload
-            verdict = validate_partition(kind, p)
-            doc = {"valid": verdict.valid, "problems": list(verdict.problems)}
-            if verdict:
-                doc["orbit_count"] = orbit_count(kind, p)
-                desc = component_group(kind, p)
-                doc["component_group"] = {
-                    "generators": list(desc.labels()),
-                    "relation": desc.relation.value,
-                    "order": desc.order,
-                }
-                doc["distinguished"] = is_distinguished(kind, p)
-            return doc
-        _, param = job.payload
-        verdict = validate_parameter(param)
-        return {"valid": verdict.valid, "problems": list(verdict.problems)}
-
-    if job.command == "springer":
-        if job.payload[0] == "product":
-            datum = springer_product(job.payload[1])
-            return {
-                "blocks": {"case_I": list(datum.block_i),
-                           "case_II": list(datum.block_ii),
-                           "case_III": list(datum.block_iii)},
-                "c_levi": list(datum.generator_labels(datum.c_levi)),
-                "c_orbit": list(datum.generator_labels(datum.c_orbit)),
-                "c_induction": list(datum.generator_labels(datum.c_induction)),
-                "chi_levi": list(datum.chi_levi),
-                "chi_orbit": list(datum.chi_orbit),
-                "quasi_levi": [str(q) for q in datum.quasi_levi],
-                "cusp_data": [_render_datum(d) for d in datum.cusp_data],
-                "weyl_rep": {"extended": datum.extended, "induced": datum.induced},
-            }
-        _, kind, p, eta = job.payload
-        if kind.is_full_orthogonal:
-            out = springer_o(p, eta)
-            return {
-                "case": out.case.value,
-                "quasi_levi": str(out.quasi_levi),
-                "datum": _render_datum(out.datum),
-                "weyl_rep": out.weyl_rep.value,
-                "chi": out.chi,
-                "cusp_character_o": (_render_char(out.cusp_character_o)
-                                     if out.cusp_character_o else None),
-                "fused_orbits": list(out.fused_orbit_tags),
-            }
-        datum = springer_datum(kind, p, eta)
-        return {"group": _group_json(kind), "datum": _render_datum(datum)}
-
-    if job.command == "support":
-        param, eta = job.payload
-        doc = _render_support(check_support(param, eta))
-        doc["group"] = _group_json(param.dual_group)
-        doc["p_adic_group"] = _p_adic_name(param.dual_group)
-        return doc
-
-    if job.command == "cuspidal-test":
-        param, eta = job.payload
-        return {
-            "cuspidal": is_cuspidal(param, eta),
-            "sgroup_factors": sgroup_factors(param, eta),
-        }
-
-    if job.command == "reducibility":
-        kind, blocks, label = job.payload
-        x = reducibility_point(label, blocks, kind)
-        return {"pi": label.name, "x": _frac(x)}
-
-    if job.command == "bernstein":
-        triple = job.payload
-        return _render_bernstein(triple)
-
-    if job.command == "hecke":
-        triple, theta = job.payload
-        params = hecke_parameters(triple, theta)
-        factors = []
-        for f in params.factors:
-            factors.append({
-                "pi": f.label.name,
-                "type": f.root_type.value,
-                "rank": f.rank,
-                "x_plus": _frac(f.x_plus) if f.x_plus is not None else None,
-                "x_minus": _frac(f.x_minus) if f.x_minus is not None else None,
-                "lambda": _frac(f.lam) if f.lam is not None else None,
-                "lambda_star": _frac(f.lam_star) if f.lam_star is not None else None,
-                "mu_short": _frac(f.mu_short) if f.mu_short is not None else None,
-                "mu_other": f.mu_other,
-            })
-        return {"factors": factors}
-
-    if job.command == "enumerate":
-        kind = job.payload
-        if kind.size > bound:
-            raise BoundExceeded(f"size {kind.size} exceeds the bound {bound}")
-        table = census.unipotent_census(kind)
-        return {"pairs": table["pairs"],
-                "by_triple": {f"d={d}": n for d, n in table["by_d"].items()}}
-
-    if job.command == "selfcheck":
-        return _selfcheck(job.payload, bound)
-
-    raise SchemaError("/command", f"unknown command {job.command!r}")
-
-
-def _render_bernstein(triple: InertialTriple) -> dict:
-    descriptor = weyl_descriptor(triple)
-    torus = torus_dim(triple)
-    return {
-        "factors": [{"pi": w.label.name, "type": w.root_type.value,
-                     "rank": w.rank, "star": w.star} for w in descriptor.factors],
-        "r_group": {"case": descriptor.r_group.case,
-                    "generators": list(descriptor.r_group.generators),
-                    "order": descriptor.r_group.order},
-        "torus_dim": torus.total,
-        "torsions": [list(t) for t in torus.torsions],
-        "n_sharp": triple.n_sharp,
-    }
-
-
-# -- selfcheck ---------------------------------------------------------------
-
-def _selfcheck(bounds: dict, bound: int) -> dict:
-    from . import verifications
-
-    results = verifications.run_all(verifications.selfcheck_limits(bounds, bound))
-    checks = [{"name": name, "status": "pass" if ok else "fail", "detail": detail}
-              for name, ok, detail in results]
-    doc = {"ok": all(c["status"] == "pass" for c in checks), "checks": checks}
-    return doc
+    return COMMANDS[job.command][1](job.payload, bound)
 
 
 # -- entry point -------------------------------------------------------------
@@ -561,14 +543,19 @@ def _selfcheck(bounds: dict, bound: int) -> dict:
 def _load_document(path: Optional[str], command: str) -> dict:
     if path is None:
         return {"command": command}
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except OSError as exc:
+        raise SchemaError("/", f"cannot read input {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError("/", f"input {path!r} is not UTF-8 text: {exc.reason}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError("/", f"input is not valid JSON: {exc}") from None
 
 

@@ -277,6 +277,10 @@ def _dprime_from(side: BlockGroupSide, d: int, char: SignCharacter, normal: Part
     return d + 1 if char(parts[0]) == 1 else -d
 
 
+SUPPORT_CHECKS = ("infinitesimal_preserved", "dimension_conserved", "idempotent",
+                  "fixed_point_iff_cuspidal", "routes_agree")
+
+
 @dataclass(frozen=True)
 class SupportReport:
     """The conservation laws and the route comparison for one support."""
@@ -289,13 +293,10 @@ class SupportReport:
     routes_agree: bool
 
     def ok(self) -> bool:
-        return all((self.infinitesimal_preserved, self.dimension_conserved,
-                    self.idempotent, self.fixed_point_iff_cuspidal, self.routes_agree))
+        return not self.failures()
 
     def failures(self) -> tuple[str, ...]:
-        names = ("infinitesimal_preserved", "dimension_conserved", "idempotent",
-                 "fixed_point_iff_cuspidal", "routes_agree")
-        return tuple(n for n in names if not getattr(self, n))
+        return tuple(n for n in SUPPORT_CHECKS if not getattr(self, n))
 
 
 def support_infinitesimal(sup: CuspidalSupport) -> ExponentMultiset:

@@ -241,3 +241,63 @@ def test_support_job_reports_disagreeing_routes(lossy_psi_route, monkeypatch, ca
     assert '"routes_agree": false' in out
     checks = json.loads(out)["checks"]
     assert all(ok for name, ok in checks.items() if name != "routes_agree")
+
+
+SPRINGER_DOC = {"command": "springer", "group": {"family": "Sp", "N": 6},
+                "partition": [4, 2], "signs": [1, 1]}
+HECKE_DOC = {"command": "hecke", "group": {"family": "Sp", "N": 10},
+             "gl_factors": [{"pi": {"name": "r", "dim": 1, "type": "orthogonal"}, "ell": 2}],
+             "cusp_blocks": [{"pi": "r", "a": 2}, {"pi": "r", "a": 4}],
+             "theta": {"r": 1}}
+
+
+@pytest.mark.parametrize("value", [True, 1.0, -1.0])
+@pytest.mark.parametrize("doc, path", [
+    (SPRINGER_DOC, ("signs", 1)),
+    (SUPPORT_DOC, ("blocks", 0, "sign")),
+    (HECKE_DOC, ("theta", "r")),
+], ids=["springer", "support", "hecke"])
+def test_sign_must_be_an_integer(doc, path, value):
+    # JSON true, 1.0 and -1.0 compare equal to +-1 but are no signs
+    bad = json.loads(json.dumps(doc))
+    inner = bad
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    with pytest.raises(SchemaError) as err:
+        parse_input(bad)
+    assert err.value.pointer == "/" + "/".join(map(str, path))
+    assert err.value.message == "expected +1 or -1"
+
+
+def test_theta_key_must_name_a_label():
+    with pytest.raises(SchemaError) as err:
+        parse_input(dict(HECKE_DOC, theta={"R": -1}))
+    assert err.value.pointer == "/theta/R"
+    assert err.value.message == "label 'R' has not been defined"
+
+
+def test_unhashable_command_is_unknown():
+    with pytest.raises(SchemaError) as err:
+        parse_input({"command": []})
+    assert (err.value.pointer, err.value.message) == ("/command", "unknown command []")
+
+
+def write_bytes(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize("make, words", [
+    (lambda tmp: tmp / "missing.json", "No such file"),
+    (lambda tmp: tmp, "Is a directory"),
+    (lambda tmp: write_bytes(tmp / "latin1.json", b"\xff{}"), "not UTF-8"),
+    (lambda tmp: write_bytes(tmp / "deep.json", b"[" * 200000), "not valid JSON"),
+], ids=["missing", "directory", "not-utf8", "too-deep"])
+def test_unreadable_input_is_a_schema_error(make, words, tmp_path, capsys):
+    path = make(tmp_path)
+    assert main(["validate", "--input", str(path)]) == 2
+    error = schema_error_of(capsys)
+    assert error["pointer"] == "/" and words in error["message"]
+    if words != "not valid JSON":
+        assert str(path) in error["message"]
