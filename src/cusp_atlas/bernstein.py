@@ -41,7 +41,6 @@ from .lparams import (
     SelfDualType,
     block_group_type,
     reducibility_point,
-    require_valid_parameter,
 )
 from .orbits import Family, GroupKind, square_d, triangular_d
 
@@ -76,7 +75,6 @@ class InertialTriple:
         self._validate()
 
     def _validate(self):
-        require_valid_parameter(self.cusp_param)
         if self.cusp_param.dual_group.family is not self.dual_group.family:
             raise NormalizationError("classical part must have the ambient family")
         names = [f.label.name for f in self.gl_factors]

@@ -63,21 +63,26 @@ class JobSpec:
 
 # -- schema helpers ----------------------------------------------------------
 
+def _child(pointer: str, token) -> str:
+    """The JSON pointer of member or index ``token`` below ``pointer`` (RFC 6901)."""
+    return f"{pointer}/" + str(token).replace("~", "~0").replace("/", "~1")
+
+
 def _expect_object(doc, pointer: str, required: dict, optional: dict = {}) -> dict:
     if not isinstance(doc, dict):
         raise SchemaError(pointer or "/", "expected an object")
     out = {}
     for key, checker in required.items():
         if key not in doc:
-            raise SchemaError(f"{pointer}/{key}", "missing required field")
-        out[key] = checker(doc[key], f"{pointer}/{key}")
+            raise SchemaError(_child(pointer, key), "missing required field")
+        out[key] = checker(doc[key], _child(pointer, key))
     for key, checker in optional.items():
         if key in doc:
-            out[key] = checker(doc[key], f"{pointer}/{key}")
+            out[key] = checker(doc[key], _child(pointer, key))
     unknown = set(doc) - set(required) - set(optional)
     if unknown:
         key = sorted(unknown)[0]
-        raise SchemaError(f"{pointer}/{key}", "unknown field")
+        raise SchemaError(_child(pointer, key), "unknown field")
     return out
 
 
@@ -108,7 +113,7 @@ def _sign(value, pointer: str) -> int:
 def _int_list(value, pointer: str) -> list[int]:
     if not isinstance(value, list):
         raise SchemaError(pointer, "expected a list")
-    return [_int(x, f"{pointer}/{i}") for i, x in enumerate(value)]
+    return [_int(x, _child(pointer, i)) for i, x in enumerate(value)]
 
 
 def _group(value, pointer: str) -> GroupKind:
@@ -116,12 +121,12 @@ def _group(value, pointer: str) -> GroupKind:
     try:
         family = Family(fields["family"])
     except ValueError:
-        raise SchemaError(f"{pointer}/family",
+        raise SchemaError(_child(pointer, "family"),
                           f"unknown family {fields['family']!r}") from None
     try:
         return GroupKind(family, fields["N"])
     except ValueError as exc:
-        raise SchemaError(f"{pointer}/N", str(exc)) from None
+        raise SchemaError(_child(pointer, "N"), str(exc)) from None
 
 
 _TYPES = {"orthogonal": SelfDualType.ORTHOGONAL,
@@ -141,9 +146,9 @@ class _LabelRegistry:
         fields = _expect_object(value, pointer,
                                 {"name": _string, "dim": _int, "type": _string})
         if fields["type"] not in _TYPES:
-            raise SchemaError(f"{pointer}/type", f"unknown type {fields['type']!r}")
+            raise SchemaError(_child(pointer, "type"), f"unknown type {fields['type']!r}")
         if fields["dim"] < 1:
-            raise SchemaError(f"{pointer}/dim", "expected a positive integer")
+            raise SchemaError(_child(pointer, "dim"), "expected a positive integer")
         label = IrrLabel(fields["name"], fields["dim"], _TYPES[fields["type"]])
         prior = self.by_name.setdefault(label.name, label)
         if prior != label:
@@ -156,13 +161,13 @@ def _blocks(value, pointer: str, registry: _LabelRegistry, with_signs: bool):
         raise SchemaError(pointer, "expected a list")
     blocks, signs = [], {}
     for i, item in enumerate(value):
-        here = f"{pointer}/{i}"
+        here = _child(pointer, i)
         spec = {"pi": registry.resolve, "a": _int}
         if with_signs:
             spec["sign"] = _sign
         fields = _expect_object(item, here, spec)
         if fields["a"] < 1:
-            raise SchemaError(f"{here}/a", "expected a positive integer")
+            raise SchemaError(_child(here, "a"), "expected a positive integer")
         blocks.append((fields["pi"], fields["a"]))
         if with_signs:
             signs[(fields["pi"].name, fields["a"])] = fields["sign"]
@@ -173,7 +178,7 @@ def _partition(value, pointer: str) -> Partition:
     parts = _int_list(value, pointer)
     for i, q in enumerate(parts):
         if q < 1:
-            raise SchemaError(f"{pointer}/{i}", "parts are positive integers")
+            raise SchemaError(_child(pointer, i), "parts are positive integers")
     return Partition(parts)
 
 
@@ -183,7 +188,7 @@ def _signs_for(parts: tuple[int, ...], value, pointer: str) -> SignCharacter:
         raise SchemaError(pointer, "expected a list of +1/-1")
     if len(raw) != len(parts):
         raise SchemaError(pointer, f"expected {len(parts)} signs for generators {list(parts)}")
-    return SignCharacter({q: _sign(s, f"{pointer}/{i}") for i, (q, s) in enumerate(zip(parts, raw))})
+    return SignCharacter({q: _sign(s, _child(pointer, i)) for i, (q, s) in enumerate(zip(parts, raw))})
 
 
 # -- payload parsing ---------------------------------------------------------
@@ -209,8 +214,9 @@ def _parse_parameter_payload(doc, with_signs: bool):
         doc, "",
         {"group": _group, "blocks": lambda v, p: _blocks(v, p, registry, with_signs)})
     blocks, signs = fields["blocks"]
-    param = DiscreteParameter(fields["group"], blocks)
-    return (param, SignCharacter(signs)) if with_signs else param
+    if not with_signs:
+        return fields["group"], blocks
+    return fields["group"], blocks, SignCharacter(signs)
 
 
 def _parse_validate(doc):
@@ -230,11 +236,11 @@ def _product_factors(value, pointer):
         raise SchemaError(pointer, "expected a list")
     out = []
     for i, item in enumerate(value):
-        here = f"{pointer}/{i}"
+        here = _child(pointer, i)
         fields = _expect_object(item, here,
                                 {"partition": _partition, "signs": lambda v, p: v})
         p = fields["partition"]
-        eta = _signs_for(p.distinct_parts_of_parity(1), fields["signs"], f"{here}/signs")
+        eta = _signs_for(p.distinct_parts_of_parity(1), fields["signs"], _child(here, "signs"))
         out.append(ProductFactor(p, eta))
     return out
 
@@ -258,7 +264,7 @@ def _parse_triple(doc, with_theta: bool):
             raise SchemaError(pointer, "expected a list")
         out = []
         for i, item in enumerate(value):
-            here = f"{pointer}/{i}"
+            here = _child(pointer, i)
             fields = _expect_object(item, here, {"pi": registry.resolve, "ell": _int},
                                     {"torsion": _int, "partner_mprime": _int})
             try:
@@ -282,14 +288,14 @@ def _parse_triple(doc, with_theta: bool):
     triple = InertialTriple(fields["group"], fields["gl_factors"], cusp)
     theta = fields.get("theta", {})
     for name in theta:
-        registry.resolve(name, f"/theta/{name}")
+        registry.resolve(name, _child("/theta", name))
     return triple, theta
 
 
 def _theta(value, pointer):
     if not isinstance(value, dict):
         raise SchemaError(pointer, "expected an object of label -> +1/-1")
-    return {name: _sign(sign, f"{pointer}/{name}") for name, sign in value.items()}
+    return {name: _sign(sign, _child(pointer, name)) for name, sign in value.items()}
 
 
 def _parse_selfcheck(doc):
@@ -347,10 +353,10 @@ def _render_datum(datum) -> dict:
 # Each runner takes the payload of its parser and the bound.
 
 def _run_validate(payload, bound: int) -> dict:
-    if isinstance(payload, DiscreteParameter):
-        verdict = validate_parameter(payload)
-        return {"valid": verdict.valid, "problems": list(verdict.problems)}
     kind, p = payload
+    if not isinstance(p, Partition):  # the blocks of a parameter
+        verdict = validate_parameter(kind, p)
+        return {"valid": verdict.valid, "problems": list(verdict.problems)}
     verdict = validate_partition(kind, p)
     doc = {"valid": verdict.valid, "problems": list(verdict.problems)}
     if verdict:
@@ -399,7 +405,8 @@ def _run_springer(payload, bound: int) -> dict:
 
 
 def _run_support(payload, bound: int) -> dict:
-    param, eta = payload
+    kind, blocks, eta = payload
+    param = DiscreteParameter(kind, blocks)
     report = check_support(param, eta)
     sup = report.support
     twists = sorted(((label.name, e) for label, e in sup.gl_twists),
@@ -417,7 +424,8 @@ def _run_support(payload, bound: int) -> dict:
 
 
 def _run_cuspidal_test(payload, bound: int) -> dict:
-    param, eta = payload
+    kind, blocks, eta = payload
+    param = DiscreteParameter(kind, blocks)
     return {
         "cuspidal": is_cuspidal(param, eta),
         "sgroup_factors": sgroup_factors(param, eta),

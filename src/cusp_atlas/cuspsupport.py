@@ -34,7 +34,7 @@ from ranges of those integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalCheckError, InvalidParameter
 from .orbits import Family, GroupKind, Partition, SignCharacter, require_domain
@@ -49,7 +49,6 @@ from .lparams import (
     block_group_type,
     infinitesimal_character,
     is_cuspidal,
-    require_valid_parameter,
 )
 
 
@@ -61,8 +60,14 @@ def _slice_group(side: BlockGroupSide, m: int) -> GroupKind:
     raise InvalidParameter("gl-pair labels do not occur in discrete parameters")
 
 
-def _slice_character(label: IrrLabel, sizes: Iterable[int], eta: ParameterCharacter) -> SignCharacter:
-    return SignCharacter({a: eta((label.name, a)) for a in sizes})
+def _slices(p: DiscreteParameter, eta: ParameterCharacter
+            ) -> Iterator[tuple[IrrLabel, BlockGroupSide, tuple[int, ...], SignCharacter]]:
+    """Per label: (label, side, block sizes, the character on those sizes)."""
+    require_domain(eta, p.block_keys(), "blocks", p)
+    for label in p.labels():
+        sizes = p.sizes_of(label)
+        yield (label, block_group_type(p.dual_group, label), sizes,
+               SignCharacter({a: eta((label.name, a)) for a in sizes}))
 
 
 @dataclass(frozen=True)
@@ -141,9 +146,7 @@ def _classical_part(dual: GroupKind, blocks, chars) -> tuple[DiscreteParameter, 
         group = GroupKind(dual.family, n_sharp)
     except ValueError as exc:  # parity of the classical part is a theorem
         raise InternalCheckError(f"classical part of size {n_sharp} for {dual}: {exc}") from exc
-    param = DiscreteParameter(group, blocks)
-    require_valid_parameter(param)
-    return param, SignCharacter(chars)
+    return DiscreteParameter(group, blocks), SignCharacter(chars)
 
 
 def _assemble(dual: GroupKind, slices: list[SliceSupport]) -> CuspidalSupport:
@@ -166,14 +169,9 @@ def _assemble(dual: GroupKind, slices: list[SliceSupport]) -> CuspidalSupport:
 
 def support(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSupport:
     """Cuspidal support via per-slice data and correction multisets."""
-    require_valid_parameter(p)
-    require_domain(eta, p.block_keys(), "blocks", p)
     slices = []
-    for label in p.labels():
-        sizes = p.sizes_of(label)
-        side = block_group_type(p.dual_group, label)
-        group = _slice_group(side, sum(sizes))
-        datum = springer_datum(group, Partition(sizes), _slice_character(label, sizes, eta))
+    for label, side, sizes, slice_char in _slices(p, eta):
+        datum = springer_datum(_slice_group(side, sum(sizes)), Partition(sizes), slice_char)
         correction = ec_multiset(label, side, sizes, datum.d)
         slices.append(SliceSupport(label, side, sizes, datum, correction))
     return _assemble(p.dual_group, slices)
@@ -233,14 +231,9 @@ def support_via_psi(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSu
     length (lo + hi)/2 below hi.  The result is compared with
     :func:`support` in :func:`check_support`.
     """
-    require_valid_parameter(p)
-    require_domain(eta, p.block_keys(), "blocks", p)
     slices = []
-    for label in p.labels():
-        sizes = p.sizes_of(label)
-        side = block_group_type(p.dual_group, label)
-        terminal, terminal_char, removed = eliminate(
-            Partition(sizes), _slice_character(label, sizes, eta))
+    for label, side, sizes, slice_char in _slices(p, eta):
+        terminal, terminal_char, removed = eliminate(Partition(sizes), slice_char)
         slices.append(_slice_psi_support(label, side, sizes, removed, terminal, terminal_char))
     return _assemble(p.dual_group, slices)
 

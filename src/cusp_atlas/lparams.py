@@ -18,6 +18,10 @@ A pair (parameter, character) is cuspidal when the blocks of each label
 descend in steps of two down to size 1 or 2 ("gapless") and the character
 alternates: opposite values on consecutive blocks of a label, value -1 on
 a minimal block of even size.
+
+A :class:`DiscreteParameter` is valid by construction: its constructor runs
+:func:`validate_parameter` and raises ``InvalidParameter`` on any problem,
+so the functions below take validity for granted and never check it again.
 """
 
 from __future__ import annotations
@@ -72,19 +76,28 @@ def _block_key(label: IrrLabel, a: int) -> BlockKey:
 _CLASSICAL_DUALS = (Family.SP, Family.SO_ODD, Family.SO_EVEN)
 
 
+def _sorted_blocks(blocks: Iterable[tuple[IrrLabel, int]]) -> tuple[tuple[IrrLabel, int], ...]:
+    return tuple(sorted(((label, int(a)) for label, a in blocks),
+                        key=lambda ba: (ba[0].name, ba[1])))
+
+
 @dataclass(frozen=True)
 class DiscreteParameter:
-    """Jordan blocks of a discrete parameter of a classical dual group."""
+    """Jordan blocks of a discrete parameter of a classical dual group.
+
+    The blocks are kept sorted by (label name, size); building a parameter
+    that :func:`validate_parameter` rejects raises ``InvalidParameter``.
+    """
 
     dual_group: GroupKind
     blocks: tuple[tuple[IrrLabel, int], ...]
 
     def __init__(self, dual_group: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]):
         object.__setattr__(self, "dual_group", dual_group)
-        object.__setattr__(
-            self, "blocks",
-            tuple(sorted(((label, int(a)) for label, a in blocks),
-                         key=lambda ba: (ba[0].name, ba[1]))))
+        object.__setattr__(self, "blocks", _sorted_blocks(blocks))
+        verdict = validate_parameter(dual_group, self.blocks)
+        if not verdict:
+            raise InvalidParameter(f"{self}: " + "; ".join(verdict.problems))
 
     def labels(self) -> tuple[IrrLabel, ...]:
         seen = []
@@ -129,18 +142,24 @@ def required_block_parity(dual: GroupKind, label: IrrLabel) -> int:
     return 0 if side is BlockGroupSide.SP_SIDE else 1
 
 
-def validate_parameter(p: DiscreteParameter) -> Verdict:
+def validate_parameter(dual: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]) -> Verdict:
+    """The problems that keep ``blocks`` from being a discrete parameter of ``dual``.
+
+    The :class:`DiscreteParameter` constructor raises on any of them; the
+    CLI ``validate`` command reports them all.
+    """
     problems = []
-    if p.dual_group.family not in _CLASSICAL_DUALS:
-        problems.append(f"dual group {p.dual_group} is not a classical dual "
+    if dual.family not in _CLASSICAL_DUALS:
+        problems.append(f"dual group {dual} is not a classical dual "
                         "(Sp / SOodd / SOeven)")
         return Verdict(False, tuple(problems))
-    seen = Counter(p.block_keys())
+    blocks = _sorted_blocks(blocks)
+    seen = Counter(_block_key(label, a) for label, a in blocks)
     for key, count in sorted(seen.items()):
         if count > 1:
             problems.append(f"repeated block {key}")
     by_name: dict[str, IrrLabel] = {}
-    for label, a in p.blocks:
+    for label, a in blocks:
         prior = by_name.setdefault(label.name, label)
         if prior != label:
             problems.append(f"label name {label.name!r} used with two different data")
@@ -150,20 +169,15 @@ def validate_parameter(p: DiscreteParameter) -> Verdict:
         if label.sd_type is SelfDualType.GL_PAIR:
             problems.append(f"gl-pair label {label} in a discrete parameter")
             continue
-        if a % 2 != required_block_parity(p.dual_group, label):
-            want = "even" if required_block_parity(p.dual_group, label) == 0 else "odd"
+        if a % 2 != required_block_parity(dual, label):
+            want = "even" if required_block_parity(dual, label) == 0 else "odd"
             problems.append(
                 f"block ({label},{a}): a {label.sd_type.value} label needs {want} sizes "
-                f"in {p.dual_group.family.value}")
-    if p.dimension != p.dual_group.size:
-        problems.append(f"blocks span dimension {p.dimension}, expected {p.dual_group.size}")
+                f"in {dual.family.value}")
+    dimension = sum(label.dim * a for label, a in blocks)
+    if dimension != dual.size:
+        problems.append(f"blocks span dimension {dimension}, expected {dual.size}")
     return Verdict(not problems, tuple(problems))
-
-
-def require_valid_parameter(p: DiscreteParameter) -> None:
-    verdict = validate_parameter(p)
-    if not verdict:
-        raise InvalidParameter(f"{p}: " + "; ".join(verdict.problems))
 
 
 ParameterCharacter = SignCharacter  # values on the block keys (pi-name, a)
@@ -199,7 +213,6 @@ def agroup(p: DiscreteParameter) -> tuple[ComponentGroupDescriptor, tuple[BlockK
     of all generators) when the dual group has center {+-1}; for SO of odd
     size the center is trivial and the image is empty.
     """
-    require_valid_parameter(p)
     keys = p.block_keys()
     if p.dual_group.is_symplectic:
         descriptor = ComponentGroupDescriptor(keys, Relation.FREE, 2 ** len(keys))
@@ -244,7 +257,6 @@ def is_alternating(p: DiscreteParameter, eta: ParameterCharacter) -> bool:
 
 
 def is_cuspidal(p: DiscreteParameter, eta: ParameterCharacter) -> bool:
-    require_valid_parameter(p)
     return has_no_gaps(p) and is_alternating(p, eta)
 
 

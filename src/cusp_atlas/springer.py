@@ -309,6 +309,9 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
     In case I the recorded lift of the cuspidal character matches eta on
     the central element when that pins it (d odd) and carries the extension
     sign on z_1 otherwise.
+
+    The correspondence is computed for N >= 1: O_0 has no det = -1 class
+    for case II to read its sign from, so it is rejected.
     """
     n = p.total
     so_family = Family.SO_ODD if n % 2 else Family.SO_EVEN
@@ -316,8 +319,10 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
     kind_o = GroupKind(Family.O_ODD if n % 2 else Family.O_EVEN, n)
     require_valid(kind_o, p)
     require_domain(eta, p.distinct_parts_of_parity(1), "the odd parts", p)
+    if n == 0:
+        raise InvalidPartition("the O_N correspondence is computed for N >= 1, not for O_0")
 
-    if is_degenerate(p) and len(p):
+    if is_degenerate(p):
         torus_rank = n // 2
         datum = CuspidalDatum(kind_so, torus_rank, Partition(), SignCharacter(), 0, 0)
         return OSpringerDatum(
@@ -362,10 +367,6 @@ class ProductFactor:
     partition: Partition
     character: SignCharacter
 
-    @property
-    def size(self) -> int:
-        return self.partition.total
-
 
 @dataclass(frozen=True)
 class ProductSpringerDatum:
@@ -396,18 +397,6 @@ class ProductSpringerDatum:
         return tuple(f"s{i + 1}*s{j + 1}" for i, j in pairs)
 
 
-def _factor_case(factor: ProductFactor) -> OCase:
-    p = factor.partition
-    if is_degenerate(p) and len(p):
-        return OCase.III
-    n = p.total
-    if n % 2:
-        return OCase.I
-    kind_so = GroupKind(Family.SO_EVEN, n)
-    d = abs(_general_orthogonal_defect(kind_so, p, eta=factor.character))
-    return OCase.I if d >= 2 else OCase.II
-
-
 def _factor_flip_value(factor: ProductFactor) -> int:
     """Value of the character on the canonical det = -1 class of the factor."""
     return factor.character(_det_minus_class(factor.partition))
@@ -423,17 +412,10 @@ def springer_product(factors: Sequence[ProductFactor]) -> ProductSpringerDatum:
     """
     if not factors:
         raise InvalidPartition("a product needs at least one orthogonal factor")
-    for f in factors:
-        n = f.size
-        kind_o = GroupKind(Family.O_ODD if n % 2 else Family.O_EVEN, n)
-        require_valid(kind_o, f.partition)
-        require_domain(f.character, f.partition.distinct_parts_of_parity(1), "the odd parts",
-                       f.partition)
-
-    cases = [_factor_case(f) for f in factors]
-    ones = tuple(i for i, c in enumerate(cases) if c is OCase.I)
-    twos = tuple(i for i, c in enumerate(cases) if c is OCase.II)
-    threes = tuple(i for i, c in enumerate(cases) if c is OCase.III)
+    subs = [springer_o(f.partition, f.character) for f in factors]
+    ones = tuple(i for i, sub in enumerate(subs) if sub.case is OCase.I)
+    twos = tuple(i for i, sub in enumerate(subs) if sub.case is OCase.II)
+    threes = tuple(i for i, sub in enumerate(subs) if sub.case is OCase.III)
 
     if ones:
         anchor = ones[-1]
@@ -447,13 +429,6 @@ def springer_product(factors: Sequence[ProductFactor]) -> ProductSpringerDatum:
         tail = bridge + threes
         c_induction = tuple(zip(tail, tail[1:]))
 
-    data = []
-    quasi = []
-    for i, f in enumerate(factors):
-        sub = springer_o(f.partition, f.character)
-        data.append(sub.datum)
-        quasi.append(sub.quasi_levi)
-
     def pair_value(pair: tuple[int, int]) -> int:
         i, j = pair
         return _factor_flip_value(factors[i]) * _factor_flip_value(factors[j])
@@ -463,5 +438,6 @@ def springer_product(factors: Sequence[ProductFactor]) -> ProductSpringerDatum:
 
     return ProductSpringerDatum(
         ones, twos, threes, c_levi, c_orbit, c_induction,
-        tuple(quasi), tuple(data), chi_levi, chi_orbit,
+        tuple(sub.quasi_levi for sub in subs), tuple(sub.datum for sub in subs),
+        chi_levi, chi_orbit,
         extended=bool(c_orbit), induced=bool(c_induction))

@@ -105,6 +105,10 @@ JOBS = [
     ("springer-product-single", ["springer"],
      {"command": "springer", "factors": [{"partition": [5, 3, 1], "signs": [1, -1, 1]}]}),
     ("springer-product-empty", ["springer"], {"command": "springer", "factors": []}),
+    ("springer-o-zero", ["springer"], orbit("springer", "Oeven", 0, [], [])),
+    ("springer-product-o-zero", ["springer"],
+     {"command": "springer", "factors": [{"partition": [3, 1], "signs": [1, -1]},
+                                         {"partition": [], "signs": []}]}),
     ("springer-not-distinguished", ["springer"], orbit("springer", "Sp", 6, [2, 2, 2], [1])),
     ("springer-invalid-partition", ["springer"], orbit("springer", "Sp", 4, [3, 1], [])),
     ("springer-sign-count", ["springer"], orbit("springer", "Sp", 6, [4, 2], [1])),
@@ -194,6 +198,8 @@ JOBS = [
     ("schema-command-mismatch", ["support"], {"command": "enumerate", "group": group("Sp", 4)}),
     ("schema-unknown-field", ["enumerate"],
      {"command": "enumerate", "group": group("Sp", 4), "extra": 1}),
+    ("schema-unknown-field-escaped", ["enumerate"],
+     {"command": "enumerate", "group": group("Sp", 4), "a/b~c": 1}),
     ("schema-unknown-family", ["enumerate"], {"command": "enumerate", "group": group("Xp", 4)}),
     ("schema-bad-size", ["enumerate"], {"command": "enumerate", "group": group("Sp", 5)}),
     ("schema-bad-integer", ["enumerate"], {"command": "enumerate", "group": group("Sp", "4")}),

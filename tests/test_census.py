@@ -68,7 +68,7 @@ def test_enumerate_parameters_sp6():
     partitions = {tuple(a for _, a in p.blocks) for p, _ in out}
     assert partitions == {(2, 4), (6,)}
     for param, eta in out:
-        assert validate_parameter(param)
+        assert validate_parameter(param.dual_group, param.blocks)
         assert set(eta.keys()) == set(param.block_keys())
 
 

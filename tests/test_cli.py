@@ -301,3 +301,37 @@ def test_unreadable_input_is_a_schema_error(make, words, tmp_path, capsys):
     assert error["pointer"] == "/" and words in error["message"]
     if words != "not valid JSON":
         assert str(path) in error["message"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"command": "springer", "group": {"family": "Oeven", "N": 0}, "partition": [], "signs": []},
+    {"command": "springer", "factors": [{"partition": [3, 1], "signs": [1, -1]},
+                                        {"partition": [], "signs": []}]},
+], ids=["single", "product"])
+def test_springer_on_o0_is_a_domain_error(doc, monkeypatch, capsys):
+    # O_0 has no det = -1 class, so no case of the O_N correspondence applies
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["springer", "--input", "-"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "domain" and "O_0" in error["message"]
+
+
+@pytest.mark.parametrize("key, pointer", [("a/b", "/a~1b"), ("m~1", "/m~01"), ("~/", "/~0~1")])
+def test_unknown_field_pointer_is_escaped(key, pointer, monkeypatch, capsys):
+    doc = {"command": "enumerate", "group": {"family": "Sp", "N": 4}, key: 1}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["enumerate", "--input", "-"]) == 2
+    error = schema_error_of(capsys)
+    assert (error["pointer"], error["message"]) == (pointer, "unknown field")
+
+
+def test_theta_key_pointer_is_escaped():
+    with pytest.raises(SchemaError) as err:
+        parse_input(dict(HECKE_DOC, theta={"r/x": 1}))
+    assert err.value.pointer == "/theta/r~1x"
+    assert err.value.message == "label 'r/x' has not been defined"
+    with pytest.raises(SchemaError) as err:
+        parse_input(dict(HECKE_DOC, theta={"r~x": 0}))
+    assert (err.value.pointer, err.value.message) == ("/theta/r~0x", "expected +1 or -1")

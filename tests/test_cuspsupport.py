@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cusp_atlas import lparams
 from cusp_atlas.census import enumerate_parameters
 from cusp_atlas.cuspsupport import (
     check_support,
@@ -304,6 +305,28 @@ def test_check_support_computes_the_support_twice(support_calls):
     # the input, then its cuspidal part for idempotence
     assert support_calls == [param, report.support.cusp_param]
     assert report.support.key() == support(param, character_on(param, (1, -1))).key()
+
+
+def test_check_support_validates_only_the_classical_parts(monkeypatch):
+    # a parameter is checked when built: check_support validates nothing but
+    # the three classical parts it builds (support on the input, support on
+    # its cuspidal part, and the psi route)
+    calls = []
+    validate = lparams.validate_parameter
+
+    def counted(dual, blocks):
+        calls.append(dual)
+        return validate(dual, blocks)
+
+    for dual in (GroupKind(Family.SP, 10), GroupKind(Family.SO_ODD, 9),
+                 GroupKind(Family.SO_EVEN, 10)):
+        cases = list(enumerate_parameters(dual))
+        monkeypatch.setattr(lparams, "validate_parameter", counted)
+        for param, eta in cases:
+            calls.clear()
+            assert check_support(param, eta).ok()
+            assert len(calls) == 3, (param, eta)
+        monkeypatch.setattr(lparams, "validate_parameter", validate)
 
 
 def test_support_via_psi_does_not_call_support(support_calls):

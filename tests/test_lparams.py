@@ -38,33 +38,42 @@ SO7 = GroupKind(Family.SO_ODD, 7)
 
 
 def test_validate_parameter_fixtures():
-    assert validate_parameter(DiscreteParameter(SP6, [(ORTH1, 2), (ORTH1, 4)]))
-    assert validate_parameter(DiscreteParameter(SP4, [(MU1, 2), (MU2, 2)]))
-    bad = validate_parameter(DiscreteParameter(SP4, [(ORTH1, 2), (ORTH1, 2)]))
+    assert validate_parameter(SP6, [(ORTH1, 2), (ORTH1, 4)])
+    assert validate_parameter(SP4, [(MU1, 2), (MU2, 2)])
+    bad = validate_parameter(SP4, [(ORTH1, 2), (ORTH1, 2)])
     assert not bad and any("repeated" in p for p in bad.problems)
 
 
 def test_validate_parameter_parity_rules():
     # orthogonal label in a symplectic group: even sizes only
-    assert not validate_parameter(DiscreteParameter(SP4, [(ORTH1, 1), (ORTH1, 3)]))
+    assert not validate_parameter(SP4, [(ORTH1, 1), (ORTH1, 3)])
     # symplectic label in a symplectic group: odd sizes only
-    assert validate_parameter(DiscreteParameter(SP6, [(SYMP2, 1), (ORTH1, 4)]))
+    assert validate_parameter(SP6, [(SYMP2, 1), (ORTH1, 4)])
     # orthogonal label in an odd special orthogonal group: odd sizes
-    assert validate_parameter(DiscreteParameter(SO7, [(ORTH1, 1), (ORTH1, 3), (ORTH1, 3)])) \
+    assert validate_parameter(SO7, [(ORTH1, 1), (ORTH1, 3), (ORTH1, 3)]) \
         .problems  # repeated block
-    assert validate_parameter(DiscreteParameter(SO7, [(ORTH1, 7)]))
-    assert not validate_parameter(DiscreteParameter(SO7, [(ORTH1, 7)] + [(GLP, 0)]))
+    assert validate_parameter(SO7, [(ORTH1, 7)])
+    assert not validate_parameter(SO7, [(ORTH1, 7)] + [(GLP, 0)])
 
 
 def test_validate_parameter_dimension():
-    verdict = validate_parameter(DiscreteParameter(SP6, [(ORTH1, 2)]))
+    verdict = validate_parameter(SP6, [(ORTH1, 2)])
     assert not verdict and any("dimension" in p for p in verdict.problems)
 
 
 def test_validate_rejects_gl_dual():
-    verdict = validate_parameter(
-        DiscreteParameter(GroupKind(Family.GL, 3), [(ORTH1, 3)]))
+    verdict = validate_parameter(GroupKind(Family.GL, 3), [(ORTH1, 3)])
     assert not verdict
+
+
+def test_parameter_is_valid_by_construction():
+    blocks = [(ORTH1, 3), (ORTH1, 1)]
+    with pytest.raises(InvalidParameter) as err:
+        DiscreteParameter(SP4, blocks)
+    assert str(err.value) == ("{(p,1),(p,3)}: "
+                              "block (p,1): a orthogonal label needs even sizes in Sp; "
+                              "block (p,3): a orthogonal label needs even sizes in Sp")
+    assert str(err.value).endswith("; ".join(validate_parameter(SP4, blocks).problems))
 
 
 def test_block_group_type_table():
@@ -187,9 +196,10 @@ def test_agroup_oracle_on_random_orthogonal_signatures(raw):
     total = sum(lab.dim * a for lab, a in blocks)
     if total % 2:
         return  # not an even-size group; skip silently
-    param = DiscreteParameter(GroupKind(Family.SO_EVEN, total), blocks)
-    if not validate_parameter(param):
+    dual = GroupKind(Family.SO_EVEN, total)
+    if not validate_parameter(dual, blocks):
         return
+    param = DiscreteParameter(dual, blocks)
     desc, _ = agroup(param)
     assert desc.order == agroup_order_oracle(param)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from cusp_atlas import springer
 from cusp_atlas.census import distinguished_pairs, group_partitions, springer_count_identity
 from cusp_atlas.cuspsupport import all_order_slice_supports, outcome_supports
 from cusp_atlas.errors import DomainMismatch, InvalidPartition
@@ -281,6 +282,31 @@ def test_springer_product_mixed_blocks():
     assert out.generator_labels(out.c_orbit) == ("s1*s2",)
     assert out.generator_labels(out.c_induction) == ("s1*s3",)
     assert out.extended and out.induced
+
+
+def test_springer_product_computes_each_factor_once(monkeypatch):
+    # each factor's case, datum and quasi-Levi come from one springer_o call
+    calls = []
+    symbol = springer.symbol_from_character
+
+    def counted(kind, p, eta):
+        calls.append(p)
+        return symbol(kind, p, eta)
+
+    monkeypatch.setattr(springer, "symbol_from_character", counted)
+    f = ProductFactor(Partition((3, 1)), SignCharacter({1: 1, 3: -1}))
+    g = ProductFactor(Partition((5, 3, 1)), SignCharacter({1: 1, 3: -1, 5: 1}))
+    out = springer_product([f, g])
+    assert calls == [f.partition, g.partition]
+    assert out.block_i == (0, 1)
+
+
+def test_springer_o_rejects_o0():
+    with pytest.raises(InvalidPartition, match="O_0"):
+        springer_o(Partition(()), SignCharacter())
+    f = ProductFactor(Partition((3, 1)), SignCharacter({1: 1, 3: -1}))
+    with pytest.raises(InvalidPartition, match="O_0"):
+        springer_product([f, ProductFactor(Partition(()), SignCharacter())])
 
 
 def test_springer_product_needs_factors():
