@@ -24,7 +24,6 @@ from .symbols import (
     IntervalStructure,
     SymbolKind,
     USymbol,
-    defect,
     defect_formula,
     distinguished_symbol,
     interval_structure,

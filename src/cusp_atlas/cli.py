@@ -34,6 +34,7 @@ from .lparams import (
     DiscreteParameter,
     IrrLabel,
     SelfDualType,
+    half_str,
     is_cuspidal,
     reducibility_point,
     sgroup_factors,
@@ -409,11 +410,13 @@ def _run_support(payload, bound: int) -> dict:
     param = DiscreteParameter(kind, blocks)
     report = check_support(param, eta)
     sup = report.support
-    twists = sorted(((label.name, e) for label, e in sup.gl_twists),
-                    key=lambda t: (t[0], -t[1]))
+    twists = []
+    for label, two_e, count in sorted(sup.gl_twists.entries(), key=lambda t: (t[0].name, -t[1])):
+        text = half_str(two_e)
+        twists.extend([label.name, text] for _ in range(count))
     return {
         "levi": str(sup.levi),
-        "gl_twists": [[name, _frac(e)] for name, e in twists],
+        "gl_twists": twists,
         "cusp_blocks": [[label.name, a] for label, a in sup.cusp_param.blocks],
         "cusp_char": _render_char(sup.cusp_char),
         "cusp_group": _group_json(sup.cusp_param.dual_group),
@@ -434,7 +437,7 @@ def _run_cuspidal_test(payload, bound: int) -> dict:
 
 def _run_reducibility(payload, bound: int) -> dict:
     kind, blocks, label = payload
-    x = reducibility_point(label, blocks, kind)
+    x = reducibility_point(label, DiscreteParameter(kind, blocks), kind)
     return {"pi": label.name, "x": _frac(x)}
 
 

@@ -26,13 +26,16 @@ fixed-point criterion: support = self exactly for gapless alternating data).
 Its report carries the support it checked, so a caller that wants both the
 support and its checks computes the support only there.
 
-Exponents are half-integers; :class:`~cusp_atlas.lparams.ExponentMultiset`
-counts them as the integers 2e, and the segments below are built directly
-from ranges of those integers.
+Exponents are half-integers, held everywhere as the integers 2e:
+:class:`~cusp_atlas.lparams.ExponentMultiset` takes and returns
+(label, 2e) pairs, the segments below are ranges of those integers, and
+only the CLI writes them out, as fraction strings, through
+:func:`~cusp_atlas.lparams.half_str`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -191,7 +194,8 @@ def _psi_map(side: BlockGroupSide, normal: Partition, char: SignCharacter) -> tu
 
 def _segment(top: int, length: int, label: IrrLabel) -> ExponentMultiset:
     """Exponents (top-1)/2 - f for f = 0..length-1, folded to be nonnegative."""
-    return ExponentMultiset.from_doubled(label, map(abs, range(top - 1, top - 1 - 2 * length, -2)))
+    return ExponentMultiset(zip(itertools.repeat(label),
+                                map(abs, range(top - 1, top - 1 - 2 * length, -2))))
 
 
 def _slice_psi_support(label: IrrLabel, side: BlockGroupSide, sizes: tuple[int, ...],
@@ -306,7 +310,7 @@ def check_support(p: DiscreteParameter, eta: ParameterCharacter) -> SupportRepor
     """Compute the support once and check it: both routes, all five laws."""
     sup = support(p, eta)
     inf_ok = infinitesimal_character(p) == support_infinitesimal(sup)
-    twist_dims = 2 * sum(label.dim for label, _ in sup.gl_twists)
+    twist_dims = 2 * sum(label.dim * count for label, _, count in sup.gl_twists.entries())
     dim_ok = twist_dims + sup.cusp_param.dimension == p.dual_group.size
     again = support(sup.cusp_param, sup.cusp_char)
     idem_ok = again.is_self(sup.cusp_param, sup.cusp_char)

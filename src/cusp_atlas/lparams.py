@@ -260,12 +260,9 @@ def is_cuspidal(p: DiscreteParameter, eta: ParameterCharacter) -> bool:
     return has_no_gaps(p) and is_alternating(p, eta)
 
 
-def _doubled(e) -> int:
-    """2e for a half-integer e; InvalidParameter for anything else."""
-    two_e = 2 * Fraction(e)
-    if two_e.denominator != 1:
-        raise InvalidParameter(f"exponent {e} is not a half-integer")
-    return two_e.numerator
+def half_str(two_e: int) -> str:
+    """The half-integer two_e/2 as an exact fraction string: "3/2", "-2", "0"."""
+    return f"{two_e}/2" if two_e % 2 else str(two_e // 2)
 
 
 class ExponentMultiset:
@@ -275,17 +272,18 @@ class ExponentMultiset:
     checked difference, the canonical nonnegative half of a symmetric
     multiset, and symmetry checking.
 
-    Entries are counted in a plain dict under the key (label, 2e), with 2e
-    an integer and no zero count, so no rational arithmetic happens inside
-    the operations and equality is dict equality.  Exponents cross the
-    public edges as Fractions: the constructor, iteration, `entries`,
-    `multiplicity` and `in`.  `from_doubled` takes the integers 2e directly.
+    An exponent e is held as the integer 2e, everywhere: the constructor
+    takes (label, 2e) pairs, `entries` reads them back as (label, 2e, count)
+    and `multiplicity` and `in` look up (label, 2e).  The counts live in a
+    plain dict with no zero count, so no rational arithmetic happens inside
+    the operations and equality is dict equality.  :func:`half_str` writes
+    2e as the fraction string e.
     """
 
     __slots__ = ("_counts",)
 
-    def __init__(self, entries: Iterable[tuple[IrrLabel, Fraction]] = ()):
-        self._counts = dict(Counter((label, _doubled(e)) for label, e in entries))
+    def __init__(self, entries: Iterable[tuple[IrrLabel, int]] = ()):
+        self._counts = dict(Counter(entries))
 
     @classmethod
     def _wrap(cls, counts: dict) -> "ExponentMultiset":
@@ -293,11 +291,6 @@ class ExponentMultiset:
         out = cls.__new__(cls)
         out._counts = counts
         return out
-
-    @classmethod
-    def from_doubled(cls, label: IrrLabel, doubled: Iterable[int]) -> "ExponentMultiset":
-        """The entries (label, v/2) for the integers v in doubled."""
-        return cls._wrap(dict(Counter(zip(itertools.repeat(label), doubled))))
 
     @classmethod
     def union_all(cls, parts: Iterable["ExponentMultiset"]) -> "ExponentMultiset":
@@ -321,19 +314,11 @@ class ExponentMultiset:
     def __len__(self) -> int:
         return sum(self._counts.values())
 
-    def __iter__(self):
-        for (label, two_e), count in sorted(self._counts.items()):
-            e = Fraction(two_e, 2)
-            for _ in range(count):
-                yield label, e
+    def __contains__(self, entry: tuple[IrrLabel, int]) -> bool:
+        return entry in self._counts
 
-    def __contains__(self, entry) -> bool:
-        label, e = entry
-        return self.multiplicity(label, e) > 0
-
-    def multiplicity(self, label: IrrLabel, e) -> int:
-        two_e = 2 * Fraction(e)
-        return self._counts.get((label, two_e.numerator), 0) if two_e.denominator == 1 else 0
+    def multiplicity(self, label: IrrLabel, two_e: int) -> int:
+        return self._counts.get((label, two_e), 0)
 
     def union(self, other: "ExponentMultiset") -> "ExponentMultiset":
         return ExponentMultiset.union_all((self, other))
@@ -345,7 +330,7 @@ class ExponentMultiset:
             if left < 0:
                 label, two_e = key
                 raise InvalidParameter("multiset difference would be negative at "
-                                       f"{(label, Fraction(two_e, 2))}")
+                                       f"({label},{half_str(two_e)})")
             if left:
                 diff[key] = left
             else:
@@ -373,17 +358,19 @@ class ExponentMultiset:
         return ExponentMultiset._wrap(
             {(label, -two_e): c for (label, two_e), c in self._counts.items()})
 
-    def entries(self) -> tuple[tuple[IrrLabel, Fraction], ...]:
-        return tuple(self)
+    def entries(self) -> tuple[tuple[IrrLabel, int, int], ...]:
+        """(label, 2e, count) for each distinct entry, sorted by label, then by 2e."""
+        return tuple((label, two_e, count) for (label, two_e), count in sorted(self._counts.items()))
 
     def __repr__(self) -> str:
-        inner = ",".join(f"({label},{e})" for label, e in self)
+        inner = ",".join(f"({label},{half_str(two_e)})"
+                         for label, two_e, count in self.entries() for _ in range(count))
         return f"{{{{{inner}}}}}"
 
 
 def block_exponents(label: IrrLabel, a: int) -> ExponentMultiset:
     """Exponents (a-1)/2 - j, j = 0..a-1, of one size-a block."""
-    return ExponentMultiset.from_doubled(label, range(a - 1, -a, -2))
+    return ExponentMultiset(zip(itertools.repeat(label), range(a - 1, -a, -2)))
 
 
 def infinitesimal_character(p: DiscreteParameter) -> ExponentMultiset:
@@ -406,18 +393,3 @@ def reducibility_point(label: IrrLabel, jord: DiscreteParameter | Iterable[tuple
         return Fraction(max(sizes) + 1, 2)
     matched = block_group_type(dual, label) is BlockGroupSide.O_SIDE
     return Fraction(1, 2) if matched else Fraction(0)
-
-
-def agroup_order_oracle(p: DiscreteParameter) -> int:
-    """Brute-force order of the component group over F_2 (test oracle)."""
-    keys = p.block_keys()
-    dims = {key: label.dim * a for (label, a), key in zip(p.blocks, p.block_keys())}
-    count = 0
-    for subset in itertools.product((0, 1), repeat=len(keys)):
-        if p.dual_group.is_symplectic:
-            count += 1
-            continue
-        weight = sum(dims[key] for key, bit in zip(keys, subset) if bit)
-        if weight % 2 == 0:
-            count += 1
-    return count

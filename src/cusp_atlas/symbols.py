@@ -241,10 +241,6 @@ def symbol_from_character(kind: GroupKind, p: Partition, eta: SignCharacter) -> 
     return USymbol(symbol_kind_of(kind), row_a, row_b)
 
 
-def defect(symbol: USymbol) -> int:
-    return symbol.defect
-
-
 def defect_formula(kind: GroupKind, p: Partition, eta: SignCharacter) -> int:
     """Closed-form defect for a distinguished class, straight from the signs.
 

@@ -138,6 +138,9 @@ JOBS = [
      param("support", "Sp", 6, [{"pi": P, "a": 2, "sign": 1},
                                 {"pi": dict(P, dim=2), "a": 4, "sign": 1}])),
     ("support-missing-blocks", ["support"], {"command": "support", "group": group("Sp", 6)}),
+    # 53 twists from 99/2 down to 1/2, with 3/2 twice and 1/2 three times
+    ("support-repeated-twists", ["support"],
+     param("support", "Sp", 106, blocks(P, [2, 4, 100], [1, 1, 1]))),
     # cuspidal-test
     ("cuspidal-test-true", ["cuspidal-test"],
      param("cuspidal-test", "Sp", 4, [{"pi": {"name": "m1", "dim": 1, "type": "orthogonal"},
@@ -158,6 +161,9 @@ JOBS = [
     ("reducibility-gl-pair", ["reducibility"],
      {"command": "reducibility", "group": group("Sp", 6), "blocks": blocks(P, [2, 4]),
       "pi": G}),
+    ("reducibility-invalid-blocks", ["reducibility"],
+     {"command": "reducibility", "group": group("Sp", 6), "blocks": blocks(P, [3, 3]),
+      "pi": "p"}),
     # bernstein and hecke
     ("bernstein-b", ["bernstein"], triple("bernstein", "Sp", 10, [{"pi": R, "ell": 2}], blocks(R, [2, 4]))),
     ("bernstein-mixed", ["bernstein"],

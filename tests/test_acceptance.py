@@ -93,8 +93,8 @@ def test_criterion_5_so5_packet():
     assert not is_cuspidal(param, plus)
     sup = support(param, plus)
     assert sup.cusp_param.dimension == 0 and sup.cusp_param.blocks == ()
-    assert sorted((label.name, e) for label, e in sup.gl_twists) == \
-        [("m1", Fraction(1, 2)), ("m2", Fraction(1, 2))]
+    assert sorted((label.name, Fraction(k, 2), n) for label, k, n in sup.gl_twists.entries()) == \
+        [("m1", Fraction(1, 2), 1), ("m2", Fraction(1, 2), 1)]
     report(5, "SO_5 packet", time.time() - start)
 
 

@@ -126,6 +126,20 @@ def test_reducibility_document():
     assert run(parse_input(doc)) == {"pi": "p", "x": "5/2"}
 
 
+def test_reducibility_rejects_invalid_blocks(monkeypatch, capsys):
+    # (p,3) twice, and an orthogonal label needs even sizes in Sp
+    doc = {"command": "reducibility", "group": {"family": "Sp", "N": 6},
+           "blocks": [{"pi": {"name": "p", "dim": 1, "type": "orthogonal"}, "a": 3},
+                      {"pi": "p", "a": 3}],
+           "pi": "p"}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["reducibility", "--input", "-"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "domain" and "repeated block ('p', 3)" in error["message"]
+
+
 def test_bernstein_and_hecke_documents():
     doc = {"command": "bernstein", "group": {"family": "Sp", "N": 10},
            "gl_factors": [{"pi": {"name": "r", "dim": 1, "type": "orthogonal"},

@@ -1,9 +1,12 @@
+import io
+import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from cusp_atlas import lparams
+from cusp_atlas.cli import main
 from cusp_atlas.census import enumerate_parameters
 from cusp_atlas.cuspsupport import (
     check_support,
@@ -23,6 +26,7 @@ from cusp_atlas.lparams import (
     block_exponents,
     character_on,
     det_flip,
+    half_str,
     infinitesimal_character,
     is_cuspidal,
 )
@@ -45,7 +49,8 @@ def exponent_oracle(label, sizes):
 
 
 def to_counter(m):
-    return Counter(tuple(m))
+    """The multiset m as a Counter keyed by (label, e), with e a Fraction."""
+    return Counter({(label, Fraction(k, 2)): n for label, k, n in m.entries()})
 
 
 def half_oracle(counts):
@@ -153,12 +158,12 @@ def test_mutated_support_fails_conservation():
     # negative control: dropping one twist breaks both conservation laws
     param = DiscreteParameter(SP6, [(P, 2), (P, 4)])
     sup = support(param, character_on(param, (1, -1)))
-    entries = list(sup.gl_twists)
-    mutated = ExponentMultiset(entries[1:])
+    pairs = [(label, k) for label, k, n in sup.gl_twists.entries() for _ in range(n)]
+    mutated = ExponentMultiset(pairs[1:])
     broken = mutated.union(mutated.negated()).union(
         infinitesimal_character(sup.cusp_param))
     assert broken != infinitesimal_character(param)
-    dims = 2 * sum(label.dim for label, _ in mutated) + sup.cusp_param.dimension
+    dims = 2 * sum(label.dim * n for label, _, n in mutated.entries()) + sup.cusp_param.dimension
     assert dims != param.dual_group.size
 
 
@@ -263,29 +268,47 @@ def test_support_infinitesimal_matches_fraction_oracle(signs):
     oracle = Counter()
     for label, a in sup.cusp_param.blocks:
         oracle += exponent_oracle(label, (a,))
-    for label, e in sup.gl_twists:
-        oracle[(label, e)] += 1
-        oracle[(label, -e)] += 1
+    for (label, e), n in to_counter(sup.gl_twists).items():
+        oracle[(label, e)] += n
+        oracle[(label, -e)] += n
     assert to_counter(support_infinitesimal(sup)) == oracle == exponent_oracle(P, sizes)
 
 
-def test_exponent_accessors_speak_fractions():
-    m = block_exponents(P, 5).union(block_exponents(P, 2))
-    assert all(type(e) is Fraction for _, e in m)
-    assert all(type(e) is Fraction for _, e in m.entries())
-    assert [e for _, e in m] == sorted(Fraction(k, 2) for k in (4, 2, 0, -2, -4, 1, -1))
-    assert m.multiplicity(P, Fraction(1, 2)) == 1 and m.multiplicity(P, 1) == 1
-    assert m.multiplicity(P, "-2") == 1 and m.multiplicity(P, Fraction(1, 3)) == 0
-    assert (P, Fraction(-1, 2)) in m and (P, Fraction(5, 2)) not in m
-    assert (P, Fraction(1, 3)) not in m and (MU1, 0) not in m
-    assert repr(ExponentMultiset([(P, Fraction(-3, 2)), (P, 1)])) == "{{(p,-3/2),(p,1)}}"
+def test_cli_support_twists_match_fraction_oracle(monkeypatch, capsys):
+    # Sp_800 with the one block (p, 800): 400 twists, far beyond the golden jobs
+    doc = {"command": "support", "group": {"family": "Sp", "N": 800},
+           "blocks": [{"pi": {"name": "p", "dim": 1, "type": "orthogonal"}, "a": 800, "sign": 1}]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["support", "--input", "-", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    stair = [a for name, a in out["cusp_blocks"]]
+    oracle = exponent_oracle(P, (800,))
+    oracle.subtract(exponent_oracle(P, stair))
+    half = half_oracle(+oracle)
+    expected = [[label.name, str(e)] for (label, e) in
+                sorted(half.elements(), key=lambda t: (t[0].name, -t[1]))]
+    assert len(out["gl_twists"]) == 400
+    assert out["gl_twists"] == expected
 
 
-def test_exponent_multiset_rejects_non_half_integers():
-    with pytest.raises(InvalidParameter):
-        ExponentMultiset([(P, Fraction(1, 3))])
-    with pytest.raises(InvalidParameter):
-        ExponentMultiset([(P, Fraction(1, 2)), (P, 0.25)])
+def test_exponent_accessors_speak_doubled_integers():
+    m = block_exponents(P, 5).union(block_exponents(P, 2)).union(block_exponents(MU1, 2))
+    assert all(type(k) is int and type(n) is int for _, k, n in m.entries())
+    assert m.entries() == ((MU1, -1, 1), (MU1, 1, 1), (P, -4, 1), (P, -2, 1), (P, -1, 1),
+                           (P, 0, 1), (P, 1, 1), (P, 2, 1), (P, 4, 1))
+    assert m.multiplicity(P, 1) == 1 and m.multiplicity(P, 2) == 1
+    assert m.multiplicity(P, -4) == 1 and m.multiplicity(P, 3) == 0
+    assert (P, -1) in m and (P, 5) not in m
+    assert (P, 3) not in m and (MU1, 0) not in m
+    doubled = m.union(block_exponents(P, 2))
+    assert doubled.multiplicity(P, 1) == 2 and (P, 1, 2) in doubled.entries()
+    assert repr(ExponentMultiset([(P, -3), (P, 2)])) == "{{(p,-3/2),(p,1)}}"
+    assert repr(ExponentMultiset([(P, 1), (P, 1), (P, 0)])) == "{{(p,0),(p,1/2),(p,1/2)}}"
+
+
+def test_half_str_matches_fraction():
+    for two_e in range(-2001, 2002):
+        assert half_str(two_e) == str(Fraction(two_e, 2)), two_e
 
 
 def test_exponent_multiset_keeps_no_zero_counts():
@@ -294,8 +317,8 @@ def test_exponent_multiset_keeps_no_zero_counts():
     assert empty == ExponentMultiset() and hash(empty) == hash(ExponentMultiset())
     assert len(empty) == 0 and empty.entries() == ()
     rest = m.minus(block_exponents(P, 3))
-    assert rest == ExponentMultiset([(P, e) for e in (3, 2, -2, -3)])
-    assert hash(rest) == hash(ExponentMultiset([(P, e) for e in (-3, -2, 2, 3)]))
+    assert rest == ExponentMultiset([(P, k) for k in (6, 4, -4, -6)])
+    assert hash(rest) == hash(ExponentMultiset([(P, k) for k in (-6, -4, 4, 6)]))
 
 
 def test_check_support_computes_the_support_twice(support_calls):
