@@ -42,7 +42,7 @@ from .lparams import (
     block_group_type,
     reducibility_point,
 )
-from .orbits import Family, GroupKind, square_d, triangular_d
+from .orbits import Family, GroupKind, staircase_d
 
 
 @dataclass(frozen=True)
@@ -181,15 +181,11 @@ def weyl_descriptor(triple: InertialTriple) -> WeylDescriptor:
 
 def _staircase_top(side: BlockGroupSide, total: int) -> int:
     """Largest block of the staircase with the given block total."""
-    if side is BlockGroupSide.SP_SIDE:
-        d = triangular_d(total)
-        if d is None:
-            raise NormalizationError(f"{total} is not a staircase total 2+4+...+2d")
-        return 2 * d
-    d = square_d(total)
+    d = staircase_d(side.parity, total)
     if d is None:
-        raise NormalizationError(f"{total} is not a staircase total 1+3+...+(2d-1)")
-    return 2 * d - 1
+        shape = "1+3+...+(2d-1)" if side.parity else "2+4+...+2d"
+        raise NormalizationError(f"{total} is not a staircase total {shape}")
+    return 2 * d - side.parity
 
 
 @dataclass(frozen=True)

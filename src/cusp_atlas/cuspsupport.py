@@ -18,11 +18,15 @@ Concretely, per label:
 The second route rewrites the normal form through the increasing block map
 psi (size 2(i-1) or 2i on the symplectic side by the leading sign, 2i-1 on
 the orthogonal side) and harvests the twists as integer segments, one per
-surviving block plus one per eliminated pair.  The two routes must produce
-identical supports.  Neither route calls the other: :func:`check_support`
-computes each once, compares them, and bundles that comparison with the
-conservation laws (infinitesimal character, dimension, idempotence, and the
-fixed-point criterion: support = self exactly for gapless alternating data).
+surviving block plus one per eliminated pair.
+
+Each route yields one record per label, (label, twists E', cuspidal
+character on the staircase sizes, torus rank), and one assembler turns the
+records into a :class:`CuspidalSupport`.  Neither route calls the other:
+:func:`check_support` computes each once, compares the two supports with
+``==``, and bundles that comparison with the conservation laws
+(infinitesimal character, dimension, idempotence, and the fixed-point
+criterion: support = self exactly for gapless alternating data).
 Its report carries the support it checked, so a caller that wants both the
 support and its checks computes the support only there.
 
@@ -40,8 +44,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalCheckError, InvalidParameter
-from .orbits import Family, GroupKind, Partition, SignCharacter, require_domain
-from .springer import CuspidalDatum, eliminate, elimination_outcomes, springer_datum
+from .orbits import Family, GroupKind, Partition, SignCharacter, require_domain, staircase
+from .springer import eliminate, elimination_outcomes, springer_datum
 from .lparams import (
     BlockGroupSide,
     DiscreteParameter,
@@ -82,8 +86,8 @@ class ECMultiset:
 
 
 def staircase_exponents(label: IrrLabel, side: BlockGroupSide, d: int) -> ExponentMultiset:
-    sizes = range(2, 2 * d + 1, 2) if side is BlockGroupSide.SP_SIDE else range(1, 2 * d, 2)
-    return ExponentMultiset.union_all(block_exponents(label, a) for a in sizes)
+    return ExponentMultiset.union_all(block_exponents(label, a)
+                                      for a in staircase(side.parity, d))
 
 
 def ec_multiset(label: IrrLabel, side: BlockGroupSide, sizes: Iterable[int], d: int) -> ECMultiset:
@@ -114,33 +118,15 @@ class LeviDescriptor:
 
 
 @dataclass(frozen=True)
-class SliceSupport:
-    label: IrrLabel
-    side: BlockGroupSide
-    sizes: tuple[int, ...]
-    datum: CuspidalDatum
-    correction: ECMultiset
-
-    @property
-    def ell(self) -> int:
-        return len(self.correction.e_prime)
-
-
-@dataclass(frozen=True)
 class CuspidalSupport:
     gl_twists: ExponentMultiset
     cusp_param: DiscreteParameter
     cusp_char: ParameterCharacter
     levi: LeviDescriptor
-    slices: tuple[SliceSupport, ...] = ()
 
     def is_self(self, p: DiscreteParameter, eta: ParameterCharacter) -> bool:
         return (len(self.gl_twists) == 0 and self.cusp_param == p
                 and self.cusp_char == eta)
-
-    def key(self) -> tuple:
-        """Comparison key ignoring the per-slice diagnostics."""
-        return (self.gl_twists, self.cusp_param, self.cusp_char, self.levi)
 
 
 def _classical_part(dual: GroupKind, blocks, chars) -> tuple[DiscreteParameter, ParameterCharacter]:
@@ -152,22 +138,25 @@ def _classical_part(dual: GroupKind, blocks, chars) -> tuple[DiscreteParameter, 
     return DiscreteParameter(group, blocks), SignCharacter(chars)
 
 
-def _assemble(dual: GroupKind, slices: list[SliceSupport]) -> CuspidalSupport:
-    twists = ExponentMultiset.union_all(s.correction.e_prime for s in slices)
+_SliceRecord = tuple[IrrLabel, ExponentMultiset, SignCharacter, int]
+
+
+def _assemble(dual: GroupKind, slices: list[_SliceRecord]) -> CuspidalSupport:
+    """The support whose labels carry the given records, one GL factor per twist."""
     blocks: list[tuple[IrrLabel, int]] = []
     chars: dict = {}
     gl_ranks = []
-    for s in slices:
-        for a in s.datum.cusp_partition.parts:
-            blocks.append((s.label, a))
-            chars[(s.label.name, a)] = s.datum.cusp_character(a)
-        gl_ranks.append((s.label.name, s.label.dim, s.ell))
-        if s.ell != s.datum.torus_rank:
+    for label, twists, cusp_char, torus_rank in slices:
+        for a, value in cusp_char.values:
+            blocks.append((label, a))
+            chars[(label.name, a)] = value
+        gl_ranks.append((label.name, label.dim, len(twists)))
+        if len(twists) != torus_rank:
             raise InternalCheckError(
-                f"slice {s.label}: {s.ell} twists but torus rank {s.datum.torus_rank}")
+                f"slice {label}: {len(twists)} twists but torus rank {torus_rank}")
     param, char = _classical_part(dual, blocks, chars)
     levi = LeviDescriptor(tuple(sorted(gl_ranks)), param.dual_group)
-    return CuspidalSupport(twists, param, char, levi, tuple(slices))
+    return CuspidalSupport(ExponentMultiset.union_all(s[1] for s in slices), param, char, levi)
 
 
 def support(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSupport:
@@ -175,21 +164,17 @@ def support(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSupport:
     slices = []
     for label, side, sizes, slice_char in _slices(p, eta):
         datum = springer_datum(_slice_group(side, sum(sizes)), Partition(sizes), slice_char)
-        correction = ec_multiset(label, side, sizes, datum.d)
-        slices.append(SliceSupport(label, side, sizes, datum, correction))
+        twists = ec_multiset(label, side, sizes, datum.d).e_prime
+        slices.append((label, twists, datum.cusp_character, datum.torus_rank))
     return _assemble(p.dual_group, slices)
 
 
-def _psi_map(side: BlockGroupSide, normal: Partition, char: SignCharacter) -> tuple[tuple[int, ...], int]:
-    """Increasing block map of the normal form, and the resulting d."""
+def _psi_map(side: BlockGroupSide, normal: Partition, char: SignCharacter) -> tuple[int, ...]:
+    """Images of the increasing normal-form blocks under the block map psi."""
     parts = normal.increasing()
-    if not parts:
-        return (), 0
-    if side is BlockGroupSide.SP_SIDE:
-        if char(parts[0]) == 1:
-            return tuple(2 * i for i in range(len(parts))), len(parts) - 1
-        return tuple(2 * (i + 1) for i in range(len(parts))), len(parts)
-    return tuple(2 * i + 1 for i in range(len(parts))), len(parts)
+    if side is BlockGroupSide.SP_SIDE and parts and char(parts[0]) == -1:
+        return tuple(2 * (i + 1) for i in range(len(parts)))
+    return tuple(2 * i + side.parity for i in range(len(parts)))
 
 
 def _segment(top: int, length: int, label: IrrLabel) -> ExponentMultiset:
@@ -200,31 +185,17 @@ def _segment(top: int, length: int, label: IrrLabel) -> ExponentMultiset:
 
 def _slice_psi_support(label: IrrLabel, side: BlockGroupSide, sizes: tuple[int, ...],
                        removed: Sequence[tuple[int, int]],
-                       terminal: Partition, terminal_char: SignCharacter) -> SliceSupport:
-    """Assemble one slice's support from an elimination history."""
-    group = _slice_group(side, sum(sizes))
-    psi, d = _psi_map(side, terminal, terminal_char)
+                       terminal: Partition, terminal_char: SignCharacter) -> _SliceRecord:
+    """One slice's record from an elimination history."""
     segments = []
     cusp_values: dict[int, int] = {}
-    for a, image in zip(terminal.increasing(), psi):
+    for a, image in zip(terminal.increasing(), _psi_map(side, terminal, terminal_char)):
         segments.append(_segment(a, (a - image) // 2, label))
         if image >= 1:
             cusp_values[image] = terminal_char(a)
     segments.extend(_segment(hi, (lo + hi) // 2, label) for lo, hi in removed)
-    twists = ExponentMultiset.union_all(segments)
-
-    if side is BlockGroupSide.SP_SIDE:
-        cusp = Partition(range(2, 2 * d + 1, 2))
-    else:
-        cusp = Partition(range(1, 2 * d, 2))
-    if set(cusp_values) != set(cusp.parts):
-        raise InternalCheckError(
-            f"psi image {sorted(cusp_values)} is not the staircase of d={d}")
-    datum = CuspidalDatum(group, (sum(sizes) - cusp.total) // 2, cusp,
-                          SignCharacter(cusp_values), d,
-                          dprime=_dprime_from(side, d, terminal_char, terminal))
-    correction = ECMultiset(twists.union(twists.negated()), twists)
-    return SliceSupport(label, side, sizes, datum, correction)
+    return (label, ExponentMultiset.union_all(segments), SignCharacter(cusp_values),
+            (sum(sizes) - sum(cusp_values)) // 2)
 
 
 def support_via_psi(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSupport:
@@ -258,20 +229,10 @@ def outcome_supports(label: IrrLabel, side: BlockGroupSide, sizes: tuple[int, ..
     """The slice support triples of the given :func:`elimination_outcomes`."""
     out = set()
     for parts, values, removed in outcomes:
-        s = _slice_psi_support(label, side, sizes, removed, Partition(parts),
-                               SignCharacter(values))
-        out.add((s.correction.e_prime, s.datum.cusp_partition.parts,
-                 s.datum.cusp_character.values))
+        _, twists, cusp_char, _ = _slice_psi_support(label, side, sizes, removed,
+                                                     Partition(parts), SignCharacter(values))
+        out.add((twists, Partition(cusp_char.keys()).parts, cusp_char.values))
     return out
-
-
-def _dprime_from(side: BlockGroupSide, d: int, char: SignCharacter, normal: Partition) -> int:
-    if side is BlockGroupSide.O_SIDE:
-        return d
-    parts = normal.increasing()
-    if not parts:
-        return 1
-    return d + 1 if char(parts[0]) == 1 else -d
 
 
 SUPPORT_CHECKS = ("infinitesimal_preserved", "dimension_conserved", "idempotent",
@@ -317,7 +278,7 @@ def check_support(p: DiscreteParameter, eta: ParameterCharacter) -> SupportRepor
     fixed = sup.is_self(p, eta)
     fix_ok = fixed == is_cuspidal(p, eta)
     try:
-        routes_ok = support_via_psi(p, eta).key() == sup.key()
+        routes_ok = support_via_psi(p, eta) == sup
     except InternalCheckError:
         routes_ok = False
     return SupportReport(sup, inf_ok, dim_ok, idem_ok, fix_ok, routes_ok)

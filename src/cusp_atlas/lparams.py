@@ -51,6 +51,13 @@ class BlockGroupSide(str, Enum):
     O_SIDE = "o"
     GL_SIDE = "gl"
 
+    @property
+    def parity(self) -> int:
+        """Parity of the block sizes, and of the staircase, on this side: 0 Sp, 1 O."""
+        if self is BlockGroupSide.GL_SIDE:
+            raise InvalidParameter("gl-pair labels have no block parity rule")
+        return 0 if self is BlockGroupSide.SP_SIDE else 1
+
 
 @dataclass(frozen=True, order=True)
 class IrrLabel:
@@ -136,10 +143,7 @@ def block_group_type(dual: GroupKind, label: IrrLabel) -> BlockGroupSide:
 
 def required_block_parity(dual: GroupKind, label: IrrLabel) -> int:
     """Parity of admissible block sizes: even on the Sp side, odd on the O side."""
-    side = block_group_type(dual, label)
-    if side is BlockGroupSide.GL_SIDE:
-        raise InvalidParameter("gl-pair labels have no block parity rule")
-    return 0 if side is BlockGroupSide.SP_SIDE else 1
+    return block_group_type(dual, label).parity
 
 
 def validate_parameter(dual: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]) -> Verdict:
@@ -155,11 +159,11 @@ def validate_parameter(dual: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]) 
         return Verdict(False, tuple(problems))
     blocks = _sorted_blocks(blocks)
     seen = Counter(_block_key(label, a) for label, a in blocks)
-    for key, count in sorted(seen.items()):
+    for (name, a), count in sorted(seen.items()):
         if count > 1:
-            problems.append(f"repeated block {key}")
+            problems.append(f"repeated block ({name},{a})")
     by_name: dict[str, IrrLabel] = {}
-    for label, a in blocks:
+    for label, a in dict.fromkeys(blocks):  # each distinct block once
         prior = by_name.setdefault(label.name, label)
         if prior != label:
             problems.append(f"label name {label.name!r} used with two different data")
@@ -169,11 +173,12 @@ def validate_parameter(dual: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]) 
         if label.sd_type is SelfDualType.GL_PAIR:
             problems.append(f"gl-pair label {label} in a discrete parameter")
             continue
-        if a % 2 != required_block_parity(dual, label):
-            want = "even" if required_block_parity(dual, label) == 0 else "odd"
+        parity = required_block_parity(dual, label)
+        if a % 2 != parity:
+            article = "an" if label.sd_type is SelfDualType.ORTHOGONAL else "a"
             problems.append(
-                f"block ({label},{a}): a {label.sd_type.value} label needs {want} sizes "
-                f"in {dual.family.value}")
+                f"block ({label},{a}): {article} {label.sd_type.value} label needs "
+                f"{('even', 'odd')[parity]} sizes in {dual.family.value}")
     dimension = sum(label.dim * a for label, a in blocks)
     if dimension != dual.size:
         problems.append(f"blocks span dimension {dimension}, expected {dual.size}")

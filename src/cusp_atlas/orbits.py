@@ -25,6 +25,7 @@ agree or differ by the global sign flip.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional
@@ -308,28 +309,23 @@ def is_distinguished(kind: GroupKind, p: Partition) -> bool:
     return all(q % 2 == parity for q in p.parts)
 
 
-def triangular_d(n: int) -> Optional[int]:
-    """d with d(d+1) == n, or None."""
-    d = 0
-    while d * (d + 1) < n:
-        d += 1
-    return d if d * (d + 1) == n else None
+def staircase(parity: int, d: int) -> Partition:
+    """The cuspidal staircase of size parameter d.
+
+    (2,4,...,2d) of total d(d+1) for parity 0 (the symplectic side) and
+    (1,3,...,2d-1) of total d^2 for parity 1 (the orthogonal side): the
+    parity of its parts is the group's :attr:`GroupKind.generator_parity`.
+    """
+    return Partition(range(2 - parity, 2 * d + 1, 2))
 
 
-def square_d(n: int) -> Optional[int]:
-    """d with d*d == n, or None."""
-    d = 0
-    while d * d < n:
-        d += 1
-    return d if d * d == n else None
+def staircase_d(parity: int, n: int) -> Optional[int]:
+    """The d with ``staircase(parity, d).total == n``, or None.
 
-
-def symplectic_cuspidal_partition(d: int) -> Partition:
-    return Partition(2 * i for i in range(1, d + 1))
-
-
-def orthogonal_cuspidal_partition(d: int) -> Partition:
-    return Partition(2 * i - 1 for i in range(1, d + 1))
+    The total d(d + 1 - parity) lies in [d^2, d^2 + d], so d = isqrt(n).
+    """
+    d = math.isqrt(max(n, 0))
+    return d if d * (d + 1 - parity) == n else None
 
 
 def symplectic_cuspidal_character(d: int) -> SignCharacter:
@@ -366,19 +362,17 @@ def cuspidal_pair(kind: GroupKind) -> Optional[CuspidalPair]:
         if n == 1:
             return CuspidalPair(Partition((1,)), SignCharacter())
         return None
-    if kind.is_symplectic:
-        d = triangular_d(n)
-        if d is None:
-            return None
-        return CuspidalPair(symplectic_cuspidal_partition(d), symplectic_cuspidal_character(d))
-    d = square_d(n)
+    parity = kind.generator_parity
+    d = staircase_d(parity, n)
     if d is None:
         return None
+    if kind.is_symplectic:
+        return CuspidalPair(staircase(parity, d), symplectic_cuspidal_character(d))
     products = tuple(
         (((2 * i - 1), (2 * i + 1)), -1) for i in range(1, d)
     )
     return CuspidalPair(
-        orthogonal_cuspidal_partition(d),
+        staircase(parity, d),
         orthogonal_cuspidal_lift(d, plus=True),
         orthogonal_cuspidal_lift(d, plus=False),
         products,

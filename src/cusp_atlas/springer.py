@@ -34,11 +34,10 @@ from .orbits import (
     is_degenerate,
     is_distinguished,
     orthogonal_cuspidal_lift,
-    orthogonal_cuspidal_partition,
     require_domain,
     require_valid,
+    staircase,
     symplectic_cuspidal_character,
-    symplectic_cuspidal_partition,
 )
 from .symbols import defect_formula, symbol_from_character
 
@@ -188,11 +187,6 @@ class CuspidalDatum:
         return f"(C*)^{self.torus_rank} x {tail}"
 
 
-def _so_cusp_character(d: int, leading_sign: int) -> SignCharacter:
-    """The extension of the staircase cuspidal character with given value on z_1."""
-    return orthogonal_cuspidal_lift(d, plus=(leading_sign == 1))
-
-
 def springer_datum(kind: GroupKind, p: Partition, eta: SignCharacter) -> CuspidalDatum:
     """Cuspidal datum of a distinguished enhanced class of Sp_N or SO_N.
 
@@ -211,13 +205,12 @@ def springer_datum(kind: GroupKind, p: Partition, eta: SignCharacter) -> Cuspida
     if d != d_from_defect(kind, dprime):
         raise InternalCheckError(
             f"normal form gives d={d}, defect {dprime} gives {d_from_defect(kind, dprime)}")
+    cusp = staircase(kind.generator_parity, d)
     if kind.is_symplectic:
-        cusp = symplectic_cuspidal_partition(d)
         char = symplectic_cuspidal_character(d)
     else:
-        cusp = orthogonal_cuspidal_partition(d)
         leading = normal_eta(normal_p.increasing()[0]) if len(normal_p) else 1
-        char = _so_cusp_character(d, leading)
+        char = orthogonal_cuspidal_lift(d, plus=(leading == 1))
         if eta.product() != (char.product() if len(cusp) else 1):
             raise InternalCheckError(f"central value not conserved on {p}, {eta}")
     torus_rank, rem = divmod(kind.size - cusp.total, 2)
@@ -332,7 +325,7 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
     dprime = _general_orthogonal_defect(kind_so, p, eta)
     d = abs(dprime)
     torus_rank = (n - d * d) // 2
-    cusp = orthogonal_cuspidal_partition(d)
+    cusp = staircase(kind_so.generator_parity, d)
     if n % 2 or d >= 2:
         # case I: the quasi-Levi keeps an O_{d^2} block
         if n % 2:
@@ -354,8 +347,7 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
 
     # case II: N even, torus quasi-Levi, extension sign moves to the Weyl side
     chi = eta(_det_minus_class(p))
-    datum = CuspidalDatum(kind_so, torus_rank, cusp,
-                          _so_cusp_character(d, 1) if d else SignCharacter(), d, dprime)
+    datum = CuspidalDatum(kind_so, torus_rank, cusp, orthogonal_cuspidal_lift(d), d, dprime)
     return OSpringerDatum(OCase.II, QuasiLevi(torus_rank, 0), datum,
                           WeylTag.EXTENDED, chi, None)
 

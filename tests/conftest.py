@@ -25,3 +25,11 @@ def lossy_psi_route(monkeypatch) -> None:
     segment = cuspsupport._segment
     monkeypatch.setattr(cuspsupport, "_segment",
                         lambda top, length, label: segment(top, max(length - 1, 0), label))
+
+
+@pytest.fixture
+def shifted_psi_route(monkeypatch) -> None:
+    """Negative control: every psi image moves up one staircase step."""
+    psi_map = cuspsupport._psi_map
+    monkeypatch.setattr(cuspsupport, "_psi_map",
+                        lambda side, normal, char: tuple(i + 2 for i in psi_map(side, normal, char)))

@@ -141,6 +141,9 @@ JOBS = [
     # 53 twists from 99/2 down to 1/2, with 3/2 twice and 1/2 three times
     ("support-repeated-twists", ["support"],
      param("support", "Sp", 106, blocks(P, [2, 4, 100], [1, 1, 1]))),
+    # refused before any work that grows with N
+    ("support-over-size-cap", ["support"],
+     param("support", "Sp", 1000002, blocks(P, [1000002], [1]))),
     # cuspidal-test
     ("cuspidal-test-true", ["cuspidal-test"],
      param("cuspidal-test", "Sp", 4, [{"pi": {"name": "m1", "dim": 1, "type": "orthogonal"},

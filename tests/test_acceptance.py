@@ -24,8 +24,8 @@ from cusp_atlas.lparams import (
 from cusp_atlas.orbits import (
     Family,
     GroupKind,
+    staircase,
     symplectic_cuspidal_character,
-    symplectic_cuspidal_partition,
 )
 from cusp_atlas.symbols import alternative_defect_formula_sp, defect_formula
 
@@ -138,7 +138,7 @@ def test_criterion_7_reducibility_fixture():
 def test_criterion_8_alternative_defect_formula_guard():
     start = time.time()
     for d in range(1, 6):
-        p = symplectic_cuspidal_partition(d)
+        p = staircase(0, d)
         eps = symplectic_cuspidal_character(d)
         kind = GroupKind(Family.SP, d * (d + 1))
         gap = alternative_defect_formula_sp(p, eps) - defect_formula(kind, p, eps)

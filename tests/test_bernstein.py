@@ -124,6 +124,31 @@ def test_hecke_parameters_partner_block_total():
     assert f.mu_short == 5  # theta defaults to +1
 
 
+def test_hecke_parameters_huge_partner_block_total():
+    # d = 10**20: the staircase 2+4+...+2d has a 41-digit total, read in closed form
+    d = 10**20
+    total = d * (d + 1)
+    t = sp_triple([GLFactor(R, 0, partner_mprime=total)], [(R, total)], total)
+    f = hecke_parameters(t).factors[0]
+    assert f.x_minus == Fraction(2 * d + 1, 2) and f.x_plus == Fraction(total + 1, 2)
+    q = IrrLabel("q", 1, SelfDualType.ORTHOGONAL)
+    cusp = DiscreteParameter(GroupKind(Family.SO_ODD, d * d + 1), [(q, d * d + 1)])
+    t = InertialTriple(cusp.dual_group, [GLFactor(q, 0, partner_mprime=d * d)], cusp)
+    assert hecke_parameters(t).factors[0].x_minus == d
+
+
+def test_hecke_parameters_partner_total_off_the_staircase():
+    t = sp_triple([GLFactor(R, 2, partner_mprime=4)], [(R, 2), (R, 4)], 10)
+    with pytest.raises(NormalizationError, match=r"^4 is not a staircase total 2\+4\+\.\.\.\+2d$"):
+        hecke_parameters(t)
+    q = IrrLabel("q", 1, SelfDualType.ORTHOGONAL)
+    cusp = DiscreteParameter(GroupKind(Family.SO_ODD, 9), [(q, 1), (q, 3), (q, 5)])
+    t = InertialTriple(GroupKind(Family.SO_ODD, 13), [GLFactor(q, 2, partner_mprime=8)], cusp)
+    with pytest.raises(NormalizationError,
+                       match=r"^8 is not a staircase total 1\+3\+\.\.\.\+\(2d-1\)$"):
+        hecke_parameters(t)
+
+
 def test_hecke_parameters_o_side_half_point():
     # o-side label present, partner absent but type-matched: x- = 1/2
     q = IrrLabel("q", 1, SelfDualType.ORTHOGONAL)

@@ -1,10 +1,11 @@
 import io
 import json
+import time
 
 import pytest
 
-from cusp_atlas.cli import JobSpec, emit, main, parse_input, run
-from cusp_atlas.errors import SchemaError
+from cusp_atlas.cli import COMMANDS, MAX_GROUP_SIZE, JobSpec, emit, main, parse_input, run
+from cusp_atlas.errors import BoundExceeded, SchemaError
 
 SUPPORT_DOC = {
     "command": "support",
@@ -137,7 +138,7 @@ def test_reducibility_rejects_invalid_blocks(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     error = json.loads(captured.err)["error"]
-    assert error["kind"] == "domain" and "repeated block ('p', 3)" in error["message"]
+    assert error["kind"] == "domain" and "repeated block (p,3)" in error["message"]
 
 
 def test_bernstein_and_hecke_documents():
@@ -160,6 +161,38 @@ def test_enumerate_bound(monkeypatch):
     from cusp_atlas.errors import BoundExceeded
     with pytest.raises(BoundExceeded):
         run(job, bound=10)
+
+
+def test_over_cap_support_job_exits_3_at_once(monkeypatch, capsys):
+    n = MAX_GROUP_SIZE + 2
+    doc = dict(SUPPORT_DOC, group={"family": "Sp", "N": n},
+               blocks=[{"pi": {"name": "p", "dim": 1, "type": "orthogonal"}, "a": n, "sign": 1}])
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    start = time.perf_counter()
+    assert main(["support", "--input", "-"]) == 3
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "kind": "domain", "message": f"group size {n} exceeds the cap 1000000 on every job"}
+    at_cap = dict(doc, group={"family": "Sp", "N": MAX_GROUP_SIZE},
+                  blocks=[dict(doc["blocks"][0], a=MAX_GROUP_SIZE)])
+    assert parse_input(at_cap).command == "support"
+
+
+@pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"selfcheck"}))
+def test_every_group_is_capped_before_the_rest_of_the_job(command):
+    with pytest.raises(BoundExceeded):
+        parse_input({"command": command, "group": {"family": "SOodd", "N": MAX_GROUP_SIZE + 1}})
+
+
+def test_a_product_is_capped_on_its_total_size():
+    def factors(*sizes):
+        return {"command": "springer",
+                "factors": [{"partition": [m], "signs": [1]} for m in sizes]}
+    assert parse_input(factors(MAX_GROUP_SIZE - 3, 3)).command == "springer"
+    with pytest.raises(BoundExceeded):
+        parse_input(factors(MAX_GROUP_SIZE - 1, 3))
 
 
 def test_main_exit_codes(tmp_path, capsys):

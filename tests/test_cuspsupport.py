@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cusp_atlas import lparams
+from cusp_atlas import cuspsupport, lparams
 from cusp_atlas.cli import main
 from cusp_atlas.census import enumerate_parameters
 from cusp_atlas.cuspsupport import (
@@ -30,7 +30,8 @@ from cusp_atlas.lparams import (
     infinitesimal_character,
     is_cuspidal,
 )
-from cusp_atlas.orbits import Family, GroupKind
+from cusp_atlas.orbits import Family, GroupKind, Partition
+from cusp_atlas.springer import springer_datum
 
 P = IrrLabel("p", 1, SelfDualType.ORTHOGONAL)
 MU1 = IrrLabel("m1", 1, SelfDualType.ORTHOGONAL)
@@ -144,7 +145,7 @@ def test_support_via_psi_agrees_on_fixtures():
     param = DiscreteParameter(SP6, [(P, 2), (P, 4)])
     for signs in ((1, -1), (1, 1), (-1, 1), (-1, -1)):
         eta = character_on(param, signs)
-        assert support_via_psi(param, eta).key() == support(param, eta).key()
+        assert support_via_psi(param, eta) == support(param, eta)
 
 
 def test_support_preserves_infinitesimal_character():
@@ -203,13 +204,16 @@ def test_slice_dependence_only():
 
 
 def test_sp_side_dprime_is_odd_everywhere():
+    # the data `support` computes, slice by slice
     for dual in (GroupKind(Family.SP, 10), GroupKind(Family.SO_ODD, 9)):
         for param, eta in enumerate_parameters(dual):
-            for s in support(param, eta).slices:
-                if s.side is BlockGroupSide.SP_SIDE:
-                    assert s.datum.dprime % 2 == 1
+            for _, side, sizes, slice_char in cuspsupport._slices(param, eta):
+                datum = springer_datum(cuspsupport._slice_group(side, sum(sizes)),
+                                       Partition(sizes), slice_char)
+                if side is BlockGroupSide.SP_SIDE:
+                    assert datum.dprime % 2 == 1
                 else:
-                    assert s.datum.dprime % 2 == len(s.sizes) % 2
+                    assert datum.dprime % 2 == len(sizes) % 2
 
 
 def test_check_support_full_enumeration_small():
@@ -327,7 +331,7 @@ def test_check_support_computes_the_support_twice(support_calls):
     assert report.ok()
     # the input, then its cuspidal part for idempotence
     assert support_calls == [param, report.support.cusp_param]
-    assert report.support.key() == support(param, character_on(param, (1, -1))).key()
+    assert report.support == support(param, character_on(param, (1, -1)))
 
 
 def test_check_support_validates_only_the_classical_parts(monkeypatch):
@@ -362,5 +366,16 @@ def test_support_via_psi_does_not_call_support(support_calls):
 def test_check_support_sees_a_perturbed_psi_route(lossy_psi_route):
     param = DiscreteParameter(SP6, [(P, 2), (P, 4)])
     report = check_support(param, character_on(param, (1, -1)))
+    assert report.routes_agree is False
+    assert report.failures() == ("routes_agree",)
+
+
+def test_check_support_sees_shifted_psi_images(shifted_psi_route):
+    # the psi route then keeps the blocks (p,2),(p,4) with no twist: a valid
+    # support, of another parameter than the one the first route finds
+    param = DiscreteParameter(SP6, [(P, 2), (P, 4)])
+    eta = character_on(param, (1, -1))
+    assert support_via_psi(param, eta).cusp_param == param
+    report = check_support(param, eta)
     assert report.routes_agree is False
     assert report.failures() == ("routes_agree",)

@@ -71,9 +71,17 @@ def test_parameter_is_valid_by_construction():
     with pytest.raises(InvalidParameter) as err:
         DiscreteParameter(SP4, blocks)
     assert str(err.value) == ("{(p,1),(p,3)}: "
-                              "block (p,1): a orthogonal label needs even sizes in Sp; "
-                              "block (p,3): a orthogonal label needs even sizes in Sp")
+                              "block (p,1): an orthogonal label needs even sizes in Sp; "
+                              "block (p,3): an orthogonal label needs even sizes in Sp")
     assert str(err.value).endswith("; ".join(validate_parameter(SP4, blocks).problems))
+
+
+def test_validate_parameter_reports_a_repeated_block_once():
+    verdict = validate_parameter(SP6, [(ORTH1, 3), (ORTH1, 3)])
+    assert verdict.problems == ("repeated block (p,3)",
+                                "block (p,3): an orthogonal label needs even sizes in Sp")
+    assert validate_parameter(SP6, [(SYMP2, 2), (SYMP2, 1)]).problems == (
+        "block (s,2): a symplectic label needs odd sizes in Sp",)
 
 
 def test_block_group_type_table():

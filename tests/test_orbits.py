@@ -13,6 +13,8 @@ from cusp_atlas.orbits import (
     is_degenerate,
     is_distinguished,
     orbit_count,
+    staircase,
+    staircase_d,
     validate_partition,
 )
 from cusp_atlas.census import group_partitions
@@ -115,6 +117,19 @@ def test_cuspidal_pair_orthogonal():
     assert pair.character(1) == 1 and pair.minus_lift(1) == -1
     assert pair.so_products == (((1, 3), -1), ((3, 5), -1))
     assert cuspidal_pair(GroupKind(Family.SO_ODD, 7)) is None
+
+
+@pytest.mark.parametrize("parity", (0, 1))
+def test_staircase_and_its_size_parameter(parity):
+    totals = set()
+    for d in range(61):
+        stairs = staircase(parity, d)
+        assert stairs.increasing() == tuple(2 * i - parity for i in range(1, d + 1))
+        assert staircase_d(parity, stairs.total) == d
+        totals.add(stairs.total)
+    for n in range(501):
+        if n not in totals:
+            assert staircase_d(parity, n) is None, n
 
 
 def test_cuspidal_pair_gl():

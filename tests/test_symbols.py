@@ -206,10 +206,10 @@ def test_shift_equivalence_preserves_size_and_defect(seed, shifts):
 def test_alternative_defect_formula_offset():
     # the other printed closed form exceeds the real one by k + 1 on the
     # cuspidal fixtures (kept as a pinned regression, never used)
-    from cusp_atlas.orbits import symplectic_cuspidal_character, symplectic_cuspidal_partition
+    from cusp_atlas.orbits import staircase, symplectic_cuspidal_character
 
     for d in range(1, 6):
-        p = symplectic_cuspidal_partition(d)
+        p = staircase(0, d)
         eps = symplectic_cuspidal_character(d)
         kind = GroupKind(Family.SP, d * (d + 1))
         k = len(p)
