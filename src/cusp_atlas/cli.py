@@ -423,9 +423,9 @@ def _run_support(payload, bound: int) -> dict:
     report = check_support(param, eta)
     sup = report.support
     twists = []
-    for label, two_e, count in sorted(sup.gl_twists.entries(), key=lambda t: (t[0].name, -t[1])):
-        text = half_str(two_e)
-        twists.extend([label.name, text] for _ in range(count))
+    for label, counts in sup.gl_twists.by_label():
+        for two_e in sorted(counts, reverse=True):
+            twists.extend([label.name, half_str(two_e)] for _ in range(counts[two_e]))
     return {
         "levi": str(sup.levi),
         "gl_twists": twists,

@@ -39,7 +39,7 @@ only the CLI writes them out, as fraction strings, through
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -99,9 +99,12 @@ def ec_multiset(label: IrrLabel, side: BlockGroupSide, sizes: Iterable[int], d: 
     except InvalidParameter as exc:
         raise InvalidParameter(
             f"staircase of size parameter {d} does not embed in slice {sizes}: {exc}") from exc
-    if not e_c.is_symmetric():
-        raise InternalCheckError(f"correction multiset of slice {sizes}, d={d} is asymmetric")
-    return ECMultiset(e_c, e_c.nonnegative_half())
+    try:
+        e_prime = e_c.nonnegative_half()
+    except InvalidParameter as exc:
+        raise InternalCheckError(
+            f"correction multiset of slice {sizes}, d={d} is asymmetric") from exc
+    return ECMultiset(e_c, e_prime)
 
 
 @dataclass(frozen=True)
@@ -179,8 +182,8 @@ def _psi_map(side: BlockGroupSide, normal: Partition, char: SignCharacter) -> tu
 
 def _segment(top: int, length: int, label: IrrLabel) -> ExponentMultiset:
     """Exponents (top-1)/2 - f for f = 0..length-1, folded to be nonnegative."""
-    return ExponentMultiset(zip(itertools.repeat(label),
-                                map(abs, range(top - 1, top - 1 - 2 * length, -2))))
+    return ExponentMultiset.of_label(
+        label, dict(Counter(map(abs, range(top - 1, top - 1 - 2 * length, -2)))))
 
 
 def _slice_psi_support(label: IrrLabel, side: BlockGroupSide, sizes: tuple[int, ...],
@@ -271,7 +274,8 @@ def check_support(p: DiscreteParameter, eta: ParameterCharacter) -> SupportRepor
     """Compute the support once and check it: both routes, all five laws."""
     sup = support(p, eta)
     inf_ok = infinitesimal_character(p) == support_infinitesimal(sup)
-    twist_dims = 2 * sum(label.dim * count for label, _, count in sup.gl_twists.entries())
+    twist_dims = 2 * sum(label.dim * sum(counts.values())
+                         for label, counts in sup.gl_twists.by_label())
     dim_ok = twist_dims + sup.cusp_param.dimension == p.dual_group.size
     again = support(sup.cusp_param, sup.cusp_char)
     idem_ok = again.is_self(sup.cusp_param, sup.cusp_char)

@@ -26,12 +26,12 @@ so the functions below take validity for granted and never check it again.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import DomainMismatch, InvalidParameter
 from .orbits import (ComponentGroupDescriptor, Family, GroupKind, Relation, SignCharacter,
@@ -279,93 +279,125 @@ class ExponentMultiset:
 
     An exponent e is held as the integer 2e, everywhere: the constructor
     takes (label, 2e) pairs, `entries` reads them back as (label, 2e, count)
-    and `multiplicity` and `in` look up (label, 2e).  The counts live in a
-    plain dict with no zero count, so no rational arithmetic happens inside
-    the operations and equality is dict equality.  :func:`half_str` writes
-    2e as the fraction string e.
+    and `multiplicity` and `in` look up (label, 2e).  The counts live per
+    label, as ``{label: {2e: count}}`` with no zero count and no empty
+    inner dict.  Every operation works label by label on int keys, so it
+    hashes each label once rather than once per exponent, and equality is
+    dict equality.  Multisets are immutable and may share inner dicts; an
+    operation copies an inner dict before it changes it.  :func:`half_str`
+    writes 2e as the fraction string e.
     """
 
     __slots__ = ("_counts",)
 
     def __init__(self, entries: Iterable[tuple[IrrLabel, int]] = ()):
-        self._counts = dict(Counter(entries))
+        by_label: dict = {}
+        for label, two_e in entries:
+            by_label.setdefault(label, []).append(two_e)
+        self._counts = {label: dict(Counter(two_es)) for label, two_es in by_label.items()}
 
     @classmethod
     def _wrap(cls, counts: dict) -> "ExponentMultiset":
-        """The multiset of counts, which must hold no zero count."""
+        """The multiset of counts, which must hold no zero count and no empty inner dict."""
         out = cls.__new__(cls)
         out._counts = counts
         return out
 
     @classmethod
+    def of_label(cls, label: IrrLabel, counts: dict[int, int]) -> "ExponentMultiset":
+        """The multiset holding (label, 2e) counts[2e] times for each 2e.
+
+        It takes ownership of counts, which must hold no zero count.
+        """
+        return cls._wrap({label: counts} if counts else {})
+
+    @classmethod
     def union_all(cls, parts: Iterable["ExponentMultiset"]) -> "ExponentMultiset":
-        """The union of several multisets, accumulated in one dict."""
+        """The union of several multisets, accumulated in one dict per label."""
         counts: dict = {}
         for part in parts:
-            if not counts:
-                counts.update(part._counts)
-                continue
-            get = counts.get
-            for key, count in part._counts.items():
-                counts[key] = get(key, 0) + count
+            for label, theirs in part._counts.items():
+                mine = counts.get(label)
+                if mine is None:
+                    counts[label] = theirs.copy()
+                    continue
+                get = mine.get
+                for two_e, count in theirs.items():
+                    mine[two_e] = get(two_e, 0) + count
         return cls._wrap(counts)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExponentMultiset) and self._counts == other._counts
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._counts.items()))
+        return hash(frozenset((label, frozenset(counts.items()))
+                              for label, counts in self._counts.items()))
 
     def __len__(self) -> int:
-        return sum(self._counts.values())
+        return sum(sum(counts.values()) for counts in self._counts.values())
 
     def __contains__(self, entry: tuple[IrrLabel, int]) -> bool:
-        return entry in self._counts
+        label, two_e = entry
+        return two_e in self._counts.get(label, ())
 
     def multiplicity(self, label: IrrLabel, two_e: int) -> int:
-        return self._counts.get((label, two_e), 0)
+        counts = self._counts.get(label)
+        return counts.get(two_e, 0) if counts else 0
 
     def union(self, other: "ExponentMultiset") -> "ExponentMultiset":
         return ExponentMultiset.union_all((self, other))
 
     def minus(self, other: "ExponentMultiset") -> "ExponentMultiset":
         diff = self._counts.copy()
-        for key, count in other._counts.items():
-            left = diff.get(key, 0) - count
-            if left < 0:
-                label, two_e = key
-                raise InvalidParameter("multiset difference would be negative at "
-                                       f"({label},{half_str(two_e)})")
-            if left:
-                diff[key] = left
+        for label, theirs in other._counts.items():
+            mine = diff.get(label, {}).copy()
+            for two_e, count in theirs.items():
+                left = mine.get(two_e, 0) - count
+                if left < 0:
+                    raise InvalidParameter("multiset difference would be negative at "
+                                           f"({label},{half_str(two_e)})")
+                if left:
+                    mine[two_e] = left
+                else:
+                    del mine[two_e]
+            if mine:
+                diff[label] = mine
             else:
-                del diff[key]
+                del diff[label]
         return ExponentMultiset._wrap(diff)
 
     def is_symmetric(self) -> bool:
-        get = self._counts.get
-        return all(count == get((label, -two_e), 0)
-                   for (label, two_e), count in self._counts.items())
+        return all(counts == {-two_e: count for two_e, count in counts.items()}
+                   for counts in self._counts.values())
 
     def nonnegative_half(self) -> "ExponentMultiset":
         """H with self = H + (-H); positives keep their multiplicity, zeros halve."""
         if not self.is_symmetric():
             raise InvalidParameter("multiset is not symmetric under negation")
         half = {}
-        for (label, two_e), count in self._counts.items():
-            if two_e > 0:
-                half[(label, two_e)] = count
-            elif two_e == 0 and count > 1:
-                half[(label, 0)] = count // 2
+        for label, counts in self._counts.items():
+            mine = {two_e: count for two_e, count in counts.items() if two_e > 0}
+            zeros = counts.get(0, 0) // 2
+            if zeros:
+                mine[0] = zeros
+            if mine:
+                half[label] = mine
         return ExponentMultiset._wrap(half)
 
     def negated(self) -> "ExponentMultiset":
         return ExponentMultiset._wrap(
-            {(label, -two_e): c for (label, two_e), c in self._counts.items()})
+            {label: {-two_e: count for two_e, count in counts.items()}
+             for label, counts in self._counts.items()})
+
+    def by_label(self) -> tuple[tuple[IrrLabel, Mapping[int, int]], ...]:
+        """(label, read-only {2e: count}) for each label, sorted by label."""
+        return tuple((label, MappingProxyType(self._counts[label]))
+                     for label in sorted(self._counts))
 
     def entries(self) -> tuple[tuple[IrrLabel, int, int], ...]:
         """(label, 2e, count) for each distinct entry, sorted by label, then by 2e."""
-        return tuple((label, two_e, count) for (label, two_e), count in sorted(self._counts.items()))
+        return tuple((label, two_e, count) for label, counts in self.by_label()
+                     for two_e, count in sorted(counts.items()))
 
     def __repr__(self) -> str:
         inner = ",".join(f"({label},{half_str(two_e)})"
@@ -375,7 +407,7 @@ class ExponentMultiset:
 
 def block_exponents(label: IrrLabel, a: int) -> ExponentMultiset:
     """Exponents (a-1)/2 - j, j = 0..a-1, of one size-a block."""
-    return ExponentMultiset(zip(itertools.repeat(label), range(a - 1, -a, -2)))
+    return ExponentMultiset.of_label(label, dict.fromkeys(range(a - 1, -a, -2), 1))
 
 
 def infinitesimal_character(p: DiscreteParameter) -> ExponentMultiset:

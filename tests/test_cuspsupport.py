@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cusp_atlas import cuspsupport, lparams
 from cusp_atlas.cli import main
@@ -16,7 +18,7 @@ from cusp_atlas.cuspsupport import (
     support_infinitesimal,
     support_via_psi,
 )
-from cusp_atlas.errors import InvalidParameter
+from cusp_atlas.errors import InternalCheckError, InvalidParameter
 from cusp_atlas.lparams import (
     BlockGroupSide,
     DiscreteParameter,
@@ -133,6 +135,17 @@ def test_ec_multiset_o_slice_with_zero_entries():
 def test_ec_multiset_rejects_incompatible_d():
     with pytest.raises(InvalidParameter):
         ec_multiset(P, BlockGroupSide.SP_SIDE, (2,), 2)
+
+
+def test_ec_multiset_reports_an_asymmetric_correction(monkeypatch):
+    # negative control: a staircase that takes only the exponent 3/2 out of
+    # the block (p,4) leaves the asymmetric correction {1/2, -1/2, -3/2}
+    monkeypatch.setattr(cuspsupport, "staircase_exponents",
+                        lambda label, side, d: ExponentMultiset([(label, 3)]))
+    with pytest.raises(InternalCheckError,
+                       match=r"^correction multiset of slice \(4,\), d=1 is asymmetric$") as info:
+        ec_multiset(P, BlockGroupSide.SP_SIDE, (4,), 1)
+    assert isinstance(info.value.__cause__, InvalidParameter)
 
 
 def test_staircase_exponents():
@@ -379,3 +392,122 @@ def test_check_support_sees_shifted_psi_images(shifted_psi_route):
     report = check_support(param, eta)
     assert report.routes_agree is False
     assert report.failures() == ("routes_agree",)
+
+
+MULTISET_LABELS = (P, MU1, IrrLabel("q", 2, SelfDualType.SYMPLECTIC))
+labels = st.sampled_from(MULTISET_LABELS)
+# each part is built one of three ways, each with its own oracle: explicit
+# (label, 2e) pairs, the exponents of a block (label, a), and a folded
+# segment (top, length) of the psi route
+pair_parts = st.lists(st.tuples(labels, st.integers(-9, 9)), max_size=8).map(
+    lambda pairs: ("pairs", pairs))
+block_parts = st.lists(st.tuples(labels, st.integers(0, 9)), max_size=3).map(
+    lambda blocks: ("blocks", blocks))
+segment_parts = st.lists(st.tuples(labels, st.integers(-4, 9), st.integers(0, 9)),
+                         max_size=3).map(lambda segments: ("segments", segments))
+multiset_parts = st.lists(st.one_of(pair_parts, block_parts, segment_parts), max_size=3)
+
+
+def build_parts(parts):
+    """The multiset the parts describe, and its Counter oracle."""
+    built, oracle = [], Counter()
+    for kind, items in parts:
+        if kind == "pairs":
+            built.append(ExponentMultiset(items))
+            oracle.update((label, Fraction(k, 2)) for label, k in items)
+        elif kind == "blocks":
+            built.extend(block_exponents(label, a) for label, a in items)
+            for label, a in items:
+                oracle += exponent_oracle(label, (a,))
+        else:
+            built.extend(cuspsupport._segment(top, length, label) for label, top, length in items)
+            oracle.update((label, abs(Fraction(top - 1, 2) - f))
+                          for label, top, length in items for f in range(length))
+    return ExponentMultiset.union_all(built), oracle
+
+
+def fraction_repr(oracle) -> str:
+    return "{{" + ",".join(f"({label},{e})" for label, e in sorted(oracle.elements())) + "}}"
+
+
+def has_no_empty_label(m) -> bool:
+    return all(counts for _, counts in m.by_label())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(multiset_parts, multiset_parts, st.randoms(use_true_random=False))
+def test_exponent_multiset_matches_the_fraction_oracle(left_parts, right_parts, rnd):
+    left, left_oracle = build_parts(left_parts)
+    right, right_oracle = build_parts(right_parts)
+    for m, oracle in ((left, left_oracle), (right, right_oracle)):
+        assert to_counter(m) == oracle
+        assert m.entries() == tuple(sorted(m.entries()))
+        assert all(type(k) is int and type(n) is int and n > 0 for _, k, n in m.entries())
+        assert repr(m) == fraction_repr(oracle)
+        assert len(m) == sum(oracle.values())
+        for label in MULTISET_LABELS:
+            for k in range(-20, 21):
+                assert m.multiplicity(label, k) == oracle[(label, Fraction(k, 2))]
+                assert ((label, k) in m) == (oracle[(label, Fraction(k, 2))] > 0)
+        assert to_counter(m.negated()) == Counter({(label, -e): n for (label, e), n in oracle.items()})
+        assert m.negated().negated() == m
+        # equal multisets hash equal, whatever the construction order
+        pairs = [(label, k) for label, k, n in m.entries() for _ in range(n)]
+        rnd.shuffle(pairs)
+        shuffled = ExponentMultiset(pairs)
+        assert shuffled == m and hash(shuffled) == hash(m)
+
+    both = ExponentMultiset.union_all([left, right])
+    assert to_counter(both) == left_oracle + right_oracle
+    assert both == ExponentMultiset.union_all([right, left])
+    assert hash(both) == hash(ExponentMultiset.union_all([right, left]))
+    assert both == left.union(right)
+
+    assert both.minus(right) == left and has_no_empty_label(both.minus(right))
+    assert both.minus(both) == ExponentMultiset() and both.minus(both).by_label() == ()
+    short = Counter(left_oracle)
+    short.subtract(right_oracle)
+    if min(short.values(), default=0) >= 0:
+        diff = left.minus(right)
+        assert to_counter(diff) == +short and has_no_empty_label(diff)
+    else:
+        with pytest.raises(InvalidParameter) as info:
+            left.minus(right)
+        negative = {f"({label},{e})" for (label, e), n in short.items() if n < 0}
+        message = str(info.value)
+        prefix = "multiset difference would be negative at "
+        assert message.startswith(prefix) and message[len(prefix):] in negative
+
+    symmetric = left.union(left.negated())
+    assert symmetric.is_symmetric()
+    half = symmetric.nonnegative_half()
+    assert to_counter(half) == half_oracle(to_counter(symmetric))
+    assert half.union(half.negated()) == symmetric and has_no_empty_label(half)
+    asymmetric = any(n != left_oracle[(label, -e)] for (label, e), n in left_oracle.items())
+    assert left.is_symmetric() is not asymmetric
+    if asymmetric:
+        with pytest.raises(InvalidParameter):
+            left.nonnegative_half()
+
+
+def test_union_leaves_its_inputs_alone():
+    # a union copies every per-label dict it starts from, so adding more into
+    # the union never reaches back into the multisets it was built from
+    def fresh_a():
+        return ExponentMultiset([(P, 1), (P, -1), (P, 3), (MU1, 0)])
+
+    def fresh_b():
+        return ExponentMultiset([(P, 1), (MU1, 0), (MU2, 2)])
+
+    a, b = fresh_a(), fresh_b()
+    u = ExponentMultiset.union_all([a, b])
+    u = ExponentMultiset.union_all([u, a, block_exponents(P, 4)])
+    u = u.union(b).union(b.negated())
+    rest = u.minus(ExponentMultiset([(MU2, 2)]))
+    ExponentMultiset.union_all([rest, a, b])
+    ExponentMultiset.union_all([b.minus(ExponentMultiset([(P, 1)])), b])
+    assert a == fresh_a() and repr(a) == repr(fresh_a())
+    assert b == fresh_b() and repr(b) == repr(fresh_b())
+    block = block_exponents(P, 4)
+    ExponentMultiset.union_all([block, block, block])
+    assert block == ExponentMultiset([(P, k) for k in (3, 1, -1, -3)])
