@@ -17,8 +17,8 @@ from .lparams import (
     IrrLabel,
     ParameterCharacter,
     SelfDualType,
+    block_group_type,
     det_flip,
-    required_block_parity,
 )
 from .orbits import (
     Family,
@@ -156,7 +156,7 @@ def enumerate_parameters(
                 yield ()
             return
         label = labels[idx]
-        parity = required_block_parity(dual, label)
+        parity = block_group_type(dual, label).parity
         for budget in range(0, remaining + 1):
             if budget % label.dim:
                 continue

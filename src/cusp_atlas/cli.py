@@ -15,10 +15,10 @@ Exit codes: 0 success, 2 schema error, 3 domain error (a group size N above
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -61,7 +61,7 @@ DEFAULT_BOUND = 24
 MAX_GROUP_SIZE = 10**6
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class JobSpec:
     command: str
     payload: Any
@@ -116,10 +116,11 @@ def _sign(value, pointer: str) -> int:
     return value
 
 
-def _int_list(value, pointer: str) -> list[int]:
+def _list(value, pointer: str, item) -> list:
+    """``item(element, pointer)`` over the elements of a JSON list."""
     if not isinstance(value, list):
         raise SchemaError(pointer, "expected a list")
-    return [_int(x, _child(pointer, i)) for i, x in enumerate(value)]
+    return [item(x, _child(pointer, i)) for i, x in enumerate(value)]
 
 
 def _capped(n: int) -> None:
@@ -156,11 +157,9 @@ class _LabelRegistry:
                 raise SchemaError(pointer, f"label {value!r} has not been defined")
             return self.by_name[value]
         fields = _expect_object(value, pointer,
-                                {"name": _string, "dim": _int, "type": _string})
+                                {"name": _string, "dim": _positive_int, "type": _string})
         if fields["type"] not in _TYPES:
             raise SchemaError(_child(pointer, "type"), f"unknown type {fields['type']!r}")
-        if fields["dim"] < 1:
-            raise SchemaError(_child(pointer, "dim"), "expected a positive integer")
         label = IrrLabel(fields["name"], fields["dim"], _TYPES[fields["type"]])
         prior = self.by_name.setdefault(label.name, label)
         if prior != label:
@@ -169,29 +168,24 @@ class _LabelRegistry:
 
 
 def _blocks(value, pointer: str, registry: _LabelRegistry, with_signs: bool):
-    if not isinstance(value, list):
-        raise SchemaError(pointer, "expected a list")
-    blocks, signs = [], {}
-    for i, item in enumerate(value):
-        here = _child(pointer, i)
-        spec = {"pi": registry.resolve, "a": _int}
-        if with_signs:
-            spec["sign"] = _sign
-        fields = _expect_object(item, here, spec)
-        if fields["a"] < 1:
-            raise SchemaError(_child(here, "a"), "expected a positive integer")
-        blocks.append((fields["pi"], fields["a"]))
-        if with_signs:
-            signs[(fields["pi"].name, fields["a"])] = fields["sign"]
-    return blocks, signs
+    spec = {"pi": registry.resolve, "a": _positive_int}
+    if with_signs:
+        spec["sign"] = _sign
+    items = _list(value, pointer, lambda item, here: _expect_object(item, here, spec))
+    blocks = [(fields["pi"], fields["a"]) for fields in items]
+    if not with_signs:
+        return blocks, {}
+    return blocks, {(fields["pi"].name, fields["a"]): fields["sign"] for fields in items}
+
+
+def _part(value, pointer: str) -> int:
+    if _int(value, pointer) < 1:
+        raise SchemaError(pointer, "parts are positive integers")
+    return value
 
 
 def _partition(value, pointer: str) -> Partition:
-    parts = _int_list(value, pointer)
-    for i, q in enumerate(parts):
-        if q < 1:
-            raise SchemaError(_child(pointer, i), "parts are positive integers")
-    return Partition(parts)
+    return Partition(_list(value, pointer, _part))
 
 
 def _signs_for(parts: tuple[int, ...], value, pointer: str) -> SignCharacter:
@@ -243,17 +237,15 @@ def _parse_springer(doc):
     return _parse_orbit_payload(doc, with_signs=True)
 
 
+def _product_factor(value, pointer) -> ProductFactor:
+    fields = _expect_object(value, pointer, {"partition": _partition, "signs": lambda v, p: v})
+    p = fields["partition"]
+    return ProductFactor(p, _signs_for(p.distinct_parts_of_parity(1), fields["signs"],
+                                       _child(pointer, "signs")))
+
+
 def _product_factors(value, pointer):
-    if not isinstance(value, list):
-        raise SchemaError(pointer, "expected a list")
-    out = []
-    for i, item in enumerate(value):
-        here = _child(pointer, i)
-        fields = _expect_object(item, here,
-                                {"partition": _partition, "signs": lambda v, p: v})
-        p = fields["partition"]
-        eta = _signs_for(p.distinct_parts_of_parity(1), fields["signs"], _child(here, "signs"))
-        out.append(ProductFactor(p, eta))
+    out = _list(value, pointer, _product_factor)
     _capped(sum(f.partition.total for f in out))
     return out
 
@@ -272,23 +264,16 @@ def _parse_reducibility(doc):
 def _parse_triple(doc, with_theta: bool):
     registry = _LabelRegistry()
 
-    def factors(value, pointer):
-        if not isinstance(value, list):
-            raise SchemaError(pointer, "expected a list")
-        out = []
-        for i, item in enumerate(value):
-            here = _child(pointer, i)
-            fields = _expect_object(item, here, {"pi": registry.resolve, "ell": _int},
-                                    {"torsion": _int, "partner_mprime": _int})
-            try:
-                out.append(GLFactor(fields["pi"], fields["ell"],
-                                    fields.get("torsion", 1),
-                                    fields.get("partner_mprime", 0)))
-            except ValueError as exc:
-                raise SchemaError(here, str(exc)) from None
-        return out
+    def factor(value, pointer) -> GLFactor:
+        fields = _expect_object(value, pointer, {"pi": registry.resolve, "ell": _int},
+                                {"torsion": _int, "partner_mprime": _int})
+        try:
+            return GLFactor(fields["pi"], fields["ell"], fields.get("torsion", 1),
+                            fields.get("partner_mprime", 0))
+        except ValueError as exc:
+            raise SchemaError(pointer, str(exc)) from None
 
-    spec = {"group": _group, "gl_factors": factors,
+    spec = {"group": _group, "gl_factors": lambda v, p: _list(v, p, factor),
             "cusp_blocks": lambda v, p: _blocks(v, p, registry, with_signs=False)}
     fields = _expect_object(doc, "", spec, {"theta": _theta} if with_theta else {})
     blocks, _ = fields["cusp_blocks"]
@@ -316,7 +301,7 @@ def _parse_selfcheck(doc):
 
 
 def _selfcheck_bounds(value, pointer):
-    allowed = dict.fromkeys(("defect", "orders", "support", "census", "cuspidal"), _positive_int)
+    allowed = {f.name: _positive_int for f in dataclasses.fields(verifications.Limits)}
     return _expect_object(value, pointer, {}, allowed)
 
 
@@ -619,7 +604,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(emit({"error": {"kind": "domain", "message": str(exc)}}),
               file=sys.stderr)
         return 3
-    print(emit(out, compact=args.json))
+    try:
+        print(emit(out, compact=args.json), flush=True)
+    except BrokenPipeError:
+        # the reader has gone (say, `| head`): the rest of the output goes to
+        # the null device, so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.command == "selfcheck" and not out.get("ok", False):
         return 4
     return 0

@@ -141,11 +141,6 @@ def block_group_type(dual: GroupKind, label: IrrLabel) -> BlockGroupSide:
     return BlockGroupSide.O_SIDE if matches else BlockGroupSide.SP_SIDE
 
 
-def required_block_parity(dual: GroupKind, label: IrrLabel) -> int:
-    """Parity of admissible block sizes: even on the Sp side, odd on the O side."""
-    return block_group_type(dual, label).parity
-
-
 def validate_parameter(dual: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]) -> Verdict:
     """The problems that keep ``blocks`` from being a discrete parameter of ``dual``.
 
@@ -173,7 +168,7 @@ def validate_parameter(dual: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]) 
         if label.sd_type is SelfDualType.GL_PAIR:
             problems.append(f"gl-pair label {label} in a discrete parameter")
             continue
-        parity = required_block_parity(dual, label)
+        parity = block_group_type(dual, label).parity
         if a % 2 != parity:
             article = "an" if label.sd_type is SelfDualType.ORTHOGONAL else "a"
             problems.append(

@@ -32,7 +32,6 @@ from .orbits import (
     Partition,
     SignCharacter,
     is_degenerate,
-    is_distinguished,
     orthogonal_cuspidal_lift,
     require_domain,
     require_valid,
@@ -40,11 +39,6 @@ from .orbits import (
     symplectic_cuspidal_character,
 )
 from .symbols import defect_formula, symbol_from_character
-
-
-def _require_distinguished(kind: GroupKind, p: Partition) -> None:
-    if not is_distinguished(kind, p):
-        raise InvalidPartition(f"{p} is not distinguished for {kind}")
 
 
 def eliminate_once(p: Partition, eta: SignCharacter, index: int) -> tuple[Partition, SignCharacter]:
@@ -194,9 +188,8 @@ def springer_datum(kind: GroupKind, p: Partition, eta: SignCharacter) -> Cuspida
     two are tied by d = d'-1 (d' >= 1) or -d' in the symplectic case and
     d = |d'| in the orthogonal one, and the agreement is enforced.
     """
-    _require_distinguished(kind, p)
-    normal_p, normal_eta, _ = eliminate(p, eta)
     dprime = defect_formula(kind, p, eta)
+    normal_p, normal_eta, _ = eliminate(p, eta)
     sym = symbol_from_character(kind, p, eta)
     if sym.defect != dprime:
         raise InternalCheckError(
@@ -271,10 +264,6 @@ class OSpringerDatum:
     fused_orbit_tags: tuple[str, ...] = ()
 
 
-def _general_orthogonal_defect(kind_so: GroupKind, p: Partition, eta: SignCharacter) -> int:
-    return symbol_from_character(kind_so, p, eta).defect
-
-
 def _det_minus_class(p: Partition) -> int:
     """Smallest odd part: a canonical determinant -1 component class."""
     odd = p.distinct_parts_of_parity(1)
@@ -322,7 +311,7 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
             OCase.III, QuasiLevi(torus_rank, 0), datum, WeylTag.INDUCED,
             None, None, fused_orbit_tags=("I", "II"))
 
-    dprime = _general_orthogonal_defect(kind_so, p, eta)
+    dprime = symbol_from_character(kind_so, p, eta).defect
     d = abs(dprime)
     torus_rank = (n - d * d) // 2
     cusp = staircase(kind_so.generator_parity, d)

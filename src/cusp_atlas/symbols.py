@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InternalCheckError, InvalidPartition
-from .orbits import GroupKind, Partition, SignCharacter, require_valid
+from .orbits import GroupKind, Partition, SignCharacter, is_distinguished, require_domain, require_valid
 
 
 class SymbolKind(Enum):
@@ -198,7 +198,6 @@ def distinguished_symbol(kind: GroupKind, p: Partition) -> USymbol:
 
 
 def interval_structure(kind: GroupKind, p: Partition) -> IntervalStructure:
-    require_valid(kind, p)
     symbol = distinguished_symbol(kind, p)
     c = sorted(set(symbol.a) ^ set(symbol.b))
     runs: list[list[int]] = []
@@ -229,9 +228,8 @@ def symbol_from_character(kind: GroupKind, p: Partition, eta: SignCharacter) -> 
     closed-form row assignment rule.
     """
     structure = interval_structure(kind, p)
+    require_domain(eta, structure.parts, "parts", p)
     base_a, base_b = set(structure.symbol.a), set(structure.symbol.b)
-    for q in structure.parts:
-        eta(q)  # fail early on a domain mismatch
     row_a = (base_a & base_b) | (set(structure.h) & base_a)
     row_b = (base_a & base_b) | (set(structure.h) & base_b)
     for run, q in zip(structure.intervals, structure.parts):
@@ -248,12 +246,12 @@ def defect_formula(kind: GroupKind, p: Partition, eta: SignCharacter) -> int:
     symplectic, k even:  1 + sum (-1)^i eta(z_{p_i});
     symplectic, k odd:   sum (-1)^(i+1) eta(z_{p_i});
     orthogonal:          | sum (-1)^(i+1) eta(z_{p_i}) |.
-    Must agree with the defect of :func:`symbol_from_character`.
+    eta is given on exactly the parts.  Must agree with the defect of
+    :func:`symbol_from_character`.
     """
-    from .orbits import is_distinguished
-
     if not is_distinguished(kind, p):
         raise InvalidPartition(f"{p} is not distinguished for {kind}")
+    require_domain(eta, p.parts, "parts", p)
     parts = p.increasing()
     k = len(parts)
     if kind.is_symplectic:

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import cusp_atlas
 from cusp_atlas.cli import COMMANDS, MAX_GROUP_SIZE, JobSpec, emit, main, parse_input, run
 from cusp_atlas.errors import BoundExceeded, SchemaError
 
@@ -382,3 +387,74 @@ def test_theta_key_pointer_is_escaped():
     with pytest.raises(SchemaError) as err:
         parse_input(dict(HECKE_DOC, theta={"r~x": 0}))
     assert (err.value.pointer, err.value.message) == ("/theta/r~0x", "expected +1 or -1")
+
+
+VALIDATE_DOC = {"command": "validate", "group": {"family": "Sp", "N": 4}, "partition": [2, 2]}
+PRODUCT_DOC = {"command": "springer", "factors": [{"partition": [3, 1], "signs": [1, -1]}]}
+BOUND_NAMES = ("defect", "orders", "support", "census", "cuspidal")
+
+
+def with_value(doc, path, value):
+    """A deep copy of doc with the member at path replaced by value."""
+    bad = json.loads(json.dumps(doc))
+    inner = bad
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return bad
+
+
+@pytest.mark.parametrize("doc, path, value, pointer, message", [
+    (VALIDATE_DOC, ("partition",), 5, "/partition", "expected a list"),
+    (VALIDATE_DOC, ("partition", 0), "2", "/partition/0", "expected an integer"),
+    (VALIDATE_DOC, ("partition", 1), 0, "/partition/1", "parts are positive integers"),
+    (SUPPORT_DOC, ("blocks",), {}, "/blocks", "expected a list"),
+    (SUPPORT_DOC, ("blocks", 0, "a"), 0, "/blocks/0/a", "expected a positive integer"),
+    (SUPPORT_DOC, ("blocks", 0, "a"), 2.0, "/blocks/0/a", "expected an integer"),
+    (SUPPORT_DOC, ("blocks", 0, "pi", "dim"), 0, "/blocks/0/pi/dim",
+     "expected a positive integer"),
+    (HECKE_DOC, ("cusp_blocks",), 1, "/cusp_blocks", "expected a list"),
+    (HECKE_DOC, ("cusp_blocks", 1, "a"), -4, "/cusp_blocks/1/a", "expected a positive integer"),
+    (HECKE_DOC, ("gl_factors",), "r", "/gl_factors", "expected a list"),
+    (HECKE_DOC, ("gl_factors", 0, "pi", "dim"), -1, "/gl_factors/0/pi/dim",
+     "expected a positive integer"),
+    (HECKE_DOC, ("gl_factors", 0, "ell"), -1, "/gl_factors/0",
+     "a factor exponent must be nonnegative"),
+    (PRODUCT_DOC, ("factors",), 3, "/factors", "expected a list"),
+    (PRODUCT_DOC, ("factors", 0, "partition", 1), -1, "/factors/0/partition/1",
+     "parts are positive integers"),
+] + [({"command": "selfcheck", "bounds": {"support": 4}}, ("bounds", name), 0,
+      f"/bounds/{name}", "expected a positive integer") for name in BOUND_NAMES])
+def test_single_fault_pointer_and_message(doc, path, value, pointer, message):
+    with pytest.raises(SchemaError) as err:
+        parse_input(with_value(doc, path, value))
+    assert (err.value.pointer, err.value.message) == (pointer, message)
+
+
+def test_selfcheck_bounds_report_the_first_field_first():
+    doc = {"command": "selfcheck", "bounds": dict.fromkeys(reversed(BOUND_NAMES), 0)}
+    with pytest.raises(SchemaError) as err:
+        parse_input(doc)
+    assert err.value.pointer == "/bounds/defect"
+    with pytest.raises(SchemaError) as err:
+        parse_input({"command": "selfcheck", "bounds": {"orders": 3, "checks": 3}})
+    assert (err.value.pointer, err.value.message) == ("/bounds/checks", "unknown field")
+
+
+def test_closed_stdout_ends_the_job_quietly(tmp_path):
+    # the output of an a = 20000 job is far above a pipe buffer, so the job
+    # is still writing when the reader goes away
+    n = 20000
+    job = tmp_path / "big.json"
+    job.write_text(json.dumps(dict(SUPPORT_DOC, group={"family": "Sp", "N": n}, blocks=[
+        {"pi": {"name": "p", "dim": 1, "type": "orthogonal"}, "a": n, "sign": 1}])))
+    src = str(Path(cusp_atlas.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "cusp_atlas.cli", "support", "--input", str(job)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (stderr, proc.wait(timeout=60)) == (b"", 0)

@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cusp_atlas.census import distinguished_pairs, group_partitions
-from cusp_atlas.errors import InvalidPartition
+from cusp_atlas.errors import DomainMismatch, InvalidPartition
 from cusp_atlas.orbits import Family, GroupKind, Partition, SignCharacter, characters_of, component_group
+from cusp_atlas.springer import springer_datum
 from cusp_atlas.symbols import (
     SymbolKind,
     USymbol,
@@ -121,6 +122,20 @@ def test_defect_formula_fixtures():
 def test_defect_formula_requires_distinguished():
     with pytest.raises(InvalidPartition):
         defect_formula(GroupKind(Family.SP, 4), Partition((2, 2)), SignCharacter({2: 1}))
+
+
+@pytest.mark.parametrize("signs", [{2: 1, 4: -1, 6: 1, 8: -1}, {2: 1, 4: 1, 6: 1}, {2: 1}],
+                         ids=["two-extra", "one-extra", "one-missing"])
+def test_character_must_be_given_on_exactly_the_generators(signs):
+    # the springer map rejects these characters, so neither route may read a value off them
+    eta = SignCharacter(signs)
+    with pytest.raises(DomainMismatch) as err:
+        springer_datum(SP6, Partition((4, 2)), eta)
+    with pytest.raises(DomainMismatch) as formula_err:
+        defect_formula(SP6, Partition((4, 2)), eta)
+    assert str(formula_err.value) == str(err.value)
+    with pytest.raises(DomainMismatch):
+        symbol_from_character(SP6, Partition((4, 2)), eta)
 
 
 def test_defect_formula_equals_symbol_defect_everywhere():
