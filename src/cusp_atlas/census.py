@@ -11,7 +11,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .errors import BoundExceeded, InvalidParameter
+from .errors import InvalidParameter
 from .lparams import (
     DiscreteParameter,
     IrrLabel,
@@ -133,16 +133,13 @@ DEFAULT_SIGNATURE = (IrrLabel("u", 1, SelfDualType.ORTHOGONAL),)
 def enumerate_parameters(
     dual: GroupKind,
     signature: Sequence[IrrLabel] = DEFAULT_SIGNATURE,
-    bound: Optional[int] = None,
 ) -> Iterator[tuple[DiscreteParameter, ParameterCharacter]]:
     """All discrete enhanced parameters on the given labels, duplicate-free.
 
     Block sizes per label are distinct with the parity its type forces;
-    characters of an orthogonal component group are represented once per
-    determinant-flip class.
+    a character of an orthogonal component group is represented once per
+    determinant-flip class, by the smaller of its two value tables.
     """
-    if bound is not None and dual.size > bound:
-        raise BoundExceeded(f"size {dual.size} exceeds the enumeration bound {bound}")
     labels = tuple(signature)
     if len({lab.name for lab in labels}) != len(labels):
         raise InvalidParameter("signature labels must have distinct names")
@@ -168,28 +165,7 @@ def enumerate_parameters(
         blocks = [(label, a) for label, sizes in zip(labels, sizing) for a in sizes]
         param = DiscreteParameter(dual, blocks)
         keys = param.block_keys()
-        seen: set = set()
         for signs in itertools.product((1, -1), repeat=len(keys)):
             eta = SignCharacter(dict(zip(keys, signs)))
-            if not dual.is_symplectic:
-                flipped = det_flip(param, eta)
-                canon = min(eta.values, flipped.values)
-                if canon in seen:
-                    continue
-                seen.add(canon)
-                eta = SignCharacter(dict(canon))
-            yield param, eta
-
-
-def parameter_census(dual: GroupKind, signature: Sequence[IrrLabel] = DEFAULT_SIGNATURE,
-                     bound: Optional[int] = None) -> dict:
-    """Counts of enumerated enhanced parameters, bucketed by slice sides."""
-    count = 0
-    cuspidal = 0
-    from .lparams import is_cuspidal
-
-    for param, eta in enumerate_parameters(dual, signature, bound):
-        count += 1
-        if is_cuspidal(param, eta):
-            cuspidal += 1
-    return {"parameters": count, "cuspidal": cuspidal}
+            if dual.is_symplectic or eta.values <= det_flip(param, eta).values:
+                yield param, eta

@@ -9,7 +9,8 @@ fraction strings, never floats, and keys are emitted sorted, so identical
 jobs produce byte-identical output.
 
 Exit codes: 0 success, 2 schema error, 3 domain error (a group size N above
-``MAX_GROUP_SIZE`` among them, refused as the job is parsed), 4 invariant failure.
+``MAX_GROUP_SIZE`` among them, refused as the job is parsed, and an `enumerate`
+size or `selfcheck` range above ``MAX_CENSUS_SIZE``), 4 invariant failure.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ DEFAULT_BOUND = 24
 # 0.8 s and 55 MB at N = 10**5 and 2.8 s and 112 MB at 3*10**5 in a cold
 # process on a 2-vCPU host, which extrapolates to about 10 s at the cap.
 MAX_GROUP_SIZE = 10**6
+# Largest `enumerate` size and `selfcheck` range, whatever the bound.  In a
+# cold process on a 2-vCPU host, `enumerate` of Sp_32 takes 1.0 s and
+# `selfcheck` with every range at 32 takes 4.9 s; the count identity alone
+# takes 7.3 s at 36.
+MAX_CENSUS_SIZE = 32
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,6 +132,12 @@ def _list(value, pointer: str, item) -> list:
 def _capped(n: int) -> None:
     if n > MAX_GROUP_SIZE:
         raise BoundExceeded(f"group size {n} exceeds the cap {MAX_GROUP_SIZE} on every job")
+
+
+def _census_capped(n: int, what: str) -> None:
+    if n > MAX_CENSUS_SIZE:
+        raise BoundExceeded(
+            f"{what} {n} exceeds the cap {MAX_CENSUS_SIZE} on enumerate and selfcheck")
 
 
 def _group(value, pointer: str) -> GroupKind:
@@ -412,7 +424,7 @@ def _run_support(payload, bound: int) -> dict:
         for two_e in sorted(counts, reverse=True):
             twists.extend([label.name, half_str(two_e)] for _ in range(counts[two_e]))
     return {
-        "levi": str(sup.levi),
+        "levi": sup.levi,
         "gl_twists": twists,
         "cusp_blocks": [[label.name, a] for label, a in sup.cusp_param.blocks],
         "cusp_char": _render_char(sup.cusp_char),
@@ -473,13 +485,17 @@ def _run_hecke(payload, bound: int) -> dict:
 def _run_enumerate(kind: GroupKind, bound: int) -> dict:
     if kind.size > bound:
         raise BoundExceeded(f"size {kind.size} exceeds the bound {bound}")
+    _census_capped(kind.size, "size")
     table = census.unipotent_census(kind)
     return {"pairs": table["pairs"],
             "by_triple": {f"d={d}": n for d, n in table["by_d"].items()}}
 
 
 def _run_selfcheck(bounds: dict, bound: int) -> dict:
-    results = verifications.run_all(verifications.selfcheck_limits(bounds, bound))
+    limits = verifications.selfcheck_limits(bounds, bound)
+    for field in dataclasses.fields(limits):
+        _census_capped(getattr(limits, field.name), f"{field.name} range")
+    results = verifications.run_all(limits)
     checks = [{"name": name, "status": "pass" if ok else "fail", "detail": detail}
               for name, ok, detail in results]
     return {"ok": all(c["status"] == "pass" for c in checks), "checks": checks}

@@ -71,8 +71,7 @@ def _slices(p: DiscreteParameter, eta: ParameterCharacter
             ) -> Iterator[tuple[IrrLabel, BlockGroupSide, tuple[int, ...], SignCharacter]]:
     """Per label: (label, side, block sizes, the character on those sizes)."""
     require_domain(eta, p.block_keys(), "blocks", p)
-    for label in p.labels():
-        sizes = p.sizes_of(label)
+    for label, sizes in p.slices():
         yield (label, block_group_type(p.dual_group, label), sizes,
                SignCharacter({a: eta((label.name, a)) for a in sizes}))
 
@@ -108,24 +107,18 @@ def ec_multiset(label: IrrLabel, side: BlockGroupSide, sizes: Iterable[int], d: 
 
 
 @dataclass(frozen=True)
-class LeviDescriptor:
-    """Product of general-linear twist factors and one classical block."""
-
-    gl_ranks: tuple[tuple[str, int, int], ...]  # (label name, n_pi, number of factors)
-    classical: GroupKind
-
-    def __str__(self) -> str:
-        pieces = [f"GL_{n}^{count}" for _, n, count in self.gl_ranks if count]
-        pieces.append(str(self.classical))
-        return " x ".join(pieces)
-
-
-@dataclass(frozen=True)
 class CuspidalSupport:
     gl_twists: ExponentMultiset
     cusp_param: DiscreteParameter
     cusp_char: ParameterCharacter
-    levi: LeviDescriptor
+
+    @property
+    def levi(self) -> str:
+        """The Levi: GL_{n_pi}^{count} per label with twists, then the classical group."""
+        pieces = [f"GL_{label.dim}^{sum(counts.values())}"
+                  for label, counts in self.gl_twists.by_label()]
+        pieces.append(str(self.cusp_param.dual_group))
+        return " x ".join(pieces)
 
     def is_self(self, p: DiscreteParameter, eta: ParameterCharacter) -> bool:
         return (len(self.gl_twists) == 0 and self.cusp_param == p
@@ -148,18 +141,15 @@ def _assemble(dual: GroupKind, slices: list[_SliceRecord]) -> CuspidalSupport:
     """The support whose labels carry the given records, one GL factor per twist."""
     blocks: list[tuple[IrrLabel, int]] = []
     chars: dict = {}
-    gl_ranks = []
     for label, twists, cusp_char, torus_rank in slices:
         for a, value in cusp_char.values:
             blocks.append((label, a))
             chars[(label.name, a)] = value
-        gl_ranks.append((label.name, label.dim, len(twists)))
         if len(twists) != torus_rank:
             raise InternalCheckError(
                 f"slice {label}: {len(twists)} twists but torus rank {torus_rank}")
     param, char = _classical_part(dual, blocks, chars)
-    levi = LeviDescriptor(tuple(sorted(gl_ranks)), param.dual_group)
-    return CuspidalSupport(ExponentMultiset.union_all(s[1] for s in slices), param, char, levi)
+    return CuspidalSupport(ExponentMultiset.union_all(s[1] for s in slices), param, char)
 
 
 def support(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSupport:

@@ -26,10 +26,12 @@ so the functions below take validity for granted and never check it again.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -106,15 +108,10 @@ class DiscreteParameter:
         if not verdict:
             raise InvalidParameter(f"{self}: " + "; ".join(verdict.problems))
 
-    def labels(self) -> tuple[IrrLabel, ...]:
-        seen = []
-        for label, _ in self.blocks:
-            if label not in seen:
-                seen.append(label)
-        return tuple(seen)
-
-    def sizes_of(self, label: IrrLabel) -> tuple[int, ...]:
-        return tuple(a for lab, a in self.blocks if lab == label)
+    def slices(self) -> tuple[tuple[IrrLabel, tuple[int, ...]], ...]:
+        """(label, its block sizes increasing) for each label, in name order."""
+        return tuple((label, tuple(a for _, a in group))
+                     for label, group in itertools.groupby(self.blocks, key=itemgetter(0)))
 
     def block_keys(self) -> tuple[BlockKey, ...]:
         return tuple(_block_key(label, a) for label, a in self.blocks)
@@ -199,13 +196,6 @@ def det_flip(p: DiscreteParameter, eta: ParameterCharacter) -> ParameterCharacte
     return eta.flip_where(lambda key: key in odd_keys)
 
 
-def same_parameter_character(p: DiscreteParameter, left: ParameterCharacter,
-                             right: ParameterCharacter) -> bool:
-    if p.dual_group.is_symplectic:
-        return left == right
-    return left == right or left == det_flip(p, right)
-
-
 def agroup(p: DiscreteParameter) -> tuple[ComponentGroupDescriptor, tuple[BlockKey, ...]]:
     """Component group of the parameter plus the image of the center.
 
@@ -246,8 +236,7 @@ def is_alternating(p: DiscreteParameter, eta: ParameterCharacter) -> bool:
     character.
     """
     require_domain(eta, p.block_keys(), "blocks", p)
-    for label in p.labels():
-        sizes = p.sizes_of(label)
+    for label, sizes in p.slices():
         for lo, hi in zip(sizes, sizes[1:]):
             if eta((label.name, lo)) == eta((label.name, hi)):
                 return False

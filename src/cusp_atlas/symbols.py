@@ -95,9 +95,6 @@ class USymbol:
         d = len(self.a) - len(self.b)
         return d if self.kind is SymbolKind.SP_ORDERED else abs(d)
 
-    def is_degenerate(self) -> bool:
-        return self.kind is SymbolKind.O_UNORDERED and self.a == self.b
-
     def shifted(self) -> "USymbol":
         """One step up the defining equivalence (for tests and display)."""
         if self.kind is SymbolKind.SP_ORDERED:

@@ -13,7 +13,7 @@ from typing import Callable, Mapping
 from . import census
 from .cuspsupport import check_support, outcome_supports
 from .errors import InternalCheckError
-from .lparams import BlockGroupSide, IrrLabel, SelfDualType
+from .lparams import block_group_type
 from .orbits import Family, GroupKind, cuspidal_pair
 from .springer import (
     eliminate_once,
@@ -46,13 +46,10 @@ def selfcheck_limits(overrides: Mapping[str, int], bound: int) -> Limits:
 
 
 def _distinguished_kinds(n: int) -> list[GroupKind]:
-    kinds = []
-    if n % 2 == 0:
-        kinds.append(GroupKind(Family.SP, n))
-        kinds.append(GroupKind(Family.SO_EVEN, n))
-    else:
-        kinds.append(GroupKind(Family.SO_ODD, n))
-    return kinds
+    """The classical duals of size n: Sp_n and SO_n for even n, SO_n for odd n."""
+    if n % 2:
+        return [GroupKind(Family.SO_ODD, n)]
+    return [GroupKind(Family.SP, n), GroupKind(Family.SO_EVEN, n)]
 
 
 def check_defect_coherence(limit: int) -> tuple[bool, str]:
@@ -78,11 +75,10 @@ def check_defect_coherence(limit: int) -> tuple[bool, str]:
 def check_order_independence(limit: int) -> tuple[bool, str]:
     """Every deletion order reaches one normal-form content and one support."""
     checked = 0
+    label = census.DEFAULT_SIGNATURE[0]
     for n in range(1, limit + 1):
         for kind in _distinguished_kinds(n):
-            side = (BlockGroupSide.SP_SIDE if kind.is_symplectic
-                    else BlockGroupSide.O_SIDE)
-            label = IrrLabel("u", 1, SelfDualType.ORTHOGONAL)
+            side = block_group_type(kind, label)
             for p, eta in census.distinguished_pairs(kind):
                 outcomes = elimination_outcomes(p, eta)
                 contents = {
@@ -140,12 +136,8 @@ def check_cuspidal_fixed_points(limit: int) -> tuple[bool, str]:
 
 def check_support_invariants(limit: int) -> tuple[bool, str]:
     checked = 0
-    for family in (Family.SP, Family.SO_ODD, Family.SO_EVEN):
-        for n in range(1, limit + 1):
-            try:
-                dual = GroupKind(family, n)
-            except ValueError:
-                continue
+    for n in range(1, limit + 1):
+        for dual in _distinguished_kinds(n):
             for param, eta in census.enumerate_parameters(dual):
                 try:
                     report = check_support(param, eta)

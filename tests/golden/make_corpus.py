@@ -195,12 +195,15 @@ JOBS = [
     ("enumerate-soeven8", ["enumerate"], {"command": "enumerate", "group": group("SOeven", 8)}),
     ("enumerate-over-default-bound", ["enumerate"], {"command": "enumerate", "group": group("Sp", 26)}),
     ("enumerate-over-bound", ["enumerate", "--bound", "6"], {"command": "enumerate", "group": group("Sp", 8)}),
+    # no --bound lifts the cap of 32 on enumerate sizes and selfcheck ranges
+    ("enumerate-over-cap", ["enumerate", "--bound", "100"], {"command": "enumerate", "group": group("Sp", 34)}),
     # selfcheck without --bound: the quick defaults, and small bounds
     ("selfcheck-quick", ["selfcheck"], None),
     ("selfcheck-small-bounds", ["selfcheck"],
      {"command": "selfcheck",
       "bounds": {"defect": 6, "orders": 6, "support": 6, "census": 6, "cuspidal": 6}}),
     ("selfcheck-unknown-bound", ["selfcheck"], {"command": "selfcheck", "bounds": {"speed": 1}}),
+    ("selfcheck-over-cap", ["selfcheck", "--bound", "100"], {"command": "selfcheck", "bounds": {"census": 34}}),
     # schema errors of the document itself
     ("schema-not-json", ["validate"], "{not json"),
     ("schema-not-object", ["validate"], "[1, 2]"),

@@ -1,19 +1,21 @@
+import itertools
+
 import pytest
 
 from cusp_atlas.census import (
+    DEFAULT_SIGNATURE,
     bipartition_count,
     distinct_part_partitions,
     enumerate_parameters,
     group_partitions,
-    parameter_census,
     partition_count,
     partitions_of,
     springer_count_identity,
     unipotent_census,
 )
-from cusp_atlas.errors import BoundExceeded, InvalidParameter
-from cusp_atlas.lparams import IrrLabel, SelfDualType, validate_parameter
-from cusp_atlas.orbits import Family, GroupKind
+from cusp_atlas.errors import InvalidParameter
+from cusp_atlas.lparams import IrrLabel, SelfDualType, det_flip, is_cuspidal, validate_parameter
+from cusp_atlas.orbits import Family, GroupKind, SignCharacter
 
 
 def brute_bipartitions(n):
@@ -102,15 +104,11 @@ def test_enumerate_parameters_two_labels():
     assert len(out) == 2 + 4 + 2
 
 
-def test_enumerate_parameters_bound():
-    with pytest.raises(BoundExceeded):
-        list(enumerate_parameters(GroupKind(Family.SP, 30), bound=10))
-
-
 def test_parameter_census_counts_cuspidals():
-    table = parameter_census(GroupKind(Family.SP, 6))
-    assert table["parameters"] == 6
-    assert table["cuspidal"] == 1  # only (2,4) with signs (-,+)
+    out = list(enumerate_parameters(GroupKind(Family.SP, 6)))
+    assert len(out) == 6
+    # only (2,4) with signs (-,+)
+    assert sum(is_cuspidal(param, eta) for param, eta in out) == 1
 
 
 def test_signature_validation():
@@ -123,3 +121,46 @@ def test_signature_validation():
             GroupKind(Family.SP, 4),
             (IrrLabel("x", 1, SelfDualType.ORTHOGONAL),
              IrrLabel("x", 1, SelfDualType.ORTHOGONAL))))
+
+
+TWO_LABELS = (IrrLabel("a", 1, SelfDualType.ORTHOGONAL), IrrLabel("b", 2, SelfDualType.SYMPLECTIC))
+
+
+def classical_duals(limit):
+    """Sp_N, SO_N for every size N <= limit the family allows."""
+    for n in range(limit + 1):
+        for family in (Family.SP, Family.SO_EVEN) if n % 2 == 0 else (Family.SO_ODD,):
+            yield GroupKind(family, n)
+
+
+def flip_class(param, eta):
+    return frozenset({eta.values, det_flip(param, eta).values})
+
+
+@pytest.mark.parametrize("signature", [DEFAULT_SIGNATURE, TWO_LABELS],
+                         ids=["default", "two-labels"])
+def test_orthogonal_characters_are_the_smaller_table_of_their_flip_class(signature):
+    for dual in classical_duals(14):
+        if dual.is_symplectic:
+            continue
+        yielded = {}
+        for param, eta in enumerate_parameters(dual, signature):
+            assert eta.values <= det_flip(param, eta).values, (param, eta)
+            classes = yielded.setdefault(param, [])
+            classes.append(flip_class(param, eta))
+        for param, classes in yielded.items():
+            keys = param.block_keys()
+            every = {flip_class(param, SignCharacter(dict(zip(keys, signs))))
+                     for signs in itertools.product((1, -1), repeat=len(keys))}
+            # each class once, and none missing
+            assert sorted(classes, key=sorted) == sorted(every, key=sorted), param
+
+
+def test_slices_are_the_per_label_filter_of_the_blocks():
+    for dual in classical_duals(12):
+        for signature in (DEFAULT_SIGNATURE, TWO_LABELS):
+            for param in {param for param, _ in enumerate_parameters(dual, signature)}:
+                labels = sorted({label for label, _ in param.blocks}, key=lambda lab: lab.name)
+                naive = tuple((label, tuple(sorted(a for lab, a in param.blocks if lab == label)))
+                              for label in labels)
+                assert param.slices() == naive

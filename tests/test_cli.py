@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import cusp_atlas
-from cusp_atlas.cli import COMMANDS, MAX_GROUP_SIZE, JobSpec, emit, main, parse_input, run
-from cusp_atlas.errors import BoundExceeded, SchemaError
+from cusp_atlas import census, cli, verifications
+from cusp_atlas.cli import (COMMANDS, ENV_BOUND, MAX_CENSUS_SIZE, MAX_GROUP_SIZE, JobSpec, emit,
+                            main, parse_input, run)
+from cusp_atlas.errors import BoundExceeded, InternalCheckError, SchemaError
 
 SUPPORT_DOC = {
     "command": "support",
@@ -424,7 +426,13 @@ def with_value(doc, path, value):
     (PRODUCT_DOC, ("factors", 0, "partition", 1), -1, "/factors/0/partition/1",
      "parts are positive integers"),
 ] + [({"command": "selfcheck", "bounds": {"support": 4}}, ("bounds", name), 0,
-      f"/bounds/{name}", "expected a positive integer") for name in BOUND_NAMES])
+      f"/bounds/{name}", "expected a positive integer") for name in BOUND_NAMES] + [
+    (SPRINGER_DOC, ("signs",), 1, "/signs", "expected a list of +1/-1"),
+    ({"command": "bernstein", "group": {"family": "Sp", "N": 4}, "gl_factors": [],
+      "cusp_blocks": []}, ("cusp_blocks",),
+     [{"pi": {"name": "r", "dim": 1, "type": "orthogonal"}, "a": 1}], "/cusp_blocks",
+     "Sp requires an even size, got 1"),
+])
 def test_single_fault_pointer_and_message(doc, path, value, pointer, message):
     with pytest.raises(SchemaError) as err:
         parse_input(with_value(doc, path, value))
@@ -458,3 +466,74 @@ def test_closed_stdout_ends_the_job_quietly(tmp_path):
     stderr = proc.stderr.read()
     proc.stderr.close()
     assert (stderr, proc.wait(timeout=60)) == (b"", 0)
+
+
+def test_enumerate_over_the_cap_exits_3_before_any_census_work(monkeypatch):
+    def no_census(kind):
+        raise AssertionError(f"census of {kind} ran")
+    monkeypatch.setattr(census, "unipotent_census", no_census)
+    def job(n):
+        return parse_input({"command": "enumerate", "group": {"family": "Sp", "N": n}})
+    with pytest.raises(BoundExceeded, match=f"size {MAX_CENSUS_SIZE + 2} exceeds the cap"):
+        run(job(MAX_CENSUS_SIZE + 2), bound=100)
+    # at the cap the job goes on to the census
+    with pytest.raises(AssertionError, match="census of Sp_"):
+        run(job(MAX_CENSUS_SIZE), bound=100)
+
+
+@pytest.mark.parametrize("name", BOUND_NAMES)
+def test_selfcheck_range_over_the_cap_exits_3_before_any_check(name, monkeypatch):
+    monkeypatch.setattr(verifications, "run_all", lambda limits: [])
+    over = parse_input({"command": "selfcheck", "bounds": {name: MAX_CENSUS_SIZE + 1}})
+    with pytest.raises(BoundExceeded, match=f"{name} range {MAX_CENSUS_SIZE + 1} exceeds the cap"):
+        run(over, bound=100)
+    at_cap = parse_input({"command": "selfcheck",
+                          "bounds": dict.fromkeys(BOUND_NAMES, MAX_CENSUS_SIZE)})
+    assert run(at_cap, bound=100) == {"ok": True, "checks": []}
+
+
+def test_env_bound_caps_selfcheck_as_the_option_does(monkeypatch, capsys):
+    monkeypatch.delenv(ENV_BOUND, raising=False)
+    outputs = {}
+    for bound in ("6", "8"):
+        assert main(["selfcheck", "--bound", bound, "--json"]) == 0
+        outputs[bound] = capsys.readouterr().out
+    assert outputs["6"] != outputs["8"]
+    monkeypatch.setenv(ENV_BOUND, "6")
+    assert main(["selfcheck", "--json"]) == 0
+    assert capsys.readouterr().out == outputs["6"]
+    # an explicit --bound wins over the variable
+    assert main(["selfcheck", "--bound", "8", "--json"]) == 0
+    assert capsys.readouterr().out == outputs["8"]
+
+
+def test_invariant_failure_in_a_runner_exits_4(monkeypatch, capsys):
+    def broken(param, eta):
+        raise InternalCheckError("planted invariant failure")
+    monkeypatch.setattr(cli, "check_support", broken)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(SUPPORT_DOC)))
+    assert main(["support", "--input", "-"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": {"kind": "invariant", "message": "planted invariant failure"}}
+
+
+def test_failing_selfcheck_check_exits_4_with_its_document(monkeypatch, capsys):
+    monkeypatch.setattr(verifications, "check_count_identity",
+                        lambda limit: (False, "planted failure"))
+    assert main(["selfcheck", "--bound", "6", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert out["ok"] is False
+    assert {c["name"]: (c["status"], c["detail"]) for c in out["checks"]}["count-identity"] == (
+        "fail", "planted failure")
+    assert [c["status"] for c in out["checks"]].count("fail") == 1
+
+
+def test_input_without_command_runs_the_command_on_argv(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"group": {"family": "Sp", "N": 4}}))
+    assert main(["enumerate", "--input", str(job), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"pairs": 7, "by_triple": {"d=0": 5, "d=1": 2}}
