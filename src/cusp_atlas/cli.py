@@ -5,8 +5,11 @@ parser turns a job document into a payload, the runner turns the payload and
 the bound into the output document.  A job is a JSON object carrying
 "command" plus the payload fields of that command; unknown fields are
 rejected with a JSON-pointer path.  Half-integers are serialized as exact
-fraction strings, never floats, and keys are emitted sorted, so identical
-jobs produce byte-identical output.
+fraction strings, never floats.  Every document, the error documents on
+standard error included, is written byte for byte as
+``json.dumps(doc, sort_keys=True, indent=2)`` writes it: ASCII only, keys
+sorted, a two-space indent.  ``--json`` writes the same document compactly on
+one line.  So identical jobs produce byte-identical output.
 
 Exit codes: 0 success, 2 schema error, 3 domain error (a group size N above
 ``MAX_GROUP_SIZE`` among them, refused as the job is parsed, and an `enumerate`
@@ -21,6 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _ascii
 from typing import Any, Optional
 
 from . import census, verifications
@@ -583,10 +587,79 @@ def _load_document(path: Optional[str], command: str) -> dict:
         raise SchemaError("/", f"input is not valid JSON: {exc}") from None
 
 
+def _string_rows(rows, indent: str) -> Optional[str]:
+    """The text of ``rows`` if every item is a non-empty list of strings (the
+    shape of ``gl_twists``), with one string join per item; else None."""
+    if set(map(type, rows)) != {list} or not all(rows):
+        return None
+    inner = indent + "  "
+    deep = inner + "  "
+    try:
+        items = [("," + deep).join(map(_ascii, row)) for row in rows]
+    except TypeError:  # _ascii refuses anything but a string
+        return None
+    return ("[" + inner + "[" + deep + (inner + "]," + inner + "[" + deep).join(items)
+            + inner + "]" + indent + "]")
+
+
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append the text of ``value`` to ``out``; ``indent`` is a newline and
+    the indentation of the line that ``value`` starts on."""
+    if isinstance(value, str):
+        out.append(_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        text = _string_rows(value, indent)
+        if text is not None:
+            out.append(text)
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            # json.dumps writes a non-string key as its own JSON text, quoted
+            name = key if isinstance(key, str) else json.dumps(key)
+            out.append(sep + _ascii(name) + ": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        out.append(json.dumps(value))
+
+
 def emit(doc: dict, compact: bool = False) -> str:
+    """``doc`` as JSON text: ``json.dumps(doc, sort_keys=True, indent=2)``
+    byte for byte, or its compact single-line form.
+
+    The indented form is written by ``_write``, because ``json.dumps`` runs
+    its pure-Python encoder whenever ``indent`` is set (before Python 3.13);
+    the leaves still go through the C string encoder.
+    """
     if compact:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return json.dumps(doc, sort_keys=True, indent=2)
+    out: list[str] = []
+    _write(doc, "\n", out)
+    return "".join(out)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

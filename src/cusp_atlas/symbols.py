@@ -256,16 +256,3 @@ def defect_formula(kind: GroupKind, p: Partition, eta: SignCharacter) -> int:
             return 1 + sum((-1) ** i * eta(q) for i, q in enumerate(parts, start=1))
         return sum((-1) ** (i + 1) * eta(q) for i, q in enumerate(parts, start=1))
     return abs(sum((-1) ** (i + 1) * eta(q) for i, q in enumerate(parts, start=1)))
-
-
-def alternative_defect_formula_sp(p: Partition, eta: SignCharacter) -> int:
-    """The other printed closed form for the symplectic defect.
-
-    Kept behind this separate name purely for regression comparison: on the
-    cuspidal fixtures it exceeds :func:`defect_formula` by exactly k + 1 and
-    is never used for computation.
-    """
-    parts = p.increasing()
-    k = len(parts)
-    acc = sum((-1) ** (i + k) * eta(q) for i, q in enumerate(parts, start=1))
-    return acc + 2 * k + 2 - 2 * ((k + 1) // 2)

@@ -1,8 +1,22 @@
-"""Fixtures shared by the support tests of the library and of the CLI."""
+"""Fixtures shared by the support tests of the library and of the CLI, and
+the alternative symplectic defect formula the symbol tests compare against."""
 
 import pytest
 
 from cusp_atlas import cuspsupport
+from cusp_atlas.orbits import Partition, SignCharacter
+
+
+def alternative_defect_formula_sp(p: Partition, eta: SignCharacter) -> int:
+    """The other printed closed form for the symplectic defect.
+
+    Kept purely for regression comparison: on the cuspidal fixtures it
+    exceeds `symbols.defect_formula` by exactly k + 1.
+    """
+    parts = p.increasing()
+    k = len(parts)
+    acc = sum((-1) ** (i + k) * eta(q) for i, q in enumerate(parts, start=1))
+    return acc + 2 * k + 2 - 2 * ((k + 1) // 2)
 
 
 @pytest.fixture

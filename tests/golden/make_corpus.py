@@ -141,6 +141,14 @@ JOBS = [
     # 53 twists from 99/2 down to 1/2, with 3/2 twice and 1/2 three times
     ("support-repeated-twists", ["support"],
      param("support", "Sp", 106, blocks(P, [2, 4, 100], [1, 1, 1]))),
+    # a non-ASCII label name: the output escapes it as \u03c0
+    ("support-non-ascii-label", ["support"],
+     param("support", "Sp", 6, blocks({"name": "\u03c0", "dim": 1, "type": "orthogonal"},
+                                      [2, 4], [1, -1]))),
+    # the shape of a benchmark `wide` job: one large block (a = 101), two labels
+    ("support-wide-a101", ["support"],
+     param("support", "SOodd", 109, blocks(P, [1, 3, 101], [1, -1, 1])
+           + blocks(Q_SP, [2], [-1]))),
     # refused before any work that grows with N
     ("support-over-size-cap", ["support"],
      param("support", "Sp", 1000002, blocks(P, [1000002], [1]))),

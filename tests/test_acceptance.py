@@ -8,6 +8,8 @@ line.
 import time
 from fractions import Fraction
 
+from conftest import alternative_defect_formula_sp
+
 from cusp_atlas import verifications
 from cusp_atlas.bernstein import GLFactor, InertialTriple, hecke_parameters
 from cusp_atlas.census import springer_count_identity
@@ -27,7 +29,7 @@ from cusp_atlas.orbits import (
     staircase,
     symplectic_cuspidal_character,
 )
-from cusp_atlas.symbols import alternative_defect_formula_sp, defect_formula
+from cusp_atlas.symbols import defect_formula
 
 
 def report(number, name, elapsed):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -86,6 +87,72 @@ def test_emit_round_trip_is_identity():
     assert emit(json.loads(text)) == text
     compact = emit(out, compact=True)
     assert emit(json.loads(compact), compact=True) == compact
+
+
+def assert_emits_as_json_dumps(doc, recorded: Optional[str] = None) -> None:
+    """emit(doc) is the standard library's indented, key-sorted JSON (and the
+    recorded text, if given).  A mismatch is reported at the first character
+    where the texts part: pytest's own diff of two long texts takes minutes."""
+    got = emit(doc)
+    for want in (json.dumps(doc, sort_keys=True, indent=2), recorded):
+        if want is not None and got != want:
+            at = len(os.path.commonprefix([got, want]))
+            pytest.fail(f"texts part at character {at}: "
+                        f"{got[max(at - 30, 0):at + 30]!r} != {want[max(at - 30, 0):at + 30]!r}")
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "corpus.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("job", [job for job in GOLDEN if "--json" not in job["argv"]],
+                         ids=lambda job: job["name"])
+def test_emit_matches_json_dumps_on_golden_outputs(job):
+    for text in (job["stdout"], job["stderr"]):
+        if text:
+            assert_emits_as_json_dumps(json.loads(text), text.removesuffix("\n"))
+
+
+def support_job(a: int, two_labels: bool) -> dict:
+    """A `support` job with one block of size a, and a second label if asked."""
+    family, small, q_size = ("Sp", 2, 1) if a % 2 == 0 else ("SOeven", 1, 2)
+    blocks = [{"pi": {"name": "p", "dim": 1, "type": "orthogonal"}, "a": small, "sign": -1},
+              {"pi": "p", "a": a, "sign": 1}]
+    if two_labels:
+        blocks.append({"pi": {"name": "q", "dim": 2, "type": "symplectic"}, "a": q_size, "sign": 1})
+    size = small + a + (2 * q_size if two_labels else 0)
+    return {"command": "support", "group": {"family": family, "N": size}, "blocks": blocks}
+
+
+@pytest.mark.parametrize("two_labels", [False, True])
+@pytest.mark.parametrize("a", [100, 401, 803])
+def test_emit_matches_json_dumps_on_large_support_outputs(a, two_labels):
+    out = run(parse_input(support_job(a, two_labels)))
+    assert len(out["gl_twists"]) >= 48
+    assert_emits_as_json_dumps(out)
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [{}], "d": [[]]},
+    [[]],
+    [[], ["x"]],
+    [["x"], []],
+    [["x", "y"], ["z"]],
+    {"t": True, "f": False, "n": None, "list": [True, False, None]},
+    {"big": 10**40, "small": -10**40, "zero": 0, "list": [10**40, -10**40]},
+    {"quote\"key": "a \"quoted\" value", "back\\slash": "c:\\dir", "ctl\x01\n\t": "\x00\x1f\r"},
+    {"\u03c0": "\u03c0", "\u00e9t\u00e9": ["\u00e9", "\U0001d11e"], "rows": [["\u03c0", "\U0001d11e"]]},
+    {"tuple": (1, "a", (2, ())), "rows": (("x", "y"), ("z",))},
+    {"cusp_blocks": [["p", 2], ["p", 4]], "mixed": [["p", "3/2"], ["q", 1]]},
+    {"float": 1.5, "list": [0.1, -2.0, 1e300]},
+    {2: "two", 1: ["one"]},
+    "text",
+    7,
+    None,
+], ids=repr)
+def test_emit_matches_json_dumps_on_edge_documents(doc):
+    assert_emits_as_json_dumps(doc)
 
 
 def test_run_is_deterministic():

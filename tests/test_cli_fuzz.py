@@ -1,4 +1,5 @@
-"""Fuzz the CLI front end: on any JSON document only CuspAtlasError escapes.
+"""Fuzz the CLI front end: on any JSON document only CuspAtlasError escapes,
+and `emit` writes every output document as `json.dumps(..., indent=2)` does.
 
 Three kinds of document: any JSON value; a job with any JSON value as its
 "command"; and a well-formed job of a random command whose sizes match, with
@@ -8,12 +9,13 @@ rather than a hypothesis draw per field.  Integers stay small because
 `support` and `validate` run unbounded on a large block.
 """
 
+import json
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cusp_atlas.cli import COMMANDS, parse_input, run
+from cusp_atlas.cli import COMMANDS, emit, parse_input, run
 from cusp_atlas.errors import CuspAtlasError
 
 KEYS = ("command", "group", "family", "N", "partition", "signs", "factors", "blocks",
@@ -138,11 +140,13 @@ def mutated_document(rnd) -> dict:
 
 
 def assert_contract(doc) -> None:
-    """Run the document; only CuspAtlasError may escape, and no float may come out."""
+    """Run the document; only CuspAtlasError may escape, no float may come out,
+    and `emit` writes what `json.dumps` writes."""
     try:
         out = run(parse_input(doc), bound=6)
     except CuspAtlasError:
         return
+    assert emit(out) == json.dumps(out, sort_keys=True, indent=2), doc
     stack = [out]
     while stack:
         value = stack.pop()

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import alternative_defect_formula_sp
+
 from cusp_atlas.census import distinguished_pairs, group_partitions
 from cusp_atlas.errors import DomainMismatch, InvalidPartition
 from cusp_atlas.orbits import Family, GroupKind, Partition, SignCharacter, characters_of, component_group
@@ -9,7 +11,6 @@ from cusp_atlas.springer import springer_datum
 from cusp_atlas.symbols import (
     SymbolKind,
     USymbol,
-    alternative_defect_formula_sp,
     defect_formula,
     distinguished_symbol,
     interval_structure,
