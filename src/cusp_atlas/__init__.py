@@ -3,7 +3,7 @@
 Unipotent-class classification, u-symbols and their defects, elimination,
 cuspidal data for Sp/SO/O and products, discrete enhanced parameters with
 their cuspidal supports, and the Weyl/Hecke parameter data of inertial
-triples.  Everything is exact integer and rational arithmetic.
+triples.  Everything is exact integer arithmetic, a half-integer e as 2e.
 """
 
 from .orbits import (

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .errors import NormalizationError
@@ -40,6 +39,7 @@ from .lparams import (
     IrrLabel,
     SelfDualType,
     block_group_type,
+    half_str,
     reducibility_point,
 )
 from .orbits import Family, GroupKind, staircase_d
@@ -190,14 +190,17 @@ def _staircase_top(side: BlockGroupSide, total: int) -> int:
 
 @dataclass(frozen=True)
 class HeckeFactorParams:
+    """Hecke data of one factor, None where it has none.  The half-integers
+    x+, x-, lam = x+ + x-, lam_star = x+ - x- and mu_short are held doubled."""
+
     label: IrrLabel
     root_type: RootType
     rank: int
-    x_plus: Optional[Fraction]
-    x_minus: Optional[Fraction]
-    lam: Optional[Fraction]
-    lam_star: Optional[Fraction]
-    mu_short: Optional[Fraction]
+    x_plus: Optional[int]
+    x_minus: Optional[int]
+    lam: Optional[int]
+    lam_star: Optional[int]
+    mu_short: Optional[int]
     mu_other: Optional[int]
 
 
@@ -221,16 +224,16 @@ def hecke_parameters(triple: InertialTriple,
                                          None, None, None, None, None,
                                          2 if wf.rank else None))
             continue
-        x_plus = reducibility_point(factor.label, triple.cusp_param, triple.dual_group)
+        x_plus = reducibility_point(factor.label, triple.cusp_param.blocks, triple.dual_group)
         side = block_group_type(triple.dual_group, factor.label)
         if factor.partner_mprime:
-            x_minus = Fraction(_staircase_top(side, factor.partner_mprime) + 1, 2)
+            x_minus = _staircase_top(side, factor.partner_mprime) + 1
         else:
             # the companion twist has the same self-duality type as the label
             x_minus = reducibility_point(factor.label, (), triple.dual_group)
         if x_plus < x_minus:
             raise NormalizationError(
-                f"factor {factor.label}: x+={x_plus} < x-={x_minus}; "
+                f"factor {factor.label}: x+={half_str(x_plus)} < x-={half_str(x_minus)}; "
                 "the triple is not normalized")
         lam, lam_star = x_plus + x_minus, x_plus - x_minus
         if wf.root_type is RootType.B:

@@ -23,7 +23,6 @@ import dataclasses
 import json
 import os
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _ascii
 from typing import Any, Optional
 
@@ -323,8 +322,8 @@ def _selfcheck_bounds(value, pointer):
 
 # -- output rendering --------------------------------------------------------
 
-def _frac(x: Optional[Fraction]) -> Optional[str]:
-    return None if x is None else str(Fraction(x))
+def _half_or_null(two_x: Optional[int]) -> Optional[str]:
+    return None if two_x is None else half_str(two_x)
 
 
 def _render_char(eta: SignCharacter) -> list:
@@ -450,8 +449,8 @@ def _run_cuspidal_test(payload, bound: int) -> dict:
 
 def _run_reducibility(payload, bound: int) -> dict:
     kind, blocks, label = payload
-    x = reducibility_point(label, DiscreteParameter(kind, blocks), kind)
-    return {"pi": label.name, "x": _frac(x)}
+    two_x = reducibility_point(label, DiscreteParameter(kind, blocks).blocks, kind)
+    return {"pi": label.name, "x": half_str(two_x)}
 
 
 def _run_bernstein(payload, bound: int) -> dict:
@@ -477,11 +476,11 @@ def _run_hecke(payload, bound: int) -> dict:
         "pi": f.label.name,
         "type": f.root_type.value,
         "rank": f.rank,
-        "x_plus": _frac(f.x_plus),
-        "x_minus": _frac(f.x_minus),
-        "lambda": _frac(f.lam),
-        "lambda_star": _frac(f.lam_star),
-        "mu_short": _frac(f.mu_short),
+        "x_plus": _half_or_null(f.x_plus),
+        "x_minus": _half_or_null(f.x_minus),
+        "lambda": _half_or_null(f.lam),
+        "lambda_star": _half_or_null(f.lam_star),
+        "mu_short": _half_or_null(f.mu_short),
         "mu_other": f.mu_other,
     } for f in params.factors]}
 
@@ -573,10 +572,13 @@ def _load_document(path: Optional[str], command: str) -> dict:
         return {"command": command}
     try:
         if path == "-":
-            text = sys.stdin.read()
+            if sys.stdin is None:
+                raise SchemaError("/", "cannot read input '-': standard input is closed")
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(path, "rb") as handle:
+                data = handle.read()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise SchemaError("/", f"cannot read input {path!r}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

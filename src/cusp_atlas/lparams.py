@@ -30,7 +30,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -398,19 +397,16 @@ def infinitesimal_character(p: DiscreteParameter) -> ExponentMultiset:
     return ExponentMultiset.union_all(block_exponents(label, a) for label, a in p.blocks)
 
 
-def reducibility_point(label: IrrLabel, jord: DiscreteParameter | Iterable[tuple[IrrLabel, int]],
-                       dual: GroupKind) -> Fraction:
-    """The nonnegative real where the twist of label meets the classical part.
-
-    (a_max + 1)/2 when the label occurs among the blocks, 1/2 when absent
-    with its type matching the dual group, 0 when absent with the types
-    different.
+def reducibility_point(label: IrrLabel, blocks: Iterable[tuple[IrrLabel, int]],
+                       dual: GroupKind) -> int:
+    """2x, for x the nonnegative real where the twist of label meets the
+    classical part with Jordan blocks ``blocks``: (a_max + 1)/2 when the
+    label occurs among them, 1/2 when absent with its type matching the
+    dual group, 0 when absent with the types different.
     """
     if label.sd_type is SelfDualType.GL_PAIR:
         raise InvalidParameter("reducibility points are defined for self-dual labels only")
-    blocks = jord.blocks if isinstance(jord, DiscreteParameter) else tuple(jord)
     sizes = [a for lab, a in blocks if lab == label]
     if sizes:
-        return Fraction(max(sizes) + 1, 2)
-    matched = block_group_type(dual, label) is BlockGroupSide.O_SIDE
-    return Fraction(1, 2) if matched else Fraction(0)
+        return max(sizes) + 1
+    return 1 if block_group_type(dual, label) is BlockGroupSide.O_SIDE else 0

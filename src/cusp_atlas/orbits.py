@@ -207,9 +207,6 @@ class SignCharacter:
             out *= self(k)
         return out
 
-    def flipped(self) -> "SignCharacter":
-        return SignCharacter({k: -s for k, s in self.values})
-
     def flip_where(self, predicate) -> "SignCharacter":
         return SignCharacter({k: (-s if predicate(k) else s) for k, s in self.values})
 

@@ -1,5 +1,8 @@
-"""Fixtures shared by the support tests of the library and of the CLI, and
-the alternative symplectic defect formula the symbol tests compare against."""
+"""Fixtures shared by the support tests of the library and of the CLI, a
+byte-backed standard input for CLI jobs, and the alternative symplectic
+defect formula the symbol tests compare against."""
+
+import io
 
 import pytest
 
@@ -17,6 +20,22 @@ def alternative_defect_formula_sp(p: Partition, eta: SignCharacter) -> int:
     k = len(parts)
     acc = sum((-1) ** (i + k) * eta(q) for i, q in enumerate(parts, start=1))
     return acc + 2 * k + 2 - 2 * ((k + 1) // 2)
+
+
+@pytest.fixture
+def feed_stdin(monkeypatch):
+    """``feed(data)`` puts ``data`` on standard input as the bytes a pipe
+    carries: a str goes as its UTF-8 encoding, bytes go as they are.
+
+    The text layer decodes as Python's own standard input does in UTF-8
+    mode, with ``surrogateescape``, so it lets invalid UTF-8 through.
+    """
+    def feed(data) -> None:
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
+    return feed
 
 
 @pytest.fixture

@@ -3,10 +3,10 @@
     PYTHONPATH=src python tests/golden/make_corpus.py
 
 Each job is run through `cusp_atlas.cli.main` in-process, with its document
-on standard input and `CUSP_ATLAS_BOUND` unset; the corpus records the exit
-code and the exact standard output and error.  `tests/test_golden.py`
-replays it.  Regenerate only for an intended output change, and say which
-jobs moved and why.
+as UTF-8 bytes on standard input and `CUSP_ATLAS_BOUND` unset; the corpus
+records the exit code and the exact standard output and error.
+`tests/test_golden.py` replays it.  Regenerate only for an intended output
+change, and say which jobs moved and why.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ def build_jobs() -> list[dict]:
 def replay(job: dict) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO(job["stdin"])
+    sys.stdin = io.TextIOWrapper(io.BytesIO(job["stdin"].encode("utf-8")), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(job["argv"])

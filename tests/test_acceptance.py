@@ -110,8 +110,8 @@ def test_criterion_6_hecke_short_root_identity():
         triple = InertialTriple(GroupKind(Family.SP, d * (d + 1) + 2),
                                 [GLFactor(label, 1)], cusp)
         factor = hecke_parameters(triple, {"r": 1}).factors[0]
-        assert 2 * factor.x_plus == 2 * d + 1
-        assert factor.mu_short == 2 * d + 1  # the table's a + 1 with a = 2d
+        assert factor.x_plus == 2 * d + 1
+        assert factor.mu_short == 2 * (2 * d + 1)  # the table's a + 1 with a = 2d
 
         # orthogonal-side staircase: largest block 2d - 1
         oblocks = [(label, 2 * a - 1) for a in range(1, d + 1)]
@@ -120,8 +120,8 @@ def test_criterion_6_hecke_short_root_identity():
         otriple = InertialTriple(GroupKind(family, d * d + 2),
                                  [GLFactor(label, 1)], ocusp)
         ofactor = hecke_parameters(otriple, {"r": 1}).factors[0]
-        assert 2 * ofactor.x_plus == 2 * d
-        assert ofactor.mu_short == (2 * d - 1) + 1
+        assert ofactor.x_plus == 2 * d
+        assert ofactor.mu_short == 2 * ((2 * d - 1) + 1)
     report(6, "hecke short-root identity", time.time() - start)
 
 
@@ -129,9 +129,9 @@ def test_criterion_7_reducibility_fixture():
     start = time.time()
     label = IrrLabel("p", 1, SelfDualType.ORTHOGONAL)
     jord = DiscreteParameter(GroupKind(Family.SP, 6), [(label, 2), (label, 4)])
-    assert reducibility_point(label, jord, jord.dual_group) == Fraction(5, 2)
+    assert reducibility_point(label, jord.blocks, jord.dual_group) == 5
     same = IrrLabel("q", 2, SelfDualType.SYMPLECTIC)
-    assert reducibility_point(same, jord, jord.dual_group) == Fraction(1, 2)
+    assert reducibility_point(same, jord.blocks, jord.dual_group) == 1
     diff = IrrLabel("q", 1, SelfDualType.ORTHOGONAL)
     assert reducibility_point(diff, (), jord.dual_group) == 0
     report(7, "reducibility fixture", time.time() - start)

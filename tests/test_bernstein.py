@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from cusp_atlas.bernstein import (
@@ -108,8 +106,8 @@ def test_weyl_descriptor_invariant_under_factor_permutation():
 def test_hecke_parameters_present_label():
     t = sp_triple([GLFactor(R, 2)], [(R, 2), (R, 4)], 10)
     f = hecke_parameters(t, {"r": 1}).factors[0]
-    assert f.x_plus == Fraction(5, 2)
-    assert 2 * f.x_plus == 4 + 1  # the short-root identity
+    assert f.x_plus == 5
+    assert f.x_plus == 4 + 1  # the short-root identity 2x+ = a + 1
     assert f.mu_short == f.lam + f.lam_star
     f = hecke_parameters(t, {"r": -1}).factors[0]
     assert f.mu_short == 2 * f.x_minus
@@ -119,9 +117,9 @@ def test_hecke_parameters_partner_block_total():
     # the companion twist carries blocks of total 2, i.e. a staircase (2)
     t = sp_triple([GLFactor(R, 2, partner_mprime=2)], [(R, 2), (R, 4)], 10)
     f = hecke_parameters(t).factors[0]
-    assert f.x_minus == Fraction(3, 2)
-    assert f.lam == 4 and f.lam_star == 1
-    assert f.mu_short == 5  # theta defaults to +1
+    assert f.x_minus == 3
+    assert f.lam == 2 * 4 and f.lam_star == 2 * 1
+    assert f.mu_short == 2 * 5  # theta defaults to +1
 
 
 def test_hecke_parameters_huge_partner_block_total():
@@ -130,11 +128,11 @@ def test_hecke_parameters_huge_partner_block_total():
     total = d * (d + 1)
     t = sp_triple([GLFactor(R, 0, partner_mprime=total)], [(R, total)], total)
     f = hecke_parameters(t).factors[0]
-    assert f.x_minus == Fraction(2 * d + 1, 2) and f.x_plus == Fraction(total + 1, 2)
+    assert f.x_minus == 2 * d + 1 and f.x_plus == total + 1
     q = IrrLabel("q", 1, SelfDualType.ORTHOGONAL)
     cusp = DiscreteParameter(GroupKind(Family.SO_ODD, d * d + 1), [(q, d * d + 1)])
     t = InertialTriple(cusp.dual_group, [GLFactor(q, 0, partner_mprime=d * d)], cusp)
-    assert hecke_parameters(t).factors[0].x_minus == d
+    assert hecke_parameters(t).factors[0].x_minus == 2 * d
 
 
 def test_hecke_parameters_partner_total_off_the_staircase():
@@ -155,9 +153,20 @@ def test_hecke_parameters_o_side_half_point():
     cusp = DiscreteParameter(GroupKind(Family.SO_ODD, 9), [(q, 1), (q, 3), (q, 5)])
     t = InertialTriple(GroupKind(Family.SO_ODD, 13), [GLFactor(q, 2)], cusp)
     f = hecke_parameters(t, {"q": 1}).factors[0]
-    assert f.x_plus == 3 and f.x_minus == Fraction(1, 2)
-    assert f.mu_short == f.x_plus * 2 == 5 + 1
-    assert hecke_parameters(t, {"q": -1}).factors[0].mu_short == 1
+    assert f.x_plus == 2 * 3 and f.x_minus == 1
+    assert f.mu_short == f.x_plus * 2 == 2 * (5 + 1)
+    assert hecke_parameters(t, {"q": -1}).factors[0].mu_short == 2 * 1
+
+
+def test_hecke_parameters_unnormalized_triple_message():
+    # the factor label shares the name r with the cusp blocks but not their
+    # dimension: m' counts r's blocks by name (6 >= 2), while x+ looks the
+    # label itself up among them and finds it absent on the sp side (x+ = 0)
+    r2 = IrrLabel("r", 2, SelfDualType.ORTHOGONAL)
+    t = sp_triple([GLFactor(r2, 1, partner_mprime=2)], [(R, 2), (R, 4)], 10)
+    with pytest.raises(NormalizationError) as err:
+        hecke_parameters(t)
+    assert str(err.value) == "factor r: x+=0 < x-=3/2; the triple is not normalized"
 
 
 def test_hecke_parameters_absent_mismatch():

@@ -1,4 +1,3 @@
-import io
 import json
 import os
 import subprocess
@@ -201,13 +200,13 @@ def test_reducibility_document():
     assert run(parse_input(doc)) == {"pi": "p", "x": "5/2"}
 
 
-def test_reducibility_rejects_invalid_blocks(monkeypatch, capsys):
+def test_reducibility_rejects_invalid_blocks(feed_stdin, capsys):
     # (p,3) twice, and an orthogonal label needs even sizes in Sp
     doc = {"command": "reducibility", "group": {"family": "Sp", "N": 6},
            "blocks": [{"pi": {"name": "p", "dim": 1, "type": "orthogonal"}, "a": 3},
                       {"pi": "p", "a": 3}],
            "pi": "p"}
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    feed_stdin(json.dumps(doc))
     assert main(["reducibility", "--input", "-"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -237,11 +236,11 @@ def test_enumerate_bound(monkeypatch):
         run(job, bound=10)
 
 
-def test_over_cap_support_job_exits_3_at_once(monkeypatch, capsys):
+def test_over_cap_support_job_exits_3_at_once(feed_stdin, capsys):
     n = MAX_GROUP_SIZE + 2
     doc = dict(SUPPORT_DOC, group={"family": "Sp", "N": n},
                blocks=[{"pi": {"name": "p", "dim": 1, "type": "orthogonal"}, "a": n, "sign": 1}])
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    feed_stdin(json.dumps(doc))
     start = time.perf_counter()
     assert main(["support", "--input", "-"]) == 3
     assert time.perf_counter() - start < 0.5
@@ -304,7 +303,7 @@ def test_command_mismatch_rejected():
     assert isinstance(job, JobSpec)
 
 
-def test_bad_env_bound_is_a_schema_error(monkeypatch, capsys):
+def test_bad_env_bound_is_a_schema_error(monkeypatch, feed_stdin, capsys):
     monkeypatch.setenv("CUSP_ATLAS_BOUND", "x")
     assert main(["selfcheck"]) == 2
     captured = capsys.readouterr()
@@ -312,8 +311,7 @@ def test_bad_env_bound_is_a_schema_error(monkeypatch, capsys):
     error = json.loads(captured.err)["error"]
     assert error["kind"] == "schema" and "CUSP_ATLAS_BOUND" in error["message"]
     # an explicit --bound does not read the variable
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
-        {"command": "enumerate", "group": {"family": "Sp", "N": 4}})))
+    feed_stdin(json.dumps({"command": "enumerate", "group": {"family": "Sp", "N": 4}}))
     assert main(["enumerate", "--input", "-", "--bound", "6", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["pairs"] == 7
 
@@ -340,9 +338,8 @@ def test_nonpositive_env_bound_is_a_schema_error(raw, monkeypatch, capsys):
     assert "CUSP_ATLAS_BOUND" in schema_error_of(capsys)["message"]
 
 
-def test_nonpositive_check_bound_is_a_schema_error(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
-        {"command": "selfcheck", "bounds": {"support": 4, "census": 0}})))
+def test_nonpositive_check_bound_is_a_schema_error(feed_stdin, capsys):
+    feed_stdin(json.dumps({"command": "selfcheck", "bounds": {"support": 4, "census": 0}}))
     assert main(["selfcheck", "--input", "-"]) == 2
     assert schema_error_of(capsys)["pointer"] == "/bounds/census"
 
@@ -355,8 +352,8 @@ def test_support_job_computes_the_support_twice(support_calls):
     assert out["cusp_blocks"] == [[label.name, a] for label, a in support_calls[1].blocks]
 
 
-def test_support_job_reports_disagreeing_routes(lossy_psi_route, monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(SUPPORT_DOC)))
+def test_support_job_reports_disagreeing_routes(lossy_psi_route, feed_stdin, capsys):
+    feed_stdin(json.dumps(SUPPORT_DOC))
     assert main(["support", "--input", "-"]) == 0
     out = capsys.readouterr().out
     assert '"routes_agree": false' in out
@@ -409,14 +406,20 @@ def write_bytes(path, data: bytes):
     return path
 
 
+def stdin_bytes(feed, data: bytes) -> str:
+    feed(data)
+    return "-"
+
+
 @pytest.mark.parametrize("make, words", [
-    (lambda tmp: tmp / "missing.json", "No such file"),
-    (lambda tmp: tmp, "Is a directory"),
-    (lambda tmp: write_bytes(tmp / "latin1.json", b"\xff{}"), "not UTF-8"),
-    (lambda tmp: write_bytes(tmp / "deep.json", b"[" * 200000), "not valid JSON"),
-], ids=["missing", "directory", "not-utf8", "too-deep"])
-def test_unreadable_input_is_a_schema_error(make, words, tmp_path, capsys):
-    path = make(tmp_path)
+    (lambda tmp, feed: tmp / "missing.json", "No such file"),
+    (lambda tmp, feed: tmp, "Is a directory"),
+    (lambda tmp, feed: write_bytes(tmp / "latin1.json", b"\xff{}"), "not UTF-8"),
+    (lambda tmp, feed: stdin_bytes(feed, b'{"name": "\xff"}'), "not UTF-8"),
+    (lambda tmp, feed: write_bytes(tmp / "deep.json", b"[" * 200000), "not valid JSON"),
+], ids=["missing", "directory", "not-utf8", "stdin-not-utf8", "too-deep"])
+def test_unreadable_input_is_a_schema_error(make, words, tmp_path, feed_stdin, capsys):
+    path = make(tmp_path, feed_stdin)
     assert main(["validate", "--input", str(path)]) == 2
     error = schema_error_of(capsys)
     assert error["pointer"] == "/" and words in error["message"]
@@ -429,9 +432,9 @@ def test_unreadable_input_is_a_schema_error(make, words, tmp_path, capsys):
     {"command": "springer", "factors": [{"partition": [3, 1], "signs": [1, -1]},
                                         {"partition": [], "signs": []}]},
 ], ids=["single", "product"])
-def test_springer_on_o0_is_a_domain_error(doc, monkeypatch, capsys):
+def test_springer_on_o0_is_a_domain_error(doc, feed_stdin, capsys):
     # O_0 has no det = -1 class, so no case of the O_N correspondence applies
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    feed_stdin(json.dumps(doc))
     assert main(["springer", "--input", "-"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -440,9 +443,9 @@ def test_springer_on_o0_is_a_domain_error(doc, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("key, pointer", [("a/b", "/a~1b"), ("m~1", "/m~01"), ("~/", "/~0~1")])
-def test_unknown_field_pointer_is_escaped(key, pointer, monkeypatch, capsys):
+def test_unknown_field_pointer_is_escaped(key, pointer, feed_stdin, capsys):
     doc = {"command": "enumerate", "group": {"family": "Sp", "N": 4}, key: 1}
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    feed_stdin(json.dumps(doc))
     assert main(["enumerate", "--input", "-"]) == 2
     error = schema_error_of(capsys)
     assert (error["pointer"], error["message"]) == (pointer, "unknown field")
@@ -516,6 +519,47 @@ def test_selfcheck_bounds_report_the_first_field_first():
     assert (err.value.pointer, err.value.message) == ("/bounds/checks", "unknown field")
 
 
+CLI = [sys.executable, "-m", "cusp_atlas.cli"]
+
+
+def cli_env(**extra) -> dict:
+    """The environment of a CLI process that imports this package, plus ``extra``."""
+    src = str(Path(cusp_atlas.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+NON_ASCII = next(job for job in GOLDEN if job["name"] == "support-non-ascii-label")
+RAW_UTF8 = json.dumps(json.loads(NON_ASCII["stdin"]), ensure_ascii=False).encode("utf-8")
+
+
+@pytest.mark.parametrize("env", [{"PYTHONUTF8": "0", "LC_ALL": "C"},
+                                 {"PYTHONIOENCODING": "latin-1"}], ids=["c-locale", "latin-1"])
+def test_raw_utf8_on_stdin_reads_as_utf8_whatever_the_locale(env):
+    assert any(byte > 127 for byte in RAW_UTF8)
+    proc = subprocess.run(CLI + NON_ASCII["argv"], input=RAW_UTF8, capture_output=True,
+                          env=cli_env(**env), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, NON_ASCII["stdout"].encode(), b"")
+
+
+def test_raw_utf8_in_a_file_reads_as_on_stdin(tmp_path):
+    job = write_bytes(tmp_path / "job.json", RAW_UTF8)
+    argv = [str(job) if arg == "-" else arg for arg in NON_ASCII["argv"]]
+    proc = subprocess.run(CLI + argv, capture_output=True,
+                          env=cli_env(PYTHONUTF8="0", LC_ALL="C"), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, NON_ASCII["stdout"].encode(), b"")
+
+
+def test_closed_stdin_is_a_schema_error():
+    # the child starts with file descriptor 0 closed, as after `<&-` in a shell
+    proc = subprocess.run(CLI + ["validate", "--input", "-"], capture_output=True,
+                          preexec_fn=lambda: os.close(0), env=cli_env(), timeout=60)
+    assert proc.returncode == 2 and b"Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == {
+        "kind": "schema", "pointer": "/",
+        "message": "cannot read input '-': standard input is closed"}
+
+
 def test_closed_stdout_ends_the_job_quietly(tmp_path):
     # the output of an a = 20000 job is far above a pipe buffer, so the job
     # is still writing when the reader goes away
@@ -523,11 +567,8 @@ def test_closed_stdout_ends_the_job_quietly(tmp_path):
     job = tmp_path / "big.json"
     job.write_text(json.dumps(dict(SUPPORT_DOC, group={"family": "Sp", "N": n}, blocks=[
         {"pi": {"name": "p", "dim": 1, "type": "orthogonal"}, "a": n, "sign": 1}])))
-    src = str(Path(cusp_atlas.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen([sys.executable, "-m", "cusp_atlas.cli", "support", "--input", str(job)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen(CLI + ["support", "--input", str(job)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
     assert len(proc.stdout.read(20)) == 20
     proc.stdout.close()
     stderr = proc.stderr.read()
@@ -574,11 +615,11 @@ def test_env_bound_caps_selfcheck_as_the_option_does(monkeypatch, capsys):
     assert capsys.readouterr().out == outputs["8"]
 
 
-def test_invariant_failure_in_a_runner_exits_4(monkeypatch, capsys):
+def test_invariant_failure_in_a_runner_exits_4(monkeypatch, feed_stdin, capsys):
     def broken(param, eta):
         raise InternalCheckError("planted invariant failure")
     monkeypatch.setattr(cli, "check_support", broken)
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(SUPPORT_DOC)))
+    feed_stdin(json.dumps(SUPPORT_DOC))
     assert main(["support", "--input", "-"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,4 +1,3 @@
-import io
 import json
 from collections import Counter
 from fractions import Fraction
@@ -291,11 +290,11 @@ def test_support_infinitesimal_matches_fraction_oracle(signs):
     assert to_counter(support_infinitesimal(sup)) == oracle == exponent_oracle(P, sizes)
 
 
-def test_cli_support_twists_match_fraction_oracle(monkeypatch, capsys):
+def test_cli_support_twists_match_fraction_oracle(feed_stdin, capsys):
     # Sp_800 with the one block (p, 800): 400 twists, far beyond the golden jobs
     doc = {"command": "support", "group": {"family": "Sp", "N": 800},
            "blocks": [{"pi": {"name": "p", "dim": 1, "type": "orthogonal"}, "a": 800, "sign": 1}]}
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    feed_stdin(json.dumps(doc))
     assert main(["support", "--input", "-", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     stair = [a for name, a in out["cusp_blocks"]]

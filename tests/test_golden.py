@@ -2,10 +2,9 @@
 
 The corpus (`tests/golden/corpus.json`) was generated by
 `tests/golden/make_corpus.py`; every job runs through `main()` with its
-document on standard input and `CUSP_ATLAS_BOUND` unset.
+document as UTF-8 bytes on standard input and `CUSP_ATLAS_BOUND` unset.
 """
 
-import io
 import json
 from pathlib import Path
 
@@ -17,9 +16,9 @@ CORPUS = json.loads((Path(__file__).parent / "golden" / "corpus.json").read_text
 
 
 @pytest.mark.parametrize("job", CORPUS, ids=[job["name"] for job in CORPUS])
-def test_golden_job(job, monkeypatch, capsys):
+def test_golden_job(job, monkeypatch, feed_stdin, capsys):
     monkeypatch.delenv(ENV_BOUND, raising=False)
-    monkeypatch.setattr("sys.stdin", io.StringIO(job["stdin"]))
+    feed_stdin(job["stdin"])
     code = main(job["argv"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (job["exit"], job["stdout"], job["stderr"])

@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -195,13 +194,13 @@ def test_exponent_multiset_operations():
 
 def test_reducibility_point():
     jord = DiscreteParameter(SP6, [(ORTH1, 2), (ORTH1, 4)])
-    assert reducibility_point(ORTH1, jord, SP6) == Fraction(5, 2)
+    assert reducibility_point(ORTH1, jord.blocks, SP6) == 5
     absent_same = IrrLabel("t", 2, SelfDualType.SYMPLECTIC)
-    assert reducibility_point(absent_same, jord, SP6) == Fraction(1, 2)
+    assert reducibility_point(absent_same, jord.blocks, SP6) == 1
     absent_diff = IrrLabel("t", 1, SelfDualType.ORTHOGONAL)
     assert reducibility_point(absent_diff, (), SP6) == 0
     with pytest.raises(InvalidParameter):
-        reducibility_point(GLP, jord, SP6)
+        reducibility_point(GLP, jord.blocks, SP6)
 
 
 @settings(max_examples=100, deadline=None)

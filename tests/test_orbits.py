@@ -157,7 +157,7 @@ def test_sign_character_helpers():
     eta = SignCharacter({2: -1, 4: 1})
     assert eta(2) == -1
     assert eta.product() == -1
-    assert eta.flipped().as_dict() == {2: 1, 4: -1}
+    assert eta.flip_where(lambda q: True).as_dict() == {2: 1, 4: -1}
     assert eta.restrict([4]).keys() == (4,)
     with pytest.raises(Exception):
         eta(6)
