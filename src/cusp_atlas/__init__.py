@@ -47,7 +47,6 @@ from .lparams import (
     IrrLabel,
     ParameterCharacter,
     SelfDualType,
-    agroup,
     block_group_type,
     infinitesimal_character,
     is_cuspidal,

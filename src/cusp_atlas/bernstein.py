@@ -80,7 +80,11 @@ class InertialTriple:
         names = [f.label.name for f in self.gl_factors]
         if len(set(names)) != len(names):
             raise NormalizationError("factor labels must be pairwise distinct")
+        cusp_labels = {label.name: label for label, _ in self.cusp_param.blocks}
         for f in self.gl_factors:
+            if cusp_labels.get(f.label.name, f.label) != f.label:
+                raise NormalizationError(
+                    f"label name {f.label.name!r} used with two different data")
             if f.label.sd_type is SelfDualType.GL_PAIR:
                 continue
             if self.mprime(f.label) < f.partner_mprime:
@@ -116,11 +120,6 @@ class WeylFactor:
     root_type: RootType
     rank: int
     star: bool = False
-
-    def __str__(self) -> str:
-        if self.root_type is RootType.TRIVIAL:
-            return "1"
-        return f"{self.root_type.value}_{self.rank}" + ("*" if self.star else "")
 
 
 @dataclass(frozen=True)
@@ -232,6 +231,8 @@ def hecke_parameters(triple: InertialTriple,
             # the companion twist has the same self-duality type as the label
             x_minus = reducibility_point(factor.label, (), triple.dual_group)
         if x_plus < x_minus:
+            # A guard: _validate already makes x+ >= x-; a search over the Sp,
+            # SOodd and SOeven cusps of size <= 16 finds no triple that gets here.
             raise NormalizationError(
                 f"factor {factor.label}: x+={half_str(x_plus)} < x-={half_str(x_minus)}; "
                 "the triple is not normalized")

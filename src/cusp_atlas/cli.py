@@ -157,11 +157,6 @@ def _group(value, pointer: str) -> GroupKind:
         raise SchemaError(_child(pointer, "N"), str(exc)) from None
 
 
-_TYPES = {"orthogonal": SelfDualType.ORTHOGONAL,
-          "symplectic": SelfDualType.SYMPLECTIC,
-          "gl-pair": SelfDualType.GL_PAIR}
-
-
 class _LabelRegistry:
     def __init__(self):
         self.by_name: dict[str, IrrLabel] = {}
@@ -173,9 +168,12 @@ class _LabelRegistry:
             return self.by_name[value]
         fields = _expect_object(value, pointer,
                                 {"name": _string, "dim": _positive_int, "type": _string})
-        if fields["type"] not in _TYPES:
-            raise SchemaError(_child(pointer, "type"), f"unknown type {fields['type']!r}")
-        label = IrrLabel(fields["name"], fields["dim"], _TYPES[fields["type"]])
+        try:
+            sd_type = SelfDualType(fields["type"])
+        except ValueError:
+            raise SchemaError(_child(pointer, "type"),
+                              f"unknown type {fields['type']!r}") from None
+        label = IrrLabel(fields["name"], fields["dim"], sd_type)
         prior = self.by_name.setdefault(label.name, label)
         if prior != label:
             raise SchemaError(pointer, f"label {label.name!r} redefined with new data")

@@ -34,9 +34,8 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import DomainMismatch, InvalidParameter
-from .orbits import (ComponentGroupDescriptor, Family, GroupKind, Relation, SignCharacter,
-                     Verdict, require_domain)
+from .errors import InvalidParameter
+from .orbits import Family, GroupKind, SignCharacter, Verdict, require_domain
 
 
 class SelfDualType(str, Enum):
@@ -179,14 +178,6 @@ def validate_parameter(dual: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]) 
 ParameterCharacter = SignCharacter  # values on the block keys (pi-name, a)
 
 
-def character_on(p: DiscreteParameter, signs: Iterable[int]) -> ParameterCharacter:
-    """Convenience constructor: signs aligned with the sorted block list."""
-    signs = tuple(signs)
-    if len(signs) != len(p.blocks):
-        raise DomainMismatch(f"{len(signs)} signs for {len(p.blocks)} blocks")
-    return SignCharacter(dict(zip(p.block_keys(), signs)))
-
-
 def det_flip(p: DiscreteParameter, eta: ParameterCharacter) -> ParameterCharacter:
     """Negate eta on the blocks of odd n_pi * a (the other value table of
     the same character of an orthogonal component group)."""
@@ -195,30 +186,14 @@ def det_flip(p: DiscreteParameter, eta: ParameterCharacter) -> ParameterCharacte
     return eta.flip_where(lambda key: key in odd_keys)
 
 
-def agroup(p: DiscreteParameter) -> tuple[ComponentGroupDescriptor, tuple[BlockKey, ...]]:
-    """Component group of the parameter plus the image of the center.
-
-    The center image is the class acting by -1 on every block (the product
-    of all generators) when the dual group has center {+-1}; for SO of odd
-    size the center is trivial and the image is empty.
-    """
-    keys = p.block_keys()
-    if p.dual_group.is_symplectic:
-        descriptor = ComponentGroupDescriptor(keys, Relation.FREE, 2 ** len(keys))
-    else:
-        cut = any((label.dim * a) % 2 for label, a in p.blocks)
-        order = 2 ** (len(keys) - 1) if cut and keys else 2 ** len(keys)
-        descriptor = ComponentGroupDescriptor(keys, Relation.DET_ONE_SUBGROUP, order)
-    has_center = p.dual_group.is_symplectic or p.dual_group.family is Family.SO_EVEN
-    center_image = keys if has_center else ()
-    return descriptor, center_image
-
-
 def sgroup_factors(p: DiscreteParameter, eta: ParameterCharacter) -> bool:
-    """Whether eta is trivial on the image of the center (defines a packet member)."""
+    """Whether eta is trivial on the image of the center (defines a packet member).
+
+    The center {+-1} of Sp and of even SO acts by -1 on every block, so its
+    image is the product of all generators; odd SO has a trivial center.
+    """
     require_domain(eta, p.block_keys(), "blocks", p)
-    _, center_image = agroup(p)
-    return eta.product(center_image) == 1
+    return p.dual_group.family is Family.SO_ODD or eta.product() == 1
 
 
 def has_no_gaps(p: DiscreteParameter) -> bool:

@@ -143,25 +143,20 @@ class Relation(Enum):
 
     FREE = "free"
     QUOTIENT_BY_FULL_PRODUCT = "quotient-by-full-product"
-    DET_ONE_SUBGROUP = "det-one-subgroup"
 
 
 @dataclass(frozen=True)
 class ComponentGroupDescriptor:
     """An elementary abelian 2-group with labelled generators.
 
-    ``order`` is 2^g for a free group and 2^(g-1) for the index-two variants
-    (when at least one generator is cut down); it is stored explicitly so the
-    two cases read off uniformly.
+    ``order`` is 2^g for a free group and 2^(g-1) for the quotient (when
+    there is a generator to cut down); it is stored explicitly so the two
+    cases read off uniformly.
     """
 
     generators: tuple
     relation: Relation
     order: int
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(f"z_{g}" for g in self.generators)
@@ -342,14 +337,12 @@ class CuspidalPair:
 
     For the orthogonal families ``character`` is the plus extension and
     ``minus_lift`` the other one; both restrict to the same SO-character,
-    whose defining values sit on the products of consecutive generators and
-    are listed in ``so_products``.
+    the one that is -1 on each product of consecutive generators.
     """
 
     partition: Partition
     character: SignCharacter
     minus_lift: Optional[SignCharacter] = None
-    so_products: tuple[tuple[tuple[int, int], int], ...] = ()
 
 
 def cuspidal_pair(kind: GroupKind) -> Optional[CuspidalPair]:
@@ -365,14 +358,10 @@ def cuspidal_pair(kind: GroupKind) -> Optional[CuspidalPair]:
         return None
     if kind.is_symplectic:
         return CuspidalPair(staircase(parity, d), symplectic_cuspidal_character(d))
-    products = tuple(
-        (((2 * i - 1), (2 * i + 1)), -1) for i in range(1, d)
-    )
     return CuspidalPair(
         staircase(parity, d),
         orthogonal_cuspidal_lift(d, plus=True),
         orthogonal_cuspidal_lift(d, plus=False),
-        products,
     )
 
 

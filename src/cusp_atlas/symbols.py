@@ -6,7 +6,8 @@ balance tying sum(A) + sum(B) to the matrix size N.  Symplectic symbols are
 ordered pairs with 0 excluded from B and |A| + |B| odd; orthogonal symbols
 are unordered pairs.  Two symbols are identified when one arises from the
 other by the shift (A, B) -> ({0} u (A+2), {1} u (B+2)) (both seeds 0 in the
-unordered case); comparisons use the fully reduced representative.
+unordered case).  The shift keeps the size and the defect, so both are read
+off the one representative built here.
 
 The pair (class, character) is encoded as follows.  A partition p of N is
 turned into a base symbol by splitting the strictly increasing sequence
@@ -95,38 +96,6 @@ class USymbol:
         d = len(self.a) - len(self.b)
         return d if self.kind is SymbolKind.SP_ORDERED else abs(d)
 
-    def shifted(self) -> "USymbol":
-        """One step up the defining equivalence (for tests and display)."""
-        if self.kind is SymbolKind.SP_ORDERED:
-            return USymbol(self.kind, (0,) + tuple(x + 2 for x in self.a),
-                           (1,) + tuple(x + 2 for x in self.b))
-        return USymbol(self.kind, (0,) + tuple(x + 2 for x in self.a),
-                       (0,) + tuple(x + 2 for x in self.b))
-
-    def canonical(self) -> "USymbol":
-        """Fully reduced representative; orders the rows in the unordered case."""
-        a, b = self.a, self.b
-        if self.kind is SymbolKind.SP_ORDERED:
-            while a and b and a[0] == 0 and b[0] == 1:
-                a = tuple(x - 2 for x in a[1:])
-                b = tuple(x - 2 for x in b[1:])
-        else:
-            while a and b and a[0] == 0 and b[0] == 0:
-                a = tuple(x - 2 for x in a[1:])
-                b = tuple(x - 2 for x in b[1:])
-            if (len(b), b, a) < (len(a), a, b):
-                a, b = b, a
-        return USymbol(self.kind, a, b)
-
-    def equivalent(self, other: "USymbol") -> bool:
-        return self.kind is other.kind and self.canonical() == other.canonical()
-
-    def similar(self, other: "USymbol") -> bool:
-        left, right = self.canonical(), other.canonical()
-        union = set(left.a) | set(left.b), set(right.a) | set(right.b)
-        inter = set(left.a) & set(left.b), set(right.a) & set(right.b)
-        return union[0] == union[1] and inter[0] == inter[1]
-
     def __str__(self) -> str:
         fmt = lambda row: "{" + ",".join(map(str, row)) + "}"
         return f"({fmt(self.a)};{fmt(self.b)})"
@@ -141,8 +110,6 @@ class IntervalStructure:
     margin (symplectic only).
     """
 
-    kind: GroupKind
-    partition: Partition
     symbol: USymbol
     intervals: tuple[tuple[int, ...], ...]
     parts: tuple[int, ...]
@@ -213,7 +180,7 @@ def interval_structure(kind: GroupKind, p: Partition) -> IntervalStructure:
     for run, q in zip(intervals, parts):
         if len(run) != p.multiplicity(q):
             raise InternalCheckError(f"{p}: interval {run} does not match multiplicity of {q}")
-    return IntervalStructure(kind, p, symbol, intervals, parts, h)
+    return IntervalStructure(symbol, intervals, parts, h)
 
 
 def symbol_from_character(kind: GroupKind, p: Partition, eta: SignCharacter) -> USymbol:

@@ -1,12 +1,16 @@
 """Fixtures shared by the support tests of the library and of the CLI, a
-byte-backed standard input for CLI jobs, and the alternative symplectic
-defect formula the symbol tests compare against."""
+byte-backed standard input for CLI jobs, the alternative symplectic defect
+formula the symbol tests compare against, and a shorthand for parameter
+characters."""
 
 import io
+from typing import Iterable
 
 import pytest
 
 from cusp_atlas import cuspsupport
+from cusp_atlas.errors import DomainMismatch
+from cusp_atlas.lparams import DiscreteParameter, ParameterCharacter
 from cusp_atlas.orbits import Partition, SignCharacter
 
 
@@ -20,6 +24,14 @@ def alternative_defect_formula_sp(p: Partition, eta: SignCharacter) -> int:
     k = len(parts)
     acc = sum((-1) ** (i + k) * eta(q) for i, q in enumerate(parts, start=1))
     return acc + 2 * k + 2 - 2 * ((k + 1) // 2)
+
+
+def character_on(p: DiscreteParameter, signs: Iterable[int]) -> ParameterCharacter:
+    """The character with the given signs, aligned with the sorted block list."""
+    signs = tuple(signs)
+    if len(signs) != len(p.blocks):
+        raise DomainMismatch(f"{len(signs)} signs for {len(p.blocks)} blocks")
+    return SignCharacter(dict(zip(p.block_keys(), signs)))
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ line.
 import time
 from fractions import Fraction
 
-from conftest import alternative_defect_formula_sp
+from conftest import alternative_defect_formula_sp, character_on
 
 from cusp_atlas import verifications
 from cusp_atlas.bernstein import GLFactor, InertialTriple, hecke_parameters
@@ -18,7 +18,6 @@ from cusp_atlas.lparams import (
     DiscreteParameter,
     IrrLabel,
     SelfDualType,
-    character_on,
     is_cuspidal,
     reducibility_point,
     sgroup_factors,
@@ -32,16 +31,17 @@ from cusp_atlas.orbits import (
 from cusp_atlas.symbols import defect_formula
 
 
+LIMITS = verifications.Limits()  # the documented bounds, read from one place
+
+
 def report(number, name, elapsed):
     print(f"criterion {number} ({name}): PASS [{elapsed:.2f}s]")
 
 
 def test_criterion_1_springer_count_identity():
     start = time.time()
-    for n in (2, 4, 6, 8, 10, 12):
-        total, predicted, by_d, by_d_predicted = springer_count_identity(n)
-        assert total == predicted, f"Sp_{n}: {total} != {predicted}"
-        assert by_d == by_d_predicted
+    ok, detail = verifications.check_count_identity(LIMITS.census)
+    assert ok, detail
     assert springer_count_identity(4)[0] == 7  # 7 = 5 + 2
     elapsed = time.time() - start
     assert elapsed < 5.0
@@ -50,9 +50,9 @@ def test_criterion_1_springer_count_identity():
 
 def test_criterion_2_defect_coherence():
     start = time.time()
-    ok, detail = verifications.check_defect_coherence(20)
+    ok, detail = verifications.check_defect_coherence(LIMITS.defect)
     assert ok, detail
-    ok, detail = verifications.check_order_independence(16)
+    ok, detail = verifications.check_order_independence(LIMITS.orders)
     assert ok, detail
     elapsed = time.time() - start
     assert elapsed < 30.0
@@ -61,15 +61,15 @@ def test_criterion_2_defect_coherence():
 
 def test_criterion_3_cuspidal_fixed_points():
     start = time.time()
-    ok, detail = verifications.check_cuspidal_fixed_points(25)
+    ok, detail = verifications.check_cuspidal_fixed_points(LIMITS.cuspidal)
     assert ok, detail
-    # the bound covers the symplectic sizes 2, 6, 12, 20 and squares up to 25
+    # the default bound 25 covers the symplectic sizes 2, 6, 12, 20 and the squares up to 25
     report(3, "cuspidal fixed points", time.time() - start)
 
 
 def test_criterion_4_support_invariants():
     start = time.time()
-    ok, detail = verifications.check_support_invariants(14)
+    ok, detail = verifications.check_support_invariants(LIMITS.support)
     assert ok, detail
     elapsed = time.time() - start
     assert elapsed < 60.0

@@ -99,7 +99,10 @@ def test_weyl_descriptor_invariant_under_factor_permutation():
     blocks = [(R, 2), (R, 4)]
     left = weyl_descriptor(sp_triple([f1, f2], blocks, 16))
     right = weyl_descriptor(sp_triple([f2, f1], blocks, 16))
-    assert sorted(str(f) for f in left.factors) == sorted(str(f) for f in right.factors)
+    def facts(descriptor):
+        return sorted((f.label.name, f.root_type, f.rank, f.star) for f in descriptor.factors)
+
+    assert facts(left) == facts(right)
     assert left.r_group.order == right.r_group.order
 
 
@@ -160,13 +163,12 @@ def test_hecke_parameters_o_side_half_point():
 
 def test_hecke_parameters_unnormalized_triple_message():
     # the factor label shares the name r with the cusp blocks but not their
-    # dimension: m' counts r's blocks by name (6 >= 2), while x+ looks the
-    # label itself up among them and finds it absent on the sp side (x+ = 0)
+    # dimension; m' matches blocks by name and x+ by the whole label, so the
+    # triple is refused as it is built, with the words validate_parameter uses
     r2 = IrrLabel("r", 2, SelfDualType.ORTHOGONAL)
-    t = sp_triple([GLFactor(r2, 1, partner_mprime=2)], [(R, 2), (R, 4)], 10)
     with pytest.raises(NormalizationError) as err:
-        hecke_parameters(t)
-    assert str(err.value) == "factor r: x+=0 < x-=3/2; the triple is not normalized"
+        sp_triple([GLFactor(r2, 1, partner_mprime=2)], [(R, 2), (R, 4)], 10)
+    assert str(err.value) == "label name 'r' used with two different data"
 
 
 def test_hecke_parameters_absent_mismatch():

@@ -502,6 +502,13 @@ def with_value(doc, path, value):
       "cusp_blocks": []}, ("cusp_blocks",),
      [{"pi": {"name": "r", "dim": 1, "type": "orthogonal"}, "a": 1}], "/cusp_blocks",
      "Sp requires an even size, got 1"),
+    (SUPPORT_DOC, ("blocks", 0, "pi", "type"), "orthgonal", "/blocks/0/pi/type",
+     "unknown type 'orthgonal'"),
+    (SUPPORT_DOC, ("blocks", 0, "pi", "type"), "ORTHOGONAL", "/blocks/0/pi/type",
+     "unknown type 'ORTHOGONAL'"),
+    (HECKE_DOC, ("gl_factors", 0, "pi", "type"), "gl_pair", "/gl_factors/0/pi/type",
+     "unknown type 'gl_pair'"),
+    (SUPPORT_DOC, ("group", "family"), "sp", "/group/family", "unknown family 'sp'"),
 ])
 def test_single_fault_pointer_and_message(doc, path, value, pointer, message):
     with pytest.raises(SchemaError) as err:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import character_on
+
 from cusp_atlas import cuspsupport, lparams
 from cusp_atlas.cli import main
 from cusp_atlas.census import enumerate_parameters
@@ -25,7 +27,6 @@ from cusp_atlas.lparams import (
     IrrLabel,
     SelfDualType,
     block_exponents,
-    character_on,
     det_flip,
     half_str,
     infinitesimal_character,

@@ -4,17 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import character_on
+
+from cusp_atlas.census import enumerate_parameters
 from cusp_atlas.errors import DomainMismatch, InvalidParameter
 from cusp_atlas.lparams import (
     BlockGroupSide,
     DiscreteParameter,
     ExponentMultiset,
     IrrLabel,
+    ParameterCharacter,
     SelfDualType,
-    agroup,
     block_exponents,
     block_group_type,
-    character_on,
     det_flip,
     infinitesimal_character,
     is_cuspidal,
@@ -22,7 +24,7 @@ from cusp_atlas.lparams import (
     sgroup_factors,
     validate_parameter,
 )
-from cusp_atlas.orbits import Family, GroupKind, Relation, SignCharacter
+from cusp_atlas.orbits import Family, GroupKind, SignCharacter
 
 ORTH1 = IrrLabel("p", 1, SelfDualType.ORTHOGONAL)
 MU1 = IrrLabel("m1", 1, SelfDualType.ORTHOGONAL)
@@ -90,23 +92,30 @@ def test_block_group_type_table():
     assert block_group_type(SP6, GLP) is BlockGroupSide.GL_SIDE
 
 
-def test_agroup_symplectic_dual():
+def sign_tables(p: DiscreteParameter) -> list[ParameterCharacter]:
+    """Every value table on the blocks of p."""
+    return [character_on(p, signs)
+            for signs in itertools.product((1, -1), repeat=len(p.blocks))]
+
+
+def test_sgroup_factors_symplectic_dual_truth_table():
+    # the center -1 acts by -1 on every block: eta factors iff its product is 1
     param = DiscreteParameter(SP6, [(ORTH1, 2), (ORTH1, 4)])
-    desc, center = agroup(param)
-    assert desc.relation is Relation.FREE and desc.order == 4
-    assert center == (("p", 2), ("p", 4))
+    assert [eta.values for eta in sign_tables(param) if sgroup_factors(param, eta)] == [
+        ((("p", 2), 1), (("p", 4), 1)), ((("p", 2), -1), (("p", 4), -1))]
 
 
-def test_agroup_orthogonal_dual():
+def test_sgroup_factors_orthogonal_dual_truth_table():
+    # odd special orthogonal dual: trivial center, every table factors
     param = DiscreteParameter(SO7, [(ORTH1, 1), (ORTH1, 3),
                                     (IrrLabel("q", 3, SelfDualType.ORTHOGONAL), 1)])
-    desc, center = agroup(param)
-    assert desc.relation is Relation.DET_ONE_SUBGROUP
-    assert desc.order == 2 ** (len(param.blocks) - 1)
-    assert center == ()  # odd special orthogonal dual: trivial center
+    assert all(sgroup_factors(param, eta) for eta in sign_tables(param))
+    # even special orthogonal dual: the center -1 acts by -1 on every block
+    param = DiscreteParameter(GroupKind(Family.SO_EVEN, 4), [(MU1, 1), (MU2, 3)])
+    assert [sgroup_factors(param, eta) for eta in sign_tables(param)] == [True, False, False, True]
 
 
-def agroup_order_oracle(p: DiscreteParameter) -> int:
+def component_group_order_oracle(p: DiscreteParameter) -> int:
     """Brute-force order of the component group over F_2."""
     keys = p.block_keys()
     dims = {key: label.dim * a for (label, a), key in zip(p.blocks, p.block_keys())}
@@ -121,7 +130,12 @@ def agroup_order_oracle(p: DiscreteParameter) -> int:
     return count
 
 
-def test_agroup_order_against_f2_oracle():
+def characters_up_to_det_flip(p: DiscreteParameter) -> int:
+    """The number of value tables, a table and its det_flip counted once."""
+    return len({frozenset((eta.values, det_flip(p, eta).values)) for eta in sign_tables(p)})
+
+
+def test_component_group_order_against_f2_oracle():
     cases = [
         DiscreteParameter(SP6, [(ORTH1, 2), (ORTH1, 4)]),
         DiscreteParameter(SO7, [(ORTH1, 1), (ORTH1, 3),
@@ -134,8 +148,12 @@ def test_agroup_order_against_f2_oracle():
                            (IrrLabel("b", 3, SelfDualType.ORTHOGONAL), 1)]),
     ]
     for param in cases:
-        desc, _ = agroup(param)
-        assert desc.order == agroup_order_oracle(param)
+        order = component_group_order_oracle(param)
+        assert characters_up_to_det_flip(param) == order
+        signature = tuple(dict.fromkeys(label for label, _ in param.blocks))
+        kept = [eta for other, eta in enumerate_parameters(param.dual_group, signature)
+                if other == param]
+        assert len(kept) == order
 
 
 def test_sgroup_factors():
@@ -207,7 +225,7 @@ def test_reducibility_point():
 @given(st.lists(st.tuples(st.integers(min_value=1, max_value=3),
                           st.integers(min_value=1, max_value=4)),
                 min_size=1, max_size=4, unique=True))
-def test_agroup_oracle_on_random_orthogonal_signatures(raw):
+def test_component_group_oracle_on_random_orthogonal_signatures(raw):
     # random multi-label data for an even special orthogonal dual group
     blocks = []
     for i, (dim, half_a) in enumerate(raw):
@@ -219,8 +237,7 @@ def test_agroup_oracle_on_random_orthogonal_signatures(raw):
     if not validate_parameter(dual, blocks):
         return
     param = DiscreteParameter(dual, blocks)
-    desc, _ = agroup(param)
-    assert desc.order == agroup_order_oracle(param)
+    assert characters_up_to_det_flip(param) == component_group_order_oracle(param)
 
 
 def test_character_domain_checks():
