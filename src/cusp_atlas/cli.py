@@ -60,8 +60,9 @@ from .springer import ProductFactor, springer_datum, springer_o, springer_produc
 ENV_BOUND = "CUSP_ATLAS_BOUND"
 DEFAULT_BOUND = 24
 # Largest group size N a job may name.  A one-block `support` job takes
-# 0.8 s and 55 MB at N = 10**5 and 2.8 s and 112 MB at 3*10**5 in a cold
-# process on a 2-vCPU host, which extrapolates to about 10 s at the cap.
+# 0.15-0.3 s and 31 MB at N = 10**5 and 1.0-1.5 s and 170 MB at the cap in a
+# cold process on a 2-vCPU host whose speed drifts; most of that time goes
+# into building and writing the output document.
 MAX_GROUP_SIZE = 10**6
 # Largest `enumerate` size and `selfcheck` range, whatever the bound.  In a
 # cold process on a 2-vCPU host, `enumerate` of Sp_32 takes 1.0 s and
@@ -421,9 +422,10 @@ def _run_support(payload, bound: int) -> dict:
     report = check_support(param, eta)
     sup = report.support
     twists = []
-    for label, counts in sup.gl_twists.by_label():
-        for two_e in sorted(counts, reverse=True):
-            twists.extend([label.name, half_str(two_e)] for _ in range(counts[two_e]))
+    for label, hi, lo, n in sup.gl_twists.runs():  # top down, so no sort
+        name = label.name
+        twists.extend([name, text] for text in map(half_str, range(hi, lo - 2, -2))
+                      for _ in range(n))
     return {
         "levi": sup.levi,
         "gl_twists": twists,

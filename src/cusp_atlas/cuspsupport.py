@@ -32,14 +32,15 @@ support and its checks computes the support only there.
 
 Exponents are half-integers, held everywhere as the integers 2e:
 :class:`~cusp_atlas.lparams.ExponentMultiset` takes and returns
-(label, 2e) pairs, the segments below are ranges of those integers, and
-only the CLI writes them out, as fraction strings, through
+(label, 2e) pairs.  The exponents of a block and the segments below are
+runs 2e = lo, lo+2, ..., hi, which the multiset holds as two jumps each,
+so no step here grows with the block sizes.  Only the CLI writes the
+exponents out, as fraction strings, through
 :func:`~cusp_atlas.lparams.half_str`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -115,8 +116,7 @@ class CuspidalSupport:
     @property
     def levi(self) -> str:
         """The Levi: GL_{n_pi}^{count} per label with twists, then the classical group."""
-        pieces = [f"GL_{label.dim}^{sum(counts.values())}"
-                  for label, counts in self.gl_twists.by_label()]
+        pieces = [f"GL_{label.dim}^{n}" for label, n in self.gl_twists.label_sizes()]
         pieces.append(str(self.cusp_param.dual_group))
         return " x ".join(pieces)
 
@@ -171,9 +171,19 @@ def _psi_map(side: BlockGroupSide, normal: Partition, char: SignCharacter) -> tu
 
 
 def _segment(top: int, length: int, label: IrrLabel) -> ExponentMultiset:
-    """Exponents (top-1)/2 - f for f = 0..length-1, folded to be nonnegative."""
-    return ExponentMultiset.of_label(
-        label, dict(Counter(map(abs, range(top - 1, top - 1 - 2 * length, -2)))))
+    """Exponents (top-1)/2 - f for f = 0..length-1, folded to be nonnegative.
+
+    Doubled, this is the run from hi = top-1 down to lo = top+1-2*length;
+    the fold at 0 mirrors the part below 0 into a second run.
+    """
+    hi, lo = top - 1, top + 1 - 2 * length
+    if hi < 0:
+        runs = ((-hi, -lo),)
+    elif lo >= 0:
+        runs = ((lo, hi),)
+    else:
+        runs = ((hi % 2, hi), (2 - hi % 2, -lo))
+    return ExponentMultiset.of_runs(label, runs)
 
 
 def _slice_psi_support(label: IrrLabel, side: BlockGroupSide, sizes: tuple[int, ...],
@@ -264,8 +274,7 @@ def check_support(p: DiscreteParameter, eta: ParameterCharacter) -> SupportRepor
     """Compute the support once and check it: both routes, all five laws."""
     sup = support(p, eta)
     inf_ok = infinitesimal_character(p) == support_infinitesimal(sup)
-    twist_dims = 2 * sum(label.dim * sum(counts.values())
-                         for label, counts in sup.gl_twists.by_label())
+    twist_dims = 2 * sum(label.dim * n for label, n in sup.gl_twists.label_sizes())
     dim_ok = twist_dims + sup.cusp_param.dimension == p.dual_group.size
     again = support(sup.cusp_param, sup.cusp_char)
     idem_ok = again.is_self(sup.cusp_param, sup.cusp_char)

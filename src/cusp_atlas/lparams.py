@@ -31,8 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import InvalidParameter
 from .orbits import Family, GroupKind, SignCharacter, Verdict, require_domain
@@ -229,7 +228,7 @@ def half_str(two_e: int) -> str:
 
 
 class ExponentMultiset:
-    """Multiset of (label, half-integer) pairs, kept exact.
+    """Multiset of (label, half-integer) pairs, kept exact and held as runs.
 
     Supports the few operations the support construction needs: union,
     checked difference, the canonical nonnegative half of a symmetric
@@ -237,87 +236,108 @@ class ExponentMultiset:
 
     An exponent e is held as the integer 2e, everywhere: the constructor
     takes (label, 2e) pairs, `entries` reads them back as (label, 2e, count)
-    and `multiplicity` and `in` look up (label, 2e).  The counts live per
-    label, as ``{label: {2e: count}}`` with no zero count and no empty
-    inner dict.  Every operation works label by label on int keys, so it
-    hashes each label once rather than once per exponent, and equality is
-    dict equality.  Multisets are immutable and may share inner dicts; an
-    operation copies an inner dict before it changes it.  :func:`half_str`
-    writes 2e as the fraction string e.
+    and `multiplicity` and `in` look up (label, 2e).
+
+    The exponents of a block, and each segment of the psi route, form a run
+    2e = lo, lo+2, ..., hi.  So the multiset keeps, per label, the jumps of
+    its count function c: ``{label: {2e: c(2e) - c(2e-2)}}``, with no zero
+    jump and no empty inner dict.  A run of count n is two jumps, +n at lo
+    and -n at hi+2; even and odd 2e form two separate chains.  Union adds
+    jumps, negation sends a jump j at 2e to -j at 2-2e, a label holds
+    -sum(2e * j)/2 entries, and equality is dict equality.  So the set
+    operations cost the number of jumps, not the number of entries; of them
+    only `minus` sorts, to find a count that would go negative.  `runs` and
+    `entries` read the counts back.
+
+    Multisets are immutable and may share inner dicts; an operation copies
+    an inner dict before it changes it.  :func:`half_str` writes 2e as the
+    fraction string e.
     """
 
-    __slots__ = ("_counts",)
+    __slots__ = ("_jumps",)
 
     def __init__(self, entries: Iterable[tuple[IrrLabel, int]] = ()):
-        by_label: dict = {}
-        for label, two_e in entries:
-            by_label.setdefault(label, []).append(two_e)
-        self._counts = {label: dict(Counter(two_es)) for label, two_es in by_label.items()}
+        self._jumps = ExponentMultiset.union_all(
+            ExponentMultiset.of_runs(label, ((two_e, two_e),)) for label, two_e in entries)._jumps
 
     @classmethod
-    def _wrap(cls, counts: dict) -> "ExponentMultiset":
-        """The multiset of counts, which must hold no zero count and no empty inner dict."""
+    def _wrap(cls, jumps: dict) -> "ExponentMultiset":
+        """The multiset of jumps, which must hold no zero jump and no empty inner dict."""
         out = cls.__new__(cls)
-        out._counts = counts
+        out._jumps = jumps
         return out
 
     @classmethod
-    def of_label(cls, label: IrrLabel, counts: dict[int, int]) -> "ExponentMultiset":
-        """The multiset holding (label, 2e) counts[2e] times for each 2e.
-
-        It takes ownership of counts, which must hold no zero count.
-        """
-        return cls._wrap({label: counts} if counts else {})
+    def of_runs(cls, label: IrrLabel, runs: Iterable[tuple[int, int]]) -> "ExponentMultiset":
+        """The multiset holding (label, 2e) once per run (lo, hi) with 2e
+        among lo, lo+2, ..., hi; lo and hi have the same parity, and a run
+        with lo > hi is empty."""
+        jumps: dict = {}
+        get = jumps.get
+        for lo, hi in runs:
+            if lo <= hi:
+                jumps[lo] = get(lo, 0) + 1
+                jumps[hi + 2] = get(hi + 2, 0) - 1
+        jumps = {two_e: j for two_e, j in jumps.items() if j}
+        return cls._wrap({label: jumps} if jumps else {})
 
     @classmethod
     def union_all(cls, parts: Iterable["ExponentMultiset"]) -> "ExponentMultiset":
         """The union of several multisets, accumulated in one dict per label."""
-        counts: dict = {}
+        jumps: dict = {}
         for part in parts:
-            for label, theirs in part._counts.items():
-                mine = counts.get(label)
+            for label, theirs in part._jumps.items():
+                mine = jumps.get(label)
                 if mine is None:
-                    counts[label] = theirs.copy()
+                    jumps[label] = theirs.copy()
                     continue
                 get = mine.get
-                for two_e, count in theirs.items():
-                    mine[two_e] = get(two_e, 0) + count
-        return cls._wrap(counts)
+                for two_e, j in theirs.items():
+                    total = get(two_e, 0) + j
+                    if total:
+                        mine[two_e] = total
+                    else:  # a run ends where the next begins
+                        del mine[two_e]
+        return cls._wrap(jumps)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ExponentMultiset) and self._counts == other._counts
+        return isinstance(other, ExponentMultiset) and self._jumps == other._jumps
 
     def __hash__(self) -> int:
-        return hash(frozenset((label, frozenset(counts.items()))
-                              for label, counts in self._counts.items()))
+        return hash(frozenset((label, frozenset(jumps.items()))
+                              for label, jumps in self._jumps.items()))
 
     def __len__(self) -> int:
-        return sum(sum(counts.values()) for counts in self._counts.values())
+        return sum(map(_size, self._jumps.values()))
 
     def __contains__(self, entry: tuple[IrrLabel, int]) -> bool:
-        label, two_e = entry
-        return two_e in self._counts.get(label, ())
+        return self.multiplicity(*entry) > 0
 
     def multiplicity(self, label: IrrLabel, two_e: int) -> int:
-        counts = self._counts.get(label)
-        return counts.get(two_e, 0) if counts else 0
+        """The sum of the jumps at and below 2e on its chain."""
+        return sum(j for k, j in self._jumps.get(label, {}).items()
+                   if k <= two_e and (two_e - k) % 2 == 0)
 
     def union(self, other: "ExponentMultiset") -> "ExponentMultiset":
         return ExponentMultiset.union_all((self, other))
 
     def minus(self, other: "ExponentMultiset") -> "ExponentMultiset":
-        diff = self._counts.copy()
-        for label, theirs in other._counts.items():
+        diff = self._jumps.copy()
+        for label, theirs in other._jumps.items():
             mine = diff.get(label, {}).copy()
-            for two_e, count in theirs.items():
-                left = mine.get(two_e, 0) - count
-                if left < 0:
-                    raise InvalidParameter("multiset difference would be negative at "
-                                           f"({label},{half_str(two_e)})")
+            get = mine.get
+            for two_e, j in theirs.items():
+                left = get(two_e, 0) - j
                 if left:
                     mine[two_e] = left
                 else:
                     del mine[two_e]
+            count = [0, 0]  # on the even and on the odd chain
+            for two_e in sorted(mine):
+                count[two_e & 1] += mine[two_e]
+                if count[two_e & 1] < 0:
+                    raise InvalidParameter("multiset difference would be negative at "
+                                           f"({label},{half_str(two_e)})")
             if mine:
                 diff[label] = mine
             else:
@@ -325,37 +345,50 @@ class ExponentMultiset:
         return ExponentMultiset._wrap(diff)
 
     def is_symmetric(self) -> bool:
-        return all(counts == {-two_e: count for two_e, count in counts.items()}
-                   for counts in self._counts.values())
+        return all(jumps == _negated(jumps) for jumps in self._jumps.values())
 
     def nonnegative_half(self) -> "ExponentMultiset":
         """H with self = H + (-H); positives keep their multiplicity, zeros halve."""
         if not self.is_symmetric():
             raise InvalidParameter("multiset is not symmetric under negation")
         half = {}
-        for label, counts in self._counts.items():
-            mine = {two_e: count for two_e, count in counts.items() if two_e > 0}
-            zeros = counts.get(0, 0) // 2
-            if zeros:
-                mine[0] = zeros
+        for label, jumps in self._jumps.items():
+            mine = {}
+            at = [0, 0]  # the counts c(0) and c(1)
+            for two_e, j in jumps.items():
+                if two_e > 2:
+                    mine[two_e] = j
+                elif two_e < 2:
+                    at[two_e & 1] += j
+            zeros = at[0] // 2
+            # H holds c(0)//2 at 0, c(1) at 1 and c(2) = c(0) + jumps[2] at 2
+            for two_e, j in ((0, zeros), (1, at[1]), (2, at[0] + jumps.get(2, 0) - zeros)):
+                if j:
+                    mine[two_e] = j
             if mine:
                 half[label] = mine
         return ExponentMultiset._wrap(half)
 
     def negated(self) -> "ExponentMultiset":
         return ExponentMultiset._wrap(
-            {label: {-two_e: count for two_e, count in counts.items()}
-             for label, counts in self._counts.items()})
+            {label: _negated(jumps) for label, jumps in self._jumps.items()})
 
-    def by_label(self) -> tuple[tuple[IrrLabel, Mapping[int, int]], ...]:
-        """(label, read-only {2e: count}) for each label, sorted by label."""
-        return tuple((label, MappingProxyType(self._counts[label]))
-                     for label in sorted(self._counts))
+    def label_sizes(self) -> tuple[tuple[IrrLabel, int], ...]:
+        """(label, number of its entries) for each label, sorted by label."""
+        return tuple((label, _size(self._jumps[label])) for label in sorted(self._jumps))
+
+    def runs(self) -> tuple[tuple[IrrLabel, int, int, int], ...]:
+        """(label, hi, lo, n) for each run: the label holds 2e = hi, hi-2,
+        ..., lo n times each.  Labels come sorted and the runs of a label
+        from the top down, so the entries read in decreasing order."""
+        return tuple((label, hi, lo, n) for label in sorted(self._jumps)
+                     for hi, lo, n in _runs(self._jumps[label]))
 
     def entries(self) -> tuple[tuple[IrrLabel, int, int], ...]:
         """(label, 2e, count) for each distinct entry, sorted by label, then by 2e."""
-        return tuple((label, two_e, count) for label, counts in self.by_label()
-                     for two_e, count in sorted(counts.items()))
+        return tuple((label, two_e, n) for label in sorted(self._jumps)
+                     for hi, lo, n in reversed(_runs(self._jumps[label]))
+                     for two_e in range(lo, hi + 1, 2))
 
     def __repr__(self) -> str:
         inner = ",".join(f"({label},{half_str(two_e)})"
@@ -363,9 +396,42 @@ class ExponentMultiset:
         return f"{{{{{inner}}}}}"
 
 
+def _size(jumps: dict) -> int:
+    """The number of entries of one label's jumps: each jump j at 2e counts -2e*j/2."""
+    return -sum(two_e * j for two_e, j in jumps.items()) // 2
+
+
+def _negated(jumps: dict) -> dict:
+    return {2 - two_e: -j for two_e, j in jumps.items()}
+
+
+def _runs(jumps: dict) -> list[tuple[int, int, int]]:
+    """(hi, lo, n) runs of one label's jumps, from the top down.
+
+    Between two consecutive jumps the counts on each chain are constant; where
+    both chains hold entries they interleave, and each entry is a run of its own.
+    """
+    keys = sorted(jumps)
+    count = [0, 0]  # on the even and on the odd chain, from the current key up
+    pieces = []
+    for two_e, following in zip(keys, keys[1:]):
+        count[two_e & 1] += jumps[two_e]
+        if count[0] and count[1]:
+            pieces.extend((k, k, count[k & 1]) for k in range(two_e, following))
+        elif count[0] or count[1]:
+            parity = 1 if count[1] else 0
+            lo = two_e if two_e & 1 == parity else two_e + 1
+            hi = following - 2 if following & 1 == parity else following - 1
+            if lo <= hi:
+                pieces.append((hi, lo, count[parity]))
+    pieces.reverse()
+    return pieces
+
+
 def block_exponents(label: IrrLabel, a: int) -> ExponentMultiset:
-    """Exponents (a-1)/2 - j, j = 0..a-1, of one size-a block."""
-    return ExponentMultiset.of_label(label, dict.fromkeys(range(a - 1, -a, -2), 1))
+    """Exponents (a-1)/2 - j, j = 0..a-1, of one size-a block: the one run
+    from 1-a to a-1, so the jumps +1 at 1-a and -1 at a+1."""
+    return ExponentMultiset._wrap({label: {1 - a: 1, a + 1: -1}} if a > 0 else {})
 
 
 def infinitesimal_character(p: DiscreteParameter) -> ExponentMultiset:

@@ -149,6 +149,18 @@ JOBS = [
     ("support-wide-a101", ["support"],
      param("support", "SOodd", 109, blocks(P, [1, 3, 101], [1, -1, 1])
            + blocks(Q_SP, [2], [-1]))),
+    # every block eliminated: the folded segments of the pairs (2,4) and (6,8)
+    # overlap, so 5/2, 3/2 and 1/2 repeat
+    ("support-overlapping-pair-segments", ["support"],
+     param("support", "Sp", 20, blocks(P, [2, 4, 6, 8], [1, 1, 1, 1]))),
+    # an orthogonal-side label whose twists hold the exponent 0 twice
+    ("support-zero-twice", ["support"],
+     param("support", "SOeven", 22, blocks(P, [1, 3, 7, 11], [1, 1, 1, 1]))),
+    # two labels, each with surviving-block segments that abut (9/2,7/2 then
+    # 5/2 for p; 4,3 then 2 for q), so they read as one run per label
+    ("support-abutting-segments", ["support"],
+     param("support", "Sp", 48, blocks(P, [2, 6, 10], [-1, 1, -1])
+           + blocks(Q_SP, [1, 5, 9], [1, -1, 1]))),
     # refused before any work that grows with N
     ("support-over-size-cap", ["support"],
      param("support", "Sp", 1000002, blocks(P, [1000002], [1]))),

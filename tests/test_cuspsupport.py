@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -338,6 +339,24 @@ def test_exponent_multiset_keeps_no_zero_counts():
     assert hash(rest) == hash(ExponentMultiset([(P, k) for k in (-6, -4, 4, 6)]))
 
 
+def test_check_support_of_one_huge_block_stays_small():
+    # the exponents of a block are one run, held as two jumps, so neither
+    # route nor any conservation law builds anything of the block's size;
+    # a dense {2e: count} dict per label would trace well over 10 MB here
+    a = 200_001
+    param = DiscreteParameter(GroupKind(Family.SO_ODD, a), [(P, a)])
+    eta = character_on(param, (1,))
+    tracemalloc.start()
+    try:
+        report = check_support(param, eta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok()
+    assert len(report.support.gl_twists) == (a - 1) // 2
+    assert peak < 1_000_000
+
+
 def test_check_support_computes_the_support_twice(support_calls):
     param = DiscreteParameter(SP6, [(P, 2), (P, 4)])
     report = check_support(param, character_on(param, (1, -1)))
@@ -398,12 +417,14 @@ MULTISET_LABELS = (P, MU1, IrrLabel("q", 2, SelfDualType.SYMPLECTIC))
 labels = st.sampled_from(MULTISET_LABELS)
 # each part is built one of three ways, each with its own oracle: explicit
 # (label, 2e) pairs, the exponents of a block (label, a), and a folded
-# segment (top, length) of the psi route
+# segment (top, length) of the psi route.  Blocks up to a = 60 and segments
+# whose tops reach down to -30 and up to 30 make runs that merge, cancel
+# where one ends and the next begins, and straddle 0 on either side.
 pair_parts = st.lists(st.tuples(labels, st.integers(-9, 9)), max_size=8).map(
     lambda pairs: ("pairs", pairs))
-block_parts = st.lists(st.tuples(labels, st.integers(0, 9)), max_size=3).map(
+block_parts = st.lists(st.tuples(labels, st.integers(0, 60)), max_size=3).map(
     lambda blocks: ("blocks", blocks))
-segment_parts = st.lists(st.tuples(labels, st.integers(-4, 9), st.integers(0, 9)),
+segment_parts = st.lists(st.tuples(labels, st.integers(-30, 30), st.integers(0, 30)),
                          max_size=3).map(lambda segments: ("segments", segments))
 multiset_parts = st.lists(st.one_of(pair_parts, block_parts, segment_parts), max_size=3)
 
@@ -431,7 +452,7 @@ def fraction_repr(oracle) -> str:
 
 
 def has_no_empty_label(m) -> bool:
-    return all(counts for _, counts in m.by_label())
+    return all(n > 0 for _, n in m.label_sizes())
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -445,8 +466,18 @@ def test_exponent_multiset_matches_the_fraction_oracle(left_parts, right_parts, 
         assert all(type(k) is int and type(n) is int and n > 0 for _, k, n in m.entries())
         assert repr(m) == fraction_repr(oracle)
         assert len(m) == sum(oracle.values())
+        sizes = Counter()
+        for (label, _), n in oracle.items():
+            sizes[label] += n
+        assert m.label_sizes() == tuple(sorted(sizes.items()))
+        top_down = sorted(((label, int(2 * e)) for label, e in oracle.elements()),
+                          key=lambda entry: (entry[0], -entry[1]))
+        assert all(n > 0 and hi >= lo and (hi - lo) % 2 == 0 for _, hi, lo, n in m.runs())
+        assert [(label, k) for label, hi, lo, n in m.runs()
+                for k in range(hi, lo - 2, -2) for _ in range(n)] == top_down
+        reach = max((abs(k) for _, k in top_down), default=0) + 2
         for label in MULTISET_LABELS:
-            for k in range(-20, 21):
+            for k in range(-reach, reach + 1):
                 assert m.multiplicity(label, k) == oracle[(label, Fraction(k, 2))]
                 assert ((label, k) in m) == (oracle[(label, Fraction(k, 2))] > 0)
         assert to_counter(m.negated()) == Counter({(label, -e): n for (label, e), n in oracle.items()})
@@ -464,7 +495,7 @@ def test_exponent_multiset_matches_the_fraction_oracle(left_parts, right_parts, 
     assert both == left.union(right)
 
     assert both.minus(right) == left and has_no_empty_label(both.minus(right))
-    assert both.minus(both) == ExponentMultiset() and both.minus(both).by_label() == ()
+    assert both.minus(both) == ExponentMultiset() and both.minus(both).label_sizes() == ()
     short = Counter(left_oracle)
     short.subtract(right_oracle)
     if min(short.values(), default=0) >= 0:
