@@ -27,6 +27,7 @@ from .symbols import (
     defect_formula,
     distinguished_symbol,
     interval_structure,
+    swapped_symbol,
     symbol_from_character,
 )
 from .springer import (
@@ -73,6 +74,7 @@ from .bernstein import (
 from .census import (
     bipartition_count,
     enumerate_parameters,
+    so_count_identity,
     springer_count_identity,
     unipotent_census,
 )

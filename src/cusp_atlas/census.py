@@ -3,13 +3,20 @@
 Everything here is brute force on purpose: these generators feed the
 property checks and the census tables, so they must be independent of the
 closed formulas they exercise.
+
+The census does per partition what depends on the partition alone: it
+validates the partition, counts its classes, lists its characters and
+builds its interval structure, with every check of
+``symbols.interval_structure``.  Every (partition, character) pair still
+gets its own u-symbol, built and validated, and its d is read off that
+symbol's defect.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InvalidParameter
 from .lparams import (
@@ -31,18 +38,34 @@ from .orbits import (
     validate_partition,
 )
 from .springer import d_from_defect
-from .symbols import symbol_from_character
+from .symbols import interval_structure, swapped_symbol
 
 
-def partitions_of(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """All partitions of n, parts weakly decreasing."""
+def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of n, parts weakly decreasing, in decreasing
+    lexicographic order: (n), (n-1, 1), (n-2, 2), (n-2, 1, 1), ..."""
     if n == 0:
         yield ()
         return
-    top = min(n, max_part) if max_part is not None else n
-    for first in range(top, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    parts = [n]
+    while True:
+        yield tuple(parts)
+        # the next one: lower the last part above 1 by one, then spend that
+        # unit and the trailing 1s on parts as large as the lowered one
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        top = parts[-1] - 1
+        parts[-1] = top
+        rest = ones + 1
+        while rest > top:
+            parts.append(top)
+            rest -= top
+        if rest:
+            parts.append(rest)
 
 
 def group_partitions(kind: GroupKind) -> Iterator[Partition]:
@@ -91,11 +114,6 @@ def bipartition_count(n: int) -> int:
     return sum(partition_count(a) * partition_count(n - a) for a in range(n + 1))
 
 
-def orbit_pair_d(kind: GroupKind, p: Partition, eta: SignCharacter) -> int:
-    """Cuspidal size parameter of any enhanced class, via its symbol defect."""
-    return d_from_defect(kind, symbol_from_character(kind, p, eta).defect)
-
-
 def unipotent_census(kind: GroupKind) -> dict:
     """Count enhanced unipotent classes, bucketed by cuspidal datum size d."""
     if kind.family not in (Family.SP, Family.SO_ODD, Family.SO_EVEN):
@@ -104,8 +122,9 @@ def unipotent_census(kind: GroupKind) -> dict:
     by_d: dict[int, int] = {}
     for p in group_partitions(kind):
         copies = orbit_count(kind, p)
+        structure = interval_structure(kind, p)
         for eta in characters_of(component_group(kind, p)):
-            d = orbit_pair_d(kind, p, eta)
+            d = d_from_defect(kind, swapped_symbol(structure, eta).defect)
             total += copies
             by_d[d] = by_d.get(d, 0) + copies
     return {"pairs": total, "by_d": dict(sorted(by_d.items()))}
@@ -124,6 +143,29 @@ def springer_count_identity(n: int) -> tuple[int, int, dict[int, int], dict[int,
         if (n - d * (d + 1)) % 2 == 0:
             predicted[d] = bipartition_count((n - d * (d + 1)) // 2)
         d += 1
+    return census["pairs"], sum(predicted.values()), census["by_d"], predicted
+
+
+def so_count_identity(n: int) -> tuple[int, int, dict[int, int], dict[int, int]]:
+    """Both sides of the class-count identity for SO_n, per d-bucket.
+
+    Left: exhaustive census of enhanced classes.  Right: with d = n (mod 2),
+    d^2 <= n and m = (n - d^2)/2, the bucket of d > 0 has bip(m) classes and
+    the bucket of d = 0 has #Irr W(D_m): (bip(m) + 3 p(m/2))/2 for even m,
+    bip(m)/2 for odd m.
+    """
+    census = unipotent_census(GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n))
+    predicted: dict[int, int] = {}
+    d = n % 2
+    while d * d <= n:
+        m = (n - d * d) // 2
+        if d:
+            predicted[d] = bipartition_count(m)
+        elif m % 2:
+            predicted[d] = bipartition_count(m) // 2
+        else:
+            predicted[d] = (bipartition_count(m) + 3 * partition_count(m // 2)) // 2
+        d += 2
     return census["pairs"], sum(predicted.values()), census["by_d"], predicted
 
 

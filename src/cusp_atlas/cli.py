@@ -60,14 +60,14 @@ from .springer import ProductFactor, springer_datum, springer_o, springer_produc
 ENV_BOUND = "CUSP_ATLAS_BOUND"
 DEFAULT_BOUND = 24
 # Largest group size N a job may name.  A one-block `support` job takes
-# 0.15-0.3 s and 31 MB at N = 10**5 and 1.0-1.5 s and 170 MB at the cap in a
+# 0.27-0.36 s and 31 MB at N = 10**5 and 1.1-1.45 s and 163 MB at the cap in a
 # cold process on a 2-vCPU host whose speed drifts; most of that time goes
 # into building and writing the output document.
 MAX_GROUP_SIZE = 10**6
 # Largest `enumerate` size and `selfcheck` range, whatever the bound.  In a
-# cold process on a 2-vCPU host, `enumerate` of Sp_32 takes 1.0 s and
-# `selfcheck` with every range at 32 takes 4.9 s; the count identity alone
-# takes 7.3 s at 36.
+# cold process on a 2-vCPU host, `enumerate` of Sp_32 takes 0.75-0.85 s and
+# `selfcheck` with every range at 32 takes 6.2 s, 2.2 s of it in the SO count
+# identity; the Sp count identity alone takes 4.2 s at 36.
 MAX_CENSUS_SIZE = 32
 
 
@@ -424,7 +424,9 @@ def _run_support(payload, bound: int) -> dict:
     twists = []
     for label, hi, lo, n in sup.gl_twists.runs():  # top down, so no sort
         name = label.name
-        twists.extend([name, text] for text in map(half_str, range(hi, lo - 2, -2))
+        # tuples of strings leave the cyclic collector's care after one pass;
+        # json.dumps and _write both write them as lists
+        twists.extend((name, text) for text in map(half_str, range(hi, lo - 2, -2))
                       for _ in range(n))
     return {
         "levi": sup.levi,
@@ -590,9 +592,10 @@ def _load_document(path: Optional[str], command: str) -> dict:
 
 
 def _string_rows(rows, indent: str) -> Optional[str]:
-    """The text of ``rows`` if every item is a non-empty list of strings (the
-    shape of ``gl_twists``), with one string join per item; else None."""
-    if set(map(type, rows)) != {list} or not all(rows):
+    """The text of ``rows`` if every item is a non-empty list or tuple of
+    strings (the shape of ``gl_twists``), with one string join per item; else
+    None."""
+    if not set(map(type, rows)) <= {list, tuple} or not all(rows):
         return None
     inner = indent + "  "
     deep = inner + "  "

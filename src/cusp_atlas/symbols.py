@@ -103,13 +103,16 @@ class USymbol:
 
 @dataclass(frozen=True)
 class IntervalStructure:
-    """Interval decomposition of C = A Δ B for a base symbol.
+    """Interval decomposition of C = A Δ B for the base symbol of a partition.
 
     ``intervals[r]`` is the r-th maximal run (increasing) and ``parts[r]``
     the distinct part of generator parity it encodes; ``h`` is the excluded
-    margin (symplectic only).
+    margin (symplectic only).  It depends on the partition alone, so one
+    structure, built and checked once by :func:`interval_structure`, serves
+    every character through :func:`swapped_symbol`.
     """
 
+    partition: Partition
     symbol: USymbol
     intervals: tuple[tuple[int, ...], ...]
     parts: tuple[int, ...]
@@ -180,19 +183,17 @@ def interval_structure(kind: GroupKind, p: Partition) -> IntervalStructure:
     for run, q in zip(intervals, parts):
         if len(run) != p.multiplicity(q):
             raise InternalCheckError(f"{p}: interval {run} does not match multiplicity of {q}")
-    return IntervalStructure(symbol, intervals, parts, h)
+    return IntervalStructure(p, symbol, intervals, parts, h)
 
 
-def symbol_from_character(kind: GroupKind, p: Partition, eta: SignCharacter) -> USymbol:
-    """Symbol of the pair (class of p, eta).
+def swapped_symbol(structure: IntervalStructure, eta: SignCharacter) -> USymbol:
+    """Symbol of the pair (class of the structure's partition, eta).
 
     eta gives signs on the generator parts; the intervals where it is -1
-    have their row contents swapped relative to the base symbol.  Defined
-    for every admissible partition; on distinguished ones it reproduces the
-    closed-form row assignment rule.
+    have their row contents swapped relative to the base symbol.  The
+    result is a new :class:`USymbol`, validated as every symbol is.
     """
-    structure = interval_structure(kind, p)
-    require_domain(eta, structure.parts, "parts", p)
+    require_domain(eta, structure.parts, "parts", structure.partition)
     base_a, base_b = set(structure.symbol.a), set(structure.symbol.b)
     row_a = (base_a & base_b) | (set(structure.h) & base_a)
     row_b = (base_a & base_b) | (set(structure.h) & base_b)
@@ -200,7 +201,18 @@ def symbol_from_character(kind: GroupKind, p: Partition, eta: SignCharacter) -> 
         src_a, src_b = (base_b, base_a) if eta(q) == -1 else (base_a, base_b)
         row_a |= set(run) & src_a
         row_b |= set(run) & src_b
-    return USymbol(symbol_kind_of(kind), row_a, row_b)
+    return USymbol(structure.symbol.kind, row_a, row_b)
+
+
+def symbol_from_character(kind: GroupKind, p: Partition, eta: SignCharacter) -> USymbol:
+    """Symbol of the pair (class of p, eta): :func:`swapped_symbol` on
+    :func:`interval_structure`.
+
+    Defined for every admissible partition; on distinguished ones it
+    reproduces the closed-form row assignment rule.  A caller with many
+    characters of one partition builds the structure once instead.
+    """
+    return swapped_symbol(interval_structure(kind, p), eta)
 
 
 def defect_formula(kind: GroupKind, p: Partition, eta: SignCharacter) -> int:

@@ -103,6 +103,15 @@ def check_count_identity(limit: int) -> tuple[bool, str]:
     return True, f"Sp_N census matches for even N <= {limit}"
 
 
+def check_so_count_identity(limit: int) -> tuple[bool, str]:
+    for n in range(1, limit + 1):
+        total, predicted, by_d, by_d_predicted = census.so_count_identity(n)
+        if total != predicted or by_d != by_d_predicted:
+            return False, (f"SO_{n}: census {total} {by_d} vs "
+                           f"predicted {predicted} {by_d_predicted}")
+    return True, f"SO_N census matches for N <= {limit}"
+
+
 def check_cuspidal_fixed_points(limit: int) -> tuple[bool, str]:
     """The cuspidal pair of each admissible size N <= limit is its own datum."""
     count = 0
@@ -152,6 +161,7 @@ def check_support_invariants(limit: int) -> tuple[bool, str]:
 def run_all(limits: Limits) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
         ("count-identity", lambda: check_count_identity(limits.census)),
+        ("so-count-identity", lambda: check_so_count_identity(limits.census)),
         ("defect-coherence", lambda: check_defect_coherence(limits.defect)),
         ("order-independence", lambda: check_order_independence(limits.orders)),
         ("cuspidal-fixed-points", lambda: check_cuspidal_fixed_points(limits.cuspidal)),

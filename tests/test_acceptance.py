@@ -43,9 +43,11 @@ def test_criterion_1_springer_count_identity():
     ok, detail = verifications.check_count_identity(LIMITS.census)
     assert ok, detail
     assert springer_count_identity(4)[0] == 7  # 7 = 5 + 2
+    ok, detail = verifications.check_so_count_identity(LIMITS.census)
+    assert ok, detail
     elapsed = time.time() - start
     assert elapsed < 5.0
-    report(1, "springer count identity", elapsed)
+    report(1, "Sp and SO count identities", elapsed)
 
 
 def test_criterion_2_defect_coherence():

@@ -10,12 +10,24 @@ from cusp_atlas.census import (
     group_partitions,
     partition_count,
     partitions_of,
+    so_count_identity,
     springer_count_identity,
     unipotent_census,
 )
-from cusp_atlas.errors import InvalidParameter
+from cusp_atlas.errors import DomainMismatch, InvalidParameter
 from cusp_atlas.lparams import IrrLabel, SelfDualType, det_flip, is_cuspidal, validate_parameter
-from cusp_atlas.orbits import Family, GroupKind, SignCharacter
+from cusp_atlas.orbits import (
+    Family,
+    GroupKind,
+    Partition,
+    SignCharacter,
+    characters_of,
+    component_group,
+    orbit_count,
+    validate_partition,
+)
+from cusp_atlas.springer import d_from_defect
+from cusp_atlas.symbols import interval_structure, swapped_symbol, symbol_from_character
 
 
 def brute_bipartitions(n):
@@ -50,6 +62,79 @@ def test_group_partitions_counts():
 def test_unipotent_census_sp4():
     table = unipotent_census(GroupKind(Family.SP, 4))
     assert table == {"pairs": 7, "by_d": {0: 5, 1: 2}}
+
+
+def recursive_partitions(n, top=None):
+    """The textbook recursion: largest part first, then the rest below it."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, top or n), 0, -1):
+        for rest in recursive_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_of_matches_the_recursion_in_order():
+    for n in range(21):
+        assert list(partitions_of(n)) == list(recursive_partitions(n)), n
+
+
+def census_one_symbol_per_pair(kind):
+    """The census with one symbol_from_character call per (partition, character)."""
+    total, by_d = 0, {}
+    for parts in recursive_partitions(kind.size):
+        p = Partition(parts)
+        if not validate_partition(kind, p):
+            continue
+        copies = orbit_count(kind, p)
+        for eta in characters_of(component_group(kind, p)):
+            d = d_from_defect(kind, symbol_from_character(kind, p, eta).defect)
+            total += copies
+            by_d[d] = by_d.get(d, 0) + copies
+    return {"pairs": total, "by_d": dict(sorted(by_d.items()))}
+
+
+@pytest.mark.parametrize("family", [Family.SP, Family.SO_ODD, Family.SO_EVEN],
+                         ids=lambda f: f.value)
+def test_census_matches_one_symbol_per_pair(family):
+    for n in range(1 if family is Family.SO_ODD else 0, 17, 2):
+        kind = GroupKind(family, n)
+        assert unipotent_census(kind) == census_one_symbol_per_pair(kind), kind
+
+
+@pytest.mark.parametrize("family,parts,signs", [
+    (Family.SP, (4, 2), {2: 1}),
+    (Family.SP, (4, 2), {2: 1, 4: -1, 6: 1}),
+    (Family.SP, (2, 2, 1, 1), {1: 1}),
+    (Family.SO_ODD, (5, 3, 1), {1: 1, 3: -1}),
+    (Family.SO_EVEN, (3, 3, 1, 1), {1: 1, 3: 1, 5: -1}),
+], ids=["missing", "extra", "odd-part", "so-missing", "so-extra"])
+def test_swapped_symbol_rejects_a_character_off_the_generators(family, parts, signs):
+    p = Partition(parts)
+    kind = GroupKind(family, p.total)
+    eta = SignCharacter(signs)
+    with pytest.raises(DomainMismatch) as whole:
+        symbol_from_character(kind, p, eta)
+    with pytest.raises(DomainMismatch) as step:
+        swapped_symbol(interval_structure(kind, p), eta)
+    assert str(step.value) == str(whole.value)
+    assert str(p) in str(step.value)
+
+
+def test_so_count_identity_range():
+    for n in range(1, 21):
+        total, predicted, by_d, by_d_pred = so_count_identity(n)
+        assert total == predicted
+        assert by_d == by_d_pred
+
+
+def test_so_count_identity_buckets():
+    # SO_8: d = 0 (m = 4, #Irr W(D_4) = (20 + 3*2)/2) and d = 2 (m = 2, bip 5)
+    assert so_count_identity(8) == (18, 18, {0: 13, 2: 5}, {0: 13, 2: 5})
+    # SO_9: d = 1 (m = 4, bip 20) and d = 3 (m = 0, bip 1)
+    assert so_count_identity(9)[2:] == ({1: 20, 3: 1}, {1: 20, 3: 1})
+    # SO_6: d = 0 with odd m = 3: bip(3)/2 = 5
+    assert so_count_identity(6)[3] == {0: 5, 2: 2}
 
 
 def test_census_rejects_other_families():

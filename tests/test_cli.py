@@ -26,7 +26,7 @@ SUPPORT_DOC = {
 
 def test_support_document():
     out = run(parse_input(SUPPORT_DOC))
-    assert out["gl_twists"] == [["p", "3/2"], ["p", "1/2"]]
+    assert out["gl_twists"] == [("p", "3/2"), ("p", "1/2")]
     assert out["cusp_blocks"] == [["p", 2]]
     assert out["cusp_char"] == [[["p", 2], -1]]
     assert all(out["checks"].values())
@@ -143,6 +143,9 @@ def test_emit_matches_json_dumps_on_large_support_outputs(a, two_labels):
     {"quote\"key": "a \"quoted\" value", "back\\slash": "c:\\dir", "ctl\x01\n\t": "\x00\x1f\r"},
     {"\u03c0": "\u03c0", "\u00e9t\u00e9": ["\u00e9", "\U0001d11e"], "rows": [["\u03c0", "\U0001d11e"]]},
     {"tuple": (1, "a", (2, ())), "rows": (("x", "y"), ("z",))},
+    {"mixed_rows": [("x", "y"), ["z"]], "tuple_rows": [("p", "3/2"), ("p", "1/2")]},
+    [("x", 1), ("y",)],
+    [("x",), ()],
     {"cusp_blocks": [["p", 2], ["p", 4]], "mixed": [["p", "3/2"], ["q", 1]]},
     {"float": 1.5, "list": [0.1, -2.0, 1e300]},
     {2: "two", 1: ["one"]},
@@ -294,6 +297,7 @@ def test_main_selfcheck_quick(capsys):
     checks = {c["name"]: c["detail"] for c in out["checks"]}
     assert checks["cuspidal-fixed-points"] == "4 cuspidal pairs fixed"
     assert checks["count-identity"] == "Sp_N census matches for even N <= 6"
+    assert checks["so-count-identity"] == "SO_N census matches for N <= 6"
 
 
 def test_command_mismatch_rejected():
