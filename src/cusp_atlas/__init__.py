@@ -14,10 +14,12 @@ from .orbits import (
     Partition,
     Relation,
     SignCharacter,
+    ValidOrbit,
     component_group,
     cuspidal_pair,
     is_distinguished,
     orbit_count,
+    require_valid,
     validate_partition,
 )
 from .symbols import (

@@ -4,19 +4,23 @@ Everything here is brute force on purpose: these generators feed the
 property checks and the census tables, so they must be independent of the
 closed formulas they exercise.
 
+Each partition is validated once, where it is enumerated: the enumerators
+yield ``orbits.ValidOrbit`` values, which only ``validate_partition``
+makes, and every function taking one reads it as admissible without
+checking it again.  So the type, not a convention, carries the check.
+
 The census does per partition what depends on the partition alone: it
-validates the partition, counts its classes, lists its characters and
-builds its interval structure, with every check of
-``symbols.interval_structure``.  Every (partition, character) pair still
-gets its own u-symbol, built and validated, and its d is read off that
-symbol's defect.
+counts its classes, lists its characters and builds its interval
+structure, with every check of ``symbols.interval_structure``.  Every
+(partition, character) pair still gets its own u-symbol, built and
+validated, and its d is read off that symbol's defect.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidParameter
 from .lparams import (
@@ -32,6 +36,7 @@ from .orbits import (
     GroupKind,
     Partition,
     SignCharacter,
+    ValidOrbit,
     characters_of,
     component_group,
     orbit_count,
@@ -68,12 +73,17 @@ def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
             parts.append(rest)
 
 
-def group_partitions(kind: GroupKind) -> Iterator[Partition]:
-    """Partitions classifying unipotent classes of the group."""
-    for parts in partitions_of(kind.size):
-        p = Partition(parts)
-        if validate_partition(kind, p):
-            yield p
+def _valid_orbits(kind: GroupKind, partitions: Iterable[tuple[int, ...]]) -> Iterator[ValidOrbit]:
+    """The orbits of the partitions that are valid for the group, each validated once."""
+    for parts in partitions:
+        orbit = validate_partition(kind, Partition(parts)).orbit
+        if orbit is not None:
+            yield orbit
+
+
+def group_partitions(kind: GroupKind) -> Iterator[ValidOrbit]:
+    """Orbits of the partitions classifying unipotent classes of the group."""
+    yield from _valid_orbits(kind, partitions_of(kind.size))
 
 
 def distinct_part_partitions(n: int, parity: int) -> Iterator[tuple[int, ...]]:
@@ -91,14 +101,25 @@ def distinct_part_partitions(n: int, parity: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, start)
 
 
+def distinguished_orbits(kind: GroupKind) -> Iterator[ValidOrbit]:
+    """Orbits of the distinguished partitions of the group."""
+    parity = kind.generator_parity
+    if parity is not None:
+        yield from _valid_orbits(kind, distinct_part_partitions(kind.size, parity))
+
+
+def sign_vectors(p: Partition) -> Iterator[SignCharacter]:
+    """Every sign vector on the parts of p (at the O-level)."""
+    parts = p.increasing()
+    for signs in itertools.product((1, -1), repeat=len(parts)):
+        yield SignCharacter(dict(zip(parts, signs)))
+
+
 def distinguished_pairs(kind: GroupKind) -> Iterator[tuple[Partition, SignCharacter]]:
     """Distinguished partitions with every sign vector (at the O-level)."""
-    parity = kind.generator_parity
-    if parity is None:
-        return
-    for parts in distinct_part_partitions(kind.size, parity):
-        for signs in itertools.product((1, -1), repeat=len(parts)):
-            yield Partition(parts), SignCharacter(dict(zip(parts, signs)))
+    for orbit in distinguished_orbits(kind):
+        for eta in sign_vectors(orbit.partition):
+            yield orbit.partition, eta
 
 
 @lru_cache(maxsize=None)
@@ -120,10 +141,10 @@ def unipotent_census(kind: GroupKind) -> dict:
         raise InvalidParameter(f"census supports Sp and SO groups, not {kind}")
     total = 0
     by_d: dict[int, int] = {}
-    for p in group_partitions(kind):
-        copies = orbit_count(kind, p)
-        structure = interval_structure(kind, p)
-        for eta in characters_of(component_group(kind, p)):
+    for orbit in group_partitions(kind):
+        copies = orbit_count(orbit)
+        structure = interval_structure(orbit)
+        for eta in characters_of(component_group(orbit)):
             d = d_from_defect(kind, swapped_symbol(structure, eta).defect)
             total += copies
             by_d[d] = by_d.get(d, 0) + copies

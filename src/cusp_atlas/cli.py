@@ -65,9 +65,9 @@ DEFAULT_BOUND = 24
 # into building and writing the output document.
 MAX_GROUP_SIZE = 10**6
 # Largest `enumerate` size and `selfcheck` range, whatever the bound.  In a
-# cold process on a 2-vCPU host, `enumerate` of Sp_32 takes 0.75-0.85 s and
-# `selfcheck` with every range at 32 takes 6.2 s, 2.2 s of it in the SO count
-# identity; the Sp count identity alone takes 4.2 s at 36.
+# cold process on a 2-vCPU host whose speed drifts, `enumerate` of Sp_32 takes
+# 0.33-0.69 s and `selfcheck` with every range at 32 takes 2.9-5.9 s; the Sp
+# count identity alone takes 1.9 s at 36 in-process.
 MAX_CENSUS_SIZE = 32
 
 
@@ -371,15 +371,16 @@ def _run_validate(payload, bound: int) -> dict:
         return {"valid": verdict.valid, "problems": list(verdict.problems)}
     verdict = validate_partition(kind, p)
     doc = {"valid": verdict.valid, "problems": list(verdict.problems)}
-    if verdict:
-        doc["orbit_count"] = orbit_count(kind, p)
-        desc = component_group(kind, p)
+    orbit = verdict.orbit
+    if orbit is not None:
+        doc["orbit_count"] = orbit_count(orbit)
+        desc = component_group(orbit)
         doc["component_group"] = {
             "generators": list(desc.labels()),
             "relation": desc.relation.value,
             "order": desc.order,
         }
-        doc["distinguished"] = is_distinguished(kind, p)
+        doc["distinguished"] = is_distinguished(orbit)
     return doc
 
 

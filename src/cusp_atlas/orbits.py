@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional
 
@@ -106,8 +106,8 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(sorted((int(p) for p in parts), reverse=True))
-        if any(p <= 0 for p in parts):
+        parts = tuple(sorted(map(int, parts), reverse=True))
+        if parts and parts[-1] <= 0:
             raise ValueError(f"parts must be positive integers, got {parts}")
         object.__setattr__(self, "parts", parts)
 
@@ -218,12 +218,37 @@ def require_domain(eta: SignCharacter, keys: Iterable, what: str, owner) -> None
         raise DomainMismatch(f"character domain {eta.keys()} does not match {what} of {owner}")
 
 
+_MINT = object()
+
+
+@dataclass(frozen=True)
+class ValidOrbit:
+    """A partition that passed :func:`validate_partition` for its group.
+
+    Only that function makes one, so a function taking a ``ValidOrbit`` reads
+    the partition as admissible without checking it again: each value is
+    validated once, where it is made.
+    """
+
+    kind: GroupKind
+    partition: Partition
+    _mint: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._mint is not _MINT:
+            raise TypeError("a ValidOrbit is made only by validate_partition")
+
+
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a validation: valid, or the list of problems found."""
+    """Outcome of a validation: valid, or the list of problems found.
+
+    A valid partition's verdict carries it as ``orbit``.
+    """
 
     valid: bool
     problems: tuple[str, ...] = ()
+    orbit: Optional[ValidOrbit] = None
 
     def __bool__(self) -> bool:
         return self.valid
@@ -239,23 +264,24 @@ def validate_partition(kind: GroupKind, p: Partition) -> Verdict:
     problems = []
     if p.total != kind.size:
         problems.append(f"parts sum to {p.total}, expected {kind.size}")
-    if kind.is_symplectic:
-        bad_parity, rule = 1, "odd"
-    elif kind.is_orthogonal:
-        bad_parity, rule = 0, "even"
-    else:
-        bad_parity = None
-    if bad_parity is not None:
-        for q in p.distinct_parts():
-            if q % 2 == bad_parity and p.multiplicity(q) % 2:
-                problems.append(f"{rule} part {q} has odd multiplicity {p.multiplicity(q)}")
-    return Verdict(not problems, tuple(problems))
+    parity = kind.generator_parity
+    if parity is not None:  # the parts of the other parity come in pairs
+        rule = "even" if parity else "odd"
+        parts = p.parts
+        for q in sorted({q for q in parts if q % 2 != parity}):
+            if parts.count(q) % 2:
+                problems.append(f"{rule} part {q} has odd multiplicity {parts.count(q)}")
+    if problems:
+        return Verdict(False, tuple(problems))
+    return Verdict(True, (), ValidOrbit(kind, p, _MINT))
 
 
-def require_valid(kind: GroupKind, p: Partition) -> None:
+def require_valid(kind: GroupKind, p: Partition) -> ValidOrbit:
+    """The orbit of p, or InvalidPartition naming every problem."""
     verdict = validate_partition(kind, p)
     if not verdict:
         raise InvalidPartition(f"{p} is not a {kind} partition: " + "; ".join(verdict.problems))
+    return verdict.orbit
 
 
 def is_degenerate(p: Partition) -> bool:
@@ -265,40 +291,40 @@ def is_degenerate(p: Partition) -> bool:
     )
 
 
-def orbit_count(kind: GroupKind, p: Partition) -> int:
-    """Number of unipotent classes attached to p (2 only for degenerate SO_even)."""
-    require_valid(kind, p)
-    if kind.family is Family.SO_EVEN and len(p) and is_degenerate(p):
+def orbit_count(orbit: ValidOrbit) -> int:
+    """Number of unipotent classes attached to the partition (2 only for degenerate SO_even)."""
+    p = orbit.partition
+    if orbit.kind.family is Family.SO_EVEN and len(p) and is_degenerate(p):
         return 2
     return 1
 
 
-def component_group(kind: GroupKind, p: Partition) -> ComponentGroupDescriptor:
-    """Component group of the centralizer of a class of type p."""
-    require_valid(kind, p)
+def component_group(orbit: ValidOrbit) -> ComponentGroupDescriptor:
+    """Component group of the centralizer of a class of the orbit's type."""
+    kind = orbit.kind
     parity = kind.generator_parity
     if parity is None:  # GL: connected reductive centralizer
         return ComponentGroupDescriptor((), Relation.FREE, 1)
-    gens = p.distinct_parts_of_parity(parity)
+    gens = orbit.partition.distinct_parts_of_parity(parity)
     if kind.is_special_orthogonal:
         order = 2 ** max(0, len(gens) - 1)
         return ComponentGroupDescriptor(gens, Relation.QUOTIENT_BY_FULL_PRODUCT, order)
     return ComponentGroupDescriptor(gens, Relation.FREE, 2 ** len(gens))
 
 
-def is_distinguished(kind: GroupKind, p: Partition) -> bool:
+def is_distinguished(orbit: ValidOrbit) -> bool:
     """All parts distinct, of the group's generator parity.
 
     GL classes are never distinguished here: the reductive centralizer
     always contains a central torus.
     """
-    require_valid(kind, p)
+    kind, parts = orbit.kind, orbit.partition.parts
     if kind.is_gl:
         return False
-    if len(set(p.parts)) != len(p.parts):
+    if len(set(parts)) != len(parts):
         return False
     parity = kind.generator_parity
-    return all(q % 2 == parity for q in p.parts)
+    return all(q % 2 == parity for q in parts)
 
 
 def staircase(parity: int, d: int) -> Partition:

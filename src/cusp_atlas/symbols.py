@@ -30,9 +30,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import sub
 
 from .errors import InternalCheckError, InvalidPartition
-from .orbits import GroupKind, Partition, SignCharacter, is_distinguished, require_domain, require_valid
+from .orbits import (
+    GroupKind,
+    Partition,
+    SignCharacter,
+    ValidOrbit,
+    is_distinguished,
+    require_domain,
+    require_valid,
+)
 
 
 class SymbolKind(Enum):
@@ -49,18 +58,30 @@ def symbol_kind_of(kind: GroupKind) -> SymbolKind:
 
 
 def _no_consecutive(entries: tuple[int, ...]) -> bool:
-    return all(b - a > 1 for a, b in zip(entries, entries[1:]))
+    """No two entries differ by 1; ``entries`` is strictly increasing, so no
+    gap is smaller."""
+    return 1 not in map(sub, entries[1:], entries)
 
 
 @dataclass(frozen=True)
 class USymbol:
+    """A u-symbol, with its rows sorted and checked on construction.
+
+    The checks are on the rows alone.  The size needs no check of its own:
+    with no two consecutive entries in a row, sum(A) + sum(B) is at least
+    what the |A| and |B| smallest entries give, so the size is at least
+    (|A| - |B|)^2 >= 0 for an orthogonal symbol and at least
+    (|A| - |B|)(|A| - |B| - 1) >= 0 for a symplectic one, and a symplectic
+    size 2 sum - t(t - 1) is always even.
+    """
+
     kind: SymbolKind
     a: tuple[int, ...]
     b: tuple[int, ...]
 
     def __init__(self, kind: SymbolKind, a, b):
-        a = tuple(sorted(set(int(x) for x in a)))
-        b = tuple(sorted(set(int(x) for x in b)))
+        a = tuple(sorted(set(map(int, a))))
+        b = tuple(sorted(set(map(int, b))))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -77,10 +98,6 @@ class USymbol:
                 raise ValueError("the second row of a symplectic symbol excludes 0")
             if (len(self.a) + len(self.b)) % 2 == 0:
                 raise ValueError("a symplectic symbol has an odd number of entries")
-        if self.size < 0:
-            raise ValueError(f"symbol {self} has negative size")
-        if self.kind is SymbolKind.SP_ORDERED and self.size % 2:
-            raise ValueError(f"symplectic symbol {self} has odd size")
 
     @property
     def size(self) -> int:
@@ -107,9 +124,12 @@ class IntervalStructure:
 
     ``intervals[r]`` is the r-th maximal run (increasing) and ``parts[r]``
     the distinct part of generator parity it encodes; ``h`` is the excluded
-    margin (symplectic only).  It depends on the partition alone, so one
-    structure, built and checked once by :func:`interval_structure`, serves
-    every character through :func:`swapped_symbol`.
+    margin (symplectic only).  The rows every character shares, (A ∩ B)
+    with the margin's share of each row, are ``common``, and ``splits[r]``
+    is (run ∩ A, run ∩ B) of ``intervals[r]``.  It depends on the partition
+    alone, so one structure, built and checked once by
+    :func:`interval_structure`, serves every character through
+    :func:`swapped_symbol`.
     """
 
     partition: Partition
@@ -117,6 +137,8 @@ class IntervalStructure:
     intervals: tuple[tuple[int, ...], ...]
     parts: tuple[int, ...]
     h: tuple[int, ...]
+    common: tuple[tuple[int, ...], tuple[int, ...]]
+    splits: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def _padded_increasing(kind: GroupKind, p: Partition) -> tuple[int, ...]:
@@ -152,10 +174,10 @@ def _split_rows(kind: GroupKind, parts: tuple[int, ...]) -> tuple[tuple[int, ...
     return row_a, row_b
 
 
-def distinguished_symbol(kind: GroupKind, p: Partition) -> USymbol:
+def distinguished_symbol(orbit: ValidOrbit) -> USymbol:
     """The base symbol of a partition: rows interleave, character trivial."""
+    kind, p = orbit.kind, orbit.partition
     target = symbol_kind_of(kind)
-    require_valid(kind, p)
     row_a, row_b = _split_rows(kind, _padded_increasing(kind, p))
     symbol = USymbol(target, row_a, row_b)
     expected = kind.size
@@ -164,11 +186,12 @@ def distinguished_symbol(kind: GroupKind, p: Partition) -> USymbol:
     return symbol
 
 
-def interval_structure(kind: GroupKind, p: Partition) -> IntervalStructure:
-    symbol = distinguished_symbol(kind, p)
-    c = sorted(set(symbol.a) ^ set(symbol.b))
+def interval_structure(orbit: ValidOrbit) -> IntervalStructure:
+    kind, p = orbit.kind, orbit.partition
+    symbol = distinguished_symbol(orbit)
+    base_a, base_b = set(symbol.a), set(symbol.b)
     runs: list[list[int]] = []
-    for x in c:
+    for x in sorted(base_a ^ base_b):
         if runs and x == runs[-1][-1] + 1:
             runs[-1].append(x)
         else:
@@ -183,7 +206,11 @@ def interval_structure(kind: GroupKind, p: Partition) -> IntervalStructure:
     for run, q in zip(intervals, parts):
         if len(run) != p.multiplicity(q):
             raise InternalCheckError(f"{p}: interval {run} does not match multiplicity of {q}")
-    return IntervalStructure(p, symbol, intervals, parts, h)
+    both = base_a & base_b
+    common = (tuple(sorted(both | (base_a & set(h)))), tuple(sorted(both | (base_b & set(h)))))
+    splits = tuple((tuple(x for x in run if x in base_a), tuple(x for x in run if x in base_b))
+                   for run in intervals)
+    return IntervalStructure(p, symbol, intervals, parts, h, common, splits)
 
 
 def swapped_symbol(structure: IntervalStructure, eta: SignCharacter) -> USymbol:
@@ -192,15 +219,17 @@ def swapped_symbol(structure: IntervalStructure, eta: SignCharacter) -> USymbol:
     eta gives signs on the generator parts; the intervals where it is -1
     have their row contents swapped relative to the base symbol.  The
     result is a new :class:`USymbol`, validated as every symbol is.
+
+    Once eta's domain is checked to be the parts, ``eta.values`` (sorted by
+    generator) runs over the parts in the order of ``structure.splits``.
     """
     require_domain(eta, structure.parts, "parts", structure.partition)
-    base_a, base_b = set(structure.symbol.a), set(structure.symbol.b)
-    row_a = (base_a & base_b) | (set(structure.h) & base_a)
-    row_b = (base_a & base_b) | (set(structure.h) & base_b)
-    for run, q in zip(structure.intervals, structure.parts):
-        src_a, src_b = (base_b, base_a) if eta(q) == -1 else (base_a, base_b)
-        row_a |= set(run) & src_a
-        row_b |= set(run) & src_b
+    row_a, row_b = structure.common
+    for (in_a, in_b), (_, sign) in zip(structure.splits, eta.values):
+        if sign == -1:
+            in_a, in_b = in_b, in_a
+        row_a += in_a
+        row_b += in_b
     return USymbol(structure.symbol.kind, row_a, row_b)
 
 
@@ -212,7 +241,8 @@ def symbol_from_character(kind: GroupKind, p: Partition, eta: SignCharacter) -> 
     reproduces the closed-form row assignment rule.  A caller with many
     characters of one partition builds the structure once instead.
     """
-    return swapped_symbol(interval_structure(kind, p), eta)
+    symbol_kind_of(kind)  # a group without symbols is refused before its partition is read
+    return swapped_symbol(interval_structure(require_valid(kind, p)), eta)
 
 
 def defect_formula(kind: GroupKind, p: Partition, eta: SignCharacter) -> int:
@@ -225,7 +255,7 @@ def defect_formula(kind: GroupKind, p: Partition, eta: SignCharacter) -> int:
     eta is given on exactly the parts.  Must agree with the defect of
     :func:`symbol_from_character`.
     """
-    if not is_distinguished(kind, p):
+    if not is_distinguished(require_valid(kind, p)):
         raise InvalidPartition(f"{p} is not distinguished for {kind}")
     require_domain(eta, p.parts, "parts", p)
     parts = p.increasing()

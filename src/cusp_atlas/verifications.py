@@ -22,7 +22,7 @@ from .springer import (
     removable_sites,
     springer_datum,
 )
-from .symbols import defect_formula, symbol_from_character
+from .symbols import defect_formula, interval_structure, swapped_symbol
 
 
 @dataclass(frozen=True)
@@ -57,18 +57,20 @@ def check_defect_coherence(limit: int) -> tuple[bool, str]:
     checked = 0
     for n in range(1, limit + 1):
         for kind in _distinguished_kinds(n):
-            for p, eta in census.distinguished_pairs(kind):
-                before = defect_formula(kind, p, eta)
-                if symbol_from_character(kind, p, eta).defect != before:
-                    return False, f"defect mismatch at {kind} {p} {eta}"
-                for j in removable_sites(p.increasing(), eta):
-                    q, chi = eliminate_once(p, eta, j)
-                    shrunk = GroupKind(kind.family, q.total) if q.total else kind
-                    after = (defect_formula(shrunk, q, chi) if len(q)
-                             else (1 if kind.is_symplectic else 0))
-                    if after != before:
-                        return False, f"defect not conserved at {kind} {p} {eta} step {j}"
-                checked += 1
+            for orbit in census.distinguished_orbits(kind):
+                p, structure = orbit.partition, interval_structure(orbit)
+                for eta in census.sign_vectors(p):
+                    before = defect_formula(kind, p, eta)
+                    if swapped_symbol(structure, eta).defect != before:
+                        return False, f"defect mismatch at {kind} {p} {eta}"
+                    for j in removable_sites(p.increasing(), eta):
+                        q, chi = eliminate_once(p, eta, j)
+                        shrunk = GroupKind(kind.family, q.total) if q.total else kind
+                        after = (defect_formula(shrunk, q, chi) if len(q)
+                                 else (1 if kind.is_symplectic else 0))
+                        if after != before:
+                            return False, f"defect not conserved at {kind} {p} {eta} step {j}"
+                    checked += 1
     return True, f"{checked} distinguished pairs"
 
 

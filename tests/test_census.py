@@ -1,6 +1,10 @@
 import itertools
+import sys
 
 import pytest
+
+from cusp_atlas import orbits
+from cusp_atlas.cli import main
 
 from cusp_atlas.census import (
     DEFAULT_SIGNATURE,
@@ -24,6 +28,7 @@ from cusp_atlas.orbits import (
     characters_of,
     component_group,
     orbit_count,
+    require_valid,
     validate_partition,
 )
 from cusp_atlas.springer import d_from_defect
@@ -84,10 +89,11 @@ def census_one_symbol_per_pair(kind):
     total, by_d = 0, {}
     for parts in recursive_partitions(kind.size):
         p = Partition(parts)
-        if not validate_partition(kind, p):
+        verdict = validate_partition(kind, p)
+        if not verdict:
             continue
-        copies = orbit_count(kind, p)
-        for eta in characters_of(component_group(kind, p)):
+        copies = orbit_count(verdict.orbit)
+        for eta in characters_of(component_group(verdict.orbit)):
             d = d_from_defect(kind, symbol_from_character(kind, p, eta).defect)
             total += copies
             by_d[d] = by_d.get(d, 0) + copies
@@ -116,7 +122,7 @@ def test_swapped_symbol_rejects_a_character_off_the_generators(family, parts, si
     with pytest.raises(DomainMismatch) as whole:
         symbol_from_character(kind, p, eta)
     with pytest.raises(DomainMismatch) as step:
-        swapped_symbol(interval_structure(kind, p), eta)
+        swapped_symbol(interval_structure(require_valid(kind, p)), eta)
     assert str(step.value) == str(whole.value)
     assert str(p) in str(step.value)
 
@@ -249,3 +255,37 @@ def test_slices_are_the_per_label_filter_of_the_blocks():
                 naive = tuple((label, tuple(sorted(a for lab, a in param.blocks if lab == label)))
                               for label in labels)
                 assert param.slices() == naive
+
+
+@pytest.fixture
+def validated(monkeypatch) -> list:
+    """The partitions `orbits.validate_partition` is called on, in order, from
+    every module of the package that holds it."""
+    calls = []
+    direct = orbits.validate_partition
+
+    def counted(kind, p):
+        calls.append(p.parts)
+        return direct(kind, p)
+
+    for name, module in list(sys.modules.items()):
+        if name == "cusp_atlas" or name.startswith("cusp_atlas."):
+            for attr, value in list(vars(module).items()):
+                if value is direct:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", [Family.SP, Family.SO_EVEN], ids=lambda f: f.value)
+def test_census_validates_each_partition_once(family, validated):
+    kind = GroupKind(family, 12)
+    table = unipotent_census(kind)
+    assert table["pairs"] > 0
+    assert sorted(validated) == sorted(partitions_of(12))
+
+
+def test_validate_job_validates_its_partition_once(validated, feed_stdin, capsys):
+    feed_stdin('{"command":"validate","group":{"family":"SOeven","N":8},"partition":[2,2,2,2]}')
+    assert main(["validate", "--input", "-"]) == 0
+    assert '"orbit_count": 2' in capsys.readouterr().out
+    assert validated == [(2, 2, 2, 2)]

@@ -7,12 +7,14 @@ from cusp_atlas.orbits import (
     Partition,
     Relation,
     SignCharacter,
+    ValidOrbit,
     characters_of,
     component_group,
     cuspidal_pair,
     is_degenerate,
     is_distinguished,
     orbit_count,
+    require_valid,
     staircase,
     staircase_d,
     validate_partition,
@@ -63,41 +65,41 @@ def test_validate_reports_size_mismatch():
 
 
 def test_orbit_count():
-    assert orbit_count(GroupKind(Family.SO_EVEN, 8), Partition((2, 2, 2, 2))) == 2
-    assert orbit_count(SO8, Partition((3, 3, 1, 1))) == 1
-    assert orbit_count(SP4, Partition((2, 2))) == 1
+    assert orbit_count(require_valid(GroupKind(Family.SO_EVEN, 8), Partition((2, 2, 2, 2)))) == 2
+    assert orbit_count(require_valid(SO8, Partition((3, 3, 1, 1)))) == 1
+    assert orbit_count(require_valid(SP4, Partition((2, 2)))) == 1
     # the full orthogonal group fuses the two classes
-    assert orbit_count(GroupKind(Family.O_EVEN, 8), Partition((2, 2, 2, 2))) == 1
+    assert orbit_count(require_valid(GroupKind(Family.O_EVEN, 8), Partition((2, 2, 2, 2)))) == 1
 
 
 def test_component_groups():
-    desc = component_group(SP6, Partition((4, 2)))
+    desc = component_group(require_valid(SP6, Partition((4, 2))))
     assert desc.generators == (2, 4)
     assert desc.relation is Relation.FREE and desc.order == 4
-    desc = component_group(SO9, Partition((5, 3, 1)))
+    desc = component_group(require_valid(SO9, Partition((5, 3, 1))))
     assert desc.generators == (1, 3, 5)
     assert desc.relation is Relation.QUOTIENT_BY_FULL_PRODUCT and desc.order == 4
-    desc = component_group(GroupKind(Family.O_ODD, 9), Partition((5, 3, 1)))
+    desc = component_group(require_valid(GroupKind(Family.O_ODD, 9), Partition((5, 3, 1))))
     assert desc.relation is Relation.FREE and desc.order == 8
-    assert component_group(GroupKind(Family.GL, 5), Partition((5,))).order == 1
+    assert component_group(require_valid(GroupKind(Family.GL, 5), Partition((5,)))).order == 1
 
 
 def test_component_group_orders_across_all_partitions():
     for kind in (GroupKind(Family.SP, 10), GroupKind(Family.SO_ODD, 9),
                  GroupKind(Family.SO_EVEN, 10)):
-        for p in group_partitions(kind):
-            desc = component_group(kind, p)
-            s = len(p.distinct_parts_of_parity(kind.generator_parity))
+        for orbit in group_partitions(kind):
+            desc = component_group(orbit)
+            s = len(orbit.partition.distinct_parts_of_parity(kind.generator_parity))
             expected = 2 ** max(0, s - 1) if kind.is_special_orthogonal else 2 ** s
             assert desc.order == expected
             assert len(characters_of(desc)) == desc.order
 
 
 def test_is_distinguished():
-    assert is_distinguished(SP6, Partition((4, 2)))
-    assert is_distinguished(SO9, Partition((5, 3, 1)))
-    assert not is_distinguished(SP4, Partition((2, 2)))
-    assert not is_distinguished(GroupKind(Family.GL, 3), Partition((3,)))
+    assert is_distinguished(require_valid(SP6, Partition((4, 2))))
+    assert is_distinguished(require_valid(SO9, Partition((5, 3, 1))))
+    assert not is_distinguished(require_valid(SP4, Partition((2, 2))))
+    assert not is_distinguished(require_valid(GroupKind(Family.GL, 3), Partition((3,))))
 
 
 def test_cuspidal_pair_symplectic():
@@ -142,15 +144,15 @@ def test_cuspidal_pair_is_valid_and_distinguished():
                  GroupKind(Family.O_ODD, 9)):
         pair = cuspidal_pair(kind)
         assert validate_partition(kind, pair.partition)
-        assert is_distinguished(kind, pair.partition)
+        assert is_distinguished(require_valid(kind, pair.partition))
 
 
 def test_degenerate_partitions_have_no_generators():
     # splitting classes carry a connected centralizer image
-    for p in group_partitions(GroupKind(Family.SO_EVEN, 8)):
-        if orbit_count(GroupKind(Family.SO_EVEN, 8), p) == 2:
-            assert is_degenerate(p)
-            assert component_group(GroupKind(Family.SO_EVEN, 8), p).generators == ()
+    for orbit in group_partitions(GroupKind(Family.SO_EVEN, 8)):
+        if orbit_count(orbit) == 2:
+            assert is_degenerate(orbit.partition)
+            assert component_group(orbit).generators == ()
 
 
 def test_sign_character_helpers():
@@ -166,5 +168,18 @@ def test_sign_character_helpers():
 
 
 def test_require_valid_raises():
-    with pytest.raises(InvalidPartition):
-        component_group(SP4, Partition((3, 1)))
+    with pytest.raises(InvalidPartition, match=r"^\(3,1\) is not a Sp_4 partition: "
+                       r"odd part 1 has odd multiplicity 1; odd part 3 has odd multiplicity 1$"):
+        require_valid(SP4, Partition((3, 1)))
+    with pytest.raises(InvalidPartition, match=r"^\(4,2,2\) is not a SOeven_8 partition: "
+                       r"even part 4 has odd multiplicity 1$"):
+        require_valid(SO8, Partition((4, 2, 2)))
+
+
+def test_valid_orbit_is_made_only_by_validation():
+    with pytest.raises(TypeError):
+        ValidOrbit(SP4, Partition((3, 1)))
+    assert validate_partition(SP4, Partition((3, 1))).orbit is None
+    orbit = validate_partition(SP4, Partition((2, 2))).orbit
+    assert (orbit.kind, orbit.partition) == (SP4, Partition((2, 2)))
+    assert require_valid(SP4, Partition((2, 2))) == orbit

@@ -14,6 +14,7 @@ from cusp_atlas.orbits import (
     component_group,
     cuspidal_pair,
     orbit_count,
+    require_valid,
 )
 from cusp_atlas.springer import (
     OCase,
@@ -216,8 +217,9 @@ def test_springer_o_central_value_matches():
     # the recorded lift always matches the character on the central class
     for n in (5, 7, 9, 4, 6, 8):
         kind_o = GroupKind(Family.O_ODD if n % 2 else Family.O_EVEN, n)
-        for p in group_partitions(kind_o):
-            for eta in characters_of(component_group(kind_o, p)):
+        for orbit in group_partitions(kind_o):
+            p = orbit.partition
+            for eta in characters_of(component_group(orbit)):
                 out = springer_o(p, eta)
                 if out.case is OCase.I:
                     central = tuple(q for q in p.distinct_parts_of_parity(1)
@@ -229,13 +231,13 @@ def test_o4_torus_series_has_hyperoctahedral_size():
     """Fiber count over the torus datum of O_4: 2 + 2 extensions + 1 induced."""
     members = 0
     kind_o = GroupKind(Family.O_EVEN, 4)
-    for p in group_partitions(kind_o):
-        copies = orbit_count(GroupKind(Family.SO_EVEN, 4), p)
+    for orbit in group_partitions(kind_o):
+        copies = orbit_count(require_valid(GroupKind(Family.SO_EVEN, 4), orbit.partition))
         if copies == 2:  # fused pair: one induced member
             members += 1
             continue
-        for eta in characters_of(component_group(kind_o, p)):
-            out = springer_o(p, eta)
+        for eta in characters_of(component_group(orbit)):
+            out = springer_o(orbit.partition, eta)
             if out.case is OCase.II:
                 members += 1
     from cusp_atlas.census import bipartition_count

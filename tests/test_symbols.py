@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,15 @@ from conftest import alternative_defect_formula_sp
 
 from cusp_atlas.census import distinguished_pairs, group_partitions
 from cusp_atlas.errors import DomainMismatch, InvalidPartition
-from cusp_atlas.orbits import Family, GroupKind, Partition, SignCharacter, characters_of, component_group
+from cusp_atlas.orbits import (
+    Family,
+    GroupKind,
+    Partition,
+    SignCharacter,
+    characters_of,
+    component_group,
+    require_valid,
+)
 from cusp_atlas.springer import springer_datum
 from cusp_atlas.symbols import (
     SymbolKind,
@@ -14,6 +24,7 @@ from cusp_atlas.symbols import (
     defect_formula,
     distinguished_symbol,
     interval_structure,
+    swapped_symbol,
     symbol_from_character,
 )
 
@@ -53,7 +64,7 @@ def closed_form_symbol(kind, p, eta):
     (SO9, (5, 3, 1), (0, 4), (2,)),
 ])
 def test_distinguished_symbol_fixtures(kind, parts, a, b):
-    sym = distinguished_symbol(kind, Partition(parts))
+    sym = distinguished_symbol(require_valid(kind, Partition(parts)))
     assert (sym.a, sym.b) == (a, b)
     assert sym.size == kind.size
 
@@ -65,6 +76,40 @@ def test_symbol_invariants_enforced():
         USymbol(SymbolKind.SP_ORDERED, (2,), (0,))       # 0 in the second row
     with pytest.raises(ValueError):
         USymbol(SymbolKind.SP_ORDERED, (0, 2), (4, 6))   # even entry count
+    with pytest.raises(ValueError, match=r"^symbol entries must be nonnegative: \(-2, 0\)$"):
+        USymbol(SymbolKind.O_UNORDERED, (0, -2), (1,))
+    with pytest.raises(ValueError, match=r"^symbol entries must be nonnegative: \(-1, 3\)$"):
+        USymbol(SymbolKind.SP_ORDERED, (0,), (3, -1))
+    with pytest.raises(ValueError, match=r"^consecutive entries in one row: \(2, 4, 5\)$"):
+        USymbol(SymbolKind.O_UNORDERED, (0,), (5, 2, 4))
+
+
+def spaced_rows(top: int, most: int) -> list[tuple[int, ...]]:
+    """Every row of at most ``most`` entries below ``top``, no two consecutive."""
+    return [row for k in range(most + 1) for row in itertools.combinations(range(top), k)
+            if all(y - x > 1 for x, y in zip(row, row[1:]))]
+
+
+@pytest.mark.parametrize("kind", list(SymbolKind), ids=lambda k: k.value)
+def test_rows_alone_keep_the_size_nonnegative_and_symplectic_sizes_even(kind):
+    # USymbol checks its rows only: with no two consecutive entries in a row,
+    # the size is at least (|A| - |B|)^2 (orthogonal) or (|A| - |B|)(|A| - |B| - 1)
+    # (symplectic), and a symplectic size is even
+    rows = spaced_rows(10, 4)
+    built = 0
+    for a in rows:
+        for b in rows:
+            try:
+                sym = USymbol(kind, a, b)
+            except ValueError:
+                continue
+            built += 1
+            d = len(a) - len(b)
+            if kind is SymbolKind.SP_ORDERED:
+                assert sym.size >= d * (d - 1) >= 0 and sym.size % 2 == 0, sym
+            else:
+                assert sym.size >= d * d, sym
+    assert built > 1000
 
 
 @pytest.mark.parametrize("kind,parts,intervals,h,matched", [
@@ -73,19 +118,50 @@ def test_symbol_invariants_enforced():
     (SP2, (2,), ((3,),), (0, 1), (2,)),
 ])
 def test_interval_structure_fixtures(kind, parts, intervals, h, matched):
-    st_ = interval_structure(kind, Partition(parts))
+    st_ = interval_structure(require_valid(kind, Partition(parts)))
     assert st_.intervals == intervals
     assert st_.h == h
     assert st_.parts == matched
 
 
+def set_algebra_swapped_symbol(structure, eta):
+    """The set-algebra form of `swapped_symbol`: the base rows' common part and
+    margin, then the content of each interval from the row eta selects."""
+    base_a, base_b = set(structure.symbol.a), set(structure.symbol.b)
+    row_a = (base_a & base_b) | (set(structure.h) & base_a)
+    row_b = (base_a & base_b) | (set(structure.h) & base_b)
+    for run, q in zip(structure.intervals, structure.parts):
+        src_a, src_b = (base_b, base_a) if eta(q) == -1 else (base_a, base_b)
+        row_a |= set(run) & src_a
+        row_b |= set(run) & src_b
+    return USymbol(structure.symbol.kind, row_a, row_b)
+
+
+def test_swapped_symbol_matches_the_set_algebra_on_every_pair():
+    # the precomputed splits are read in the order of eta.values, which must
+    # run over the generator parts as structure.parts does
+    pairs = 0
+    for n in range(15):
+        kinds = [GroupKind(Family.SP, n)] if n % 2 == 0 else []
+        kinds.append(GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n))
+        for kind in kinds:
+            for orbit in group_partitions(kind):
+                structure = interval_structure(orbit)
+                for signs in itertools.product((1, -1), repeat=len(structure.parts)):
+                    eta = SignCharacter(dict(zip(reversed(structure.parts), reversed(signs))))
+                    assert swapped_symbol(structure, eta) == \
+                        set_algebra_swapped_symbol(structure, eta), (kind, orbit.partition, eta)
+                    pairs += 1
+    assert pairs == 1120
+
+
 def test_interval_lengths_match_multiplicities():
     for kind in (GroupKind(Family.SP, 10), GroupKind(Family.SO_ODD, 9),
                  GroupKind(Family.SO_EVEN, 10)):
-        for p in group_partitions(kind):
-            st_ = interval_structure(kind, p)
+        for orbit in group_partitions(kind):
+            st_ = interval_structure(orbit)
             for run, q in zip(st_.intervals, st_.parts):
-                assert len(run) == p.multiplicity(q)
+                assert len(run) == orbit.partition.multiplicity(q)
 
 
 @pytest.mark.parametrize("kind,parts,signs,a,b,dft", [
@@ -118,6 +194,11 @@ def test_defect_formula_fixtures():
     assert defect_formula(SP2, Partition((2,)), SignCharacter({2: -1})) == -1
     assert defect_formula(SO9, Partition((5, 3, 1)),
                           SignCharacter({1: -1, 3: -1, 5: 1})) == 1
+
+
+def test_a_group_without_symbols_is_refused_before_its_partition_is_read():
+    with pytest.raises(InvalidPartition, match=r"^GL_3 has no u-symbol combinatorics$"):
+        symbol_from_character(GroupKind(Family.GL, 3), Partition((2,)), SignCharacter())
 
 
 def test_defect_formula_requires_distinguished():
@@ -154,9 +235,9 @@ def test_defect_parities():
         kinds = [GroupKind(Family.SP, n)] if n % 2 == 0 else []
         kinds.append(GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n))
         for kind in kinds:
-            for p in group_partitions(kind):
-                for eta in characters_of(component_group(kind, p)):
-                    d = symbol_from_character(kind, p, eta).defect
+            for orbit in group_partitions(kind):
+                for eta in characters_of(component_group(orbit)):
+                    d = symbol_from_character(kind, orbit.partition, eta).defect
                     if kind.is_symplectic:
                         assert d % 2 == 1
                     else:
@@ -167,8 +248,8 @@ def test_base_symbol_satisfies_membership_conditions():
     # both defining conditions, for every admissible partition
     for kind in (GroupKind(Family.SP, 12), GroupKind(Family.SO_ODD, 11),
                  GroupKind(Family.SO_EVEN, 12)):
-        for p in group_partitions(kind):
-            sym = distinguished_symbol(kind, p)
+        for orbit in group_partitions(kind):
+            sym = distinguished_symbol(orbit)
             assert sym.size == kind.size  # encodes the balance condition
             for row in (sym.a, sym.b):
                 assert all(y - x > 1 for x, y in zip(row, row[1:]))
@@ -178,11 +259,12 @@ def test_base_symbol_satisfies_membership_conditions():
 
 def test_trivial_character_symbol_is_similar_to_base():
     for kind in (GroupKind(Family.SP, 10), GroupKind(Family.SO_ODD, 9)):
-        for p in group_partitions(kind):
+        for orbit in group_partitions(kind):
+            p = orbit.partition
             trivial = SignCharacter(
                 {q: 1 for q in p.distinct_parts_of_parity(kind.generator_parity)})
             left = symbol_from_character(kind, p, trivial)
-            right = distinguished_symbol(kind, p)
+            right = distinguished_symbol(orbit)
             assert set(left.a) | set(left.b) == set(right.a) | set(right.b)
             assert set(left.a) & set(left.b) == set(right.a) & set(right.b)
 
