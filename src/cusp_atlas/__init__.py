@@ -30,7 +30,6 @@ from .symbols import (
     distinguished_symbol,
     interval_structure,
     swapped_symbol,
-    symbol_from_character,
 )
 from .springer import (
     CuspidalDatum,

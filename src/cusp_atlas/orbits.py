@@ -124,8 +124,12 @@ class Partition:
     def increasing(self) -> tuple[int, ...]:
         return tuple(reversed(self.parts))
 
-    def multiplicity(self, q: int) -> int:
-        return self.parts.count(q)
+    def multiplicities(self) -> dict[int, int]:
+        """{part: multiplicity}, distinct parts increasing, in one pass over the parts."""
+        table: dict[int, int] = {}
+        for q in reversed(self.parts):
+            table[q] = table.get(q, 0) + 1
+        return table
 
     def distinct_parts(self) -> tuple[int, ...]:
         """Distinct parts, increasing."""
@@ -267,10 +271,9 @@ def validate_partition(kind: GroupKind, p: Partition) -> Verdict:
     parity = kind.generator_parity
     if parity is not None:  # the parts of the other parity come in pairs
         rule = "even" if parity else "odd"
-        parts = p.parts
-        for q in sorted({q for q in parts if q % 2 != parity}):
-            if parts.count(q) % 2:
-                problems.append(f"{rule} part {q} has odd multiplicity {parts.count(q)}")
+        for q, m in p.multiplicities().items():
+            if q % 2 != parity and m % 2:
+                problems.append(f"{rule} part {q} has odd multiplicity {m}")
     if problems:
         return Verdict(False, tuple(problems))
     return Verdict(True, (), ValidOrbit(kind, p, _MINT))
@@ -286,9 +289,7 @@ def require_valid(kind: GroupKind, p: Partition) -> ValidOrbit:
 
 def is_degenerate(p: Partition) -> bool:
     """All parts even with even multiplicities (the class-splitting case)."""
-    return all(q % 2 == 0 for q in p.parts) and all(
-        p.multiplicity(q) % 2 == 0 for q in p.distinct_parts()
-    )
+    return all(q % 2 == 0 and m % 2 == 0 for q, m in p.multiplicities().items())
 
 
 def orbit_count(orbit: ValidOrbit) -> int:

@@ -38,7 +38,7 @@ from .orbits import (
     staircase,
     symplectic_cuspidal_character,
 )
-from .symbols import defect_formula, symbol_from_character
+from .symbols import defect_formula, interval_structure, swapped_symbol
 
 
 def eliminate_once(p: Partition, eta: SignCharacter, index: int) -> tuple[Partition, SignCharacter]:
@@ -188,9 +188,10 @@ def springer_datum(kind: GroupKind, p: Partition, eta: SignCharacter) -> Cuspida
     two are tied by d = d'-1 (d' >= 1) or -d' in the symplectic case and
     d = |d'| in the orthogonal one, and the agreement is enforced.
     """
-    dprime = defect_formula(kind, p, eta)
+    orbit = require_valid(kind, p)
+    dprime = defect_formula(orbit, eta)
     normal_p, normal_eta, _ = eliminate(p, eta)
-    sym = symbol_from_character(kind, p, eta)
+    sym = swapped_symbol(interval_structure(orbit), eta)
     if sym.defect != dprime:
         raise InternalCheckError(
             f"defect formula {dprime} != symbol defect {sym.defect} on {p}, {eta}")
@@ -274,7 +275,7 @@ def _det_minus_class(p: Partition) -> int:
 
 def _central_class(p: Partition) -> tuple[int, ...]:
     """Generators whose product is the class of the central element -1."""
-    return tuple(q for q in p.distinct_parts_of_parity(1) if p.multiplicity(q) % 2)
+    return tuple(q for q, m in p.multiplicities().items() if q % 2 and m % 2)
 
 
 def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
@@ -296,10 +297,8 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
     for case II to read its sign from, so it is rejected.
     """
     n = p.total
-    so_family = Family.SO_ODD if n % 2 else Family.SO_EVEN
-    kind_so = GroupKind(so_family, n)
-    kind_o = GroupKind(Family.O_ODD if n % 2 else Family.O_EVEN, n)
-    require_valid(kind_o, p)
+    kind_so = GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n)
+    orbit = require_valid(GroupKind(Family.O_ODD if n % 2 else Family.O_EVEN, n), p)
     require_domain(eta, p.distinct_parts_of_parity(1), "the odd parts", p)
     if n == 0:
         raise InvalidPartition("the O_N correspondence is computed for N >= 1, not for O_0")
@@ -311,7 +310,8 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
             OCase.III, QuasiLevi(torus_rank, 0), datum, WeylTag.INDUCED,
             None, None, fused_orbit_tags=("I", "II"))
 
-    dprime = symbol_from_character(kind_so, p, eta).defect
+    # O_N and SO_N admit the same partitions and share the orthogonal symbols
+    dprime = swapped_symbol(interval_structure(orbit), eta).defect
     d = abs(dprime)
     torus_rank = (n - d * d) // 2
     cusp = staircase(kind_so.generator_parity, d)

@@ -40,7 +40,6 @@ from .orbits import (
     ValidOrbit,
     is_distinguished,
     require_domain,
-    require_valid,
 )
 
 
@@ -203,8 +202,9 @@ def interval_structure(orbit: ValidOrbit) -> IntervalStructure:
     parts = p.distinct_parts_of_parity(kind.generator_parity)
     if len(parts) != len(intervals):
         raise InternalCheckError(f"{p}: {len(intervals)} intervals for {len(parts)} generator parts")
+    multiplicity = p.multiplicities()
     for run, q in zip(intervals, parts):
-        if len(run) != p.multiplicity(q):
+        if len(run) != multiplicity[q]:
             raise InternalCheckError(f"{p}: interval {run} does not match multiplicity of {q}")
     both = base_a & base_b
     common = (tuple(sorted(both | (base_a & set(h)))), tuple(sorted(both | (base_b & set(h)))))
@@ -224,7 +224,8 @@ def swapped_symbol(structure: IntervalStructure, eta: SignCharacter) -> USymbol:
     generator) runs over the parts in the order of ``structure.splits``.
     """
     require_domain(eta, structure.parts, "parts", structure.partition)
-    row_a, row_b = structure.common
+    common_a, common_b = structure.common
+    row_a, row_b = list(common_a), list(common_b)  # a tuple += would copy per interval
     for (in_a, in_b), (_, sign) in zip(structure.splits, eta.values):
         if sign == -1:
             in_a, in_b = in_b, in_a
@@ -233,19 +234,7 @@ def swapped_symbol(structure: IntervalStructure, eta: SignCharacter) -> USymbol:
     return USymbol(structure.symbol.kind, row_a, row_b)
 
 
-def symbol_from_character(kind: GroupKind, p: Partition, eta: SignCharacter) -> USymbol:
-    """Symbol of the pair (class of p, eta): :func:`swapped_symbol` on
-    :func:`interval_structure`.
-
-    Defined for every admissible partition; on distinguished ones it
-    reproduces the closed-form row assignment rule.  A caller with many
-    characters of one partition builds the structure once instead.
-    """
-    symbol_kind_of(kind)  # a group without symbols is refused before its partition is read
-    return swapped_symbol(interval_structure(require_valid(kind, p)), eta)
-
-
-def defect_formula(kind: GroupKind, p: Partition, eta: SignCharacter) -> int:
+def defect_formula(orbit: ValidOrbit, eta: SignCharacter) -> int:
     """Closed-form defect for a distinguished class, straight from the signs.
 
     With k parts (never zero-padded) in increasing order:
@@ -253,9 +242,10 @@ def defect_formula(kind: GroupKind, p: Partition, eta: SignCharacter) -> int:
     symplectic, k odd:   sum (-1)^(i+1) eta(z_{p_i});
     orthogonal:          | sum (-1)^(i+1) eta(z_{p_i}) |.
     eta is given on exactly the parts.  Must agree with the defect of
-    :func:`symbol_from_character`.
+    :func:`swapped_symbol` on the orbit's :func:`interval_structure`.
     """
-    if not is_distinguished(require_valid(kind, p)):
+    kind, p = orbit.kind, orbit.partition
+    if not is_distinguished(orbit):
         raise InvalidPartition(f"{p} is not distinguished for {kind}")
     require_domain(eta, p.parts, "parts", p)
     parts = p.increasing()

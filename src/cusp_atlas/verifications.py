@@ -14,7 +14,7 @@ from . import census
 from .cuspsupport import check_support, outcome_supports
 from .errors import InternalCheckError
 from .lparams import block_group_type
-from .orbits import Family, GroupKind, cuspidal_pair
+from .orbits import Family, GroupKind, cuspidal_pair, require_valid
 from .springer import (
     eliminate_once,
     elimination_outcomes,
@@ -60,14 +60,13 @@ def check_defect_coherence(limit: int) -> tuple[bool, str]:
             for orbit in census.distinguished_orbits(kind):
                 p, structure = orbit.partition, interval_structure(orbit)
                 for eta in census.sign_vectors(p):
-                    before = defect_formula(kind, p, eta)
+                    before = defect_formula(orbit, eta)
                     if swapped_symbol(structure, eta).defect != before:
                         return False, f"defect mismatch at {kind} {p} {eta}"
                     for j in removable_sites(p.increasing(), eta):
                         q, chi = eliminate_once(p, eta, j)
-                        shrunk = GroupKind(kind.family, q.total) if q.total else kind
-                        after = (defect_formula(shrunk, q, chi) if len(q)
-                                 else (1 if kind.is_symplectic else 0))
+                        after = (defect_formula(require_valid(GroupKind(kind.family, q.total), q), chi)
+                                 if len(q) else (1 if kind.is_symplectic else 0))
                         if after != before:
                             return False, f"defect not conserved at {kind} {p} {eta} step {j}"
                     checked += 1
@@ -117,31 +116,23 @@ def check_so_count_identity(limit: int) -> tuple[bool, str]:
 def check_cuspidal_fixed_points(limit: int) -> tuple[bool, str]:
     """The cuspidal pair of each admissible size N <= limit is its own datum."""
     count = 0
-    d = 1
-    while d * (d + 1) <= limit:
-        n = d * (d + 1)
-        kind = GroupKind(Family.SP, n)
-        pair = cuspidal_pair(kind)
-        datum = springer_datum(kind, pair.partition, pair.character)
-        if (datum.torus_rank, datum.cusp_partition, datum.cusp_character) != (
-                0, pair.partition, pair.character):
-            return False, f"Sp_{n} cuspidal pair moved"
-        count += 1
-        d += 1
-    d = 1
-    while d * d <= limit:
-        n = d * d
-        family = Family.SO_ODD if n % 2 else Family.SO_EVEN
-        kind = GroupKind(family, n)
-        pair = cuspidal_pair(kind)
-        for lift in (pair.character, pair.minus_lift):
-            datum = springer_datum(kind, pair.partition, lift)
-            if datum.torus_rank != 0 or datum.cusp_partition != pair.partition:
-                return False, f"SO_{n} cuspidal pair moved"
-            if datum.cusp_character != lift:
-                return False, f"SO_{n} cuspidal lift not restored"
-        count += 1
-        d += 1
+    for n in range(1, limit + 1):
+        for kind in _distinguished_kinds(n):
+            pair = cuspidal_pair(kind)
+            if pair is None:
+                continue
+            moved = f"{'Sp' if kind.is_symplectic else 'SO'}_{n} cuspidal pair moved"
+            # a symplectic pair has one character, so a changed one has moved
+            lost = moved if kind.is_symplectic else f"SO_{n} cuspidal lift not restored"
+            for lift in (pair.character, pair.minus_lift):
+                if lift is None:
+                    continue
+                datum = springer_datum(kind, pair.partition, lift)
+                if (datum.torus_rank, datum.cusp_partition) != (0, pair.partition):
+                    return False, moved
+                if datum.cusp_character != lift:
+                    return False, lost
+            count += 1
     return True, f"{count} cuspidal pairs fixed"
 
 

@@ -1,17 +1,30 @@
 """Fixtures shared by the support tests of the library and of the CLI, a
-byte-backed standard input for CLI jobs, the alternative symplectic defect
-formula the symbol tests compare against, and a shorthand for parameter
-characters."""
+byte-backed standard input for CLI jobs, a spy on partition validation, the
+symbol and closed-form defect of a pair from a bare partition, the
+alternative symplectic defect formula the symbol tests compare against, and
+a shorthand for parameter characters."""
 
 import io
+import sys
 from typing import Iterable
 
 import pytest
 
-from cusp_atlas import cuspsupport
+from cusp_atlas import cuspsupport, orbits
 from cusp_atlas.errors import DomainMismatch
 from cusp_atlas.lparams import DiscreteParameter, ParameterCharacter
-from cusp_atlas.orbits import Partition, SignCharacter
+from cusp_atlas.orbits import GroupKind, Partition, SignCharacter, require_valid
+from cusp_atlas.symbols import USymbol, defect_formula, interval_structure, swapped_symbol
+
+
+def pair_symbol(kind: GroupKind, p: Partition, eta: SignCharacter) -> USymbol:
+    """The u-symbol of the pair (class of p, eta), p validated for the group."""
+    return swapped_symbol(interval_structure(require_valid(kind, p)), eta)
+
+
+def pair_defect(kind: GroupKind, p: Partition, eta: SignCharacter) -> int:
+    """The closed-form defect of the pair (class of p, eta), p validated for the group."""
+    return defect_formula(require_valid(kind, p), eta)
 
 
 def alternative_defect_formula_sp(p: Partition, eta: SignCharacter) -> int:
@@ -48,6 +61,25 @@ def feed_stdin(monkeypatch):
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
             io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
     return feed
+
+
+@pytest.fixture
+def validated(monkeypatch) -> list:
+    """The partitions `orbits.validate_partition` is called on, in order, from
+    every module of the package that holds it."""
+    calls = []
+    direct = orbits.validate_partition
+
+    def counted(kind, p):
+        calls.append(p.parts)
+        return direct(kind, p)
+
+    for name, module in list(sys.modules.items()):
+        if name == "cusp_atlas" or name.startswith("cusp_atlas."):
+            for attr, value in list(vars(module).items()):
+                if value is direct:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ line.
 import time
 from fractions import Fraction
 
-from conftest import alternative_defect_formula_sp, character_on
+from conftest import alternative_defect_formula_sp, character_on, pair_defect
 
 from cusp_atlas import verifications
 from cusp_atlas.bernstein import GLFactor, InertialTriple, hecke_parameters
@@ -28,7 +28,6 @@ from cusp_atlas.orbits import (
     staircase,
     symplectic_cuspidal_character,
 )
-from cusp_atlas.symbols import defect_formula
 
 
 LIMITS = verifications.Limits()  # the documented bounds, read from one place
@@ -145,6 +144,6 @@ def test_criterion_8_alternative_defect_formula_guard():
         p = staircase(0, d)
         eps = symplectic_cuspidal_character(d)
         kind = GroupKind(Family.SP, d * (d + 1))
-        gap = alternative_defect_formula_sp(p, eps) - defect_formula(kind, p, eps)
+        gap = alternative_defect_formula_sp(p, eps) - pair_defect(kind, p, eps)
         assert gap == len(p) + 1
     report(8, "alternative defect formula offset", time.time() - start)

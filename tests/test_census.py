@@ -1,9 +1,9 @@
 import itertools
-import sys
 
 import pytest
 
-from cusp_atlas import orbits
+from conftest import pair_symbol
+
 from cusp_atlas.cli import main
 
 from cusp_atlas.census import (
@@ -14,6 +14,7 @@ from cusp_atlas.census import (
     group_partitions,
     partition_count,
     partitions_of,
+    sign_vectors,
     so_count_identity,
     springer_count_identity,
     unipotent_census,
@@ -28,11 +29,10 @@ from cusp_atlas.orbits import (
     characters_of,
     component_group,
     orbit_count,
-    require_valid,
     validate_partition,
 )
-from cusp_atlas.springer import d_from_defect
-from cusp_atlas.symbols import interval_structure, swapped_symbol, symbol_from_character
+from cusp_atlas.springer import d_from_defect, removable_sites
+from cusp_atlas.verifications import check_defect_coherence
 
 
 def brute_bipartitions(n):
@@ -85,7 +85,8 @@ def test_partitions_of_matches_the_recursion_in_order():
 
 
 def census_one_symbol_per_pair(kind):
-    """The census with one symbol_from_character call per (partition, character)."""
+    """The census with one symbol built from its validated partition per
+    (partition, character)."""
     total, by_d = 0, {}
     for parts in recursive_partitions(kind.size):
         p = Partition(parts)
@@ -94,7 +95,7 @@ def census_one_symbol_per_pair(kind):
             continue
         copies = orbit_count(verdict.orbit)
         for eta in characters_of(component_group(verdict.orbit)):
-            d = d_from_defect(kind, symbol_from_character(kind, p, eta).defect)
+            d = d_from_defect(kind, pair_symbol(kind, p, eta).defect)
             total += copies
             by_d[d] = by_d.get(d, 0) + copies
     return {"pairs": total, "by_d": dict(sorted(by_d.items()))}
@@ -119,12 +120,9 @@ def test_swapped_symbol_rejects_a_character_off_the_generators(family, parts, si
     p = Partition(parts)
     kind = GroupKind(family, p.total)
     eta = SignCharacter(signs)
-    with pytest.raises(DomainMismatch) as whole:
-        symbol_from_character(kind, p, eta)
-    with pytest.raises(DomainMismatch) as step:
-        swapped_symbol(interval_structure(require_valid(kind, p)), eta)
-    assert str(step.value) == str(whole.value)
-    assert str(p) in str(step.value)
+    with pytest.raises(DomainMismatch) as err:
+        pair_symbol(kind, p, eta)
+    assert str(err.value) == f"character domain {eta.keys()} does not match parts of {p}"
 
 
 def test_so_count_identity_range():
@@ -257,25 +255,6 @@ def test_slices_are_the_per_label_filter_of_the_blocks():
                 assert param.slices() == naive
 
 
-@pytest.fixture
-def validated(monkeypatch) -> list:
-    """The partitions `orbits.validate_partition` is called on, in order, from
-    every module of the package that holds it."""
-    calls = []
-    direct = orbits.validate_partition
-
-    def counted(kind, p):
-        calls.append(p.parts)
-        return direct(kind, p)
-
-    for name, module in list(sys.modules.items()):
-        if name == "cusp_atlas" or name.startswith("cusp_atlas."):
-            for attr, value in list(vars(module).items()):
-                if value is direct:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
-
-
 @pytest.mark.parametrize("family", [Family.SP, Family.SO_EVEN], ids=lambda f: f.value)
 def test_census_validates_each_partition_once(family, validated):
     kind = GroupKind(family, 12)
@@ -289,3 +268,18 @@ def test_validate_job_validates_its_partition_once(validated, feed_stdin, capsys
     assert main(["validate", "--input", "-"]) == 0
     assert '"orbit_count": 2' in capsys.readouterr().out
     assert validated == [(2, 2, 2, 2)]
+
+
+def test_defect_coherence_validates_each_partition_and_each_step_once(validated):
+    # one validation per distinguished partition, as the census makes it, and
+    # one per elimination step that leaves parts; none per sign vector
+    limit, expected = 16, 0
+    for n in range(1, limit + 1):
+        for parity in ((0, 1) if n % 2 == 0 else (1,)):
+            for parts in distinct_part_partitions(n, parity):
+                expected += 1
+                if len(parts) > 2:
+                    expected += sum(len(removable_sites(parts, eta))
+                                    for eta in sign_vectors(Partition(parts)))
+    assert check_defect_coherence(limit)[0]
+    assert len(validated) == expected

@@ -1,3 +1,5 @@
+import timeit
+
 import pytest
 
 from cusp_atlas.errors import InvalidPartition
@@ -56,6 +58,25 @@ def test_partition_is_stored_decreasing():
 ])
 def test_validate_partition(kind, parts, ok):
     assert bool(validate_partition(kind, Partition(parts))) is ok
+
+
+def test_validation_time_does_not_grow_with_the_distinct_parts():
+    # multiplicities are counted in one pass over the parts, so of two
+    # partitions of one length the one with 181 distinct odd parts validates
+    # about as fast as the one with two; a scan of the parts per distinct
+    # part makes it over 30x slower, far outside the 5x allowed for noise
+    length = 4000
+    pairs = [q for q in range(3, 363, 2) for _ in (0, 1)]
+    many = Partition(pairs + [1] * (length - len(pairs)))
+    few = Partition([3, 3] + [1] * (length - 2))
+    assert len(many) == len(few) == length
+
+    def best(p):
+        kind = GroupKind(Family.SP, p.total)
+        assert validate_partition(kind, p)
+        return min(timeit.repeat(lambda: validate_partition(kind, p), number=5, repeat=7))
+
+    assert best(many) < 5 * best(few)
 
 
 def test_validate_reports_size_mismatch():

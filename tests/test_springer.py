@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from cusp_atlas import springer
+from cusp_atlas import verifications
 from cusp_atlas.census import distinguished_pairs, group_partitions, springer_count_identity
 from cusp_atlas.cuspsupport import all_order_slice_supports, outcome_supports
 from cusp_atlas.errors import DomainMismatch, InvalidPartition
@@ -223,7 +225,7 @@ def test_springer_o_central_value_matches():
                 out = springer_o(p, eta)
                 if out.case is OCase.I:
                     central = tuple(q for q in p.distinct_parts_of_parity(1)
-                                    if p.multiplicity(q) % 2)
+                                    if p.parts.count(q) % 2)
                     assert out.cusp_character_o.product() == eta.product(central)
 
 
@@ -286,21 +288,33 @@ def test_springer_product_mixed_blocks():
     assert out.extended and out.induced
 
 
-def test_springer_product_computes_each_factor_once(monkeypatch):
-    # each factor's case, datum and quasi-Levi come from one springer_o call
-    calls = []
-    symbol = springer.symbol_from_character
-
-    def counted(kind, p, eta):
-        calls.append(p)
-        return symbol(kind, p, eta)
-
-    monkeypatch.setattr(springer, "symbol_from_character", counted)
+def test_springer_product_computes_each_factor_once(validated):
+    # each factor's case, datum and quasi-Levi come from one springer_o call,
+    # which validates the factor once
     f = ProductFactor(Partition((3, 1)), SignCharacter({1: 1, 3: -1}))
     g = ProductFactor(Partition((5, 3, 1)), SignCharacter({1: 1, 3: -1, 5: 1}))
     out = springer_product([f, g])
-    assert calls == [f.partition, g.partition]
+    assert validated == [f.partition.parts, g.partition.parts]
     assert out.block_i == (0, 1)
+
+
+@pytest.mark.parametrize("parts,signs", [
+    ((3, 1), {1: 1, 3: -1}),                 # case I
+    ((2, 2, 1, 1), {1: -1}),                 # case II
+    ((2, 2), {}),                            # case III
+])
+def test_springer_o_validates_its_partition_once(validated, parts, signs):
+    springer_o(Partition(parts), SignCharacter(signs))
+    assert validated == [parts]
+
+
+@pytest.mark.parametrize("kind,parts,signs", [
+    (SP6, (4, 2), {2: 1, 4: -1}),
+    (SO9, (5, 3, 1), {1: 1, 3: -1, 5: 1}),
+])
+def test_springer_datum_validates_its_partition_once(validated, kind, parts, signs):
+    springer_datum(kind, Partition(parts), SignCharacter(signs))
+    assert validated == [parts]
 
 
 def test_springer_o_rejects_o0():
@@ -314,3 +328,23 @@ def test_springer_o_rejects_o0():
 def test_springer_product_needs_factors():
     with pytest.raises(InvalidPartition):
         springer_product([])
+
+
+@pytest.mark.parametrize("family,field,detail", [
+    (Family.SP, "torus_rank", "Sp_2 cuspidal pair moved"),
+    (Family.SP, "cusp_character", "Sp_2 cuspidal pair moved"),
+    (Family.SO_EVEN, "torus_rank", "SO_4 cuspidal pair moved"),
+    (Family.SO_ODD, "cusp_character", "SO_1 cuspidal lift not restored"),
+])
+def test_cuspidal_fixed_points_names_the_first_pair_that_moved(monkeypatch, family, field, detail):
+    direct = verifications.springer_datum
+
+    def moved(kind, p, eta):
+        datum = direct(kind, p, eta)
+        if kind.family is not family:
+            return datum
+        changed = datum.torus_rank + 1 if field == "torus_rank" else SignCharacter()
+        return replace(datum, **{field: changed})
+
+    monkeypatch.setattr(verifications, "springer_datum", moved)
+    assert verifications.check_cuspidal_fixed_points(25) == (False, detail)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import alternative_defect_formula_sp
+from conftest import alternative_defect_formula_sp, pair_defect, pair_symbol
 
 from cusp_atlas.census import distinguished_pairs, group_partitions
 from cusp_atlas.errors import DomainMismatch, InvalidPartition
@@ -21,11 +21,9 @@ from cusp_atlas.springer import springer_datum
 from cusp_atlas.symbols import (
     SymbolKind,
     USymbol,
-    defect_formula,
     distinguished_symbol,
     interval_structure,
     swapped_symbol,
-    symbol_from_character,
 )
 
 SP2 = GroupKind(Family.SP, 2)
@@ -161,7 +159,7 @@ def test_interval_lengths_match_multiplicities():
         for orbit in group_partitions(kind):
             st_ = interval_structure(orbit)
             for run, q in zip(st_.intervals, st_.parts):
-                assert len(run) == orbit.partition.multiplicity(q)
+                assert len(run) == orbit.partition.parts.count(q)
 
 
 @pytest.mark.parametrize("kind,parts,signs,a,b,dft", [
@@ -170,7 +168,7 @@ def test_interval_lengths_match_multiplicities():
     (SO9, (5, 3, 1), {1: 1, 3: -1, 5: 1}, (0, 2, 4), (), 3),
 ])
 def test_symbol_from_character_fixtures(kind, parts, signs, a, b, dft):
-    sym = symbol_from_character(kind, Partition(parts), SignCharacter(signs))
+    sym = pair_symbol(kind, Partition(parts), SignCharacter(signs))
     assert (sym.a, sym.b) == (a, b)
     assert sym.defect == dft
 
@@ -181,7 +179,7 @@ def test_symbol_from_character_matches_closed_form():
         kinds.append(GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n))
         for kind in kinds:
             for p, eta in distinguished_pairs(kind):
-                got = symbol_from_character(kind, p, eta)
+                got = pair_symbol(kind, p, eta)
                 want = closed_form_symbol(kind, p, eta)
                 if kind.is_symplectic:
                     assert (got.a, got.b) == (want.a, want.b)
@@ -190,20 +188,20 @@ def test_symbol_from_character_matches_closed_form():
 
 
 def test_defect_formula_fixtures():
-    assert defect_formula(SP6, Partition((4, 2)), SignCharacter({2: -1, 4: 1})) == 3
-    assert defect_formula(SP2, Partition((2,)), SignCharacter({2: -1})) == -1
-    assert defect_formula(SO9, Partition((5, 3, 1)),
-                          SignCharacter({1: -1, 3: -1, 5: 1})) == 1
+    assert pair_defect(SP6, Partition((4, 2)), SignCharacter({2: -1, 4: 1})) == 3
+    assert pair_defect(SP2, Partition((2,)), SignCharacter({2: -1})) == -1
+    assert pair_defect(SO9, Partition((5, 3, 1)),
+                       SignCharacter({1: -1, 3: -1, 5: 1})) == 1
 
 
-def test_a_group_without_symbols_is_refused_before_its_partition_is_read():
+def test_a_group_without_symbols_is_refused():
     with pytest.raises(InvalidPartition, match=r"^GL_3 has no u-symbol combinatorics$"):
-        symbol_from_character(GroupKind(Family.GL, 3), Partition((2,)), SignCharacter())
+        pair_symbol(GroupKind(Family.GL, 3), Partition((2, 1)), SignCharacter())
 
 
 def test_defect_formula_requires_distinguished():
     with pytest.raises(InvalidPartition):
-        defect_formula(GroupKind(Family.SP, 4), Partition((2, 2)), SignCharacter({2: 1}))
+        pair_defect(GroupKind(Family.SP, 4), Partition((2, 2)), SignCharacter({2: 1}))
 
 
 @pytest.mark.parametrize("signs", [{2: 1, 4: -1, 6: 1, 8: -1}, {2: 1, 4: 1, 6: 1}, {2: 1}],
@@ -214,10 +212,10 @@ def test_character_must_be_given_on_exactly_the_generators(signs):
     with pytest.raises(DomainMismatch) as err:
         springer_datum(SP6, Partition((4, 2)), eta)
     with pytest.raises(DomainMismatch) as formula_err:
-        defect_formula(SP6, Partition((4, 2)), eta)
+        pair_defect(SP6, Partition((4, 2)), eta)
     assert str(formula_err.value) == str(err.value)
     with pytest.raises(DomainMismatch):
-        symbol_from_character(SP6, Partition((4, 2)), eta)
+        pair_symbol(SP6, Partition((4, 2)), eta)
 
 
 def test_defect_formula_equals_symbol_defect_everywhere():
@@ -226,8 +224,7 @@ def test_defect_formula_equals_symbol_defect_everywhere():
         kinds.append(GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n))
         for kind in kinds:
             for p, eta in distinguished_pairs(kind):
-                assert defect_formula(kind, p, eta) == \
-                    symbol_from_character(kind, p, eta).defect
+                assert pair_defect(kind, p, eta) == pair_symbol(kind, p, eta).defect
 
 
 def test_defect_parities():
@@ -237,7 +234,7 @@ def test_defect_parities():
         for kind in kinds:
             for orbit in group_partitions(kind):
                 for eta in characters_of(component_group(orbit)):
-                    d = symbol_from_character(kind, orbit.partition, eta).defect
+                    d = swapped_symbol(interval_structure(orbit), eta).defect
                     if kind.is_symplectic:
                         assert d % 2 == 1
                     else:
@@ -263,7 +260,7 @@ def test_trivial_character_symbol_is_similar_to_base():
             p = orbit.partition
             trivial = SignCharacter(
                 {q: 1 for q in p.distinct_parts_of_parity(kind.generator_parity)})
-            left = symbol_from_character(kind, p, trivial)
+            left = swapped_symbol(interval_structure(orbit), trivial)
             right = distinguished_symbol(orbit)
             assert set(left.a) | set(left.b) == set(right.a) | set(right.b)
             assert set(left.a) & set(left.b) == set(right.a) & set(right.b)
@@ -272,8 +269,8 @@ def test_trivial_character_symbol_is_similar_to_base():
 def test_two_lifts_same_unordered_symbol_class():
     # flipping every sign swaps the two rows of an orthogonal symbol
     for p, eta in distinguished_pairs(SO9):
-        left = symbol_from_character(SO9, p, eta)
-        right = symbol_from_character(SO9, p, eta.flip_where(lambda q: True))
+        left = pair_symbol(SO9, p, eta)
+        right = pair_symbol(SO9, p, eta.flip_where(lambda q: True))
         assert {left.a, left.b} == {right.a, right.b}
         assert left.defect == right.defect
 
@@ -317,4 +314,4 @@ def test_alternative_defect_formula_offset():
         eps = symplectic_cuspidal_character(d)
         kind = GroupKind(Family.SP, d * (d + 1))
         k = len(p)
-        assert alternative_defect_formula_sp(p, eps) - defect_formula(kind, p, eps) == k + 1
+        assert alternative_defect_formula_sp(p, eps) - pair_defect(kind, p, eps) == k + 1
