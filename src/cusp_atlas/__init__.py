@@ -15,6 +15,7 @@ from .orbits import (
     Relation,
     SignCharacter,
     ValidOrbit,
+    classical_kind,
     component_group,
     cuspidal_pair,
     is_distinguished,
@@ -74,9 +75,9 @@ from .bernstein import (
 )
 from .census import (
     bipartition_count,
+    classical_kinds,
+    count_identity,
     enumerate_parameters,
-    so_count_identity,
-    springer_count_identity,
     unipotent_census,
 )
 

@@ -38,6 +38,7 @@ from .orbits import (
     SignCharacter,
     ValidOrbit,
     characters_of,
+    classical_kind,
     component_group,
     orbit_count,
     validate_partition,
@@ -135,59 +136,55 @@ def bipartition_count(n: int) -> int:
     return sum(partition_count(a) * partition_count(n - a) for a in range(n + 1))
 
 
+def classical_kinds(limit: int) -> Iterator[GroupKind]:
+    """Sp_n (for even n) and then SO_n, for n = 1, ..., limit."""
+    for n in range(1, limit + 1):
+        if n % 2 == 0:
+            yield classical_kind(0, n)
+        yield classical_kind(1, n)
+
+
 def unipotent_census(kind: GroupKind) -> dict:
     """Count enhanced unipotent classes, bucketed by cuspidal datum size d."""
     if kind.family not in (Family.SP, Family.SO_ODD, Family.SO_EVEN):
         raise InvalidParameter(f"census supports Sp and SO groups, not {kind}")
-    total = 0
     by_d: dict[int, int] = {}
     for orbit in group_partitions(kind):
         copies = orbit_count(orbit)
         structure = interval_structure(orbit)
         for eta in characters_of(component_group(orbit)):
             d = d_from_defect(kind, swapped_symbol(structure, eta).defect)
-            total += copies
             by_d[d] = by_d.get(d, 0) + copies
-    return {"pairs": total, "by_d": dict(sorted(by_d.items()))}
+    return {"pairs": sum(by_d.values()), "by_d": dict(sorted(by_d.items()))}
 
 
-def springer_count_identity(n: int) -> tuple[int, int, dict[int, int], dict[int, int]]:
-    """Both sides of the class-count identity for Sp_n, per d-bucket.
+def _irr_weyl_d(m: int) -> int:
+    """#Irr W(D_m): one character per unordered pair of partitions of total
+    size m, two per pair of equal ones, and one for the trivial W(D_0)."""
+    if m == 0:
+        return 1
+    equal = partition_count(m // 2) if m % 2 == 0 else 0
+    return (bipartition_count(m) + 3 * equal) // 2
 
-    Left: exhaustive census of enhanced classes.  Right: one hyperoctahedral
-    character count per admissible cuspidal datum.
+
+def count_identity(kind: GroupKind) -> tuple[dict[int, int], dict[int, int]]:
+    """Both sides of the class-count identity of Sp_N or SO_N, per d-bucket.
+
+    Left: the exhaustive census of enhanced classes.  Right: each d whose
+    staircase, of total t = d(d + 1 - parity), fits with N - t = 2m, has as
+    many classes as its relative Weyl group has characters: bip(m) for
+    W(B_m) = W(C_m), and #Irr W(D_m) for the orthogonal d = 0.
     """
-    census = unipotent_census(GroupKind(Family.SP, n))
+    by_d = unipotent_census(kind)["by_d"]
+    parity = kind.generator_parity
     predicted: dict[int, int] = {}
     d = 0
-    while d * (d + 1) <= n:
-        if (n - d * (d + 1)) % 2 == 0:
-            predicted[d] = bipartition_count((n - d * (d + 1)) // 2)
+    while (t := d * (d + 1 - parity)) <= kind.size:
+        m, odd = divmod(kind.size - t, 2)
+        if not odd:
+            predicted[d] = _irr_weyl_d(m) if parity and not d else bipartition_count(m)
         d += 1
-    return census["pairs"], sum(predicted.values()), census["by_d"], predicted
-
-
-def so_count_identity(n: int) -> tuple[int, int, dict[int, int], dict[int, int]]:
-    """Both sides of the class-count identity for SO_n, per d-bucket.
-
-    Left: exhaustive census of enhanced classes.  Right: with d = n (mod 2),
-    d^2 <= n and m = (n - d^2)/2, the bucket of d > 0 has bip(m) classes and
-    the bucket of d = 0 has #Irr W(D_m): (bip(m) + 3 p(m/2))/2 for even m,
-    bip(m)/2 for odd m.
-    """
-    census = unipotent_census(GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n))
-    predicted: dict[int, int] = {}
-    d = n % 2
-    while d * d <= n:
-        m = (n - d * d) // 2
-        if d:
-            predicted[d] = bipartition_count(m)
-        elif m % 2:
-            predicted[d] = bipartition_count(m) // 2
-        else:
-            predicted[d] = (bipartition_count(m) + 3 * partition_count(m // 2)) // 2
-        d += 2
-    return census["pairs"], sum(predicted.values()), census["by_d"], predicted
+    return by_d, predicted
 
 
 DEFAULT_SIGNATURE = (IrrLabel("u", 1, SelfDualType.ORTHOGONAL),)

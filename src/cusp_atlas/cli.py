@@ -80,7 +80,7 @@ class JobSpec:
 # -- schema helpers ----------------------------------------------------------
 
 def _child(pointer: str, token) -> str:
-    """The JSON pointer of member or index ``token`` below ``pointer`` (RFC 6901)."""
+    """The JSON pointer of member ``token`` below ``pointer`` (RFC 6901)."""
     return f"{pointer}/" + str(token).replace("~", "~0").replace("/", "~1")
 
 
@@ -127,10 +127,14 @@ def _sign(value, pointer: str) -> int:
 
 
 def _list(value, pointer: str, item) -> list:
-    """``item(element, pointer)`` over the elements of a JSON list."""
+    """``item(element, pointer)`` over the elements of a JSON list.
+
+    An index is decimal digits, which RFC 6901 never escapes, so its pointer
+    needs no :func:`_child`.
+    """
     if not isinstance(value, list):
         raise SchemaError(pointer, "expected a list")
-    return [item(x, _child(pointer, i)) for i, x in enumerate(value)]
+    return [item(x, f"{pointer}/{i}") for i, x in enumerate(value)]
 
 
 def _capped(n: int) -> None:
@@ -208,7 +212,7 @@ def _signs_for(parts: tuple[int, ...], value, pointer: str) -> SignCharacter:
         raise SchemaError(pointer, "expected a list of +1/-1")
     if len(raw) != len(parts):
         raise SchemaError(pointer, f"expected {len(parts)} signs for generators {list(parts)}")
-    return SignCharacter({q: _sign(s, _child(pointer, i)) for i, (q, s) in enumerate(zip(parts, raw))})
+    return SignCharacter({q: _sign(s, f"{pointer}/{i}") for i, (q, s) in enumerate(zip(parts, raw))})
 
 
 # -- payload parsing ---------------------------------------------------------

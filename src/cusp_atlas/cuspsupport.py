@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalCheckError, InvalidParameter
-from .orbits import Family, GroupKind, Partition, SignCharacter, require_domain, staircase
+from .orbits import GroupKind, Partition, SignCharacter, classical_kind, require_domain, staircase
 from .springer import eliminate, elimination_outcomes, springer_datum
 from .lparams import (
     BlockGroupSide,
@@ -58,14 +58,6 @@ from .lparams import (
     infinitesimal_character,
     is_cuspidal,
 )
-
-
-def _slice_group(side: BlockGroupSide, m: int) -> GroupKind:
-    if side is BlockGroupSide.SP_SIDE:
-        return GroupKind(Family.SP, m)
-    if side is BlockGroupSide.O_SIDE:
-        return GroupKind(Family.SO_ODD if m % 2 else Family.SO_EVEN, m)
-    raise InvalidParameter("gl-pair labels do not occur in discrete parameters")
 
 
 def _slices(p: DiscreteParameter, eta: ParameterCharacter
@@ -156,7 +148,7 @@ def support(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSupport:
     """Cuspidal support via per-slice data and correction multisets."""
     slices = []
     for label, side, sizes, slice_char in _slices(p, eta):
-        datum = springer_datum(_slice_group(side, sum(sizes)), Partition(sizes), slice_char)
+        datum = springer_datum(classical_kind(side.parity, sum(sizes)), Partition(sizes), slice_char)
         twists = ec_multiset(label, side, sizes, datum.d).e_prime
         slices.append((label, twists, datum.cusp_character, datum.torus_rank))
     return _assemble(p.dual_group, slices)

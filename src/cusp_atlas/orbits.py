@@ -95,6 +95,14 @@ class GroupKind:
         return f"{self.family.value}_{self.size}"
 
 
+def classical_kind(parity: int, n: int) -> GroupKind:
+    """The group of size n with z-generators on the parts of the given parity:
+    Sp_n for 0, SO_n for 1 (the inverse of :attr:`GroupKind.generator_parity`)."""
+    if parity == 0:
+        return GroupKind(Family.SP, n)
+    return GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n)
+
+
 @dataclass(frozen=True, order=True)
 class Partition:
     """A partition stored weakly decreasing.

@@ -31,6 +31,7 @@ from .orbits import (
     GroupKind,
     Partition,
     SignCharacter,
+    classical_kind,
     is_degenerate,
     orthogonal_cuspidal_lift,
     require_domain,
@@ -297,7 +298,7 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
     for case II to read its sign from, so it is rejected.
     """
     n = p.total
-    kind_so = GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n)
+    kind_so = classical_kind(1, n)
     orbit = require_valid(GroupKind(Family.O_ODD if n % 2 else Family.O_EVEN, n), p)
     require_domain(eta, p.distinct_parts_of_parity(1), "the odd parts", p)
     if n == 0:
@@ -314,7 +315,7 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
     dprime = swapped_symbol(interval_structure(orbit), eta).defect
     d = abs(dprime)
     torus_rank = (n - d * d) // 2
-    cusp = staircase(kind_so.generator_parity, d)
+    cusp = staircase(1, d)
     if n % 2 or d >= 2:
         # case I: the quasi-Levi keeps an O_{d^2} block
         if n % 2:

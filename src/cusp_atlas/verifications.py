@@ -14,7 +14,7 @@ from . import census
 from .cuspsupport import check_support, outcome_supports
 from .errors import InternalCheckError
 from .lparams import block_group_type
-from .orbits import Family, GroupKind, cuspidal_pair, require_valid
+from .orbits import GroupKind, cuspidal_pair, require_valid
 from .springer import (
     eliminate_once,
     elimination_outcomes,
@@ -45,31 +45,23 @@ def selfcheck_limits(overrides: Mapping[str, int], bound: int) -> Limits:
                      for f in fields(Limits)})
 
 
-def _distinguished_kinds(n: int) -> list[GroupKind]:
-    """The classical duals of size n: Sp_n and SO_n for even n, SO_n for odd n."""
-    if n % 2:
-        return [GroupKind(Family.SO_ODD, n)]
-    return [GroupKind(Family.SP, n), GroupKind(Family.SO_EVEN, n)]
-
-
 def check_defect_coherence(limit: int) -> tuple[bool, str]:
     """Formula defect == symbol defect, and invariance under every single step."""
     checked = 0
-    for n in range(1, limit + 1):
-        for kind in _distinguished_kinds(n):
-            for orbit in census.distinguished_orbits(kind):
-                p, structure = orbit.partition, interval_structure(orbit)
-                for eta in census.sign_vectors(p):
-                    before = defect_formula(orbit, eta)
-                    if swapped_symbol(structure, eta).defect != before:
-                        return False, f"defect mismatch at {kind} {p} {eta}"
-                    for j in removable_sites(p.increasing(), eta):
-                        q, chi = eliminate_once(p, eta, j)
-                        after = (defect_formula(require_valid(GroupKind(kind.family, q.total), q), chi)
-                                 if len(q) else (1 if kind.is_symplectic else 0))
-                        if after != before:
-                            return False, f"defect not conserved at {kind} {p} {eta} step {j}"
-                    checked += 1
+    for kind in census.classical_kinds(limit):
+        for orbit in census.distinguished_orbits(kind):
+            p, structure = orbit.partition, interval_structure(orbit)
+            for eta in census.sign_vectors(p):
+                before = defect_formula(orbit, eta)
+                if swapped_symbol(structure, eta).defect != before:
+                    return False, f"defect mismatch at {kind} {p} {eta}"
+                for j in removable_sites(p.increasing(), eta):
+                    q, chi = eliminate_once(p, eta, j)
+                    after = (defect_formula(require_valid(GroupKind(kind.family, q.total), q), chi)
+                             if len(q) else (1 if kind.is_symplectic else 0))
+                    if after != before:
+                        return False, f"defect not conserved at {kind} {p} {eta} step {j}"
+                checked += 1
     return True, f"{checked} distinguished pairs"
 
 
@@ -77,77 +69,76 @@ def check_order_independence(limit: int) -> tuple[bool, str]:
     """Every deletion order reaches one normal-form content and one support."""
     checked = 0
     label = census.DEFAULT_SIGNATURE[0]
-    for n in range(1, limit + 1):
-        for kind in _distinguished_kinds(n):
-            side = block_group_type(kind, label)
-            for p, eta in census.distinguished_pairs(kind):
-                outcomes = elimination_outcomes(p, eta)
-                contents = {
-                    normal_form_content(GroupKind(kind.family, sum(parts)) if parts else kind,
-                                        parts, values)
-                    for parts, values, _ in outcomes}
-                if len(contents) != 1:
-                    return False, f"{len(contents)} normal-form contents for {kind} {p} {eta}"
-                supports = outcome_supports(label, side, p.increasing(), outcomes)
-                if len(supports) != 1:
-                    return False, f"{len(supports)} supports for {kind} {p} {eta}"
-                checked += 1
+    for kind in census.classical_kinds(limit):
+        side = block_group_type(kind, label)
+        for p, eta in census.distinguished_pairs(kind):
+            outcomes = elimination_outcomes(p, eta)
+            contents = {normal_form_content(kind, parts, values) for parts, values, _ in outcomes}
+            if len(contents) != 1:
+                return False, f"{len(contents)} normal-form contents for {kind} {p} {eta}"
+            supports = outcome_supports(label, side, p.increasing(), outcomes)
+            if len(supports) != 1:
+                return False, f"{len(supports)} supports for {kind} {p} {eta}"
+            checked += 1
     return True, f"{checked} pairs, single content and support each"
 
 
+def _short_name(kind: GroupKind) -> str:
+    return f"{'Sp' if kind.is_symplectic else 'SO'}_{kind.size}"
+
+
+def _count_identities(limit: int, symplectic: bool, passed: str) -> tuple[bool, str]:
+    """The class-count identity of every Sp_N (or every SO_N) with N <= limit."""
+    for kind in census.classical_kinds(limit):
+        if kind.is_symplectic is symplectic:
+            by_d, predicted = census.count_identity(kind)
+            if by_d != predicted:
+                return False, (f"{_short_name(kind)}: census {sum(by_d.values())} {by_d} vs "
+                               f"predicted {sum(predicted.values())} {predicted}")
+    return True, passed
+
+
 def check_count_identity(limit: int) -> tuple[bool, str]:
-    for n in range(2, limit + 1, 2):
-        total, predicted, by_d, by_d_predicted = census.springer_count_identity(n)
-        if total != predicted or by_d != by_d_predicted:
-            return False, (f"Sp_{n}: census {total} {by_d} vs "
-                           f"predicted {predicted} {by_d_predicted}")
-    return True, f"Sp_N census matches for even N <= {limit}"
+    return _count_identities(limit, True, f"Sp_N census matches for even N <= {limit}")
 
 
 def check_so_count_identity(limit: int) -> tuple[bool, str]:
-    for n in range(1, limit + 1):
-        total, predicted, by_d, by_d_predicted = census.so_count_identity(n)
-        if total != predicted or by_d != by_d_predicted:
-            return False, (f"SO_{n}: census {total} {by_d} vs "
-                           f"predicted {predicted} {by_d_predicted}")
-    return True, f"SO_N census matches for N <= {limit}"
+    return _count_identities(limit, False, f"SO_N census matches for N <= {limit}")
 
 
 def check_cuspidal_fixed_points(limit: int) -> tuple[bool, str]:
     """The cuspidal pair of each admissible size N <= limit is its own datum."""
     count = 0
-    for n in range(1, limit + 1):
-        for kind in _distinguished_kinds(n):
-            pair = cuspidal_pair(kind)
-            if pair is None:
+    for kind in census.classical_kinds(limit):
+        pair = cuspidal_pair(kind)
+        if pair is None:
+            continue
+        moved = f"{_short_name(kind)} cuspidal pair moved"
+        # a symplectic pair has one character, so a changed one has moved
+        lost = moved if kind.is_symplectic else f"SO_{kind.size} cuspidal lift not restored"
+        for lift in (pair.character, pair.minus_lift):
+            if lift is None:
                 continue
-            moved = f"{'Sp' if kind.is_symplectic else 'SO'}_{n} cuspidal pair moved"
-            # a symplectic pair has one character, so a changed one has moved
-            lost = moved if kind.is_symplectic else f"SO_{n} cuspidal lift not restored"
-            for lift in (pair.character, pair.minus_lift):
-                if lift is None:
-                    continue
-                datum = springer_datum(kind, pair.partition, lift)
-                if (datum.torus_rank, datum.cusp_partition) != (0, pair.partition):
-                    return False, moved
-                if datum.cusp_character != lift:
-                    return False, lost
-            count += 1
+            datum = springer_datum(kind, pair.partition, lift)
+            if (datum.torus_rank, datum.cusp_partition) != (0, pair.partition):
+                return False, moved
+            if datum.cusp_character != lift:
+                return False, lost
+        count += 1
     return True, f"{count} cuspidal pairs fixed"
 
 
 def check_support_invariants(limit: int) -> tuple[bool, str]:
     checked = 0
-    for n in range(1, limit + 1):
-        for dual in _distinguished_kinds(n):
-            for param, eta in census.enumerate_parameters(dual):
-                try:
-                    report = check_support(param, eta)
-                except InternalCheckError as exc:
-                    return False, f"{param} {eta}: {exc}"
-                if not report.ok():
-                    return False, f"{param} {eta}: {report.failures()}"
-                checked += 1
+    for dual in census.classical_kinds(limit):
+        for param, eta in census.enumerate_parameters(dual):
+            try:
+                report = check_support(param, eta)
+            except InternalCheckError as exc:
+                return False, f"{param} {eta}: {exc}"
+            if not report.ok():
+                return False, f"{param} {eta}: {report.failures()}"
+            checked += 1
     return True, f"{checked} enhanced parameters"
 
 

@@ -12,7 +12,7 @@ from conftest import alternative_defect_formula_sp, character_on, pair_defect
 
 from cusp_atlas import verifications
 from cusp_atlas.bernstein import GLFactor, InertialTriple, hecke_parameters
-from cusp_atlas.census import springer_count_identity
+from cusp_atlas.census import count_identity
 from cusp_atlas.cuspsupport import support
 from cusp_atlas.lparams import (
     DiscreteParameter,
@@ -25,6 +25,7 @@ from cusp_atlas.lparams import (
 from cusp_atlas.orbits import (
     Family,
     GroupKind,
+    classical_kind,
     staircase,
     symplectic_cuspidal_character,
 )
@@ -41,7 +42,8 @@ def test_criterion_1_springer_count_identity():
     start = time.time()
     ok, detail = verifications.check_count_identity(LIMITS.census)
     assert ok, detail
-    assert springer_count_identity(4)[0] == 7  # 7 = 5 + 2
+    by_d, predicted = count_identity(GroupKind(Family.SP, 4))
+    assert sum(by_d.values()) == sum(predicted.values()) == 7  # 7 = 5 + 2
     ok, detail = verifications.check_so_count_identity(LIMITS.census)
     assert ok, detail
     elapsed = time.time() - start
@@ -116,9 +118,8 @@ def test_criterion_6_hecke_short_root_identity():
 
         # orthogonal-side staircase: largest block 2d - 1
         oblocks = [(label, 2 * a - 1) for a in range(1, d + 1)]
-        family = Family.SO_ODD if (d * d) % 2 else Family.SO_EVEN
-        ocusp = DiscreteParameter(GroupKind(family, d * d), oblocks)
-        otriple = InertialTriple(GroupKind(family, d * d + 2),
+        ocusp = DiscreteParameter(classical_kind(1, d * d), oblocks)
+        otriple = InertialTriple(classical_kind(1, d * d + 2),
                                  [GLFactor(label, 1)], ocusp)
         ofactor = hecke_parameters(otriple, {"r": 1}).factors[0]
         assert ofactor.x_plus == 2 * d

@@ -9,14 +9,14 @@ from cusp_atlas.cli import main
 from cusp_atlas.census import (
     DEFAULT_SIGNATURE,
     bipartition_count,
+    classical_kinds,
+    count_identity,
     distinct_part_partitions,
     enumerate_parameters,
     group_partitions,
     partition_count,
     partitions_of,
     sign_vectors,
-    so_count_identity,
-    springer_count_identity,
     unipotent_census,
 )
 from cusp_atlas.errors import DomainMismatch, InvalidParameter
@@ -32,7 +32,12 @@ from cusp_atlas.orbits import (
     validate_partition,
 )
 from cusp_atlas.springer import d_from_defect, removable_sites
-from cusp_atlas.verifications import check_defect_coherence
+from cusp_atlas import census
+from cusp_atlas.verifications import (
+    check_count_identity,
+    check_defect_coherence,
+    check_so_count_identity,
+)
 
 
 def brute_bipartitions(n):
@@ -125,32 +130,73 @@ def test_swapped_symbol_rejects_a_character_off_the_generators(family, parts, si
     assert str(err.value) == f"character domain {eta.keys()} does not match parts of {p}"
 
 
+def test_classical_kinds_order():
+    assert [str(k) for k in classical_kinds(4)] == \
+        ["SOodd_1", "Sp_2", "SOeven_2", "SOodd_3", "Sp_4", "SOeven_4"]
+
+
 def test_so_count_identity_range():
-    for n in range(1, 21):
-        total, predicted, by_d, by_d_pred = so_count_identity(n)
-        assert total == predicted
-        assert by_d == by_d_pred
+    so_kinds = [kind for kind in classical_kinds(20) if not kind.is_symplectic]
+    assert [kind.size for kind in so_kinds] == list(range(1, 21))
+    for kind in so_kinds:
+        by_d, predicted = count_identity(kind)
+        assert by_d == predicted, kind
 
 
 def test_so_count_identity_buckets():
     # SO_8: d = 0 (m = 4, #Irr W(D_4) = (20 + 3*2)/2) and d = 2 (m = 2, bip 5)
-    assert so_count_identity(8) == (18, 18, {0: 13, 2: 5}, {0: 13, 2: 5})
+    so8 = GroupKind(Family.SO_EVEN, 8)
+    assert count_identity(so8) == ({0: 13, 2: 5}, {0: 13, 2: 5})
+    assert unipotent_census(so8)["pairs"] == 18
     # SO_9: d = 1 (m = 4, bip 20) and d = 3 (m = 0, bip 1)
-    assert so_count_identity(9)[2:] == ({1: 20, 3: 1}, {1: 20, 3: 1})
+    assert count_identity(GroupKind(Family.SO_ODD, 9)) == ({1: 20, 3: 1}, {1: 20, 3: 1})
     # SO_6: d = 0 with odd m = 3: bip(3)/2 = 5
-    assert so_count_identity(6)[3] == {0: 5, 2: 2}
+    assert count_identity(GroupKind(Family.SO_EVEN, 6))[1] == {0: 5, 2: 2}
+
+
+@pytest.mark.parametrize("family,n,buckets", [
+    (Family.SO_ODD, 1, {1: 1}),          # d = 1 with m = 0; d = 0 leaves N - 0 odd
+    (Family.SP, 2, {0: 2, 1: 1}),        # bip(1) = 2, and the cuspidal Sp_2 pair
+    (Family.SO_EVEN, 2, {0: 1}),         # #Irr W(D_1) = bip(1)/2
+    (Family.SO_EVEN, 4, {0: 4, 2: 1}),   # #Irr W(D_2) = (5 + 3)/2, and m = 0 at d = 2
+    (Family.SP, 0, {0: 1}),              # bip(0)
+    (Family.SO_EVEN, 0, {0: 1}),         # W(D_0) is trivial
+], ids=["SO_1", "Sp_2", "SO_2", "SO_4", "Sp_0", "SO_0"])
+def test_count_identity_edges(family, n, buckets):
+    assert count_identity(GroupKind(family, n)) == (buckets, buckets)
 
 
 def test_census_rejects_other_families():
     with pytest.raises(InvalidParameter):
         unipotent_census(GroupKind(Family.GL, 4))
+    with pytest.raises(InvalidParameter):
+        count_identity(GroupKind(Family.GL, 4))
+
+
+def test_count_identity_checks_name_the_first_group_that_misses(monkeypatch):
+    real = census.count_identity
+
+    def one_too_many_at_size_4(kind):
+        by_d, predicted = real(kind)
+        if kind.size == 4:
+            predicted = {**predicted, 0: predicted[0] + 1}
+        return by_d, predicted
+
+    monkeypatch.setattr(census, "count_identity", one_too_many_at_size_4)
+    assert check_count_identity(6) == (
+        False, "Sp_4: census 7 {0: 5, 1: 2} vs predicted 8 {0: 6, 1: 2}")
+    assert check_so_count_identity(6) == (
+        False, "SO_4: census 5 {0: 4, 2: 1} vs predicted 6 {0: 5, 2: 1}")
+    assert check_count_identity(2) == (True, "Sp_N census matches for even N <= 2")
+    assert check_so_count_identity(3) == (True, "SO_N census matches for N <= 3")
 
 
 def test_springer_count_identity_range():
-    for n in range(2, 13, 2):
-        total, predicted, by_d, by_d_pred = springer_count_identity(n)
-        assert total == predicted
-        assert by_d == by_d_pred
+    sp_kinds = [kind for kind in classical_kinds(12) if kind.is_symplectic]
+    assert [kind.size for kind in sp_kinds] == list(range(2, 13, 2))
+    for kind in sp_kinds:
+        by_d, predicted = count_identity(kind)
+        assert by_d == predicted, kind
 
 
 def test_enumerate_parameters_sp6():

@@ -530,6 +530,27 @@ def test_selfcheck_bounds_report_the_first_field_first():
     assert (err.value.pointer, err.value.message) == ("/bounds/checks", "unknown field")
 
 
+def test_list_elements_get_their_pointers_without_escaping(monkeypatch):
+    # an index needs no RFC 6901 escaping, so no element of a valid list goes
+    # through _child; a bad element still names its index
+    calls = []
+    child = cli._child
+    monkeypatch.setattr(cli, "_child", lambda pointer, token: calls.append(token) or
+                        child(pointer, token))
+    ones = {"command": "validate", "group": {"family": "Sp", "N": 1000}, "partition": [1] * 1000}
+    odd = list(range(1, 40, 2))
+    signs = {"command": "springer", "group": {"family": "SOeven", "N": sum(odd)},
+             "partition": odd, "signs": [1, -1] * 10}
+    for doc in (ones, signs):
+        parse_input(doc)
+    assert all(isinstance(token, str) for token in calls), calls
+    for doc, path, pointer in ((ones, ("partition", 737), "/partition/737"),
+                               (signs, ("signs", 13), "/signs/13")):
+        with pytest.raises(SchemaError) as err:
+            parse_input(with_value(doc, path, 0))
+        assert err.value.pointer == pointer
+
+
 CLI = [sys.executable, "-m", "cusp_atlas.cli"]
 
 

@@ -33,7 +33,7 @@ from cusp_atlas.lparams import (
     infinitesimal_character,
     is_cuspidal,
 )
-from cusp_atlas.orbits import Family, GroupKind, Partition
+from cusp_atlas.orbits import Family, GroupKind, Partition, classical_kind
 from cusp_atlas.springer import springer_datum
 
 P = IrrLabel("p", 1, SelfDualType.ORTHOGONAL)
@@ -222,7 +222,7 @@ def test_sp_side_dprime_is_odd_everywhere():
     for dual in (GroupKind(Family.SP, 10), GroupKind(Family.SO_ODD, 9)):
         for param, eta in enumerate_parameters(dual):
             for _, side, sizes, slice_char in cuspsupport._slices(param, eta):
-                datum = springer_datum(cuspsupport._slice_group(side, sum(sizes)),
+                datum = springer_datum(classical_kind(side.parity, sum(sizes)),
                                        Partition(sizes), slice_char)
                 if side is BlockGroupSide.SP_SIDE:
                     assert datum.dprime % 2 == 1

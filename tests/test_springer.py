@@ -3,7 +3,13 @@ from dataclasses import replace
 import pytest
 
 from cusp_atlas import verifications
-from cusp_atlas.census import distinguished_pairs, group_partitions, springer_count_identity
+from cusp_atlas.census import (
+    classical_kinds,
+    count_identity,
+    distinguished_pairs,
+    group_partitions,
+    unipotent_census,
+)
 from cusp_atlas.cuspsupport import all_order_slice_supports, outcome_supports
 from cusp_atlas.errors import DomainMismatch, InvalidPartition
 from cusp_atlas.lparams import BlockGroupSide, IrrLabel, SelfDualType
@@ -13,6 +19,7 @@ from cusp_atlas.orbits import (
     Partition,
     SignCharacter,
     characters_of,
+    classical_kind,
     component_group,
     cuspidal_pair,
     orbit_count,
@@ -86,25 +93,14 @@ def test_normal_form_values_can_depend_on_order():
     assert len(supports) == 1
 
 
-def _distinguished_kinds(n):
-    kinds = [GroupKind(Family.SP, n)] if n % 2 == 0 else []
-    kinds.append(GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n))
-    return kinds
-
-
 def test_order_independence_of_content_and_support():
-    for n in range(1, 13):
-        for kind in _distinguished_kinds(n):
-            side = BlockGroupSide.SP_SIDE if kind.is_symplectic else BlockGroupSide.O_SIDE
-            for p, eta in distinguished_pairs(kind):
-                outcomes = elimination_outcomes(p, eta)
-                contents = {
-                    normal_form_content(
-                        GroupKind(kind.family, sum(parts)) if parts else kind,
-                        parts, values)
-                    for parts, values, _ in outcomes}
-                assert len(contents) == 1
-                assert len(outcome_supports(LABEL, side, p.increasing(), outcomes)) == 1
+    for kind in classical_kinds(12):
+        side = BlockGroupSide.SP_SIDE if kind.is_symplectic else BlockGroupSide.O_SIDE
+        for p, eta in distinguished_pairs(kind):
+            outcomes = elimination_outcomes(p, eta)
+            contents = {normal_form_content(kind, parts, values) for parts, values, _ in outcomes}
+            assert len(contents) == 1
+            assert len(outcome_supports(LABEL, side, p.increasing(), outcomes)) == 1
 
 
 def _walk_every_order(parts, signs, removed=()):
@@ -120,13 +116,14 @@ def _walk_every_order(parts, signs, removed=()):
 def test_elimination_outcomes_match_path_walker():
     # from N = 16 on some orders delete two pairs; N = 20 adds the four-part
     # symplectic classes and N = 25 the five-part class (9,7,5,3,1)
-    for n in list(range(1, 17)) + [20, 25]:
-        for kind in _distinguished_kinds(n):
-            for p, eta in distinguished_pairs(kind):
-                walked = set(_walk_every_order(p.increasing(), eta.as_dict()))
-                assert elimination_outcomes(p, eta) == walked
-                normal, chi, removed = eliminate(p, eta)
-                assert (normal.increasing(), chi.values, tuple(sorted(removed))) in walked
+    for kind in classical_kinds(25):
+        if kind.size > 16 and kind.size not in (20, 25):
+            continue
+        for p, eta in distinguished_pairs(kind):
+            walked = set(_walk_every_order(p.increasing(), eta.as_dict()))
+            assert elimination_outcomes(p, eta) == walked
+            normal, chi, removed = eliminate(p, eta)
+            assert (normal.increasing(), chi.values, tuple(sorted(removed))) in walked
 
 
 def test_d_from_normal_form():
@@ -168,8 +165,7 @@ def test_cuspidal_pairs_are_fixed_points():
         datum = springer_datum(kind, pair.partition, pair.character)
         assert datum.torus_rank == 0 and datum.cusp_partition == pair.partition
     for d in range(1, 6):
-        n = d * d
-        kind = GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n)
+        kind = classical_kind(1, d * d)
         pair = cuspidal_pair(kind)
         for lift in (pair.character, pair.minus_lift):
             datum = springer_datum(kind, pair.partition, lift)
@@ -177,9 +173,10 @@ def test_cuspidal_pairs_are_fixed_points():
 
 
 def test_count_identity_small():
-    total, predicted, by_d, by_d_predicted = springer_count_identity(4)
-    assert total == predicted == 7
-    assert by_d == by_d_predicted == {0: 5, 1: 2}
+    kind = GroupKind(Family.SP, 4)
+    by_d, predicted = count_identity(kind)
+    assert by_d == predicted == {0: 5, 1: 2}
+    assert unipotent_census(kind)["pairs"] == sum(predicted.values()) == 7
 
 
 # -- full orthogonal group ----------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import alternative_defect_formula_sp, pair_defect, pair_symbol
 
-from cusp_atlas.census import distinguished_pairs, group_partitions
+from cusp_atlas.census import classical_kinds, distinguished_pairs, group_partitions
 from cusp_atlas.errors import DomainMismatch, InvalidPartition
 from cusp_atlas.orbits import (
     Family,
@@ -139,17 +139,14 @@ def test_swapped_symbol_matches_the_set_algebra_on_every_pair():
     # the precomputed splits are read in the order of eta.values, which must
     # run over the generator parts as structure.parts does
     pairs = 0
-    for n in range(15):
-        kinds = [GroupKind(Family.SP, n)] if n % 2 == 0 else []
-        kinds.append(GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n))
-        for kind in kinds:
-            for orbit in group_partitions(kind):
-                structure = interval_structure(orbit)
-                for signs in itertools.product((1, -1), repeat=len(structure.parts)):
-                    eta = SignCharacter(dict(zip(reversed(structure.parts), reversed(signs))))
-                    assert swapped_symbol(structure, eta) == \
-                        set_algebra_swapped_symbol(structure, eta), (kind, orbit.partition, eta)
-                    pairs += 1
+    for kind in (GroupKind(Family.SP, 0), GroupKind(Family.SO_EVEN, 0), *classical_kinds(14)):
+        for orbit in group_partitions(kind):
+            structure = interval_structure(orbit)
+            for signs in itertools.product((1, -1), repeat=len(structure.parts)):
+                eta = SignCharacter(dict(zip(reversed(structure.parts), reversed(signs))))
+                assert swapped_symbol(structure, eta) == \
+                    set_algebra_swapped_symbol(structure, eta), (kind, orbit.partition, eta)
+                pairs += 1
     assert pairs == 1120
 
 
@@ -174,17 +171,14 @@ def test_symbol_from_character_fixtures(kind, parts, signs, a, b, dft):
 
 
 def test_symbol_from_character_matches_closed_form():
-    for n in range(1, 15):
-        kinds = [GroupKind(Family.SP, n)] if n % 2 == 0 else []
-        kinds.append(GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n))
-        for kind in kinds:
-            for p, eta in distinguished_pairs(kind):
-                got = pair_symbol(kind, p, eta)
-                want = closed_form_symbol(kind, p, eta)
-                if kind.is_symplectic:
-                    assert (got.a, got.b) == (want.a, want.b)
-                else:
-                    assert {got.a, got.b} == {want.a, want.b}
+    for kind in classical_kinds(14):
+        for p, eta in distinguished_pairs(kind):
+            got = pair_symbol(kind, p, eta)
+            want = closed_form_symbol(kind, p, eta)
+            if kind.is_symplectic:
+                assert (got.a, got.b) == (want.a, want.b)
+            else:
+                assert {got.a, got.b} == {want.a, want.b}
 
 
 def test_defect_formula_fixtures():
@@ -219,26 +213,20 @@ def test_character_must_be_given_on_exactly_the_generators(signs):
 
 
 def test_defect_formula_equals_symbol_defect_everywhere():
-    for n in range(1, 21):
-        kinds = [GroupKind(Family.SP, n)] if n % 2 == 0 else []
-        kinds.append(GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n))
-        for kind in kinds:
-            for p, eta in distinguished_pairs(kind):
-                assert pair_defect(kind, p, eta) == pair_symbol(kind, p, eta).defect
+    for kind in classical_kinds(20):
+        for p, eta in distinguished_pairs(kind):
+            assert pair_defect(kind, p, eta) == pair_symbol(kind, p, eta).defect
 
 
 def test_defect_parities():
-    for n in range(1, 17):
-        kinds = [GroupKind(Family.SP, n)] if n % 2 == 0 else []
-        kinds.append(GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n))
-        for kind in kinds:
-            for orbit in group_partitions(kind):
-                for eta in characters_of(component_group(orbit)):
-                    d = swapped_symbol(interval_structure(orbit), eta).defect
-                    if kind.is_symplectic:
-                        assert d % 2 == 1
-                    else:
-                        assert d % 2 == n % 2
+    for kind in classical_kinds(16):
+        for orbit in group_partitions(kind):
+            for eta in characters_of(component_group(orbit)):
+                d = swapped_symbol(interval_structure(orbit), eta).defect
+                if kind.is_symplectic:
+                    assert d % 2 == 1
+                else:
+                    assert d % 2 == kind.size % 2
 
 
 def test_base_symbol_satisfies_membership_conditions():
