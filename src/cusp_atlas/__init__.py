@@ -66,7 +66,6 @@ from .cuspsupport import (
 )
 from .bernstein import (
     GLFactor,
-    HeckeParams,
     InertialTriple,
     WeylDescriptor,
     hecke_parameters,

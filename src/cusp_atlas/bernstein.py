@@ -34,7 +34,6 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import NormalizationError
 from .lparams import (
-    BlockGroupSide,
     DiscreteParameter,
     IrrLabel,
     SelfDualType,
@@ -145,11 +144,9 @@ def _factor_type(triple: InertialTriple, factor: GLFactor) -> WeylFactor:
         return WeylFactor(factor.label, RootType.TRIVIAL, 0)
     if factor.label.sd_type is SelfDualType.GL_PAIR:
         return WeylFactor(factor.label, RootType.A, factor.ell - 1)
-    side = block_group_type(triple.dual_group, factor.label)
-    mprime = triple.mprime(factor.label)
-    if mprime:
+    if triple.mprime(factor.label):
         return WeylFactor(factor.label, RootType.B, factor.ell)
-    if side is BlockGroupSide.SP_SIDE:
+    if block_group_type(triple.dual_group, factor.label) == 0:
         return WeylFactor(factor.label, RootType.C, factor.ell)
     return WeylFactor(factor.label, RootType.D, factor.ell, star=True)
 
@@ -178,13 +175,13 @@ def weyl_descriptor(triple: InertialTriple) -> WeylDescriptor:
     return WeylDescriptor(factors, RGroupDescriptor("so-even-gl-levi", tuple(gens)))
 
 
-def _staircase_top(side: BlockGroupSide, total: int) -> int:
+def _staircase_top(parity: int, total: int) -> int:
     """Largest block of the staircase with the given block total."""
-    d = staircase_d(side.parity, total)
+    d = staircase_d(parity, total)
     if d is None:
-        shape = "1+3+...+(2d-1)" if side.parity else "2+4+...+2d"
+        shape = "1+3+...+(2d-1)" if parity else "2+4+...+2d"
         raise NormalizationError(f"{total} is not a staircase total {shape}")
-    return 2 * d - side.parity
+    return 2 * d - parity
 
 
 @dataclass(frozen=True)
@@ -203,13 +200,8 @@ class HeckeFactorParams:
     mu_other: Optional[int]
 
 
-@dataclass(frozen=True)
-class HeckeParams:
-    factors: tuple[HeckeFactorParams, ...]
-
-
 def hecke_parameters(triple: InertialTriple,
-                     theta: Optional[Mapping[str, int]] = None) -> HeckeParams:
+                     theta: Optional[Mapping[str, int]] = None) -> tuple[HeckeFactorParams, ...]:
     """Graded parameter function per factor; theta maps label name -> +-1."""
     theta = dict(theta or {})
     for name, sign in theta.items():
@@ -224,9 +216,9 @@ def hecke_parameters(triple: InertialTriple,
                                          2 if wf.rank else None))
             continue
         x_plus = reducibility_point(factor.label, triple.cusp_param.blocks, triple.dual_group)
-        side = block_group_type(triple.dual_group, factor.label)
         if factor.partner_mprime:
-            x_minus = _staircase_top(side, factor.partner_mprime) + 1
+            parity = block_group_type(triple.dual_group, factor.label)
+            x_minus = _staircase_top(parity, factor.partner_mprime) + 1
         else:
             # the companion twist has the same self-duality type as the label
             x_minus = reducibility_point(factor.label, (), triple.dual_group)
@@ -245,7 +237,7 @@ def hecke_parameters(triple: InertialTriple,
         mu_other = 2 if wf.rank and not (wf.root_type is RootType.B and wf.rank == 1) else None
         out.append(HeckeFactorParams(factor.label, wf.root_type, wf.rank,
                                      x_plus, x_minus, lam, lam_star, mu_short, mu_other))
-    return HeckeParams(tuple(out))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

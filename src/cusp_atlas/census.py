@@ -213,7 +213,7 @@ def enumerate_parameters(
                 yield ()
             return
         label = labels[idx]
-        parity = block_group_type(dual, label).parity
+        parity = block_group_type(dual, label)
         for budget in range(0, remaining + 1):
             if budget % label.dim:
                 continue

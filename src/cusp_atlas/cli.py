@@ -478,7 +478,6 @@ def _run_bernstein(payload, bound: int) -> dict:
 
 def _run_hecke(payload, bound: int) -> dict:
     triple, theta = payload
-    params = hecke_parameters(triple, theta)
     return {"factors": [{
         "pi": f.label.name,
         "type": f.root_type.value,
@@ -489,7 +488,7 @@ def _run_hecke(payload, bound: int) -> dict:
         "lambda_star": _half_or_null(f.lam_star),
         "mu_short": _half_or_null(f.mu_short),
         "mu_other": f.mu_other,
-    } for f in params.factors]}
+    } for f in hecke_parameters(triple, theta)]}
 
 
 def _run_enumerate(kind: GroupKind, bound: int) -> dict:

@@ -48,7 +48,6 @@ from .errors import InternalCheckError, InvalidParameter
 from .orbits import GroupKind, Partition, SignCharacter, classical_kind, require_domain, staircase
 from .springer import eliminate, elimination_outcomes, springer_datum
 from .lparams import (
-    BlockGroupSide,
     DiscreteParameter,
     ExponentMultiset,
     IrrLabel,
@@ -61,8 +60,8 @@ from .lparams import (
 
 
 def _slices(p: DiscreteParameter, eta: ParameterCharacter
-            ) -> Iterator[tuple[IrrLabel, BlockGroupSide, tuple[int, ...], SignCharacter]]:
-    """Per label: (label, side, block sizes, the character on those sizes)."""
+            ) -> Iterator[tuple[IrrLabel, int, tuple[int, ...], SignCharacter]]:
+    """Per label: (label, block parity, block sizes, the character on those sizes)."""
     require_domain(eta, p.block_keys(), "blocks", p)
     for label, sizes in p.slices():
         yield (label, block_group_type(p.dual_group, label), sizes,
@@ -77,17 +76,17 @@ class ECMultiset:
     e_prime: ExponentMultiset
 
 
-def staircase_exponents(label: IrrLabel, side: BlockGroupSide, d: int) -> ExponentMultiset:
+def staircase_exponents(label: IrrLabel, parity: int, d: int) -> ExponentMultiset:
     return ExponentMultiset.union_all(block_exponents(label, a)
-                                      for a in staircase(side.parity, d))
+                                      for a in staircase(parity, d))
 
 
-def ec_multiset(label: IrrLabel, side: BlockGroupSide, sizes: Iterable[int], d: int) -> ECMultiset:
+def ec_multiset(label: IrrLabel, parity: int, sizes: Iterable[int], d: int) -> ECMultiset:
     """E_c = slice exponents minus staircase exponents, split as E' + (-E')."""
     sizes = tuple(sizes)
     total = ExponentMultiset.union_all(block_exponents(label, a) for a in sizes)
     try:
-        e_c = total.minus(staircase_exponents(label, side, d))
+        e_c = total.minus(staircase_exponents(label, parity, d))
     except InvalidParameter as exc:
         raise InvalidParameter(
             f"staircase of size parameter {d} does not embed in slice {sizes}: {exc}") from exc
@@ -147,19 +146,19 @@ def _assemble(dual: GroupKind, slices: list[_SliceRecord]) -> CuspidalSupport:
 def support(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSupport:
     """Cuspidal support via per-slice data and correction multisets."""
     slices = []
-    for label, side, sizes, slice_char in _slices(p, eta):
-        datum = springer_datum(classical_kind(side.parity, sum(sizes)), Partition(sizes), slice_char)
-        twists = ec_multiset(label, side, sizes, datum.d).e_prime
+    for label, parity, sizes, slice_char in _slices(p, eta):
+        datum = springer_datum(classical_kind(parity, sum(sizes)), Partition(sizes), slice_char)
+        twists = ec_multiset(label, parity, sizes, datum.d).e_prime
         slices.append((label, twists, datum.cusp_character, datum.torus_rank))
     return _assemble(p.dual_group, slices)
 
 
-def _psi_map(side: BlockGroupSide, normal: Partition, char: SignCharacter) -> tuple[int, ...]:
+def _psi_map(parity: int, normal: Partition, char: SignCharacter) -> tuple[int, ...]:
     """Images of the increasing normal-form blocks under the block map psi."""
     parts = normal.increasing()
-    if side is BlockGroupSide.SP_SIDE and parts and char(parts[0]) == -1:
+    if parity == 0 and parts and char(parts[0]) == -1:
         return tuple(2 * (i + 1) for i in range(len(parts)))
-    return tuple(2 * i + side.parity for i in range(len(parts)))
+    return tuple(2 * i + parity for i in range(len(parts)))
 
 
 def _segment(top: int, length: int, label: IrrLabel) -> ExponentMultiset:
@@ -178,13 +177,13 @@ def _segment(top: int, length: int, label: IrrLabel) -> ExponentMultiset:
     return ExponentMultiset.of_runs(label, runs)
 
 
-def _slice_psi_support(label: IrrLabel, side: BlockGroupSide, sizes: tuple[int, ...],
+def _slice_psi_support(label: IrrLabel, parity: int, sizes: tuple[int, ...],
                        removed: Sequence[tuple[int, int]],
                        terminal: Partition, terminal_char: SignCharacter) -> _SliceRecord:
     """One slice's record from an elimination history."""
     segments = []
     cusp_values: dict[int, int] = {}
-    for a, image in zip(terminal.increasing(), _psi_map(side, terminal, terminal_char)):
+    for a, image in zip(terminal.increasing(), _psi_map(parity, terminal, terminal_char)):
         segments.append(_segment(a, (a - image) // 2, label))
         if image >= 1:
             cusp_values[image] = terminal_char(a)
@@ -202,29 +201,33 @@ def support_via_psi(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSu
     :func:`support` in :func:`check_support`.
     """
     slices = []
-    for label, side, sizes, slice_char in _slices(p, eta):
+    for label, parity, sizes, slice_char in _slices(p, eta):
         terminal, terminal_char, removed = eliminate(Partition(sizes), slice_char)
-        slices.append(_slice_psi_support(label, side, sizes, removed, terminal, terminal_char))
+        slices.append(_slice_psi_support(label, parity, sizes, removed, terminal, terminal_char))
     return _assemble(p.dual_group, slices)
 
 
-def all_order_slice_supports(label: IrrLabel, side: BlockGroupSide,
+def all_order_slice_supports(label: IrrLabel, parity: int,
                              sizes: tuple[int, ...],
                              slice_char: SignCharacter) -> set:
     """Slice supports over every admissible elimination order (test hook).
 
     Returns the set of (twist multiset, cuspidal blocks, cuspidal values)
     triples; order independence of the support means this is a singleton.
+    ``parity`` is the value :func:`~cusp_atlas.lparams.block_group_type`
+    returns, which callers such as the ``sweep`` benchmark workload pass
+    straight through, and it never appears in the returned triples.
     """
-    return outcome_supports(label, side, sizes, elimination_outcomes(Partition(sizes), slice_char))
+    outcomes = elimination_outcomes(Partition(sizes), slice_char)
+    return outcome_supports(label, parity, sizes, outcomes)
 
 
-def outcome_supports(label: IrrLabel, side: BlockGroupSide, sizes: tuple[int, ...],
+def outcome_supports(label: IrrLabel, parity: int, sizes: tuple[int, ...],
                      outcomes: Iterable) -> set:
     """The slice support triples of the given :func:`elimination_outcomes`."""
     out = set()
     for parts, values, removed in outcomes:
-        _, twists, cusp_char, _ = _slice_psi_support(label, side, sizes, removed,
+        _, twists, cusp_char, _ = _slice_psi_support(label, parity, sizes, removed,
                                                      Partition(parts), SignCharacter(values))
         out.add((twists, Partition(cusp_char.keys()).parts, cusp_char.values))
     return out

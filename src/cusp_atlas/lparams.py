@@ -43,21 +43,6 @@ class SelfDualType(str, Enum):
     GL_PAIR = "gl-pair"
 
 
-class BlockGroupSide(str, Enum):
-    """Type of the isometry group of a multiplicity space."""
-
-    SP_SIDE = "sp"
-    O_SIDE = "o"
-    GL_SIDE = "gl"
-
-    @property
-    def parity(self) -> int:
-        """Parity of the block sizes, and of the staircase, on this side: 0 Sp, 1 O."""
-        if self is BlockGroupSide.GL_SIDE:
-            raise InvalidParameter("gl-pair labels have no block parity rule")
-        return 0 if self is BlockGroupSide.SP_SIDE else 1
-
-
 @dataclass(frozen=True, order=True)
 class IrrLabel:
     name: str
@@ -122,17 +107,18 @@ class DiscreteParameter:
         return f"{{{inner}}}"
 
 
-def block_group_type(dual: GroupKind, label: IrrLabel) -> BlockGroupSide:
-    """Type of the group acting on the multiplicity space of a label.
+def block_group_type(dual: GroupKind, label: IrrLabel) -> int:
+    """Generator parity of the group acting on the multiplicity space of a label.
 
-    Orthogonal when the label type matches the dual group type, symplectic
-    when they differ, general-linear for non-self-dual bundles.
+    1 (orthogonal) when the label type matches the dual group type, 0
+    (symplectic) when they differ, as :attr:`GroupKind.generator_parity`
+    gives for that group.  It is also the parity of the label's block sizes.
     """
     if label.sd_type is SelfDualType.GL_PAIR:
-        return BlockGroupSide.GL_SIDE
+        raise InvalidParameter("gl-pair labels have no block parity rule")
     matches = (dual.is_symplectic and label.sd_type is SelfDualType.SYMPLECTIC) or (
         dual.is_special_orthogonal and label.sd_type is SelfDualType.ORTHOGONAL)
-    return BlockGroupSide.O_SIDE if matches else BlockGroupSide.SP_SIDE
+    return 1 if matches else 0
 
 
 def validate_parameter(dual: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]) -> Verdict:
@@ -162,7 +148,7 @@ def validate_parameter(dual: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]) 
         if label.sd_type is SelfDualType.GL_PAIR:
             problems.append(f"gl-pair label {label} in a discrete parameter")
             continue
-        parity = block_group_type(dual, label).parity
+        parity = block_group_type(dual, label)
         if a % 2 != parity:
             article = "an" if label.sd_type is SelfDualType.ORTHOGONAL else "a"
             problems.append(
@@ -348,7 +334,15 @@ class ExponentMultiset:
         return all(jumps == _negated(jumps) for jumps in self._jumps.values())
 
     def nonnegative_half(self) -> "ExponentMultiset":
-        """H with self = H + (-H); positives keep their multiplicity, zeros halve."""
+        """H with positives at their multiplicity and zeros halved, rounded down.
+
+        Then self = H + (-H) exactly when the count at 0 is even; an odd
+        count loses one zero (the O-side E_c of ``ec_multiset(label, 1,
+        (1, 3, 801), 2)`` has one zero, its half none).  ``support`` never
+        meets that case: Sp-side exponents are never 0, and on the O side
+        d is congruent to the number of blocks mod 2, so E_c has an even
+        count at 0.
+        """
         if not self.is_symmetric():
             raise InvalidParameter("multiset is not symmetric under negation")
         half = {}
@@ -450,4 +444,4 @@ def reducibility_point(label: IrrLabel, blocks: Iterable[tuple[IrrLabel, int]],
     sizes = [a for lab, a in blocks if lab == label]
     if sizes:
         return max(sizes) + 1
-    return 1 if block_group_type(dual, label) is BlockGroupSide.O_SIDE else 0
+    return block_group_type(dual, label)

@@ -70,13 +70,13 @@ def check_order_independence(limit: int) -> tuple[bool, str]:
     checked = 0
     label = census.DEFAULT_SIGNATURE[0]
     for kind in census.classical_kinds(limit):
-        side = block_group_type(kind, label)
+        parity = block_group_type(kind, label)
         for p, eta in census.distinguished_pairs(kind):
             outcomes = elimination_outcomes(p, eta)
             contents = {normal_form_content(kind, parts, values) for parts, values, _ in outcomes}
             if len(contents) != 1:
                 return False, f"{len(contents)} normal-form contents for {kind} {p} {eta}"
-            supports = outcome_supports(label, side, p.increasing(), outcomes)
+            supports = outcome_supports(label, parity, p.increasing(), outcomes)
             if len(supports) != 1:
                 return False, f"{len(supports)} supports for {kind} {p} {eta}"
             checked += 1

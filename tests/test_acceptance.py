@@ -112,7 +112,7 @@ def test_criterion_6_hecke_short_root_identity():
         cusp = DiscreteParameter(GroupKind(Family.SP, d * (d + 1)), blocks)
         triple = InertialTriple(GroupKind(Family.SP, d * (d + 1) + 2),
                                 [GLFactor(label, 1)], cusp)
-        factor = hecke_parameters(triple, {"r": 1}).factors[0]
+        factor = hecke_parameters(triple, {"r": 1})[0]
         assert factor.x_plus == 2 * d + 1
         assert factor.mu_short == 2 * (2 * d + 1)  # the table's a + 1 with a = 2d
 
@@ -121,7 +121,7 @@ def test_criterion_6_hecke_short_root_identity():
         ocusp = DiscreteParameter(classical_kind(1, d * d), oblocks)
         otriple = InertialTriple(classical_kind(1, d * d + 2),
                                  [GLFactor(label, 1)], ocusp)
-        ofactor = hecke_parameters(otriple, {"r": 1}).factors[0]
+        ofactor = hecke_parameters(otriple, {"r": 1})[0]
         assert ofactor.x_plus == 2 * d
         assert ofactor.mu_short == 2 * ((2 * d - 1) + 1)
     report(6, "hecke short-root identity", time.time() - start)

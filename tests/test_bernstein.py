@@ -108,18 +108,18 @@ def test_weyl_descriptor_invariant_under_factor_permutation():
 
 def test_hecke_parameters_present_label():
     t = sp_triple([GLFactor(R, 2)], [(R, 2), (R, 4)], 10)
-    f = hecke_parameters(t, {"r": 1}).factors[0]
+    f = hecke_parameters(t, {"r": 1})[0]
     assert f.x_plus == 5
     assert f.x_plus == 4 + 1  # the short-root identity 2x+ = a + 1
     assert f.mu_short == f.lam + f.lam_star
-    f = hecke_parameters(t, {"r": -1}).factors[0]
+    f = hecke_parameters(t, {"r": -1})[0]
     assert f.mu_short == 2 * f.x_minus
 
 
 def test_hecke_parameters_partner_block_total():
     # the companion twist carries blocks of total 2, i.e. a staircase (2)
     t = sp_triple([GLFactor(R, 2, partner_mprime=2)], [(R, 2), (R, 4)], 10)
-    f = hecke_parameters(t).factors[0]
+    f = hecke_parameters(t)[0]
     assert f.x_minus == 3
     assert f.lam == 2 * 4 and f.lam_star == 2 * 1
     assert f.mu_short == 2 * 5  # theta defaults to +1
@@ -130,12 +130,12 @@ def test_hecke_parameters_huge_partner_block_total():
     d = 10**20
     total = d * (d + 1)
     t = sp_triple([GLFactor(R, 0, partner_mprime=total)], [(R, total)], total)
-    f = hecke_parameters(t).factors[0]
+    f = hecke_parameters(t)[0]
     assert f.x_minus == 2 * d + 1 and f.x_plus == total + 1
     q = IrrLabel("q", 1, SelfDualType.ORTHOGONAL)
     cusp = DiscreteParameter(GroupKind(Family.SO_ODD, d * d + 1), [(q, d * d + 1)])
     t = InertialTriple(cusp.dual_group, [GLFactor(q, 0, partner_mprime=d * d)], cusp)
-    assert hecke_parameters(t).factors[0].x_minus == 2 * d
+    assert hecke_parameters(t)[0].x_minus == 2 * d
 
 
 def test_hecke_parameters_partner_total_off_the_staircase():
@@ -155,10 +155,10 @@ def test_hecke_parameters_o_side_half_point():
     q = IrrLabel("q", 1, SelfDualType.ORTHOGONAL)
     cusp = DiscreteParameter(GroupKind(Family.SO_ODD, 9), [(q, 1), (q, 3), (q, 5)])
     t = InertialTriple(GroupKind(Family.SO_ODD, 13), [GLFactor(q, 2)], cusp)
-    f = hecke_parameters(t, {"q": 1}).factors[0]
+    f = hecke_parameters(t, {"q": 1})[0]
     assert f.x_plus == 2 * 3 and f.x_minus == 1
     assert f.mu_short == f.x_plus * 2 == 2 * (5 + 1)
-    assert hecke_parameters(t, {"q": -1}).factors[0].mu_short == 2 * 1
+    assert hecke_parameters(t, {"q": -1})[0].mu_short == 2 * 1
 
 
 def test_hecke_parameters_unnormalized_triple_message():
@@ -173,14 +173,14 @@ def test_hecke_parameters_unnormalized_triple_message():
 
 def test_hecke_parameters_absent_mismatch():
     t = sp_triple([GLFactor(T, 2)], [(R, 2), (R, 4)], 10)
-    f = hecke_parameters(t).factors[0]
+    f = hecke_parameters(t)[0]
     assert f.x_plus == 0 and f.x_minus == 0
     assert f.root_type is RootType.C and f.mu_short is None and f.mu_other == 2
 
 
 def test_hecke_gl_pair_factor_is_constant():
     t = sp_triple([GLFactor(G, 3)], [(R, 2), (R, 4)], 12)
-    f = hecke_parameters(t).factors[0]
+    f = hecke_parameters(t)[0]
     assert f.x_plus is None and f.mu_other == 2
 
 

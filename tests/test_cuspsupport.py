@@ -22,7 +22,6 @@ from cusp_atlas.cuspsupport import (
 )
 from cusp_atlas.errors import InternalCheckError, InvalidParameter
 from cusp_atlas.lparams import (
-    BlockGroupSide,
     DiscreteParameter,
     ExponentMultiset,
     IrrLabel,
@@ -64,12 +63,13 @@ def half_oracle(counts):
     return +half
 
 
-# (side, slice sizes up to a = 801, the d values whose staircase embeds)
+# (block parity: 0 Sp, 1 O; slice sizes up to a = 801; the d values whose
+# staircase embeds)
 LARGE_SLICES = [
-    (BlockGroupSide.SP_SIDE, (2, 4, 800), (0, 1, 2)),
-    (BlockGroupSide.SP_SIDE, (6, 8), (0, 1)),
-    (BlockGroupSide.O_SIDE, (1, 3, 801), (1, 2)),
-    (BlockGroupSide.O_SIDE, (5, 99, 801), (0, 1, 3)),
+    (0, (2, 4, 800), (0, 1, 2)),
+    (0, (6, 8), (0, 1)),
+    (1, (1, 3, 801), (1, 2)),
+    (1, (5, 99, 801), (0, 1, 3)),
 ]
 
 
@@ -108,7 +108,7 @@ def test_support_so5_packet():
 
 
 def test_ec_multiset_sp_slice():
-    out = ec_multiset(P, BlockGroupSide.SP_SIDE, (2, 4), 1)
+    out = ec_multiset(P, 0, (2, 4), 1)
     assert to_counter(out.e_prime) == Counter({(P, Fraction(3, 2)): 1,
                                                (P, Fraction(1, 2)): 1})
     oracle = exponent_oracle(P, (2, 4))
@@ -117,13 +117,13 @@ def test_ec_multiset_sp_slice():
 
 
 def test_ec_multiset_cuspidal_slice_is_empty():
-    out = ec_multiset(P, BlockGroupSide.SP_SIDE, (2, 4), 2)
+    out = ec_multiset(P, 0, (2, 4), 2)
     assert len(out.e_c) == 0 and len(out.e_prime) == 0
 
 
 def test_ec_multiset_o_slice_with_zero_entries():
     # confirmed against the brute-force multiset difference: E' = {2,1,1,0}
-    out = ec_multiset(P, BlockGroupSide.O_SIDE, (1, 3, 5), 1)
+    out = ec_multiset(P, 1, (1, 3, 5), 1)
     oracle = exponent_oracle(P, (1, 3, 5))
     oracle.subtract(exponent_oracle(P, (1,)))
     assert to_counter(out.e_c) == +oracle
@@ -135,23 +135,23 @@ def test_ec_multiset_o_slice_with_zero_entries():
 
 def test_ec_multiset_rejects_incompatible_d():
     with pytest.raises(InvalidParameter):
-        ec_multiset(P, BlockGroupSide.SP_SIDE, (2,), 2)
+        ec_multiset(P, 0, (2,), 2)
 
 
 def test_ec_multiset_reports_an_asymmetric_correction(monkeypatch):
     # negative control: a staircase that takes only the exponent 3/2 out of
     # the block (p,4) leaves the asymmetric correction {1/2, -1/2, -3/2}
     monkeypatch.setattr(cuspsupport, "staircase_exponents",
-                        lambda label, side, d: ExponentMultiset([(label, 3)]))
+                        lambda label, parity, d: ExponentMultiset([(label, 3)]))
     with pytest.raises(InternalCheckError,
                        match=r"^correction multiset of slice \(4,\), d=1 is asymmetric$") as info:
-        ec_multiset(P, BlockGroupSide.SP_SIDE, (4,), 1)
+        ec_multiset(P, 0, (4,), 1)
     assert isinstance(info.value.__cause__, InvalidParameter)
 
 
 def test_staircase_exponents():
-    assert staircase_exponents(P, BlockGroupSide.SP_SIDE, 1) == block_exponents(P, 2)
-    assert staircase_exponents(P, BlockGroupSide.O_SIDE, 2) == \
+    assert staircase_exponents(P, 0, 1) == block_exponents(P, 2)
+    assert staircase_exponents(P, 1, 2) == \
         block_exponents(P, 1).union(block_exponents(P, 3))
 
 
@@ -221,10 +221,10 @@ def test_sp_side_dprime_is_odd_everywhere():
     # the data `support` computes, slice by slice
     for dual in (GroupKind(Family.SP, 10), GroupKind(Family.SO_ODD, 9)):
         for param, eta in enumerate_parameters(dual):
-            for _, side, sizes, slice_char in cuspsupport._slices(param, eta):
-                datum = springer_datum(classical_kind(side.parity, sum(sizes)),
+            for _, parity, sizes, slice_char in cuspsupport._slices(param, eta):
+                datum = springer_datum(classical_kind(parity, sum(sizes)),
                                        Partition(sizes), slice_char)
-                if side is BlockGroupSide.SP_SIDE:
+                if parity == 0:
                     assert datum.dprime % 2 == 1
                 else:
                     assert datum.dprime % 2 == len(sizes) % 2
@@ -264,16 +264,17 @@ def test_check_support_mixed_signatures():
     assert checked > 200
 
 
-@pytest.mark.parametrize("side, sizes, ds", LARGE_SLICES)
-def test_integer_core_matches_fraction_oracle(side, sizes, ds):
-    dual = GroupKind(Family.SP if side is BlockGroupSide.SP_SIDE else Family.SO_ODD, sum(sizes))
+@pytest.mark.parametrize("parity, sizes, ds", LARGE_SLICES,  # ids name the side: sp or o
+                         ids=lambda v: ("sp", "o")[v] if isinstance(v, int) else None)
+def test_integer_core_matches_fraction_oracle(parity, sizes, ds):
+    dual = classical_kind(parity, sum(sizes))
     param = DiscreteParameter(dual, [(P, a) for a in sizes])
     assert to_counter(infinitesimal_character(param)) == exponent_oracle(P, sizes)
     for d in ds:
-        stair = range(2, 2 * d + 1, 2) if side is BlockGroupSide.SP_SIDE else range(1, 2 * d, 2)
+        stair = range(2, 2 * d + 1, 2) if parity == 0 else range(1, 2 * d, 2)
         oracle = exponent_oracle(P, sizes)
         oracle.subtract(exponent_oracle(P, stair))
-        out = ec_multiset(P, side, sizes, d)
+        out = ec_multiset(P, parity, sizes, d)
         assert to_counter(out.e_c) == +oracle
         assert to_counter(out.e_prime) == half_oracle(+oracle)
 

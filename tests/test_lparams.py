@@ -9,7 +9,6 @@ from conftest import character_on
 from cusp_atlas.census import enumerate_parameters
 from cusp_atlas.errors import DomainMismatch, InvalidParameter
 from cusp_atlas.lparams import (
-    BlockGroupSide,
     DiscreteParameter,
     ExponentMultiset,
     IrrLabel,
@@ -85,11 +84,13 @@ def test_validate_parameter_reports_a_repeated_block_once():
 
 
 def test_block_group_type_table():
-    assert block_group_type(SP6, SYMP2) is BlockGroupSide.O_SIDE
-    assert block_group_type(SP6, ORTH1) is BlockGroupSide.SP_SIDE
-    assert block_group_type(SO7, ORTH1) is BlockGroupSide.O_SIDE
-    assert block_group_type(SO7, SYMP2) is BlockGroupSide.SP_SIDE
-    assert block_group_type(SP6, GLP) is BlockGroupSide.GL_SIDE
+    # the generator parity of the group that acts: 0 for Sp, 1 for O
+    assert block_group_type(SP6, SYMP2) == 1
+    assert block_group_type(SP6, ORTH1) == 0
+    assert block_group_type(SO7, ORTH1) == 1
+    assert block_group_type(SO7, SYMP2) == 0
+    with pytest.raises(InvalidParameter, match="^gl-pair labels have no block parity rule$"):
+        block_group_type(SP6, GLP)
 
 
 def sign_tables(p: DiscreteParameter) -> list[ParameterCharacter]:
@@ -219,6 +220,18 @@ def test_reducibility_point():
     assert reducibility_point(absent_diff, (), SP6) == 0
     with pytest.raises(InvalidParameter):
         reducibility_point(GLP, jord.blocks, SP6)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the absent-label branch of "
+                   "reducibility_point returns the block parity, not 1 - parity")
+@pytest.mark.parametrize("dual", [GroupKind(Family.SP, 0), GroupKind(Family.SO_EVEN, 0)],
+                         ids=str)
+@pytest.mark.parametrize("label", [ORTH1, SYMP2], ids=str)
+def test_reducibility_point_absent_label(dual, label):
+    # x = (a_max + 1)/2 with a_max the largest block the label could have and
+    # does not: 0 on the Sp side (even sizes), -1 on the O side (odd sizes),
+    # so 2x = 1 on the Sp side and 0 on the O side
+    assert reducibility_point(label, (), dual) == 1 - block_group_type(dual, label)
 
 
 @settings(max_examples=100, deadline=None)

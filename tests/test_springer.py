@@ -12,7 +12,7 @@ from cusp_atlas.census import (
 )
 from cusp_atlas.cuspsupport import all_order_slice_supports, outcome_supports
 from cusp_atlas.errors import DomainMismatch, InvalidPartition
-from cusp_atlas.lparams import BlockGroupSide, IrrLabel, SelfDualType
+from cusp_atlas.lparams import IrrLabel, SelfDualType, block_group_type
 from cusp_atlas.orbits import (
     Family,
     GroupKind,
@@ -88,19 +88,20 @@ def test_normal_form_values_can_depend_on_order():
     contents = {normal_form_content(GroupKind(Family.SO_ODD, sum(parts)), parts, values)
                 for parts, values, _ in outcomes}
     assert contents == {(1, (1,), 1)}
-    supports = all_order_slice_supports(LABEL, BlockGroupSide.O_SIDE, (1, 3, 5),
+    supports = all_order_slice_supports(LABEL, 1, (1, 3, 5),
                                         SignCharacter({1: 1, 3: 1, 5: 1}))
     assert len(supports) == 1
 
 
 def test_order_independence_of_content_and_support():
     for kind in classical_kinds(12):
-        side = BlockGroupSide.SP_SIDE if kind.is_symplectic else BlockGroupSide.O_SIDE
+        parity = block_group_type(kind, LABEL)
+        assert parity == kind.generator_parity
         for p, eta in distinguished_pairs(kind):
             outcomes = elimination_outcomes(p, eta)
             contents = {normal_form_content(kind, parts, values) for parts, values, _ in outcomes}
             assert len(contents) == 1
-            assert len(outcome_supports(LABEL, side, p.increasing(), outcomes)) == 1
+            assert len(outcome_supports(LABEL, parity, p.increasing(), outcomes)) == 1
 
 
 def _walk_every_order(parts, signs, removed=()):
