@@ -21,11 +21,11 @@ from .orbits import (
     is_distinguished,
     orbit_count,
     require_valid,
+    staircase_character,
     validate_partition,
 )
 from .symbols import (
     IntervalStructure,
-    SymbolKind,
     USymbol,
     defect_formula,
     distinguished_symbol,
@@ -39,7 +39,6 @@ from .springer import (
     ProductSpringerDatum,
     d_from_normal_form,
     eliminate,
-    eliminate_once,
     springer_datum,
     springer_o,
     springer_product,

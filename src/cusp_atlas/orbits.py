@@ -355,15 +355,16 @@ def staircase_d(parity: int, n: int) -> Optional[int]:
     return d if d * (d + 1 - parity) == n else None
 
 
-def symplectic_cuspidal_character(d: int) -> SignCharacter:
-    """Values (-1)^i on z_{2i}."""
-    return SignCharacter({2 * i: (-1) ** i for i in range(1, d + 1)})
+def staircase_character(parity: int, d: int, first: int) -> SignCharacter:
+    """The cuspidal character on ``staircase(parity, d)``: its signs
+    alternate along the increasing parts, with ``first`` on the smallest.
 
-
-def orthogonal_cuspidal_lift(d: int, plus: bool = True) -> SignCharacter:
-    """The two extensions to the O-level group: (-1)^(i+1) on z_{2i-1}, and its flip."""
-    sign = 1 if plus else -1
-    return SignCharacter({2 * i - 1: sign * (-1) ** (i + 1) for i in range(1, d + 1)})
+    The symplectic one is ``first = -1``, (-1)^i on z_{2i}; the two
+    orthogonal lifts to the O-level group are ``first = +1`` and ``-1``,
+    +-(-1)^(i+1) on z_{2i-1}.
+    """
+    return SignCharacter({q: first * (-1) ** i
+                          for i, q in enumerate(staircase(parity, d).increasing())})
 
 
 @dataclass(frozen=True)
@@ -391,12 +392,12 @@ def cuspidal_pair(kind: GroupKind) -> Optional[CuspidalPair]:
     d = staircase_d(parity, n)
     if d is None:
         return None
-    if kind.is_symplectic:
-        return CuspidalPair(staircase(parity, d), symplectic_cuspidal_character(d))
+    if parity == 0:
+        return CuspidalPair(staircase(parity, d), staircase_character(parity, d, -1))
     return CuspidalPair(
         staircase(parity, d),
-        orthogonal_cuspidal_lift(d, plus=True),
-        orthogonal_cuspidal_lift(d, plus=False),
+        staircase_character(parity, d, 1),
+        staircase_character(parity, d, -1),
     )
 
 

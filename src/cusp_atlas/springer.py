@@ -10,7 +10,9 @@ triangular/staircase cuspidal partition, and its sign character.  Both
 computation routes, the closed defect formula and the normal form, are
 always run and compared; disagreement raises.  :func:`eliminate` (the
 leftmost path, with its history) and :func:`elimination_outcomes` (every
-order) are the only two places that eliminate.
+order) are the only two places that eliminate; both find their deletion
+sites as :func:`removable_sites` does, and a single step is a slice of
+the increasing parts with the character restricted to what remains.
 
 The second half extends the dictionary beyond the connected groups: to the
 full orthogonal group O_N (three cases, by the shape of the quasi-Levi and
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .errors import DomainMismatch, InternalCheckError, InvalidPartition
+from .errors import InternalCheckError, InvalidPartition
 from .orbits import (
     Family,
     GroupKind,
@@ -33,31 +35,12 @@ from .orbits import (
     SignCharacter,
     classical_kind,
     is_degenerate,
-    orthogonal_cuspidal_lift,
     require_domain,
     require_valid,
     staircase,
-    symplectic_cuspidal_character,
+    staircase_character,
 )
 from .symbols import defect_formula, interval_structure, swapped_symbol
-
-
-def eliminate_once(p: Partition, eta: SignCharacter, index: int) -> tuple[Partition, SignCharacter]:
-    """Delete the adjacent parts p[index], p[index+1] (increasing order, 0-based).
-
-    Requires equal signs on the two parts; the defect formula value is
-    unchanged by the deletion.
-    """
-    parts = p.increasing()
-    require_domain(eta, p.parts, "parts", p)
-    if not 0 <= index < len(parts) - 1:
-        raise IndexError(f"no adjacent pair at position {index} in {p}")
-    lo, hi = parts[index], parts[index + 1]
-    if eta(lo) != eta(hi):
-        raise DomainMismatch(
-            f"signs differ on adjacent parts {lo}, {hi}; the pair cannot be removed")
-    remaining = parts[:index] + parts[index + 2:]
-    return Partition(remaining), eta.restrict(remaining)
 
 
 def removable_sites(parts: Sequence[int], sign: Callable[[int], int]) -> list[int]:
@@ -200,12 +183,13 @@ def springer_datum(kind: GroupKind, p: Partition, eta: SignCharacter) -> Cuspida
     if d != d_from_defect(kind, dprime):
         raise InternalCheckError(
             f"normal form gives d={d}, defect {dprime} gives {d_from_defect(kind, dprime)}")
-    cusp = staircase(kind.generator_parity, d)
-    if kind.is_symplectic:
-        char = symplectic_cuspidal_character(d)
+    parity = kind.generator_parity
+    cusp = staircase(parity, d)
+    if parity == 0:
+        char = staircase_character(parity, d, -1)
     else:
         leading = normal_eta(normal_p.increasing()[0]) if len(normal_p) else 1
-        char = orthogonal_cuspidal_lift(d, plus=(leading == 1))
+        char = staircase_character(parity, d, leading)
         if eta.product() != (char.product() if len(cusp) else 1):
             raise InternalCheckError(f"central value not conserved on {p}, {eta}")
     torus_rank, rem = divmod(kind.size - cusp.total, 2)
@@ -320,13 +304,13 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
         # case I: the quasi-Levi keeps an O_{d^2} block
         if n % 2:
             chi = eta.product(_central_class(p))
-            lift = orthogonal_cuspidal_lift(d, plus=True)
-            o_char = lift if lift.product() == chi else orthogonal_cuspidal_lift(d, plus=False)
+            lift = staircase_character(1, d, 1)
+            o_char = lift if lift.product() == chi else staircase_character(1, d, -1)
             if o_char.product() != chi:
                 raise InternalCheckError(f"no central-value-matching lift on {p}, {eta}")
         else:
             chi = eta(_det_minus_class(p))
-            o_char = orthogonal_cuspidal_lift(d, plus=(chi == 1))
+            o_char = staircase_character(1, d, chi)
             central = eta.product(_central_class(p))
             if o_char.product() != central:
                 raise InternalCheckError(
@@ -337,7 +321,7 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
 
     # case II: N even, torus quasi-Levi, extension sign moves to the Weyl side
     chi = eta(_det_minus_class(p))
-    datum = CuspidalDatum(kind_so, torus_rank, cusp, orthogonal_cuspidal_lift(d), d, dprime)
+    datum = CuspidalDatum(kind_so, torus_rank, cusp, staircase_character(1, d, 1), d, dprime)
     return OSpringerDatum(OCase.II, QuasiLevi(torus_rank, 0), datum,
                           WeylTag.EXTENDED, chi, None)
 

@@ -29,7 +29,6 @@ start at 0 and H is empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from operator import sub
 
 from .errors import InternalCheckError, InvalidPartition
@@ -43,19 +42,6 @@ from .orbits import (
 )
 
 
-class SymbolKind(Enum):
-    SP_ORDERED = "sp"
-    O_UNORDERED = "o"
-
-
-def symbol_kind_of(kind: GroupKind) -> SymbolKind:
-    if kind.is_symplectic:
-        return SymbolKind.SP_ORDERED
-    if kind.is_orthogonal:
-        return SymbolKind.O_UNORDERED
-    raise InvalidPartition(f"{kind} has no u-symbol combinatorics")
-
-
 def _no_consecutive(entries: tuple[int, ...]) -> bool:
     """No two entries differ by 1; ``entries`` is strictly increasing, so no
     gap is smaller."""
@@ -66,6 +52,10 @@ def _no_consecutive(entries: tuple[int, ...]) -> bool:
 class USymbol:
     """A u-symbol, with its rows sorted and checked on construction.
 
+    ``parity`` is the generator parity of the group it belongs to
+    (:attr:`GroupKind.generator_parity`): 0, an ordered symplectic symbol,
+    or 1, an unordered orthogonal one.
+
     The checks are on the rows alone.  The size needs no check of its own:
     with no two consecutive entries in a row, sum(A) + sum(B) is at least
     what the |A| and |B| smallest entries give, so the size is at least
@@ -74,14 +64,14 @@ class USymbol:
     size 2 sum - t(t - 1) is always even.
     """
 
-    kind: SymbolKind
+    parity: int
     a: tuple[int, ...]
     b: tuple[int, ...]
 
-    def __init__(self, kind: SymbolKind, a, b):
+    def __init__(self, parity: int, a, b):
         a = tuple(sorted(set(map(int, a))))
         b = tuple(sorted(set(map(int, b))))
-        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         self._validate()
@@ -92,7 +82,7 @@ class USymbol:
                 raise ValueError(f"symbol entries must be nonnegative: {side}")
             if not _no_consecutive(side):
                 raise ValueError(f"consecutive entries in one row: {side}")
-        if self.kind is SymbolKind.SP_ORDERED:
+        if self.parity == 0:
             if 0 in self.b:
                 raise ValueError("the second row of a symplectic symbol excludes 0")
             if (len(self.a) + len(self.b)) % 2 == 0:
@@ -103,14 +93,14 @@ class USymbol:
         """The matrix size N recovered from the balance condition."""
         t = len(self.a) + len(self.b)
         total = sum(self.a) + sum(self.b)
-        if self.kind is SymbolKind.SP_ORDERED:
+        if self.parity == 0:
             return 2 * total - t * (t - 1)
         return 2 * total - ((t - 1) ** 2 - 1)
 
     @property
     def defect(self) -> int:
         d = len(self.a) - len(self.b)
-        return d if self.kind is SymbolKind.SP_ORDERED else abs(d)
+        return d if self.parity == 0 else abs(d)
 
     def __str__(self) -> str:
         fmt = lambda row: "{" + ",".join(map(str, row)) + "}"
@@ -176,9 +166,11 @@ def _split_rows(kind: GroupKind, parts: tuple[int, ...]) -> tuple[tuple[int, ...
 def distinguished_symbol(orbit: ValidOrbit) -> USymbol:
     """The base symbol of a partition: rows interleave, character trivial."""
     kind, p = orbit.kind, orbit.partition
-    target = symbol_kind_of(kind)
+    parity = kind.generator_parity
+    if parity is None:
+        raise InvalidPartition(f"{kind} has no u-symbol combinatorics")
     row_a, row_b = _split_rows(kind, _padded_increasing(kind, p))
-    symbol = USymbol(target, row_a, row_b)
+    symbol = USymbol(parity, row_a, row_b)
     expected = kind.size
     if symbol.size != expected:
         raise InternalCheckError(f"base symbol of {p} has size {symbol.size}, expected {expected}")
@@ -231,7 +223,7 @@ def swapped_symbol(structure: IntervalStructure, eta: SignCharacter) -> USymbol:
             in_a, in_b = in_b, in_a
         row_a += in_a
         row_b += in_b
-    return USymbol(structure.symbol.kind, row_a, row_b)
+    return USymbol(structure.symbol.parity, row_a, row_b)
 
 
 def defect_formula(orbit: ValidOrbit, eta: SignCharacter) -> int:

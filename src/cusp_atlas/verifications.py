@@ -14,9 +14,8 @@ from . import census
 from .cuspsupport import check_support, outcome_supports
 from .errors import InternalCheckError
 from .lparams import block_group_type
-from .orbits import GroupKind, cuspidal_pair, require_valid
+from .orbits import GroupKind, Partition, cuspidal_pair, require_valid
 from .springer import (
-    eliminate_once,
     elimination_outcomes,
     normal_form_content,
     removable_sites,
@@ -51,14 +50,17 @@ def check_defect_coherence(limit: int) -> tuple[bool, str]:
     for kind in census.classical_kinds(limit):
         for orbit in census.distinguished_orbits(kind):
             p, structure = orbit.partition, interval_structure(orbit)
+            parts = p.increasing()
             for eta in census.sign_vectors(p):
                 before = defect_formula(orbit, eta)
                 if swapped_symbol(structure, eta).defect != before:
                     return False, f"defect mismatch at {kind} {p} {eta}"
-                for j in removable_sites(p.increasing(), eta):
-                    q, chi = eliminate_once(p, eta, j)
-                    after = (defect_formula(require_valid(GroupKind(kind.family, q.total), q), chi)
-                             if len(q) else (1 if kind.is_symplectic else 0))
+                for j in removable_sites(parts, eta):
+                    rest = parts[:j] + parts[j + 2:]
+                    q = Partition(rest)
+                    after = (defect_formula(require_valid(GroupKind(kind.family, q.total), q),
+                                            eta.restrict(rest))
+                             if rest else (1 if kind.is_symplectic else 0))
                     if after != before:
                         return False, f"defect not conserved at {kind} {p} {eta} step {j}"
                 checked += 1

@@ -32,7 +32,7 @@ from cusp_atlas.orbits import (
     validate_partition,
 )
 from cusp_atlas.springer import d_from_defect, removable_sites
-from cusp_atlas import census
+from cusp_atlas import census, verifications
 from cusp_atlas.verifications import (
     check_count_identity,
     check_defect_coherence,
@@ -329,3 +329,12 @@ def test_defect_coherence_validates_each_partition_and_each_step_once(validated)
                                     for eta in sign_vectors(Partition(parts)))
     assert check_defect_coherence(limit)[0]
     assert len(validated) == expected
+
+
+def test_defect_coherence_reports_a_step_that_changes_the_defect(monkeypatch):
+    # a deletion site list that also names pairs of unequal signs: removing
+    # (1, 3) under (+, -) takes the defect 2 of SOeven_4 to 0, and the check
+    # names the first such step
+    monkeypatch.setattr(verifications, "removable_sites", lambda parts, sign: range(len(parts) - 1))
+    assert check_defect_coherence(6) == (False, "defect not conserved at SOeven_4 (3,1) (+,-) step 0")
+

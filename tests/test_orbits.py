@@ -18,6 +18,7 @@ from cusp_atlas.orbits import (
     orbit_count,
     require_valid,
     staircase,
+    staircase_character,
     staircase_d,
     validate_partition,
 )
@@ -153,6 +154,18 @@ def test_staircase_and_its_size_parameter(parity):
     for n in range(501):
         if n not in totals:
             assert staircase_d(parity, n) is None, n
+
+
+@pytest.mark.parametrize("d", range(11))
+def test_staircase_character_is_the_closed_form_of_each_side(d):
+    # symplectic: (-1)^i on z_{2i}; the two orthogonal lifts: +-(-1)^(i+1) on
+    # z_{2i-1}; for i = 1, ..., d, and no value at all for d = 0
+    assert staircase_character(0, d, -1).as_dict() == {2 * i: (-1) ** i for i in range(1, d + 1)}
+    for first in (1, -1):
+        assert staircase_character(1, d, first).as_dict() == {
+            2 * i - 1: first * (-1) ** (i + 1) for i in range(1, d + 1)}
+        for parity in (0, 1):
+            assert staircase_character(parity, d, first).keys() == staircase(parity, d).increasing()
 
 
 def test_cuspidal_pair_gl():

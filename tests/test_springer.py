@@ -31,7 +31,6 @@ from cusp_atlas.springer import (
     WeylTag,
     d_from_normal_form,
     eliminate,
-    eliminate_once,
     elimination_outcomes,
     normal_form_content,
     springer_datum,
@@ -42,17 +41,6 @@ from cusp_atlas.springer import (
 SP6 = GroupKind(Family.SP, 6)
 SO9 = GroupKind(Family.SO_ODD, 9)
 LABEL = IrrLabel("u", 1, SelfDualType.ORTHOGONAL)
-
-
-def test_eliminate_once_fixtures():
-    p, eta = eliminate_once(Partition((4, 2)), SignCharacter({2: 1, 4: 1}), 0)
-    assert p == Partition(()) and eta.keys() == ()
-    p, eta = eliminate_once(Partition((5, 3, 1)), SignCharacter({1: -1, 3: -1, 5: 1}), 0)
-    assert p == Partition((5,)) and eta.as_dict() == {5: 1}
-    with pytest.raises(DomainMismatch):
-        eliminate_once(Partition((4, 2)), SignCharacter({2: -1, 4: 1}), 0)
-    with pytest.raises(IndexError):
-        eliminate_once(Partition((4, 2)), SignCharacter({2: 1, 4: 1}), 5)
 
 
 def test_eliminate_fixtures():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import alternative_defect_formula_sp, pair_defect, pair_symbol
+from conftest import pair_defect, pair_symbol
 
 from cusp_atlas.census import classical_kinds, distinguished_pairs, group_partitions
 from cusp_atlas.errors import DomainMismatch, InvalidPartition
@@ -19,7 +19,6 @@ from cusp_atlas.orbits import (
 )
 from cusp_atlas.springer import springer_datum
 from cusp_atlas.symbols import (
-    SymbolKind,
     USymbol,
     distinguished_symbol,
     interval_structure,
@@ -48,11 +47,11 @@ def closed_form_symbol(kind, p, eta):
             spots = {i: parts[i - 1] // 2 + i + 1 for i in range(1, k + 1)}
             a = {0} | {spots[i] for i in range(1, k + 1) if (-1) ** (i + 1) * eta(parts[i - 1]) == 1}
             b = {1} | {spots[i] for i in range(1, k + 1) if (-1) ** (i + 1) * eta(parts[i - 1]) == -1}
-        return USymbol(SymbolKind.SP_ORDERED, a, b)
+        return USymbol(0, a, b)
     spots = {i: (parts[i - 1] - 3) // 2 + i for i in range(1, k + 1)}
     a = {spots[i] for i in range(1, k + 1) if (-1) ** (i + 1) * eta(parts[i - 1]) == 1}
     b = {spots[i] for i in range(1, k + 1) if (-1) ** (i + 1) * eta(parts[i - 1]) == -1}
-    return USymbol(SymbolKind.O_UNORDERED, a, b)
+    return USymbol(1, a, b)
 
 
 # base symbols, hand-executed from the construction
@@ -69,17 +68,17 @@ def test_distinguished_symbol_fixtures(kind, parts, a, b):
 
 def test_symbol_invariants_enforced():
     with pytest.raises(ValueError):
-        USymbol(SymbolKind.SP_ORDERED, (0, 1), (2,))     # consecutive entries
+        USymbol(0, (0, 1), (2,))     # consecutive entries
     with pytest.raises(ValueError):
-        USymbol(SymbolKind.SP_ORDERED, (2,), (0,))       # 0 in the second row
+        USymbol(0, (2,), (0,))       # 0 in the second row
     with pytest.raises(ValueError):
-        USymbol(SymbolKind.SP_ORDERED, (0, 2), (4, 6))   # even entry count
+        USymbol(0, (0, 2), (4, 6))   # even entry count
     with pytest.raises(ValueError, match=r"^symbol entries must be nonnegative: \(-2, 0\)$"):
-        USymbol(SymbolKind.O_UNORDERED, (0, -2), (1,))
+        USymbol(1, (0, -2), (1,))
     with pytest.raises(ValueError, match=r"^symbol entries must be nonnegative: \(-1, 3\)$"):
-        USymbol(SymbolKind.SP_ORDERED, (0,), (3, -1))
+        USymbol(0, (0,), (3, -1))
     with pytest.raises(ValueError, match=r"^consecutive entries in one row: \(2, 4, 5\)$"):
-        USymbol(SymbolKind.O_UNORDERED, (0,), (5, 2, 4))
+        USymbol(1, (0,), (5, 2, 4))
 
 
 def spaced_rows(top: int, most: int) -> list[tuple[int, ...]]:
@@ -88,8 +87,8 @@ def spaced_rows(top: int, most: int) -> list[tuple[int, ...]]:
             if all(y - x > 1 for x, y in zip(row, row[1:]))]
 
 
-@pytest.mark.parametrize("kind", list(SymbolKind), ids=lambda k: k.value)
-def test_rows_alone_keep_the_size_nonnegative_and_symplectic_sizes_even(kind):
+@pytest.mark.parametrize("parity", [0, 1], ids=["sp", "o"])
+def test_rows_alone_keep_the_size_nonnegative_and_symplectic_sizes_even(parity):
     # USymbol checks its rows only: with no two consecutive entries in a row,
     # the size is at least (|A| - |B|)^2 (orthogonal) or (|A| - |B|)(|A| - |B| - 1)
     # (symplectic), and a symplectic size is even
@@ -98,12 +97,12 @@ def test_rows_alone_keep_the_size_nonnegative_and_symplectic_sizes_even(kind):
     for a in rows:
         for b in rows:
             try:
-                sym = USymbol(kind, a, b)
+                sym = USymbol(parity, a, b)
             except ValueError:
                 continue
             built += 1
             d = len(a) - len(b)
-            if kind is SymbolKind.SP_ORDERED:
+            if parity == 0:
                 assert sym.size >= d * (d - 1) >= 0 and sym.size % 2 == 0, sym
             else:
                 assert sym.size >= d * d, sym
@@ -132,7 +131,7 @@ def set_algebra_swapped_symbol(structure, eta):
         src_a, src_b = (base_b, base_a) if eta(q) == -1 else (base_a, base_b)
         row_a |= set(run) & src_a
         row_b |= set(run) & src_b
-    return USymbol(structure.symbol.kind, row_a, row_b)
+    return USymbol(structure.symbol.parity, row_a, row_b)
 
 
 def test_swapped_symbol_matches_the_set_algebra_on_every_pair():
@@ -191,6 +190,17 @@ def test_defect_formula_fixtures():
 def test_a_group_without_symbols_is_refused():
     with pytest.raises(InvalidPartition, match=r"^GL_3 has no u-symbol combinatorics$"):
         pair_symbol(GroupKind(Family.GL, 3), Partition((2, 1)), SignCharacter())
+
+
+def test_distinguished_symbol_takes_the_generator_parity():
+    # 0 (ordered) on Sp, 1 (unordered) on SO and on O, for every orbit
+    kinds = list(classical_kinds(12)) + [GroupKind(Family.O_ODD, 9), GroupKind(Family.O_EVEN, 8)]
+    checked = 0
+    for kind in kinds:
+        for orbit in group_partitions(kind):
+            assert distinguished_symbol(orbit).parity == kind.generator_parity, orbit
+            checked += 1
+    assert checked > 200
 
 
 def test_defect_formula_requires_distinguished():
@@ -265,12 +275,12 @@ def test_two_lifts_same_unordered_symbol_class():
 
 def shifted(sym: USymbol) -> USymbol:
     """One step of the shift (A, B) -> ({0} u (A+2), {1} u (B+2)), seed 0 twice if unordered."""
-    seed_b = 1 if sym.kind is SymbolKind.SP_ORDERED else 0
-    return USymbol(sym.kind, (0,) + tuple(x + 2 for x in sym.a), (seed_b,) + tuple(x + 2 for x in sym.b))
+    seed_b = 1 if sym.parity == 0 else 0
+    return USymbol(sym.parity, (0,) + tuple(x + 2 for x in sym.a), (seed_b,) + tuple(x + 2 for x in sym.b))
 
 
 def test_shift_keeps_size_and_defect_of_a_symplectic_symbol():
-    sym = USymbol(SymbolKind.SP_ORDERED, (0, 4), (2,))
+    sym = USymbol(0, (0, 4), (2,))
     lifted = shifted(sym)
     assert (lifted.a, lifted.b) == ((0, 2, 6), (1, 4))
     assert lifted.defect == sym.defect
@@ -284,22 +294,10 @@ def test_shift_equivalence_preserves_size_and_defect(seed, shifts):
     # build a spaced-out orthogonal symbol from arbitrary seeds
     row_a = tuple(sorted({2 * x for x in seed}))
     row_b = tuple(sorted({2 * x + 1 for x in seed}))
-    sym = USymbol(SymbolKind.O_UNORDERED, row_a, row_b)
+    sym = USymbol(1, row_a, row_b)
     lifted = sym
     for _ in range(shifts):
         lifted = shifted(lifted)
     assert lifted.size == sym.size
     assert lifted.defect == sym.defect
 
-
-def test_alternative_defect_formula_offset():
-    # the other printed closed form exceeds the real one by k + 1 on the
-    # cuspidal fixtures (kept as a pinned regression, never used)
-    from cusp_atlas.orbits import staircase, symplectic_cuspidal_character
-
-    for d in range(1, 6):
-        p = staircase(0, d)
-        eps = symplectic_cuspidal_character(d)
-        kind = GroupKind(Family.SP, d * (d + 1))
-        k = len(p)
-        assert alternative_defect_formula_sp(p, eps) - pair_defect(kind, p, eps) == k + 1
