@@ -66,8 +66,9 @@ DEFAULT_BOUND = 24
 MAX_GROUP_SIZE = 10**6
 # Largest `enumerate` size and `selfcheck` range, whatever the bound.  In a
 # cold process on a 2-vCPU host whose speed drifts, `enumerate` of Sp_32 takes
-# 0.33-0.69 s and `selfcheck` with every range at 32 takes 2.9-5.9 s; the Sp
-# count identity alone takes 1.9 s at 36 in-process.
+# 0.29-0.39 s and `selfcheck` with every range at 32 takes 2.9-4.5 s (with
+# u-symbol rows held as tuples, run alternately: 0.34-0.43 s and 3.1-4.8 s);
+# the Sp count identity alone takes 2.0-2.2 s at 36 in-process.
 MAX_CENSUS_SIZE = 32
 
 

@@ -9,6 +9,15 @@ other by the shift (A, B) -> ({0} u (A+2), {1} u (B+2)) (both seeds 0 in the
 unordered case).  The shift keeps the size and the defect, so both are read
 off the one representative built here.
 
+Each row is held as an integer bitset: bit x is set when x is in the row.
+The row checks are then integer operations: a row r has no two consecutive
+entries when r & (r >> 1) == 0, 0 is missing from B when b & 1 == 0, and
+|A| - |B| is a.bit_count() - b.bit_count().  The rows read back as
+increasing tuples through ``USymbol.a`` and ``USymbol.b``.  A row given as
+integers becomes a bitset, and a bitset becomes a tuple, through one binary
+digit string each way, so both take time linear in the largest entry (a
+loop of ``bits |= 1 << x`` would not).
+
 The pair (class, character) is encoded as follows.  A partition p of N is
 turned into a base symbol by splitting the strictly increasing sequence
 p_i + (i - 1) into its even and odd halves.  The symmetric difference
@@ -29,7 +38,8 @@ start at 0 and H is empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
+from itertools import compress, count
+from typing import Iterable
 
 from .errors import InternalCheckError, InvalidPartition
 from .orbits import (
@@ -41,20 +51,70 @@ from .orbits import (
     require_domain,
 )
 
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
-def _no_consecutive(entries: tuple[int, ...]) -> bool:
-    """No two entries differ by 1; ``entries`` is strictly increasing, so no
-    gap is smaller."""
-    return 1 not in map(sub, entries[1:], entries)
+
+def _entries(row: int) -> tuple[int, ...]:
+    """The entries of a row bitset, increasing: the positions of the 1s in its
+    binary digits, lowest first."""
+    return tuple(compress(count(), bin(row)[:1:-1].encode().translate(_DIGIT_VALUES)))
+
+
+def _spaced(row: int) -> int:
+    """The row bitset, once checked to hold no two consecutive entries."""
+    if row & (row >> 1):
+        raise ValueError(f"consecutive entries in one row: {_entries(row)}")
+    return row
+
+
+def _row_bits(entries: Iterable[int]) -> int:
+    """The bitset of a row given as integers in any order, repeats ignored,
+    checked to be nonnegative and then spaced: a '1' digit per entry in a
+    binary digit string, which ``int`` reads at once."""
+    row = sorted(set(map(int, entries)))
+    if not row:
+        return 0
+    if row[0] < 0:
+        raise ValueError(f"symbol entries must be nonnegative: {tuple(row)}")
+    top = row[-1]
+    digits = bytearray(b"0") * (top + 1)
+    for x in row:
+        digits[top - x] = 49  # ord("1")
+    return _spaced(int(digits, 2))
+
+
+def _mask(run: tuple[int, ...]) -> int:
+    """The bitset of a run of consecutive integers."""
+    return ((1 << len(run)) - 1) << run[0] if run else 0
+
+
+def _runs(row: int) -> list[tuple[int, ...]]:
+    """The maximal runs of consecutive entries of a row bitset, increasing,
+    read off its lowest set bit: skip the zeros below it, then count the ones."""
+    runs = []
+    start = 0
+    while row:
+        gap = (row & -row).bit_length() - 1
+        row >>= gap
+        length = (row ^ (row + 1)).bit_length() - 1
+        start += gap
+        runs.append(tuple(range(start, start + length)))
+        row >>= length
+        start += length
+    return runs
 
 
 @dataclass(frozen=True)
 class USymbol:
-    """A u-symbol, with its rows sorted and checked on construction.
+    """A u-symbol, with its rows checked on construction.
 
     ``parity`` is the generator parity of the group it belongs to
     (:attr:`GroupKind.generator_parity`): 0, an ordered symplectic symbol,
-    or 1, an unordered orthogonal one.
+    or 1, an unordered orthogonal one.  The rows are the bitsets ``a_bits``
+    and ``b_bits``; ``a`` and ``b`` give them back as increasing tuples.
+    The constructor takes the rows as integers, in any order, repeats
+    ignored.  A row costs memory and time linear in its largest entry, which
+    is about N in the symbol of a class of a size-N group.
 
     The checks are on the rows alone.  The size needs no check of its own:
     with no two consecutive entries in a row, sum(A) + sum(B) is at least
@@ -65,46 +125,59 @@ class USymbol:
     """
 
     parity: int
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    a_bits: int
+    b_bits: int
 
-    def __init__(self, parity: int, a, b):
-        a = tuple(sorted(set(map(int, a))))
-        b = tuple(sorted(set(map(int, b))))
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        self._validate()
+    def __init__(self, parity: int, a: Iterable[int], b: Iterable[int]):
+        self._store(parity, _row_bits(a), _row_bits(b))
 
-    def _validate(self):
-        for side in (self.a, self.b):
-            if side and side[0] < 0:
-                raise ValueError(f"symbol entries must be nonnegative: {side}")
-            if not _no_consecutive(side):
-                raise ValueError(f"consecutive entries in one row: {side}")
-        if self.parity == 0:
-            if 0 in self.b:
+    def _store(self, parity: int, a: int, b: int) -> None:
+        """Check the parity and the symplectic conditions on spaced rows, then
+        keep them."""
+        if parity not in (0, 1):
+            raise ValueError(f"symbol parity must be 0 (ordered) or 1 (unordered), got {parity!r}")
+        if parity == 0:
+            if b & 1:
                 raise ValueError("the second row of a symplectic symbol excludes 0")
-            if (len(self.a) + len(self.b)) % 2 == 0:
+            if (a.bit_count() + b.bit_count()) % 2 == 0:
                 raise ValueError("a symplectic symbol has an odd number of entries")
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "a_bits", a)
+        object.__setattr__(self, "b_bits", b)
+
+    @property
+    def a(self) -> tuple[int, ...]:
+        return _entries(self.a_bits)
+
+    @property
+    def b(self) -> tuple[int, ...]:
+        return _entries(self.b_bits)
 
     @property
     def size(self) -> int:
         """The matrix size N recovered from the balance condition."""
-        t = len(self.a) + len(self.b)
-        total = sum(self.a) + sum(self.b)
+        a, b = self.a, self.b
+        t = len(a) + len(b)
+        total = sum(a) + sum(b)
         if self.parity == 0:
             return 2 * total - t * (t - 1)
         return 2 * total - ((t - 1) ** 2 - 1)
 
     @property
     def defect(self) -> int:
-        d = len(self.a) - len(self.b)
+        d = self.a_bits.bit_count() - self.b_bits.bit_count()
         return d if self.parity == 0 else abs(d)
 
     def __str__(self) -> str:
         fmt = lambda row: "{" + ",".join(map(str, row)) + "}"
         return f"({fmt(self.a)};{fmt(self.b)})"
+
+
+def _symbol(parity: int, a: int, b: int) -> USymbol:
+    """The u-symbol of two row bitsets, checked as the constructor checks."""
+    symbol = object.__new__(USymbol)
+    symbol._store(parity, _spaced(a), _spaced(b))
+    return symbol
 
 
 @dataclass(frozen=True)
@@ -113,12 +186,12 @@ class IntervalStructure:
 
     ``intervals[r]`` is the r-th maximal run (increasing) and ``parts[r]``
     the distinct part of generator parity it encodes; ``h`` is the excluded
-    margin (symplectic only).  The rows every character shares, (A ∩ B)
-    with the margin's share of each row, are ``common``, and ``splits[r]``
-    is (run ∩ A, run ∩ B) of ``intervals[r]``.  It depends on the partition
-    alone, so one structure, built and checked once by
-    :func:`interval_structure`, serves every character through
-    :func:`swapped_symbol`.
+    margin (symplectic only, else empty).  The rows every character shares,
+    (A ∩ B) with the margin's share of each row, are the bitset pair
+    ``common``, and ``splits[r]`` is the bitset pair (run ∩ A, run ∩ B) of
+    ``intervals[r]``.  It depends on the partition alone, so one structure,
+    built and checked once by :func:`interval_structure`, serves every
+    character through :func:`swapped_symbol`.
     """
 
     partition: Partition
@@ -126,8 +199,8 @@ class IntervalStructure:
     intervals: tuple[tuple[int, ...], ...]
     parts: tuple[int, ...]
     h: tuple[int, ...]
-    common: tuple[tuple[int, ...], tuple[int, ...]]
-    splits: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    common: tuple[int, int]
+    splits: tuple[tuple[int, int], ...]
 
 
 def _padded_increasing(kind: GroupKind, p: Partition) -> tuple[int, ...]:
@@ -147,7 +220,7 @@ def _padded_increasing(kind: GroupKind, p: Partition) -> tuple[int, ...]:
     return parts
 
 
-def _split_rows(kind: GroupKind, parts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _split_rows(kind: GroupKind, parts: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Even/odd split of the staircase p_i + (i-1) into the two symbol rows."""
     staircase = [q + i for i, q in enumerate(parts)]
     evens = [x // 2 for x in staircase if x % 2 == 0]
@@ -155,11 +228,11 @@ def _split_rows(kind: GroupKind, parts: tuple[int, ...]) -> tuple[tuple[int, ...
     if kind.is_symplectic:
         if len(evens) != len(odds):
             raise InternalCheckError(f"unbalanced staircase split for {parts}")
-        row_a = (0,) + tuple(y + j + 2 for j, y in enumerate(odds))
-        row_b = tuple(y + j + 1 for j, y in enumerate(evens))
+        row_a = [0] + [y + j + 2 for j, y in enumerate(odds)]
+        row_b = [y + j + 1 for j, y in enumerate(evens)]
     else:
-        row_a = tuple(y + j for j, y in enumerate(odds))
-        row_b = tuple(y + j for j, y in enumerate(evens))
+        row_a = [y + j for j, y in enumerate(odds)]
+        row_b = [y + j for j, y in enumerate(evens)]
     return row_a, row_b
 
 
@@ -169,8 +242,7 @@ def distinguished_symbol(orbit: ValidOrbit) -> USymbol:
     parity = kind.generator_parity
     if parity is None:
         raise InvalidPartition(f"{kind} has no u-symbol combinatorics")
-    row_a, row_b = _split_rows(kind, _padded_increasing(kind, p))
-    symbol = USymbol(parity, row_a, row_b)
+    symbol = USymbol(parity, *_split_rows(kind, _padded_increasing(kind, p)))
     expected = kind.size
     if symbol.size != expected:
         raise InternalCheckError(f"base symbol of {p} has size {symbol.size}, expected {expected}")
@@ -180,17 +252,12 @@ def distinguished_symbol(orbit: ValidOrbit) -> USymbol:
 def interval_structure(orbit: ValidOrbit) -> IntervalStructure:
     kind, p = orbit.kind, orbit.partition
     symbol = distinguished_symbol(orbit)
-    base_a, base_b = set(symbol.a), set(symbol.b)
-    runs: list[list[int]] = []
-    for x in sorted(base_a ^ base_b):
-        if runs and x == runs[-1][-1] + 1:
-            runs[-1].append(x)
-        else:
-            runs.append([x])
+    base_a, base_b = symbol.a_bits, symbol.b_bits
+    runs = _runs(base_a ^ base_b)
     h: tuple[int, ...] = ()
     if kind.is_symplectic and runs and runs[0][0] == 0:
-        h = tuple(runs.pop(0))
-    intervals = tuple(tuple(run) for run in runs)
+        h = runs.pop(0)
+    intervals = tuple(runs)
     parts = p.distinct_parts_of_parity(kind.generator_parity)
     if len(parts) != len(intervals):
         raise InternalCheckError(f"{p}: {len(intervals)} intervals for {len(parts)} generator parts")
@@ -198,10 +265,9 @@ def interval_structure(orbit: ValidOrbit) -> IntervalStructure:
     for run, q in zip(intervals, parts):
         if len(run) != multiplicity[q]:
             raise InternalCheckError(f"{p}: interval {run} does not match multiplicity of {q}")
-    both = base_a & base_b
-    common = (tuple(sorted(both | (base_a & set(h)))), tuple(sorted(both | (base_b & set(h)))))
-    splits = tuple((tuple(x for x in run if x in base_a), tuple(x for x in run if x in base_b))
-                   for run in intervals)
+    both, margin = base_a & base_b, _mask(h)
+    common = (both | (base_a & margin), both | (base_b & margin))
+    splits = tuple((base_a & mask, base_b & mask) for mask in map(_mask, intervals))
     return IntervalStructure(p, symbol, intervals, parts, h, common, splits)
 
 
@@ -216,14 +282,13 @@ def swapped_symbol(structure: IntervalStructure, eta: SignCharacter) -> USymbol:
     generator) runs over the parts in the order of ``structure.splits``.
     """
     require_domain(eta, structure.parts, "parts", structure.partition)
-    common_a, common_b = structure.common
-    row_a, row_b = list(common_a), list(common_b)  # a tuple += would copy per interval
+    row_a, row_b = structure.common
     for (in_a, in_b), (_, sign) in zip(structure.splits, eta.values):
         if sign == -1:
             in_a, in_b = in_b, in_a
-        row_a += in_a
-        row_b += in_b
-    return USymbol(structure.symbol.parity, row_a, row_b)
+        row_a |= in_a
+        row_b |= in_b
+    return _symbol(structure.symbol.parity, row_a, row_b)
 
 
 def defect_formula(orbit: ValidOrbit, eta: SignCharacter) -> int:

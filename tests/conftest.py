@@ -1,8 +1,9 @@
 """Fixtures shared by the support tests of the library and of the CLI, a
 byte-backed standard input for CLI jobs, a spy on partition validation, the
 symbol and closed-form defect of a pair from a bare partition, the
-alternative symplectic defect formula the symbol tests compare against, and
-a shorthand for parameter characters."""
+set-algebra route to a pair's symbol, the alternative symplectic defect
+formula the symbol tests compare against, and a shorthand for parameter
+characters."""
 
 import io
 import sys
@@ -14,7 +15,13 @@ from cusp_atlas import cuspsupport, orbits
 from cusp_atlas.errors import DomainMismatch
 from cusp_atlas.lparams import DiscreteParameter, ParameterCharacter
 from cusp_atlas.orbits import GroupKind, Partition, SignCharacter, require_valid
-from cusp_atlas.symbols import USymbol, defect_formula, interval_structure, swapped_symbol
+from cusp_atlas.symbols import (
+    IntervalStructure,
+    USymbol,
+    defect_formula,
+    interval_structure,
+    swapped_symbol,
+)
 
 
 def pair_symbol(kind: GroupKind, p: Partition, eta: SignCharacter) -> USymbol:
@@ -25,6 +32,20 @@ def pair_symbol(kind: GroupKind, p: Partition, eta: SignCharacter) -> USymbol:
 def pair_defect(kind: GroupKind, p: Partition, eta: SignCharacter) -> int:
     """The closed-form defect of the pair (class of p, eta), p validated for the group."""
     return defect_formula(require_valid(kind, p), eta)
+
+
+def set_algebra_swapped_symbol(structure: IntervalStructure, eta: SignCharacter) -> USymbol:
+    """The set-algebra form of `swapped_symbol`: the base rows' common part and
+    margin, then the content of each interval from the row eta selects, all
+    on Python sets of the rows read back as tuples."""
+    base_a, base_b = set(structure.symbol.a), set(structure.symbol.b)
+    row_a = (base_a & base_b) | (set(structure.h) & base_a)
+    row_b = (base_a & base_b) | (set(structure.h) & base_b)
+    for run, q in zip(structure.intervals, structure.parts):
+        src_a, src_b = (base_b, base_a) if eta(q) == -1 else (base_a, base_b)
+        row_a |= set(run) & src_a
+        row_b |= set(run) & src_b
+    return USymbol(structure.symbol.parity, row_a, row_b)
 
 
 def alternative_defect_formula_sp(p: Partition, eta: SignCharacter) -> int:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import pair_symbol
+from conftest import pair_symbol, set_algebra_swapped_symbol
 
 from cusp_atlas.cli import main
 
@@ -32,6 +32,7 @@ from cusp_atlas.orbits import (
     validate_partition,
 )
 from cusp_atlas.springer import d_from_defect, removable_sites
+from cusp_atlas.symbols import interval_structure
 from cusp_atlas import census, verifications
 from cusp_atlas.verifications import (
     check_count_identity,
@@ -91,7 +92,8 @@ def test_partitions_of_matches_the_recursion_in_order():
 
 def census_one_symbol_per_pair(kind):
     """The census with one symbol built from its validated partition per
-    (partition, character)."""
+    (partition, character), through the set algebra on the base rows rather
+    than `swapped_symbol`."""
     total, by_d = 0, {}
     for parts in recursive_partitions(kind.size):
         p = Partition(parts)
@@ -99,8 +101,9 @@ def census_one_symbol_per_pair(kind):
         if not verdict:
             continue
         copies = orbit_count(verdict.orbit)
+        structure = interval_structure(verdict.orbit)
         for eta in characters_of(component_group(verdict.orbit)):
-            d = d_from_defect(kind, pair_symbol(kind, p, eta).defect)
+            d = d_from_defect(kind, set_algebra_swapped_symbol(structure, eta).defect)
             total += copies
             by_d[d] = by_d.get(d, 0) + copies
     return {"pairs": total, "by_d": dict(sorted(by_d.items()))}

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pair_defect, pair_symbol
+from conftest import pair_defect, pair_symbol, set_algebra_swapped_symbol
 
 from cusp_atlas.census import classical_kinds, distinguished_pairs, group_partitions
 from cusp_atlas.errors import DomainMismatch, InvalidPartition
@@ -109,6 +110,86 @@ def test_rows_alone_keep_the_size_nonnegative_and_symplectic_sizes_even(parity):
     assert built > 1000
 
 
+@pytest.mark.parametrize("parity", [2, -1, None, "0", 0.5])
+def test_symbol_parity_is_0_or_1(parity):
+    with pytest.raises(ValueError, match=r"^symbol parity must be 0 \(ordered\) or 1 \(unordered\), got "):
+        USymbol(parity, (0, 2), (5,))
+
+
+def tuple_row_rules(parity, a, b):
+    """The row rules on sorted tuples, as USymbol applied them before its rows
+    became bitsets: (A, B, size, defect), or the text of the ValueError."""
+    a, b = tuple(sorted(set(a))), tuple(sorted(set(b)))
+    for side in (a, b):
+        if side and side[0] < 0:
+            return f"symbol entries must be nonnegative: {side}"
+        if any(y - x == 1 for x, y in zip(side, side[1:])):
+            return f"consecutive entries in one row: {side}"
+    if parity == 0:
+        if 0 in b:
+            return "the second row of a symplectic symbol excludes 0"
+        if (len(a) + len(b)) % 2 == 0:
+            return "a symplectic symbol has an odd number of entries"
+    t, total, d = len(a) + len(b), sum(a) + sum(b), len(a) - len(b)
+    if parity == 0:
+        return a, b, 2 * total - t * (t - 1), d
+    return a, b, 2 * total - ((t - 1) ** 2 - 1), abs(d)
+
+
+def symbol_or_error(parity, a, b):
+    try:
+        sym = USymbol(parity, a, b)
+    except ValueError as err:
+        return str(err)
+    return sym.a, sym.b, sym.size, sym.defect
+
+
+# rows that break a rule of their own, given out of order or with repeats
+BAD_ROWS = [(0, -2), (3, -1), (5, 2, 4), (0, 1), (9, 8, 8), (-3, 6, 7)]
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["sp", "o"])
+def test_bitset_rows_follow_the_tuple_row_rules(parity):
+    # every pair of spaced rows, and every pair with a row that breaks a rule,
+    # the second row given in decreasing order
+    rows = spaced_rows(10, 4) + BAD_ROWS
+    built = 0
+    for a in rows:
+        for b in rows:
+            want = tuple_row_rules(parity, a, b)
+            assert symbol_or_error(parity, a, b[::-1]) == want, (a, b)
+            built += not isinstance(want, str)
+    assert built > 1000
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["sp", "o"])
+def test_long_bitset_rows_read_back(parity):
+    # rows of about 10**5 entries spread over 4 * 10**5: far past one machine
+    # word, with an odd number of entries in all
+    a = range(0, 4 * 10**5 + 1, 4)
+    b = range(2, 4 * 10**5, 4)
+    got = symbol_or_error(parity, [*a, 0, 4], b)
+    assert got == tuple_row_rules(parity, a, b)
+    assert got[:2] == (tuple(a), tuple(b))
+
+
+def test_a_swapped_symbol_is_checked_as_the_constructor_checks():
+    # negative controls: the common rows of a structure altered so that the
+    # swapped rows break a rule; the symbol of every pair is validated
+    structure = interval_structure(require_valid(SP6, Partition((4, 2))))
+    trivial = SignCharacter({2: 1, 4: 1})
+    sym = swapped_symbol(structure, trivial)
+    assert (sym.a, sym.b) == ((0, 4), (2,))
+    row_a, row_b = structure.common
+    for common, message in [
+        ((row_a | 0b10, row_b), r"^consecutive entries in one row: \(0, 1, 4\)$"),
+        ((row_a, row_b | 0b1), r"^the second row of a symplectic symbol excludes 0$"),
+        ((row_a | 0b1000000, row_b), r"^a symplectic symbol has an odd number of entries$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            swapped_symbol(dataclasses.replace(structure, common=common), trivial)
+
+
 @pytest.mark.parametrize("kind,parts,intervals,h,matched", [
     (SP6, (4, 2), ((2,), (4,)), (0,), (2, 4)),
     (SO9, (5, 3, 1), ((0,), (2,), (4,)), (), (1, 3, 5)),
@@ -119,19 +200,6 @@ def test_interval_structure_fixtures(kind, parts, intervals, h, matched):
     assert st_.intervals == intervals
     assert st_.h == h
     assert st_.parts == matched
-
-
-def set_algebra_swapped_symbol(structure, eta):
-    """The set-algebra form of `swapped_symbol`: the base rows' common part and
-    margin, then the content of each interval from the row eta selects."""
-    base_a, base_b = set(structure.symbol.a), set(structure.symbol.b)
-    row_a = (base_a & base_b) | (set(structure.h) & base_a)
-    row_b = (base_a & base_b) | (set(structure.h) & base_b)
-    for run, q in zip(structure.intervals, structure.parts):
-        src_a, src_b = (base_b, base_a) if eta(q) == -1 else (base_a, base_b)
-        row_a |= set(run) & src_a
-        row_b |= set(run) & src_b
-    return USymbol(structure.symbol.parity, row_a, row_b)
 
 
 def test_swapped_symbol_matches_the_set_algebra_on_every_pair():
