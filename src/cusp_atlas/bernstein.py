@@ -205,7 +205,7 @@ def hecke_parameters(triple: InertialTriple,
     """Graded parameter function per factor; theta maps label name -> +-1."""
     theta = dict(theta or {})
     for name, sign in theta.items():
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise NormalizationError(f"theta[{name!r}] must be +1 or -1")
     descriptor = weyl_descriptor(triple)
     out = []

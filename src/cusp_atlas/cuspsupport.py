@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalCheckError, InvalidParameter
-from .orbits import GroupKind, Partition, SignCharacter, classical_kind, require_domain, staircase
+from .orbits import GroupKind, Partition, SignCharacter, classical_kind, staircase
 from .springer import eliminate, elimination_outcomes, springer_datum
 from .lparams import (
     DiscreteParameter,
@@ -56,16 +56,16 @@ from .lparams import (
     block_group_type,
     infinitesimal_character,
     is_cuspidal,
+    signed_slices,
 )
 
 
 def _slices(p: DiscreteParameter, eta: ParameterCharacter
             ) -> Iterator[tuple[IrrLabel, int, tuple[int, ...], SignCharacter]]:
     """Per label: (label, block parity, block sizes, the character on those sizes)."""
-    require_domain(eta, p.block_keys(), "blocks", p)
-    for label, sizes in p.slices():
+    for label, sizes, signs in signed_slices(p, eta):
         yield (label, block_group_type(p.dual_group, label), sizes,
-               SignCharacter({a: eta((label.name, a)) for a in sizes}))
+               SignCharacter(zip(sizes, signs)))
 
 
 @dataclass(frozen=True)
@@ -125,15 +125,16 @@ def _classical_part(dual: GroupKind, blocks, chars) -> tuple[DiscreteParameter, 
     return DiscreteParameter(group, blocks), SignCharacter(chars)
 
 
-_SliceRecord = tuple[IrrLabel, ExponentMultiset, SignCharacter, int]
+# (label, twists, the cuspidal (block size, sign) pairs with sizes increasing, torus rank)
+_SliceRecord = tuple[IrrLabel, ExponentMultiset, tuple[tuple[int, int], ...], int]
 
 
 def _assemble(dual: GroupKind, slices: list[_SliceRecord]) -> CuspidalSupport:
     """The support whose labels carry the given records, one GL factor per twist."""
     blocks: list[tuple[IrrLabel, int]] = []
     chars: dict = {}
-    for label, twists, cusp_char, torus_rank in slices:
-        for a, value in cusp_char.values:
+    for label, twists, cusp, torus_rank in slices:
+        for a, value in cusp:
             blocks.append((label, a))
             chars[(label.name, a)] = value
         if len(twists) != torus_rank:
@@ -149,14 +150,13 @@ def support(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSupport:
     for label, parity, sizes, slice_char in _slices(p, eta):
         datum = springer_datum(classical_kind(parity, sum(sizes)), Partition(sizes), slice_char)
         twists = ec_multiset(label, parity, sizes, datum.d).e_prime
-        slices.append((label, twists, datum.cusp_character, datum.torus_rank))
+        slices.append((label, twists, datum.cusp_character.values, datum.torus_rank))
     return _assemble(p.dual_group, slices)
 
 
-def _psi_map(parity: int, normal: Partition, char: SignCharacter) -> tuple[int, ...]:
+def _psi_map(parity: int, parts: tuple[int, ...], signs: tuple[int, ...]) -> tuple[int, ...]:
     """Images of the increasing normal-form blocks under the block map psi."""
-    parts = normal.increasing()
-    if parity == 0 and parts and char(parts[0]) == -1:
+    if parity == 0 and signs and signs[0] == -1:
         return tuple(2 * (i + 1) for i in range(len(parts)))
     return tuple(2 * i + parity for i in range(len(parts)))
 
@@ -178,18 +178,19 @@ def _segment(top: int, length: int, label: IrrLabel) -> ExponentMultiset:
 
 
 def _slice_psi_support(label: IrrLabel, parity: int, sizes: tuple[int, ...],
-                       removed: Sequence[tuple[int, int]],
-                       terminal: Partition, terminal_char: SignCharacter) -> _SliceRecord:
-    """One slice's record from an elimination history."""
+                       parts: tuple[int, ...], signs: tuple[int, ...],
+                       removed: Sequence[tuple[int, int]]) -> _SliceRecord:
+    """One slice's record from an elimination outcome: the normal form, as
+    its increasing parts and their signs, and the deleted pairs."""
     segments = []
-    cusp_values: dict[int, int] = {}
-    for a, image in zip(terminal.increasing(), _psi_map(parity, terminal, terminal_char)):
+    cusp = []
+    for a, sign, image in zip(parts, signs, _psi_map(parity, parts, signs)):
         segments.append(_segment(a, (a - image) // 2, label))
         if image >= 1:
-            cusp_values[image] = terminal_char(a)
+            cusp.append((image, sign))
     segments.extend(_segment(hi, (lo + hi) // 2, label) for lo, hi in removed)
-    return (label, ExponentMultiset.union_all(segments), SignCharacter(cusp_values),
-            (sum(sizes) - sum(cusp_values)) // 2)
+    return (label, ExponentMultiset.union_all(segments), tuple(cusp),
+            (sum(sizes) - sum(a for a, _ in cusp)) // 2)
 
 
 def support_via_psi(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSupport:
@@ -202,8 +203,8 @@ def support_via_psi(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSu
     """
     slices = []
     for label, parity, sizes, slice_char in _slices(p, eta):
-        terminal, terminal_char, removed = eliminate(Partition(sizes), slice_char)
-        slices.append(_slice_psi_support(label, parity, sizes, removed, terminal, terminal_char))
+        slices.append(_slice_psi_support(label, parity, sizes,
+                                         *eliminate(Partition(sizes), slice_char)))
     return _assemble(p.dual_group, slices)
 
 
@@ -212,8 +213,9 @@ def all_order_slice_supports(label: IrrLabel, parity: int,
                              slice_char: SignCharacter) -> set:
     """Slice supports over every admissible elimination order (test hook).
 
-    Returns the set of (twist multiset, cuspidal blocks, cuspidal values)
-    triples; order independence of the support means this is a singleton.
+    Returns the set of (twist multiset, cuspidal blocks decreasing,
+    cuspidal (block, sign) pairs increasing) triples; order independence
+    of the support means this is a singleton.
     ``parity`` is the value :func:`~cusp_atlas.lparams.block_group_type`
     returns, which callers such as the ``sweep`` benchmark workload pass
     straight through, and it never appears in the returned triples.
@@ -226,10 +228,9 @@ def outcome_supports(label: IrrLabel, parity: int, sizes: tuple[int, ...],
                      outcomes: Iterable) -> set:
     """The slice support triples of the given :func:`elimination_outcomes`."""
     out = set()
-    for parts, values, removed in outcomes:
-        _, twists, cusp_char, _ = _slice_psi_support(label, parity, sizes, removed,
-                                                     Partition(parts), SignCharacter(values))
-        out.add((twists, Partition(cusp_char.keys()).parts, cusp_char.values))
+    for outcome in outcomes:
+        _, twists, cusp, _ = _slice_psi_support(label, parity, sizes, *outcome)
+        out.add((twists, tuple(a for a, _ in reversed(cusp)), cusp))
     return out
 
 

@@ -27,14 +27,15 @@ so the functions below take validity for granted and never check it again.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable
 
 from .errors import InvalidParameter
-from .orbits import Family, GroupKind, SignCharacter, Verdict, require_domain
+from .orbits import Family, GroupKind, SignCharacter, Verdict, signs_on
 
 
 class SelfDualType(str, Enum):
@@ -68,7 +69,7 @@ _CLASSICAL_DUALS = (Family.SP, Family.SO_ODD, Family.SO_EVEN)
 
 
 def _sorted_blocks(blocks: Iterable[tuple[IrrLabel, int]]) -> tuple[tuple[IrrLabel, int], ...]:
-    return tuple(sorted(((label, int(a)) for label, a in blocks),
+    return tuple(sorted(((label, index(a)) for label, a in blocks),
                         key=lambda ba: (ba[0].name, ba[1])))
 
 
@@ -177,8 +178,17 @@ def sgroup_factors(p: DiscreteParameter, eta: ParameterCharacter) -> bool:
     The center {+-1} of Sp and of even SO acts by -1 on every block, so its
     image is the product of all generators; odd SO has a trivial center.
     """
-    require_domain(eta, p.block_keys(), "blocks", p)
-    return p.dual_group.family is Family.SO_ODD or eta.product() == 1
+    signs = signs_on(eta, p.block_keys(), "blocks", p)
+    return p.dual_group.family is Family.SO_ODD or math.prod(signs) == 1
+
+
+def signed_slices(p: DiscreteParameter, eta: ParameterCharacter
+                  ) -> list[tuple[IrrLabel, tuple[int, ...], tuple[int, ...]]]:
+    """Per label, in name order: (label, its block sizes increasing, eta's
+    signs on those blocks), with eta read once, on exactly the blocks."""
+    signs = iter(signs_on(eta, p.block_keys(), "blocks", p))
+    return [(label, sizes, tuple(itertools.islice(signs, len(sizes))))
+            for label, sizes in p.slices()]
 
 
 def has_no_gaps(p: DiscreteParameter) -> bool:
@@ -194,12 +204,10 @@ def is_alternating(p: DiscreteParameter, eta: ParameterCharacter) -> bool:
     so the answer is the same for the two value tables of an orthogonal
     character.
     """
-    require_domain(eta, p.block_keys(), "blocks", p)
-    for label, sizes in p.slices():
-        for lo, hi in zip(sizes, sizes[1:]):
-            if eta((label.name, lo)) == eta((label.name, hi)):
-                return False
-        if sizes and sizes[0] % 2 == 0 and eta((label.name, sizes[0])) != -1:
+    for _, sizes, signs in signed_slices(p, eta):
+        if any(lo == hi for lo, hi in zip(signs, signs[1:])):
+            return False
+        if sizes[0] % 2 == 0 and signs[0] != -1:
             return False
     return True
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional
@@ -114,7 +115,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(sorted(map(int, parts), reverse=True))
+        parts = tuple(sorted(map(operator.index, parts), reverse=True))
         if parts and parts[-1] <= 0:
             raise ValueError(f"parts must be positive integers, got {parts}")
         object.__setattr__(self, "parts", parts)
@@ -176,43 +177,37 @@ class ComponentGroupDescriptor:
 
 @dataclass(frozen=True)
 class SignCharacter:
-    """A +/-1 valued character given on labelled Z/2 generators."""
+    """A character given on labelled Z/2 generators: each value is the int 1 or -1."""
 
     values: tuple[tuple[object, int], ...]
 
     def __init__(self, mapping: Mapping[object, int] | Iterable[tuple[object, int]] = ()):
         items = dict(mapping)
         for key, sign in items.items():
-            if sign not in (1, -1):
+            if type(sign) is not int or sign not in (1, -1):
                 raise ValueError(f"character value at {key!r} must be +1 or -1, got {sign!r}")
         object.__setattr__(self, "values", tuple(sorted(items.items())))
 
     def __call__(self, key) -> int:
-        for k, sign in self.values:
-            if k == key:
-                return sign
-        raise DomainMismatch(f"character has no generator {key!r}")
+        sign = self.as_dict().get(key)
+        if sign is None:
+            raise DomainMismatch(f"character has no generator {key!r}")
+        return sign
 
     def keys(self) -> tuple:
-        return tuple(k for k, _ in self.values)
+        """The generators, increasing: the first column of ``values``."""
+        return next(zip(*self.values), ())
 
     def as_dict(self) -> dict:
         return dict(self.values)
 
     def restrict(self, keys: Iterable) -> "SignCharacter":
-        keep = set(keys)
-        missing = keep - set(self.keys())
-        if missing:
-            raise DomainMismatch(f"character has no generators {sorted(missing, key=repr)!r}")
-        return SignCharacter({k: s for k, s in self.values if k in keep})
+        return SignCharacter({k: self(k) for k in keys})
 
     def product(self, keys: Optional[Iterable] = None) -> int:
         if keys is None:
-            keys = self.keys()
-        out = 1
-        for k in keys:
-            out *= self(k)
-        return out
+            return math.prod(sign for _, sign in self.values)
+        return math.prod(map(self, keys))
 
     def flip_where(self, predicate) -> "SignCharacter":
         return SignCharacter({k: (-s if predicate(k) else s) for k, s in self.values})
@@ -221,13 +216,21 @@ class SignCharacter:
         return "(" + ",".join("+" if s == 1 else "-" for _, s in self.values) + ")"
 
 
-def require_domain(eta: SignCharacter, keys: Iterable, what: str, owner) -> None:
-    """Raise unless eta is given on exactly the generators ``keys``.
+def signs_on(eta: SignCharacter, keys: Iterable, what: str, owner) -> tuple[int, ...]:
+    """eta's sign on each of ``keys``, in key order (a key may repeat).
 
-    The message reads "character domain ... does not match <what> of <owner>".
+    The one check of a character's domain: unless eta is given on exactly
+    the generators ``keys``, it raises DomainMismatch, "character domain ...
+    does not match <what> of <owner>".  A tuple of eta's own generators,
+    increasing, is read straight off its value table.
     """
-    if set(eta.keys()) != set(keys):
+    if eta.keys() == keys:
+        return tuple(map(operator.itemgetter(1), eta.values))
+    keys = tuple(keys)
+    table = eta.as_dict()
+    if table.keys() != set(keys):
         raise DomainMismatch(f"character domain {eta.keys()} does not match {what} of {owner}")
+    return tuple(table[k] for k in keys)
 
 
 _MINT = object()

@@ -10,9 +10,11 @@ triangular/staircase cuspidal partition, and its sign character.  Both
 computation routes, the closed defect formula and the normal form, are
 always run and compared; disagreement raises.  :func:`eliminate` (the
 leftmost path, with its history) and :func:`elimination_outcomes` (every
-order) are the only two places that eliminate; both find their deletion
-sites as :func:`removable_sites` does, and a single step is a slice of
-the increasing parts with the character restricted to what remains.
+order) are the only two places that eliminate.  Both read the character
+once, as the signs of the increasing parts, and work on that normal-form
+value: increasing parts with their aligned signs.  Both find their deletion
+sites as :func:`removable_sites` does, and a single step is a slice of the
+increasing parts and of their signs.
 
 The second half extends the dictionary beyond the connected groups: to the
 full orthogonal group O_N (three cases, by the shape of the quasi-Levi and
@@ -23,11 +25,12 @@ generator sets C_L, C_O, C_I pairing the factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import InternalCheckError, InvalidPartition
+from .errors import DomainMismatch, InternalCheckError, InvalidPartition
 from .orbits import (
     Family,
     GroupKind,
@@ -35,103 +38,98 @@ from .orbits import (
     SignCharacter,
     classical_kind,
     is_degenerate,
-    require_domain,
     require_valid,
+    signs_on,
     staircase,
     staircase_character,
 )
 from .symbols import defect_formula, interval_structure, swapped_symbol
 
 
-def removable_sites(parts: Sequence[int], sign: Callable[[int], int]) -> list[int]:
+def removable_sites(signs: Sequence[int]) -> list[int]:
     """Positions j where the increasing parts j, j+1 carry equal signs."""
-    return [j for j in range(len(parts) - 1) if sign(parts[j]) == sign(parts[j + 1])]
+    return [j for j in range(len(signs) - 1) if signs[j] == signs[j + 1]]
 
 
-def eliminate(p: Partition, eta: SignCharacter) -> tuple[Partition, SignCharacter, tuple[tuple[int, int], ...]]:
+def eliminate(p: Partition, eta: SignCharacter
+              ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Full elimination along the leftmost path, with its history.
 
-    Returns the normal form (strictly alternating signs), its character and
-    the deleted (lo, hi) pairs in deletion order.  Always deleting the
-    leftmost admissible pair is one pass over the increasing parts with a
-    stack: a part cancels the top of the stack when their signs agree and is
-    pushed otherwise.  Other orders may delete other pairs and end at other
-    parts; what they share is the subject of :func:`elimination_outcomes`.
+    Returns the normal form, as its increasing parts and their (strictly
+    alternating) signs, and the deleted (lo, hi) pairs in deletion order.
+    Always deleting the leftmost admissible pair is one pass over the
+    increasing parts with a stack: a part cancels the top of the stack when
+    their signs agree and is pushed otherwise.  Other orders may delete
+    other pairs and end at other parts; what they share is the subject of
+    :func:`elimination_outcomes`.
     """
-    require_domain(eta, p.parts, "parts", p)
-    signs = eta.as_dict()
-    kept: list[int] = []
+    parts = p.increasing()
+    kept: list[tuple[int, int]] = []  # (part, sign)
     removed: list[tuple[int, int]] = []
-    for q in p.increasing():
-        if kept and signs[kept[-1]] == signs[q]:
-            removed.append((kept.pop(), q))
+    for q, sign in zip(parts, signs_on(eta, parts, "parts", p)):
+        if kept and kept[-1][1] == sign:
+            removed.append((kept.pop()[0], q))
         else:
-            kept.append(q)
-    return Partition(kept), eta.restrict(kept), tuple(removed)
+            kept.append((q, sign))
+    normal, signs = zip(*kept) if kept else ((), ())
+    return normal, signs, tuple(removed)
 
 
 def elimination_outcomes(p: Partition, eta: SignCharacter) -> set[tuple]:
     """Outcomes of elimination over every admissible deletion order.
 
-    An outcome is (normal parts increasing, normal character values, the
-    deleted (lo, hi) pairs sorted).  The literal terminal partition may
-    depend on the order: from (1,3,5) with signs (+,+,+) one deletion order
-    ends at (5), the other at (1).  What is order-independent is the
-    invariant content captured by :func:`normal_form_content` and, downstream,
-    the cuspidal support, which adds one segment per deleted pair and so sees
-    the pairs only as a set.
+    An outcome is (normal parts increasing, their signs, the deleted (lo, hi)
+    pairs sorted).  The literal terminal partition may depend on the order:
+    from (1,3,5) with signs (+,+,+) one deletion order ends at (5), the
+    other at (1).  What is order-independent is the invariant content
+    captured by :func:`normal_form_content` and, downstream, the cuspidal
+    support, which adds one segment per deleted pair and so sees the pairs
+    only as a set.
 
     The search is memoised on its state, the remaining parts with their
     signs (the sign of a part never changes, so the parts are the key): the
     outcomes of a state are found once, however many orders reach it.
     """
-    require_domain(eta, p.parts, "parts", p)
-    sign = eta.as_dict().__getitem__
     memo: dict[tuple[int, ...], set[tuple]] = {}
 
-    def search(parts: tuple[int, ...]) -> set[tuple]:
+    def search(parts: tuple[int, ...], signs: tuple[int, ...]) -> set[tuple]:
         found = memo.get(parts)
         if found is not None:
             return found
-        sites = removable_sites(parts, sign)
-        found = set() if sites else {(parts, eta.restrict(parts).values, ())}
+        sites = removable_sites(signs)
+        found = set() if sites else {(parts, signs, ())}
         for j in sites:
             pair = parts[j:j + 2]
-            for normal, values, removed in search(parts[:j] + parts[j + 2:]):
-                found.add((normal, values, tuple(sorted(removed + (pair,)))))
+            for normal, normal_signs, removed in search(parts[:j] + parts[j + 2:],
+                                                        signs[:j] + signs[j + 2:]):
+                found.add((normal, normal_signs, tuple(sorted(removed + (pair,)))))
         memo[parts] = found
         return found
 
-    return search(p.increasing())
+    parts = p.increasing()
+    return search(parts, signs_on(eta, parts, "parts", p))
 
 
 def normal_form_content(kind: GroupKind, parts: tuple[int, ...],
-                        values: tuple[tuple[int, int], ...]) -> tuple:
+                        signs: tuple[int, ...]) -> tuple:
     """Order-independent content of a normal form: length, sign pattern, d.
 
     The part values themselves are a computation device; every admissible
     deletion order reaches the same content (and the same support).
     """
-    char = SignCharacter(dict(values))
-    signs = tuple(char(q) for q in parts)
-    d = d_from_normal_form(kind, Partition(parts), char)
-    return (len(parts), signs, d)
+    return (len(parts), signs, d_from_normal_form(kind, parts, signs))
 
 
-def is_normal_form(p: Partition, eta: SignCharacter) -> bool:
-    return not removable_sites(p.increasing(), eta)
-
-
-def d_from_normal_form(kind: GroupKind, p: Partition, eta: SignCharacter) -> int:
-    """Read the cuspidal size parameter d off an elimination normal form."""
-    require_domain(eta, p.parts, "parts", p)
-    if not is_normal_form(p, eta):
-        raise InvalidPartition(f"{p} with {eta} is not elimination-normal")
-    parts = p.increasing()
-    if not parts:
-        return 0
-    if kind.is_symplectic:
-        return len(parts) - 1 if eta(parts[0]) == 1 else len(parts)
+def d_from_normal_form(kind: GroupKind, parts: Sequence[int], signs: Sequence[int]) -> int:
+    """Read the cuspidal size parameter d off an elimination normal form:
+    increasing parts with their aligned, strictly alternating signs."""
+    if len(parts) != len(signs):
+        raise DomainMismatch(f"{len(signs)} signs for the {len(parts)} parts {tuple(parts)}")
+    if removable_sites(signs) or any(lo >= hi for lo, hi in zip(parts, parts[1:])):
+        raise InvalidPartition(
+            f"parts {tuple(parts)} with signs {tuple(signs)} are not elimination-normal")
+    if kind.is_symplectic and parts and signs[0] == 1:
+        return len(parts) - 1
     return len(parts)
 
 
@@ -174,12 +172,12 @@ def springer_datum(kind: GroupKind, p: Partition, eta: SignCharacter) -> Cuspida
     """
     orbit = require_valid(kind, p)
     dprime = defect_formula(orbit, eta)
-    normal_p, normal_eta, _ = eliminate(p, eta)
+    normal, normal_signs, _ = eliminate(p, eta)
     sym = swapped_symbol(interval_structure(orbit), eta)
     if sym.defect != dprime:
         raise InternalCheckError(
             f"defect formula {dprime} != symbol defect {sym.defect} on {p}, {eta}")
-    d = d_from_normal_form(kind, normal_p, normal_eta)
+    d = d_from_normal_form(kind, normal, normal_signs)
     if d != d_from_defect(kind, dprime):
         raise InternalCheckError(
             f"normal form gives d={d}, defect {dprime} gives {d_from_defect(kind, dprime)}")
@@ -188,7 +186,7 @@ def springer_datum(kind: GroupKind, p: Partition, eta: SignCharacter) -> Cuspida
     if parity == 0:
         char = staircase_character(parity, d, -1)
     else:
-        leading = normal_eta(normal_p.increasing()[0]) if len(normal_p) else 1
+        leading = normal_signs[0] if normal_signs else 1
         char = staircase_character(parity, d, leading)
         if eta.product() != (char.product() if len(cusp) else 1):
             raise InternalCheckError(f"central value not conserved on {p}, {eta}")
@@ -250,19 +248,6 @@ class OSpringerDatum:
     fused_orbit_tags: tuple[str, ...] = ()
 
 
-def _det_minus_class(p: Partition) -> int:
-    """Smallest odd part: a canonical determinant -1 component class."""
-    odd = p.distinct_parts_of_parity(1)
-    if not odd:
-        raise InternalCheckError(f"{p} has no odd part, so no det=-1 class")
-    return odd[0]
-
-
-def _central_class(p: Partition) -> tuple[int, ...]:
-    """Generators whose product is the class of the central element -1."""
-    return tuple(q for q, m in p.multiplicities().items() if q % 2 and m % 2)
-
-
 def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
     """Correspondence for O_N on a class with character at the O-level.
 
@@ -284,7 +269,8 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
     n = p.total
     kind_so = classical_kind(1, n)
     orbit = require_valid(GroupKind(Family.O_ODD if n % 2 else Family.O_EVEN, n), p)
-    require_domain(eta, p.distinct_parts_of_parity(1), "the odd parts", p)
+    odd = p.distinct_parts_of_parity(1)
+    signs = signs_on(eta, odd, "the odd parts", p)
     if n == 0:
         raise InvalidPartition("the O_N correspondence is computed for N >= 1, not for O_0")
 
@@ -300,18 +286,22 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
     d = abs(dprime)
     torus_rank = (n - d * d) // 2
     cusp = staircase(1, d)
+    # eta on the central element -1 (the odd parts of odd multiplicity), and on
+    # the smallest odd part, a det = -1 class that a nondegenerate partition has
+    multiplicity = p.multiplicities()
+    central = math.prod(sign for q, sign in zip(odd, signs) if multiplicity[q] % 2)
+    det_minus = signs[0]
     if n % 2 or d >= 2:
         # case I: the quasi-Levi keeps an O_{d^2} block
         if n % 2:
-            chi = eta.product(_central_class(p))
+            chi = central
             lift = staircase_character(1, d, 1)
             o_char = lift if lift.product() == chi else staircase_character(1, d, -1)
             if o_char.product() != chi:
                 raise InternalCheckError(f"no central-value-matching lift on {p}, {eta}")
         else:
-            chi = eta(_det_minus_class(p))
+            chi = det_minus
             o_char = staircase_character(1, d, chi)
-            central = eta.product(_central_class(p))
             if o_char.product() != central:
                 raise InternalCheckError(
                     f"central values disagree in the even case on {p}, {eta}")
@@ -320,7 +310,7 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
                               WeylTag.BASE, chi, o_char)
 
     # case II: N even, torus quasi-Levi, extension sign moves to the Weyl side
-    chi = eta(_det_minus_class(p))
+    chi = det_minus
     datum = CuspidalDatum(kind_so, torus_rank, cusp, staircase_character(1, d, 1), d, dprime)
     return OSpringerDatum(OCase.II, QuasiLevi(torus_rank, 0), datum,
                           WeylTag.EXTENDED, chi, None)
@@ -364,8 +354,9 @@ class ProductSpringerDatum:
 
 
 def _factor_flip_value(factor: ProductFactor) -> int:
-    """Value of the character on the canonical det = -1 class of the factor."""
-    return factor.character(_det_minus_class(factor.partition))
+    """Value of the character on the smallest odd part of the factor, a
+    canonical det = -1 class, which every case I or II factor has."""
+    return factor.character(factor.partition.distinct_parts_of_parity(1)[0])
 
 
 def springer_product(factors: Sequence[ProductFactor]) -> ProductSpringerDatum:

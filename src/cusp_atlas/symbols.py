@@ -37,6 +37,7 @@ start at 0 and H is empty.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import compress, count
 from typing import Iterable
@@ -48,7 +49,7 @@ from .orbits import (
     SignCharacter,
     ValidOrbit,
     is_distinguished,
-    require_domain,
+    signs_on,
 )
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
@@ -71,7 +72,7 @@ def _row_bits(entries: Iterable[int]) -> int:
     """The bitset of a row given as integers in any order, repeats ignored,
     checked to be nonnegative and then spaced: a '1' digit per entry in a
     binary digit string, which ``int`` reads at once."""
-    row = sorted(set(map(int, entries)))
+    row = sorted(set(map(operator.index, entries)))
     if not row:
         return 0
     if row[0] < 0:
@@ -277,13 +278,10 @@ def swapped_symbol(structure: IntervalStructure, eta: SignCharacter) -> USymbol:
     eta gives signs on the generator parts; the intervals where it is -1
     have their row contents swapped relative to the base symbol.  The
     result is a new :class:`USymbol`, validated as every symbol is.
-
-    Once eta's domain is checked to be the parts, ``eta.values`` (sorted by
-    generator) runs over the parts in the order of ``structure.splits``.
     """
-    require_domain(eta, structure.parts, "parts", structure.partition)
+    signs = signs_on(eta, structure.parts, "parts", structure.partition)
     row_a, row_b = structure.common
-    for (in_a, in_b), (_, sign) in zip(structure.splits, eta.values):
+    for (in_a, in_b), sign in zip(structure.splits, signs):
         if sign == -1:
             in_a, in_b = in_b, in_a
         row_a |= in_a
@@ -304,11 +302,8 @@ def defect_formula(orbit: ValidOrbit, eta: SignCharacter) -> int:
     kind, p = orbit.kind, orbit.partition
     if not is_distinguished(orbit):
         raise InvalidPartition(f"{p} is not distinguished for {kind}")
-    require_domain(eta, p.parts, "parts", p)
-    parts = p.increasing()
-    k = len(parts)
+    signs = signs_on(eta, p.increasing(), "parts", p)
+    alternating = sum(signs[0::2]) - sum(signs[1::2])  # sum (-1)^(i+1) eta(z_{p_i})
     if kind.is_symplectic:
-        if k % 2 == 0:
-            return 1 + sum((-1) ** i * eta(q) for i, q in enumerate(parts, start=1))
-        return sum((-1) ** (i + 1) * eta(q) for i, q in enumerate(parts, start=1))
-    return abs(sum((-1) ** (i + 1) * eta(q) for i, q in enumerate(parts, start=1)))
+        return 1 - alternating if len(signs) % 2 == 0 else alternating
+    return abs(alternating)

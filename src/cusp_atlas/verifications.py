@@ -14,7 +14,7 @@ from . import census
 from .cuspsupport import check_support, outcome_supports
 from .errors import InternalCheckError
 from .lparams import block_group_type
-from .orbits import GroupKind, Partition, cuspidal_pair, require_valid
+from .orbits import GroupKind, Partition, cuspidal_pair, require_valid, signs_on
 from .springer import (
     elimination_outcomes,
     normal_form_content,
@@ -55,7 +55,7 @@ def check_defect_coherence(limit: int) -> tuple[bool, str]:
                 before = defect_formula(orbit, eta)
                 if swapped_symbol(structure, eta).defect != before:
                     return False, f"defect mismatch at {kind} {p} {eta}"
-                for j in removable_sites(parts, eta):
+                for j in removable_sites(signs_on(eta, parts, "parts", p)):
                     rest = parts[:j] + parts[j + 2:]
                     q = Partition(rest)
                     after = (defect_formula(require_valid(GroupKind(kind.family, q.total), q),
@@ -75,7 +75,7 @@ def check_order_independence(limit: int) -> tuple[bool, str]:
         parity = block_group_type(kind, label)
         for p, eta in census.distinguished_pairs(kind):
             outcomes = elimination_outcomes(p, eta)
-            contents = {normal_form_content(kind, parts, values) for parts, values, _ in outcomes}
+            contents = {normal_form_content(kind, parts, signs) for parts, signs, _ in outcomes}
             if len(contents) != 1:
                 return False, f"{len(contents)} normal-form contents for {kind} {p} {eta}"
             supports = outcome_supports(label, parity, p.increasing(), outcomes)

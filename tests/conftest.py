@@ -129,5 +129,5 @@ def lossy_psi_route(monkeypatch) -> None:
 def shifted_psi_route(monkeypatch) -> None:
     """Negative control: every psi image moves up one staircase step."""
     psi_map = cuspsupport._psi_map
-    monkeypatch.setattr(cuspsupport, "_psi_map",
-                        lambda side, normal, char: tuple(i + 2 for i in psi_map(side, normal, char)))
+    monkeypatch.setattr(cuspsupport, "_psi_map", lambda parity, parts, signs: tuple(
+        i + 2 for i in psi_map(parity, parts, signs)))

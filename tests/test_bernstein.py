@@ -198,6 +198,14 @@ def test_normalization_errors():
         hecke_parameters(sp_triple([GLFactor(R, 1)], [(R, 2)], 4), {"r": 0})
 
 
+def test_hecke_parameters_refuse_a_theta_sign_that_is_not_the_int_1_or_minus_1():
+    triple = sp_triple([GLFactor(R, 1)], [(R, 2)], 4)
+    for sign in (True, False, 1.0, -1.0):
+        with pytest.raises(NormalizationError, match=r"^theta\['r'\] must be \+1 or -1$"):
+            hecke_parameters(triple, {"r": sign})
+    assert hecke_parameters(triple, {"r": -1}) != hecke_parameters(triple, {"r": 1})
+
+
 def test_torus_dim():
     t = sp_triple([GLFactor(R, 2), GLFactor(G, 3, torsion=2)], [(R, 2), (R, 4)], 16)
     td = torus_dim(t)

@@ -16,7 +16,6 @@ from cusp_atlas.census import (
     group_partitions,
     partition_count,
     partitions_of,
-    sign_vectors,
     unipotent_census,
 )
 from cusp_atlas.errors import DomainMismatch, InvalidParameter
@@ -328,8 +327,8 @@ def test_defect_coherence_validates_each_partition_and_each_step_once(validated)
             for parts in distinct_part_partitions(n, parity):
                 expected += 1
                 if len(parts) > 2:
-                    expected += sum(len(removable_sites(parts, eta))
-                                    for eta in sign_vectors(Partition(parts)))
+                    expected += sum(len(removable_sites(signs))
+                                    for signs in itertools.product((1, -1), repeat=len(parts)))
     assert check_defect_coherence(limit)[0]
     assert len(validated) == expected
 
@@ -338,6 +337,6 @@ def test_defect_coherence_reports_a_step_that_changes_the_defect(monkeypatch):
     # a deletion site list that also names pairs of unequal signs: removing
     # (1, 3) under (+, -) takes the defect 2 of SOeven_4 to 0, and the check
     # names the first such step
-    monkeypatch.setattr(verifications, "removable_sites", lambda parts, sign: range(len(parts) - 1))
+    monkeypatch.setattr(verifications, "removable_sites", lambda signs: range(len(signs) - 1))
     assert check_defect_coherence(6) == (False, "defect not conserved at SOeven_4 (3,1) (+,-) step 0")
 

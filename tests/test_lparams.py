@@ -75,6 +75,13 @@ def test_parameter_is_valid_by_construction():
     assert str(err.value).endswith("; ".join(validate_parameter(SP4, blocks).problems))
 
 
+def test_parameter_refuses_a_block_size_that_is_not_an_integer():
+    for a in (2.7, 2.0, "2"):
+        with pytest.raises(TypeError):
+            DiscreteParameter(GroupKind(Family.SP, 2), [(ORTH1, a)])
+    assert DiscreteParameter(GroupKind(Family.SP, 2), [(ORTH1, 2)]).blocks == ((ORTH1, 2),)
+
+
 def test_validate_parameter_reports_a_repeated_block_once():
     verdict = validate_parameter(SP6, [(ORTH1, 3), (ORTH1, 3)])
     assert verdict.problems == ("repeated block (p,3)",

@@ -2,7 +2,7 @@ import timeit
 
 import pytest
 
-from cusp_atlas.errors import InvalidPartition
+from cusp_atlas.errors import DomainMismatch, InvalidPartition
 from cusp_atlas.orbits import (
     Family,
     GroupKind,
@@ -17,6 +17,7 @@ from cusp_atlas.orbits import (
     is_distinguished,
     orbit_count,
     require_valid,
+    signs_on,
     staircase,
     staircase_character,
     staircase_d,
@@ -199,6 +200,45 @@ def test_sign_character_helpers():
         eta(6)
     with pytest.raises(ValueError):
         SignCharacter({2: 0})
+
+
+def test_sign_character_refuses_a_sign_that_is_not_the_int_1_or_minus_1():
+    for sign in (True, False, 1.0, -1.0, 0, 2):
+        with pytest.raises(ValueError, match=r"^character value at 2 must be \+1 or -1, got "):
+            SignCharacter({2: sign})
+    assert SignCharacter({2: 1, 4: -1}).values == ((2, 1), (4, -1))
+
+
+def test_partition_refuses_parts_that_are_not_integers():
+    for parts in ((2.5, 1), ("4",), (2.0,)):
+        with pytest.raises(TypeError):
+            Partition(parts)
+    assert Partition([1, 3, 2]).parts == (3, 2, 1)
+
+
+def test_signs_on_reads_the_signs_in_key_order():
+    eta = SignCharacter({2: -1, 4: 1, 6: 1})
+    assert signs_on(eta, (2, 4, 6), "parts", "p") == (-1, 1, 1)
+    assert signs_on(eta, (6, 4, 2), "parts", "p") == (1, 1, -1)
+    assert signs_on(eta, [4, 6, 2], "parts", "p") == (1, 1, -1)
+    # a repeated key gets its sign at each place
+    assert signs_on(eta, (4, 2, 4, 6, 2), "parts", "p") == (1, -1, 1, 1, -1)
+    assert signs_on(SignCharacter(), (), "parts", "p") == ()
+    blocks = SignCharacter({("p", 2): 1, ("q", 1): -1})
+    assert signs_on(blocks, (("q", 1), ("p", 2)), "blocks", "b") == (-1, 1)
+
+
+@pytest.mark.parametrize("values, keys, domain", [
+    ({2: 1}, (2, 4), "(2,)"),                           # a missing generator
+    ({2: 1}, (4, 2, 2), "(2,)"),                        # missing, keys repeated
+    ({2: 1, 4: 1, 6: -1}, (2, 4), "(2, 4, 6)"),         # an extra generator
+    ({}, (2, 4), "()"),
+    ({2: 1, 4: 1}, (), "(2, 4)"),
+], ids=["missing", "missing-repeated", "extra", "empty-character", "no-keys"])
+def test_signs_on_raises_on_a_missing_and_an_extra_generator(values, keys, domain):
+    with pytest.raises(DomainMismatch) as err:
+        signs_on(SignCharacter(values), keys, "parts", Partition((4, 2)))
+    assert str(err.value) == f"character domain {domain} does not match parts of (4,2)"
 
 
 def test_require_valid_raises():

@@ -44,20 +44,27 @@ LABEL = IrrLabel("u", 1, SelfDualType.ORTHOGONAL)
 
 
 def test_eliminate_fixtures():
-    p, eta, removed = eliminate(Partition((4, 2)), SignCharacter({2: 1, 4: 1}))
-    assert (p, eta.keys(), removed) == (Partition(()), (), ((2, 4),))
-    p = Partition((4, 2))
-    eta = SignCharacter({2: -1, 4: 1})
-    assert eliminate(p, eta) == (p, eta, ())  # alternating input is a fixed point
-    full, _, removed = eliminate(Partition((8, 6, 4, 2)),
-                                 SignCharacter({2: 1, 4: 1, 6: -1, 8: -1}))
-    assert full == Partition(()) and removed == ((2, 4), (6, 8))
+    # the normal form is the increasing parts with their aligned signs
+    assert eliminate(Partition((4, 2)), SignCharacter({2: 1, 4: 1})) == ((), (), ((2, 4),))
+    # alternating input is a fixed point
+    assert eliminate(Partition((4, 2)), SignCharacter({2: -1, 4: 1})) == ((2, 4), (-1, 1), ())
+    assert eliminate(Partition((8, 6, 4, 2)), SignCharacter({2: 1, 4: 1, 6: -1, 8: -1})) == (
+        (), (), ((2, 4), (6, 8)))
     # the leftmost path: (3,5) goes first, which makes 1 and 7 adjacent
-    normal, chi, removed = eliminate(Partition((9, 7, 5, 3, 1)),
-                                     SignCharacter({1: 1, 3: -1, 5: -1, 7: 1, 9: -1}))
-    assert (normal, chi.as_dict(), removed) == (Partition((9,)), {9: -1}, ((3, 5), (1, 7)))
-    with pytest.raises(DomainMismatch):
+    assert eliminate(Partition((9, 7, 5, 3, 1)),
+                     SignCharacter({1: 1, 3: -1, 5: -1, 7: 1, 9: -1})) == (
+        (9,), (-1,), ((3, 5), (1, 7)))
+    with pytest.raises(DomainMismatch,
+                       match=r"^character domain \(2,\) does not match parts of \(4,2\)$"):
         eliminate(Partition((4, 2)), SignCharacter({2: 1}))
+
+
+def test_eliminate_returns_tuples():
+    for p, eta in distinguished_pairs(GroupKind(Family.SO_ODD, 9)):
+        parts, signs, removed = eliminate(p, eta)
+        assert type(parts) is tuple and type(signs) is tuple and type(removed) is tuple
+        assert all(type(x) is int for x in parts + signs)
+        assert len(parts) == len(signs)
 
 
 def test_collapse_order_insensitive_for_full_collapse():
@@ -93,12 +100,13 @@ def test_order_independence_of_content_and_support():
 
 
 def _walk_every_order(parts, signs, removed=()):
-    """Outcomes of elimination, one deletion path at a time, without a memo."""
-    sites = [j for j in range(len(parts) - 1) if signs[parts[j]] == signs[parts[j + 1]]]
+    """Outcomes of elimination, one deletion path at a time, without a memo:
+    ``signs[j]`` is the sign of ``parts[j]``."""
+    sites = [j for j in range(len(parts) - 1) if signs[j] == signs[j + 1]]
     if not sites:
-        yield parts, tuple((q, signs[q]) for q in parts), tuple(sorted(removed))
+        yield parts, signs, tuple(sorted(removed))
     for j in sites:
-        yield from _walk_every_order(parts[:j] + parts[j + 2:], signs,
+        yield from _walk_every_order(parts[:j] + parts[j + 2:], signs[:j] + signs[j + 2:],
                                      removed + (parts[j:j + 2],))
 
 
@@ -109,18 +117,31 @@ def test_elimination_outcomes_match_path_walker():
         if kind.size > 16 and kind.size not in (20, 25):
             continue
         for p, eta in distinguished_pairs(kind):
-            walked = set(_walk_every_order(p.increasing(), eta.as_dict()))
+            parts = p.increasing()
+            walked = set(_walk_every_order(parts, tuple(eta(q) for q in parts)))
             assert elimination_outcomes(p, eta) == walked
-            normal, chi, removed = eliminate(p, eta)
-            assert (normal.increasing(), chi.values, tuple(sorted(removed))) in walked
+            normal, signs, removed = eliminate(p, eta)
+            assert (normal, signs, tuple(sorted(removed))) in walked
 
 
 def test_d_from_normal_form():
-    assert d_from_normal_form(SP6, Partition((2,)), SignCharacter({2: -1})) == 1
-    assert d_from_normal_form(SP6, Partition(()), SignCharacter()) == 0
-    assert d_from_normal_form(SO9, Partition((5,)), SignCharacter({5: 1})) == 1
+    assert d_from_normal_form(SP6, (2,), (-1,)) == 1
+    assert d_from_normal_form(SP6, (2,), (1,)) == 0
+    assert d_from_normal_form(SP6, (), ()) == 0
+    assert d_from_normal_form(SO9, (5,), (1,)) == 1
     with pytest.raises(InvalidPartition):
-        d_from_normal_form(SP6, Partition((4, 2)), SignCharacter({2: 1, 4: 1}))
+        d_from_normal_form(SP6, (2, 4), (1, 1))
+
+
+def test_d_from_normal_form_rejects_a_value_that_is_not_a_normal_form():
+    # a sign for each part, or DomainMismatch
+    with pytest.raises(DomainMismatch, match=r"^1 signs for the 2 parts \(2, 4\)$"):
+        d_from_normal_form(SP6, (2, 4), (-1,))
+    with pytest.raises(DomainMismatch):
+        d_from_normal_form(SO9, (), (1,))
+    # the parts increase, or InvalidPartition
+    with pytest.raises(InvalidPartition):
+        d_from_normal_form(SO9, (5, 3), (1, -1))
 
 
 def test_springer_datum_fixtures():

@@ -67,6 +67,14 @@ def test_distinguished_symbol_fixtures(kind, parts, a, b):
     assert sym.size == kind.size
 
 
+def test_symbol_rows_refuse_entries_that_are_not_integers():
+    with pytest.raises(TypeError):
+        USymbol(1, (0, 2.9), (1,))
+    with pytest.raises(TypeError):
+        USymbol(0, ("0",), ())
+    assert USymbol(1, (2, 0), (1,)).a == (0, 2)
+
+
 def test_symbol_invariants_enforced():
     with pytest.raises(ValueError):
         USymbol(0, (0, 1), (2,))     # consecutive entries
