@@ -10,9 +10,9 @@ makes, and every function taking one reads it as admissible without
 checking it again.  So the type, not a convention, carries the check.
 
 The census does per partition what depends on the partition alone: it
-counts its classes, lists its characters and builds its interval
-structure, with every check of ``symbols.interval_structure``.  Every
-(partition, character) pair still gets its own u-symbol, built and
+counts its classes, lists its characters as signs on the generators and
+builds its interval structure, with every check of ``interval_structure``.
+Every (partition, character) pair still gets its own u-symbol, built and
 validated, and its d is read off that symbol's defect.
 """
 
@@ -109,18 +109,12 @@ def distinguished_orbits(kind: GroupKind) -> Iterator[ValidOrbit]:
         yield from _valid_orbits(kind, distinct_part_partitions(kind.size, parity))
 
 
-def sign_vectors(p: Partition) -> Iterator[SignCharacter]:
-    """Every sign vector on the parts of p (at the O-level)."""
-    parts = p.increasing()
-    for signs in itertools.product((1, -1), repeat=len(parts)):
-        yield SignCharacter(dict(zip(parts, signs)))
-
-
-def distinguished_pairs(kind: GroupKind) -> Iterator[tuple[Partition, SignCharacter]]:
-    """Distinguished partitions with every sign vector (at the O-level)."""
+def distinguished_pairs(kind: GroupKind) -> Iterator[tuple[Partition, tuple[int, ...]]]:
+    """Distinguished partitions with every sign vector on their increasing
+    parts (at the O-level)."""
     for orbit in distinguished_orbits(kind):
-        for eta in sign_vectors(orbit.partition):
-            yield orbit.partition, eta
+        for signs in itertools.product((1, -1), repeat=len(orbit.partition)):
+            yield orbit.partition, signs
 
 
 @lru_cache(maxsize=None)
@@ -152,8 +146,8 @@ def unipotent_census(kind: GroupKind) -> dict:
     for orbit in group_partitions(kind):
         copies = orbit_count(orbit)
         structure = interval_structure(orbit)
-        for eta in characters_of(component_group(orbit)):
-            d = d_from_defect(kind, swapped_symbol(structure, eta).defect)
+        for signs in characters_of(component_group(orbit)):
+            d = d_from_defect(kind, swapped_symbol(structure, signs).defect)
             by_d[d] = by_d.get(d, 0) + copies
     return {"pairs": sum(by_d.values()), "by_d": dict(sorted(by_d.items()))}
 

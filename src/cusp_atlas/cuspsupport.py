@@ -42,10 +42,10 @@ exponents out, as fraction strings, through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InternalCheckError, InvalidParameter
-from .orbits import GroupKind, Partition, SignCharacter, classical_kind, staircase
+from .orbits import GroupKind, Partition, SignCharacter, classical_kind, signs_on, staircase
 from .springer import eliminate, elimination_outcomes, springer_datum
 from .lparams import (
     DiscreteParameter,
@@ -58,14 +58,6 @@ from .lparams import (
     is_cuspidal,
     signed_slices,
 )
-
-
-def _slices(p: DiscreteParameter, eta: ParameterCharacter
-            ) -> Iterator[tuple[IrrLabel, int, tuple[int, ...], SignCharacter]]:
-    """Per label: (label, block parity, block sizes, the character on those sizes)."""
-    for label, sizes, signs in signed_slices(p, eta):
-        yield (label, block_group_type(p.dual_group, label), sizes,
-               SignCharacter(zip(sizes, signs)))
 
 
 @dataclass(frozen=True)
@@ -147,8 +139,10 @@ def _assemble(dual: GroupKind, slices: list[_SliceRecord]) -> CuspidalSupport:
 def support(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSupport:
     """Cuspidal support via per-slice data and correction multisets."""
     slices = []
-    for label, parity, sizes, slice_char in _slices(p, eta):
-        datum = springer_datum(classical_kind(parity, sum(sizes)), Partition(sizes), slice_char)
+    for label, sizes, signs in signed_slices(p, eta):
+        parity = block_group_type(p.dual_group, label)
+        datum = springer_datum(classical_kind(parity, sum(sizes)), Partition(sizes),
+                               SignCharacter(zip(sizes, signs)))
         twists = ec_multiset(label, parity, sizes, datum.d).e_prime
         slices.append((label, twists, datum.cusp_character.values, datum.torus_rank))
     return _assemble(p.dual_group, slices)
@@ -202,9 +196,9 @@ def support_via_psi(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSu
     :func:`support` in :func:`check_support`.
     """
     slices = []
-    for label, parity, sizes, slice_char in _slices(p, eta):
-        slices.append(_slice_psi_support(label, parity, sizes,
-                                         *eliminate(Partition(sizes), slice_char)))
+    for label, sizes, signs in signed_slices(p, eta):
+        slices.append(_slice_psi_support(label, block_group_type(p.dual_group, label), sizes,
+                                         *eliminate(sizes, signs)))
     return _assemble(p.dual_group, slices)
 
 
@@ -213,14 +207,16 @@ def all_order_slice_supports(label: IrrLabel, parity: int,
                              slice_char: SignCharacter) -> set:
     """Slice supports over every admissible elimination order (test hook).
 
-    Returns the set of (twist multiset, cuspidal blocks decreasing,
-    cuspidal (block, sign) pairs increasing) triples; order independence
-    of the support means this is a singleton.
+    ``slice_char`` is read once, on the sizes sorted.  Returns the set of
+    (twist multiset, cuspidal blocks decreasing, cuspidal (block, sign)
+    pairs increasing) triples; order independence makes it a singleton.
     ``parity`` is the value :func:`~cusp_atlas.lparams.block_group_type`
     returns, which callers such as the ``sweep`` benchmark workload pass
     straight through, and it never appears in the returned triples.
     """
-    outcomes = elimination_outcomes(Partition(sizes), slice_char)
+    p = Partition(sizes)
+    parts = p.increasing()
+    outcomes = elimination_outcomes(parts, signs_on(slice_char, parts, "parts", p))
     return outcome_supports(label, parity, sizes, outcomes)
 
 

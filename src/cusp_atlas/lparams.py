@@ -31,11 +31,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import InvalidParameter
-from .orbits import Family, GroupKind, SignCharacter, Verdict, signs_on
+from .orbits import Family, GroupKind, SignCharacter, Verdict, as_int, signs_on
 
 
 class SelfDualType(str, Enum):
@@ -51,6 +51,7 @@ class IrrLabel:
     sd_type: SelfDualType
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", as_int(self.dim))
         if self.dim < 1:
             raise ValueError(f"label dimension must be positive, got {self.dim}")
 
@@ -69,7 +70,7 @@ _CLASSICAL_DUALS = (Family.SP, Family.SO_ODD, Family.SO_EVEN)
 
 
 def _sorted_blocks(blocks: Iterable[tuple[IrrLabel, int]]) -> tuple[tuple[IrrLabel, int], ...]:
-    return tuple(sorted(((label, index(a)) for label, a in blocks),
+    return tuple(sorted(((label, as_int(a)) for label, a in blocks),
                         key=lambda ba: (ba[0].name, ba[1])))
 
 

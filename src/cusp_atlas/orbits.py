@@ -15,11 +15,12 @@ everything else in the package:
   local system, which exists only at triangular sizes N = d(d+1) in the
   symplectic case and square sizes N = d^2 in the orthogonal case.
 
-Characters of component groups are stored by their values on the z_q.  For
+Characters of component groups are stored by their values on the z_q, and
+:func:`signs_on` reads them once into the signs the layers below take.  For
 SO_N the component group is the index-two "even" subgroup of the O_N one;
-its characters are represented by either of their two extensions to the O_N
-group, and two value tables name the same SO-character exactly when they
-agree or differ by the global sign flip.
+its characters are represented by either of their two extensions to O_N,
+and two value tables name the same SO-character exactly when they agree or
+differ by the global sign flip.
 """
 
 from __future__ import annotations
@@ -29,9 +30,16 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainMismatch, InvalidPartition
+
+
+def as_int(value) -> int:
+    """The one integer read of the constructors: TypeError on a bool or a non-integer."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
 
 
 class Family(str, Enum):
@@ -55,6 +63,7 @@ class GroupKind:
     size: int
 
     def __post_init__(self):
+        object.__setattr__(self, "size", as_int(self.size))
         if self.size < 0:
             raise ValueError(f"matrix size must be nonnegative, got {self.size}")
         if self.family in _EVEN_SIZE and self.size % 2:
@@ -115,7 +124,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(sorted(map(operator.index, parts), reverse=True))
+        parts = tuple(sorted(map(as_int, parts), reverse=True))
         if parts and parts[-1] <= 0:
             raise ValueError(f"parts must be positive integers, got {parts}")
         object.__setattr__(self, "parts", parts)
@@ -140,12 +149,8 @@ class Partition:
             table[q] = table.get(q, 0) + 1
         return table
 
-    def distinct_parts(self) -> tuple[int, ...]:
-        """Distinct parts, increasing."""
-        return tuple(sorted(set(self.parts)))
-
     def distinct_parts_of_parity(self, parity: int) -> tuple[int, ...]:
-        return tuple(q for q in self.distinct_parts() if q % 2 == parity)
+        return tuple(q for q in sorted(set(self.parts)) if q % 2 == parity)
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.parts)) + ")"
@@ -201,13 +206,8 @@ class SignCharacter:
     def as_dict(self) -> dict:
         return dict(self.values)
 
-    def restrict(self, keys: Iterable) -> "SignCharacter":
-        return SignCharacter({k: self(k) for k in keys})
-
-    def product(self, keys: Optional[Iterable] = None) -> int:
-        if keys is None:
-            return math.prod(sign for _, sign in self.values)
-        return math.prod(map(self, keys))
+    def product(self) -> int:
+        return math.prod(sign for _, sign in self.values)
 
     def flip_where(self, predicate) -> "SignCharacter":
         return SignCharacter({k: (-s if predicate(k) else s) for k, s in self.values})
@@ -231,6 +231,15 @@ def signs_on(eta: SignCharacter, keys: Iterable, what: str, owner) -> tuple[int,
     if table.keys() != set(keys):
         raise DomainMismatch(f"character domain {eta.keys()} does not match {what} of {owner}")
     return tuple(table[k] for k in keys)
+
+
+def check_aligned(parts: Sequence[int], signs: Sequence[int], increasing: bool = False) -> None:
+    """The one check of signs aligned with parts: one per part, and the parts
+    strictly increasing, unless the caller has them so by construction."""
+    if len(parts) != len(signs):
+        raise DomainMismatch(f"{len(signs)} signs for the {len(parts)} parts {tuple(parts)}")
+    if not increasing and not all(map(operator.lt, parts, parts[1:])):
+        raise InvalidPartition(f"parts {tuple(parts)} do not strictly increase")
 
 
 _MINT = object()
@@ -404,17 +413,14 @@ def cuspidal_pair(kind: GroupKind) -> Optional[CuspidalPair]:
     )
 
 
-def characters_of(descriptor: ComponentGroupDescriptor) -> list[SignCharacter]:
-    """All characters, as value tables on the generators.
+def characters_of(descriptor: ComponentGroupDescriptor) -> list[tuple[int, ...]]:
+    """All characters, as their signs aligned with ``descriptor.generators``.
 
-    For the quotient presentation the two tables related by the global flip
-    name the same character; one representative per class is returned, the
-    one whose value on the smallest generator is +1.
+    For the quotient presentation the two sign vectors related by the global
+    flip name the same character; one representative per class is returned,
+    the one whose sign on the smallest generator is +1.
     """
-    gens = descriptor.generators
-    out = []
-    for signs in itertools.product((1, -1), repeat=len(gens)):
-        if descriptor.relation is Relation.QUOTIENT_BY_FULL_PRODUCT and gens and signs[0] == -1:
-            continue
-        out.append(SignCharacter(dict(zip(gens, signs))))
-    return out
+    vectors = itertools.product((1, -1), repeat=len(descriptor.generators))
+    if descriptor.relation is Relation.QUOTIENT_BY_FULL_PRODUCT and descriptor.generators:
+        return [signs for signs in vectors if signs[0] == 1]
+    return list(vectors)

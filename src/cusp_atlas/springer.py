@@ -10,9 +10,9 @@ triangular/staircase cuspidal partition, and its sign character.  Both
 computation routes, the closed defect formula and the normal form, are
 always run and compared; disagreement raises.  :func:`eliminate` (the
 leftmost path, with its history) and :func:`elimination_outcomes` (every
-order) are the only two places that eliminate.  Both read the character
-once, as the signs of the increasing parts, and work on that normal-form
-value: increasing parts with their aligned signs.  Both find their deletion
+order) are the only two places that eliminate.  Both take and return one
+normal-form value, increasing parts with their aligned signs, into which
+:func:`springer_datum` reads its character once.  Both find their deletion
 sites as :func:`removable_sites` does, and a single step is a slice of the
 increasing parts and of their signs.
 
@@ -30,12 +30,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .errors import DomainMismatch, InternalCheckError, InvalidPartition
+from .errors import InternalCheckError, InvalidPartition
 from .orbits import (
     Family,
     GroupKind,
     Partition,
     SignCharacter,
+    check_aligned,
     classical_kind,
     is_degenerate,
     require_valid,
@@ -43,7 +44,7 @@ from .orbits import (
     staircase,
     staircase_character,
 )
-from .symbols import defect_formula, interval_structure, swapped_symbol
+from .symbols import defect_formula, distinguished_parts, interval_structure, swapped_symbol
 
 
 def removable_sites(signs: Sequence[int]) -> list[int]:
@@ -51,7 +52,7 @@ def removable_sites(signs: Sequence[int]) -> list[int]:
     return [j for j in range(len(signs) - 1) if signs[j] == signs[j + 1]]
 
 
-def eliminate(p: Partition, eta: SignCharacter
+def eliminate(parts: Sequence[int], signs: Sequence[int]
               ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Full elimination along the leftmost path, with its history.
 
@@ -63,10 +64,10 @@ def eliminate(p: Partition, eta: SignCharacter
     other pairs and end at other parts; what they share is the subject of
     :func:`elimination_outcomes`.
     """
-    parts = p.increasing()
+    check_aligned(parts, signs)
     kept: list[tuple[int, int]] = []  # (part, sign)
     removed: list[tuple[int, int]] = []
-    for q, sign in zip(parts, signs_on(eta, parts, "parts", p)):
+    for q, sign in zip(parts, signs):
         if kept and kept[-1][1] == sign:
             removed.append((kept.pop()[0], q))
         else:
@@ -75,7 +76,7 @@ def eliminate(p: Partition, eta: SignCharacter
     return normal, signs, tuple(removed)
 
 
-def elimination_outcomes(p: Partition, eta: SignCharacter) -> set[tuple]:
+def elimination_outcomes(parts: Sequence[int], signs: Sequence[int]) -> set[tuple]:
     """Outcomes of elimination over every admissible deletion order.
 
     An outcome is (normal parts increasing, their signs, the deleted (lo, hi)
@@ -106,8 +107,8 @@ def elimination_outcomes(p: Partition, eta: SignCharacter) -> set[tuple]:
         memo[parts] = found
         return found
 
-    parts = p.increasing()
-    return search(parts, signs_on(eta, parts, "parts", p))
+    check_aligned(parts, signs)
+    return search(tuple(parts), tuple(signs))
 
 
 def normal_form_content(kind: GroupKind, parts: tuple[int, ...],
@@ -123,9 +124,8 @@ def normal_form_content(kind: GroupKind, parts: tuple[int, ...],
 def d_from_normal_form(kind: GroupKind, parts: Sequence[int], signs: Sequence[int]) -> int:
     """Read the cuspidal size parameter d off an elimination normal form:
     increasing parts with their aligned, strictly alternating signs."""
-    if len(parts) != len(signs):
-        raise DomainMismatch(f"{len(signs)} signs for the {len(parts)} parts {tuple(parts)}")
-    if removable_sites(signs) or any(lo >= hi for lo, hi in zip(parts, parts[1:])):
+    check_aligned(parts, signs)
+    if removable_sites(signs):
         raise InvalidPartition(
             f"parts {tuple(parts)} with signs {tuple(signs)} are not elimination-normal")
     if kind.is_symplectic and parts and signs[0] == 1:
@@ -171,9 +171,11 @@ def springer_datum(kind: GroupKind, p: Partition, eta: SignCharacter) -> Cuspida
     d = |d'| in the orthogonal one, and the agreement is enforced.
     """
     orbit = require_valid(kind, p)
-    dprime = defect_formula(orbit, eta)
-    normal, normal_signs, _ = eliminate(p, eta)
-    sym = swapped_symbol(interval_structure(orbit), eta)
+    parts = distinguished_parts(orbit)
+    signs = signs_on(eta, parts, "parts", p)
+    dprime = defect_formula(orbit, signs)
+    normal, normal_signs, _ = eliminate(parts, signs)
+    sym = swapped_symbol(interval_structure(orbit), signs)
     if sym.defect != dprime:
         raise InternalCheckError(
             f"defect formula {dprime} != symbol defect {sym.defect} on {p}, {eta}")
@@ -188,7 +190,7 @@ def springer_datum(kind: GroupKind, p: Partition, eta: SignCharacter) -> Cuspida
     else:
         leading = normal_signs[0] if normal_signs else 1
         char = staircase_character(parity, d, leading)
-        if eta.product() != (char.product() if len(cusp) else 1):
+        if math.prod(signs) != (char.product() if len(cusp) else 1):
             raise InternalCheckError(f"central value not conserved on {p}, {eta}")
     torus_rank, rem = divmod(kind.size - cusp.total, 2)
     if rem or torus_rank < 0:
@@ -282,7 +284,7 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
             None, None, fused_orbit_tags=("I", "II"))
 
     # O_N and SO_N admit the same partitions and share the orthogonal symbols
-    dprime = swapped_symbol(interval_structure(orbit), eta).defect
+    dprime = swapped_symbol(interval_structure(orbit), signs).defect
     d = abs(dprime)
     torus_rank = (n - d * d) // 2
     cusp = staircase(1, d)

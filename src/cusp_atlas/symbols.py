@@ -24,11 +24,12 @@ p_i + (i - 1) into its even and odd halves.  The symmetric difference
 C = A Δ B then breaks into maximal integer runs; each run ("interval") is
 matched, in increasing order, with a distinct part of the generator parity,
 the run length being the multiplicity of the part.  A character of the
-component group selects the set of intervals where its value is -1, and
-swapping the A/B-content of exactly those intervals produces the symbol of
-the pair.  The defect |A| - |B| (signed in the symplectic case, absolute
-value in the orthogonal one) is the invariant driving the whole dictionary:
-it survives elimination and pins the cuspidal datum.
+component group, as its signs on those parts, selects the intervals where
+its sign is -1, and swapping the A/B-content of exactly those intervals
+produces the symbol of the pair.  The defect |A| - |B| (signed in the
+symplectic case, absolute value in the orthogonal one) is the invariant
+driving the whole dictionary: it survives elimination and pins the cuspidal
+datum.
 
 For the symplectic family the run containing 0, when present, is excluded
 from the interval list (it is the fixed margin H); orthogonal intervals may
@@ -37,20 +38,12 @@ start at 0 and H is empty.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import compress, count
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InternalCheckError, InvalidPartition
-from .orbits import (
-    GroupKind,
-    Partition,
-    SignCharacter,
-    ValidOrbit,
-    is_distinguished,
-    signs_on,
-)
+from .orbits import GroupKind, Partition, ValidOrbit, as_int, check_aligned, is_distinguished
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
@@ -72,7 +65,7 @@ def _row_bits(entries: Iterable[int]) -> int:
     """The bitset of a row given as integers in any order, repeats ignored,
     checked to be nonnegative and then spaced: a '1' digit per entry in a
     binary digit string, which ``int`` reads at once."""
-    row = sorted(set(map(operator.index, entries)))
+    row = sorted(set(map(as_int, entries)))
     if not row:
         return 0
     if row[0] < 0:
@@ -195,7 +188,6 @@ class IntervalStructure:
     character through :func:`swapped_symbol`.
     """
 
-    partition: Partition
     symbol: USymbol
     intervals: tuple[tuple[int, ...], ...]
     parts: tuple[int, ...]
@@ -269,17 +261,18 @@ def interval_structure(orbit: ValidOrbit) -> IntervalStructure:
     both, margin = base_a & base_b, _mask(h)
     common = (both | (base_a & margin), both | (base_b & margin))
     splits = tuple((base_a & mask, base_b & mask) for mask in map(_mask, intervals))
-    return IntervalStructure(p, symbol, intervals, parts, h, common, splits)
+    return IntervalStructure(symbol, intervals, parts, h, common, splits)
 
 
-def swapped_symbol(structure: IntervalStructure, eta: SignCharacter) -> USymbol:
-    """Symbol of the pair (class of the structure's partition, eta).
+def swapped_symbol(structure: IntervalStructure, signs: Sequence[int]) -> USymbol:
+    """Symbol of the pair (class of the structure's partition, character).
 
-    eta gives signs on the generator parts; the intervals where it is -1
-    have their row contents swapped relative to the base symbol.  The
-    result is a new :class:`USymbol`, validated as every symbol is.
+    The intervals where the signs, aligned with ``structure.parts`` (which
+    strictly increase, so only the count is checked), are -1 have their row
+    contents swapped relative to the base symbol.  The result is a new
+    :class:`USymbol`, validated as every symbol is.
     """
-    signs = signs_on(eta, structure.parts, "parts", structure.partition)
+    check_aligned(structure.parts, signs, increasing=True)
     row_a, row_b = structure.common
     for (in_a, in_b), sign in zip(structure.splits, signs):
         if sign == -1:
@@ -289,21 +282,25 @@ def swapped_symbol(structure: IntervalStructure, eta: SignCharacter) -> USymbol:
     return _symbol(structure.symbol.parity, row_a, row_b)
 
 
-def defect_formula(orbit: ValidOrbit, eta: SignCharacter) -> int:
+def distinguished_parts(orbit: ValidOrbit) -> tuple[int, ...]:
+    """The increasing parts of a distinguished orbit, or InvalidPartition."""
+    if not is_distinguished(orbit):
+        raise InvalidPartition(f"{orbit.partition} is not distinguished for {orbit.kind}")
+    return orbit.partition.increasing()
+
+
+def defect_formula(orbit: ValidOrbit, signs: Sequence[int]) -> int:
     """Closed-form defect for a distinguished class, straight from the signs.
 
-    With k parts (never zero-padded) in increasing order:
-    symplectic, k even:  1 + sum (-1)^i eta(z_{p_i});
-    symplectic, k odd:   sum (-1)^(i+1) eta(z_{p_i});
-    orthogonal:          | sum (-1)^(i+1) eta(z_{p_i}) |.
-    eta is given on exactly the parts.  Must agree with the defect of
-    :func:`swapped_symbol` on the orbit's :func:`interval_structure`.
+    With k parts (never zero-padded) in increasing order, signs eta_i:
+    symplectic, k even:  1 + sum (-1)^i eta_i;
+    symplectic, k odd:   sum (-1)^(i+1) eta_i;
+    orthogonal:          | sum (-1)^(i+1) eta_i |.
+    Must agree with the defect of :func:`swapped_symbol` on the orbit's
+    :func:`interval_structure`.
     """
-    kind, p = orbit.kind, orbit.partition
-    if not is_distinguished(orbit):
-        raise InvalidPartition(f"{p} is not distinguished for {kind}")
-    signs = signs_on(eta, p.increasing(), "parts", p)
-    alternating = sum(signs[0::2]) - sum(signs[1::2])  # sum (-1)^(i+1) eta(z_{p_i})
-    if kind.is_symplectic:
+    check_aligned(distinguished_parts(orbit), signs, increasing=True)
+    alternating = sum(signs[0::2]) - sum(signs[1::2])  # sum (-1)^(i+1) eta_i
+    if orbit.kind.is_symplectic:
         return 1 - alternating if len(signs) % 2 == 0 else alternating
     return abs(alternating)

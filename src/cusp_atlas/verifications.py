@@ -7,6 +7,7 @@ suite pushes the documented bounds.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
@@ -14,13 +15,8 @@ from . import census
 from .cuspsupport import check_support, outcome_supports
 from .errors import InternalCheckError
 from .lparams import block_group_type
-from .orbits import GroupKind, Partition, cuspidal_pair, require_valid, signs_on
-from .springer import (
-    elimination_outcomes,
-    normal_form_content,
-    removable_sites,
-    springer_datum,
-)
+from .orbits import GroupKind, Partition, SignCharacter, cuspidal_pair, require_valid
+from .springer import elimination_outcomes, normal_form_content, removable_sites, springer_datum
 from .symbols import defect_formula, interval_structure, swapped_symbol
 
 
@@ -46,41 +42,48 @@ def selfcheck_limits(overrides: Mapping[str, int], bound: int) -> Limits:
 
 def check_defect_coherence(limit: int) -> tuple[bool, str]:
     """Formula defect == symbol defect, and invariance under every single step."""
+    def pair() -> str:  # the pair being checked, its signs printed as a character
+        return f"{kind} {p} {SignCharacter(zip(parts, signs))}"
+
     checked = 0
     for kind in census.classical_kinds(limit):
         for orbit in census.distinguished_orbits(kind):
             p, structure = orbit.partition, interval_structure(orbit)
             parts = p.increasing()
-            for eta in census.sign_vectors(p):
-                before = defect_formula(orbit, eta)
-                if swapped_symbol(structure, eta).defect != before:
-                    return False, f"defect mismatch at {kind} {p} {eta}"
-                for j in removable_sites(signs_on(eta, parts, "parts", p)):
+            for signs in itertools.product((1, -1), repeat=len(parts)):
+                before = defect_formula(orbit, signs)
+                if swapped_symbol(structure, signs).defect != before:
+                    return False, f"defect mismatch at {pair()}"
+                for j in removable_sites(signs):
                     rest = parts[:j] + parts[j + 2:]
                     q = Partition(rest)
                     after = (defect_formula(require_valid(GroupKind(kind.family, q.total), q),
-                                            eta.restrict(rest))
+                                            signs[:j] + signs[j + 2:])
                              if rest else (1 if kind.is_symplectic else 0))
                     if after != before:
-                        return False, f"defect not conserved at {kind} {p} {eta} step {j}"
+                        return False, f"defect not conserved at {pair()} step {j}"
                 checked += 1
     return True, f"{checked} distinguished pairs"
 
 
 def check_order_independence(limit: int) -> tuple[bool, str]:
     """Every deletion order reaches one normal-form content and one support."""
+    def pair() -> str:  # the pair being checked, its signs printed as a character
+        return f"{kind} {p} {SignCharacter(zip(parts, signs))}"
+
     checked = 0
     label = census.DEFAULT_SIGNATURE[0]
     for kind in census.classical_kinds(limit):
         parity = block_group_type(kind, label)
-        for p, eta in census.distinguished_pairs(kind):
-            outcomes = elimination_outcomes(p, eta)
-            contents = {normal_form_content(kind, parts, signs) for parts, signs, _ in outcomes}
+        for p, signs in census.distinguished_pairs(kind):
+            parts = p.increasing()
+            outcomes = elimination_outcomes(parts, signs)
+            contents = {normal_form_content(kind, nf, nf_signs) for nf, nf_signs, _ in outcomes}
             if len(contents) != 1:
-                return False, f"{len(contents)} normal-form contents for {kind} {p} {eta}"
-            supports = outcome_supports(label, parity, p.increasing(), outcomes)
+                return False, f"{len(contents)} normal-form contents for {pair()}"
+            supports = outcome_supports(label, parity, parts, outcomes)
             if len(supports) != 1:
-                return False, f"{len(supports)} supports for {kind} {p} {eta}"
+                return False, f"{len(supports)} supports for {pair()}"
             checked += 1
     return True, f"{checked} pairs, single content and support each"
 

@@ -1,13 +1,16 @@
 """Fixtures shared by the support tests of the library and of the CLI, a
-byte-backed standard input for CLI jobs, a spy on partition validation, the
-symbol and closed-form defect of a pair from a bare partition, the
-set-algebra route to a pair's symbol, the alternative symplectic defect
-formula the symbol tests compare against, and a shorthand for parameter
-characters."""
+byte-backed standard input for CLI jobs, spies on partition validation and
+on character reads, the symbol and closed-form defect of a pair from a bare
+partition, the set-algebra route to a pair's symbol, the alternative
+symplectic defect formula the symbol tests compare against, and a shorthand
+for parameter characters.
+
+A pair's character is given to these helpers as the library's layers take
+it: its signs aligned with the increasing generators."""
 
 import io
 import sys
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -24,39 +27,42 @@ from cusp_atlas.symbols import (
 )
 
 
-def pair_symbol(kind: GroupKind, p: Partition, eta: SignCharacter) -> USymbol:
-    """The u-symbol of the pair (class of p, eta), p validated for the group."""
-    return swapped_symbol(interval_structure(require_valid(kind, p)), eta)
+def pair_symbol(kind: GroupKind, p: Partition, signs: Sequence[int]) -> USymbol:
+    """The u-symbol of the pair (class of p, signs on its generators), p
+    validated for the group."""
+    return swapped_symbol(interval_structure(require_valid(kind, p)), signs)
 
 
-def pair_defect(kind: GroupKind, p: Partition, eta: SignCharacter) -> int:
-    """The closed-form defect of the pair (class of p, eta), p validated for the group."""
-    return defect_formula(require_valid(kind, p), eta)
+def pair_defect(kind: GroupKind, p: Partition, signs: Sequence[int]) -> int:
+    """The closed-form defect of the pair (class of p, signs on its parts), p
+    validated for the group."""
+    return defect_formula(require_valid(kind, p), signs)
 
 
-def set_algebra_swapped_symbol(structure: IntervalStructure, eta: SignCharacter) -> USymbol:
+def set_algebra_swapped_symbol(structure: IntervalStructure, signs: Sequence[int]) -> USymbol:
     """The set-algebra form of `swapped_symbol`: the base rows' common part and
-    margin, then the content of each interval from the row eta selects, all
-    on Python sets of the rows read back as tuples."""
+    margin, then the content of each interval from the row its sign selects,
+    all on Python sets of the rows read back as tuples."""
     base_a, base_b = set(structure.symbol.a), set(structure.symbol.b)
     row_a = (base_a & base_b) | (set(structure.h) & base_a)
     row_b = (base_a & base_b) | (set(structure.h) & base_b)
-    for run, q in zip(structure.intervals, structure.parts):
-        src_a, src_b = (base_b, base_a) if eta(q) == -1 else (base_a, base_b)
+    assert len(signs) == len(structure.intervals)
+    for run, sign in zip(structure.intervals, signs):
+        src_a, src_b = (base_b, base_a) if sign == -1 else (base_a, base_b)
         row_a |= set(run) & src_a
         row_b |= set(run) & src_b
     return USymbol(structure.symbol.parity, row_a, row_b)
 
 
-def alternative_defect_formula_sp(p: Partition, eta: SignCharacter) -> int:
-    """The other printed closed form for the symplectic defect.
+def alternative_defect_formula_sp(signs: Sequence[int]) -> int:
+    """The other printed closed form for the symplectic defect, on the signs
+    of the increasing parts.
 
     Kept purely for regression comparison: on the cuspidal fixtures it
     exceeds `symbols.defect_formula` by exactly k + 1.
     """
-    parts = p.increasing()
-    k = len(parts)
-    acc = sum((-1) ** (i + k) * eta(q) for i, q in enumerate(parts, start=1))
+    k = len(signs)
+    acc = sum((-1) ** (i + k) * sign for i, sign in enumerate(signs, start=1))
     return acc + 2 * k + 2 - 2 * ((k + 1) // 2)
 
 
@@ -84,16 +90,15 @@ def feed_stdin(monkeypatch):
     return feed
 
 
-@pytest.fixture
-def validated(monkeypatch) -> list:
-    """The partitions `orbits.validate_partition` is called on, in order, from
-    every module of the package that holds it."""
+def _spy(monkeypatch, direct, record) -> list:
+    """Replace the function ``direct`` in every module of the package that
+    holds it by one that appends ``record(*args, **kwargs)`` to the returned
+    list before it calls ``direct``."""
     calls = []
-    direct = orbits.validate_partition
 
-    def counted(kind, p):
-        calls.append(p.parts)
-        return direct(kind, p)
+    def counted(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return direct(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "cusp_atlas" or name.startswith("cusp_atlas."):
@@ -101,6 +106,20 @@ def validated(monkeypatch) -> list:
                 if value is direct:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.fixture
+def validated(monkeypatch) -> list:
+    """The partitions `orbits.validate_partition` is called on, in order, from
+    every module of the package that holds it."""
+    return _spy(monkeypatch, orbits.validate_partition, lambda kind, p: p.parts)
+
+
+@pytest.fixture
+def signs_read(monkeypatch) -> list:
+    """The keys `orbits.signs_on` reads a character on, in order, from every
+    module of the package that holds it."""
+    return _spy(monkeypatch, orbits.signs_on, lambda eta, keys, what, owner: keys)
 
 
 @pytest.fixture

@@ -143,8 +143,8 @@ def test_criterion_8_alternative_defect_formula_guard():
     start = time.time()
     for d in range(1, 6):
         p = staircase(0, d)
-        eps = staircase_character(0, d, -1)
+        eps = tuple(sign for _, sign in staircase_character(0, d, -1).values)
         kind = GroupKind(Family.SP, d * (d + 1))
-        gap = alternative_defect_formula_sp(p, eps) - pair_defect(kind, p, eps)
+        gap = alternative_defect_formula_sp(eps) - pair_defect(kind, p, eps)
         assert gap == len(p) + 1
     report(8, "alternative defect formula offset", time.time() - start)

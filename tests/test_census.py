@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import pair_symbol, set_algebra_swapped_symbol
+from conftest import _spy, pair_symbol, set_algebra_swapped_symbol
 
 from cusp_atlas.cli import main
 
@@ -32,7 +32,7 @@ from cusp_atlas.orbits import (
 )
 from cusp_atlas.springer import d_from_defect, removable_sites
 from cusp_atlas.symbols import interval_structure
-from cusp_atlas import census, verifications
+from cusp_atlas import census, orbits, verifications
 from cusp_atlas.verifications import (
     check_count_identity,
     check_defect_coherence,
@@ -101,8 +101,8 @@ def census_one_symbol_per_pair(kind):
             continue
         copies = orbit_count(verdict.orbit)
         structure = interval_structure(verdict.orbit)
-        for eta in characters_of(component_group(verdict.orbit)):
-            d = d_from_defect(kind, set_algebra_swapped_symbol(structure, eta).defect)
+        for signs in characters_of(component_group(verdict.orbit)):
+            d = d_from_defect(kind, set_algebra_swapped_symbol(structure, signs).defect)
             total += copies
             by_d[d] = by_d.get(d, 0) + copies
     return {"pairs": total, "by_d": dict(sorted(by_d.items()))}
@@ -116,20 +116,44 @@ def test_census_matches_one_symbol_per_pair(family):
         assert unipotent_census(kind) == census_one_symbol_per_pair(kind), kind
 
 
-@pytest.mark.parametrize("family,parts,signs", [
-    (Family.SP, (4, 2), {2: 1}),
-    (Family.SP, (4, 2), {2: 1, 4: -1, 6: 1}),
-    (Family.SP, (2, 2, 1, 1), {1: 1}),
-    (Family.SO_ODD, (5, 3, 1), {1: 1, 3: -1}),
-    (Family.SO_EVEN, (3, 3, 1, 1), {1: 1, 3: 1, 5: -1}),
+@pytest.mark.parametrize("family,parts,signs,message", [
+    (Family.SP, (4, 2), (1,), "1 signs for the 2 parts (2, 4)"),
+    (Family.SP, (4, 2), (1, -1, 1), "3 signs for the 2 parts (2, 4)"),
+    # a sign on the odd part too: Sp has generators on the even parts only
+    (Family.SP, (2, 2, 1, 1), (1, 1), "2 signs for the 1 parts (2,)"),
+    (Family.SO_ODD, (5, 3, 1), (1, -1), "2 signs for the 3 parts (1, 3, 5)"),
+    (Family.SO_EVEN, (3, 3, 1, 1), (1, 1, -1), "3 signs for the 2 parts (1, 3)"),
 ], ids=["missing", "extra", "odd-part", "so-missing", "so-extra"])
-def test_swapped_symbol_rejects_a_character_off_the_generators(family, parts, signs):
+def test_swapped_symbol_rejects_a_character_off_the_generators(family, parts, signs, message):
+    # the signs align with the generators, one each, or DomainMismatch
     p = Partition(parts)
-    kind = GroupKind(family, p.total)
-    eta = SignCharacter(signs)
     with pytest.raises(DomainMismatch) as err:
-        pair_symbol(kind, p, eta)
-    assert str(err.value) == f"character domain {eta.keys()} does not match parts of {p}"
+        pair_symbol(GroupKind(family, p.total), p, signs)
+    assert str(err.value) == message
+
+
+def test_census_reads_no_character(signs_read, monkeypatch):
+    # the census enumerates each character as its signs, which the symbol
+    # takes as they are: no SignCharacter is built, and none is read
+    built = []
+    init = SignCharacter.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(SignCharacter, "__init__", counted)
+    assert unipotent_census(GroupKind(Family.SP, 16))["pairs"] == 336
+    assert signs_read == [] and built == []
+
+
+def test_census_retests_no_part_order(monkeypatch):
+    # an interval structure's parts strictly increase: the symbol of each
+    # pair has its sign count checked, and nothing re-tests the part order
+    calls = _spy(monkeypatch, orbits.check_aligned,
+                 lambda parts, signs, increasing=False: increasing)
+    assert unipotent_census(GroupKind(Family.SP, 16))["pairs"] == 336
+    assert calls == [True] * 336
 
 
 def test_classical_kinds_order():

@@ -27,12 +27,14 @@ from cusp_atlas.lparams import (
     IrrLabel,
     SelfDualType,
     block_exponents,
+    block_group_type,
     det_flip,
     half_str,
     infinitesimal_character,
     is_cuspidal,
+    signed_slices,
 )
-from cusp_atlas.orbits import Family, GroupKind, Partition, classical_kind
+from cusp_atlas.orbits import Family, GroupKind, Partition, SignCharacter, classical_kind
 from cusp_atlas.springer import springer_datum
 
 P = IrrLabel("p", 1, SelfDualType.ORTHOGONAL)
@@ -221,9 +223,10 @@ def test_sp_side_dprime_is_odd_everywhere():
     # the data `support` computes, slice by slice
     for dual in (GroupKind(Family.SP, 10), GroupKind(Family.SO_ODD, 9)):
         for param, eta in enumerate_parameters(dual):
-            for _, parity, sizes, slice_char in cuspsupport._slices(param, eta):
+            for label, sizes, signs in signed_slices(param, eta):
+                parity = block_group_type(dual, label)
                 datum = springer_datum(classical_kind(parity, sum(sizes)),
-                                       Partition(sizes), slice_char)
+                                       Partition(sizes), SignCharacter(zip(sizes, signs)))
                 if parity == 0:
                     assert datum.dprime % 2 == 1
                 else:

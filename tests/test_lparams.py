@@ -82,6 +82,18 @@ def test_parameter_refuses_a_block_size_that_is_not_an_integer():
     assert DiscreteParameter(GroupKind(Family.SP, 2), [(ORTH1, 2)]).blocks == ((ORTH1, 2),)
 
 
+def test_parameter_refuses_a_bool_block_size():
+    with pytest.raises(TypeError, match=r"^expected an integer, got True$"):
+        DiscreteParameter(GroupKind(Family.SO_ODD, 1), [(ORTH1, True)])
+
+
+def test_label_refuses_a_dimension_that_is_not_an_integer():
+    for dim in (1.5, 1.0, True, "1"):
+        with pytest.raises(TypeError):
+            IrrLabel("p", dim, SelfDualType.ORTHOGONAL)
+    assert IrrLabel("p", 2, SelfDualType.ORTHOGONAL).dim == 2
+
+
 def test_validate_parameter_reports_a_repeated_block_once():
     verdict = validate_parameter(SP6, [(ORTH1, 3), (ORTH1, 3)])
     assert verdict.problems == ("repeated block (p,3)",

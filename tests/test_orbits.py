@@ -10,7 +10,9 @@ from cusp_atlas.orbits import (
     Relation,
     SignCharacter,
     ValidOrbit,
+    as_int,
     characters_of,
+    check_aligned,
     component_group,
     cuspidal_pair,
     is_degenerate,
@@ -195,7 +197,7 @@ def test_sign_character_helpers():
     assert eta(2) == -1
     assert eta.product() == -1
     assert eta.flip_where(lambda q: True).as_dict() == {2: 1, 4: -1}
-    assert eta.restrict([4]).keys() == (4,)
+    assert eta.keys() == (2, 4)
     with pytest.raises(Exception):
         eta(6)
     with pytest.raises(ValueError):
@@ -216,6 +218,63 @@ def test_partition_refuses_parts_that_are_not_integers():
     assert Partition([1, 3, 2]).parts == (3, 2, 1)
 
 
+def test_partition_refuses_a_bool_part():
+    for parts in ((True, 2), (2, False)):
+        with pytest.raises(TypeError, match=r"^expected an integer, got (True|False)$"):
+            Partition(parts)
+
+
+def test_group_kind_refuses_a_size_that_is_not_an_integer():
+    for size in (True, 1.0, "1"):
+        with pytest.raises(TypeError):
+            GroupKind(Family.SO_ODD, size)
+    with pytest.raises(TypeError, match=r"^expected an integer, got True$"):
+        GroupKind(Family.SO_ODD, True)
+    assert str(GroupKind(Family.SO_ODD, 1)) == "SOodd_1"
+
+
+def test_as_int_reads_an_integer_and_refuses_a_bool_or_a_non_integer():
+    assert as_int(7) == 7 and type(as_int(7)) is int
+    for value in (True, False, 1.0, 1.5, "1", None):
+        with pytest.raises(TypeError):
+            as_int(value)
+
+
+def test_characters_of_gives_the_signs_aligned_with_the_generators():
+    free = component_group(require_valid(SP6, Partition((4, 2))))
+    assert free.generators == (2, 4)
+    assert characters_of(free) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    # the quotient: one sign vector per flip class, +1 on the smallest generator
+    quotient = component_group(require_valid(GroupKind(Family.SO_ODD, 9), Partition((5, 3, 1))))
+    assert quotient.generators == (1, 3, 5)
+    assert characters_of(quotient) == [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]
+    assert characters_of(component_group(require_valid(SP6, Partition((1,) * 6)))) == [()]
+
+
+@pytest.mark.parametrize("parts, signs, message", [
+    ((2, 4), (1,), r"^1 signs for the 2 parts \(2, 4\)$"),
+    ((), (1,), r"^1 signs for the 0 parts \(\)$"),
+    ((2, 4), (1, -1, 1), r"^3 signs for the 2 parts \(2, 4\)$"),
+], ids=["missing", "no-parts", "extra"])
+def test_check_aligned_refuses_unequal_lengths(parts, signs, message):
+    with pytest.raises(DomainMismatch, match=message):
+        check_aligned(parts, signs)
+    assert check_aligned((2, 4), (1, -1)) is None
+
+
+def test_check_aligned_leaves_the_part_order_to_a_caller_that_has_it():
+    # a caller whose parts increase by construction has only the count checked
+    assert check_aligned((4, 2), (1, -1), increasing=True) is None
+    with pytest.raises(DomainMismatch, match=r"^1 signs for the 2 parts \(4, 2\)$"):
+        check_aligned((4, 2), (1,), increasing=True)
+
+
+@pytest.mark.parametrize("parts", [(4, 2), (2, 2), (1, 3, 3)], ids=["decreasing", "equal", "repeat"])
+def test_check_aligned_refuses_parts_that_do_not_strictly_increase(parts):
+    with pytest.raises(InvalidPartition, match=r"^parts \(.*\) do not strictly increase$"):
+        check_aligned(parts, (1,) * len(parts))
+
+
 def test_signs_on_reads_the_signs_in_key_order():
     eta = SignCharacter({2: -1, 4: 1, 6: 1})
     assert signs_on(eta, (2, 4, 6), "parts", "p") == (-1, 1, 1)
@@ -234,7 +293,10 @@ def test_signs_on_reads_the_signs_in_key_order():
     ({2: 1, 4: 1, 6: -1}, (2, 4), "(2, 4, 6)"),         # an extra generator
     ({}, (2, 4), "()"),
     ({2: 1, 4: 1}, (), "(2, 4)"),
-], ids=["missing", "missing-repeated", "extra", "empty-character", "no-keys"])
+    ({1: 1}, (2,), "(1,)"),                             # as many keys, a wrong one
+    ({2: 1, 6: 1}, (2, 4), "(2, 6)"),
+], ids=["missing", "missing-repeated", "extra", "empty-character", "no-keys",
+        "wrong-key", "wrong-key-of-two"])
 def test_signs_on_raises_on_a_missing_and_an_extra_generator(values, keys, domain):
     with pytest.raises(DomainMismatch) as err:
         signs_on(SignCharacter(values), keys, "parts", Partition((4, 2)))

@@ -46,5 +46,6 @@ def test_library_tour_gives_what_its_comments_say():
         else:
             exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
     assert len(checked) == len(expected)
-    assert {"defect_formula(orbit, eta)", "is_cuspidal(param, eta)",
+    assert {"defect_formula(orbit, signs)", "eliminate((2, 4), signs)",
+            "is_cuspidal(param, eta)",
             "count_identity(GroupKind(Family.SO_EVEN, 8))"} <= set(checked)

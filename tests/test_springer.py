@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -44,39 +45,106 @@ LABEL = IrrLabel("u", 1, SelfDualType.ORTHOGONAL)
 
 
 def test_eliminate_fixtures():
-    # the normal form is the increasing parts with their aligned signs
-    assert eliminate(Partition((4, 2)), SignCharacter({2: 1, 4: 1})) == ((), (), ((2, 4),))
+    # the input and the normal form are increasing parts with their aligned signs
+    assert eliminate((2, 4), (1, 1)) == ((), (), ((2, 4),))
     # alternating input is a fixed point
-    assert eliminate(Partition((4, 2)), SignCharacter({2: -1, 4: 1})) == ((2, 4), (-1, 1), ())
-    assert eliminate(Partition((8, 6, 4, 2)), SignCharacter({2: 1, 4: 1, 6: -1, 8: -1})) == (
-        (), (), ((2, 4), (6, 8)))
+    assert eliminate((2, 4), (-1, 1)) == ((2, 4), (-1, 1), ())
+    assert eliminate((2, 4, 6, 8), (1, 1, -1, -1)) == ((), (), ((2, 4), (6, 8)))
     # the leftmost path: (3,5) goes first, which makes 1 and 7 adjacent
-    assert eliminate(Partition((9, 7, 5, 3, 1)),
-                     SignCharacter({1: 1, 3: -1, 5: -1, 7: 1, 9: -1})) == (
-        (9,), (-1,), ((3, 5), (1, 7)))
+    assert eliminate((1, 3, 5, 7, 9), (1, -1, -1, 1, -1)) == ((9,), (-1,), ((3, 5), (1, 7)))
+    with pytest.raises(DomainMismatch, match=r"^1 signs for the 2 parts \(2, 4\)$"):
+        eliminate((2, 4), (1,))
+
+
+@pytest.mark.parametrize("run", [eliminate, elimination_outcomes], ids=["leftmost", "every-order"])
+def test_elimination_refuses_signs_that_are_not_aligned(run):
+    # a sign per part, or DomainMismatch; strictly increasing parts, or InvalidPartition
+    with pytest.raises(DomainMismatch, match=r"^3 signs for the 2 parts \(2, 4\)$"):
+        run((2, 4), (1, 1, -1))
+    with pytest.raises(DomainMismatch, match=r"^0 signs for the 1 parts \(5,\)$"):
+        run((5,), ())
+    for parts in ((4, 2), (2, 2)):
+        with pytest.raises(InvalidPartition, match=r"^parts \(.*\) do not strictly increase$"):
+            run(parts, (1, 1))
+
+
+def test_springer_datum_reads_its_character_on_the_parts():
+    # the character is read once, where it enters: a domain off the parts
+    # raises with the partition in the message, after validity and
+    # distinguishedness are checked
     with pytest.raises(DomainMismatch,
                        match=r"^character domain \(2,\) does not match parts of \(4,2\)$"):
-        eliminate(Partition((4, 2)), SignCharacter({2: 1}))
+        springer_datum(SP6, Partition((4, 2)), SignCharacter({2: 1}))
+    # as many generators as parts, one of them wrong
+    with pytest.raises(DomainMismatch,
+                       match=r"^character domain \(2, 6\) does not match parts of \(4,2\)$"):
+        springer_datum(SP6, Partition((4, 2)), SignCharacter({2: 1, 6: 1}))
+    with pytest.raises(InvalidPartition, match=r"^\(2,2,1,1\) is not distinguished for Sp_6$"):
+        springer_datum(SP6, Partition((2, 2, 1, 1)), SignCharacter())
+    with pytest.raises(InvalidPartition, match=r"^\(3,2,1\) is not a Sp_6 partition: "):
+        springer_datum(SP6, Partition((3, 2, 1)), SignCharacter({5: 1}))
+
+
+@pytest.mark.parametrize("kind,parts,signs", [
+    (SP6, (4, 2), {2: 1, 4: -1}),
+    (SO9, (5, 3, 1), {1: 1, 3: -1, 5: 1}),
+    (GroupKind(Family.SP, 12), (6, 4, 2), {2: -1, 4: 1, 6: -1}),
+])
+def test_springer_datum_reads_its_character_once(signs_read, kind, parts, signs):
+    springer_datum(kind, Partition(parts), SignCharacter(signs))
+    assert signs_read == [tuple(sorted(parts))]
+
+
+@pytest.mark.parametrize("parts,signs", [
+    ((3, 1), {1: 1, 3: -1}),                 # case I
+    ((5, 3, 1), {1: -1, 3: -1, 5: 1}),       # case I, odd N
+    ((2, 2, 1, 1), {1: -1}),                 # case II
+    ((2, 2), {}),                            # case III
+])
+def test_springer_o_reads_its_character_once(signs_read, parts, signs):
+    springer_o(Partition(parts), SignCharacter(signs))
+    assert signs_read == [tuple(sorted(set(q for q in parts if q % 2)))]
+
+
+def test_springer_o_refuses_a_character_on_a_wrong_odd_part():
+    with pytest.raises(DomainMismatch, match=r"^character domain \(1, 3, 7\) does not match "
+                                             r"the odd parts of \(5,3,1\)$"):
+        springer_o(Partition((5, 3, 1)), SignCharacter({1: 1, 3: 1, 7: 1}))
+
+
+def test_all_order_slice_supports_takes_the_sizes_in_any_order():
+    # the sizes are sorted, as a Partition sorts them: their order moves
+    # neither the supports nor the owner a domain message names
+    eta = SignCharacter({1: 1, 3: -1, 5: 1})
+    assert all_order_slice_supports(LABEL, 1, (5, 1, 3), eta) == \
+        all_order_slice_supports(LABEL, 1, (1, 3, 5), eta)
+    with pytest.raises(DomainMismatch,
+                       match=r"^character domain \(1, 3\) does not match parts of \(5,3,1\)$"):
+        all_order_slice_supports(LABEL, 1, (1, 5, 3), SignCharacter({1: 1, 3: 1}))
+    with pytest.raises(ValueError, match=r"^parts must be positive integers, got \(1, 0\)$"):
+        all_order_slice_supports(LABEL, 1, (0, 1), SignCharacter({0: 1, 1: 1}))
+    # a slice of a discrete parameter never repeats a size; a repeated one is refused
+    with pytest.raises(InvalidPartition, match=r"^parts \(3, 3\) do not strictly increase$"):
+        all_order_slice_supports(LABEL, 1, (3, 3), SignCharacter({3: 1}))
 
 
 def test_eliminate_returns_tuples():
-    for p, eta in distinguished_pairs(GroupKind(Family.SO_ODD, 9)):
-        parts, signs, removed = eliminate(p, eta)
+    for p, signs in distinguished_pairs(GroupKind(Family.SO_ODD, 9)):
+        parts, signs, removed = eliminate(p.increasing(), list(signs))
         assert type(parts) is tuple and type(signs) is tuple and type(removed) is tuple
         assert all(type(x) is int for x in parts + signs)
         assert len(parts) == len(signs)
 
 
 def test_collapse_order_insensitive_for_full_collapse():
-    eta = SignCharacter({2: 1, 4: 1, 6: -1, 8: -1})
-    outcomes = elimination_outcomes(Partition((8, 6, 4, 2)), eta)
+    outcomes = elimination_outcomes((2, 4, 6, 8), (1, 1, -1, -1))
     assert outcomes == {((), (), ((2, 4), (6, 8)))}
 
 
 def test_normal_form_values_can_depend_on_order():
     # the terminal parts are a computation device: from (1,3,5) with all
     # signs equal, one order ends at (5), the other at (1) ...
-    outcomes = elimination_outcomes(Partition((5, 3, 1)), SignCharacter({1: 1, 3: 1, 5: 1}))
+    outcomes = elimination_outcomes((1, 3, 5), (1, 1, 1))
     assert {(parts, removed) for parts, _, removed in outcomes} == {
         ((5,), ((1, 3),)), ((1,), ((3, 5),))}
     # ... but the invariant content and the produced support do not move
@@ -92,8 +160,8 @@ def test_order_independence_of_content_and_support():
     for kind in classical_kinds(12):
         parity = block_group_type(kind, LABEL)
         assert parity == kind.generator_parity
-        for p, eta in distinguished_pairs(kind):
-            outcomes = elimination_outcomes(p, eta)
+        for p, signs in distinguished_pairs(kind):
+            outcomes = elimination_outcomes(p.increasing(), signs)
             contents = {normal_form_content(kind, parts, values) for parts, values, _ in outcomes}
             assert len(contents) == 1
             assert len(outcome_supports(LABEL, parity, p.increasing(), outcomes)) == 1
@@ -116,12 +184,12 @@ def test_elimination_outcomes_match_path_walker():
     for kind in classical_kinds(25):
         if kind.size > 16 and kind.size not in (20, 25):
             continue
-        for p, eta in distinguished_pairs(kind):
+        for p, signs in distinguished_pairs(kind):
             parts = p.increasing()
-            walked = set(_walk_every_order(parts, tuple(eta(q) for q in parts)))
-            assert elimination_outcomes(p, eta) == walked
-            normal, signs, removed = eliminate(p, eta)
-            assert (normal, signs, tuple(sorted(removed))) in walked
+            walked = set(_walk_every_order(parts, signs))
+            assert elimination_outcomes(parts, signs) == walked
+            normal, normal_signs, removed = eliminate(parts, signs)
+            assert (normal, normal_signs, tuple(sorted(removed))) in walked
 
 
 def test_d_from_normal_form():
@@ -228,12 +296,12 @@ def test_springer_o_central_value_matches():
         kind_o = GroupKind(Family.O_ODD if n % 2 else Family.O_EVEN, n)
         for orbit in group_partitions(kind_o):
             p = orbit.partition
-            for eta in characters_of(component_group(orbit)):
-                out = springer_o(p, eta)
+            odd = p.distinct_parts_of_parity(1)
+            for signs in characters_of(component_group(orbit)):
+                out = springer_o(p, SignCharacter(zip(odd, signs)))
                 if out.case is OCase.I:
-                    central = tuple(q for q in p.distinct_parts_of_parity(1)
-                                    if p.parts.count(q) % 2)
-                    assert out.cusp_character_o.product() == eta.product(central)
+                    central = [s for q, s in zip(odd, signs) if p.parts.count(q) % 2]
+                    assert out.cusp_character_o.product() == math.prod(central)
 
 
 def test_o4_torus_series_has_hyperoctahedral_size():
@@ -245,8 +313,9 @@ def test_o4_torus_series_has_hyperoctahedral_size():
         if copies == 2:  # fused pair: one induced member
             members += 1
             continue
-        for eta in characters_of(component_group(orbit)):
-            out = springer_o(orbit.partition, eta)
+        desc = component_group(orbit)
+        for signs in characters_of(desc):
+            out = springer_o(orbit.partition, SignCharacter(zip(desc.generators, signs)))
             if out.case is OCase.II:
                 members += 1
     from cusp_atlas.census import bipartition_count

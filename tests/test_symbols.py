@@ -31,7 +31,7 @@ SP6 = GroupKind(Family.SP, 6)
 SO9 = GroupKind(Family.SO_ODD, 9)
 
 
-def closed_form_symbol(kind, p, eta):
+def closed_form_symbol(kind, p, signs):
     """Independent oracle: the row-assignment rule for distinguished classes.
 
     Works straight from the stated proposition, entirely bypassing the
@@ -42,16 +42,16 @@ def closed_form_symbol(kind, p, eta):
     if kind.is_symplectic:
         if k % 2 == 0:
             spots = {i: parts[i - 1] // 2 + i for i in range(1, k + 1)}
-            a = {0} | {spots[i] for i in range(1, k + 1) if (-1) ** i * eta(parts[i - 1]) == 1}
-            b = {spots[i] for i in range(1, k + 1) if (-1) ** i * eta(parts[i - 1]) == -1}
+            a = {0} | {spots[i] for i in range(1, k + 1) if (-1) ** i * signs[i - 1] == 1}
+            b = {spots[i] for i in range(1, k + 1) if (-1) ** i * signs[i - 1] == -1}
         else:
             spots = {i: parts[i - 1] // 2 + i + 1 for i in range(1, k + 1)}
-            a = {0} | {spots[i] for i in range(1, k + 1) if (-1) ** (i + 1) * eta(parts[i - 1]) == 1}
-            b = {1} | {spots[i] for i in range(1, k + 1) if (-1) ** (i + 1) * eta(parts[i - 1]) == -1}
+            a = {0} | {spots[i] for i in range(1, k + 1) if (-1) ** (i + 1) * signs[i - 1] == 1}
+            b = {1} | {spots[i] for i in range(1, k + 1) if (-1) ** (i + 1) * signs[i - 1] == -1}
         return USymbol(0, a, b)
     spots = {i: (parts[i - 1] - 3) // 2 + i for i in range(1, k + 1)}
-    a = {spots[i] for i in range(1, k + 1) if (-1) ** (i + 1) * eta(parts[i - 1]) == 1}
-    b = {spots[i] for i in range(1, k + 1) if (-1) ** (i + 1) * eta(parts[i - 1]) == -1}
+    a = {spots[i] for i in range(1, k + 1) if (-1) ** (i + 1) * signs[i - 1] == 1}
+    b = {spots[i] for i in range(1, k + 1) if (-1) ** (i + 1) * signs[i - 1] == -1}
     return USymbol(1, a, b)
 
 
@@ -73,6 +73,12 @@ def test_symbol_rows_refuse_entries_that_are_not_integers():
     with pytest.raises(TypeError):
         USymbol(0, ("0",), ())
     assert USymbol(1, (2, 0), (1,)).a == (0, 2)
+
+
+def test_symbol_rows_refuse_a_bool_entry():
+    for a, b in (((True,), ()), ((0,), (False, 2))):
+        with pytest.raises(TypeError, match=r"^expected an integer, got (True|False)$"):
+            USymbol(1, a, b)
 
 
 def test_symbol_invariants_enforced():
@@ -185,7 +191,7 @@ def test_a_swapped_symbol_is_checked_as_the_constructor_checks():
     # negative controls: the common rows of a structure altered so that the
     # swapped rows break a rule; the symbol of every pair is validated
     structure = interval_structure(require_valid(SP6, Partition((4, 2))))
-    trivial = SignCharacter({2: 1, 4: 1})
+    trivial = (1, 1)
     sym = swapped_symbol(structure, trivial)
     assert (sym.a, sym.b) == ((0, 4), (2,))
     row_a, row_b = structure.common
@@ -211,16 +217,15 @@ def test_interval_structure_fixtures(kind, parts, intervals, h, matched):
 
 
 def test_swapped_symbol_matches_the_set_algebra_on_every_pair():
-    # the precomputed splits are read in the order of eta.values, which must
-    # run over the generator parts as structure.parts does
+    # the precomputed splits are read in the order of the signs, which run
+    # over the generator parts as structure.parts does
     pairs = 0
     for kind in (GroupKind(Family.SP, 0), GroupKind(Family.SO_EVEN, 0), *classical_kinds(14)):
         for orbit in group_partitions(kind):
             structure = interval_structure(orbit)
             for signs in itertools.product((1, -1), repeat=len(structure.parts)):
-                eta = SignCharacter(dict(zip(reversed(structure.parts), reversed(signs))))
-                assert swapped_symbol(structure, eta) == \
-                    set_algebra_swapped_symbol(structure, eta), (kind, orbit.partition, eta)
+                assert swapped_symbol(structure, signs) == \
+                    set_algebra_swapped_symbol(structure, signs), (kind, orbit.partition, signs)
                 pairs += 1
     assert pairs == 1120
 
@@ -235,21 +240,21 @@ def test_interval_lengths_match_multiplicities():
 
 
 @pytest.mark.parametrize("kind,parts,signs,a,b,dft", [
-    (SP6, (4, 2), {2: -1, 4: 1}, (0, 2, 4), (), 3),
-    (SP2, (2,), {2: -1}, (0,), (1, 3), -1),
-    (SO9, (5, 3, 1), {1: 1, 3: -1, 5: 1}, (0, 2, 4), (), 3),
+    (SP6, (4, 2), (-1, 1), (0, 2, 4), (), 3),
+    (SP2, (2,), (-1,), (0,), (1, 3), -1),
+    (SO9, (5, 3, 1), (1, -1, 1), (0, 2, 4), (), 3),
 ])
 def test_symbol_from_character_fixtures(kind, parts, signs, a, b, dft):
-    sym = pair_symbol(kind, Partition(parts), SignCharacter(signs))
+    sym = pair_symbol(kind, Partition(parts), signs)
     assert (sym.a, sym.b) == (a, b)
     assert sym.defect == dft
 
 
 def test_symbol_from_character_matches_closed_form():
     for kind in classical_kinds(14):
-        for p, eta in distinguished_pairs(kind):
-            got = pair_symbol(kind, p, eta)
-            want = closed_form_symbol(kind, p, eta)
+        for p, signs in distinguished_pairs(kind):
+            got = pair_symbol(kind, p, signs)
+            want = closed_form_symbol(kind, p, signs)
             if kind.is_symplectic:
                 assert (got.a, got.b) == (want.a, want.b)
             else:
@@ -257,15 +262,14 @@ def test_symbol_from_character_matches_closed_form():
 
 
 def test_defect_formula_fixtures():
-    assert pair_defect(SP6, Partition((4, 2)), SignCharacter({2: -1, 4: 1})) == 3
-    assert pair_defect(SP2, Partition((2,)), SignCharacter({2: -1})) == -1
-    assert pair_defect(SO9, Partition((5, 3, 1)),
-                       SignCharacter({1: -1, 3: -1, 5: 1})) == 1
+    assert pair_defect(SP6, Partition((4, 2)), (-1, 1)) == 3
+    assert pair_defect(SP2, Partition((2,)), (-1,)) == -1
+    assert pair_defect(SO9, Partition((5, 3, 1)), (-1, -1, 1)) == 1
 
 
 def test_a_group_without_symbols_is_refused():
     with pytest.raises(InvalidPartition, match=r"^GL_3 has no u-symbol combinatorics$"):
-        pair_symbol(GroupKind(Family.GL, 3), Partition((2, 1)), SignCharacter())
+        pair_symbol(GroupKind(Family.GL, 3), Partition((2, 1)), ())
 
 
 def test_distinguished_symbol_takes_the_generator_parity():
@@ -281,34 +285,39 @@ def test_distinguished_symbol_takes_the_generator_parity():
 
 def test_defect_formula_requires_distinguished():
     with pytest.raises(InvalidPartition):
-        pair_defect(GroupKind(Family.SP, 4), Partition((2, 2)), SignCharacter({2: 1}))
+        pair_defect(GroupKind(Family.SP, 4), Partition((2, 2)), (1,))
 
 
 @pytest.mark.parametrize("signs", [{2: 1, 4: -1, 6: 1, 8: -1}, {2: 1, 4: 1, 6: 1}, {2: 1}],
                          ids=["two-extra", "one-extra", "one-missing"])
 def test_character_must_be_given_on_exactly_the_generators(signs):
-    # the springer map rejects these characters, so neither route may read a value off them
+    # the springer map rejects these characters where it reads them, and
+    # neither route takes a sign vector of another length than the parts
     eta = SignCharacter(signs)
     with pytest.raises(DomainMismatch) as err:
         springer_datum(SP6, Partition((4, 2)), eta)
+    assert str(err.value) == f"character domain {eta.keys()} does not match parts of (4,2)"
+    values = tuple(s for _, s in eta.values)
+    message = f"{len(values)} signs for the 2 parts (2, 4)"
     with pytest.raises(DomainMismatch) as formula_err:
-        pair_defect(SP6, Partition((4, 2)), eta)
-    assert str(formula_err.value) == str(err.value)
-    with pytest.raises(DomainMismatch):
-        pair_symbol(SP6, Partition((4, 2)), eta)
+        pair_defect(SP6, Partition((4, 2)), values)
+    assert str(formula_err.value) == message
+    with pytest.raises(DomainMismatch) as symbol_err:
+        pair_symbol(SP6, Partition((4, 2)), values)
+    assert str(symbol_err.value) == message
 
 
 def test_defect_formula_equals_symbol_defect_everywhere():
     for kind in classical_kinds(20):
-        for p, eta in distinguished_pairs(kind):
-            assert pair_defect(kind, p, eta) == pair_symbol(kind, p, eta).defect
+        for p, signs in distinguished_pairs(kind):
+            assert pair_defect(kind, p, signs) == pair_symbol(kind, p, signs).defect
 
 
 def test_defect_parities():
     for kind in classical_kinds(16):
         for orbit in group_partitions(kind):
-            for eta in characters_of(component_group(orbit)):
-                d = swapped_symbol(interval_structure(orbit), eta).defect
+            for signs in characters_of(component_group(orbit)):
+                d = swapped_symbol(interval_structure(orbit), signs).defect
                 if kind.is_symplectic:
                     assert d % 2 == 1
                 else:
@@ -332,8 +341,7 @@ def test_trivial_character_symbol_is_similar_to_base():
     for kind in (GroupKind(Family.SP, 10), GroupKind(Family.SO_ODD, 9)):
         for orbit in group_partitions(kind):
             p = orbit.partition
-            trivial = SignCharacter(
-                {q: 1 for q in p.distinct_parts_of_parity(kind.generator_parity)})
+            trivial = (1,) * len(p.distinct_parts_of_parity(kind.generator_parity))
             left = swapped_symbol(interval_structure(orbit), trivial)
             right = distinguished_symbol(orbit)
             assert set(left.a) | set(left.b) == set(right.a) | set(right.b)
@@ -342,9 +350,9 @@ def test_trivial_character_symbol_is_similar_to_base():
 
 def test_two_lifts_same_unordered_symbol_class():
     # flipping every sign swaps the two rows of an orthogonal symbol
-    for p, eta in distinguished_pairs(SO9):
-        left = pair_symbol(SO9, p, eta)
-        right = pair_symbol(SO9, p, eta.flip_where(lambda q: True))
+    for p, signs in distinguished_pairs(SO9):
+        left = pair_symbol(SO9, p, signs)
+        right = pair_symbol(SO9, p, tuple(-s for s in signs))
         assert {left.a, left.b} == {right.a, right.b}
         assert left.defect == right.defect
 
