@@ -207,13 +207,13 @@ def _partition(value, pointer: str) -> Partition:
     return Partition(_list(value, pointer, _part))
 
 
-def _signs_for(parts: tuple[int, ...], value, pointer: str) -> SignCharacter:
+def _signs_for(parts: tuple[int, ...], value, pointer: str) -> tuple[int, ...]:
     raw = value if isinstance(value, list) else None
     if raw is None:
         raise SchemaError(pointer, "expected a list of +1/-1")
     if len(raw) != len(parts):
         raise SchemaError(pointer, f"expected {len(parts)} signs for generators {list(parts)}")
-    return SignCharacter({q: _sign(s, f"{pointer}/{i}") for i, (q, s) in enumerate(zip(parts, raw))})
+    return tuple(_sign(s, f"{pointer}/{i}") for i, s in enumerate(raw))
 
 
 # -- payload parsing ---------------------------------------------------------
@@ -405,9 +405,9 @@ def _run_springer(payload, bound: int) -> dict:
             "cusp_data": [_render_datum(d) for d in datum.cusp_data],
             "weyl_rep": {"extended": datum.extended, "induced": datum.induced},
         }
-    kind, p, eta = payload
+    kind, p, signs = payload
     if kind.is_full_orthogonal:
-        out = springer_o(p, eta)
+        out = springer_o(kind, p, signs)
         return {
             "case": out.case.value,
             "quasi_levi": str(out.quasi_levi),
@@ -418,7 +418,7 @@ def _run_springer(payload, bound: int) -> dict:
                                  if out.cusp_character_o else None),
             "fused_orbits": list(out.fused_orbit_tags),
         }
-    datum = springer_datum(kind, p, eta)
+    datum = springer_datum(kind, p, signs)
     return {"group": _group_json(kind), "datum": _render_datum(datum)}
 
 

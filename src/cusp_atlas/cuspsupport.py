@@ -141,8 +141,7 @@ def support(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSupport:
     slices = []
     for label, sizes, signs in signed_slices(p, eta):
         parity = block_group_type(p.dual_group, label)
-        datum = springer_datum(classical_kind(parity, sum(sizes)), Partition(sizes),
-                               SignCharacter(zip(sizes, signs)))
+        datum = springer_datum(classical_kind(parity, sum(sizes)), Partition(sizes), signs)
         twists = ec_multiset(label, parity, sizes, datum.d).e_prime
         slices.append((label, twists, datum.cusp_character.values, datum.torus_rank))
     return _assemble(p.dual_group, slices)

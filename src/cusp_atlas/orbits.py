@@ -16,7 +16,7 @@ everything else in the package:
   symplectic case and square sizes N = d^2 in the orthogonal case.
 
 Characters of component groups are stored by their values on the z_q, and
-:func:`signs_on` reads them once into the signs the layers below take.  For
+:func:`signs_on` reads them into the signs every orbit-level layer takes.  For
 SO_N the component group is the index-two "even" subgroup of the O_N one;
 its characters are represented by either of their two extensions to O_N,
 and two value tables name the same SO-character exactly when they agree or
@@ -187,24 +187,18 @@ class SignCharacter:
     values: tuple[tuple[object, int], ...]
 
     def __init__(self, mapping: Mapping[object, int] | Iterable[tuple[object, int]] = ()):
-        items = dict(mapping)
-        for key, sign in items.items():
+        items: dict = {}
+        for key, sign in mapping.items() if isinstance(mapping, Mapping) else mapping:
+            if key in items:  # only pairs can repeat a generator
+                raise ValueError(f"character given twice at {key!r}")
             if type(sign) is not int or sign not in (1, -1):
                 raise ValueError(f"character value at {key!r} must be +1 or -1, got {sign!r}")
+            items[key] = sign
         object.__setattr__(self, "values", tuple(sorted(items.items())))
-
-    def __call__(self, key) -> int:
-        sign = self.as_dict().get(key)
-        if sign is None:
-            raise DomainMismatch(f"character has no generator {key!r}")
-        return sign
 
     def keys(self) -> tuple:
         """The generators, increasing: the first column of ``values``."""
         return next(zip(*self.values), ())
-
-    def as_dict(self) -> dict:
-        return dict(self.values)
 
     def product(self) -> int:
         return math.prod(sign for _, sign in self.values)
@@ -227,7 +221,7 @@ def signs_on(eta: SignCharacter, keys: Iterable, what: str, owner) -> tuple[int,
     if eta.keys() == keys:
         return tuple(map(operator.itemgetter(1), eta.values))
     keys = tuple(keys)
-    table = eta.as_dict()
+    table = dict(eta.values)
     if table.keys() != set(keys):
         raise DomainMismatch(f"character domain {eta.keys()} does not match {what} of {owner}")
     return tuple(table[k] for k in keys)

@@ -11,10 +11,10 @@ computation routes, the closed defect formula and the normal form, are
 always run and compared; disagreement raises.  :func:`eliminate` (the
 leftmost path, with its history) and :func:`elimination_outcomes` (every
 order) are the only two places that eliminate.  Both take and return one
-normal-form value, increasing parts with their aligned signs, into which
-:func:`springer_datum` reads its character once.  Both find their deletion
-sites as :func:`removable_sites` does, and a single step is a slice of the
-increasing parts and of their signs.
+normal-form value, increasing parts with their aligned signs, the form in
+which every map here takes a character: its signs on the generators,
+increasing.  Both find their deletion sites as :func:`removable_sites` does,
+and a single step is a slice of the increasing parts and of their signs.
 
 The second half extends the dictionary beyond the connected groups: to the
 full orthogonal group O_N (three cases, by the shape of the quasi-Levi and
@@ -40,11 +40,10 @@ from .orbits import (
     classical_kind,
     is_degenerate,
     require_valid,
-    signs_on,
     staircase,
     staircase_character,
 )
-from .symbols import defect_formula, distinguished_parts, interval_structure, swapped_symbol
+from .symbols import defect_formula, interval_structure, swapped_symbol
 
 
 def removable_sites(signs: Sequence[int]) -> list[int]:
@@ -163,22 +162,32 @@ class CuspidalDatum:
         return f"(C*)^{self.torus_rank} x {tail}"
 
 
-def springer_datum(kind: GroupKind, p: Partition, eta: SignCharacter) -> CuspidalDatum:
+def _check_signs(signs: Sequence[int]) -> None:
+    """Each sign is the int 1 or -1, as each value of a SignCharacter is."""
+    for sign in signs:
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"a sign must be the int 1 or -1, got {sign!r}")
+
+
+def springer_datum(kind: GroupKind, p: Partition, signs: Sequence[int]) -> CuspidalDatum:
     """Cuspidal datum of a distinguished enhanced class of Sp_N or SO_N.
 
+    ``signs`` are the character's on the increasing parts.  The checks run:
+    values, kind (O_N is :func:`springer_o`'s), validity, distinguishedness, count.
     d' comes from the closed defect formula and d from the normal form; the
     two are tied by d = d'-1 (d' >= 1) or -d' in the symplectic case and
     d = |d'| in the orthogonal one, and the agreement is enforced.
     """
+    _check_signs(signs)
+    if kind.is_full_orthogonal:
+        raise InvalidPartition(f"{kind} is a full orthogonal group: its map is springer_o")
     orbit = require_valid(kind, p)
-    parts = distinguished_parts(orbit)
-    signs = signs_on(eta, parts, "parts", p)
     dprime = defect_formula(orbit, signs)
-    normal, normal_signs, _ = eliminate(parts, signs)
+    normal, normal_signs, _ = eliminate(p.increasing(), signs)
     sym = swapped_symbol(interval_structure(orbit), signs)
     if sym.defect != dprime:
         raise InternalCheckError(
-            f"defect formula {dprime} != symbol defect {sym.defect} on {p}, {eta}")
+            f"defect formula {dprime} != symbol defect {sym.defect} on {p}, {signs}")
     d = d_from_normal_form(kind, normal, normal_signs)
     if d != d_from_defect(kind, dprime):
         raise InternalCheckError(
@@ -191,10 +200,10 @@ def springer_datum(kind: GroupKind, p: Partition, eta: SignCharacter) -> Cuspida
         leading = normal_signs[0] if normal_signs else 1
         char = staircase_character(parity, d, leading)
         if math.prod(signs) != (char.product() if len(cusp) else 1):
-            raise InternalCheckError(f"central value not conserved on {p}, {eta}")
+            raise InternalCheckError(f"central value not conserved on {p}, {signs}")
     torus_rank, rem = divmod(kind.size - cusp.total, 2)
     if rem or torus_rank < 0:
-        raise InternalCheckError(f"bad torus rank for {p}, {eta}: N={kind.size}, d={d}")
+        raise InternalCheckError(f"bad torus rank for {p}, {signs}: N={kind.size}, d={d}")
     return CuspidalDatum(kind, torus_rank, cusp, char, d, dprime)
 
 
@@ -250,31 +259,35 @@ class OSpringerDatum:
     fused_orbit_tags: tuple[str, ...] = ()
 
 
-def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
+def springer_o(kind: GroupKind, p: Partition, signs: Sequence[int]) -> OSpringerDatum:
     """Correspondence for O_N on a class with character at the O-level.
 
-    ``eta`` is an honest character of the O-component group (one value per
-    distinct odd part).  The three cases:
+    ``kind`` is O_N, and ``signs`` an honest character of the O-component
+    group: its signs on the distinct odd parts, increasing.  The checks run
+    in the order sign values, kind, validity, sign count, N.  The three cases:
 
     * III when the partition is degenerate (only even parts, all even
       multiplicities): one fused class, trivial character required;
     * I when N is odd, or N is even with cuspidal block size d^2 >= 4;
     * II otherwise (N even, torus quasi-Levi, some odd part present).
 
-    In case I the recorded lift of the cuspidal character matches eta on
-    the central element when that pins it (d odd) and carries the extension
-    sign on z_1 otherwise.
+    In case I the recorded lift of the cuspidal character matches the
+    character on the central element when that pins it (d odd) and carries
+    the extension sign on z_1 otherwise.
 
     The correspondence is computed for N >= 1: O_0 has no det = -1 class
     for case II to read its sign from, so it is rejected.
     """
-    n = p.total
-    kind_so = classical_kind(1, n)
-    orbit = require_valid(GroupKind(Family.O_ODD if n % 2 else Family.O_EVEN, n), p)
+    _check_signs(signs)
+    if not kind.is_full_orthogonal:
+        raise InvalidPartition(f"{kind} is not a full orthogonal group: springer_o takes O_N")
+    orbit = require_valid(kind, p)
     odd = p.distinct_parts_of_parity(1)
-    signs = signs_on(eta, odd, "the odd parts", p)
+    check_aligned(odd, signs, increasing=True)
+    n = kind.size
     if n == 0:
         raise InvalidPartition("the O_N correspondence is computed for N >= 1, not for O_0")
+    kind_so = classical_kind(1, n)
 
     if is_degenerate(p):
         torus_rank = n // 2
@@ -288,8 +301,8 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
     d = abs(dprime)
     torus_rank = (n - d * d) // 2
     cusp = staircase(1, d)
-    # eta on the central element -1 (the odd parts of odd multiplicity), and on
-    # the smallest odd part, a det = -1 class that a nondegenerate partition has
+    # the sign on the central element -1 (the odd parts of odd multiplicity), and
+    # on the smallest odd part, a det = -1 class that a nondegenerate partition has
     multiplicity = p.multiplicities()
     central = math.prod(sign for q, sign in zip(odd, signs) if multiplicity[q] % 2)
     det_minus = signs[0]
@@ -300,13 +313,13 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
             lift = staircase_character(1, d, 1)
             o_char = lift if lift.product() == chi else staircase_character(1, d, -1)
             if o_char.product() != chi:
-                raise InternalCheckError(f"no central-value-matching lift on {p}, {eta}")
+                raise InternalCheckError(f"no central-value-matching lift on {p}, {signs}")
         else:
             chi = det_minus
             o_char = staircase_character(1, d, chi)
             if o_char.product() != central:
                 raise InternalCheckError(
-                    f"central values disagree in the even case on {p}, {eta}")
+                    f"central values disagree in the even case on {p}, {signs}")
         datum = CuspidalDatum(kind_so, torus_rank, cusp, o_char, d, dprime)
         return OSpringerDatum(OCase.I, QuasiLevi(torus_rank, d * d), datum,
                               WeylTag.BASE, chi, o_char)
@@ -322,8 +335,10 @@ def springer_o(p: Partition, eta: SignCharacter) -> OSpringerDatum:
 
 @dataclass(frozen=True)
 class ProductFactor:
+    """A factor O_m, m the partition's total, with signs on its odd parts, increasing."""
+
     partition: Partition
-    character: SignCharacter
+    signs: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -355,23 +370,18 @@ class ProductSpringerDatum:
         return tuple(f"s{i + 1}*s{j + 1}" for i, j in pairs)
 
 
-def _factor_flip_value(factor: ProductFactor) -> int:
-    """Value of the character on the smallest odd part of the factor, a
-    canonical det = -1 class, which every case I or II factor has."""
-    return factor.character(factor.partition.distinct_parts_of_parity(1)[0])
-
-
 def springer_product(factors: Sequence[ProductFactor]) -> ProductSpringerDatum:
     """Three-stage correspondence for S(prod O_{m_i}) on per-factor data.
 
-    Characters are given per factor at the O_{m_i} level; the global
-    determinant-one constraint is then structural (only products of the
-    per-factor flips are ever evaluated), so the value tables are taken as
+    Characters are given per factor at the O_{m_i} level, as its signs; the
+    global determinant-one constraint is then structural (only products of
+    the per-factor flips are ever evaluated), so the signs are taken as
     given, up to the simultaneous flip of every factor with odd parts.
     """
     if not factors:
         raise InvalidPartition("a product needs at least one orthogonal factor")
-    subs = [springer_o(f.partition, f.character) for f in factors]
+    subs = [springer_o(GroupKind(Family.O_ODD if f.partition.total % 2 else Family.O_EVEN,
+                                 f.partition.total), f.partition, f.signs) for f in factors]
     ones = tuple(i for i, sub in enumerate(subs) if sub.case is OCase.I)
     twos = tuple(i for i, sub in enumerate(subs) if sub.case is OCase.II)
     threes = tuple(i for i, sub in enumerate(subs) if sub.case is OCase.III)
@@ -389,8 +399,9 @@ def springer_product(factors: Sequence[ProductFactor]) -> ProductSpringerDatum:
         c_induction = tuple(zip(tail, tail[1:]))
 
     def pair_value(pair: tuple[int, int]) -> int:
+        # the signs on the smallest odd parts, det = -1 classes every case I/II factor has
         i, j = pair
-        return _factor_flip_value(factors[i]) * _factor_flip_value(factors[j])
+        return factors[i].signs[0] * factors[j].signs[0]
 
     chi_levi = tuple(pair_value(g) for g in c_levi)
     chi_orbit = tuple(pair_value(g) for g in c_orbit)

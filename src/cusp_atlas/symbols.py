@@ -282,13 +282,6 @@ def swapped_symbol(structure: IntervalStructure, signs: Sequence[int]) -> USymbo
     return _symbol(structure.symbol.parity, row_a, row_b)
 
 
-def distinguished_parts(orbit: ValidOrbit) -> tuple[int, ...]:
-    """The increasing parts of a distinguished orbit, or InvalidPartition."""
-    if not is_distinguished(orbit):
-        raise InvalidPartition(f"{orbit.partition} is not distinguished for {orbit.kind}")
-    return orbit.partition.increasing()
-
-
 def defect_formula(orbit: ValidOrbit, signs: Sequence[int]) -> int:
     """Closed-form defect for a distinguished class, straight from the signs.
 
@@ -297,9 +290,11 @@ def defect_formula(orbit: ValidOrbit, signs: Sequence[int]) -> int:
     symplectic, k odd:   sum (-1)^(i+1) eta_i;
     orthogonal:          | sum (-1)^(i+1) eta_i |.
     Must agree with the defect of :func:`swapped_symbol` on the orbit's
-    :func:`interval_structure`.
+    :func:`interval_structure`.  Distinguishedness is checked before the count.
     """
-    check_aligned(distinguished_parts(orbit), signs, increasing=True)
+    if not is_distinguished(orbit):
+        raise InvalidPartition(f"{orbit.partition} is not distinguished for {orbit.kind}")
+    check_aligned(orbit.partition.increasing(), signs, increasing=True)
     alternating = sum(signs[0::2]) - sum(signs[1::2])  # sum (-1)^(i+1) eta_i
     if orbit.kind.is_symplectic:
         return 1 - alternating if len(signs) % 2 == 0 else alternating

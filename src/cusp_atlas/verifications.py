@@ -124,7 +124,7 @@ def check_cuspidal_fixed_points(limit: int) -> tuple[bool, str]:
         for lift in (pair.character, pair.minus_lift):
             if lift is None:
                 continue
-            datum = springer_datum(kind, pair.partition, lift)
+            datum = springer_datum(kind, pair.partition, tuple(s for _, s in lift.values))
             if (datum.torus_rank, datum.cusp_partition) != (0, pair.partition):
                 return False, moved
             if datum.cusp_character != lift:

@@ -446,6 +446,35 @@ def test_springer_on_o0_is_a_domain_error(doc, feed_stdin, capsys):
     assert error["kind"] == "domain" and "O_0" in error["message"]
 
 
+@pytest.mark.parametrize("family", ["Oeven", "Oodd"])
+def test_springer_on_o_checks_the_partition_against_the_group(family, feed_stdin, capsys):
+    # the partition is checked against the job's O_N, not against O_(its total)
+    n = 16 if family == "Oeven" else 9
+    doc = {"command": "springer", "group": {"family": family, "N": n},
+           "partition": [3, 1], "signs": [1, 1]}
+    feed_stdin(json.dumps(doc))
+    assert main(["springer", "--input", "-"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "kind": "domain",
+        "message": f"(3,1) is not a {family}_{n} partition: parts sum to 4, expected {n}"}
+
+
+@pytest.mark.parametrize("doc", [
+    {"command": "springer", "group": {"family": "Sp", "N": 6}, "partition": [4, 2],
+     "signs": [1, -1]},
+    {"command": "springer", "group": {"family": "Oodd", "N": 9}, "partition": [5, 3, 1],
+     "signs": [-1, -1, 1]},
+    {"command": "springer", "factors": [{"partition": [3, 1], "signs": [1, -1]},
+                                        {"partition": [2, 2, 1, 1], "signs": [-1]}]},
+], ids=["datum", "o", "product"])
+def test_springer_job_reads_no_character(doc, signs_read):
+    # the job's sign list goes to the springer maps as the tuple it is parsed into
+    run(parse_input(doc))
+    assert signs_read == []
+
+
 @pytest.mark.parametrize("key, pointer", [("a/b", "/a~1b"), ("m~1", "/m~01"), ("~/", "/~0~1")])
 def test_unknown_field_pointer_is_escaped(key, pointer, feed_stdin, capsys):
     doc = {"command": "enumerate", "group": {"family": "Sp", "N": 4}, key: 1}

@@ -34,7 +34,7 @@ from cusp_atlas.lparams import (
     is_cuspidal,
     signed_slices,
 )
-from cusp_atlas.orbits import Family, GroupKind, Partition, SignCharacter, classical_kind
+from cusp_atlas.orbits import Family, GroupKind, Partition, classical_kind
 from cusp_atlas.springer import springer_datum
 
 P = IrrLabel("p", 1, SelfDualType.ORTHOGONAL)
@@ -82,7 +82,7 @@ def test_support_fixture_sp6():
     assert to_counter(sup.gl_twists) == Counter({(P, Fraction(3, 2)): 1,
                                                  (P, Fraction(1, 2)): 1})
     assert sup.cusp_param.blocks == ((P, 2),)
-    assert sup.cusp_char.as_dict() == {("p", 2): -1}
+    assert dict(sup.cusp_char.values) == {("p", 2): -1}
     assert sup.cusp_param.dual_group.size == 2
     assert str(sup.levi) == "GL_1^2 x Sp_2"
 
@@ -219,14 +219,31 @@ def test_slice_dependence_only():
     assert support(param, eta1).cusp_param == support(param, eta2).cusp_param
 
 
+U = IrrLabel("u", 1, SelfDualType.ORTHOGONAL)
+V = IrrLabel("v", 1, SelfDualType.SYMPLECTIC)
+
+
+@pytest.mark.parametrize("route, reads", [(support, 1), (support_via_psi, 1), (check_support, 3)],
+                         ids=["support", "psi", "check"])
+def test_each_route_reads_the_parameter_character_once(signs_read, route, reads):
+    # signed_slices reads the character once per route, and each slice's
+    # signs go on as they are; check_support runs three routes: support on
+    # the parameter and on its support, and the psi route
+    param = DiscreteParameter(GroupKind(Family.SP, 18),
+                              [(U, 2), (U, 4), (U, 6), (V, 1), (V, 5)])
+    eta = character_on(param, (1, -1, 1, 1, 1))
+    route(param, eta)
+    assert len(signs_read) == reads
+    assert signs_read[0] == param.block_keys()
+
+
 def test_sp_side_dprime_is_odd_everywhere():
     # the data `support` computes, slice by slice
     for dual in (GroupKind(Family.SP, 10), GroupKind(Family.SO_ODD, 9)):
         for param, eta in enumerate_parameters(dual):
             for label, sizes, signs in signed_slices(param, eta):
                 parity = block_group_type(dual, label)
-                datum = springer_datum(classical_kind(parity, sum(sizes)),
-                                       Partition(sizes), SignCharacter(zip(sizes, signs)))
+                datum = springer_datum(classical_kind(parity, sum(sizes)), Partition(sizes), signs)
                 if parity == 0:
                     assert datum.dprime % 2 == 1
                 else:

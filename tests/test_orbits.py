@@ -130,7 +130,7 @@ def test_is_distinguished():
 def test_cuspidal_pair_symplectic():
     pair = cuspidal_pair(SP6)
     assert pair.partition == Partition((4, 2))
-    assert pair.character(2) == -1 and pair.character(4) == 1
+    assert pair.character.values == ((2, -1), (4, 1))
     assert cuspidal_pair(SP4) is None
 
 
@@ -140,9 +140,10 @@ def test_cuspidal_pair_orthogonal():
     # both extensions restrict to -1 on each product of consecutive generators
     for lift in (pair.character, pair.minus_lift):
         assert lift.keys() == (1, 3, 5)
-        assert lift(1) * lift(3) == -1
-        assert lift(3) * lift(5) == -1
-    assert pair.character(1) == 1 and pair.minus_lift(1) == -1
+        value = dict(lift.values)
+        assert value[1] * value[3] == -1
+        assert value[3] * value[5] == -1
+    assert dict(pair.character.values)[1] == 1 and dict(pair.minus_lift.values)[1] == -1
     assert cuspidal_pair(GroupKind(Family.SO_ODD, 7)) is None
 
 
@@ -163,9 +164,10 @@ def test_staircase_and_its_size_parameter(parity):
 def test_staircase_character_is_the_closed_form_of_each_side(d):
     # symplectic: (-1)^i on z_{2i}; the two orthogonal lifts: +-(-1)^(i+1) on
     # z_{2i-1}; for i = 1, ..., d, and no value at all for d = 0
-    assert staircase_character(0, d, -1).as_dict() == {2 * i: (-1) ** i for i in range(1, d + 1)}
+    assert dict(staircase_character(0, d, -1).values) == {
+        2 * i: (-1) ** i for i in range(1, d + 1)}
     for first in (1, -1):
-        assert staircase_character(1, d, first).as_dict() == {
+        assert dict(staircase_character(1, d, first).values) == {
             2 * i - 1: first * (-1) ** (i + 1) for i in range(1, d + 1)}
         for parity in (0, 1):
             assert staircase_character(parity, d, first).keys() == staircase(parity, d).increasing()
@@ -194,14 +196,26 @@ def test_degenerate_partitions_have_no_generators():
 
 def test_sign_character_helpers():
     eta = SignCharacter({2: -1, 4: 1})
-    assert eta(2) == -1
+    assert eta.values == ((2, -1), (4, 1))
     assert eta.product() == -1
-    assert eta.flip_where(lambda q: True).as_dict() == {2: 1, 4: -1}
+    assert dict(eta.flip_where(lambda q: True).values) == {2: 1, 4: -1}
     assert eta.keys() == (2, 4)
-    with pytest.raises(Exception):
-        eta(6)
+    with pytest.raises(DomainMismatch):
+        signs_on(eta, (2, 4, 6), "parts", "p")
     with pytest.raises(ValueError):
         SignCharacter({2: 0})
+
+
+def test_sign_character_refuses_a_generator_given_twice():
+    # given as pairs, a generator may repeat: that is refused, not settled by
+    # the last sign
+    for pairs, key in (([(1, 1), (1, -1)], "1"), ([(1, 1), (3, -1), (1, 1)], "1"),
+                       (zip((2, 4, 2), (1, 1, -1)), "2"), ([(("p", 2), 1)] * 2, "('p', 2)")):
+        with pytest.raises(ValueError) as err:
+            SignCharacter(pairs)
+        assert str(err.value) == f"character given twice at {key}"
+    assert SignCharacter([(3, -1), (1, 1)]).values == ((1, 1), (3, -1))
+    assert SignCharacter(zip((1, 3), (1, -1))) == SignCharacter({3: -1, 1: 1})
 
 
 def test_sign_character_refuses_a_sign_that_is_not_the_int_1_or_minus_1():

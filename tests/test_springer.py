@@ -41,6 +41,8 @@ from cusp_atlas.springer import (
 
 SP6 = GroupKind(Family.SP, 6)
 SO9 = GroupKind(Family.SO_ODD, 9)
+O4 = GroupKind(Family.O_EVEN, 4)
+O9 = GroupKind(Family.O_ODD, 9)
 LABEL = IrrLabel("u", 1, SelfDualType.ORTHOGONAL)
 
 
@@ -68,48 +70,116 @@ def test_elimination_refuses_signs_that_are_not_aligned(run):
             run(parts, (1, 1))
 
 
+def o_kind(n: int) -> GroupKind:
+    return GroupKind(Family.O_ODD if n % 2 else Family.O_EVEN, n)
+
+
 def test_springer_datum_reads_its_character_on_the_parts():
-    # the character is read once, where it enters: a domain off the parts
-    # raises with the partition in the message, after validity and
-    # distinguishedness are checked
-    with pytest.raises(DomainMismatch,
-                       match=r"^character domain \(2,\) does not match parts of \(4,2\)$"):
-        springer_datum(SP6, Partition((4, 2)), SignCharacter({2: 1}))
-    # as many generators as parts, one of them wrong
-    with pytest.raises(DomainMismatch,
-                       match=r"^character domain \(2, 6\) does not match parts of \(4,2\)$"):
-        springer_datum(SP6, Partition((4, 2)), SignCharacter({2: 1, 6: 1}))
+    # the signs are the character's on the increasing parts: a count other
+    # than the part count raises, after validity and distinguishedness
+    for signs in ((1,), (1, -1, 1)):
+        with pytest.raises(DomainMismatch) as err:
+            springer_datum(SP6, Partition((4, 2)), signs)
+        assert str(err.value) == f"{len(signs)} signs for the 2 parts (2, 4)"
+    # a non-distinguished class and an invalid partition, each with a wrong count
     with pytest.raises(InvalidPartition, match=r"^\(2,2,1,1\) is not distinguished for Sp_6$"):
-        springer_datum(SP6, Partition((2, 2, 1, 1)), SignCharacter())
-    with pytest.raises(InvalidPartition, match=r"^\(3,2,1\) is not a Sp_6 partition: "):
-        springer_datum(SP6, Partition((3, 2, 1)), SignCharacter({5: 1}))
+        springer_datum(SP6, Partition((2, 2, 1, 1)), ())
+    with pytest.raises(InvalidPartition, match=r"^\(3,2,1\) is not a Sp_6 partition: "
+                       r"odd part 1 has odd multiplicity 1; odd part 3 has odd multiplicity 1$"):
+        springer_datum(SP6, Partition((3, 2, 1)), (1,))
+
+
+def test_springer_datum_takes_only_sp_and_so():
+    # a full orthogonal group is refused first, even with an invalid partition
+    # and a wrong count, and named with its own map
+    for p, signs in ((Partition((3, 1)), (1, 1)), (Partition((2,)), (1, 1, 1))):
+        with pytest.raises(InvalidPartition) as err:
+            springer_datum(O4, p, signs)
+        assert str(err.value) == "Oeven_4 is a full orthogonal group: its map is springer_o"
+    # GL is refused as not distinguished, as before
+    with pytest.raises(InvalidPartition) as err:
+        springer_datum(GroupKind(Family.GL, 3), Partition((3,)), (1,))
+    assert str(err.value) == "(3) is not distinguished for GL_3"
 
 
 @pytest.mark.parametrize("kind,parts,signs", [
-    (SP6, (4, 2), {2: 1, 4: -1}),
-    (SO9, (5, 3, 1), {1: 1, 3: -1, 5: 1}),
-    (GroupKind(Family.SP, 12), (6, 4, 2), {2: -1, 4: 1, 6: -1}),
+    (SP6, (4, 2), (1, -1)),
+    (SO9, (5, 3, 1), (1, -1, 1)),
+    (GroupKind(Family.SP, 12), (6, 4, 2), (-1, 1, -1)),
 ])
 def test_springer_datum_reads_its_character_once(signs_read, kind, parts, signs):
-    springer_datum(kind, Partition(parts), SignCharacter(signs))
-    assert signs_read == [tuple(sorted(parts))]
+    # the signs come in read: springer_datum reads no character itself
+    springer_datum(kind, Partition(parts), signs)
+    assert signs_read == []
 
 
 @pytest.mark.parametrize("parts,signs", [
-    ((3, 1), {1: 1, 3: -1}),                 # case I
-    ((5, 3, 1), {1: -1, 3: -1, 5: 1}),       # case I, odd N
-    ((2, 2, 1, 1), {1: -1}),                 # case II
-    ((2, 2), {}),                            # case III
+    ((3, 1), (1, -1)),                       # case I
+    ((5, 3, 1), (-1, -1, 1)),                # case I, odd N
+    ((2, 2, 1, 1), (-1,)),                   # case II
+    ((2, 2), ()),                            # case III
 ])
 def test_springer_o_reads_its_character_once(signs_read, parts, signs):
-    springer_o(Partition(parts), SignCharacter(signs))
-    assert signs_read == [tuple(sorted(set(q for q in parts if q % 2)))]
+    # the signs come in read: springer_o reads no character itself
+    springer_o(o_kind(sum(parts)), Partition(parts), signs)
+    assert signs_read == []
+
+
+def test_springer_product_reads_no_character(signs_read):
+    # a pair's value is the product of the two factors' first signs, those on
+    # their smallest odd parts: +1 on 1 (not -1 on 3) for the case-I anchor
+    factors = [ProductFactor(Partition((3, 1)), (1, -1)),
+               ProductFactor(Partition((2, 2, 1, 1)), (-1,)), ProductFactor(Partition((2, 2)), ())]
+    out = springer_product(factors)
+    assert (out.block_i, out.block_ii, out.block_iii) == ((0,), (1,), (2,))
+    assert out.chi_orbit == (-1,)
+    assert signs_read == []
 
 
 def test_springer_o_refuses_a_character_on_a_wrong_odd_part():
-    with pytest.raises(DomainMismatch, match=r"^character domain \(1, 3, 7\) does not match "
-                                             r"the odd parts of \(5,3,1\)$"):
-        springer_o(Partition((5, 3, 1)), SignCharacter({1: 1, 3: 1, 7: 1}))
+    # one sign per distinct odd part, increasing, or DomainMismatch
+    for signs in ((1, 1, 1, 1), (1, 1)):
+        with pytest.raises(DomainMismatch) as err:
+            springer_o(O9, Partition((5, 3, 1)), signs)
+        assert str(err.value) == f"{len(signs)} signs for the 3 parts (1, 3, 5)"
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 0, 2, None], ids=["bool", "float", "0", "2", "none"])
+def test_springer_maps_take_only_the_int_1_or_minus_1(bad):
+    # the values are checked first, as a SignCharacter checked them when made:
+    # before the kind, the partition and the count
+    message = f"a sign must be the int 1 or -1, got {bad!r}"
+    for run in (lambda: springer_datum(SP6, Partition((4, 2)), (-1, bad)),
+                lambda: springer_datum(O4, Partition((2, 1)), (bad,)),
+                lambda: springer_o(O4, Partition((3, 1)), (bad, 1)),
+                lambda: springer_o(SP6, Partition((3,)), (1, bad, 1)),
+                lambda: springer_product([ProductFactor(Partition((3, 1)), (1, bad))])):
+        with pytest.raises(ValueError) as err:
+            run()
+        assert str(err.value) == message
+
+
+def test_springer_o_checks_kind_validity_count_then_o0():
+    # the kind first: springer_o takes O_N only
+    for kind in (GroupKind(Family.SO_EVEN, 4), SP6, GroupKind(Family.GL, 4)):
+        with pytest.raises(InvalidPartition) as err:
+            springer_o(kind, Partition((3, 1)), ())
+        assert str(err.value) == f"{kind} is not a full orthogonal group: springer_o takes O_N"
+    # then the partition against that group's N, with a wrong count too
+    with pytest.raises(InvalidPartition) as err:
+        springer_o(GroupKind(Family.O_EVEN, 16), Partition((3, 1)), (1,))
+    assert str(err.value) == "(3,1) is not a Oeven_16 partition: parts sum to 4, expected 16"
+    # then the count, on O_0 too
+    with pytest.raises(DomainMismatch) as err:
+        springer_o(O4, Partition((3, 1)), (1,))
+    assert str(err.value) == "1 signs for the 2 parts (1, 3)"
+    with pytest.raises(DomainMismatch) as err:
+        springer_o(GroupKind(Family.O_EVEN, 0), Partition(), (1,))
+    assert str(err.value) == "1 signs for the 0 parts ()"
+    # and last N >= 1
+    with pytest.raises(InvalidPartition) as err:
+        springer_o(GroupKind(Family.O_EVEN, 0), Partition(), ())
+    assert str(err.value) == "the O_N correspondence is computed for N >= 1, not for O_0"
 
 
 def test_all_order_slice_supports_takes_the_sizes_in_any_order():
@@ -214,25 +284,25 @@ def test_d_from_normal_form_rejects_a_value_that_is_not_a_normal_form():
 
 def test_springer_datum_fixtures():
     pair = cuspidal_pair(SP6)
-    datum = springer_datum(SP6, pair.partition, pair.character)
+    datum = springer_datum(SP6, pair.partition, (-1, 1))
     assert datum.torus_rank == 0
     assert datum.cusp_partition == pair.partition
     assert datum.cusp_character == pair.character
     assert datum.d == 2
 
-    datum = springer_datum(SP6, Partition((4, 2)), SignCharacter({2: 1, 4: -1}))
+    datum = springer_datum(SP6, Partition((4, 2)), (1, -1))
     assert (datum.dprime, datum.d, datum.torus_rank) == (-1, 1, 2)
     assert datum.cusp_partition == Partition((2,))
-    assert datum.cusp_character.as_dict() == {2: -1}
+    assert dict(datum.cusp_character.values) == {2: -1}
 
-    datum = springer_datum(SO9, Partition((5, 3, 1)), SignCharacter({1: -1, 3: -1, 5: 1}))
+    datum = springer_datum(SO9, Partition((5, 3, 1)), (-1, -1, 1))
     assert (datum.dprime, datum.d, datum.torus_rank) == (1, 1, 4)
     assert datum.cusp_partition == Partition((1,))
-    assert datum.cusp_character.as_dict() == {1: 1}
+    assert dict(datum.cusp_character.values) == {1: 1}
 
 
 def test_springer_datum_levi_rendering():
-    datum = springer_datum(SP6, Partition((4, 2)), SignCharacter({2: 1, 4: -1}))
+    datum = springer_datum(SP6, Partition((4, 2)), (1, -1))
     assert datum.levi_str() == "(C*)^2 x Sp_2"
 
 
@@ -240,13 +310,14 @@ def test_cuspidal_pairs_are_fixed_points():
     for d in range(1, 5):
         kind = GroupKind(Family.SP, d * (d + 1))
         pair = cuspidal_pair(kind)
-        datum = springer_datum(kind, pair.partition, pair.character)
+        signs = tuple(s for _, s in pair.character.values)
+        datum = springer_datum(kind, pair.partition, signs)
         assert datum.torus_rank == 0 and datum.cusp_partition == pair.partition
     for d in range(1, 6):
         kind = classical_kind(1, d * d)
         pair = cuspidal_pair(kind)
         for lift in (pair.character, pair.minus_lift):
-            datum = springer_datum(kind, pair.partition, lift)
+            datum = springer_datum(kind, pair.partition, tuple(s for _, s in lift.values))
             assert datum.torus_rank == 0 and datum.cusp_character == lift
 
 
@@ -262,12 +333,12 @@ def test_count_identity_small():
 def test_springer_o_case_one_odd():
     # the cuspidal lift keeps the whole group ...
     pair = cuspidal_pair(GroupKind(Family.SO_ODD, 9))
-    out = springer_o(pair.partition, pair.character)
+    out = springer_o(O9, pair.partition, (1, -1, 1))
     assert out.case is OCase.I
     assert (out.quasi_levi.torus_rank, out.quasi_levi.o_size) == (0, 9)
     assert out.weyl_rep is WeylTag.BASE
     # ... while a torus-heavy character descends to the size-1 block
-    out = springer_o(Partition((5, 3, 1)), SignCharacter({1: -1, 3: -1, 5: 1}))
+    out = springer_o(O9, Partition((5, 3, 1)), (-1, -1, 1))
     assert out.case is OCase.I
     assert (out.quasi_levi.torus_rank, out.quasi_levi.o_size) == (4, 1)
     assert out.datum.d == 1
@@ -275,7 +346,7 @@ def test_springer_o_case_one_odd():
 
 def test_springer_o_case_two():
     for sign in (1, -1):
-        out = springer_o(Partition((2, 2, 1, 1)), SignCharacter({1: sign}))
+        out = springer_o(GroupKind(Family.O_EVEN, 6), Partition((2, 2, 1, 1)), (sign,))
         assert out.case is OCase.II
         assert out.weyl_rep is WeylTag.EXTENDED
         assert out.chi == sign
@@ -283,7 +354,7 @@ def test_springer_o_case_two():
 
 
 def test_springer_o_case_three():
-    out = springer_o(Partition((2, 2)), SignCharacter())
+    out = springer_o(O4, Partition((2, 2)), ())
     assert out.case is OCase.III
     assert out.weyl_rep is WeylTag.INDUCED
     assert out.fused_orbit_tags == ("I", "II")
@@ -293,12 +364,12 @@ def test_springer_o_case_three():
 def test_springer_o_central_value_matches():
     # the recorded lift always matches the character on the central class
     for n in (5, 7, 9, 4, 6, 8):
-        kind_o = GroupKind(Family.O_ODD if n % 2 else Family.O_EVEN, n)
+        kind_o = o_kind(n)
         for orbit in group_partitions(kind_o):
             p = orbit.partition
             odd = p.distinct_parts_of_parity(1)
             for signs in characters_of(component_group(orbit)):
-                out = springer_o(p, SignCharacter(zip(odd, signs)))
+                out = springer_o(kind_o, p, signs)
                 if out.case is OCase.I:
                     central = [s for q, s in zip(odd, signs) if p.parts.count(q) % 2]
                     assert out.cusp_character_o.product() == math.prod(central)
@@ -307,15 +378,13 @@ def test_springer_o_central_value_matches():
 def test_o4_torus_series_has_hyperoctahedral_size():
     """Fiber count over the torus datum of O_4: 2 + 2 extensions + 1 induced."""
     members = 0
-    kind_o = GroupKind(Family.O_EVEN, 4)
-    for orbit in group_partitions(kind_o):
+    for orbit in group_partitions(O4):
         copies = orbit_count(require_valid(GroupKind(Family.SO_EVEN, 4), orbit.partition))
         if copies == 2:  # fused pair: one induced member
             members += 1
             continue
-        desc = component_group(orbit)
-        for signs in characters_of(desc):
-            out = springer_o(orbit.partition, SignCharacter(zip(desc.generators, signs)))
+        for signs in characters_of(component_group(orbit)):
+            out = springer_o(O4, orbit.partition, signs)
             if out.case is OCase.II:
                 members += 1
     from cusp_atlas.census import bipartition_count
@@ -323,7 +392,7 @@ def test_o4_torus_series_has_hyperoctahedral_size():
 
 
 def test_springer_product_two_case_one_factors():
-    f = ProductFactor(Partition((3, 1)), SignCharacter({1: 1, 3: -1}))
+    f = ProductFactor(Partition((3, 1)), (1, -1))
     out = springer_product([f, f])
     assert out.block_i == (0, 1) and not out.block_ii and not out.block_iii
     assert out.generator_labels(out.c_levi) == ("s1*s2",)
@@ -333,8 +402,8 @@ def test_springer_product_two_case_one_factors():
 
 
 def test_springer_product_case_two_plus_three():
-    g = ProductFactor(Partition((2, 2, 1, 1)), SignCharacter({1: -1}))
-    h = ProductFactor(Partition((2, 2)), SignCharacter())
+    g = ProductFactor(Partition((2, 2, 1, 1)), (-1,))
+    h = ProductFactor(Partition((2, 2)), ())
     out = springer_product([g, h])
     assert out.block_ii == (0,) and out.block_iii == (1,)
     assert out.c_orbit == ()
@@ -343,9 +412,9 @@ def test_springer_product_case_two_plus_three():
 
 
 def test_springer_product_single_factor_degenerates():
-    f = ProductFactor(Partition((5, 3, 1)), SignCharacter({1: 1, 3: -1, 5: 1}))
+    f = ProductFactor(Partition((5, 3, 1)), (1, -1, 1))
     out = springer_product([f])
-    sub = springer_o(f.partition, f.character)
+    sub = springer_o(O9, f.partition, f.signs)
     assert out.block_i == (0,)
     assert out.quasi_levi == (sub.quasi_levi,)
     assert out.cusp_data == (sub.datum,)
@@ -353,9 +422,9 @@ def test_springer_product_single_factor_degenerates():
 
 
 def test_springer_product_mixed_blocks():
-    f1 = ProductFactor(Partition((3, 1)), SignCharacter({1: 1, 3: -1}))   # case I
-    f2 = ProductFactor(Partition((2, 2, 1, 1)), SignCharacter({1: 1}))    # case II
-    f3 = ProductFactor(Partition((2, 2)), SignCharacter())                # case III
+    f1 = ProductFactor(Partition((3, 1)), (1, -1))         # case I
+    f2 = ProductFactor(Partition((2, 2, 1, 1)), (1,))      # case II
+    f3 = ProductFactor(Partition((2, 2)), ())              # case III
     out = springer_product([f1, f2, f3])
     assert (out.block_i, out.block_ii, out.block_iii) == ((0,), (1,), (2,))
     # anchored at the last case-I factor
@@ -367,38 +436,38 @@ def test_springer_product_mixed_blocks():
 def test_springer_product_computes_each_factor_once(validated):
     # each factor's case, datum and quasi-Levi come from one springer_o call,
     # which validates the factor once
-    f = ProductFactor(Partition((3, 1)), SignCharacter({1: 1, 3: -1}))
-    g = ProductFactor(Partition((5, 3, 1)), SignCharacter({1: 1, 3: -1, 5: 1}))
+    f = ProductFactor(Partition((3, 1)), (1, -1))
+    g = ProductFactor(Partition((5, 3, 1)), (1, -1, 1))
     out = springer_product([f, g])
     assert validated == [f.partition.parts, g.partition.parts]
     assert out.block_i == (0, 1)
 
 
 @pytest.mark.parametrize("parts,signs", [
-    ((3, 1), {1: 1, 3: -1}),                 # case I
-    ((2, 2, 1, 1), {1: -1}),                 # case II
-    ((2, 2), {}),                            # case III
+    ((3, 1), (1, -1)),                       # case I
+    ((2, 2, 1, 1), (-1,)),                   # case II
+    ((2, 2), ()),                            # case III
 ])
 def test_springer_o_validates_its_partition_once(validated, parts, signs):
-    springer_o(Partition(parts), SignCharacter(signs))
+    springer_o(o_kind(sum(parts)), Partition(parts), signs)
     assert validated == [parts]
 
 
 @pytest.mark.parametrize("kind,parts,signs", [
-    (SP6, (4, 2), {2: 1, 4: -1}),
-    (SO9, (5, 3, 1), {1: 1, 3: -1, 5: 1}),
+    (SP6, (4, 2), (1, -1)),
+    (SO9, (5, 3, 1), (1, -1, 1)),
 ])
 def test_springer_datum_validates_its_partition_once(validated, kind, parts, signs):
-    springer_datum(kind, Partition(parts), SignCharacter(signs))
+    springer_datum(kind, Partition(parts), signs)
     assert validated == [parts]
 
 
 def test_springer_o_rejects_o0():
     with pytest.raises(InvalidPartition, match="O_0"):
-        springer_o(Partition(()), SignCharacter())
-    f = ProductFactor(Partition((3, 1)), SignCharacter({1: 1, 3: -1}))
+        springer_o(GroupKind(Family.O_EVEN, 0), Partition(()), ())
+    f = ProductFactor(Partition((3, 1)), (1, -1))
     with pytest.raises(InvalidPartition, match="O_0"):
-        springer_product([f, ProductFactor(Partition(()), SignCharacter())])
+        springer_product([f, ProductFactor(Partition(()), ())])
 
 
 def test_springer_product_needs_factors():
@@ -415,8 +484,8 @@ def test_springer_product_needs_factors():
 def test_cuspidal_fixed_points_names_the_first_pair_that_moved(monkeypatch, family, field, detail):
     direct = verifications.springer_datum
 
-    def moved(kind, p, eta):
-        datum = direct(kind, p, eta)
+    def moved(kind, p, signs):
+        datum = direct(kind, p, signs)
         if kind.family is not family:
             return datum
         changed = datum.torus_rank + 1 if field == "torus_rank" else SignCharacter()
