@@ -23,6 +23,7 @@ import dataclasses
 import json
 import os
 import sys
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _ascii
 from typing import Any, Optional
 
@@ -429,11 +430,12 @@ def _run_support(payload, bound: int) -> dict:
     sup = report.support
     twists = []
     for label, hi, lo, n in sup.gl_twists.runs():  # top down, so no sort
-        name = label.name
+        texts = map(half_str, range(hi, lo - 2, -2))
+        if n > 1:
+            texts = chain.from_iterable(map(repeat, texts, repeat(n)))
         # tuples of strings leave the cyclic collector's care after one pass;
         # json.dumps and _write both write them as lists
-        twists.extend((name, text) for text in map(half_str, range(hi, lo - 2, -2))
-                      for _ in range(n))
+        twists.extend(zip(repeat(label.name), texts))
     return {
         "levi": sup.levi,
         "gl_twists": twists,

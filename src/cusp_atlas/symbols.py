@@ -13,10 +13,14 @@ Each row is held as an integer bitset: bit x is set when x is in the row.
 The row checks are then integer operations: a row r has no two consecutive
 entries when r & (r >> 1) == 0, 0 is missing from B when b & 1 == 0, and
 |A| - |B| is a.bit_count() - b.bit_count().  The rows read back as
-increasing tuples through ``USymbol.a`` and ``USymbol.b``.  A row given as
-integers becomes a bitset, and a bitset becomes a tuple, through one binary
-digit string each way, so both take time linear in the largest entry (a
-loop of ``bits |= 1 << x`` would not).
+increasing tuples through ``USymbol.a`` and ``USymbol.b``.  An increasing
+row of integers becomes a bitset, and a bitset becomes a tuple, through one
+binary digit string each way, so both take time linear in the largest entry
+(a loop of ``bits |= 1 << x`` would not).  The library builds every symbol
+it uses from bitsets: a base symbol from the two rows of one pass over the
+parts, which come out increasing, and a pair's symbol from the base rows'
+bitsets.  The constructor of :class:`USymbol`, for callers holding rows as
+integers in any order, sorts each row first.
 
 The pair (class, character) is encoded as follows.  A partition p of N is
 turned into a base symbol by splitting the strictly increasing sequence
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import InternalCheckError, InvalidPartition
@@ -61,20 +66,25 @@ def _spaced(row: int) -> int:
     return row
 
 
-def _row_bits(entries: Iterable[int]) -> int:
-    """The bitset of a row given as integers in any order, repeats ignored,
-    checked to be nonnegative and then spaced: a '1' digit per entry in a
-    binary digit string, which ``int`` reads at once."""
-    row = sorted(set(map(as_int, entries)))
+def _bits(row: list[int]) -> int:
+    """The bitset of an increasing row of nonnegative integers: a '1' digit
+    per entry in a binary digit string, which ``int`` reads at once."""
     if not row:
         return 0
-    if row[0] < 0:
-        raise ValueError(f"symbol entries must be nonnegative: {tuple(row)}")
     top = row[-1]
     digits = bytearray(b"0") * (top + 1)
     for x in row:
         digits[top - x] = 49  # ord("1")
-    return _spaced(int(digits, 2))
+    return int(digits, 2)
+
+
+def _row_bits(entries: Iterable[int]) -> int:
+    """The bitset of a row given as integers in any order, repeats ignored,
+    checked to be nonnegative and then spaced."""
+    row = sorted(set(map(as_int, entries)))
+    if row and row[0] < 0:
+        raise ValueError(f"symbol entries must be nonnegative: {tuple(row)}")
+    return _spaced(_bits(row))
 
 
 def _mask(run: tuple[int, ...]) -> int:
@@ -103,12 +113,13 @@ class USymbol:
     """A u-symbol, with its rows checked on construction.
 
     ``parity`` is the generator parity of the group it belongs to
-    (:attr:`GroupKind.generator_parity`): 0, an ordered symplectic symbol,
-    or 1, an unordered orthogonal one.  The rows are the bitsets ``a_bits``
-    and ``b_bits``; ``a`` and ``b`` give them back as increasing tuples.
-    The constructor takes the rows as integers, in any order, repeats
-    ignored.  A row costs memory and time linear in its largest entry, which
-    is about N in the symbol of a class of a size-N group.
+    (:attr:`GroupKind.generator_parity`): the int 0, an ordered symplectic
+    symbol, or the int 1, an unordered orthogonal one.  The rows are the
+    bitsets ``a_bits`` and ``b_bits``; ``a`` and ``b`` give them back as
+    increasing tuples.  The constructor takes the rows as integers, in any
+    order, repeats ignored.  A row costs memory and time linear in its
+    largest entry, which is about N in the symbol of a class of a size-N
+    group.
 
     The checks are on the rows alone.  The size needs no check of its own:
     with no two consecutive entries in a row, sum(A) + sum(B) is at least
@@ -128,7 +139,7 @@ class USymbol:
     def _store(self, parity: int, a: int, b: int) -> None:
         """Check the parity and the symplectic conditions on spaced rows, then
         keep them."""
-        if parity not in (0, 1):
+        if type(parity) is not int or parity not in (0, 1):
             raise ValueError(f"symbol parity must be 0 (ordered) or 1 (unordered), got {parity!r}")
         if parity == 0:
             if b & 1:
@@ -196,46 +207,48 @@ class IntervalStructure:
     splits: tuple[tuple[int, int], ...]
 
 
-def _padded_increasing(kind: GroupKind, p: Partition) -> tuple[int, ...]:
-    """Parts in increasing order, zero-padded to the parity the split needs.
+def _base_rows(kind: GroupKind, p: Partition) -> tuple[list[int], list[int]]:
+    """The rows (A, B) of the base symbol, each increasing, in one pass over
+    the increasing parts.
 
-    Symplectic symbols need an even number of parts.  Orthogonal partitions
-    always satisfy len = N (mod 2) already (even parts come in even packs),
-    which the assertion pins down.
+    Symplectic symbols need an even number of parts, so a 0 goes in front of
+    an odd count; orthogonal partitions always satisfy len = N (mod 2)
+    already (even parts come in even packs), which the check pins down.  The
+    staircase value x = p_i + (i - 1) goes to A when odd and to B when even,
+    as x // 2 plus the number of entries already in that row; the symplectic
+    rows are shifted up by one more, and A starts with 0.
     """
     parts = p.increasing()
     if kind.is_symplectic:
         if len(parts) % 2:
             parts = (0,) + parts
+        rows, shift = ([], [0]), 1  # (B, A), indexed by the parity of x
     else:
         if (len(parts) - kind.size) % 2:
             raise InternalCheckError(f"orthogonal partition {p} with length parity != size parity")
-    return parts
-
-
-def _split_rows(kind: GroupKind, parts: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Even/odd split of the staircase p_i + (i-1) into the two symbol rows."""
-    staircase = [q + i for i, q in enumerate(parts)]
-    evens = [x // 2 for x in staircase if x % 2 == 0]
-    odds = [(x - 1) // 2 for x in staircase if x % 2]
-    if kind.is_symplectic:
-        if len(evens) != len(odds):
-            raise InternalCheckError(f"unbalanced staircase split for {parts}")
-        row_a = [0] + [y + j + 2 for j, y in enumerate(odds)]
-        row_b = [y + j + 1 for j, y in enumerate(evens)]
-    else:
-        row_a = [y + j for j, y in enumerate(odds)]
-        row_b = [y + j for j, y in enumerate(evens)]
+        rows, shift = ([], []), 0
+    for x in map(add, parts, count()):
+        row = rows[x & 1]
+        row.append((x >> 1) + len(row) + shift)
+    row_b, row_a = rows
+    if shift and len(row_a) != len(row_b) + 1:
+        raise InternalCheckError(f"unbalanced staircase split for {parts}")
     return row_a, row_b
 
 
 def distinguished_symbol(orbit: ValidOrbit) -> USymbol:
-    """The base symbol of a partition: rows interleave, character trivial."""
+    """The base symbol of a partition: rows interleave, character trivial.
+
+    Its rows come out of :func:`_base_rows` increasing, so each becomes a
+    bitset through one digit string with no sort, and the symbol is checked
+    as every symbol is, its size read back off the bitsets.
+    """
     kind, p = orbit.kind, orbit.partition
     parity = kind.generator_parity
     if parity is None:
         raise InvalidPartition(f"{kind} has no u-symbol combinatorics")
-    symbol = USymbol(parity, *_split_rows(kind, _padded_increasing(kind, p)))
+    row_a, row_b = _base_rows(kind, p)
+    symbol = _symbol(parity, _bits(row_a), _bits(row_b))
     expected = kind.size
     if symbol.size != expected:
         raise InternalCheckError(f"base symbol of {p} has size {symbol.size}, expected {expected}")
@@ -243,6 +256,13 @@ def distinguished_symbol(orbit: ValidOrbit) -> USymbol:
 
 
 def interval_structure(orbit: ValidOrbit) -> IntervalStructure:
+    """The interval structure of the orbit's base symbol, checked once.
+
+    The runs of A ^ B are read off the base bitsets; the generator parts and
+    their multiplicities come from one :meth:`Partition.multiplicities`
+    table, whose keys increase.  Each run must match, in order, a distinct
+    part of the generator parity, its length being that part's multiplicity.
+    """
     kind, p = orbit.kind, orbit.partition
     symbol = distinguished_symbol(orbit)
     base_a, base_b = symbol.a_bits, symbol.b_bits
@@ -251,10 +271,10 @@ def interval_structure(orbit: ValidOrbit) -> IntervalStructure:
     if kind.is_symplectic and runs and runs[0][0] == 0:
         h = runs.pop(0)
     intervals = tuple(runs)
-    parts = p.distinct_parts_of_parity(kind.generator_parity)
+    multiplicity = p.multiplicities()
+    parts = tuple(q for q in multiplicity if q % 2 == symbol.parity)
     if len(parts) != len(intervals):
         raise InternalCheckError(f"{p}: {len(intervals)} intervals for {len(parts)} generator parts")
-    multiplicity = p.multiplicities()
     for run, q in zip(intervals, parts):
         if len(run) != multiplicity[q]:
             raise InternalCheckError(f"{p}: interval {run} does not match multiplicity of {q}")

@@ -1,7 +1,8 @@
 """Fixtures shared by the support tests of the library and of the CLI, a
 byte-backed standard input for CLI jobs, spies on partition validation and
 on character reads, the symbol and closed-form defect of a pair from a bare
-partition, the set-algebra route to a pair's symbol, the alternative
+partition, the two-row split route to a base symbol, the set-algebra routes
+to an interval structure and to a pair's symbol, the alternative
 symplectic defect formula the symbol tests compare against, and a shorthand
 for parameter characters.
 
@@ -52,6 +53,49 @@ def set_algebra_swapped_symbol(structure: IntervalStructure, signs: Sequence[int
         row_a |= set(run) & src_a
         row_b |= set(run) & src_b
     return USymbol(structure.symbol.parity, row_a, row_b)
+
+
+def staircase_split_symbol(kind: GroupKind, p: Partition) -> USymbol:
+    """The base symbol of p by the two-row split, through the public
+    constructor: the staircase p_i + (i - 1) of the increasing parts (a 0 in
+    front of an odd symplectic count), its even values halved into B and its
+    odd values, less one and halved, into A, each row then shifted by its
+    index (and the symplectic rows by one or two more, A gaining a 0)."""
+    parts = p.increasing()
+    if kind.is_symplectic and len(parts) % 2:
+        parts = (0,) + parts
+    staircase = [q + i for i, q in enumerate(parts)]
+    evens = [x // 2 for x in staircase if x % 2 == 0]
+    odds = [(x - 1) // 2 for x in staircase if x % 2]
+    if kind.is_symplectic:
+        row_a = [0] + [y + j + 2 for j, y in enumerate(odds)]
+        row_b = [y + j + 1 for j, y in enumerate(evens)]
+    else:
+        row_a = [y + j for j, y in enumerate(odds)]
+        row_b = [y + j for j, y in enumerate(evens)]
+    return USymbol(kind.generator_parity, row_a, row_b)
+
+
+def set_algebra_intervals(kind: GroupKind, p: Partition, symbol: USymbol) -> dict:
+    """The interval decomposition of A Δ B on Python sets of the rows read
+    back as tuples: the maximal runs (the symplectic one at 0 set apart as
+    the margin h), the generator parts, the rows every character shares and
+    each run's share of the two rows, all as sets."""
+    a, b = set(symbol.a), set(symbol.b)
+    runs: list[list[int]] = []
+    for x in sorted(a ^ b):
+        if runs and runs[-1][-1] == x - 1:
+            runs[-1].append(x)
+        else:
+            runs.append([x])
+    h = runs.pop(0) if kind.is_symplectic and runs and runs[0][0] == 0 else []
+    return {
+        "intervals": tuple(map(tuple, runs)),
+        "parts": tuple(sorted(q for q in set(p.parts) if q % 2 == kind.generator_parity)),
+        "h": tuple(h),
+        "common": ((a & b) | (set(h) & a), (a & b) | (set(h) & b)),
+        "splits": tuple((set(run) & a, set(run) & b) for run in runs),
+    }
 
 
 def alternative_defect_formula_sp(signs: Sequence[int]) -> int:

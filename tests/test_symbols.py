@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pair_defect, pair_symbol, set_algebra_swapped_symbol
+from conftest import (
+    pair_defect,
+    pair_symbol,
+    set_algebra_intervals,
+    set_algebra_swapped_symbol,
+    staircase_split_symbol,
+)
 
 from cusp_atlas.census import classical_kinds, distinguished_pairs, group_partitions
 from cusp_atlas.errors import DomainMismatch, InvalidPartition
@@ -123,7 +129,7 @@ def test_rows_alone_keep_the_size_nonnegative_and_symplectic_sizes_even(parity):
     assert built > 1000
 
 
-@pytest.mark.parametrize("parity", [2, -1, None, "0", 0.5])
+@pytest.mark.parametrize("parity", [2, -1, None, "0", 0.5, True, False, 1.0, 0.0])
 def test_symbol_parity_is_0_or_1(parity):
     with pytest.raises(ValueError, match=r"^symbol parity must be 0 \(ordered\) or 1 \(unordered\), got "):
         USymbol(parity, (0, 2), (5,))
@@ -227,6 +233,32 @@ def test_swapped_symbol_matches_the_set_algebra_on_every_pair():
                     set_algebra_swapped_symbol(structure, signs), (kind, orbit.partition, signs)
                 pairs += 1
     assert pairs == 1120
+
+
+def _entry_set(bits: int) -> set[int]:
+    return {x for x in range(bits.bit_length()) if bits >> x & 1}
+
+
+def test_base_symbol_and_intervals_match_the_two_row_split_on_every_orbit():
+    padded = 0
+    for kind in classical_kinds(22):
+        for orbit in group_partitions(kind):
+            p = orbit.partition
+            padded += kind.is_symplectic and len(p.parts) % 2
+            symbol = distinguished_symbol(orbit)
+            assert symbol == staircase_split_symbol(kind, p), (kind, p)
+            structure = interval_structure(orbit)
+            assert structure.symbol == symbol
+            expected = set_algebra_intervals(kind, p, symbol)
+            got = {
+                "intervals": structure.intervals,
+                "parts": structure.parts,
+                "h": structure.h,
+                "common": tuple(map(_entry_set, structure.common)),
+                "splits": tuple(tuple(map(_entry_set, split)) for split in structure.splits),
+            }
+            assert got == expected, (kind, p)
+    assert padded > 0  # symplectic partitions with an odd number of parts
 
 
 def test_interval_lengths_match_multiplicities():
