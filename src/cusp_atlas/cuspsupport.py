@@ -23,12 +23,12 @@ surviving block plus one per eliminated pair.
 Each route yields one record per label, (label, twists E', cuspidal
 character on the staircase sizes, torus rank), and one assembler turns the
 records into a :class:`CuspidalSupport`.  Neither route calls the other:
-:func:`check_support` computes each once, compares the two supports with
-``==``, and bundles that comparison with the conservation laws
-(infinitesimal character, dimension, idempotence, and the fixed-point
-criterion: support = self exactly for gapless alternating data).
-Its report carries the support it checked, so a caller that wants both the
-support and its checks computes the support only there.
+:func:`check_support` reads the character once, runs each route on the
+slices, compares the two supports with ``==``, and bundles that with the
+conservation laws (infinitesimal character, dimension, idempotence, and the
+fixed-point criterion: support = self exactly for gapless alternating data).
+The trust boundary is the public functions and ``orbits.signs_on``; below it
+a slice's orbit is minted once and run through the core ``springer._slice_datum``.
 
 Exponents are half-integers, held everywhere as the integers 2e:
 :class:`~cusp_atlas.lparams.ExponentMultiset` takes and returns
@@ -45,18 +45,19 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InternalCheckError, InvalidParameter
-from .orbits import GroupKind, Partition, SignCharacter, classical_kind, signs_on, staircase
-from .springer import eliminate, elimination_outcomes, springer_datum
+from .orbits import (GroupKind, Partition, SignCharacter, classical_kind, require_valid,
+                     signs_on, staircase_pairs)
+from .springer import _slice_datum, eliminate, elimination_outcomes
 from .lparams import (
     DiscreteParameter,
     ExponentMultiset,
     IrrLabel,
     ParameterCharacter,
-    block_exponents,
     block_group_type,
     infinitesimal_character,
     is_cuspidal,
     signed_slices,
+    slice_exponents,
 )
 
 
@@ -69,14 +70,13 @@ class ECMultiset:
 
 
 def staircase_exponents(label: IrrLabel, parity: int, d: int) -> ExponentMultiset:
-    return ExponentMultiset.union_all(block_exponents(label, a)
-                                      for a in staircase(parity, d))
+    return slice_exponents(label, range(2 - parity, 2 * d + 1, 2))
 
 
 def ec_multiset(label: IrrLabel, parity: int, sizes: Iterable[int], d: int) -> ECMultiset:
     """E_c = slice exponents minus staircase exponents, split as E' + (-E')."""
     sizes = tuple(sizes)
-    total = ExponentMultiset.union_all(block_exponents(label, a) for a in sizes)
+    total = slice_exponents(label, sizes)
     try:
         e_c = total.minus(staircase_exponents(label, parity, d))
     except InvalidParameter as exc:
@@ -136,15 +136,17 @@ def _assemble(dual: GroupKind, slices: list[_SliceRecord]) -> CuspidalSupport:
     return CuspidalSupport(ExponentMultiset.union_all(s[1] for s in slices), param, char)
 
 
-def support(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSupport:
-    """Cuspidal support via per-slice data and correction multisets."""
-    slices = []
-    for label, sizes, signs in signed_slices(p, eta):
+def support(p: DiscreteParameter, eta: ParameterCharacter, *, slices=None) -> CuspidalSupport:
+    """Cuspidal support via per-slice data and correction multisets, on
+    ``slices`` = ``signed_slices(p, eta)`` when the caller has read them."""
+    records = []
+    for label, sizes, signs in signed_slices(p, eta) if slices is None else slices:
         parity = block_group_type(p.dual_group, label)
-        datum = springer_datum(classical_kind(parity, sum(sizes)), Partition(sizes), signs)
-        twists = ec_multiset(label, parity, sizes, datum.d).e_prime
-        slices.append((label, twists, datum.cusp_character.values, datum.torus_rank))
-    return _assemble(p.dual_group, slices)
+        orbit = require_valid(classical_kind(parity, sum(sizes)), Partition(sizes))
+        d, _, torus_rank, first = _slice_datum(orbit, signs)
+        twists = ec_multiset(label, parity, sizes, d).e_prime
+        records.append((label, twists, staircase_pairs(parity, d, first), torus_rank))
+    return _assemble(p.dual_group, records)
 
 
 def _psi_map(parity: int, parts: tuple[int, ...], signs: tuple[int, ...]) -> tuple[int, ...]:
@@ -186,19 +188,20 @@ def _slice_psi_support(label: IrrLabel, parity: int, sizes: tuple[int, ...],
             (sum(sizes) - sum(a for a, _ in cusp)) // 2)
 
 
-def support_via_psi(p: DiscreteParameter, eta: ParameterCharacter) -> CuspidalSupport:
+def support_via_psi(p: DiscreteParameter, eta: ParameterCharacter, *,
+                    slices=None) -> CuspidalSupport:
     """Cuspidal support through the normal form and the block map psi.
 
     Surviving blocks contribute the segment from their size down to their
     psi-image; each eliminated pair (lo, hi) contributes the segment of
     length (lo + hi)/2 below hi.  The result is compared with
-    :func:`support` in :func:`check_support`.
+    :func:`support` in :func:`check_support`; ``slices`` as there.
     """
-    slices = []
-    for label, sizes, signs in signed_slices(p, eta):
-        slices.append(_slice_psi_support(label, block_group_type(p.dual_group, label), sizes,
-                                         *eliminate(sizes, signs)))
-    return _assemble(p.dual_group, slices)
+    records = []
+    for label, sizes, signs in signed_slices(p, eta) if slices is None else slices:
+        records.append(_slice_psi_support(label, block_group_type(p.dual_group, label), sizes,
+                                          *eliminate(sizes, signs)))
+    return _assemble(p.dual_group, records)
 
 
 def all_order_slice_supports(label: IrrLabel, parity: int,
@@ -263,16 +266,17 @@ def support_infinitesimal(sup: CuspidalSupport) -> ExponentMultiset:
 
 def check_support(p: DiscreteParameter, eta: ParameterCharacter) -> SupportReport:
     """Compute the support once and check it: both routes, all five laws."""
-    sup = support(p, eta)
+    slices = signed_slices(p, eta)
+    sup = support(p, eta, slices=slices)
     inf_ok = infinitesimal_character(p) == support_infinitesimal(sup)
     twist_dims = 2 * sum(label.dim * n for label, n in sup.gl_twists.label_sizes())
     dim_ok = twist_dims + sup.cusp_param.dimension == p.dual_group.size
     again = support(sup.cusp_param, sup.cusp_char)
     idem_ok = again.is_self(sup.cusp_param, sup.cusp_char)
     fixed = sup.is_self(p, eta)
-    fix_ok = fixed == is_cuspidal(p, eta)
+    fix_ok = fixed == is_cuspidal(p, eta, slices=slices)
     try:
-        routes_ok = support_via_psi(p, eta) == sup
+        routes_ok = support_via_psi(p, eta, slices=slices) == sup
     except InternalCheckError:
         routes_ok = False
     return SupportReport(sup, inf_ok, dim_ok, idem_ok, fix_ok, routes_ok)

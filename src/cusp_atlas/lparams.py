@@ -198,23 +198,20 @@ def has_no_gaps(p: DiscreteParameter) -> bool:
     return all(a < 3 or (label.name, a - 2) in keys for label, a in p.blocks)
 
 
-def is_alternating(p: DiscreteParameter, eta: ParameterCharacter) -> bool:
-    """Opposite signs on consecutive blocks of a label; -1 on minimal even blocks.
-
-    Both conditions only involve products over blocks of equal size parity,
-    so the answer is the same for the two value tables of an orthogonal
-    character.
+def is_cuspidal(p: DiscreteParameter, eta: ParameterCharacter, *, slices=None) -> bool:
+    """No gaps, opposite signs on consecutive blocks of a label, and -1 on
+    minimal even blocks; ``slices`` are ``signed_slices(p, eta)`` if read.
+    The sign conditions only involve products over blocks of equal size
+    parity, so an orthogonal character's two value tables agree on them.
     """
-    for _, sizes, signs in signed_slices(p, eta):
+    if not has_no_gaps(p):
+        return False
+    for _, sizes, signs in signed_slices(p, eta) if slices is None else slices:
         if any(lo == hi for lo, hi in zip(signs, signs[1:])):
             return False
         if sizes[0] % 2 == 0 and signs[0] != -1:
             return False
     return True
-
-
-def is_cuspidal(p: DiscreteParameter, eta: ParameterCharacter) -> bool:
-    return has_no_gaps(p) and is_alternating(p, eta)
 
 
 def half_str(two_e: int) -> str:
@@ -431,14 +428,14 @@ def _runs(jumps: dict) -> list[tuple[int, int, int]]:
     return pieces
 
 
-def block_exponents(label: IrrLabel, a: int) -> ExponentMultiset:
-    """Exponents (a-1)/2 - j, j = 0..a-1, of one size-a block: the one run
-    from 1-a to a-1, so the jumps +1 at 1-a and -1 at a+1."""
-    return ExponentMultiset._wrap({label: {1 - a: 1, a + 1: -1}} if a > 0 else {})
+def slice_exponents(label: IrrLabel, sizes: Iterable[int]) -> ExponentMultiset:
+    """Exponents (a-1)/2 - j, j = 0..a-1, of one label's blocks of the given
+    sizes a: one run from 1-a to a-1 per block, all in one of_runs call."""
+    return ExponentMultiset.of_runs(label, ((1 - a, a - 1) for a in sizes))
 
 
 def infinitesimal_character(p: DiscreteParameter) -> ExponentMultiset:
-    return ExponentMultiset.union_all(block_exponents(label, a) for label, a in p.blocks)
+    return ExponentMultiset.union_all(slice_exponents(label, sizes) for label, sizes in p.slices())
 
 
 def reducibility_point(label: IrrLabel, blocks: Iterable[tuple[IrrLabel, int]],

@@ -136,9 +136,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
     def increasing(self) -> tuple[int, ...]:
         return tuple(reversed(self.parts))
 
@@ -361,6 +358,11 @@ def staircase_d(parity: int, n: int) -> Optional[int]:
     return d if d * (d + 1 - parity) == n else None
 
 
+def staircase_pairs(parity: int, d: int, first: int) -> tuple[tuple[int, int], ...]:
+    """The (part, sign) pairs of :func:`staircase_character`, parts increasing."""
+    return tuple(zip(range(2 - parity, 2 * d + 1, 2), itertools.cycle((first, -first))))
+
+
 def staircase_character(parity: int, d: int, first: int) -> SignCharacter:
     """The cuspidal character on ``staircase(parity, d)``: its signs
     alternate along the increasing parts, with ``first`` on the smallest.
@@ -369,8 +371,7 @@ def staircase_character(parity: int, d: int, first: int) -> SignCharacter:
     orthogonal lifts to the O-level group are ``first = +1`` and ``-1``,
     +-(-1)^(i+1) on z_{2i-1}.
     """
-    return SignCharacter({q: first * (-1) ** i
-                          for i, q in enumerate(staircase(parity, d).increasing())})
+    return SignCharacter(staircase_pairs(parity, d, first))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ normal-form value, increasing parts with their aligned signs, the form in
 which every map here takes a character: its signs on the generators,
 increasing.  Both find their deletion sites as :func:`removable_sites` does,
 and a single step is a slice of the increasing parts and of their signs.
+The public maps check their input, the trust boundary; below it the support
+runs :func:`springer_datum`'s core ``_slice_datum`` on each slice.
 
 The second half extends the dictionary beyond the connected groups: to the
 full orthogonal group O_N (three cases, by the shape of the quasi-Levi and
@@ -36,12 +38,14 @@ from .orbits import (
     GroupKind,
     Partition,
     SignCharacter,
+    ValidOrbit,
     check_aligned,
     classical_kind,
     is_degenerate,
     require_valid,
     staircase,
     staircase_character,
+    staircase_pairs,
 )
 from .symbols import defect_formula, interval_structure, swapped_symbol
 
@@ -169,6 +173,30 @@ def _check_signs(signs: Sequence[int]) -> None:
             raise ValueError(f"a sign must be the int 1 or -1, got {sign!r}")
 
 
+def _slice_datum(orbit: ValidOrbit, signs: Sequence[int]) -> tuple[int, int, int, int]:
+    """(d, d', torus rank, first cuspidal sign) of :func:`springer_datum`: every
+    check after validity, and no Partition, character or datum built."""
+    kind, p = orbit.kind, orbit.partition
+    dprime = defect_formula(orbit, signs)
+    normal, normal_signs, _ = eliminate(p.increasing(), signs)
+    sym = swapped_symbol(interval_structure(orbit), signs)
+    if sym.defect != dprime:
+        raise InternalCheckError(
+            f"defect formula {dprime} != symbol defect {sym.defect} on {p}, {signs}")
+    d = d_from_normal_form(kind, normal, normal_signs)
+    if d != d_from_defect(kind, dprime):
+        raise InternalCheckError(
+            f"normal form gives d={d}, defect {dprime} gives {d_from_defect(kind, dprime)}")
+    parity = kind.generator_parity
+    first = -1 if parity == 0 else (normal_signs[0] if normal_signs else 1)
+    if parity and math.prod(signs) != math.prod(s for _, s in staircase_pairs(parity, d, first)):
+        raise InternalCheckError(f"central value not conserved on {p}, {signs}")
+    torus_rank, rem = divmod(kind.size - d * (d + 1 - parity), 2)
+    if rem or torus_rank < 0:
+        raise InternalCheckError(f"bad torus rank for {p}, {signs}: N={kind.size}, d={d}")
+    return d, dprime, torus_rank, first
+
+
 def springer_datum(kind: GroupKind, p: Partition, signs: Sequence[int]) -> CuspidalDatum:
     """Cuspidal datum of a distinguished enhanced class of Sp_N or SO_N.
 
@@ -181,30 +209,9 @@ def springer_datum(kind: GroupKind, p: Partition, signs: Sequence[int]) -> Cuspi
     _check_signs(signs)
     if kind.is_full_orthogonal:
         raise InvalidPartition(f"{kind} is a full orthogonal group: its map is springer_o")
-    orbit = require_valid(kind, p)
-    dprime = defect_formula(orbit, signs)
-    normal, normal_signs, _ = eliminate(p.increasing(), signs)
-    sym = swapped_symbol(interval_structure(orbit), signs)
-    if sym.defect != dprime:
-        raise InternalCheckError(
-            f"defect formula {dprime} != symbol defect {sym.defect} on {p}, {signs}")
-    d = d_from_normal_form(kind, normal, normal_signs)
-    if d != d_from_defect(kind, dprime):
-        raise InternalCheckError(
-            f"normal form gives d={d}, defect {dprime} gives {d_from_defect(kind, dprime)}")
-    parity = kind.generator_parity
-    cusp = staircase(parity, d)
-    if parity == 0:
-        char = staircase_character(parity, d, -1)
-    else:
-        leading = normal_signs[0] if normal_signs else 1
-        char = staircase_character(parity, d, leading)
-        if math.prod(signs) != (char.product() if len(cusp) else 1):
-            raise InternalCheckError(f"central value not conserved on {p}, {signs}")
-    torus_rank, rem = divmod(kind.size - cusp.total, 2)
-    if rem or torus_rank < 0:
-        raise InternalCheckError(f"bad torus rank for {p}, {signs}: N={kind.size}, d={d}")
-    return CuspidalDatum(kind, torus_rank, cusp, char, d, dprime)
+    d, dprime, torus_rank, first = _slice_datum(require_valid(kind, p), signs)
+    return CuspidalDatum(kind, torus_rank, staircase(kind.generator_parity, d),
+                         staircase_character(kind.generator_parity, d, first), d, dprime)
 
 
 # -- full orthogonal group ---------------------------------------------------

@@ -1,10 +1,10 @@
 """Fixtures shared by the support tests of the library and of the CLI, a
-byte-backed standard input for CLI jobs, spies on partition validation and
-on character reads, the symbol and closed-form defect of a pair from a bare
-partition, the two-row split route to a base symbol, the set-algebra routes
-to an interval structure and to a pair's symbol, the alternative
-symplectic defect formula the symbol tests compare against, and a shorthand
-for parameter characters.
+byte-backed standard input for CLI jobs, spies on partition validation, on
+character reads, on `Partition` construction and on `springer_datum` calls,
+the symbol and closed-form defect of a pair from a bare partition, the
+two-row split route to a base symbol, the set-algebra routes to an interval
+structure and to a pair's symbol, the alternative symplectic defect formula
+the symbol tests compare against, and a shorthand for parameter characters.
 
 A pair's character is given to these helpers as the library's layers take
 it: its signs aligned with the increasing generators."""
@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import pytest
 
-from cusp_atlas import cuspsupport, orbits
+from cusp_atlas import cuspsupport, orbits, springer
 from cusp_atlas.errors import DomainMismatch
 from cusp_atlas.lparams import DiscreteParameter, ParameterCharacter
 from cusp_atlas.orbits import GroupKind, Partition, SignCharacter, require_valid
@@ -167,14 +167,35 @@ def signs_read(monkeypatch) -> list:
 
 
 @pytest.fixture
+def datum_calls(monkeypatch) -> list:
+    """The partitions `springer.springer_datum` is called on, in order, from
+    every module of the package that holds it."""
+    return _spy(monkeypatch, springer.springer_datum, lambda kind, p, signs: p.parts)
+
+
+@pytest.fixture
+def partitions_made(monkeypatch) -> list:
+    """The parts of every `orbits.Partition` constructed, in order."""
+    made = []
+    init = Partition.__init__
+
+    def counted(self, parts=()):
+        init(self, parts)
+        made.append(self.parts)
+
+    monkeypatch.setattr(Partition, "__init__", counted)
+    return made
+
+
+@pytest.fixture
 def support_calls(monkeypatch) -> list:
     """The parameters `cuspsupport.support` is called on, in order."""
     calls = []
     direct = cuspsupport.support
 
-    def counted(p, eta):
+    def counted(p, eta, **read):
         calls.append(p)
-        return direct(p, eta)
+        return direct(p, eta, **read)
 
     monkeypatch.setattr(cuspsupport, "support", counted)
     return calls

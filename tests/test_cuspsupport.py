@@ -26,13 +26,13 @@ from cusp_atlas.lparams import (
     ExponentMultiset,
     IrrLabel,
     SelfDualType,
-    block_exponents,
     block_group_type,
     det_flip,
     half_str,
     infinitesimal_character,
     is_cuspidal,
     signed_slices,
+    slice_exponents,
 )
 from cusp_atlas.orbits import Family, GroupKind, Partition, classical_kind
 from cusp_atlas.springer import springer_datum
@@ -152,9 +152,13 @@ def test_ec_multiset_reports_an_asymmetric_correction(monkeypatch):
 
 
 def test_staircase_exponents():
-    assert staircase_exponents(P, 0, 1) == block_exponents(P, 2)
+    assert staircase_exponents(P, 0, 1) == slice_exponents(P, (2,))
     assert staircase_exponents(P, 1, 2) == \
-        block_exponents(P, 1).union(block_exponents(P, 3))
+        slice_exponents(P, (1,)).union(slice_exponents(P, (3,)))
+    # one of_runs call over a label's sizes is the union of its blocks' runs
+    for sizes in ((1, 3), (2, 4, 6), (1, 5, 7, 801)):
+        assert slice_exponents(P, sizes) == ExponentMultiset.union_all(
+            slice_exponents(P, (a,)) for a in sizes)
 
 
 def test_support_via_psi_agrees_on_fixtures():
@@ -223,18 +227,42 @@ U = IrrLabel("u", 1, SelfDualType.ORTHOGONAL)
 V = IrrLabel("v", 1, SelfDualType.SYMPLECTIC)
 
 
-@pytest.mark.parametrize("route, reads", [(support, 1), (support_via_psi, 1), (check_support, 3)],
+@pytest.mark.parametrize("route, reads", [(support, 1), (support_via_psi, 1), (check_support, 2)],
                          ids=["support", "psi", "check"])
 def test_each_route_reads_the_parameter_character_once(signs_read, route, reads):
     # signed_slices reads the character once per route, and each slice's
-    # signs go on as they are; check_support runs three routes: support on
-    # the parameter and on its support, and the psi route
+    # signs go on as they are; check_support reads the parameter's character
+    # once for both routes and the alternation test, then its support's
+    # character for idempotence
     param = DiscreteParameter(GroupKind(Family.SP, 18),
                               [(U, 2), (U, 4), (U, 6), (V, 1), (V, 5)])
     eta = character_on(param, (1, -1, 1, 1, 1))
     route(param, eta)
     assert len(signs_read) == reads
     assert signs_read[0] == param.block_keys()
+    assert signs_read.count(param.block_keys()) == 1
+
+
+def test_support_mints_one_orbit_per_slice(validated, partitions_made, datum_calls):
+    # each slice's orbit is validated and built once, and goes to the Springer
+    # core: no springer_datum call, no staircase Partition
+    param = DiscreteParameter(GroupKind(Family.SP, 18),
+                              [(U, 2), (U, 4), (U, 6), (V, 1), (V, 5)])
+    eta = character_on(param, (1, -1, 1, 1, 1))
+    support(param, eta)
+    assert validated == [(6, 4, 2), (5, 1)]
+    assert partitions_made == [(6, 4, 2), (5, 1)]
+    assert datum_calls == []
+
+
+def test_check_support_reads_a_gapless_parameter_once(signs_read):
+    # the alternation test runs on a gapless parameter, and takes the slices
+    # both routes take: the parameter's character is still read once
+    param = DiscreteParameter(GroupKind(Family.SP, 12), [(U, 2), (U, 4), (U, 6)])
+    eta = character_on(param, (1, 1, 1))
+    report = check_support(param, eta)
+    assert signs_read == [param.block_keys(), report.support.cusp_param.block_keys()]
+    assert report.ok() and not is_cuspidal(param, eta)
 
 
 def test_sp_side_dprime_is_odd_everywhere():
@@ -331,7 +359,7 @@ def test_cli_support_twists_match_fraction_oracle(feed_stdin, capsys):
 
 
 def test_exponent_accessors_speak_doubled_integers():
-    m = block_exponents(P, 5).union(block_exponents(P, 2)).union(block_exponents(MU1, 2))
+    m = slice_exponents(P, (5,)).union(slice_exponents(P, (2,))).union(slice_exponents(MU1, (2,)))
     assert all(type(k) is int and type(n) is int for _, k, n in m.entries())
     assert m.entries() == ((MU1, -1, 1), (MU1, 1, 1), (P, -4, 1), (P, -2, 1), (P, -1, 1),
                            (P, 0, 1), (P, 1, 1), (P, 2, 1), (P, 4, 1))
@@ -339,7 +367,7 @@ def test_exponent_accessors_speak_doubled_integers():
     assert m.multiplicity(P, -4) == 1 and m.multiplicity(P, 3) == 0
     assert (P, -1) in m and (P, 5) not in m
     assert (P, 3) not in m and (MU1, 0) not in m
-    doubled = m.union(block_exponents(P, 2))
+    doubled = m.union(slice_exponents(P, (2,)))
     assert doubled.multiplicity(P, 1) == 2 and (P, 1, 2) in doubled.entries()
     assert repr(ExponentMultiset([(P, -3), (P, 2)])) == "{{(p,-3/2),(p,1)}}"
     assert repr(ExponentMultiset([(P, 1), (P, 1), (P, 0)])) == "{{(p,0),(p,1/2),(p,1/2)}}"
@@ -351,11 +379,11 @@ def test_half_str_matches_fraction():
 
 
 def test_exponent_multiset_keeps_no_zero_counts():
-    m = block_exponents(P, 7)
+    m = slice_exponents(P, (7,))
     empty = m.minus(m)
     assert empty == ExponentMultiset() and hash(empty) == hash(ExponentMultiset())
     assert len(empty) == 0 and empty.entries() == ()
-    rest = m.minus(block_exponents(P, 3))
+    rest = m.minus(slice_exponents(P, (3,)))
     assert rest == ExponentMultiset([(P, k) for k in (6, 4, -4, -6)])
     assert hash(rest) == hash(ExponentMultiset([(P, k) for k in (-6, -4, 4, 6)]))
 
@@ -458,7 +486,7 @@ def build_parts(parts):
             built.append(ExponentMultiset(items))
             oracle.update((label, Fraction(k, 2)) for label, k in items)
         elif kind == "blocks":
-            built.extend(block_exponents(label, a) for label, a in items)
+            built.extend(slice_exponents(label, (a,)) for label, a in items)
             for label, a in items:
                 oracle += exponent_oracle(label, (a,))
         else:
@@ -553,13 +581,13 @@ def test_union_leaves_its_inputs_alone():
 
     a, b = fresh_a(), fresh_b()
     u = ExponentMultiset.union_all([a, b])
-    u = ExponentMultiset.union_all([u, a, block_exponents(P, 4)])
+    u = ExponentMultiset.union_all([u, a, slice_exponents(P, (4,))])
     u = u.union(b).union(b.negated())
     rest = u.minus(ExponentMultiset([(MU2, 2)]))
     ExponentMultiset.union_all([rest, a, b])
     ExponentMultiset.union_all([b.minus(ExponentMultiset([(P, 1)])), b])
     assert a == fresh_a() and repr(a) == repr(fresh_a())
     assert b == fresh_b() and repr(b) == repr(fresh_b())
-    block = block_exponents(P, 4)
+    block = slice_exponents(P, (4,))
     ExponentMultiset.union_all([block, block, block])
     assert block == ExponentMultiset([(P, k) for k in (3, 1, -1, -3)])

@@ -14,13 +14,13 @@ from cusp_atlas.lparams import (
     IrrLabel,
     ParameterCharacter,
     SelfDualType,
-    block_exponents,
     block_group_type,
     det_flip,
     infinitesimal_character,
     is_cuspidal,
     reducibility_point,
     sgroup_factors,
+    slice_exponents,
     validate_parameter,
 )
 from cusp_atlas.orbits import Family, GroupKind, SignCharacter
@@ -221,7 +221,7 @@ def test_infinitesimal_character():
 
 
 def test_exponent_multiset_operations():
-    m = block_exponents(ORTH1, 4)
+    m = slice_exponents(ORTH1, (4,))
     assert m.is_symmetric()
     half = m.nonnegative_half()
     assert half == ExponentMultiset([(ORTH1, 3), (ORTH1, 1)])

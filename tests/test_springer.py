@@ -462,6 +462,27 @@ def test_springer_datum_validates_its_partition_once(validated, kind, parts, sig
     assert validated == [parts]
 
 
+@pytest.mark.parametrize("kind, parts, signs, error, text", [
+    # the checks run in the order values, kind, validity, distinguishedness, count
+    (SP6, (4, 2), (1, 0), ValueError, "a sign must be the int 1 or -1, got 0"),
+    (SP6, (4, 2), (1, True), ValueError, "a sign must be the int 1 or -1, got True"),
+    (O4, (3, 1), (1, 0), ValueError, "a sign must be the int 1 or -1, got 0"),
+    (O4, (2, 1), (1, 1), InvalidPartition,
+     "Oeven_4 is a full orthogonal group: its map is springer_o"),
+    (SP6, (3, 2, 1), (1,), InvalidPartition, "(3,2,1) is not a Sp_6 partition: "
+     "odd part 1 has odd multiplicity 1; odd part 3 has odd multiplicity 1"),
+    (SO9, (5, 2, 2), (1,), InvalidPartition,
+     "(5,2,2) is not distinguished for SOodd_9"),
+    (GroupKind(Family.GL, 3), (3,), (1,), InvalidPartition, "(3) is not distinguished for GL_3"),
+    (SP6, (4, 2), (1,), DomainMismatch, "1 signs for the 2 parts (2, 4)"),
+    (SO9, (9,), (1, 1), DomainMismatch, "2 signs for the 1 parts (9,)"),
+])
+def test_springer_datum_keeps_its_exceptions(kind, parts, signs, error, text):
+    with pytest.raises(error) as err:
+        springer_datum(kind, Partition(parts), signs)
+    assert type(err.value) is error and str(err.value) == text
+
+
 def test_springer_o_rejects_o0():
     with pytest.raises(InvalidPartition, match="O_0"):
         springer_o(GroupKind(Family.O_EVEN, 0), Partition(()), ())
