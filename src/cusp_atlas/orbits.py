@@ -224,9 +224,19 @@ def signs_on(eta: SignCharacter, keys: Iterable, what: str, owner) -> tuple[int,
     return tuple(table[k] for k in keys)
 
 
+def check_signs(signs: Sequence[int]) -> None:
+    """The one sign-value rule: each sign is the int 1 or -1, as each value of
+    a SignCharacter is."""
+    for sign in signs:
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"a sign must be the int 1 or -1, got {sign!r}")
+
+
 def check_aligned(parts: Sequence[int], signs: Sequence[int], increasing: bool = False) -> None:
-    """The one check of signs aligned with parts: one per part, and the parts
-    strictly increasing, unless the caller has them so by construction."""
+    """The one check of signs aligned with parts: sign values first, one sign
+    per part, and the parts strictly increasing, unless the caller has them
+    so by construction."""
+    check_signs(signs)
     if len(parts) != len(signs):
         raise DomainMismatch(f"{len(signs)} signs for the {len(parts)} parts {tuple(parts)}")
     if not increasing and not all(map(operator.lt, parts, parts[1:])):

@@ -40,6 +40,7 @@ from .orbits import (
     SignCharacter,
     ValidOrbit,
     check_aligned,
+    check_signs,
     classical_kind,
     is_degenerate,
     require_valid,
@@ -166,13 +167,6 @@ class CuspidalDatum:
         return f"(C*)^{self.torus_rank} x {tail}"
 
 
-def _check_signs(signs: Sequence[int]) -> None:
-    """Each sign is the int 1 or -1, as each value of a SignCharacter is."""
-    for sign in signs:
-        if type(sign) is not int or sign not in (1, -1):
-            raise ValueError(f"a sign must be the int 1 or -1, got {sign!r}")
-
-
 def _slice_datum(orbit: ValidOrbit, signs: Sequence[int]) -> tuple[int, int, int, int]:
     """(d, d', torus rank, first cuspidal sign) of :func:`springer_datum`: every
     check after validity, and no Partition, character or datum built."""
@@ -206,7 +200,7 @@ def springer_datum(kind: GroupKind, p: Partition, signs: Sequence[int]) -> Cuspi
     two are tied by d = d'-1 (d' >= 1) or -d' in the symplectic case and
     d = |d'| in the orthogonal one, and the agreement is enforced.
     """
-    _check_signs(signs)
+    check_signs(signs)
     if kind.is_full_orthogonal:
         raise InvalidPartition(f"{kind} is a full orthogonal group: its map is springer_o")
     d, dprime, torus_rank, first = _slice_datum(require_valid(kind, p), signs)
@@ -285,7 +279,7 @@ def springer_o(kind: GroupKind, p: Partition, signs: Sequence[int]) -> OSpringer
     The correspondence is computed for N >= 1: O_0 has no det = -1 class
     for case II to read its sign from, so it is rejected.
     """
-    _check_signs(signs)
+    check_signs(signs)
     if not kind.is_full_orthogonal:
         raise InvalidPartition(f"{kind} is not a full orthogonal group: springer_o takes O_N")
     orbit = require_valid(kind, p)

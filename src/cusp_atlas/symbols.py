@@ -16,11 +16,10 @@ entries when r & (r >> 1) == 0, 0 is missing from B when b & 1 == 0, and
 increasing tuples through ``USymbol.a`` and ``USymbol.b``.  An increasing
 row of integers becomes a bitset, and a bitset becomes a tuple, through one
 binary digit string each way, so both take time linear in the largest entry
-(a loop of ``bits |= 1 << x`` would not).  The library builds every symbol
-it uses from bitsets: a base symbol from the two rows of one pass over the
-parts, which come out increasing, and a pair's symbol from the base rows'
-bitsets.  The constructor of :class:`USymbol`, for callers holding rows as
-integers in any order, sorts each row first.
+(a loop of ``bits |= 1 << x`` would not).  A symbol is made in one way, from
+its parity and its two row bitsets, and checked there: a base symbol from
+the two rows of one pass over the parts, which come out increasing, and a
+pair's symbol from the base rows' bitsets.
 
 The pair (class, character) is encoded as follows.  A partition p of N is
 turned into a base symbol by splitting the strictly increasing sequence
@@ -37,7 +36,9 @@ datum.
 
 For the symplectic family the run containing 0, when present, is excluded
 from the interval list (it is the fixed margin H); orthogonal intervals may
-start at 0 and H is empty.
+start at 0 and H is empty.  The runs are bitsets too, each read off the
+bitset r of C by a carry: the run at 0 is r & ~(r + 1), and the lowest run
+is r & ~(r + (r & -r)).
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InternalCheckError, InvalidPartition
-from .orbits import GroupKind, Partition, ValidOrbit, as_int, check_aligned, is_distinguished
+from .orbits import GroupKind, Partition, ValidOrbit, check_aligned, is_distinguished
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
@@ -78,36 +79,6 @@ def _bits(row: list[int]) -> int:
     return int(digits, 2)
 
 
-def _row_bits(entries: Iterable[int]) -> int:
-    """The bitset of a row given as integers in any order, repeats ignored,
-    checked to be nonnegative and then spaced."""
-    row = sorted(set(map(as_int, entries)))
-    if row and row[0] < 0:
-        raise ValueError(f"symbol entries must be nonnegative: {tuple(row)}")
-    return _spaced(_bits(row))
-
-
-def _mask(run: tuple[int, ...]) -> int:
-    """The bitset of a run of consecutive integers."""
-    return ((1 << len(run)) - 1) << run[0] if run else 0
-
-
-def _runs(row: int) -> list[tuple[int, ...]]:
-    """The maximal runs of consecutive entries of a row bitset, increasing,
-    read off its lowest set bit: skip the zeros below it, then count the ones."""
-    runs = []
-    start = 0
-    while row:
-        gap = (row & -row).bit_length() - 1
-        row >>= gap
-        length = (row ^ (row + 1)).bit_length() - 1
-        start += gap
-        runs.append(tuple(range(start, start + length)))
-        row >>= length
-        start += length
-    return runs
-
-
 @dataclass(frozen=True)
 class USymbol:
     """A u-symbol, with its rows checked on construction.
@@ -115,11 +86,13 @@ class USymbol:
     ``parity`` is the generator parity of the group it belongs to
     (:attr:`GroupKind.generator_parity`): the int 0, an ordered symplectic
     symbol, or the int 1, an unordered orthogonal one.  The rows are the
-    bitsets ``a_bits`` and ``b_bits``; ``a`` and ``b`` give them back as
-    increasing tuples.  The constructor takes the rows as integers, in any
-    order, repeats ignored.  A row costs memory and time linear in its
-    largest entry, which is about N in the symbol of a class of a size-N
-    group.
+    bitsets ``a_bits`` and ``b_bits``, nonnegative ints; ``a`` and ``b``
+    give them back as increasing tuples.  The fields are the one
+    constructor, so every symbol, ``dataclasses.replace`` included, passes
+    the checks: the parity, each row an int bitset and not a bool, no two
+    consecutive entries in a row, and the symplectic conditions.  A row
+    costs memory and time linear in its largest entry, which is about N in
+    the symbol of a class of a size-N group.
 
     The checks are on the rows alone.  The size needs no check of its own:
     with no two consecutive entries in a row, sum(A) + sum(B) is at least
@@ -133,22 +106,21 @@ class USymbol:
     a_bits: int
     b_bits: int
 
-    def __init__(self, parity: int, a: Iterable[int], b: Iterable[int]):
-        self._store(parity, _row_bits(a), _row_bits(b))
-
-    def _store(self, parity: int, a: int, b: int) -> None:
-        """Check the parity and the symplectic conditions on spaced rows, then
-        keep them."""
+    def __post_init__(self):
+        parity, a, b = self.parity, self.a_bits, self.b_bits
         if type(parity) is not int or parity not in (0, 1):
             raise ValueError(f"symbol parity must be 0 (ordered) or 1 (unordered), got {parity!r}")
+        for row in (a, b):
+            if type(row) is not int:
+                raise TypeError(f"a symbol row must be an int bitset, got {row!r}")
+            if row < 0:
+                raise ValueError(f"a symbol row bitset must be nonnegative, got {row}")
+            _spaced(row)
         if parity == 0:
             if b & 1:
                 raise ValueError("the second row of a symplectic symbol excludes 0")
             if (a.bit_count() + b.bit_count()) % 2 == 0:
                 raise ValueError("a symplectic symbol has an odd number of entries")
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "a_bits", a)
-        object.__setattr__(self, "b_bits", b)
 
     @property
     def a(self) -> tuple[int, ...]:
@@ -178,31 +150,22 @@ class USymbol:
         return f"({fmt(self.a)};{fmt(self.b)})"
 
 
-def _symbol(parity: int, a: int, b: int) -> USymbol:
-    """The u-symbol of two row bitsets, checked as the constructor checks."""
-    symbol = object.__new__(USymbol)
-    symbol._store(parity, _spaced(a), _spaced(b))
-    return symbol
-
-
 @dataclass(frozen=True)
 class IntervalStructure:
     """Interval decomposition of C = A Δ B for the base symbol of a partition.
 
-    ``intervals[r]`` is the r-th maximal run (increasing) and ``parts[r]``
-    the distinct part of generator parity it encodes; ``h`` is the excluded
-    margin (symplectic only, else empty).  The rows every character shares,
-    (A ∩ B) with the margin's share of each row, are the bitset pair
-    ``common``, and ``splits[r]`` is the bitset pair (run ∩ A, run ∩ B) of
-    ``intervals[r]``.  It depends on the partition alone, so one structure,
-    built and checked once by :func:`interval_structure`, serves every
-    character through :func:`swapped_symbol`.
+    ``parts[r]`` is the distinct part of generator parity that the r-th
+    maximal run of C outside the margin encodes, runs and parts both
+    increasing, and ``splits[r]`` is the bitset pair (run ∩ A, run ∩ B).
+    The rows every character shares, (A ∩ B) with the margin's share of
+    each row, are the bitset pair ``common``.  It depends on the partition
+    alone, so one structure, built and checked once by
+    :func:`interval_structure`, serves every character through
+    :func:`swapped_symbol`.
     """
 
     symbol: USymbol
-    intervals: tuple[tuple[int, ...], ...]
     parts: tuple[int, ...]
-    h: tuple[int, ...]
     common: tuple[int, int]
     splits: tuple[tuple[int, int], ...]
 
@@ -248,7 +211,7 @@ def distinguished_symbol(orbit: ValidOrbit) -> USymbol:
     if parity is None:
         raise InvalidPartition(f"{kind} has no u-symbol combinatorics")
     row_a, row_b = _base_rows(kind, p)
-    symbol = _symbol(parity, _bits(row_a), _bits(row_b))
+    symbol = USymbol(parity, _bits(row_a), _bits(row_b))
     expected = kind.size
     if symbol.size != expected:
         raise InternalCheckError(f"base symbol of {p} has size {symbol.size}, expected {expected}")
@@ -258,37 +221,42 @@ def distinguished_symbol(orbit: ValidOrbit) -> USymbol:
 def interval_structure(orbit: ValidOrbit) -> IntervalStructure:
     """The interval structure of the orbit's base symbol, checked once.
 
-    The runs of A ^ B are read off the base bitsets; the generator parts and
-    their multiplicities come from one :meth:`Partition.multiplicities`
-    table, whose keys increase.  Each run must match, in order, a distinct
-    part of the generator parity, its length being that part's multiplicity.
+    One walk over the runs of A ^ B, as bitsets: the symplectic margin, the
+    run at 0, is set apart first, and the runs left are counted by their
+    starts.  The generator parts and their multiplicities come from one
+    :meth:`Partition.multiplicities` table, whose keys increase.  Each run
+    must match, in order, a distinct part of the generator parity, its
+    length being that part's multiplicity.
     """
     kind, p = orbit.kind, orbit.partition
     symbol = distinguished_symbol(orbit)
     base_a, base_b = symbol.a_bits, symbol.b_bits
-    runs = _runs(base_a ^ base_b)
-    h: tuple[int, ...] = ()
-    if kind.is_symplectic and runs and runs[0][0] == 0:
-        h = runs.pop(0)
-    intervals = tuple(runs)
+    rest = base_a ^ base_b
+    margin = rest & ~(rest + 1) if kind.is_symplectic else 0
+    rest ^= margin
     multiplicity = p.multiplicities()
     parts = tuple(q for q in multiplicity if q % 2 == symbol.parity)
-    if len(parts) != len(intervals):
-        raise InternalCheckError(f"{p}: {len(intervals)} intervals for {len(parts)} generator parts")
-    for run, q in zip(intervals, parts):
-        if len(run) != multiplicity[q]:
-            raise InternalCheckError(f"{p}: interval {run} does not match multiplicity of {q}")
-    both, margin = base_a & base_b, _mask(h)
+    intervals = (rest & ~(rest << 1)).bit_count()
+    if len(parts) != intervals:
+        raise InternalCheckError(f"{p}: {intervals} intervals for {len(parts)} generator parts")
+    splits = []
+    for q in parts:
+        run = rest & ~(rest + (rest & -rest))
+        if run.bit_count() != multiplicity[q]:
+            raise InternalCheckError(
+                f"{p}: interval {_entries(run)} does not match multiplicity of {q}")
+        splits.append((base_a & run, base_b & run))
+        rest ^= run
+    both = base_a & base_b
     common = (both | (base_a & margin), both | (base_b & margin))
-    splits = tuple((base_a & mask, base_b & mask) for mask in map(_mask, intervals))
-    return IntervalStructure(symbol, intervals, parts, h, common, splits)
+    return IntervalStructure(symbol, parts, common, tuple(splits))
 
 
 def swapped_symbol(structure: IntervalStructure, signs: Sequence[int]) -> USymbol:
     """Symbol of the pair (class of the structure's partition, character).
 
     The intervals where the signs, aligned with ``structure.parts`` (which
-    strictly increase, so only the count is checked), are -1 have their row
+    strictly increase, so only the values and the count are checked), are -1 have their row
     contents swapped relative to the base symbol.  The result is a new
     :class:`USymbol`, validated as every symbol is.
     """
@@ -299,7 +267,7 @@ def swapped_symbol(structure: IntervalStructure, signs: Sequence[int]) -> USymbo
             in_a, in_b = in_b, in_a
         row_a |= in_a
         row_b |= in_b
-    return _symbol(structure.symbol.parity, row_a, row_b)
+    return USymbol(structure.symbol.parity, row_a, row_b)
 
 
 def defect_formula(orbit: ValidOrbit, signs: Sequence[int]) -> int:

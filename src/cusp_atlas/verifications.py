@@ -40,11 +40,13 @@ def selfcheck_limits(overrides: Mapping[str, int], bound: int) -> Limits:
                      for f in fields(Limits)})
 
 
+def _pair(kind: GroupKind, p: Partition, signs: tuple[int, ...]) -> str:
+    """The pair being checked, its signs on the increasing parts printed as a character."""
+    return f"{kind} {p} {SignCharacter(zip(p.increasing(), signs))}"
+
+
 def check_defect_coherence(limit: int) -> tuple[bool, str]:
     """Formula defect == symbol defect, and invariance under every single step."""
-    def pair() -> str:  # the pair being checked, its signs printed as a character
-        return f"{kind} {p} {SignCharacter(zip(parts, signs))}"
-
     checked = 0
     for kind in census.classical_kinds(limit):
         for orbit in census.distinguished_orbits(kind):
@@ -53,7 +55,7 @@ def check_defect_coherence(limit: int) -> tuple[bool, str]:
             for signs in itertools.product((1, -1), repeat=len(parts)):
                 before = defect_formula(orbit, signs)
                 if swapped_symbol(structure, signs).defect != before:
-                    return False, f"defect mismatch at {pair()}"
+                    return False, f"defect mismatch at {_pair(kind, p, signs)}"
                 for j in removable_sites(signs):
                     rest = parts[:j] + parts[j + 2:]
                     q = Partition(rest)
@@ -61,16 +63,13 @@ def check_defect_coherence(limit: int) -> tuple[bool, str]:
                                             signs[:j] + signs[j + 2:])
                              if rest else (1 if kind.is_symplectic else 0))
                     if after != before:
-                        return False, f"defect not conserved at {pair()} step {j}"
+                        return False, f"defect not conserved at {_pair(kind, p, signs)} step {j}"
                 checked += 1
     return True, f"{checked} distinguished pairs"
 
 
 def check_order_independence(limit: int) -> tuple[bool, str]:
     """Every deletion order reaches one normal-form content and one support."""
-    def pair() -> str:  # the pair being checked, its signs printed as a character
-        return f"{kind} {p} {SignCharacter(zip(parts, signs))}"
-
     checked = 0
     label = census.DEFAULT_SIGNATURE[0]
     for kind in census.classical_kinds(limit):
@@ -80,10 +79,10 @@ def check_order_independence(limit: int) -> tuple[bool, str]:
             outcomes = elimination_outcomes(parts, signs)
             contents = {normal_form_content(kind, nf, nf_signs) for nf, nf_signs, _ in outcomes}
             if len(contents) != 1:
-                return False, f"{len(contents)} normal-form contents for {pair()}"
+                return False, f"{len(contents)} normal-form contents for {_pair(kind, p, signs)}"
             supports = outcome_supports(label, parity, parts, outcomes)
             if len(supports) != 1:
-                return False, f"{len(supports)} supports for {pair()}"
+                return False, f"{len(supports)} supports for {_pair(kind, p, signs)}"
             checked += 1
     return True, f"{checked} pairs, single content and support each"
 

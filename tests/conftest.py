@@ -2,9 +2,10 @@
 byte-backed standard input for CLI jobs, spies on partition validation, on
 character reads, on `Partition` construction and on `springer_datum` calls,
 the symbol and closed-form defect of a pair from a bare partition, the
-two-row split route to a base symbol, the set-algebra routes to an interval
-structure and to a pair's symbol, the alternative symplectic defect formula
-the symbol tests compare against, and a shorthand for parameter characters.
+bitset of a row given as integers, the two-row split route to a base
+symbol's rows, the set-algebra routes to an interval structure and to a
+pair's rows, the alternative symplectic defect formula the symbol tests
+compare against, and a shorthand for parameter characters.
 
 A pair's character is given to these helpers as the library's layers take
 it: its signs aligned with the increasing generators."""
@@ -19,13 +20,7 @@ from cusp_atlas import cuspsupport, orbits, springer
 from cusp_atlas.errors import DomainMismatch
 from cusp_atlas.lparams import DiscreteParameter, ParameterCharacter
 from cusp_atlas.orbits import GroupKind, Partition, SignCharacter, require_valid
-from cusp_atlas.symbols import (
-    IntervalStructure,
-    USymbol,
-    defect_formula,
-    interval_structure,
-    swapped_symbol,
-)
+from cusp_atlas.symbols import USymbol, defect_formula, interval_structure, swapped_symbol
 
 
 def pair_symbol(kind: GroupKind, p: Partition, signs: Sequence[int]) -> USymbol:
@@ -40,27 +35,25 @@ def pair_defect(kind: GroupKind, p: Partition, signs: Sequence[int]) -> int:
     return defect_formula(require_valid(kind, p), signs)
 
 
-def set_algebra_swapped_symbol(structure: IntervalStructure, signs: Sequence[int]) -> USymbol:
-    """The set-algebra form of `swapped_symbol`: the base rows' common part and
-    margin, then the content of each interval from the row its sign selects,
-    all on Python sets of the rows read back as tuples."""
-    base_a, base_b = set(structure.symbol.a), set(structure.symbol.b)
-    row_a = (base_a & base_b) | (set(structure.h) & base_a)
-    row_b = (base_a & base_b) | (set(structure.h) & base_b)
-    assert len(signs) == len(structure.intervals)
-    for run, sign in zip(structure.intervals, signs):
-        src_a, src_b = (base_b, base_a) if sign == -1 else (base_a, base_b)
-        row_a |= set(run) & src_a
-        row_b |= set(run) & src_b
-    return USymbol(structure.symbol.parity, row_a, row_b)
+def row_bits(row: Iterable[int]) -> int:
+    """The bitset of a row of nonnegative integers given in any order: bit x
+    set for each entry x, through one binary digit string."""
+    entries = set(row)
+    if not entries:
+        return 0
+    assert min(entries) >= 0, entries
+    return int("".join("1" if x in entries else "0" for x in range(max(entries), -1, -1)), 2)
 
 
-def staircase_split_symbol(kind: GroupKind, p: Partition) -> USymbol:
-    """The base symbol of p by the two-row split, through the public
-    constructor: the staircase p_i + (i - 1) of the increasing parts (a 0 in
-    front of an odd symplectic count), its even values halved into B and its
-    odd values, less one and halved, into A, each row then shifted by its
-    index (and the symplectic rows by one or two more, A gaining a 0)."""
+Rows = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def staircase_split_symbol(kind: GroupKind, p: Partition) -> Rows:
+    """The rows (A, B) of the base symbol of p, each increasing, by the
+    two-row split: the staircase p_i + (i - 1) of the increasing parts (a 0
+    in front of an odd symplectic count), its even values halved into B and
+    its odd values, less one and halved, into A, each row then shifted by
+    its index (and the symplectic rows by one or two more, A gaining a 0)."""
     parts = p.increasing()
     if kind.is_symplectic and len(parts) % 2:
         parts = (0,) + parts
@@ -73,15 +66,15 @@ def staircase_split_symbol(kind: GroupKind, p: Partition) -> USymbol:
     else:
         row_a = [y + j for j, y in enumerate(odds)]
         row_b = [y + j for j, y in enumerate(evens)]
-    return USymbol(kind.generator_parity, row_a, row_b)
+    return tuple(row_a), tuple(row_b)
 
 
-def set_algebra_intervals(kind: GroupKind, p: Partition, symbol: USymbol) -> dict:
-    """The interval decomposition of A Δ B on Python sets of the rows read
-    back as tuples: the maximal runs (the symplectic one at 0 set apart as
-    the margin h), the generator parts, the rows every character shares and
-    each run's share of the two rows, all as sets."""
-    a, b = set(symbol.a), set(symbol.b)
+def set_algebra_intervals(kind: GroupKind, p: Partition, rows: Rows) -> dict:
+    """The interval decomposition of A Δ B on Python sets of the rows: the
+    maximal runs, increasing (the symplectic one at 0 set apart as the margin
+    h), the generator parts, the rows every character shares and each run's
+    share of the two rows, all as sets."""
+    a, b = map(set, rows)
     runs: list[list[int]] = []
     for x in sorted(a ^ b):
         if runs and runs[-1][-1] == x - 1:
@@ -96,6 +89,24 @@ def set_algebra_intervals(kind: GroupKind, p: Partition, symbol: USymbol) -> dic
         "common": ((a & b) | (set(h) & a), (a & b) | (set(h) & b)),
         "splits": tuple((set(run) & a, set(run) & b) for run in runs),
     }
+
+
+def set_algebra_swapped_symbol(kind: GroupKind, p: Partition, signs: Sequence[int]) -> Rows:
+    """The set-algebra form of `swapped_symbol`, on no structure of the
+    library: the rows (A, B) of the pair's symbol, each increasing, from the
+    two-row split of p and its set-algebra intervals, the rows every
+    character shares and then each interval's content from the row its sign
+    selects."""
+    base_a, base_b = staircase_split_symbol(kind, p)
+    intervals = set_algebra_intervals(kind, p, (base_a, base_b))
+    row_a, row_b = intervals["common"]
+    assert len(signs) == len(intervals["splits"])
+    for (in_a, in_b), sign in zip(intervals["splits"], signs):
+        if sign == -1:
+            in_a, in_b = in_b, in_a
+        row_a |= in_a
+        row_b |= in_b
+    return tuple(sorted(row_a)), tuple(sorted(row_b))
 
 
 def alternative_defect_formula_sp(signs: Sequence[int]) -> int:

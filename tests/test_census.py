@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import _spy, pair_symbol, set_algebra_swapped_symbol
+from conftest import _spy, pair_symbol, row_bits, set_algebra_swapped_symbol
 
 from cusp_atlas.cli import main
 
@@ -31,7 +31,7 @@ from cusp_atlas.orbits import (
     validate_partition,
 )
 from cusp_atlas.springer import d_from_defect, removable_sites
-from cusp_atlas.symbols import interval_structure
+from cusp_atlas.symbols import USymbol
 from cusp_atlas import census, orbits, verifications
 from cusp_atlas.verifications import (
     check_count_identity,
@@ -91,8 +91,8 @@ def test_partitions_of_matches_the_recursion_in_order():
 
 def census_one_symbol_per_pair(kind):
     """The census with one symbol built from its validated partition per
-    (partition, character), through the set algebra on the base rows rather
-    than `swapped_symbol`."""
+    (partition, character), its rows through the set algebra on the two-row
+    split rather than `interval_structure` and `swapped_symbol`."""
     total, by_d = 0, {}
     for parts in recursive_partitions(kind.size):
         p = Partition(parts)
@@ -100,9 +100,10 @@ def census_one_symbol_per_pair(kind):
         if not verdict:
             continue
         copies = orbit_count(verdict.orbit)
-        structure = interval_structure(verdict.orbit)
         for signs in characters_of(component_group(verdict.orbit)):
-            d = d_from_defect(kind, set_algebra_swapped_symbol(structure, signs).defect)
+            row_a, row_b = set_algebra_swapped_symbol(kind, p, signs)
+            symbol = USymbol(kind.generator_parity, row_bits(row_a), row_bits(row_b))
+            d = d_from_defect(kind, symbol.defect)
             total += copies
             by_d[d] = by_d.get(d, 0) + copies
     return {"pairs": total, "by_d": dict(sorted(by_d.items()))}
@@ -363,4 +364,19 @@ def test_defect_coherence_reports_a_step_that_changes_the_defect(monkeypatch):
     # names the first such step
     monkeypatch.setattr(verifications, "removable_sites", lambda signs: range(len(signs) - 1))
     assert check_defect_coherence(6) == (False, "defect not conserved at SOeven_4 (3,1) (+,-) step 0")
+
+
+def test_pair_checks_name_the_failing_pair_alike(monkeypatch):
+    # every failure of the defect and order checks names its pair as the
+    # group, the partition and the signs printed as a character: here the
+    # first pair checked, SOodd_1 (1) with the sign +
+    monkeypatch.setattr(verifications, "swapped_symbol", lambda structure, signs: USymbol(1, 0, 0))
+    assert check_defect_coherence(4) == (False, "defect mismatch at SOodd_1 (1) (+)")
+    monkeypatch.undo()
+    monkeypatch.setattr(verifications, "outcome_supports", lambda *args: {1, 2})
+    assert verifications.check_order_independence(4) == (False, "2 supports for SOodd_1 (1) (+)")
+    monkeypatch.setattr(verifications, "elimination_outcomes",
+                        lambda parts, signs: {(parts, signs, ()), ((), (), ())})
+    assert verifications.check_order_independence(4) == \
+        (False, "2 normal-form contents for SOodd_1 (1) (+)")
 

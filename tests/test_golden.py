@@ -47,11 +47,7 @@ UNREACHED = {
     # write the message of a failed invariant check, which no job reaches
     "orbits.SignCharacter.__str__",
     "symbols.USymbol.__str__",
-    # the exported constructor from integer rows, for library callers and the
-    # tests; the library builds its own symbols from bitsets, and the planned
-    # inverse Springer map (ROADMAP item 5) will build symbols from rows with it
-    "symbols.USymbol.__init__",
-    "symbols._row_bits",
+    "verifications._pair",
 }
 
 

@@ -38,6 +38,7 @@ from cusp_atlas.springer import (
     springer_o,
     springer_product,
 )
+from cusp_atlas.symbols import defect_formula, interval_structure, swapped_symbol
 
 SP6 = GroupKind(Family.SP, 6)
 SO9 = GroupKind(Family.SO_ODD, 9)
@@ -154,6 +155,29 @@ def test_springer_maps_take_only_the_int_1_or_minus_1(bad):
                 lambda: springer_o(O4, Partition((3, 1)), (bad, 1)),
                 lambda: springer_o(SP6, Partition((3,)), (1, bad, 1)),
                 lambda: springer_product([ProductFactor(Partition((3, 1)), (1, bad))])):
+        with pytest.raises(ValueError) as err:
+            run()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("signs, bad", [
+    ((0, 1), 0), ((0, 5), 0), ((1, 5), 5), ((True, -1), True), ((1, True), True),
+    ((1.0, -1), 1.0), ((-1, 1.0), 1.0), ((1, -1, 0), 0), ((0,), 0),
+], ids=["zero", "zero-five", "five", "true", "true-second", "float", "float-second",
+        "zero-extra", "zero-missing"])
+def test_lower_layers_take_only_the_int_1_or_minus_1(signs, bad):
+    # each layer below the Springer maps checks the values first, with the
+    # maps' text: before the count of the signs and the order of the parts
+    orbit = require_valid(SP6, Partition((4, 2)))
+    parts = (2, 4)
+    message = f"a sign must be the int 1 or -1, got {bad!r}"
+    for run in (lambda: eliminate(parts, signs),
+                lambda: eliminate(parts[::-1], signs),
+                lambda: elimination_outcomes(parts, signs),
+                lambda: elimination_outcomes(parts[::-1], signs),
+                lambda: d_from_normal_form(SP6, parts, signs),
+                lambda: swapped_symbol(interval_structure(orbit), signs),
+                lambda: defect_formula(orbit, signs)):
         with pytest.raises(ValueError) as err:
             run()
         assert str(err.value) == message

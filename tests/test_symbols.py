@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from conftest import (
     pair_defect,
     pair_symbol,
+    row_bits,
     set_algebra_intervals,
     set_algebra_swapped_symbol,
     staircase_split_symbol,
 )
 
 from cusp_atlas.census import classical_kinds, distinguished_pairs, group_partitions
-from cusp_atlas.errors import DomainMismatch, InvalidPartition
+from cusp_atlas import symbols
+from cusp_atlas.errors import DomainMismatch, InternalCheckError, InvalidPartition
 from cusp_atlas.orbits import (
     Family,
     GroupKind,
@@ -53,11 +55,11 @@ def closed_form_symbol(kind, p, signs):
             spots = {i: parts[i - 1] // 2 + i + 1 for i in range(1, k + 1)}
             a = {0} | {spots[i] for i in range(1, k + 1) if (-1) ** (i + 1) * signs[i - 1] == 1}
             b = {1} | {spots[i] for i in range(1, k + 1) if (-1) ** (i + 1) * signs[i - 1] == -1}
-        return USymbol(0, a, b)
+        return USymbol(0, row_bits(a), row_bits(b))
     spots = {i: (parts[i - 1] - 3) // 2 + i for i in range(1, k + 1)}
     a = {spots[i] for i in range(1, k + 1) if (-1) ** (i + 1) * signs[i - 1] == 1}
     b = {spots[i] for i in range(1, k + 1) if (-1) ** (i + 1) * signs[i - 1] == -1}
-    return USymbol(1, a, b)
+    return USymbol(1, row_bits(a), row_bits(b))
 
 
 # base symbols, hand-executed from the construction
@@ -73,32 +75,73 @@ def test_distinguished_symbol_fixtures(kind, parts, a, b):
 
 
 def test_symbol_rows_refuse_entries_that_are_not_integers():
-    with pytest.raises(TypeError):
-        USymbol(1, (0, 2.9), (1,))
-    with pytest.raises(TypeError):
-        USymbol(0, ("0",), ())
-    assert USymbol(1, (2, 0), (1,)).a == (0, 2)
+    # a row is one int bitset: entries given as a tuple, a float or a string are refused
+    for row in ((0, 2), [0, 2], 5.0, "5", None):
+        for a, b in ((row, 0b10), (0b1, row)):
+            with pytest.raises(TypeError, match=r"^a symbol row must be an int bitset, got "):
+                USymbol(1, a, b)
+    assert USymbol(1, 0b101, 0b10).a == (0, 2)
 
 
 def test_symbol_rows_refuse_a_bool_entry():
-    for a, b in (((True,), ()), ((0,), (False, 2))):
-        with pytest.raises(TypeError, match=r"^expected an integer, got (True|False)$"):
+    for a, b, bad in ((True, 0, True), (0b1, False, False)):
+        with pytest.raises(TypeError) as err:
             USymbol(1, a, b)
+        assert str(err.value) == f"a symbol row must be an int bitset, got {bad}"
 
 
 def test_symbol_invariants_enforced():
     with pytest.raises(ValueError):
-        USymbol(0, (0, 1), (2,))     # consecutive entries
+        USymbol(0, row_bits((0, 1)), row_bits((2,)))     # consecutive entries
     with pytest.raises(ValueError):
-        USymbol(0, (2,), (0,))       # 0 in the second row
+        USymbol(0, row_bits((2,)), row_bits((0,)))       # 0 in the second row
     with pytest.raises(ValueError):
-        USymbol(0, (0, 2), (4, 6))   # even entry count
-    with pytest.raises(ValueError, match=r"^symbol entries must be nonnegative: \(-2, 0\)$"):
-        USymbol(1, (0, -2), (1,))
-    with pytest.raises(ValueError, match=r"^symbol entries must be nonnegative: \(-1, 3\)$"):
-        USymbol(0, (0,), (3, -1))
+        USymbol(0, row_bits((0, 2)), row_bits((4, 6)))   # even entry count
+    with pytest.raises(ValueError, match=r"^a symbol row bitset must be nonnegative, got -5$"):
+        USymbol(1, -5, 0b10)
+    with pytest.raises(ValueError, match=r"^a symbol row bitset must be nonnegative, got -1$"):
+        USymbol(0, 0b1, -1)
     with pytest.raises(ValueError, match=r"^consecutive entries in one row: \(2, 4, 5\)$"):
-        USymbol(1, (0,), (5, 2, 4))
+        USymbol(1, 0b1, row_bits((5, 2, 4)))
+
+
+@pytest.mark.parametrize("row, error, text", [
+    ((0, 2), TypeError, "a symbol row must be an int bitset, got (0, 2)"),
+    ([5], TypeError, "a symbol row must be an int bitset, got [5]"),
+    ({0, 2}, TypeError, "a symbol row must be an int bitset, got {0, 2}"),
+    (5.0, TypeError, "a symbol row must be an int bitset, got 5.0"),
+    ("5", TypeError, "a symbol row must be an int bitset, got '5'"),
+    (None, TypeError, "a symbol row must be an int bitset, got None"),
+    (True, TypeError, "a symbol row must be an int bitset, got True"),
+    (False, TypeError, "a symbol row must be an int bitset, got False"),
+    (-1, ValueError, "a symbol row bitset must be nonnegative, got -1"),
+    (-(1 << 70), ValueError, f"a symbol row bitset must be nonnegative, got {-(1 << 70)}"),
+], ids=["tuple", "list", "set", "float", "str", "none", "true", "false", "minus-one", "minus-big"])
+def test_a_symbol_row_is_a_nonnegative_int_bitset(row, error, text):
+    # either row, in either family: a row that is not a nonnegative int is
+    # refused before any rule on its entries
+    for parity, good in ((0, 0b10001), (1, 0b10)):
+        for a, b in ((row, good), (good, row)):
+            with pytest.raises(error) as err:
+                USymbol(parity, a, b)
+            assert str(err.value) == text
+
+
+def test_replace_runs_the_checks_again():
+    sym = USymbol(0, row_bits((0, 4)), row_bits((2,)))
+    for change, error, text in [
+        ({"a_bits": 0b11}, ValueError, "consecutive entries in one row: (0, 1)"),
+        ({"b_bits": 0b101}, ValueError, "the second row of a symplectic symbol excludes 0"),
+        ({"b_bits": 0}, ValueError, "a symplectic symbol has an odd number of entries"),
+        ({"b_bits": -4}, ValueError, "a symbol row bitset must be nonnegative, got -4"),
+        ({"a_bits": (0, 4)}, TypeError, "a symbol row must be an int bitset, got (0, 4)"),
+        ({"parity": 2}, ValueError, "symbol parity must be 0 (ordered) or 1 (unordered), got 2"),
+    ]:
+        with pytest.raises(error) as err:
+            dataclasses.replace(sym, **change)
+        assert str(err.value) == text, change
+    assert dataclasses.replace(sym, parity=1) == USymbol(1, sym.a_bits, sym.b_bits)
+    assert dataclasses.replace(sym, b_bits=0b1000000).b == (6,)
 
 
 def spaced_rows(top: int, most: int) -> list[tuple[int, ...]]:
@@ -117,7 +160,7 @@ def test_rows_alone_keep_the_size_nonnegative_and_symplectic_sizes_even(parity):
     for a in rows:
         for b in rows:
             try:
-                sym = USymbol(parity, a, b)
+                sym = USymbol(parity, row_bits(a), row_bits(b))
             except ValueError:
                 continue
             built += 1
@@ -132,16 +175,13 @@ def test_rows_alone_keep_the_size_nonnegative_and_symplectic_sizes_even(parity):
 @pytest.mark.parametrize("parity", [2, -1, None, "0", 0.5, True, False, 1.0, 0.0])
 def test_symbol_parity_is_0_or_1(parity):
     with pytest.raises(ValueError, match=r"^symbol parity must be 0 \(ordered\) or 1 \(unordered\), got "):
-        USymbol(parity, (0, 2), (5,))
+        USymbol(parity, row_bits((0, 2)), row_bits((5,)))
 
 
 def tuple_row_rules(parity, a, b):
-    """The row rules on sorted tuples, as USymbol applied them before its rows
-    became bitsets: (A, B, size, defect), or the text of the ValueError."""
-    a, b = tuple(sorted(set(a))), tuple(sorted(set(b)))
+    """The row rules on increasing tuples, as USymbol applied them before its
+    rows became bitsets: (A, B, size, defect), or the text of the ValueError."""
     for side in (a, b):
-        if side and side[0] < 0:
-            return f"symbol entries must be nonnegative: {side}"
         if any(y - x == 1 for x, y in zip(side, side[1:])):
             return f"consecutive entries in one row: {side}"
     if parity == 0:
@@ -155,28 +195,27 @@ def tuple_row_rules(parity, a, b):
     return a, b, 2 * total - ((t - 1) ** 2 - 1), abs(d)
 
 
-def symbol_or_error(parity, a, b):
+def symbol_or_error(parity, a_bits, b_bits):
     try:
-        sym = USymbol(parity, a, b)
+        sym = USymbol(parity, a_bits, b_bits)
     except ValueError as err:
         return str(err)
     return sym.a, sym.b, sym.size, sym.defect
 
 
-# rows that break a rule of their own, given out of order or with repeats
-BAD_ROWS = [(0, -2), (3, -1), (5, 2, 4), (0, 1), (9, 8, 8), (-3, 6, 7)]
+# increasing rows that break a rule of their own
+BAD_ROWS = [(0, 1), (2, 4, 5), (8, 9), (3, 6, 7)]
 
 
 @pytest.mark.parametrize("parity", [0, 1], ids=["sp", "o"])
 def test_bitset_rows_follow_the_tuple_row_rules(parity):
-    # every pair of spaced rows, and every pair with a row that breaks a rule,
-    # the second row given in decreasing order
+    # every pair of spaced rows, and every pair with a row that breaks a rule
     rows = spaced_rows(10, 4) + BAD_ROWS
     built = 0
     for a in rows:
         for b in rows:
             want = tuple_row_rules(parity, a, b)
-            assert symbol_or_error(parity, a, b[::-1]) == want, (a, b)
+            assert symbol_or_error(parity, row_bits(a), row_bits(b)) == want, (a, b)
             built += not isinstance(want, str)
     assert built > 1000
 
@@ -184,11 +223,12 @@ def test_bitset_rows_follow_the_tuple_row_rules(parity):
 @pytest.mark.parametrize("parity", [0, 1], ids=["sp", "o"])
 def test_long_bitset_rows_read_back(parity):
     # rows of about 10**5 entries spread over 4 * 10**5: far past one machine
-    # word, with an odd number of entries in all
+    # word, with an odd number of entries in all, each bitset written out as
+    # its binary digits
     a = range(0, 4 * 10**5 + 1, 4)
     b = range(2, 4 * 10**5, 4)
-    got = symbol_or_error(parity, [*a, 0, 4], b)
-    assert got == tuple_row_rules(parity, a, b)
+    got = symbol_or_error(parity, int("1" + "0001" * 10**5, 2), int("0100" * 10**5, 2))
+    assert got == tuple_row_rules(parity, tuple(a), tuple(b))
     assert got[:2] == (tuple(a), tuple(b))
 
 
@@ -215,10 +255,26 @@ def test_a_swapped_symbol_is_checked_as_the_constructor_checks():
     (SP2, (2,), ((3,),), (0, 1), (2,)),
 ])
 def test_interval_structure_fixtures(kind, parts, intervals, h, matched):
+    # each interval is the union of its split pair, and the margin is where
+    # the two common rows differ
     st_ = interval_structure(require_valid(kind, Partition(parts)))
-    assert st_.intervals == intervals
-    assert st_.h == h
+    assert tuple(entries(in_a | in_b) for in_a, in_b in st_.splits) == intervals
+    assert entries(st_.common[0] ^ st_.common[1]) == h
     assert st_.parts == matched
+
+
+@pytest.mark.parametrize("a, b, message", [
+    ((0, 3), (2,), "(4,2): 1 intervals for 2 generator parts"),
+    ((0, 2, 6), (3, 7), "(4,2): interval (2, 3) does not match multiplicity of 2"),
+], ids=["count", "length"])
+def test_interval_structure_checks_its_runs(monkeypatch, a, b, message):
+    # negative controls: a base symbol whose runs, outside the margin {0},
+    # are too few for the parts (2, 4), or of the wrong length
+    monkeypatch.setattr(symbols, "distinguished_symbol",
+                        lambda orbit: USymbol(0, row_bits(a), row_bits(b)))
+    with pytest.raises(InternalCheckError) as err:
+        interval_structure(require_valid(SP6, Partition((4, 2))))
+    assert str(err.value) == message
 
 
 def test_swapped_symbol_matches_the_set_algebra_on_every_pair():
@@ -229,33 +285,35 @@ def test_swapped_symbol_matches_the_set_algebra_on_every_pair():
         for orbit in group_partitions(kind):
             structure = interval_structure(orbit)
             for signs in itertools.product((1, -1), repeat=len(structure.parts)):
-                assert swapped_symbol(structure, signs) == \
-                    set_algebra_swapped_symbol(structure, signs), (kind, orbit.partition, signs)
+                sym, p = swapped_symbol(structure, signs), orbit.partition
+                assert (sym.a, sym.b) == set_algebra_swapped_symbol(kind, p, signs), (kind, p, signs)
                 pairs += 1
     assert pairs == 1120
 
 
-def _entry_set(bits: int) -> set[int]:
-    return {x for x in range(bits.bit_length()) if bits >> x & 1}
+def entries(bits: int) -> tuple[int, ...]:
+    return tuple(x for x in range(bits.bit_length()) if bits >> x & 1)
 
 
 def test_base_symbol_and_intervals_match_the_two_row_split_on_every_orbit():
+    # the splits' unions are the maximal runs of A ^ B outside the margin, increasing
     padded = 0
     for kind in classical_kinds(22):
         for orbit in group_partitions(kind):
             p = orbit.partition
             padded += kind.is_symplectic and len(p.parts) % 2
             symbol = distinguished_symbol(orbit)
-            assert symbol == staircase_split_symbol(kind, p), (kind, p)
+            assert (symbol.a, symbol.b) == staircase_split_symbol(kind, p), (kind, p)
             structure = interval_structure(orbit)
             assert structure.symbol == symbol
-            expected = set_algebra_intervals(kind, p, symbol)
+            expected = set_algebra_intervals(kind, p, (symbol.a, symbol.b))
             got = {
-                "intervals": structure.intervals,
+                "intervals": tuple(entries(in_a | in_b) for in_a, in_b in structure.splits),
                 "parts": structure.parts,
-                "h": structure.h,
-                "common": tuple(map(_entry_set, structure.common)),
-                "splits": tuple(tuple(map(_entry_set, split)) for split in structure.splits),
+                "h": entries(structure.common[0] ^ structure.common[1]),
+                "common": tuple(set(entries(row)) for row in structure.common),
+                "splits": tuple(tuple(set(entries(row)) for row in split)
+                                for split in structure.splits),
             }
             assert got == expected, (kind, p)
     assert padded > 0  # symplectic partitions with an odd number of parts
@@ -266,8 +324,9 @@ def test_interval_lengths_match_multiplicities():
                  GroupKind(Family.SO_EVEN, 10)):
         for orbit in group_partitions(kind):
             st_ = interval_structure(orbit)
-            for run, q in zip(st_.intervals, st_.parts):
-                assert len(run) == orbit.partition.parts.count(q)
+            assert len(st_.splits) == len(st_.parts)
+            for (in_a, in_b), q in zip(st_.splits, st_.parts):
+                assert (in_a | in_b).bit_count() == orbit.partition.parts.count(q)
 
 
 @pytest.mark.parametrize("kind,parts,signs,a,b,dft", [
@@ -389,11 +448,11 @@ def test_two_lifts_same_unordered_symbol_class():
 def shifted(sym: USymbol) -> USymbol:
     """One step of the shift (A, B) -> ({0} u (A+2), {1} u (B+2)), seed 0 twice if unordered."""
     seed_b = 1 if sym.parity == 0 else 0
-    return USymbol(sym.parity, (0,) + tuple(x + 2 for x in sym.a), (seed_b,) + tuple(x + 2 for x in sym.b))
+    return USymbol(sym.parity, sym.a_bits << 2 | 1, sym.b_bits << 2 | 1 << seed_b)
 
 
 def test_shift_keeps_size_and_defect_of_a_symplectic_symbol():
-    sym = USymbol(0, (0, 4), (2,))
+    sym = USymbol(0, row_bits((0, 4)), row_bits((2,)))
     lifted = shifted(sym)
     assert (lifted.a, lifted.b) == ((0, 2, 6), (1, 4))
     assert lifted.defect == sym.defect
@@ -405,12 +464,11 @@ def test_shift_keeps_size_and_defect_of_a_symplectic_symbol():
        st.integers(min_value=0, max_value=3))
 def test_shift_equivalence_preserves_size_and_defect(seed, shifts):
     # build a spaced-out orthogonal symbol from arbitrary seeds
-    row_a = tuple(sorted({2 * x for x in seed}))
-    row_b = tuple(sorted({2 * x + 1 for x in seed}))
-    sym = USymbol(1, row_a, row_b)
+    row_a = {2 * x for x in seed}
+    row_b = {2 * x + 1 for x in seed}
+    sym = USymbol(1, row_bits(row_a), row_bits(row_b))
     lifted = sym
     for _ in range(shifts):
         lifted = shifted(lifted)
     assert lifted.size == sym.size
     assert lifted.defect == sym.defect
-
