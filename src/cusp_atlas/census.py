@@ -12,8 +12,11 @@ checking it again.  So the type, not a convention, carries the check.
 The census does per partition what depends on the partition alone: it
 counts its classes, lists its characters as signs on the generators and
 builds its interval structure, with every check of ``interval_structure``.
-Every (partition, character) pair still gets its own u-symbol, built and
-validated, and its d is read off that symbol's defect.
+The multiplicities of each partition are counted once, by its validation,
+and the orbit carries that table to ``orbit_count``, ``component_group`` and
+``interval_structure``.  Every (partition, character) pair still gets its
+own u-symbol, built and validated, and its d is read off that symbol's
+defect.
 """
 
 from __future__ import annotations

@@ -44,6 +44,7 @@ from .lparams import (
     is_cuspidal,
     reducibility_point,
     sgroup_factors,
+    signed_slices,
     validate_parameter,
 )
 from .orbits import (
@@ -67,9 +68,9 @@ DEFAULT_BOUND = 24
 MAX_GROUP_SIZE = 10**6
 # Largest `enumerate` size and `selfcheck` range, whatever the bound.  In a
 # cold process on a 2-vCPU host whose speed drifts, `enumerate` of Sp_32 takes
-# 0.29-0.39 s and `selfcheck` with every range at 32 takes 2.9-4.5 s (with
-# u-symbol rows held as tuples, run alternately: 0.34-0.43 s and 3.1-4.8 s);
-# the Sp count identity alone takes 2.0-2.2 s at 36 in-process.
+# 0.25-0.39 s and `selfcheck` with every range at 32 takes 2.4-3.0 s (counting
+# each orbit's multiplicities three or four times, run alternately: 0.33-0.51 s
+# and 2.5-3.9 s); the Sp count identity takes 0.34-0.40 s at 36 in-process.
 MAX_CENSUS_SIZE = 32
 
 
@@ -451,9 +452,10 @@ def _run_support(payload, bound: int) -> dict:
 def _run_cuspidal_test(payload, bound: int) -> dict:
     kind, blocks, eta = payload
     param = DiscreteParameter(kind, blocks)
+    slices = signed_slices(param, eta)
     return {
-        "cuspidal": is_cuspidal(param, eta),
-        "sgroup_factors": sgroup_factors(param, eta),
+        "cuspidal": is_cuspidal(param, eta, slices=slices),
+        "sgroup_factors": sgroup_factors(param, eta, slices=slices),
     }
 
 

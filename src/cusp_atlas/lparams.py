@@ -173,13 +173,17 @@ def det_flip(p: DiscreteParameter, eta: ParameterCharacter) -> ParameterCharacte
     return eta.flip_where(lambda key: key in odd_keys)
 
 
-def sgroup_factors(p: DiscreteParameter, eta: ParameterCharacter) -> bool:
+def sgroup_factors(p: DiscreteParameter, eta: ParameterCharacter, *, slices=None) -> bool:
     """Whether eta is trivial on the image of the center (defines a packet member).
 
     The center {+-1} of Sp and of even SO acts by -1 on every block, so its
     image is the product of all generators; odd SO has a trivial center.
+    ``slices`` are ``signed_slices(p, eta)`` if read.
     """
-    signs = signs_on(eta, p.block_keys(), "blocks", p)
+    if slices is None:
+        signs = signs_on(eta, p.block_keys(), "blocks", p)
+    else:
+        signs = [sign for _, _, slice_signs in slices for sign in slice_signs]
     return p.dual_group.family is Family.SO_ODD or math.prod(signs) == 1
 
 

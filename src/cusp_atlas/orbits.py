@@ -53,6 +53,13 @@ class Family(str, Enum):
 
 _EVEN_SIZE = {Family.SP, Family.SO_EVEN, Family.O_EVEN}
 _ODD_SIZE = {Family.SO_ODD, Family.O_ODD}
+# GroupKind's predicates look the family up here: on Python 3.11, naming an
+# enum member (Family.SP) goes through the enum class's __getattr__ hook and
+# costs several set lookups, and the census asks a predicate per pair.
+_SPECIAL_ORTHOGONAL = {Family.SO_ODD, Family.SO_EVEN}
+_FULL_ORTHOGONAL = {Family.O_ODD, Family.O_EVEN}
+# the parity of the parts carrying z-generators: even for Sp, odd for (S)O, none for GL
+_GENERATOR_PARITY = {Family.SP: 0, **dict.fromkeys(_SPECIAL_ORTHOGONAL | _FULL_ORTHOGONAL, 1)}
 
 
 @dataclass(frozen=True)
@@ -73,33 +80,24 @@ class GroupKind:
 
     @property
     def is_symplectic(self) -> bool:
-        return self.family is Family.SP
-
-    @property
-    def is_orthogonal(self) -> bool:
-        """True for both the special and the full orthogonal groups."""
-        return self.family in (Family.SO_ODD, Family.SO_EVEN, Family.O_ODD, Family.O_EVEN)
+        return _GENERATOR_PARITY.get(self.family) == 0
 
     @property
     def is_special_orthogonal(self) -> bool:
-        return self.family in (Family.SO_ODD, Family.SO_EVEN)
+        return self.family in _SPECIAL_ORTHOGONAL
 
     @property
     def is_full_orthogonal(self) -> bool:
-        return self.family in (Family.O_ODD, Family.O_EVEN)
+        return self.family in _FULL_ORTHOGONAL
 
     @property
     def is_gl(self) -> bool:
-        return self.family is Family.GL
+        return self.family not in _GENERATOR_PARITY
 
     @property
     def generator_parity(self) -> Optional[int]:
         """Parity (0 even / 1 odd) of the parts carrying z-generators."""
-        if self.is_symplectic:
-            return 0
-        if self.is_orthogonal:
-            return 1
-        return None
+        return _GENERATOR_PARITY.get(self.family)
 
     def __str__(self) -> str:
         return f"{self.family.value}_{self.size}"
@@ -124,7 +122,10 @@ class Partition:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(sorted(map(as_int, parts), reverse=True))
+        parts = tuple(parts)
+        if not set(map(type, parts)) <= {int}:  # an exact int is read as it is
+            parts = map(as_int, parts)
+        parts = tuple(sorted(parts, reverse=True))
         if parts and parts[-1] <= 0:
             raise ValueError(f"parts must be positive integers, got {parts}")
         object.__setattr__(self, "parts", parts)
@@ -252,11 +253,16 @@ class ValidOrbit:
 
     Only that function makes one, so a function taking a ``ValidOrbit`` reads
     the partition as admissible without checking it again: each value is
-    validated once, where it is made.
+    validated once, where it is made.  It carries the table its validation
+    counted, ``multiplicities``: the (part, multiplicity) pairs, distinct
+    parts increasing, which every orbit-level layer reads instead of
+    counting the parts again.  The table is a function of the partition, so
+    it takes no part in ``==`` or ``hash``.
     """
 
     kind: GroupKind
     partition: Partition
+    multiplicities: tuple[tuple[int, int], ...] = field(default=(), repr=False, compare=False)
     _mint: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -285,19 +291,22 @@ def validate_partition(kind: GroupKind, p: Partition) -> Verdict:
     Sp: odd parts need even multiplicity; (S)O: even parts need even
     multiplicity; GL: no rule.  A total different from the matrix size is
     reported as invalid rather than raised, so callers can collect problems.
+    The multiplicities are counted here, once, and a valid verdict's orbit
+    carries their table.
     """
     problems = []
     if p.total != kind.size:
         problems.append(f"parts sum to {p.total}, expected {kind.size}")
+    table = p.multiplicities()
     parity = kind.generator_parity
     if parity is not None:  # the parts of the other parity come in pairs
         rule = "even" if parity else "odd"
-        for q, m in p.multiplicities().items():
+        for q, m in table.items():
             if q % 2 != parity and m % 2:
                 problems.append(f"{rule} part {q} has odd multiplicity {m}")
     if problems:
         return Verdict(False, tuple(problems))
-    return Verdict(True, (), ValidOrbit(kind, p, _MINT))
+    return Verdict(True, (), ValidOrbit(kind, p, tuple(table.items()), _MINT))
 
 
 def require_valid(kind: GroupKind, p: Partition) -> ValidOrbit:
@@ -308,15 +317,14 @@ def require_valid(kind: GroupKind, p: Partition) -> ValidOrbit:
     return verdict.orbit
 
 
-def is_degenerate(p: Partition) -> bool:
+def is_degenerate(orbit: ValidOrbit) -> bool:
     """All parts even with even multiplicities (the class-splitting case)."""
-    return all(q % 2 == 0 and m % 2 == 0 for q, m in p.multiplicities().items())
+    return all(q % 2 == 0 and m % 2 == 0 for q, m in orbit.multiplicities)
 
 
 def orbit_count(orbit: ValidOrbit) -> int:
     """Number of unipotent classes attached to the partition (2 only for degenerate SO_even)."""
-    p = orbit.partition
-    if orbit.kind.family is Family.SO_EVEN and len(p) and is_degenerate(p):
+    if orbit.kind.family is Family.SO_EVEN and orbit.multiplicities and is_degenerate(orbit):
         return 2
     return 1
 
@@ -327,7 +335,7 @@ def component_group(orbit: ValidOrbit) -> ComponentGroupDescriptor:
     parity = kind.generator_parity
     if parity is None:  # GL: connected reductive centralizer
         return ComponentGroupDescriptor((), Relation.FREE, 1)
-    gens = orbit.partition.distinct_parts_of_parity(parity)
+    gens = tuple(q for q, _ in orbit.multiplicities if q % 2 == parity)
     if kind.is_special_orthogonal:
         order = 2 ** max(0, len(gens) - 1)
         return ComponentGroupDescriptor(gens, Relation.QUOTIENT_BY_FULL_PRODUCT, order)

@@ -283,14 +283,15 @@ def springer_o(kind: GroupKind, p: Partition, signs: Sequence[int]) -> OSpringer
     if not kind.is_full_orthogonal:
         raise InvalidPartition(f"{kind} is not a full orthogonal group: springer_o takes O_N")
     orbit = require_valid(kind, p)
-    odd = p.distinct_parts_of_parity(1)
+    multiplicity = dict(orbit.multiplicities)
+    odd = tuple(q for q in multiplicity if q % 2)
     check_aligned(odd, signs, increasing=True)
     n = kind.size
     if n == 0:
         raise InvalidPartition("the O_N correspondence is computed for N >= 1, not for O_0")
     kind_so = classical_kind(1, n)
 
-    if is_degenerate(p):
+    if is_degenerate(orbit):
         torus_rank = n // 2
         datum = CuspidalDatum(kind_so, torus_rank, Partition(), SignCharacter(), 0, 0)
         return OSpringerDatum(
@@ -304,7 +305,6 @@ def springer_o(kind: GroupKind, p: Partition, signs: Sequence[int]) -> OSpringer
     cusp = staircase(1, d)
     # the sign on the central element -1 (the odd parts of odd multiplicity), and
     # on the smallest odd part, a det = -1 class that a nondegenerate partition has
-    multiplicity = p.multiplicities()
     central = math.prod(sign for q, sign in zip(odd, signs) if multiplicity[q] % 2)
     det_minus = signs[0]
     if n % 2 or d >= 2:

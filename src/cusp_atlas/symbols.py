@@ -12,14 +12,16 @@ off the one representative built here.
 Each row is held as an integer bitset: bit x is set when x is in the row.
 The row checks are then integer operations: a row r has no two consecutive
 entries when r & (r >> 1) == 0, 0 is missing from B when b & 1 == 0, and
-|A| - |B| is a.bit_count() - b.bit_count().  The rows read back as
-increasing tuples through ``USymbol.a`` and ``USymbol.b``.  An increasing
-row of integers becomes a bitset, and a bitset becomes a tuple, through one
-binary digit string each way, so both take time linear in the largest entry
-(a loop of ``bits |= 1 << x`` would not).  A symbol is made in one way, from
-its parity and its two row bitsets, and checked there: a base symbol from
-the two rows of one pass over the parts, which come out increasing, and a
-pair's symbol from the base rows' bitsets.
+|A| - |B| is a.bit_count() - b.bit_count().  An increasing row of integers
+becomes a bitset through one binary digit string, so it takes time linear
+in the largest entry (a loop of ``bits |= 1 << x`` would not).  No
+computation reads a bitset back: only a message (a refused row, a failed
+interval check, ``str`` of a symbol) lists its entries, through the same
+kind of digit string.  A symbol is made in one way, from its parity and its
+two row bitsets, and checked there: a base symbol from the two rows of one
+pass over the parts, which come out increasing, and a pair's symbol from
+the base rows' bitsets.  The base symbol's size is summed off those two
+rows while they are still lists, and compared with the group's size.
 
 The pair (class, character) is encoded as follows.  A partition p of N is
 turned into a base symbol by splitting the strictly increasing sequence
@@ -60,13 +62,6 @@ def _entries(row: int) -> tuple[int, ...]:
     return tuple(compress(count(), bin(row)[:1:-1].encode().translate(_DIGIT_VALUES)))
 
 
-def _spaced(row: int) -> int:
-    """The row bitset, once checked to hold no two consecutive entries."""
-    if row & (row >> 1):
-        raise ValueError(f"consecutive entries in one row: {_entries(row)}")
-    return row
-
-
 def _bits(row: list[int]) -> int:
     """The bitset of an increasing row of nonnegative integers: a '1' digit
     per entry in a binary digit string, which ``int`` reads at once."""
@@ -86,8 +81,7 @@ class USymbol:
     ``parity`` is the generator parity of the group it belongs to
     (:attr:`GroupKind.generator_parity`): the int 0, an ordered symplectic
     symbol, or the int 1, an unordered orthogonal one.  The rows are the
-    bitsets ``a_bits`` and ``b_bits``, nonnegative ints; ``a`` and ``b``
-    give them back as increasing tuples.  The fields are the one
+    bitsets ``a_bits`` and ``b_bits``, nonnegative ints.  The fields are the one
     constructor, so every symbol, ``dataclasses.replace`` included, passes
     the checks: the parity, each row an int bitset and not a bool, no two
     consecutive entries in a row, and the symplectic conditions.  A row
@@ -115,7 +109,8 @@ class USymbol:
                 raise TypeError(f"a symbol row must be an int bitset, got {row!r}")
             if row < 0:
                 raise ValueError(f"a symbol row bitset must be nonnegative, got {row}")
-            _spaced(row)
+            if row & (row >> 1):
+                raise ValueError(f"consecutive entries in one row: {_entries(row)}")
         if parity == 0:
             if b & 1:
                 raise ValueError("the second row of a symplectic symbol excludes 0")
@@ -123,31 +118,13 @@ class USymbol:
                 raise ValueError("a symplectic symbol has an odd number of entries")
 
     @property
-    def a(self) -> tuple[int, ...]:
-        return _entries(self.a_bits)
-
-    @property
-    def b(self) -> tuple[int, ...]:
-        return _entries(self.b_bits)
-
-    @property
-    def size(self) -> int:
-        """The matrix size N recovered from the balance condition."""
-        a, b = self.a, self.b
-        t = len(a) + len(b)
-        total = sum(a) + sum(b)
-        if self.parity == 0:
-            return 2 * total - t * (t - 1)
-        return 2 * total - ((t - 1) ** 2 - 1)
-
-    @property
     def defect(self) -> int:
         d = self.a_bits.bit_count() - self.b_bits.bit_count()
         return d if self.parity == 0 else abs(d)
 
     def __str__(self) -> str:
-        fmt = lambda row: "{" + ",".join(map(str, row)) + "}"
-        return f"({fmt(self.a)};{fmt(self.b)})"
+        fmt = lambda row: "{" + ",".join(map(str, _entries(row))) + "}"
+        return f"({fmt(self.a_bits)};{fmt(self.b_bits)})"
 
 
 @dataclass(frozen=True)
@@ -204,7 +181,10 @@ def distinguished_symbol(orbit: ValidOrbit) -> USymbol:
 
     Its rows come out of :func:`_base_rows` increasing, so each becomes a
     bitset through one digit string with no sort, and the symbol is checked
-    as every symbol is, its size read back off the bitsets.
+    as every symbol is.  Its size, from the balance condition, is summed
+    off the two row lists and compared with the group's: with t entries in
+    all, 2 (sum(A) + sum(B)) less t(t - 1) for a symplectic symbol and less
+    (t - 1)^2 - 1 for an orthogonal one.
     """
     kind, p = orbit.kind, orbit.partition
     parity = kind.generator_parity
@@ -212,9 +192,11 @@ def distinguished_symbol(orbit: ValidOrbit) -> USymbol:
         raise InvalidPartition(f"{kind} has no u-symbol combinatorics")
     row_a, row_b = _base_rows(kind, p)
     symbol = USymbol(parity, _bits(row_a), _bits(row_b))
+    t = len(row_a) + len(row_b)
+    size = 2 * (sum(row_a) + sum(row_b)) - ((t - 1) ** 2 - 1 if parity else t * (t - 1))
     expected = kind.size
-    if symbol.size != expected:
-        raise InternalCheckError(f"base symbol of {p} has size {symbol.size}, expected {expected}")
+    if size != expected:
+        raise InternalCheckError(f"base symbol of {p} has size {size}, expected {expected}")
     return symbol
 
 
@@ -223,32 +205,32 @@ def interval_structure(orbit: ValidOrbit) -> IntervalStructure:
 
     One walk over the runs of A ^ B, as bitsets: the symplectic margin, the
     run at 0, is set apart first, and the runs left are counted by their
-    starts.  The generator parts and their multiplicities come from one
-    :meth:`Partition.multiplicities` table, whose keys increase.  Each run
-    must match, in order, a distinct part of the generator parity, its
-    length being that part's multiplicity.
+    starts.  The generator parts and their multiplicities are read off the
+    table the orbit carries, whose parts increase.  Each run must match, in
+    order, a distinct part of the generator parity, its length being that
+    part's multiplicity.
     """
-    kind, p = orbit.kind, orbit.partition
+    p = orbit.partition
     symbol = distinguished_symbol(orbit)
-    base_a, base_b = symbol.a_bits, symbol.b_bits
+    parity, base_a, base_b = symbol.parity, symbol.a_bits, symbol.b_bits
     rest = base_a ^ base_b
-    margin = rest & ~(rest + 1) if kind.is_symplectic else 0
+    margin = 0 if parity else rest & ~(rest + 1)
     rest ^= margin
-    multiplicity = p.multiplicities()
-    parts = tuple(q for q in multiplicity if q % 2 == symbol.parity)
+    generators = [(q, m) for q, m in orbit.multiplicities if q % 2 == parity]
     intervals = (rest & ~(rest << 1)).bit_count()
-    if len(parts) != intervals:
-        raise InternalCheckError(f"{p}: {intervals} intervals for {len(parts)} generator parts")
+    if len(generators) != intervals:
+        raise InternalCheckError(f"{p}: {intervals} intervals for {len(generators)} generator parts")
     splits = []
-    for q in parts:
+    for q, m in generators:
         run = rest & ~(rest + (rest & -rest))
-        if run.bit_count() != multiplicity[q]:
+        if run.bit_count() != m:
             raise InternalCheckError(
                 f"{p}: interval {_entries(run)} does not match multiplicity of {q}")
         splits.append((base_a & run, base_b & run))
         rest ^= run
     both = base_a & base_b
     common = (both | (base_a & margin), both | (base_b & margin))
+    parts = tuple(q for q, _ in generators)
     return IntervalStructure(symbol, parts, common, tuple(splits))
 
 

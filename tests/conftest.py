@@ -2,7 +2,8 @@
 byte-backed standard input for CLI jobs, spies on partition validation, on
 character reads, on `Partition` construction and on `springer_datum` calls,
 the symbol and closed-form defect of a pair from a bare partition, the
-bitset of a row given as integers, the two-row split route to a base
+bitset of a row given as integers and the readers of a symbol's bitsets
+(its rows as increasing tuples and its size), the two-row split route to a base
 symbol's rows, the set-algebra routes to an interval structure and to a
 pair's rows, the alternative symplectic defect formula the symbol tests
 compare against, and a shorthand for parameter characters.
@@ -46,6 +47,29 @@ def row_bits(row: Iterable[int]) -> int:
 
 
 Rows = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def entries(bits: int) -> tuple[int, ...]:
+    """The entries of a row bitset, increasing: the positions of the 1s of
+    its binary digits, read lowest first, in time linear in its length."""
+    return tuple(x for x, digit in enumerate(reversed(bin(bits)[2:])) if digit == "1")
+
+
+def symbol_rows(sym: USymbol) -> Rows:
+    """The rows (A, B) of a symbol, each increasing, read off its bitsets."""
+    return entries(sym.a_bits), entries(sym.b_bits)
+
+
+def symbol_size(sym: USymbol) -> int:
+    """The matrix size N of a symbol by the balance condition, read off its
+    bitsets: with t entries in all, 2 (sum(A) + sum(B)) less t(t - 1) for a
+    symplectic symbol and less (t - 1)^2 - 1 for an orthogonal one."""
+    a, b = symbol_rows(sym)
+    t = len(a) + len(b)
+    total = sum(a) + sum(b)
+    if sym.parity == 0:
+        return 2 * total - t * (t - 1)
+    return 2 * total - ((t - 1) ** 2 - 1)
 
 
 def staircase_split_symbol(kind: GroupKind, p: Partition) -> Rows:

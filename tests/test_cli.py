@@ -51,6 +51,22 @@ def test_cuspidal_test_document():
     assert out == {"cuspidal": True, "sgroup_factors": True}
 
 
+def test_cuspidal_test_job_reads_its_character_once(signs_read):
+    # one read of the character, through signed_slices; is_cuspidal and
+    # sgroup_factors both take its slices
+    doc = {
+        "command": "cuspidal-test",
+        "group": {"family": "Sp", "N": 6},
+        "blocks": [
+            {"pi": {"name": "p", "dim": 1, "type": "orthogonal"}, "a": 2, "sign": -1},
+            {"pi": "p", "a": 4, "sign": 1},
+        ],
+    }
+    out = run(parse_input(doc))
+    assert out == {"cuspidal": True, "sgroup_factors": False}
+    assert len(signs_read) == 1
+
+
 def test_schema_error_pointers():
     bad = json.loads(json.dumps(SUPPORT_DOC))
     bad["blocks"][0]["sign"] = 0

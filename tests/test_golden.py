@@ -48,6 +48,9 @@ UNREACHED = {
     "orbits.SignCharacter.__str__",
     "symbols.USymbol.__str__",
     "verifications._pair",
+    # reads a row bitset back as entries for the messages of a refused symbol
+    # row and a failed interval check, and for USymbol.__str__
+    "symbols._entries",
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import timeit
 
 import pytest
@@ -25,7 +26,7 @@ from cusp_atlas.orbits import (
     staircase_d,
     validate_partition,
 )
-from cusp_atlas.census import group_partitions
+from cusp_atlas.census import group_partitions, partitions_of
 
 SP4 = GroupKind(Family.SP, 4)
 SP6 = GroupKind(Family.SP, 6)
@@ -190,7 +191,7 @@ def test_degenerate_partitions_have_no_generators():
     # splitting classes carry a connected centralizer image
     for orbit in group_partitions(GroupKind(Family.SO_EVEN, 8)):
         if orbit_count(orbit) == 2:
-            assert is_degenerate(orbit.partition)
+            assert is_degenerate(orbit)
             assert component_group(orbit).generators == ()
 
 
@@ -236,6 +237,60 @@ def test_partition_refuses_a_bool_part():
     for parts in ((True, 2), (2, False)):
         with pytest.raises(TypeError, match=r"^expected an integer, got (True|False)$"):
             Partition(parts)
+
+
+@pytest.mark.parametrize("part, text", [
+    (True, "expected an integer, got True"),
+    (2.0, "'float' object cannot be interpreted as an integer"),
+    ("2", "'str' object cannot be interpreted as an integer"),
+], ids=["bool", "float", "str"])
+def test_a_part_that_is_not_an_exact_int_is_read_through_as_int(part, text):
+    # only a tuple of exact ints skips the per-part read; any other part
+    # raises the error of as_int, wherever it stands
+    for parts in ((part,), (3, part), (part, 1, 1)):
+        with pytest.raises(TypeError) as err:
+            Partition(parts)
+        assert str(err.value) == text
+
+
+def test_an_int_subclass_part_reads_back_as_an_exact_int():
+    class Part(int):
+        pass
+
+    p = Partition((Part(2), 3, Part(1)))
+    assert p.parts == (3, 2, 1)
+    assert [type(q) for q in p.parts] == [int, int, int]
+
+
+def test_an_orbit_carries_the_multiplicity_table_of_its_partition():
+    # every family, every partition of N <= 16: the table validation counted
+    # is the partition's, and the layers that read it give what a recount
+    # of the partition gives
+    orbits = 0
+    for n in range(17):
+        for family in Family:
+            try:
+                kind = GroupKind(family, n)
+            except ValueError:  # a size of the wrong parity for the family
+                continue
+            parity = kind.generator_parity
+            for parts in partitions_of(n):
+                p = Partition(parts)
+                orbit = validate_partition(kind, p).orbit
+                if orbit is None:
+                    continue
+                orbits += 1
+                table = p.multiplicities()
+                assert orbit.multiplicities == tuple(table.items())
+                want = () if parity is None else p.distinct_parts_of_parity(parity)
+                assert component_group(orbit).generators == want
+                assert is_degenerate(orbit) == all(q % 2 == 0 and m % 2 == 0
+                                                   for q, m in table.items())
+                twin = require_valid(kind, Partition(parts))
+                assert twin == orbit and hash(twin) == hash(orbit)
+                bare = dataclasses.replace(orbit, multiplicities=())
+                assert bare == orbit and hash(bare) == hash(orbit)
+    assert orbits == 1802
 
 
 def test_group_kind_refuses_a_size_that_is_not_an_integer():

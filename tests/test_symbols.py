@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    entries,
     pair_defect,
     pair_symbol,
     row_bits,
     set_algebra_intervals,
     set_algebra_swapped_symbol,
     staircase_split_symbol,
+    symbol_rows,
+    symbol_size,
 )
 
 from cusp_atlas.census import classical_kinds, distinguished_pairs, group_partitions
@@ -70,8 +73,8 @@ def closed_form_symbol(kind, p, signs):
 ])
 def test_distinguished_symbol_fixtures(kind, parts, a, b):
     sym = distinguished_symbol(require_valid(kind, Partition(parts)))
-    assert (sym.a, sym.b) == (a, b)
-    assert sym.size == kind.size
+    assert symbol_rows(sym) == (a, b)
+    assert symbol_size(sym) == kind.size
 
 
 def test_symbol_rows_refuse_entries_that_are_not_integers():
@@ -80,7 +83,7 @@ def test_symbol_rows_refuse_entries_that_are_not_integers():
         for a, b in ((row, 0b10), (0b1, row)):
             with pytest.raises(TypeError, match=r"^a symbol row must be an int bitset, got "):
                 USymbol(1, a, b)
-    assert USymbol(1, 0b101, 0b10).a == (0, 2)
+    assert symbol_rows(USymbol(1, 0b101, 0b10)) == ((0, 2), (1,))
 
 
 def test_symbol_rows_refuse_a_bool_entry():
@@ -141,7 +144,7 @@ def test_replace_runs_the_checks_again():
             dataclasses.replace(sym, **change)
         assert str(err.value) == text, change
     assert dataclasses.replace(sym, parity=1) == USymbol(1, sym.a_bits, sym.b_bits)
-    assert dataclasses.replace(sym, b_bits=0b1000000).b == (6,)
+    assert symbol_rows(dataclasses.replace(sym, b_bits=0b1000000)) == ((0, 4), (6,))
 
 
 def spaced_rows(top: int, most: int) -> list[tuple[int, ...]]:
@@ -165,10 +168,11 @@ def test_rows_alone_keep_the_size_nonnegative_and_symplectic_sizes_even(parity):
                 continue
             built += 1
             d = len(a) - len(b)
+            size = symbol_size(sym)
             if parity == 0:
-                assert sym.size >= d * (d - 1) >= 0 and sym.size % 2 == 0, sym
+                assert size >= d * (d - 1) >= 0 and size % 2 == 0, sym
             else:
-                assert sym.size >= d * d, sym
+                assert size >= d * d, sym
     assert built > 1000
 
 
@@ -200,7 +204,7 @@ def symbol_or_error(parity, a_bits, b_bits):
         sym = USymbol(parity, a_bits, b_bits)
     except ValueError as err:
         return str(err)
-    return sym.a, sym.b, sym.size, sym.defect
+    return (*symbol_rows(sym), symbol_size(sym), sym.defect)
 
 
 # increasing rows that break a rule of their own
@@ -238,7 +242,7 @@ def test_a_swapped_symbol_is_checked_as_the_constructor_checks():
     structure = interval_structure(require_valid(SP6, Partition((4, 2))))
     trivial = (1, 1)
     sym = swapped_symbol(structure, trivial)
-    assert (sym.a, sym.b) == ((0, 4), (2,))
+    assert symbol_rows(sym) == ((0, 4), (2,))
     row_a, row_b = structure.common
     for common, message in [
         ((row_a | 0b10, row_b), r"^consecutive entries in one row: \(0, 1, 4\)$"),
@@ -286,13 +290,9 @@ def test_swapped_symbol_matches_the_set_algebra_on_every_pair():
             structure = interval_structure(orbit)
             for signs in itertools.product((1, -1), repeat=len(structure.parts)):
                 sym, p = swapped_symbol(structure, signs), orbit.partition
-                assert (sym.a, sym.b) == set_algebra_swapped_symbol(kind, p, signs), (kind, p, signs)
+                assert symbol_rows(sym) == set_algebra_swapped_symbol(kind, p, signs), (kind, p, signs)
                 pairs += 1
     assert pairs == 1120
-
-
-def entries(bits: int) -> tuple[int, ...]:
-    return tuple(x for x in range(bits.bit_length()) if bits >> x & 1)
 
 
 def test_base_symbol_and_intervals_match_the_two_row_split_on_every_orbit():
@@ -303,10 +303,10 @@ def test_base_symbol_and_intervals_match_the_two_row_split_on_every_orbit():
             p = orbit.partition
             padded += kind.is_symplectic and len(p.parts) % 2
             symbol = distinguished_symbol(orbit)
-            assert (symbol.a, symbol.b) == staircase_split_symbol(kind, p), (kind, p)
+            assert symbol_rows(symbol) == staircase_split_symbol(kind, p), (kind, p)
             structure = interval_structure(orbit)
             assert structure.symbol == symbol
-            expected = set_algebra_intervals(kind, p, (symbol.a, symbol.b))
+            expected = set_algebra_intervals(kind, p, symbol_rows(symbol))
             got = {
                 "intervals": tuple(entries(in_a | in_b) for in_a, in_b in structure.splits),
                 "parts": structure.parts,
@@ -317,6 +317,40 @@ def test_base_symbol_and_intervals_match_the_two_row_split_on_every_orbit():
             }
             assert got == expected, (kind, p)
     assert padded > 0  # symplectic partitions with an odd number of parts
+
+
+def test_base_symbol_size_summed_off_the_rows_is_the_size_of_its_bitsets():
+    # distinguished_symbol sums the size off the row lists of _base_rows and
+    # compares it with kind.size; the balance condition read off the bitsets
+    # of the symbol it returns gives the same size, on every orbit
+    orbits = 0
+    for kind in classical_kinds(22):
+        for orbit in group_partitions(kind):
+            row_a, row_b = symbols._base_rows(kind, orbit.partition)
+            sym = distinguished_symbol(orbit)
+            assert symbol_rows(sym) == (tuple(row_a), tuple(row_b))
+            assert symbol_size(sym) == kind.size, (kind, orbit.partition)
+            orbits += 1
+    assert orbits > 1000
+
+
+@pytest.mark.parametrize("kind, parts, message", [
+    (SP6, (4, 2), "base symbol of (4,2) has size 10, expected 6"),
+    (SO9, (5, 3, 1), "base symbol of (5,3,1) has size 13, expected 9"),
+], ids=["sp", "o"])
+def test_base_symbol_size_is_checked(monkeypatch, kind, parts, message):
+    # negative control: the top entry of row A moved up by 2 keeps the rows
+    # spaced, so the symbol is built, and only the size check sees it
+    base_rows = symbols._base_rows
+
+    def shifted(kind, p):
+        row_a, row_b = base_rows(kind, p)
+        return row_a[:-1] + [row_a[-1] + 2], row_b
+
+    monkeypatch.setattr(symbols, "_base_rows", shifted)
+    with pytest.raises(InternalCheckError) as err:
+        distinguished_symbol(require_valid(kind, Partition(parts)))
+    assert str(err.value) == message
 
 
 def test_interval_lengths_match_multiplicities():
@@ -336,7 +370,7 @@ def test_interval_lengths_match_multiplicities():
 ])
 def test_symbol_from_character_fixtures(kind, parts, signs, a, b, dft):
     sym = pair_symbol(kind, Partition(parts), signs)
-    assert (sym.a, sym.b) == (a, b)
+    assert symbol_rows(sym) == (a, b)
     assert sym.defect == dft
 
 
@@ -346,9 +380,9 @@ def test_symbol_from_character_matches_closed_form():
             got = pair_symbol(kind, p, signs)
             want = closed_form_symbol(kind, p, signs)
             if kind.is_symplectic:
-                assert (got.a, got.b) == (want.a, want.b)
+                assert symbol_rows(got) == symbol_rows(want)
             else:
-                assert {got.a, got.b} == {want.a, want.b}
+                assert set(symbol_rows(got)) == set(symbol_rows(want))
 
 
 def test_defect_formula_fixtures():
@@ -418,11 +452,12 @@ def test_base_symbol_satisfies_membership_conditions():
                  GroupKind(Family.SO_EVEN, 12)):
         for orbit in group_partitions(kind):
             sym = distinguished_symbol(orbit)
-            assert sym.size == kind.size  # encodes the balance condition
-            for row in (sym.a, sym.b):
+            assert symbol_size(sym) == kind.size  # encodes the balance condition
+            rows = symbol_rows(sym)
+            for row in rows:
                 assert all(y - x > 1 for x, y in zip(row, row[1:]))
             if kind.is_symplectic:
-                assert (len(sym.a) + len(sym.b)) % 2 == 1
+                assert (len(rows[0]) + len(rows[1])) % 2 == 1
 
 
 def test_trivial_character_symbol_is_similar_to_base():
@@ -430,10 +465,10 @@ def test_trivial_character_symbol_is_similar_to_base():
         for orbit in group_partitions(kind):
             p = orbit.partition
             trivial = (1,) * len(p.distinct_parts_of_parity(kind.generator_parity))
-            left = swapped_symbol(interval_structure(orbit), trivial)
-            right = distinguished_symbol(orbit)
-            assert set(left.a) | set(left.b) == set(right.a) | set(right.b)
-            assert set(left.a) & set(left.b) == set(right.a) & set(right.b)
+            left_a, left_b = map(set, symbol_rows(swapped_symbol(interval_structure(orbit), trivial)))
+            right_a, right_b = map(set, symbol_rows(distinguished_symbol(orbit)))
+            assert left_a | left_b == right_a | right_b
+            assert left_a & left_b == right_a & right_b
 
 
 def test_two_lifts_same_unordered_symbol_class():
@@ -441,7 +476,7 @@ def test_two_lifts_same_unordered_symbol_class():
     for p, signs in distinguished_pairs(SO9):
         left = pair_symbol(SO9, p, signs)
         right = pair_symbol(SO9, p, tuple(-s for s in signs))
-        assert {left.a, left.b} == {right.a, right.b}
+        assert set(symbol_rows(left)) == set(symbol_rows(right))
         assert left.defect == right.defect
 
 
@@ -454,9 +489,9 @@ def shifted(sym: USymbol) -> USymbol:
 def test_shift_keeps_size_and_defect_of_a_symplectic_symbol():
     sym = USymbol(0, row_bits((0, 4)), row_bits((2,)))
     lifted = shifted(sym)
-    assert (lifted.a, lifted.b) == ((0, 2, 6), (1, 4))
+    assert symbol_rows(lifted) == ((0, 2, 6), (1, 4))
     assert lifted.defect == sym.defect
-    assert lifted.size == sym.size
+    assert symbol_size(lifted) == symbol_size(sym)
 
 
 @settings(max_examples=200, deadline=None)
@@ -470,5 +505,5 @@ def test_shift_equivalence_preserves_size_and_defect(seed, shifts):
     lifted = sym
     for _ in range(shifts):
         lifted = shifted(lifted)
-    assert lifted.size == sym.size
+    assert symbol_size(lifted) == symbol_size(sym)
     assert lifted.defect == sym.defect
