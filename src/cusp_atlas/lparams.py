@@ -19,16 +19,16 @@ descend in steps of two down to size 1 or 2 ("gapless") and the character
 alternates: opposite values on consecutive blocks of a label, value -1 on
 a minimal block of even size.
 
-A :class:`DiscreteParameter` is valid by construction: its constructor runs
-:func:`validate_parameter` and raises ``InvalidParameter`` on any problem,
-so the functions below take validity for granted and never check it again.
+A :class:`DiscreteParameter` is valid by construction: its constructor sorts
+its blocks once, runs the one-pass checks of :func:`validate_parameter` on
+them and raises ``InvalidParameter`` on any problem, so the functions below
+take validity for granted and never check it again.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -62,16 +62,20 @@ class IrrLabel:
 BlockKey = tuple[str, int]
 
 
-def _block_key(label: IrrLabel, a: int) -> BlockKey:
-    return (label.name, a)
+def _block_key(block: tuple[IrrLabel, int]) -> BlockKey:
+    """The (label name, size) of a block: its generator's key, and the sort key."""
+    return block[0].name, block[1]
 
 
 _CLASSICAL_DUALS = (Family.SP, Family.SO_ODD, Family.SO_EVEN)
 
 
 def _sorted_blocks(blocks: Iterable[tuple[IrrLabel, int]]) -> tuple[tuple[IrrLabel, int], ...]:
-    return tuple(sorted(((label, as_int(a)) for label, a in blocks),
-                        key=lambda ba: (ba[0].name, ba[1])))
+    """The blocks sorted by (label name, size), each size read by ``as_int``
+    unless it is an exact int already."""
+    blocks = [(label, a if type(a) is int else as_int(a)) for label, a in blocks]
+    blocks.sort(key=_block_key)
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -88,9 +92,9 @@ class DiscreteParameter:
     def __init__(self, dual_group: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]):
         object.__setattr__(self, "dual_group", dual_group)
         object.__setattr__(self, "blocks", _sorted_blocks(blocks))
-        verdict = validate_parameter(dual_group, self.blocks)
-        if not verdict:
-            raise InvalidParameter(f"{self}: " + "; ".join(verdict.problems))
+        problems = _problems(dual_group, self.blocks)
+        if problems:
+            raise InvalidParameter(f"{self}: " + "; ".join(problems))
 
     def slices(self) -> tuple[tuple[IrrLabel, tuple[int, ...]], ...]:
         """(label, its block sizes increasing) for each label, in name order."""
@@ -98,7 +102,7 @@ class DiscreteParameter:
                      for label, group in itertools.groupby(self.blocks, key=itemgetter(0)))
 
     def block_keys(self) -> tuple[BlockKey, ...]:
-        return tuple(_block_key(label, a) for label, a in self.blocks)
+        return tuple(map(_block_key, self.blocks))
 
     @property
     def dimension(self) -> int:
@@ -109,6 +113,19 @@ class DiscreteParameter:
         return f"{{{inner}}}"
 
 
+# lparams reads these through module names: on Python 3.11, naming an enum
+# member (SelfDualType.GL_PAIR) goes through the enum class's __getattr__ hook
+# and costs about ten times a module-level name, and the validator and both
+# support routes ask the block parity once per block or label.
+_ORTHOGONAL = SelfDualType.ORTHOGONAL
+_GL_PAIR = SelfDualType.GL_PAIR
+_SO_ODD = Family.SO_ODD
+# the (dual family, label type) pairs with the label type matching the dual
+# group's: a label of such a pair has an orthogonal multiplicity group
+_MATCHING_TYPES = frozenset({(Family.SP, SelfDualType.SYMPLECTIC),
+                             (Family.SO_ODD, _ORTHOGONAL), (Family.SO_EVEN, _ORTHOGONAL)})
+
+
 def block_group_type(dual: GroupKind, label: IrrLabel) -> int:
     """Generator parity of the group acting on the multiplicity space of a label.
 
@@ -116,50 +133,73 @@ def block_group_type(dual: GroupKind, label: IrrLabel) -> int:
     (symplectic) when they differ, as :attr:`GroupKind.generator_parity`
     gives for that group.  It is also the parity of the label's block sizes.
     """
-    if label.sd_type is SelfDualType.GL_PAIR:
+    sd_type = label.sd_type
+    if sd_type is _GL_PAIR:
         raise InvalidParameter("gl-pair labels have no block parity rule")
-    matches = (dual.is_symplectic and label.sd_type is SelfDualType.SYMPLECTIC) or (
-        dual.is_special_orthogonal and label.sd_type is SelfDualType.ORTHOGONAL)
-    return 1 if matches else 0
+    return 1 if (dual.family, sd_type) in _MATCHING_TYPES else 0
 
 
 def validate_parameter(dual: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]) -> Verdict:
     """The problems that keep ``blocks`` from being a discrete parameter of ``dual``.
 
     The :class:`DiscreteParameter` constructor raises on any of them; the
-    CLI ``validate`` command reports them all.
+    CLI ``validate`` command reports them all.  A dual group that is not
+    classical is reported before the blocks are read.
     """
-    problems = []
+    if dual.family in _CLASSICAL_DUALS:
+        blocks = _sorted_blocks(blocks)
+    problems = _problems(dual, blocks)
+    return Verdict(not problems, tuple(problems))
+
+
+def _problems(dual: GroupKind, blocks: tuple[tuple[IrrLabel, int], ...]) -> list[str]:
+    """The problems of ``blocks``, sorted by ``_sorted_blocks``, in one pass.
+
+    The one validator of parameters: the repeated blocks, each named once
+    in (name, size) order, then per distinct block a label name first met
+    with other data, a nonpositive size, a gl-pair label or the size parity
+    :func:`block_group_type` asks for, and last the dimension.  The sort
+    makes repeats and the blocks of one name adjacent, so the first label
+    of a name is the one every later label of that name is held to.
+    """
     if dual.family not in _CLASSICAL_DUALS:
-        problems.append(f"dual group {dual} is not a classical dual "
-                        "(Sp / SOodd / SOeven)")
-        return Verdict(False, tuple(problems))
-    blocks = _sorted_blocks(blocks)
-    seen = Counter(_block_key(label, a) for label, a in blocks)
-    for (name, a), count in sorted(seen.items()):
-        if count > 1:
-            problems.append(f"repeated block ({name},{a})")
-    by_name: dict[str, IrrLabel] = {}
-    for label, a in dict.fromkeys(blocks):  # each distinct block once
-        prior = by_name.setdefault(label.name, label)
-        if prior != label:
-            problems.append(f"label name {label.name!r} used with two different data")
+        return [f"dual group {dual} is not a classical dual (Sp / SOodd / SOeven)"]
+    repeated: list[str] = []
+    problems: list[str] = []
+    dimension = 0
+    name_at = a_at = first = run_first = None  # the current name and size, their first labels
+    run = None  # once the current (name, size) repeats: the distinct labels met at it
+    for label, a in blocks:
+        dimension += label.dim * a
+        name = label.name
+        if a == a_at and name == name_at:  # a repeat: named once, each distinct label checked once
+            if run is None:
+                repeated.append(f"repeated block ({name},{a})")
+                run = {run_first}
+            if label in run:
+                continue
+            run.add(label)
+        else:
+            if name != name_at:
+                name_at, first = name, label
+            a_at, run_first, run = a, label, None
+        if label is not first and label != first:
+            problems.append(f"label name {name!r} used with two different data")
         if a < 1:
             problems.append(f"block ({label},{a}) has nonpositive size")
             continue
-        if label.sd_type is SelfDualType.GL_PAIR:
+        if label.sd_type is _GL_PAIR:
             problems.append(f"gl-pair label {label} in a discrete parameter")
             continue
         parity = block_group_type(dual, label)
         if a % 2 != parity:
-            article = "an" if label.sd_type is SelfDualType.ORTHOGONAL else "a"
+            article = "an" if label.sd_type is _ORTHOGONAL else "a"
             problems.append(
                 f"block ({label},{a}): {article} {label.sd_type.value} label needs "
                 f"{('even', 'odd')[parity]} sizes in {dual.family.value}")
-    dimension = sum(label.dim * a for label, a in blocks)
     if dimension != dual.size:
         problems.append(f"blocks span dimension {dimension}, expected {dual.size}")
-    return Verdict(not problems, tuple(problems))
+    return repeated + problems
 
 
 ParameterCharacter = SignCharacter  # values on the block keys (pi-name, a)
@@ -184,7 +224,7 @@ def sgroup_factors(p: DiscreteParameter, eta: ParameterCharacter, *, slices=None
         signs = signs_on(eta, p.block_keys(), "blocks", p)
     else:
         signs = [sign for _, _, slice_signs in slices for sign in slice_signs]
-    return p.dual_group.family is Family.SO_ODD or math.prod(signs) == 1
+    return p.dual_group.family is _SO_ODD or math.prod(signs) == 1
 
 
 def signed_slices(p: DiscreteParameter, eta: ParameterCharacter
@@ -449,7 +489,7 @@ def reducibility_point(label: IrrLabel, blocks: Iterable[tuple[IrrLabel, int]],
     label occurs among them, 1/2 when absent with its type matching the
     dual group, 0 when absent with the types different.
     """
-    if label.sd_type is SelfDualType.GL_PAIR:
+    if label.sd_type is _GL_PAIR:
         raise InvalidParameter("reducibility points are defined for self-dual labels only")
     sizes = [a for lab, a in blocks if lab == label]
     if sizes:

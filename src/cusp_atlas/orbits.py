@@ -55,7 +55,9 @@ _EVEN_SIZE = {Family.SP, Family.SO_EVEN, Family.O_EVEN}
 _ODD_SIZE = {Family.SO_ODD, Family.O_ODD}
 # GroupKind's predicates look the family up here: on Python 3.11, naming an
 # enum member (Family.SP) goes through the enum class's __getattr__ hook and
-# costs several set lookups, and the census asks a predicate per pair.
+# costs several set lookups, and the census asks a predicate per pair.  The
+# orbit functions read the members they compare with through module names.
+_SP, _SO_ODD, _SO_EVEN = Family.SP, Family.SO_ODD, Family.SO_EVEN
 _SPECIAL_ORTHOGONAL = {Family.SO_ODD, Family.SO_EVEN}
 _FULL_ORTHOGONAL = {Family.O_ODD, Family.O_EVEN}
 # the parity of the parts carrying z-generators: even for Sp, odd for (S)O, none for GL
@@ -70,7 +72,8 @@ class GroupKind:
     size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "size", as_int(self.size))
+        if type(self.size) is not int:  # an exact int is read as it is
+            object.__setattr__(self, "size", as_int(self.size))
         if self.size < 0:
             raise ValueError(f"matrix size must be nonnegative, got {self.size}")
         if self.family in _EVEN_SIZE and self.size % 2:
@@ -107,8 +110,8 @@ def classical_kind(parity: int, n: int) -> GroupKind:
     """The group of size n with z-generators on the parts of the given parity:
     Sp_n for 0, SO_n for 1 (the inverse of :attr:`GroupKind.generator_parity`)."""
     if parity == 0:
-        return GroupKind(Family.SP, n)
-    return GroupKind(Family.SO_ODD if n % 2 else Family.SO_EVEN, n)
+        return GroupKind(_SP, n)
+    return GroupKind(_SO_ODD if n % 2 else _SO_EVEN, n)
 
 
 @dataclass(frozen=True, order=True)
@@ -161,6 +164,10 @@ class Relation(Enum):
     QUOTIENT_BY_FULL_PRODUCT = "quotient-by-full-product"
 
 
+_FREE = Relation.FREE
+_QUOTIENT = Relation.QUOTIENT_BY_FULL_PRODUCT
+
+
 @dataclass(frozen=True)
 class ComponentGroupDescriptor:
     """An elementary abelian 2-group with labelled generators.
@@ -185,13 +192,13 @@ class SignCharacter:
     values: tuple[tuple[object, int], ...]
 
     def __init__(self, mapping: Mapping[object, int] | Iterable[tuple[object, int]] = ()):
-        items: dict = {}
-        for key, sign in mapping.items() if isinstance(mapping, Mapping) else mapping:
-            if key in items:  # only pairs can repeat a generator
-                raise ValueError(f"character given twice at {key!r}")
-            if type(sign) is not int or sign not in (1, -1):
-                raise ValueError(f"character value at {key!r} must be +1 or -1, got {sign!r}")
-            items[key] = sign
+        if type(mapping) is dict:  # no repeats: the values are checked as a set
+            items = mapping
+            values = items.values()
+            if not (set(map(type, values)) <= {int} and set(values) <= _SIGNS):
+                _check_values(items.items())  # raises, naming the first bad value
+        else:
+            items = _check_values(mapping.items() if isinstance(mapping, Mapping) else mapping)
         object.__setattr__(self, "values", tuple(sorted(items.items())))
 
     def keys(self) -> tuple:
@@ -206,6 +213,22 @@ class SignCharacter:
 
     def __str__(self) -> str:
         return "(" + ",".join("+" if s == 1 else "-" for _, s in self.values) + ")"
+
+
+_SIGNS = frozenset((1, -1))
+
+
+def _check_values(pairs: Iterable[tuple[object, int]]) -> dict:
+    """The (generator, value) pairs as a dict, or ValueError at the first
+    repeated generator or value other than the int 1 or -1."""
+    items: dict = {}
+    for key, sign in pairs:
+        if key in items:  # only pairs can repeat a generator
+            raise ValueError(f"character given twice at {key!r}")
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"character value at {key!r} must be +1 or -1, got {sign!r}")
+        items[key] = sign
+    return items
 
 
 def signs_on(eta: SignCharacter, keys: Iterable, what: str, owner) -> tuple[int, ...]:
@@ -324,7 +347,7 @@ def is_degenerate(orbit: ValidOrbit) -> bool:
 
 def orbit_count(orbit: ValidOrbit) -> int:
     """Number of unipotent classes attached to the partition (2 only for degenerate SO_even)."""
-    if orbit.kind.family is Family.SO_EVEN and orbit.multiplicities and is_degenerate(orbit):
+    if orbit.kind.family is _SO_EVEN and orbit.multiplicities and is_degenerate(orbit):
         return 2
     return 1
 
@@ -334,12 +357,12 @@ def component_group(orbit: ValidOrbit) -> ComponentGroupDescriptor:
     kind = orbit.kind
     parity = kind.generator_parity
     if parity is None:  # GL: connected reductive centralizer
-        return ComponentGroupDescriptor((), Relation.FREE, 1)
+        return ComponentGroupDescriptor((), _FREE, 1)
     gens = tuple(q for q, _ in orbit.multiplicities if q % 2 == parity)
     if kind.is_special_orthogonal:
         order = 2 ** max(0, len(gens) - 1)
-        return ComponentGroupDescriptor(gens, Relation.QUOTIENT_BY_FULL_PRODUCT, order)
-    return ComponentGroupDescriptor(gens, Relation.FREE, 2 ** len(gens))
+        return ComponentGroupDescriptor(gens, _QUOTIENT, order)
+    return ComponentGroupDescriptor(gens, _FREE, 2 ** len(gens))
 
 
 def is_distinguished(orbit: ValidOrbit) -> bool:
@@ -434,6 +457,6 @@ def characters_of(descriptor: ComponentGroupDescriptor) -> list[tuple[int, ...]]
     the one whose sign on the smallest generator is +1.
     """
     vectors = itertools.product((1, -1), repeat=len(descriptor.generators))
-    if descriptor.relation is Relation.QUOTIENT_BY_FULL_PRODUCT and descriptor.generators:
+    if descriptor.relation is _QUOTIENT and descriptor.generators:
         return [signs for signs in vectors if signs[0] == 1]
     return list(vectors)

@@ -2,6 +2,7 @@
 byte-backed standard input for CLI jobs, spies on partition validation, on
 character reads, on `Partition` construction and on `springer_datum` calls,
 the symbol and closed-form defect of a pair from a bare partition, the
+counting validator of parameters the one-pass one is held to, the
 bitset of a row given as integers and the readers of a symbol's bitsets
 (its rows as increasing tuples and its size), the two-row split route to a base
 symbol's rows, the set-algebra routes to an interval structure and to a
@@ -13,14 +14,15 @@ it: its signs aligned with the increasing generators."""
 
 import io
 import sys
+from collections import Counter
 from typing import Iterable, Sequence
 
 import pytest
 
 from cusp_atlas import cuspsupport, orbits, springer
 from cusp_atlas.errors import DomainMismatch
-from cusp_atlas.lparams import DiscreteParameter, ParameterCharacter
-from cusp_atlas.orbits import GroupKind, Partition, SignCharacter, require_valid
+from cusp_atlas.lparams import DiscreteParameter, IrrLabel, ParameterCharacter, SelfDualType
+from cusp_atlas.orbits import Family, GroupKind, Partition, SignCharacter, as_int, require_valid
 from cusp_atlas.symbols import USymbol, defect_formula, interval_structure, swapped_symbol
 
 
@@ -143,6 +145,51 @@ def alternative_defect_formula_sp(signs: Sequence[int]) -> int:
     k = len(signs)
     acc = sum((-1) ** (i + k) * sign for i, sign in enumerate(signs, start=1))
     return acc + 2 * k + 2 - 2 * ((k + 1) // 2)
+
+
+def reference_parameter_problems(dual: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]
+                                 ) -> tuple[str, ...]:
+    """The problems of ``blocks`` as a discrete parameter of ``dual``, found
+    by counting: a Counter of the (name, size) keys names each repeated
+    block, then each distinct block, in (name, size) order, is held to the
+    first label of its name, a positive size, a self-dual type and the size
+    parity its type and the dual group ask for, and last comes the dimension.
+
+    `lparams.validate_parameter` must give these problems, in this order.
+    """
+    if dual.family not in (Family.SP, Family.SO_ODD, Family.SO_EVEN):
+        return (f"dual group {dual} is not a classical dual (Sp / SOodd / SOeven)",)
+    blocks = sorted(((label, as_int(a)) for label, a in blocks),
+                    key=lambda block: (block[0].name, block[1]))
+    problems = []
+    seen = Counter((label.name, a) for label, a in blocks)
+    for (name, a), count in sorted(seen.items()):
+        if count > 1:
+            problems.append(f"repeated block ({name},{a})")
+    by_name: dict[str, IrrLabel] = {}
+    for label, a in dict.fromkeys(blocks):  # each distinct block once
+        prior = by_name.setdefault(label.name, label)
+        if prior != label:
+            problems.append(f"label name {label.name!r} used with two different data")
+        if a < 1:
+            problems.append(f"block ({label},{a}) has nonpositive size")
+            continue
+        if label.sd_type is SelfDualType.GL_PAIR:
+            problems.append(f"gl-pair label {label} in a discrete parameter")
+            continue
+        matches = (dual.family is Family.SP and label.sd_type is SelfDualType.SYMPLECTIC) or (
+            dual.family in (Family.SO_ODD, Family.SO_EVEN)
+            and label.sd_type is SelfDualType.ORTHOGONAL)
+        parity = 1 if matches else 0
+        if a % 2 != parity:
+            article = "an" if label.sd_type is SelfDualType.ORTHOGONAL else "a"
+            problems.append(
+                f"block ({label},{a}): {article} {label.sd_type.value} label needs "
+                f"{('even', 'odd')[parity]} sizes in {dual.family.value}")
+    dimension = sum(label.dim * a for label, a in blocks)
+    if dimension != dual.size:
+        problems.append(f"blocks span dimension {dimension}, expected {dual.size}")
+    return tuple(problems)
 
 
 def character_on(p: DiscreteParameter, signs: Iterable[int]) -> ParameterCharacter:

@@ -418,9 +418,11 @@ def test_check_support_computes_the_support_twice(support_calls):
 def test_check_support_validates_only_the_classical_parts(monkeypatch):
     # a parameter is checked when built: check_support validates nothing but
     # the three classical parts it builds (support on the input, support on
-    # its cuspidal part, and the psi route)
+    # its cuspidal part, and the psi route).  The spy sits on the one
+    # validator that `validate_parameter` and the `DiscreteParameter`
+    # constructor share.
     calls = []
-    validate = lparams.validate_parameter
+    validate = lparams._problems
 
     def counted(dual, blocks):
         calls.append(dual)
@@ -429,12 +431,12 @@ def test_check_support_validates_only_the_classical_parts(monkeypatch):
     for dual in (GroupKind(Family.SP, 10), GroupKind(Family.SO_ODD, 9),
                  GroupKind(Family.SO_EVEN, 10)):
         cases = list(enumerate_parameters(dual))
-        monkeypatch.setattr(lparams, "validate_parameter", counted)
+        monkeypatch.setattr(lparams, "_problems", counted)
         for param, eta in cases:
             calls.clear()
             assert check_support(param, eta).ok()
             assert len(calls) == 3, (param, eta)
-        monkeypatch.setattr(lparams, "validate_parameter", validate)
+        monkeypatch.setattr(lparams, "_problems", validate)
 
 
 def test_support_via_psi_does_not_call_support(support_calls):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import character_on
+from conftest import character_on, reference_parameter_problems
 
 from cusp_atlas.census import enumerate_parameters
 from cusp_atlas.errors import DomainMismatch, InvalidParameter
@@ -30,6 +30,8 @@ MU1 = IrrLabel("m1", 1, SelfDualType.ORTHOGONAL)
 MU2 = IrrLabel("m2", 1, SelfDualType.ORTHOGONAL)
 SYMP2 = IrrLabel("s", 2, SelfDualType.SYMPLECTIC)
 GLP = IrrLabel("g", 1, SelfDualType.GL_PAIR)
+P_OTHER = IrrLabel("p", 1, SelfDualType.GL_PAIR)  # ORTH1's name with other data
+Q = IrrLabel("q", 2, SelfDualType.SYMPLECTIC)
 
 SP4 = GroupKind(Family.SP, 4)
 SP6 = GroupKind(Family.SP, 6)
@@ -76,10 +78,14 @@ def test_parameter_is_valid_by_construction():
 
 
 def test_parameter_refuses_a_block_size_that_is_not_an_integer():
-    for a in (2.7, 2.0, "2"):
-        with pytest.raises(TypeError):
-            DiscreteParameter(GroupKind(Family.SP, 2), [(ORTH1, a)])
+    for a in (2.7, 2.0, "2", True):
+        for read in (validate_parameter, DiscreteParameter):
+            with pytest.raises(TypeError):
+                read(GroupKind(Family.SP, 2), [(ORTH1, a)])
     assert DiscreteParameter(GroupKind(Family.SP, 2), [(ORTH1, 2)]).blocks == ((ORTH1, 2),)
+    # a dual that is not classical is reported before the blocks are read
+    assert validate_parameter(GroupKind(Family.GL, 2), [(ORTH1, "2")]).problems == (
+        "dual group GL_2 is not a classical dual (Sp / SOodd / SOeven)",)
 
 
 def test_parameter_refuses_a_bool_block_size():
@@ -100,6 +106,83 @@ def test_validate_parameter_reports_a_repeated_block_once():
                                 "block (p,3): an orthogonal label needs even sizes in Sp")
     assert validate_parameter(SP6, [(SYMP2, 2), (SYMP2, 1)]).problems == (
         "block (s,2): a symplectic label needs odd sizes in Sp",)
+    # two labels of one name at one size, the first given again after the
+    # other: the repeat is named once, the clash once, each label checked once
+    blocks = [(ORTH1, 2), (P_OTHER, 2), (ORTH1, 2)]
+    problems = ("repeated block (p,2)",
+                "block (p,2): an orthogonal label needs odd sizes in SOeven",
+                "label name 'p' used with two different data",
+                "gl-pair label p in a discrete parameter",
+                "blocks span dimension 6, expected 4")
+    dual = GroupKind(Family.SO_EVEN, 4)
+    assert reference_parameter_problems(dual, blocks) == problems
+    assert validate_parameter(dual, blocks).problems == problems
+    with pytest.raises(InvalidParameter) as err:
+        DiscreteParameter(dual, blocks)
+    assert str(err.value) == "{(p,2),(p,2),(p,2)}: " + "; ".join(problems)
+
+
+def _name_and_size(block):
+    return block[0].name, block[1]
+
+
+def _block_lists() -> list[list[tuple[IrrLabel, int]]]:
+    """Every list of at most four blocks with sizes -1..7 over two names, "p"
+    also used with other data, and all three self-dual types (ORTH1, P_OTHER
+    and Q), up to the order of blocks of different (name, size): each
+    multiset comes in decreasing (name, size) order, once for each distinct
+    order of the labels that share a (name, size)."""
+    alphabet = [(label, a) for label in (ORTH1, P_OTHER, Q) for a in range(-1, 8)]
+    lists = []
+    for n in range(5):
+        for multiset in itertools.combinations_with_replacement(alphabet, n):
+            runs = [tuple(run) for _, run in itertools.groupby(
+                sorted(multiset, key=_name_and_size, reverse=True), key=_name_and_size)]
+            for orders in itertools.product(*(sorted(set(itertools.permutations(run)))
+                                              for run in runs)):
+                lists.append([block for run in orders for block in run])
+    return lists
+
+
+BLOCK_LISTS = _block_lists()
+
+
+def _admissible(family: Family) -> list[int]:
+    parity = {Family.SP: 0, Family.SO_EVEN: 0, Family.SO_ODD: 1, Family.O_ODD: 1}.get(family)
+    return [n for n in range(15) if parity is None or n % 2 == parity]
+
+
+_SO_BY_PARITY = (Family.SO_EVEN, Family.SO_ODD)
+
+
+@pytest.mark.parametrize("family", [Family.SP, Family.SO_ODD, Family.SO_EVEN, Family.O_ODD,
+                                    Family.GL], ids=lambda family: family.value)
+def test_validate_parameter_matches_the_counting_oracle(family):
+    # every bounded block list against a dual of the family with N <= 14: the
+    # span of the blocks when the family admits it, else a size that cycles
+    # through those it admits; the problems must be the oracle's, text and
+    # order, and the constructor must raise them all, after the sorted blocks.
+    # SOodd and SOeven share their parity rule, so they share the lists: SOodd
+    # takes those of odd span, or of a span over 14 at an odd index
+    duals = {n: GroupKind(family, n) for n in _admissible(family)}
+    sizes = list(duals)
+    assert len(BLOCK_LISTS) == 35695 and [(ORTH1, 2), (P_OTHER, 2), (ORTH1, 2)] in BLOCK_LISTS
+    for i, blocks in enumerate(BLOCK_LISTS):
+        span = sum(label.dim * a for label, a in blocks)
+        if family in _SO_BY_PARITY and family is not _SO_BY_PARITY[
+                (span if 0 <= span <= 14 else i) % 2]:
+            continue
+        dual = duals.get(span) or duals[sizes[i % len(sizes)]]
+        problems = reference_parameter_problems(dual, blocks)
+        assert validate_parameter(dual, blocks).problems == problems, (dual, blocks)
+        ordered = sorted(blocks, key=_name_and_size)
+        try:
+            param = DiscreteParameter(dual, blocks)
+        except InvalidParameter as exc:
+            inner = ",".join(f"({label},{a})" for label, a in ordered)
+            assert str(exc) == f"{{{inner}}}: " + "; ".join(problems), (dual, blocks)
+        else:
+            assert not problems and list(param.blocks) == ordered, (dual, blocks)
 
 
 def test_block_group_type_table():

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import timeit
+import types
 
 import pytest
 
@@ -224,6 +226,44 @@ def test_sign_character_refuses_a_sign_that_is_not_the_int_1_or_minus_1():
         with pytest.raises(ValueError, match=r"^character value at 2 must be \+1 or -1, got "):
             SignCharacter({2: sign})
     assert SignCharacter({2: 1, 4: -1}).values == ((2, 1), (4, -1))
+
+
+@pytest.mark.parametrize("mapping, key", [
+    ({2: 1, 4: 0, 6: True}, 4),
+    ({6: True, 4: 0, 2: 1}, 6),
+    ({1: -1, 3: -1.0, 5: 2}, 3),
+    ({1: 1, 3: [1], 5: "1"}, 3),
+    ({("p", 2): -1, ("p", 4): 1, ("q", 1): -2}, ("q", 1)),
+])
+def test_sign_character_names_the_first_bad_value_in_the_mapping_order(mapping, key):
+    # a dict, a read-only view of it, a dict subclass and its pairs all name
+    # the first bad value in the order they give, whatever the others are
+    text = f"character value at {key!r} must be +1 or -1, got {mapping[key]!r}"
+    for given in (mapping, types.MappingProxyType(mapping), collections.OrderedDict(mapping),
+                  list(mapping.items())):
+        with pytest.raises(ValueError) as err:
+            SignCharacter(given)
+        assert str(err.value) == text, given
+
+
+def test_sign_character_reads_any_mapping_and_pairs_alike():
+    mapping = {4: -1, 2: 1, 6: 1}
+    for given in (mapping, types.MappingProxyType(mapping), collections.OrderedDict(mapping),
+                  list(mapping.items()), iter(mapping.items())):
+        eta = SignCharacter(given)
+        assert eta.values == ((2, 1), (4, -1), (6, 1))
+        assert eta == SignCharacter(mapping) and hash(eta) == hash(SignCharacter(mapping))
+    assert SignCharacter({}).values == SignCharacter(types.MappingProxyType({})).values == ()
+    # the character copies its values: a later change to the dict is not seen
+    eta = SignCharacter(mapping)
+    mapping[2] = -1
+    assert eta.values == ((2, 1), (4, -1), (6, 1))
+    # given as pairs a generator may repeat, and the first bad pair is named
+    # whether it is a repeat or a bad value
+    with pytest.raises(ValueError, match=r"^character value at 2 must be \+1 or -1, got 0$"):
+        SignCharacter([(1, 1), (2, 0), (1, 1)])
+    with pytest.raises(ValueError, match=r"^character given twice at 1$"):
+        SignCharacter([(1, 1), (1, 1), (2, 0)])
 
 
 def test_partition_refuses_parts_that_are_not_integers():
