@@ -21,7 +21,7 @@ from .orbits import (
     is_distinguished,
     orbit_count,
     require_valid,
-    staircase_character,
+    staircase_signs,
     validate_partition,
 )
 from .symbols import (

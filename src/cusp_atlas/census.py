@@ -32,7 +32,6 @@ from .lparams import (
     ParameterCharacter,
     SelfDualType,
     block_group_type,
-    det_flip,
 )
 from .orbits import (
     Family,
@@ -195,7 +194,9 @@ def enumerate_parameters(
 
     Block sizes per label are distinct with the parity its type forces;
     a character of an orthogonal component group is represented once per
-    determinant-flip class, by the smaller of its two value tables.
+    determinant-flip class, by the smaller of its two value tables.  The flip
+    negates the signs on the blocks of odd n_pi * a; the sign tuples are
+    compared before any character is built, and one is built per yield.
     """
     labels = tuple(signature)
     if len({lab.name for lab in labels}) != len(labels):
@@ -221,8 +222,8 @@ def enumerate_parameters(
     for sizing in assignments(0, dual.size):
         blocks = [(label, a) for label, sizes in zip(labels, sizing) for a in sizes]
         param = DiscreteParameter(dual, blocks)
-        keys = param.block_keys()
+        keys = param.block_keys()  # increasing, so a table compares as its signs
+        odd = [(label.dim * a) % 2 for label, a in param.blocks]
         for signs in itertools.product((1, -1), repeat=len(keys)):
-            eta = SignCharacter(dict(zip(keys, signs)))
-            if dual.is_symplectic or eta.values <= det_flip(param, eta).values:
-                yield param, eta
+            if dual.is_symplectic or signs <= tuple(-s if o else s for s, o in zip(signs, odd)):
+                yield param, SignCharacter(dict(zip(keys, signs)))

@@ -57,7 +57,7 @@ from .orbits import (
     orbit_count,
     validate_partition,
 )
-from .springer import ProductFactor, springer_datum, springer_o, springer_product
+from .springer import OCase, ProductFactor, springer_datum, springer_o, springer_product
 
 ENV_BOUND = "CUSP_ATLAS_BOUND"
 DEFAULT_BOUND = 24
@@ -333,13 +333,13 @@ def _half_or_null(two_x: Optional[int]) -> Optional[str]:
 
 
 def _render_char(eta: SignCharacter) -> list:
-    return [[_key_json(k), s] for k, s in eta.values]
+    """A parameter-level character: [[label name, a], sign] per block."""
+    return [[list(k), s] for k, s in eta.values]
 
 
-def _key_json(key):
-    if isinstance(key, tuple):
-        return list(key)
-    return key
+def _render_signs(datum) -> list:
+    """A cuspidal datum's character: [part, sign] per part, increasing."""
+    return [[q, s] for q, s in zip(datum.cusp_partition.increasing(), datum.cusp_signs)]
 
 
 def _p_adic_name(kind: GroupKind) -> str:
@@ -360,7 +360,7 @@ def _render_datum(datum) -> dict:
     return {
         "torus_rank": datum.torus_rank,
         "cusp_partition": list(datum.cusp_partition.parts),
-        "cusp_character": _render_char(datum.cusp_character),
+        "cusp_character": _render_signs(datum),
         "d": datum.d,
         "dprime": datum.dprime,
         "levi": datum.levi_str(),
@@ -416,8 +416,7 @@ def _run_springer(payload, bound: int) -> dict:
             "datum": _render_datum(out.datum),
             "weyl_rep": out.weyl_rep.value,
             "chi": out.chi,
-            "cusp_character_o": (_render_char(out.cusp_character_o)
-                                 if out.cusp_character_o else None),
+            "cusp_character_o": _render_signs(out.datum) if out.case is OCase.I else None,
             "fused_orbits": list(out.fused_orbit_tags),
         }
     datum = springer_datum(kind, p, signs)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -91,7 +92,14 @@ class DiscreteParameter:
 
     def __init__(self, dual_group: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]):
         object.__setattr__(self, "dual_group", dual_group)
-        object.__setattr__(self, "blocks", _sorted_blocks(blocks))
+        if dual_group.family in _CLASSICAL_DUALS:
+            blocks = _sorted_blocks(blocks)
+        else:  # the dual is the one problem and no size is read, as by
+            # validate_parameter: blocks whose sizes do not compare stay as given
+            blocks = tuple(blocks)
+            with suppress(TypeError):
+                blocks = tuple(sorted(blocks, key=_block_key))
+        object.__setattr__(self, "blocks", blocks)
         problems = _problems(dual_group, self.blocks)
         if problems:
             raise InvalidParameter(f"{self}: " + "; ".join(problems))
@@ -203,14 +211,6 @@ def _problems(dual: GroupKind, blocks: tuple[tuple[IrrLabel, int], ...]) -> list
 
 
 ParameterCharacter = SignCharacter  # values on the block keys (pi-name, a)
-
-
-def det_flip(p: DiscreteParameter, eta: ParameterCharacter) -> ParameterCharacter:
-    """Negate eta on the blocks of odd n_pi * a (the other value table of
-    the same character of an orthogonal component group)."""
-    odd_keys = {key for (label, a), key in zip(p.blocks, p.block_keys())
-                if (label.dim * a) % 2}
-    return eta.flip_where(lambda key: key in odd_keys)
 
 
 def sgroup_factors(p: DiscreteParameter, eta: ParameterCharacter, *, slices=None) -> bool:

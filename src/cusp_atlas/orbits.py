@@ -15,11 +15,13 @@ everything else in the package:
   local system, which exists only at triangular sizes N = d(d+1) in the
   symplectic case and square sizes N = d^2 in the orthogonal case.
 
-Characters of component groups are stored by their values on the z_q, and
-:func:`signs_on` reads them into the signs every orbit-level layer takes.  For
-SO_N the component group is the index-two "even" subgroup of the O_N one;
-its characters are represented by either of their two extensions to O_N,
-and two value tables name the same SO-character exactly when they agree or
+A character of a class's component group is its signs on the z_q, the
+parts q increasing: every orbit-level layer takes it so and returns it so.
+A :class:`SignCharacter` is the parameter-level table of values on labelled
+generators, and :func:`signs_on` reads it into signs.  For SO_N the
+component group is the index-two "even" subgroup of the O_N one; its
+characters are represented by either of their two extensions to O_N, and
+two sign tuples name the same SO-character exactly when they agree or
 differ by the global sign flip.
 """
 
@@ -30,7 +32,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainMismatch, InvalidPartition
 
@@ -187,48 +189,29 @@ class ComponentGroupDescriptor:
 
 @dataclass(frozen=True)
 class SignCharacter:
-    """A character given on labelled Z/2 generators: each value is the int 1 or -1."""
+    """A character given as a dict on labelled Z/2 generators: each value is the int 1 or -1."""
 
     values: tuple[tuple[object, int], ...]
 
-    def __init__(self, mapping: Mapping[object, int] | Iterable[tuple[object, int]] = ()):
-        if type(mapping) is dict:  # no repeats: the values are checked as a set
-            items = mapping
-            values = items.values()
-            if not (set(map(type, values)) <= {int} and set(values) <= _SIGNS):
-                _check_values(items.items())  # raises, naming the first bad value
-        else:
-            items = _check_values(mapping.items() if isinstance(mapping, Mapping) else mapping)
-        object.__setattr__(self, "values", tuple(sorted(items.items())))
+    def __init__(self, mapping: dict):
+        if not isinstance(mapping, dict):
+            raise TypeError(f"a SignCharacter is given as a dict, got {type(mapping).__name__}")
+        values = mapping.values()
+        if not (set(map(type, values)) <= {int} and set(values) <= _SIGNS):
+            for key, sign in mapping.items():  # name the first bad value
+                if type(sign) is not int or sign not in (1, -1):
+                    raise ValueError(f"character value at {key!r} must be +1 or -1, got {sign!r}")
+        object.__setattr__(self, "values", tuple(sorted(mapping.items())))
 
     def keys(self) -> tuple:
         """The generators, increasing: the first column of ``values``."""
         return next(zip(*self.values), ())
-
-    def product(self) -> int:
-        return math.prod(sign for _, sign in self.values)
-
-    def flip_where(self, predicate) -> "SignCharacter":
-        return SignCharacter({k: (-s if predicate(k) else s) for k, s in self.values})
 
     def __str__(self) -> str:
         return "(" + ",".join("+" if s == 1 else "-" for _, s in self.values) + ")"
 
 
 _SIGNS = frozenset((1, -1))
-
-
-def _check_values(pairs: Iterable[tuple[object, int]]) -> dict:
-    """The (generator, value) pairs as a dict, or ValueError at the first
-    repeated generator or value other than the int 1 or -1."""
-    items: dict = {}
-    for key, sign in pairs:
-        if key in items:  # only pairs can repeat a generator
-            raise ValueError(f"character given twice at {key!r}")
-        if type(sign) is not int or sign not in (1, -1):
-            raise ValueError(f"character value at {key!r} must be +1 or -1, got {sign!r}")
-        items[key] = sign
-    return items
 
 
 def signs_on(eta: SignCharacter, keys: Iterable, what: str, owner) -> tuple[int, ...]:
@@ -399,34 +382,37 @@ def staircase_d(parity: int, n: int) -> Optional[int]:
     return d if d * (d + 1 - parity) == n else None
 
 
-def staircase_pairs(parity: int, d: int, first: int) -> tuple[tuple[int, int], ...]:
-    """The (part, sign) pairs of :func:`staircase_character`, parts increasing."""
-    return tuple(zip(range(2 - parity, 2 * d + 1, 2), itertools.cycle((first, -first))))
-
-
-def staircase_character(parity: int, d: int, first: int) -> SignCharacter:
-    """The cuspidal character on ``staircase(parity, d)``: its signs
-    alternate along the increasing parts, with ``first`` on the smallest.
+def staircase_signs(d: int, first: int) -> tuple[int, ...]:
+    """The cuspidal character on a staircase of d parts, as its signs on the
+    increasing parts: they alternate, with ``first`` on the smallest.
 
     The symplectic one is ``first = -1``, (-1)^i on z_{2i}; the two
     orthogonal lifts to the O-level group are ``first = +1`` and ``-1``,
     +-(-1)^(i+1) on z_{2i-1}.
     """
-    return SignCharacter(staircase_pairs(parity, d, first))
+    return ((first, -first) * ((d + 1) // 2))[:d]
+
+
+def staircase_pairs(parity: int, d: int, first: int) -> tuple[tuple[int, int], ...]:
+    """The parts of ``staircase(parity, d)``, increasing, each with its sign
+    of :func:`staircase_signs`."""
+    return tuple(zip(range(2 - parity, 2 * d + 1, 2), staircase_signs(d, first)))
 
 
 @dataclass(frozen=True)
 class CuspidalPair:
     """The cuspidal (class, character) of a group, when it exists.
 
-    For the orthogonal families ``character`` is the plus extension and
-    ``minus_lift`` the other one; both restrict to the same SO-character,
-    the one that is -1 on each product of consecutive generators.
+    ``signs`` are the character's on the increasing parts.  For the
+    orthogonal families they are the plus extension, +1 on the smallest
+    part, and ``minus_signs`` the other one; both restrict to the same
+    SO-character, the one that is -1 on each product of consecutive
+    generators.
     """
 
     partition: Partition
-    character: SignCharacter
-    minus_lift: Optional[SignCharacter] = None
+    signs: tuple[int, ...]
+    minus_signs: Optional[tuple[int, ...]] = None
 
 
 def cuspidal_pair(kind: GroupKind) -> Optional[CuspidalPair]:
@@ -434,19 +420,15 @@ def cuspidal_pair(kind: GroupKind) -> Optional[CuspidalPair]:
     n = kind.size
     if kind.is_gl:
         if n == 1:
-            return CuspidalPair(Partition((1,)), SignCharacter())
+            return CuspidalPair(Partition((1,)), ())
         return None
     parity = kind.generator_parity
     d = staircase_d(parity, n)
     if d is None:
         return None
     if parity == 0:
-        return CuspidalPair(staircase(parity, d), staircase_character(parity, d, -1))
-    return CuspidalPair(
-        staircase(parity, d),
-        staircase_character(parity, d, 1),
-        staircase_character(parity, d, -1),
-    )
+        return CuspidalPair(staircase(parity, d), staircase_signs(d, -1))
+    return CuspidalPair(staircase(parity, d), staircase_signs(d, 1), staircase_signs(d, -1))
 
 
 def characters_of(descriptor: ComponentGroupDescriptor) -> list[tuple[int, ...]]:

@@ -6,15 +6,16 @@ form with strictly alternating signs.  The content of the normal form
 (length, sign pattern, d) does not depend on the deletion order, the symbol
 defect survives every step, and the defect (equivalently the shape of the
 normal form) determines a cuspidal datum: a torus rank, the
-triangular/staircase cuspidal partition, and its sign character.  Both
-computation routes, the closed defect formula and the normal form, are
+triangular/staircase cuspidal partition, and its alternating character.
+Both computation routes, the closed defect formula and the normal form, are
 always run and compared; disagreement raises.  :func:`eliminate` (the
 leftmost path, with its history) and :func:`elimination_outcomes` (every
 order) are the only two places that eliminate.  Both take and return one
 normal-form value, increasing parts with their aligned signs, the form in
-which every map here takes a character: its signs on the generators,
-increasing.  Both find their deletion sites as :func:`removable_sites` does,
-and a single step is a slice of the increasing parts and of their signs.
+which every map here takes a character and returns one: its signs on the
+generators, increasing.  Both find their deletion sites as
+:func:`removable_sites` does, and a single step is a slice of the
+increasing parts and of their signs.
 The public maps check their input, the trust boundary; below it the support
 runs :func:`springer_datum`'s core ``_slice_datum`` on each slice.
 
@@ -37,7 +38,6 @@ from .orbits import (
     Family,
     GroupKind,
     Partition,
-    SignCharacter,
     ValidOrbit,
     check_aligned,
     check_signs,
@@ -45,8 +45,7 @@ from .orbits import (
     is_degenerate,
     require_valid,
     staircase,
-    staircase_character,
-    staircase_pairs,
+    staircase_signs,
 )
 from .symbols import defect_formula, interval_structure, swapped_symbol
 
@@ -147,12 +146,16 @@ def d_from_defect(kind: GroupKind, dprime: int) -> int:
 
 @dataclass(frozen=True)
 class CuspidalDatum:
-    """Levi torus rank + cuspidal (partition, character) + shape parameters."""
+    """Levi torus rank + cuspidal (partition, character) + shape parameters.
+
+    ``cusp_signs`` are the cuspidal character's signs, aligned with
+    ``cusp_partition.increasing()``.
+    """
 
     kind: GroupKind
     torus_rank: int
     cusp_partition: Partition
-    cusp_character: SignCharacter
+    cusp_signs: tuple[int, ...]
     d: int
     dprime: int
 
@@ -169,7 +172,7 @@ class CuspidalDatum:
 
 def _slice_datum(orbit: ValidOrbit, signs: Sequence[int]) -> tuple[int, int, int, int]:
     """(d, d', torus rank, first cuspidal sign) of :func:`springer_datum`: every
-    check after validity, and no Partition, character or datum built."""
+    check after validity, and no Partition, signs or datum built."""
     kind, p = orbit.kind, orbit.partition
     dprime = defect_formula(orbit, signs)
     normal, normal_signs, _ = eliminate(p.increasing(), signs)
@@ -183,7 +186,7 @@ def _slice_datum(orbit: ValidOrbit, signs: Sequence[int]) -> tuple[int, int, int
             f"normal form gives d={d}, defect {dprime} gives {d_from_defect(kind, dprime)}")
     parity = kind.generator_parity
     first = -1 if parity == 0 else (normal_signs[0] if normal_signs else 1)
-    if parity and math.prod(signs) != math.prod(s for _, s in staircase_pairs(parity, d, first)):
+    if parity and math.prod(signs) != math.prod(staircase_signs(d, first)):
         raise InternalCheckError(f"central value not conserved on {p}, {signs}")
     torus_rank, rem = divmod(kind.size - d * (d + 1 - parity), 2)
     if rem or torus_rank < 0:
@@ -194,7 +197,8 @@ def _slice_datum(orbit: ValidOrbit, signs: Sequence[int]) -> tuple[int, int, int
 def springer_datum(kind: GroupKind, p: Partition, signs: Sequence[int]) -> CuspidalDatum:
     """Cuspidal datum of a distinguished enhanced class of Sp_N or SO_N.
 
-    ``signs`` are the character's on the increasing parts.  The checks run:
+    ``signs`` are the character's on the increasing parts, and the datum's
+    ``cusp_signs`` those of the cuspidal character.  The checks run:
     values, kind (O_N is :func:`springer_o`'s), validity, distinguishedness, count.
     d' comes from the closed defect formula and d from the normal form; the
     two are tied by d = d'-1 (d' >= 1) or -d' in the symplectic case and
@@ -205,7 +209,7 @@ def springer_datum(kind: GroupKind, p: Partition, signs: Sequence[int]) -> Cuspi
         raise InvalidPartition(f"{kind} is a full orthogonal group: its map is springer_o")
     d, dprime, torus_rank, first = _slice_datum(require_valid(kind, p), signs)
     return CuspidalDatum(kind, torus_rank, staircase(kind.generator_parity, d),
-                         staircase_character(kind.generator_parity, d, first), d, dprime)
+                         staircase_signs(d, first), d, dprime)
 
 
 # -- full orthogonal group ---------------------------------------------------
@@ -244,11 +248,11 @@ class OSpringerDatum:
     """Output of the correspondence for the full orthogonal group.
 
     Case I: the quasi-Levi keeps an O-block; the extension sign chi rides on
-    the cuspidal character (recorded as the honest O-level lift).  Case II:
-    torus quasi-Levi, nondegenerate partition; chi rides on the Weyl-group
-    representation instead.  Case III (degenerate partition): the two
-    special-orthogonal classes fuse into one O-class, the component group is
-    trivial and the Weyl representation is induced.
+    the cuspidal character, and the datum's ``cusp_signs`` are its honest
+    O-level lift.  Case II: torus quasi-Levi, nondegenerate partition; chi
+    rides on the Weyl-group representation instead.  Case III (degenerate
+    partition): the two special-orthogonal classes fuse into one O-class, the
+    component group is trivial and the Weyl representation is induced.
     """
 
     case: OCase
@@ -256,7 +260,6 @@ class OSpringerDatum:
     datum: CuspidalDatum
     weyl_rep: WeylTag
     chi: Optional[int]
-    cusp_character_o: Optional[SignCharacter]
     fused_orbit_tags: tuple[str, ...] = ()
 
 
@@ -293,10 +296,10 @@ def springer_o(kind: GroupKind, p: Partition, signs: Sequence[int]) -> OSpringer
 
     if is_degenerate(orbit):
         torus_rank = n // 2
-        datum = CuspidalDatum(kind_so, torus_rank, Partition(), SignCharacter(), 0, 0)
+        datum = CuspidalDatum(kind_so, torus_rank, Partition(), (), 0, 0)
         return OSpringerDatum(
             OCase.III, QuasiLevi(torus_rank, 0), datum, WeylTag.INDUCED,
-            None, None, fused_orbit_tags=("I", "II"))
+            None, fused_orbit_tags=("I", "II"))
 
     # O_N and SO_N admit the same partitions and share the orthogonal symbols
     dprime = swapped_symbol(interval_structure(orbit), signs).defect
@@ -311,25 +314,24 @@ def springer_o(kind: GroupKind, p: Partition, signs: Sequence[int]) -> OSpringer
         # case I: the quasi-Levi keeps an O_{d^2} block
         if n % 2:
             chi = central
-            lift = staircase_character(1, d, 1)
-            o_char = lift if lift.product() == chi else staircase_character(1, d, -1)
-            if o_char.product() != chi:
+            lift = staircase_signs(d, 1)
+            if math.prod(lift) != chi:
+                lift = staircase_signs(d, -1)
+            if math.prod(lift) != chi:
                 raise InternalCheckError(f"no central-value-matching lift on {p}, {signs}")
         else:
             chi = det_minus
-            o_char = staircase_character(1, d, chi)
-            if o_char.product() != central:
+            lift = staircase_signs(d, chi)
+            if math.prod(lift) != central:
                 raise InternalCheckError(
                     f"central values disagree in the even case on {p}, {signs}")
-        datum = CuspidalDatum(kind_so, torus_rank, cusp, o_char, d, dprime)
-        return OSpringerDatum(OCase.I, QuasiLevi(torus_rank, d * d), datum,
-                              WeylTag.BASE, chi, o_char)
+        datum = CuspidalDatum(kind_so, torus_rank, cusp, lift, d, dprime)
+        return OSpringerDatum(OCase.I, QuasiLevi(torus_rank, d * d), datum, WeylTag.BASE, chi)
 
     # case II: N even, torus quasi-Levi, extension sign moves to the Weyl side
     chi = det_minus
-    datum = CuspidalDatum(kind_so, torus_rank, cusp, staircase_character(1, d, 1), d, dprime)
-    return OSpringerDatum(OCase.II, QuasiLevi(torus_rank, 0), datum,
-                          WeylTag.EXTENDED, chi, None)
+    datum = CuspidalDatum(kind_so, torus_rank, cusp, staircase_signs(d, 1), d, dprime)
+    return OSpringerDatum(OCase.II, QuasiLevi(torus_rank, 0), datum, WeylTag.EXTENDED, chi)
 
 
 # -- index-two subgroup of a product of orthogonal groups --------------------

@@ -42,7 +42,7 @@ def selfcheck_limits(overrides: Mapping[str, int], bound: int) -> Limits:
 
 def _pair(kind: GroupKind, p: Partition, signs: tuple[int, ...]) -> str:
     """The pair being checked, its signs on the increasing parts printed as a character."""
-    return f"{kind} {p} {SignCharacter(zip(p.increasing(), signs))}"
+    return f"{kind} {p} {SignCharacter(dict(zip(p.increasing(), signs)))}"
 
 
 def check_defect_coherence(limit: int) -> tuple[bool, str]:
@@ -120,13 +120,13 @@ def check_cuspidal_fixed_points(limit: int) -> tuple[bool, str]:
         moved = f"{_short_name(kind)} cuspidal pair moved"
         # a symplectic pair has one character, so a changed one has moved
         lost = moved if kind.is_symplectic else f"SO_{kind.size} cuspidal lift not restored"
-        for lift in (pair.character, pair.minus_lift):
-            if lift is None:
+        for signs in (pair.signs, pair.minus_signs):
+            if signs is None:
                 continue
-            datum = springer_datum(kind, pair.partition, tuple(s for _, s in lift.values))
+            datum = springer_datum(kind, pair.partition, signs)
             if (datum.torus_rank, datum.cusp_partition) != (0, pair.partition):
                 return False, moved
-            if datum.cusp_character != lift:
+            if datum.cusp_signs != signs:
                 return False, lost
         count += 1
     return True, f"{count} cuspidal pairs fixed"

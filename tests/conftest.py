@@ -7,12 +7,15 @@ bitset of a row given as integers and the readers of a symbol's bitsets
 (its rows as increasing tuples and its size), the two-row split route to a base
 symbol's rows, the set-algebra routes to an interval structure and to a
 pair's rows, the alternative symplectic defect formula the symbol tests
-compare against, and a shorthand for parameter characters.
+compare against, a shorthand for parameter characters, the determinant
+flip of a parameter character and the value tables the parameter census
+keeps, found by comparing characters.
 
 A pair's character is given to these helpers as the library's layers take
 it: its signs aligned with the increasing generators."""
 
 import io
+import itertools
 import sys
 from collections import Counter
 from typing import Iterable, Sequence
@@ -198,6 +201,24 @@ def character_on(p: DiscreteParameter, signs: Iterable[int]) -> ParameterCharact
     if len(signs) != len(p.blocks):
         raise DomainMismatch(f"{len(signs)} signs for {len(p.blocks)} blocks")
     return SignCharacter(dict(zip(p.block_keys(), signs)))
+
+
+def det_flip(p: DiscreteParameter, eta: ParameterCharacter) -> ParameterCharacter:
+    """Negate eta on the blocks of odd n_pi * a (the other value table of
+    the same character of an orthogonal component group)."""
+    odd_keys = {key for (label, a), key in zip(p.blocks, p.block_keys()) if (label.dim * a) % 2}
+    return SignCharacter({key: -s if key in odd_keys else s for key, s in eta.values})
+
+
+def reference_kept_characters(p: DiscreteParameter) -> list[ParameterCharacter]:
+    """The characters `census.enumerate_parameters` yields on p, in order,
+    found as characters: every value table on the blocks, its signs in
+    `itertools.product` order, and for an orthogonal dual only the tables no
+    larger than their determinant flip."""
+    keys = p.block_keys()
+    tables = (character_on(p, signs) for signs in itertools.product((1, -1), repeat=len(keys)))
+    return [eta for eta in tables
+            if p.dual_group.is_symplectic or eta.values <= det_flip(p, eta).values]
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from cusp_atlas.orbits import (
     GroupKind,
     classical_kind,
     staircase,
-    staircase_character,
+    staircase_signs,
 )
 
 
@@ -143,7 +143,7 @@ def test_criterion_8_alternative_defect_formula_guard():
     start = time.time()
     for d in range(1, 6):
         p = staircase(0, d)
-        eps = tuple(sign for _, sign in staircase_character(0, d, -1).values)
+        eps = staircase_signs(d, -1)
         kind = GroupKind(Family.SP, d * (d + 1))
         gap = alternative_defect_formula_sp(eps) - pair_defect(kind, p, eps)
         assert gap == len(p) + 1

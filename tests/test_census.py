@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from conftest import _spy, pair_symbol, row_bits, set_algebra_swapped_symbol
+from conftest import (_spy, det_flip, pair_symbol, reference_kept_characters, row_bits,
+                      set_algebra_swapped_symbol)
 
 from cusp_atlas.cli import main
 
@@ -19,7 +20,7 @@ from cusp_atlas.census import (
     unipotent_census,
 )
 from cusp_atlas.errors import DomainMismatch, InvalidParameter
-from cusp_atlas.lparams import IrrLabel, SelfDualType, det_flip, is_cuspidal, validate_parameter
+from cusp_atlas.lparams import IrrLabel, SelfDualType, is_cuspidal, validate_parameter
 from cusp_atlas.orbits import (
     Family,
     GroupKind,
@@ -316,6 +317,19 @@ def test_orthogonal_characters_are_the_smaller_table_of_their_flip_class(signatu
                      for signs in itertools.product((1, -1), repeat=len(keys))}
             # each class once, and none missing
             assert sorted(classes, key=sorted) == sorted(every, key=sorted), param
+
+
+@pytest.mark.parametrize("dual", [GroupKind(Family.SP, 8), GroupKind(Family.SO_ODD, 9),
+                                  GroupKind(Family.SO_EVEN, 10)], ids=str)
+def test_enumerate_parameters_yields_the_characters_a_comparison_of_tables_keeps(dual):
+    # the sign tuples are compared with their determinant flips before any
+    # character is built: the yielded sequence is the one that building each
+    # table and its flip and comparing them gives, in the same order
+    yielded = list(enumerate_parameters(dual, TWO_LABELS))
+    params = list(dict.fromkeys(param for param, _ in yielded))
+    assert len(params) > 1 and any(len({label for label, _ in p.blocks}) == 2 for p in params)
+    assert yielded == [(param, eta) for param in params
+                       for eta in reference_kept_characters(param)]
 
 
 def test_slices_are_the_per_label_filter_of_the_blocks():

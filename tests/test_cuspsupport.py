@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import character_on
+from conftest import character_on, det_flip
 
 from cusp_atlas import cuspsupport, lparams
 from cusp_atlas.cli import main
@@ -27,7 +27,6 @@ from cusp_atlas.lparams import (
     IrrLabel,
     SelfDualType,
     block_group_type,
-    det_flip,
     half_str,
     infinitesimal_character,
     is_cuspidal,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import character_on, reference_parameter_problems
+from conftest import character_on, det_flip, reference_parameter_problems
 
 from cusp_atlas.census import enumerate_parameters
 from cusp_atlas.errors import DomainMismatch, InvalidParameter
@@ -15,7 +15,6 @@ from cusp_atlas.lparams import (
     ParameterCharacter,
     SelfDualType,
     block_group_type,
-    det_flip,
     infinitesimal_character,
     is_cuspidal,
     reducibility_point,
@@ -83,9 +82,22 @@ def test_parameter_refuses_a_block_size_that_is_not_an_integer():
             with pytest.raises(TypeError):
                 read(GroupKind(Family.SP, 2), [(ORTH1, a)])
     assert DiscreteParameter(GroupKind(Family.SP, 2), [(ORTH1, 2)]).blocks == ((ORTH1, 2),)
-    # a dual that is not classical is reported before the blocks are read
-    assert validate_parameter(GroupKind(Family.GL, 2), [(ORTH1, "2")]).problems == (
-        "dual group GL_2 is not a classical dual (Sp / SOodd / SOeven)",)
+    # a dual that is not classical is reported before the blocks are read,
+    # by the validator and by the constructor alike
+    gl2 = GroupKind(Family.GL, 2)
+    text = "dual group GL_2 is not a classical dual (Sp / SOodd / SOeven)"
+    for a in (2.7, 2.0, "2", True):
+        assert validate_parameter(gl2, [(ORTH1, a)]).problems == (text,)
+        with pytest.raises(InvalidParameter) as err:
+            DiscreteParameter(gl2, [(ORTH1, a)])
+        assert str(err.value) == f"{{(p,{a})}}: {text}"
+    # the blocks are shown sorted, or as given when their sizes do not compare
+    for blocks, shown in (([(ORTH1, 3), (ORTH1, 1)], "(p,1),(p,3)"),
+                          ([(ORTH1, "2"), (ORTH1, 1)], "(p,2),(p,1)")):
+        assert validate_parameter(gl2, blocks).problems == (text,)
+        with pytest.raises(InvalidParameter) as err:
+            DiscreteParameter(gl2, blocks)
+        assert str(err.value) == f"{{{shown}}}: {text}"
 
 
 def test_parameter_refuses_a_bool_block_size():

@@ -24,8 +24,9 @@ from cusp_atlas.orbits import (
     require_valid,
     signs_on,
     staircase,
-    staircase_character,
     staircase_d,
+    staircase_pairs,
+    staircase_signs,
     validate_partition,
 )
 from cusp_atlas.census import group_partitions, partitions_of
@@ -133,20 +134,20 @@ def test_is_distinguished():
 def test_cuspidal_pair_symplectic():
     pair = cuspidal_pair(SP6)
     assert pair.partition == Partition((4, 2))
-    assert pair.character.values == ((2, -1), (4, 1))
+    assert pair.signs == (-1, 1) and pair.minus_signs is None
     assert cuspidal_pair(SP4) is None
 
 
 def test_cuspidal_pair_orthogonal():
     pair = cuspidal_pair(SO9)
     assert pair.partition == Partition((5, 3, 1))
-    # both extensions restrict to -1 on each product of consecutive generators
-    for lift in (pair.character, pair.minus_lift):
-        assert lift.keys() == (1, 3, 5)
-        value = dict(lift.values)
-        assert value[1] * value[3] == -1
-        assert value[3] * value[5] == -1
-    assert dict(pair.character.values)[1] == 1 and dict(pair.minus_lift.values)[1] == -1
+    # both extensions, as signs on the parts 1, 3, 5, restrict to -1 on each
+    # product of consecutive generators
+    for signs in (pair.signs, pair.minus_signs):
+        assert len(signs) == 3
+        assert signs[0] * signs[1] == -1
+        assert signs[1] * signs[2] == -1
+    assert pair.signs[0] == 1 and pair.minus_signs[0] == -1
     assert cuspidal_pair(GroupKind(Family.SO_ODD, 7)) is None
 
 
@@ -166,14 +167,15 @@ def test_staircase_and_its_size_parameter(parity):
 @pytest.mark.parametrize("d", range(11))
 def test_staircase_character_is_the_closed_form_of_each_side(d):
     # symplectic: (-1)^i on z_{2i}; the two orthogonal lifts: +-(-1)^(i+1) on
-    # z_{2i-1}; for i = 1, ..., d, and no value at all for d = 0
-    assert dict(staircase_character(0, d, -1).values) == {
-        2 * i: (-1) ** i for i in range(1, d + 1)}
+    # z_{2i-1}; for i = 1, ..., d, and no sign at all for d = 0
+    assert staircase_pairs(0, d, -1) == tuple((2 * i, (-1) ** i) for i in range(1, d + 1))
     for first in (1, -1):
-        assert dict(staircase_character(1, d, first).values) == {
-            2 * i - 1: first * (-1) ** (i + 1) for i in range(1, d + 1)}
+        assert staircase_pairs(1, d, first) == tuple(
+            (2 * i - 1, first * (-1) ** (i + 1)) for i in range(1, d + 1))
         for parity in (0, 1):
-            assert staircase_character(parity, d, first).keys() == staircase(parity, d).increasing()
+            pairs = staircase_pairs(parity, d, first)
+            assert tuple(q for q, _ in pairs) == staircase(parity, d).increasing()
+            assert tuple(s for _, s in pairs) == staircase_signs(d, first)
 
 
 def test_cuspidal_pair_gl():
@@ -200,9 +202,8 @@ def test_degenerate_partitions_have_no_generators():
 def test_sign_character_helpers():
     eta = SignCharacter({2: -1, 4: 1})
     assert eta.values == ((2, -1), (4, 1))
-    assert eta.product() == -1
-    assert dict(eta.flip_where(lambda q: True).values) == {2: 1, 4: -1}
     assert eta.keys() == (2, 4)
+    assert str(eta) == "(-,+)" and SignCharacter({}).keys() == ()
     with pytest.raises(DomainMismatch):
         signs_on(eta, (2, 4, 6), "parts", "p")
     with pytest.raises(ValueError):
@@ -210,15 +211,14 @@ def test_sign_character_helpers():
 
 
 def test_sign_character_refuses_a_generator_given_twice():
-    # given as pairs, a generator may repeat: that is refused, not settled by
-    # the last sign
-    for pairs, key in (([(1, 1), (1, -1)], "1"), ([(1, 1), (3, -1), (1, 1)], "1"),
-                       (zip((2, 4, 2), (1, 1, -1)), "2"), ([(("p", 2), 1)] * 2, "('p', 2)")):
-        with pytest.raises(ValueError) as err:
+    # a dict names each generator once; pairs, the only form that could
+    # repeat one, are refused whatever they hold
+    for pairs, name in (([(1, 1), (1, -1)], "list"), ([(1, 1), (3, -1), (1, 1)], "list"),
+                        (zip((2, 4, 2), (1, 1, -1)), "zip"), (((("p", 2), 1),) * 2, "tuple")):
+        with pytest.raises(TypeError) as err:
             SignCharacter(pairs)
-        assert str(err.value) == f"character given twice at {key}"
-    assert SignCharacter([(3, -1), (1, 1)]).values == ((1, 1), (3, -1))
-    assert SignCharacter(zip((1, 3), (1, -1))) == SignCharacter({3: -1, 1: 1})
+        assert str(err.value) == f"a SignCharacter is given as a dict, got {name}"
+    assert SignCharacter({3: -1, 1: 1}).values == ((1, 1), (3, -1))
 
 
 def test_sign_character_refuses_a_sign_that_is_not_the_int_1_or_minus_1():
@@ -236,34 +236,36 @@ def test_sign_character_refuses_a_sign_that_is_not_the_int_1_or_minus_1():
     ({("p", 2): -1, ("p", 4): 1, ("q", 1): -2}, ("q", 1)),
 ])
 def test_sign_character_names_the_first_bad_value_in_the_mapping_order(mapping, key):
-    # a dict, a read-only view of it, a dict subclass and its pairs all name
-    # the first bad value in the order they give, whatever the others are
+    # a dict and a dict subclass name the first bad value in their order,
+    # whatever the others are
     text = f"character value at {key!r} must be +1 or -1, got {mapping[key]!r}"
-    for given in (mapping, types.MappingProxyType(mapping), collections.OrderedDict(mapping),
-                  list(mapping.items())):
+    for given in (mapping, collections.OrderedDict(mapping)):
         with pytest.raises(ValueError) as err:
             SignCharacter(given)
         assert str(err.value) == text, given
 
 
-def test_sign_character_reads_any_mapping_and_pairs_alike():
+def test_sign_character_takes_only_a_dict():
     mapping = {4: -1, 2: 1, 6: 1}
-    for given in (mapping, types.MappingProxyType(mapping), collections.OrderedDict(mapping),
-                  list(mapping.items()), iter(mapping.items())):
+    for given in (mapping, collections.OrderedDict(mapping)):
         eta = SignCharacter(given)
         assert eta.values == ((2, 1), (4, -1), (6, 1))
         assert eta == SignCharacter(mapping) and hash(eta) == hash(SignCharacter(mapping))
-    assert SignCharacter({}).values == SignCharacter(types.MappingProxyType({})).values == ()
+    assert SignCharacter({}).values == ()
     # the character copies its values: a later change to the dict is not seen
     eta = SignCharacter(mapping)
     mapping[2] = -1
     assert eta.values == ((2, 1), (4, -1), (6, 1))
-    # given as pairs a generator may repeat, and the first bad pair is named
-    # whether it is a repeat or a bad value
-    with pytest.raises(ValueError, match=r"^character value at 2 must be \+1 or -1, got 0$"):
-        SignCharacter([(1, 1), (2, 0), (1, 1)])
-    with pytest.raises(ValueError, match=r"^character given twice at 1$"):
-        SignCharacter([(1, 1), (1, 1), (2, 0)])
+    # any other form is refused before its values are read, bad values included
+    for given, name in ((types.MappingProxyType(mapping), "mappingproxy"),
+                        (list(mapping.items()), "list"),
+                        (iter(mapping.items()), "dict_itemiterator"),
+                        ([(1, 1), (2, 0)], "list"), ((), "tuple"), (None, "NoneType")):
+        with pytest.raises(TypeError) as err:
+            SignCharacter(given)
+        assert str(err.value) == f"a SignCharacter is given as a dict, got {name}"
+    with pytest.raises(TypeError):
+        SignCharacter()
 
 
 def test_partition_refuses_parts_that_are_not_integers():
@@ -391,7 +393,7 @@ def test_signs_on_reads_the_signs_in_key_order():
     assert signs_on(eta, [4, 6, 2], "parts", "p") == (1, 1, -1)
     # a repeated key gets its sign at each place
     assert signs_on(eta, (4, 2, 4, 6, 2), "parts", "p") == (1, -1, 1, 1, -1)
-    assert signs_on(SignCharacter(), (), "parts", "p") == ()
+    assert signs_on(SignCharacter({}), (), "parts", "p") == ()
     blocks = SignCharacter({("p", 2): 1, ("q", 1): -1})
     assert signs_on(blocks, (("q", 1), ("p", 2)), "blocks", "b") == (-1, 1)
 

@@ -311,18 +311,18 @@ def test_springer_datum_fixtures():
     datum = springer_datum(SP6, pair.partition, (-1, 1))
     assert datum.torus_rank == 0
     assert datum.cusp_partition == pair.partition
-    assert datum.cusp_character == pair.character
+    assert datum.cusp_signs == pair.signs
     assert datum.d == 2
 
     datum = springer_datum(SP6, Partition((4, 2)), (1, -1))
     assert (datum.dprime, datum.d, datum.torus_rank) == (-1, 1, 2)
     assert datum.cusp_partition == Partition((2,))
-    assert dict(datum.cusp_character.values) == {2: -1}
+    assert datum.cusp_signs == (-1,)
 
     datum = springer_datum(SO9, Partition((5, 3, 1)), (-1, -1, 1))
     assert (datum.dprime, datum.d, datum.torus_rank) == (1, 1, 4)
     assert datum.cusp_partition == Partition((1,))
-    assert dict(datum.cusp_character.values) == {1: 1}
+    assert datum.cusp_signs == (1,)
 
 
 def test_springer_datum_levi_rendering():
@@ -334,15 +334,55 @@ def test_cuspidal_pairs_are_fixed_points():
     for d in range(1, 5):
         kind = GroupKind(Family.SP, d * (d + 1))
         pair = cuspidal_pair(kind)
-        signs = tuple(s for _, s in pair.character.values)
-        datum = springer_datum(kind, pair.partition, signs)
+        datum = springer_datum(kind, pair.partition, pair.signs)
         assert datum.torus_rank == 0 and datum.cusp_partition == pair.partition
     for d in range(1, 6):
         kind = classical_kind(1, d * d)
         pair = cuspidal_pair(kind)
-        for lift in (pair.character, pair.minus_lift):
-            datum = springer_datum(kind, pair.partition, tuple(s for _, s in lift.values))
-            assert datum.torus_rank == 0 and datum.cusp_character == lift
+        for signs in (pair.signs, pair.minus_signs):
+            datum = springer_datum(kind, pair.partition, signs)
+            assert datum.torus_rank == 0 and datum.cusp_signs == signs
+
+
+def test_every_cuspidal_datum_is_a_cuspidal_pair_that_is_its_own_datum():
+    # the datum of each distinguished pair of Sp_N and SO_N, N <= 18, carries
+    # the cuspidal pair of its group, with one of its characters as signs,
+    # and that pair maps to itself: torus rank 0 and the same signs
+    checked = 0
+    for kind in classical_kinds(18):
+        for p, signs in distinguished_pairs(kind):
+            datum = springer_datum(kind, p, signs)
+            cusp_kind = classical_kind(kind.generator_parity, datum.cusp_size)
+            pair = cuspidal_pair(cusp_kind)
+            assert datum.cusp_partition == pair.partition, (kind, p, signs)
+            assert datum.cusp_signs in (pair.signs, pair.minus_signs), (kind, p, signs)
+            again = springer_datum(cusp_kind, datum.cusp_partition, datum.cusp_signs)
+            assert (again.torus_rank, again.cusp_signs) == (0, datum.cusp_signs), (kind, p, signs)
+            checked += 1
+    assert checked == 356
+
+
+def test_every_case_one_o_datum_is_a_cuspidal_pair_that_is_its_own_datum():
+    # the same law for the O-level lift springer_o records in case I, on O_N
+    # with N <= 16: the pair is fed back to springer_o on O_{d^2}
+    checked = []
+    for n in range(1, 17):
+        kind_o = o_kind(n)
+        for orbit in group_partitions(kind_o):
+            for signs in characters_of(component_group(orbit)):
+                out = springer_o(kind_o, orbit.partition, signs)
+                if out.case is not OCase.I:
+                    continue
+                datum = out.datum
+                pair = cuspidal_pair(classical_kind(1, datum.cusp_size))
+                assert datum.cusp_partition == pair.partition, (kind_o, orbit, signs)
+                assert datum.cusp_signs in (pair.signs, pair.minus_signs), (kind_o, orbit, signs)
+                again = springer_o(o_kind(datum.cusp_size), datum.cusp_partition, datum.cusp_signs)
+                assert (again.case, again.datum.torus_rank, again.datum.cusp_signs) == \
+                    (OCase.I, 0, datum.cusp_signs), (kind_o, orbit, signs)
+                checked.append(datum.cusp_signs[0])
+    # both lifts come out, each about half the time
+    assert len(checked) == 814 and checked.count(-1) == 407
 
 
 def test_count_identity_small():
@@ -396,7 +436,7 @@ def test_springer_o_central_value_matches():
                 out = springer_o(kind_o, p, signs)
                 if out.case is OCase.I:
                     central = [s for q, s in zip(odd, signs) if p.parts.count(q) % 2]
-                    assert out.cusp_character_o.product() == math.prod(central)
+                    assert math.prod(out.datum.cusp_signs) == math.prod(central)
 
 
 def test_o4_torus_series_has_hyperoctahedral_size():
@@ -520,21 +560,24 @@ def test_springer_product_needs_factors():
         springer_product([])
 
 
-@pytest.mark.parametrize("family,field,detail", [
+@pytest.mark.parametrize("family,moved_part,detail", [
     (Family.SP, "torus_rank", "Sp_2 cuspidal pair moved"),
     (Family.SP, "cusp_character", "Sp_2 cuspidal pair moved"),
     (Family.SO_EVEN, "torus_rank", "SO_4 cuspidal pair moved"),
     (Family.SO_ODD, "cusp_character", "SO_1 cuspidal lift not restored"),
 ])
-def test_cuspidal_fixed_points_names_the_first_pair_that_moved(monkeypatch, family, field, detail):
+def test_cuspidal_fixed_points_names_the_first_pair_that_moved(monkeypatch, family, moved_part,
+                                                              detail):
+    # the moved part is the torus rank or the cuspidal character, its signs
     direct = verifications.springer_datum
 
     def moved(kind, p, signs):
         datum = direct(kind, p, signs)
         if kind.family is not family:
             return datum
-        changed = datum.torus_rank + 1 if field == "torus_rank" else SignCharacter()
-        return replace(datum, **{field: changed})
+        if moved_part == "torus_rank":
+            return replace(datum, torus_rank=datum.torus_rank + 1)
+        return replace(datum, cusp_signs=())
 
     monkeypatch.setattr(verifications, "springer_datum", moved)
     assert verifications.check_cuspidal_fixed_points(25) == (False, detail)
