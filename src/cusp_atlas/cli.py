@@ -39,7 +39,6 @@ from .errors import (
 from .lparams import (
     DiscreteParameter,
     IrrLabel,
-    SelfDualType,
     half_str,
     is_cuspidal,
     reducibility_point,
@@ -176,12 +175,11 @@ class _LabelRegistry:
             return self.by_name[value]
         fields = _expect_object(value, pointer,
                                 {"name": _string, "dim": _positive_int, "type": _string})
-        try:
-            sd_type = SelfDualType(fields["type"])
+        try:  # the name is a str and the dimension positive: only the type can fail
+            label = IrrLabel(fields["name"], fields["dim"], fields["type"])
         except ValueError:
             raise SchemaError(_child(pointer, "type"),
                               f"unknown type {fields['type']!r}") from None
-        label = IrrLabel(fields["name"], fields["dim"], sd_type)
         prior = self.by_name.setdefault(label.name, label)
         if prior != label:
             raise SchemaError(pointer, f"label {label.name!r} redefined with new data")
@@ -342,14 +340,13 @@ def _render_signs(datum) -> list:
     return [[q, s] for q, s in zip(datum.cusp_partition.increasing(), datum.cusp_signs)]
 
 
+# the p-adic group of each classical dual: its family and the shift of N
+_P_ADIC = {Family.SP: ("SO", 1), Family.SO_ODD: ("Sp", -1), Family.SO_EVEN: ("SO", 0)}
+
+
 def _p_adic_name(kind: GroupKind) -> str:
-    if kind.family is Family.SP:
-        return f"SO_{kind.size + 1}(F)"
-    if kind.family is Family.SO_ODD:
-        return f"Sp_{kind.size - 1}(F)"
-    if kind.family is Family.SO_EVEN:
-        return f"SO_{kind.size}(F)"
-    return ""
+    family, shift = _P_ADIC[kind.family]
+    return f"{family}_{kind.size + shift}(F)"
 
 
 def _group_json(kind: GroupKind) -> dict:

@@ -47,14 +47,24 @@ class SelfDualType(str, Enum):
 
 @dataclass(frozen=True, order=True)
 class IrrLabel:
+    """A formal label: a str name, a dimension >= 1 and a SelfDualType (or its value)."""
+
     name: str
     dim: int
     sd_type: SelfDualType
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise TypeError(f"a label name is a str, got {type(self.name).__name__}")
         object.__setattr__(self, "dim", as_int(self.dim))
         if self.dim < 1:
             raise ValueError(f"label dimension must be positive, got {self.dim}")
+        if self.sd_type.__class__ is not SelfDualType:  # a member passes as it is
+            try:
+                object.__setattr__(self, "sd_type", SelfDualType(self.sd_type))
+            except ValueError:
+                raise ValueError(f"label type {self.sd_type!r} is not one of orthogonal, "
+                                 "symplectic, gl-pair") from None
 
     def __str__(self) -> str:
         return self.name
@@ -221,10 +231,9 @@ def sgroup_factors(p: DiscreteParameter, eta: ParameterCharacter, *, slices=None
     ``slices`` are ``signed_slices(p, eta)`` if read.
     """
     if slices is None:
-        signs = signs_on(eta, p.block_keys(), "blocks", p)
-    else:
-        signs = [sign for _, _, slice_signs in slices for sign in slice_signs]
-    return p.dual_group.family is _SO_ODD or math.prod(signs) == 1
+        slices = signed_slices(p, eta)
+    return p.dual_group.family is _SO_ODD or \
+        math.prod(sign for _, _, slice_signs in slices for sign in slice_signs) == 1
 
 
 def signed_slices(p: DiscreteParameter, eta: ParameterCharacter

@@ -201,7 +201,11 @@ class SignCharacter:
             for key, sign in mapping.items():  # name the first bad value
                 if type(sign) is not int or sign not in (1, -1):
                     raise ValueError(f"character value at {key!r} must be +1 or -1, got {sign!r}")
-        object.__setattr__(self, "values", tuple(sorted(mapping.items())))
+        try:
+            object.__setattr__(self, "values", tuple(sorted(mapping.items())))
+        except TypeError:
+            raise TypeError(f"the generators of a SignCharacter must compare with each "
+                            f"other, got {tuple(mapping)!r}") from None
 
     def keys(self) -> tuple:
         """The generators, increasing: the first column of ``values``."""

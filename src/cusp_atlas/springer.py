@@ -188,10 +188,15 @@ def _slice_datum(orbit: ValidOrbit, signs: Sequence[int]) -> tuple[int, int, int
     first = -1 if parity == 0 else (normal_signs[0] if normal_signs else 1)
     if parity and math.prod(signs) != math.prod(staircase_signs(d, first)):
         raise InternalCheckError(f"central value not conserved on {p}, {signs}")
-    torus_rank, rem = divmod(kind.size - d * (d + 1 - parity), 2)
+    return d, dprime, _torus_rank(kind, d, p, signs), first
+
+
+def _torus_rank(kind: GroupKind, d: int, p: Partition, signs: Sequence[int]) -> int:
+    """(N - the size of the staircase of d)/2, checked to be a nonnegative integer."""
+    torus_rank, rem = divmod(kind.size - d * (d + 1 - kind.generator_parity), 2)
     if rem or torus_rank < 0:
         raise InternalCheckError(f"bad torus rank for {p}, {signs}: N={kind.size}, d={d}")
-    return d, dprime, torus_rank, first
+    return torus_rank
 
 
 def springer_datum(kind: GroupKind, p: Partition, signs: Sequence[int]) -> CuspidalDatum:
@@ -263,6 +268,9 @@ class OSpringerDatum:
     fused_orbit_tags: tuple[str, ...] = ()
 
 
+_WEYL_REP = {OCase.I: WeylTag.BASE, OCase.II: WeylTag.EXTENDED, OCase.III: WeylTag.INDUCED}
+
+
 def springer_o(kind: GroupKind, p: Partition, signs: Sequence[int]) -> OSpringerDatum:
     """Correspondence for O_N on a class with character at the O-level.
 
@@ -275,12 +283,14 @@ def springer_o(kind: GroupKind, p: Partition, signs: Sequence[int]) -> OSpringer
     * I when N is odd, or N is even with cuspidal block size d^2 >= 4;
     * II otherwise (N even, torus quasi-Levi, some odd part present).
 
-    In case I the recorded lift of the cuspidal character matches the
-    character on the central element when that pins it (d odd) and carries
-    the extension sign on z_1 otherwise.
-
-    The correspondence is computed for N >= 1: O_0 has no det = -1 class
-    for case II to read its sign from, so it is rejected.
+    d is read off the symbol defect, as the census reads it.  The lift of the
+    cuspidal character is ``staircase_signs(d, first)``.  In case I, for even
+    N, ``first`` is chi, the sign on the smallest odd part (a det = -1 class);
+    for odd N (d odd) chi is the central value, the sign on the odd parts of
+    odd multiplicity, and ``first`` is chi * (-1)^(d//2), so that the lift's
+    signs multiply to chi.  In case II ``first`` is +1.  The correspondence is
+    computed for N >= 1: O_0 has no det = -1 class for case II to read its
+    sign from, so it is rejected.
     """
     check_signs(signs)
     if not kind.is_full_orthogonal:
@@ -292,46 +302,25 @@ def springer_o(kind: GroupKind, p: Partition, signs: Sequence[int]) -> OSpringer
     n = kind.size
     if n == 0:
         raise InvalidPartition("the O_N correspondence is computed for N >= 1, not for O_0")
-    kind_so = classical_kind(1, n)
-
-    if is_degenerate(orbit):
-        torus_rank = n // 2
-        datum = CuspidalDatum(kind_so, torus_rank, Partition(), (), 0, 0)
-        return OSpringerDatum(
-            OCase.III, QuasiLevi(torus_rank, 0), datum, WeylTag.INDUCED,
-            None, fused_orbit_tags=("I", "II"))
-
     # O_N and SO_N admit the same partitions and share the orthogonal symbols
     dprime = swapped_symbol(interval_structure(orbit), signs).defect
-    d = abs(dprime)
-    torus_rank = (n - d * d) // 2
-    cusp = staircase(1, d)
-    # the sign on the central element -1 (the odd parts of odd multiplicity), and
-    # on the smallest odd part, a det = -1 class that a nondegenerate partition has
+    d = d_from_defect(kind, dprime)
     central = math.prod(sign for q, sign in zip(odd, signs) if multiplicity[q] % 2)
-    det_minus = signs[0]
-    if n % 2 or d >= 2:
-        # case I: the quasi-Levi keeps an O_{d^2} block
-        if n % 2:
-            chi = central
-            lift = staircase_signs(d, 1)
-            if math.prod(lift) != chi:
-                lift = staircase_signs(d, -1)
-            if math.prod(lift) != chi:
-                raise InternalCheckError(f"no central-value-matching lift on {p}, {signs}")
-        else:
-            chi = det_minus
-            lift = staircase_signs(d, chi)
-            if math.prod(lift) != central:
-                raise InternalCheckError(
-                    f"central values disagree in the even case on {p}, {signs}")
-        datum = CuspidalDatum(kind_so, torus_rank, cusp, lift, d, dprime)
-        return OSpringerDatum(OCase.I, QuasiLevi(torus_rank, d * d), datum, WeylTag.BASE, chi)
-
-    # case II: N even, torus quasi-Levi, extension sign moves to the Weyl side
-    chi = det_minus
-    datum = CuspidalDatum(kind_so, torus_rank, cusp, staircase_signs(d, 1), d, dprime)
-    return OSpringerDatum(OCase.II, QuasiLevi(torus_rank, 0), datum, WeylTag.EXTENDED, chi)
+    if is_degenerate(orbit):
+        case, chi, first = OCase.III, None, 1
+    elif n % 2:  # d is odd: the lift whose signs multiply to chi
+        case, chi, first = OCase.I, central, central * (-1) ** (d // 2)
+    elif d >= 2:  # the quasi-Levi keeps an O_{d^2} block
+        case, chi, first = OCase.I, signs[0], signs[0]
+    else:  # a torus quasi-Levi: chi rides on the Weyl-group representation
+        case, chi, first = OCase.II, signs[0], 1
+    cusp_signs = staircase_signs(d, first)
+    if case is OCase.I and math.prod(cusp_signs) != central:
+        raise InternalCheckError(f"central values disagree in the even case on {p}, {signs}")
+    torus_rank = _torus_rank(kind, d, p, signs)
+    datum = CuspidalDatum(classical_kind(1, n), torus_rank, staircase(1, d), cusp_signs, d, dprime)
+    return OSpringerDatum(case, QuasiLevi(torus_rank, d * d), datum, _WEYL_REP[case], chi,
+                          ("I", "II") if case is OCase.III else ())
 
 
 # -- index-two subgroup of a product of orthogonal groups --------------------

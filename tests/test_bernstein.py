@@ -198,6 +198,22 @@ def test_normalization_errors():
         hecke_parameters(sp_triple([GLFactor(R, 1)], [(R, 2)], 4), {"r": 0})
 
 
+def test_gl_factor_refuses_a_torsion_below_one_and_a_negative_partner_total():
+    for torsion in (0, -1):
+        with pytest.raises(ValueError, match=r"^torsion is a positive integer$"):
+            GLFactor(R, 1, torsion=torsion)
+    with pytest.raises(ValueError, match=r"^a block total is nonnegative$"):
+        GLFactor(R, 1, partner_mprime=-1)
+    assert GLFactor(R, 1, torsion=1, partner_mprime=0).torsion == 1
+
+
+def test_triple_refuses_a_classical_part_of_another_family():
+    # an SOeven_0 classical part under an Sp_4 ambient group
+    with pytest.raises(NormalizationError,
+                       match=r"^classical part must have the ambient family$"):
+        InertialTriple(GroupKind(Family.SP, 4), [GLFactor(R, 1)], EMPTY_SO_EVEN)
+
+
 def test_hecke_parameters_refuse_a_theta_sign_that_is_not_the_int_1_or_minus_1():
     triple = sp_triple([GLFactor(R, 1)], [(R, 2)], 4)
     for sign in (True, False, 1.0, -1.0):

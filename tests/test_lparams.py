@@ -19,6 +19,7 @@ from cusp_atlas.lparams import (
     is_cuspidal,
     reducibility_point,
     sgroup_factors,
+    signed_slices,
     slice_exponents,
     validate_parameter,
 )
@@ -110,6 +111,55 @@ def test_label_refuses_a_dimension_that_is_not_an_integer():
         with pytest.raises(TypeError):
             IrrLabel("p", dim, SelfDualType.ORTHOGONAL)
     assert IrrLabel("p", 2, SelfDualType.ORTHOGONAL).dim == 2
+
+
+def test_label_refuses_a_dimension_below_one():
+    for dim in (0, -2):
+        with pytest.raises(ValueError, match=rf"^label dimension must be positive, got {dim}$"):
+            IrrLabel("p", dim, SelfDualType.ORTHOGONAL)
+
+
+def test_label_refuses_a_name_that_is_not_a_str():
+    for name, shown in ((1, "int"), (None, "NoneType"), (("p",), "tuple"), (b"p", "bytes")):
+        with pytest.raises(TypeError, match=rf"^a label name is a str, got {shown}$"):
+            IrrLabel(name, 1, SelfDualType.ORTHOGONAL)
+
+
+def test_label_reads_its_type_through_self_dual_type():
+    # a member passes as it is, and a member's value becomes that member
+    for sd_type in SelfDualType:
+        assert IrrLabel("p", 1, sd_type).sd_type is sd_type
+        label = IrrLabel("p", 1, sd_type.value)
+        assert label.sd_type is sd_type and label == IrrLabel("p", 1, sd_type)
+    for bad in ("weird", "Orthogonal", "", None, 1, ["orthogonal"]):
+        with pytest.raises(ValueError) as err:
+            IrrLabel("p", 1, bad)
+        assert str(err.value) == \
+            f"label type {bad!r} is not one of orthogonal, symplectic, gl-pair"
+
+
+def test_a_label_given_its_type_as_a_string_is_validated_as_the_member():
+    # the validator sees the member, so a parity problem is reported (a
+    # string type would raise a bare AttributeError on its .value), and an
+    # unknown type is refused when the label is built, not passed as valid
+    u = IrrLabel("p", 1, "orthogonal")
+    verdict = validate_parameter(SP6, [(u, 1), (u, 5)])
+    assert verdict.problems == ("block (p,1): an orthogonal label needs even sizes in Sp",
+                                "block (p,5): an orthogonal label needs even sizes in Sp")
+    assert verdict == validate_parameter(SP6, [(ORTH1, 1), (ORTH1, 5)])
+    with pytest.raises(ValueError, match=r"^label type 'weird' is not one of "):
+        validate_parameter(SP6, [(IrrLabel("p", 1, "weird"), 6)])
+
+
+def test_sign_character_refuses_generators_that_do_not_compare():
+    for mapping in ({1: 1, "a": -1}, {("p", 1): 1, (2, 1): -1}, {("p", 1): 1, ("p", "1"): -1}):
+        with pytest.raises(TypeError) as err:
+            SignCharacter(mapping)
+        assert str(err.value) == ("the generators of a SignCharacter must compare with each "
+                                  f"other, got {tuple(mapping)!r}")
+    # int keys, as an orbit-level table, and (name, a) keys stay accepted
+    assert SignCharacter({3: -1, 1: 1}).values == ((1, 1), (3, -1))
+    assert SignCharacter({("q", 1): 1, ("p", 3): -1}).keys() == (("p", 3), ("q", 1))
 
 
 def test_validate_parameter_reports_a_repeated_block_once():
@@ -278,6 +328,24 @@ def test_sgroup_factors():
     # odd special orthogonal dual has trivial center: everything factors
     param = DiscreteParameter(SO7, [(ORTH1, 7)])
     assert sgroup_factors(param, character_on(param, (-1,)))
+
+
+def test_sgroup_factors_reads_its_character_through_signed_slices(signs_read):
+    # one read, on the block keys, with signed_slices' domain text
+    param = DiscreteParameter(SP4, [(MU1, 2), (MU2, 2)])
+    eta = character_on(param, (-1, -1))
+    assert sgroup_factors(param, eta) is True
+    assert signs_read == [param.block_keys()]
+    slices = signed_slices(param, eta)
+    assert sgroup_factors(param, eta, slices=slices) is True
+    assert signs_read == [param.block_keys()] * 2  # the slices' read, and none more
+    odd = DiscreteParameter(SO7, [(ORTH1, 7)])
+    for p in (param, odd):  # an odd SO dual reads its character all the same
+        for read in (sgroup_factors, signed_slices):
+            with pytest.raises(DomainMismatch) as err:
+                read(p, SignCharacter({("m1", 2): 1}))
+            assert str(err.value) == \
+                f"character domain (('m1', 2),) does not match blocks of {p}"
 
 
 def test_is_cuspidal_fixtures():

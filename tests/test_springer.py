@@ -5,6 +5,7 @@ import pytest
 
 from cusp_atlas import verifications
 from cusp_atlas.census import (
+    bipartition_count,
     classical_kinds,
     count_identity,
     distinguished_pairs,
@@ -25,6 +26,7 @@ from cusp_atlas.orbits import (
     cuspidal_pair,
     orbit_count,
     require_valid,
+    staircase_signs,
 )
 from cusp_atlas.springer import (
     OCase,
@@ -385,6 +387,28 @@ def test_every_case_one_o_datum_is_a_cuspidal_pair_that_is_its_own_datum():
     assert len(checked) == 814 and checked.count(-1) == 407
 
 
+def test_o_count_identity_holds_per_lift():
+    # ROADMAP item 3, an oracle for springer_o apart from its case rules:
+    # bucketed by d and the O-level lift, the pairs of O_N give bip(m),
+    # m = (N - d^2)/2, for each of the two lifts of each d > 0, and for even
+    # N the d = 0 bucket (cases II and III) holds bip(N/2)
+    pairs = 0
+    for n in range(1, 19):
+        kind_o = o_kind(n)
+        buckets: dict = {}
+        for orbit in group_partitions(kind_o):
+            for signs in characters_of(component_group(orbit)):
+                datum = springer_o(kind_o, orbit.partition, signs).datum
+                key = (datum.d, datum.cusp_signs)
+                buckets[key] = buckets.get(key, 0) + 1
+        predicted = {(d, lift): bipartition_count((n - d * d) // 2)
+                     for d in range(n % 2, math.isqrt(n) + 1, 2)
+                     for lift in {staircase_signs(d, 1), staircase_signs(d, -1)}}  # () if d = 0
+        assert buckets == predicted, kind_o
+        pairs += sum(buckets.values())
+    assert pairs == 2181
+
+
 def test_count_identity_small():
     kind = GroupKind(Family.SP, 4)
     by_d, predicted = count_identity(kind)
@@ -451,7 +475,6 @@ def test_o4_torus_series_has_hyperoctahedral_size():
             out = springer_o(O4, orbit.partition, signs)
             if out.case is OCase.II:
                 members += 1
-    from cusp_atlas.census import bipartition_count
     assert members == bipartition_count(2)  # 5 = |Irr(W(B_2))|
 
 
