@@ -41,7 +41,7 @@ from .lparams import (
     half_str,
     reducibility_point,
 )
-from .orbits import Family, GroupKind, staircase_d
+from .orbits import Family, GroupKind, as_int, staircase_d
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,15 @@ class GLFactor:
     partner_mprime: int = 0
 
     def __post_init__(self):
-        if self.ell < 0:
-            raise ValueError("a factor exponent must be nonnegative")
-        if self.torsion < 1:
-            raise ValueError("torsion is a positive integer")
-        if self.partner_mprime < 0:
-            raise ValueError("a block total is nonnegative")
+        for name, least, problem in (("ell", 0, "a factor exponent must be nonnegative"),
+                                     ("torsion", 1, "torsion is a positive integer"),
+                                     ("partner_mprime", 0, "a block total is nonnegative")):
+            value = getattr(self, name)
+            if type(value) is not int:  # an exact int is read as it is
+                value = as_int(value)
+                object.__setattr__(self, name, value)
+            if value < least:
+                raise ValueError(problem)
 
 
 @dataclass(frozen=True)

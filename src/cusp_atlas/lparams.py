@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
@@ -81,9 +82,17 @@ def _block_key(block: tuple[IrrLabel, int]) -> BlockKey:
 _CLASSICAL_DUALS = (Family.SP, Family.SO_ODD, Family.SO_EVEN)
 
 
-def _sorted_blocks(blocks: Iterable[tuple[IrrLabel, int]]) -> tuple[tuple[IrrLabel, int], ...]:
-    """The blocks sorted by (label name, size), each size read by ``as_int``
-    unless it is an exact int already."""
+def _sorted_blocks(dual: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]
+                   ) -> tuple[tuple[IrrLabel, int], ...]:
+    """The blocks sorted by (label name, size), as both parameter doors take
+    them: under a classical dual each size is read by ``as_int`` unless it is
+    an exact int already; under any other dual, the one problem, no size is
+    read and blocks whose sizes do not compare stay as given."""
+    if dual.family not in _CLASSICAL_DUALS:
+        blocks = tuple(blocks)
+        with suppress(TypeError):
+            blocks = tuple(sorted(blocks, key=_block_key))
+        return blocks
     blocks = [(label, a if type(a) is int else as_int(a)) for label, a in blocks]
     blocks.sort(key=_block_key)
     return tuple(blocks)
@@ -102,14 +111,7 @@ class DiscreteParameter:
 
     def __init__(self, dual_group: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]):
         object.__setattr__(self, "dual_group", dual_group)
-        if dual_group.family in _CLASSICAL_DUALS:
-            blocks = _sorted_blocks(blocks)
-        else:  # the dual is the one problem and no size is read, as by
-            # validate_parameter: blocks whose sizes do not compare stay as given
-            blocks = tuple(blocks)
-            with suppress(TypeError):
-                blocks = tuple(sorted(blocks, key=_block_key))
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", _sorted_blocks(dual_group, blocks))
         problems = _problems(dual_group, self.blocks)
         if problems:
             raise InvalidParameter(f"{self}: " + "; ".join(problems))
@@ -162,11 +164,9 @@ def validate_parameter(dual: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]) 
 
     The :class:`DiscreteParameter` constructor raises on any of them; the
     CLI ``validate`` command reports them all.  A dual group that is not
-    classical is reported before the blocks are read.
+    classical is reported before any block size is read.
     """
-    if dual.family in _CLASSICAL_DUALS:
-        blocks = _sorted_blocks(blocks)
-    problems = _problems(dual, blocks)
+    problems = _problems(dual, _sorted_blocks(dual, blocks))
     return Verdict(not problems, tuple(problems))
 
 
@@ -245,24 +245,20 @@ def signed_slices(p: DiscreteParameter, eta: ParameterCharacter
             for label, sizes in p.slices()]
 
 
-def has_no_gaps(p: DiscreteParameter) -> bool:
-    """Every block of size a >= 3 sits above a block of size a - 2."""
-    keys = set(p.block_keys())
-    return all(a < 3 or (label.name, a - 2) in keys for label, a in p.blocks)
-
-
 def is_cuspidal(p: DiscreteParameter, eta: ParameterCharacter, *, slices=None) -> bool:
-    """No gaps, opposite signs on consecutive blocks of a label, and -1 on
-    minimal even blocks; ``slices`` are ``signed_slices(p, eta)`` if read.
+    """Each label's sizes rise by 2 from 1 or 2, its signs alternate, and a
+    minimal even block carries -1.  eta is read through :func:`signed_slices`,
+    with its DomainMismatch, unless ``slices`` are ``signed_slices(p, eta)``.
     The sign conditions only involve products over blocks of equal size
     parity, so an orthogonal character's two value tables agree on them.
     """
-    if not has_no_gaps(p):
-        return False
     for _, sizes, signs in signed_slices(p, eta) if slices is None else slices:
-        if any(lo == hi for lo, hi in zip(signs, signs[1:])):
+        # a label's sizes are distinct and of one parity: they rise by 2
+        # exactly when the last is 2(len - 1) above the first
+        low = sizes[0]
+        if low > 2 or sizes[-1] - low != 2 * len(sizes) - 2:
             return False
-        if sizes[0] % 2 == 0 and signs[0] != -1:
+        if (low == 2 and signs[0] == 1) or 1 in map(operator.mul, signs, signs[1:]):
             return False
     return True
 

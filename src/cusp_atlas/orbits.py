@@ -407,32 +407,28 @@ def staircase_pairs(parity: int, d: int, first: int) -> tuple[tuple[int, int], .
 class CuspidalPair:
     """The cuspidal (class, character) of a group, when it exists.
 
-    ``signs`` are the character's on the increasing parts.  For the
-    orthogonal families they are the plus extension, +1 on the smallest
-    part, and ``minus_signs`` the other one; both restrict to the same
-    SO-character, the one that is -1 on each product of consecutive
-    generators.
+    ``characters`` are the cuspidal characters, each as its signs on the
+    increasing parts: the one of GL_1 and of Sp, and for the orthogonal
+    families the two lifts to the O-level group, +1 and then -1 on the
+    smallest part.  Both lifts restrict to the same SO-character, the one
+    that is -1 on each product of consecutive generators.
     """
 
     partition: Partition
-    signs: tuple[int, ...]
-    minus_signs: Optional[tuple[int, ...]] = None
+    characters: tuple[tuple[int, ...], ...]
 
 
 def cuspidal_pair(kind: GroupKind) -> Optional[CuspidalPair]:
     """Cuspidal pair of the group, or None when the size is not admissible."""
     n = kind.size
     if kind.is_gl:
-        if n == 1:
-            return CuspidalPair(Partition((1,)), ())
-        return None
+        return CuspidalPair(Partition((1,)), ((),)) if n == 1 else None
     parity = kind.generator_parity
     d = staircase_d(parity, n)
     if d is None:
         return None
-    if parity == 0:
-        return CuspidalPair(staircase(parity, d), staircase_signs(d, -1))
-    return CuspidalPair(staircase(parity, d), staircase_signs(d, 1), staircase_signs(d, -1))
+    firsts = (1, -1) if parity else (-1,)
+    return CuspidalPair(staircase(parity, d), tuple(staircase_signs(d, first) for first in firsts))
 
 
 def characters_of(descriptor: ComponentGroupDescriptor) -> list[tuple[int, ...]]:

@@ -120,9 +120,7 @@ def check_cuspidal_fixed_points(limit: int) -> tuple[bool, str]:
         moved = f"{_short_name(kind)} cuspidal pair moved"
         # a symplectic pair has one character, so a changed one has moved
         lost = moved if kind.is_symplectic else f"SO_{kind.size} cuspidal lift not restored"
-        for signs in (pair.signs, pair.minus_signs):
-            if signs is None:
-                continue
+        for signs in pair.characters:
             datum = springer_datum(kind, pair.partition, signs)
             if (datum.torus_rank, datum.cusp_partition) != (0, pair.partition):
                 return False, moved

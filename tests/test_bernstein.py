@@ -10,7 +10,7 @@ from cusp_atlas.bernstein import (
 )
 from cusp_atlas.errors import NormalizationError
 from cusp_atlas.lparams import DiscreteParameter, IrrLabel, SelfDualType
-from cusp_atlas.orbits import Family, GroupKind
+from cusp_atlas.orbits import Family, GroupKind, Partition
 
 R = IrrLabel("r", 1, SelfDualType.ORTHOGONAL)
 S = IrrLabel("s", 2, SelfDualType.SYMPLECTIC)
@@ -205,6 +205,20 @@ def test_gl_factor_refuses_a_torsion_below_one_and_a_negative_partner_total():
     with pytest.raises(ValueError, match=r"^a block total is nonnegative$"):
         GLFactor(R, 1, partner_mprime=-1)
     assert GLFactor(R, 1, torsion=1, partner_mprime=0).torsion == 1
+
+
+def test_gl_factor_reads_its_integers_through_the_one_integer_door():
+    # ell, torsion and partner_mprime are read as a group's size and a
+    # partition's parts are: the same TypeError, with the same text
+    for value, text in ((1.5, "'float' object cannot be interpreted as an integer"),
+                        (True, "expected an integer, got True"),
+                        ("1", "'str' object cannot be interpreted as an integer")):
+        for build in (lambda: GroupKind(Family.SP, value), lambda: Partition((value,)),
+                      lambda: GLFactor(R, value), lambda: GLFactor(R, 1, torsion=value),
+                      lambda: GLFactor(R, 1, partner_mprime=value)):
+            with pytest.raises(TypeError) as err:
+                build()
+            assert str(err.value) == text
 
 
 def test_triple_refuses_a_classical_part_of_another_family():

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,8 @@ from cusp_atlas.census import (
     partitions_of,
     unipotent_census,
 )
-from cusp_atlas.errors import DomainMismatch, InvalidParameter
+from cusp_atlas.cuspsupport import check_support
+from cusp_atlas.errors import DomainMismatch, InternalCheckError, InvalidParameter
 from cusp_atlas.lparams import IrrLabel, SelfDualType, is_cuspidal, validate_parameter
 from cusp_atlas.orbits import (
     Family,
@@ -394,3 +396,24 @@ def test_pair_checks_name_the_failing_pair_alike(monkeypatch):
     assert verifications.check_order_independence(4) == \
         (False, "2 normal-form contents for SOodd_1 (1) (+)")
 
+
+def test_support_invariants_report_a_failed_route_and_a_failed_law(monkeypatch):
+    # both failures name the first parameter checked, SOodd_1 {(u,1)} (-)
+    def routes_disagree(param, eta):
+        raise InternalCheckError("routes disagree")
+
+    monkeypatch.setattr(verifications, "check_support", routes_disagree)
+    assert verifications.check_support_invariants(2) == (False, "{(u,1)} (-): routes disagree")
+    monkeypatch.setattr(verifications, "check_support",
+                        lambda param, eta: replace(check_support(param, eta), idempotent=False))
+    assert verifications.check_support_invariants(2) == (False, "{(u,1)} (-): ('idempotent',)")
+
+
+def test_run_all_reports_a_crash_as_a_failed_check(monkeypatch):
+    def crash(limit):
+        raise ValueError("no census")
+
+    monkeypatch.setattr(verifications, "check_count_identity", crash)
+    results = verifications.run_all(verifications.Limits(2, 2, 2, 2, 2))
+    assert results[0] == ("count-identity", False, "ValueError: no census")
+    assert [ok for _, ok, _ in results] == [False] + [True] * 5

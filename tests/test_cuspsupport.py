@@ -11,7 +11,7 @@ from conftest import character_on, det_flip
 
 from cusp_atlas import cuspsupport, lparams
 from cusp_atlas.cli import main
-from cusp_atlas.census import enumerate_parameters
+from cusp_atlas.census import classical_kinds, enumerate_parameters
 from cusp_atlas.cuspsupport import (
     check_support,
     ec_multiset,
@@ -33,7 +33,7 @@ from cusp_atlas.lparams import (
     signed_slices,
     slice_exponents,
 )
-from cusp_atlas.orbits import Family, GroupKind, Partition, classical_kind
+from cusp_atlas.orbits import Family, GroupKind, Partition, SignCharacter, classical_kind
 from cusp_atlas.springer import springer_datum
 
 P = IrrLabel("p", 1, SelfDualType.ORTHOGONAL)
@@ -309,6 +309,48 @@ def test_check_support_mixed_signatures():
                     assert check_support(param, eta).ok(), (param, eta)
                     checked += 1
     assert checked > 200
+
+
+def folded_segment(label, lo, hi):
+    """The twists that dropping the blocks lo < hi of a label adds, entry by
+    entry: 2e = hi - 1, hi - 3, ..., -(lo - 1), each folded to |2e|."""
+    return ExponentMultiset.of_runs(label, ((abs(two_e), abs(two_e))
+                                            for two_e in range(hi - 1, -lo, -2)))
+
+
+def test_support_is_transitive_through_one_levi_step():
+    # parabolic induction on the Galois side: dropping two adjacent blocks
+    # lo < hi of one label with equal signs takes (phi, eps) to (phi', eps')
+    # on a group smaller by n_pi (lo + hi), with the same cuspidal part and
+    # one twist segment fewer; the segment shifted by 2 (negative control)
+    # never makes up the difference
+    u = IrrLabel("u", 1, SelfDualType.ORTHOGONAL)
+    v = IrrLabel("v", 1, SelfDualType.SYMPLECTIC)
+    params = steps = 0
+    for signature in ((u,), (u, v)):
+        for dual in classical_kinds(16):
+            for param, eta in enumerate_parameters(dual, signature):
+                params += 1
+                sup = support(param, eta)
+                for label, sizes, signs in signed_slices(param, eta):
+                    for lo, hi, lo_sign, hi_sign in zip(sizes, sizes[1:], signs, signs[1:]):
+                        if lo_sign != hi_sign:
+                            continue
+                        dropped = {(label.name, lo), (label.name, hi)}
+                        smaller = DiscreteParameter(
+                            GroupKind(dual.family, dual.size - label.dim * (lo + hi)),
+                            [(lab, a) for lab, a in param.blocks if (lab.name, a) not in dropped])
+                        rest = support(smaller, SignCharacter(
+                            {key: sign for key, sign in eta.values if key not in dropped}))
+                        step = (param, eta, lo, hi)
+                        assert (sup.cusp_param, sup.cusp_char) == \
+                            (rest.cusp_param, rest.cusp_char), step
+                        assert sup.gl_twists == \
+                            rest.gl_twists.union(folded_segment(label, lo, hi)), step
+                        assert sup.gl_twists != \
+                            rest.gl_twists.union(folded_segment(label, lo + 2, hi + 2)), step
+                        steps += 1
+    assert (params, steps) == (1600, 1144)
 
 
 @pytest.mark.parametrize("parity, sizes, ds", LARGE_SLICES,  # ids name the side: sp or o

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import character_on, det_flip, reference_parameter_problems
 
-from cusp_atlas.census import enumerate_parameters
+from cusp_atlas.census import classical_kinds, enumerate_parameters
 from cusp_atlas.errors import DomainMismatch, InvalidParameter
 from cusp_atlas.lparams import (
     DiscreteParameter,
@@ -23,7 +23,8 @@ from cusp_atlas.lparams import (
     slice_exponents,
     validate_parameter,
 )
-from cusp_atlas.orbits import Family, GroupKind, SignCharacter
+from cusp_atlas.orbits import (Family, GroupKind, Partition, SignCharacter, classical_kind,
+                               cuspidal_pair)
 
 ORTH1 = IrrLabel("p", 1, SelfDualType.ORTHOGONAL)
 MU1 = IrrLabel("m1", 1, SelfDualType.ORTHOGONAL)
@@ -360,6 +361,44 @@ def test_is_cuspidal_fixtures():
     gapped = DiscreteParameter(GroupKind(Family.SP, 8), [(ORTH1, 2), (ORTH1, 6)])
     for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         assert not is_cuspidal(gapped, character_on(gapped, signs))
+
+
+def test_is_cuspidal_reads_its_character_before_it_decides(signs_read):
+    # a character on other blocks raises signed_slices' DomainMismatch, as in
+    # sgroup_factors, even where the gap above 2 alone would decide
+    param = DiscreteParameter(SP6, [(ORTH1, 6)])
+    for read in (is_cuspidal, sgroup_factors):
+        with pytest.raises(DomainMismatch) as err:
+            read(param, SignCharacter({("w", 9): 1}))
+        assert str(err.value) == "character domain (('w', 9),) does not match blocks of {(p,6)}"
+    # one read, on the block keys, and none more when handed the slices
+    signs_read.clear()
+    eta = character_on(param, (-1,))
+    assert is_cuspidal(param, eta) is False
+    assert signs_read == [param.block_keys()]
+    assert is_cuspidal(param, eta, slices=signed_slices(param, eta)) is False
+    assert signs_read == [param.block_keys()] * 2
+
+
+def test_is_cuspidal_agrees_with_the_cuspidal_pair_of_each_slice():
+    # the paper's statement: (phi, eps) is cuspidal exactly when each label's
+    # slice, with its signs, is the cuspidal pair of its centralizer factor,
+    # Sp or SO of the slice's total by the parity of its sizes
+    u = IrrLabel("u", 1, SelfDualType.ORTHOGONAL)
+    v = IrrLabel("v", 1, SelfDualType.SYMPLECTIC)
+    w = IrrLabel("w", 2, SelfDualType.ORTHOGONAL)
+    checked = cuspidal = 0
+    for signature in ((u,), (u, v), (u, w)):
+        for dual in classical_kinds(18):
+            for param, eta in enumerate_parameters(dual, signature):
+                pairs = [(cuspidal_pair(classical_kind(sizes[0] % 2, sum(sizes))), sizes, signs)
+                         for _, sizes, signs in signed_slices(param, eta)]
+                by_pairs = all(pair is not None and pair.partition == Partition(sizes)
+                               and signs in pair.characters for pair, sizes, signs in pairs)
+                assert is_cuspidal(param, eta) is by_pairs, (param, eta)
+                checked += 1
+                cuspidal += by_pairs
+    assert (checked, cuspidal) == (3601, 72)
 
 
 def test_is_cuspidal_respects_det_flip():

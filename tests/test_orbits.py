@@ -134,7 +134,7 @@ def test_is_distinguished():
 def test_cuspidal_pair_symplectic():
     pair = cuspidal_pair(SP6)
     assert pair.partition == Partition((4, 2))
-    assert pair.signs == (-1, 1) and pair.minus_signs is None
+    assert pair.characters == ((-1, 1),)
     assert cuspidal_pair(SP4) is None
 
 
@@ -143,11 +143,11 @@ def test_cuspidal_pair_orthogonal():
     assert pair.partition == Partition((5, 3, 1))
     # both extensions, as signs on the parts 1, 3, 5, restrict to -1 on each
     # product of consecutive generators
-    for signs in (pair.signs, pair.minus_signs):
+    for signs in pair.characters:
         assert len(signs) == 3
         assert signs[0] * signs[1] == -1
         assert signs[1] * signs[2] == -1
-    assert pair.signs[0] == 1 and pair.minus_signs[0] == -1
+    assert [signs[0] for signs in pair.characters] == [1, -1]
     assert cuspidal_pair(GroupKind(Family.SO_ODD, 7)) is None
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from cusp_atlas import verifications
+from cusp_atlas import springer, verifications
 from cusp_atlas.census import (
     bipartition_count,
     classical_kinds,
@@ -13,7 +13,7 @@ from cusp_atlas.census import (
     unipotent_census,
 )
 from cusp_atlas.cuspsupport import all_order_slice_supports, outcome_supports
-from cusp_atlas.errors import DomainMismatch, InvalidPartition
+from cusp_atlas.errors import DomainMismatch, InternalCheckError, InvalidPartition
 from cusp_atlas.lparams import IrrLabel, SelfDualType, block_group_type
 from cusp_atlas.orbits import (
     Family,
@@ -32,6 +32,7 @@ from cusp_atlas.springer import (
     OCase,
     ProductFactor,
     WeylTag,
+    d_from_defect,
     d_from_normal_form,
     eliminate,
     elimination_outcomes,
@@ -313,7 +314,7 @@ def test_springer_datum_fixtures():
     datum = springer_datum(SP6, pair.partition, (-1, 1))
     assert datum.torus_rank == 0
     assert datum.cusp_partition == pair.partition
-    assert datum.cusp_signs == pair.signs
+    assert (datum.cusp_signs,) == pair.characters
     assert datum.d == 2
 
     datum = springer_datum(SP6, Partition((4, 2)), (1, -1))
@@ -327,6 +328,31 @@ def test_springer_datum_fixtures():
     assert datum.cusp_signs == (1,)
 
 
+def test_springer_cross_checks_raise_their_texts(monkeypatch):
+    # each cross-check fires once one route lies, and names what disagreed
+    with pytest.raises(InternalCheckError, match=r"^symplectic defect 2 is even$"):
+        d_from_defect(GroupKind(Family.SP, 4), 2)
+    monkeypatch.setattr(springer, "defect_formula", lambda orbit, signs: 5)
+    with pytest.raises(InternalCheckError,
+                       match=r"^defect formula 5 != symbol defect -1 on \(4,2\), \(1, -1\)$"):
+        springer_datum(SP6, Partition((4, 2)), (1, -1))
+    monkeypatch.undo()
+    monkeypatch.setattr(springer, "d_from_normal_form", lambda kind, parts, signs: 7)
+    with pytest.raises(InternalCheckError, match=r"^normal form gives d=7, defect -1 gives 1$"):
+        springer_datum(SP6, Partition((4, 2)), (1, -1))
+    monkeypatch.undo()
+    # a cuspidal character whose signs multiply to the other central value
+    monkeypatch.setattr(springer, "staircase_signs", lambda d, first: (-first,) * d)
+    with pytest.raises(InternalCheckError,
+                       match=r"^central value not conserved on \(1\), \(1,\)$"):
+        springer_datum(GroupKind(Family.SO_ODD, 1), Partition((1,)), (1,))
+    monkeypatch.undo()
+    # d = 3 on O_1: its staircase of 9 is larger than the group
+    monkeypatch.setattr(springer, "d_from_defect", lambda kind, dprime: 3)
+    with pytest.raises(InternalCheckError, match=r"^bad torus rank for \(1\), \(1,\): N=1, d=3$"):
+        springer_o(GroupKind(Family.O_ODD, 1), Partition((1,)), (1,))
+
+
 def test_springer_datum_levi_rendering():
     datum = springer_datum(SP6, Partition((4, 2)), (1, -1))
     assert datum.levi_str() == "(C*)^2 x Sp_2"
@@ -336,12 +362,13 @@ def test_cuspidal_pairs_are_fixed_points():
     for d in range(1, 5):
         kind = GroupKind(Family.SP, d * (d + 1))
         pair = cuspidal_pair(kind)
-        datum = springer_datum(kind, pair.partition, pair.signs)
+        (signs,) = pair.characters
+        datum = springer_datum(kind, pair.partition, signs)
         assert datum.torus_rank == 0 and datum.cusp_partition == pair.partition
     for d in range(1, 6):
         kind = classical_kind(1, d * d)
         pair = cuspidal_pair(kind)
-        for signs in (pair.signs, pair.minus_signs):
+        for signs in pair.characters:
             datum = springer_datum(kind, pair.partition, signs)
             assert datum.torus_rank == 0 and datum.cusp_signs == signs
 
@@ -357,7 +384,7 @@ def test_every_cuspidal_datum_is_a_cuspidal_pair_that_is_its_own_datum():
             cusp_kind = classical_kind(kind.generator_parity, datum.cusp_size)
             pair = cuspidal_pair(cusp_kind)
             assert datum.cusp_partition == pair.partition, (kind, p, signs)
-            assert datum.cusp_signs in (pair.signs, pair.minus_signs), (kind, p, signs)
+            assert datum.cusp_signs in pair.characters, (kind, p, signs)
             again = springer_datum(cusp_kind, datum.cusp_partition, datum.cusp_signs)
             assert (again.torus_rank, again.cusp_signs) == (0, datum.cusp_signs), (kind, p, signs)
             checked += 1
@@ -378,7 +405,7 @@ def test_every_case_one_o_datum_is_a_cuspidal_pair_that_is_its_own_datum():
                 datum = out.datum
                 pair = cuspidal_pair(classical_kind(1, datum.cusp_size))
                 assert datum.cusp_partition == pair.partition, (kind_o, orbit, signs)
-                assert datum.cusp_signs in (pair.signs, pair.minus_signs), (kind_o, orbit, signs)
+                assert datum.cusp_signs in pair.characters, (kind_o, orbit, signs)
                 again = springer_o(o_kind(datum.cusp_size), datum.cusp_partition, datum.cusp_signs)
                 assert (again.case, again.datum.torus_rank, again.datum.cusp_signs) == \
                     (OCase.I, 0, datum.cusp_signs), (kind_o, orbit, signs)
