@@ -52,6 +52,8 @@ class GLFactor:
     partner_mprime: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.label, IrrLabel):
+            raise TypeError(f"a factor label is an IrrLabel, got {type(self.label).__name__}")
         for name, least, problem in (("ell", 0, "a factor exponent must be nonnegative"),
                                      ("torsion", 1, "torsion is a positive integer"),
                                      ("partner_mprime", 0, "a block total is nonnegative")):

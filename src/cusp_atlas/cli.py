@@ -388,33 +388,44 @@ def _run_validate(payload, bound: int) -> dict:
     return doc
 
 
+# the Weyl-group representation of each O_N case
+_WEYL_REP = {OCase.I: "base", OCase.II: "extended", OCase.III: "induced"}
+
+
+def _quasi_levi(datum) -> str:
+    """(C*)^r x O_{d^2} of an O_N datum, a trivial factor left out (O_0 is refused)."""
+    factors = (f"(C*)^{datum.torus_rank}" if datum.torus_rank else "",
+               f"O_{datum.d * datum.d}" if datum.d else "")
+    return " x ".join(filter(None, factors))
+
+
 def _run_springer(payload, bound: int) -> dict:
     if isinstance(payload, list):
         datum = springer_product(payload)
+        subs = datum.factor_data
         return {
-            "blocks": {"case_I": list(datum.block_i),
-                       "case_II": list(datum.block_ii),
-                       "case_III": list(datum.block_iii)},
+            "blocks": {f"case_{case.value}": [i for i, sub in enumerate(subs) if sub.case is case]
+                       for case in OCase},
             "c_levi": list(datum.generator_labels(datum.c_levi)),
             "c_orbit": list(datum.generator_labels(datum.c_orbit)),
             "c_induction": list(datum.generator_labels(datum.c_induction)),
             "chi_levi": list(datum.chi_levi),
             "chi_orbit": list(datum.chi_orbit),
-            "quasi_levi": [str(q) for q in datum.quasi_levi],
-            "cusp_data": [_render_datum(d) for d in datum.cusp_data],
-            "weyl_rep": {"extended": datum.extended, "induced": datum.induced},
+            "quasi_levi": [_quasi_levi(sub.datum) for sub in subs],
+            "cusp_data": [_render_datum(sub.datum) for sub in subs],
+            "weyl_rep": {"extended": bool(datum.c_orbit), "induced": bool(datum.c_induction)},
         }
     kind, p, signs = payload
     if kind.is_full_orthogonal:
         out = springer_o(kind, p, signs)
         return {
             "case": out.case.value,
-            "quasi_levi": str(out.quasi_levi),
+            "quasi_levi": _quasi_levi(out.datum),
             "datum": _render_datum(out.datum),
-            "weyl_rep": out.weyl_rep.value,
+            "weyl_rep": _WEYL_REP[out.case],
             "chi": out.chi,
             "cusp_character_o": _render_signs(out.datum) if out.case is OCase.I else None,
-            "fused_orbits": list(out.fused_orbit_tags),
+            "fused_orbits": ["I", "II"] if out.case is OCase.III else [],
         }
     datum = springer_datum(kind, p, signs)
     return {"group": _group_json(kind), "datum": _render_datum(datum)}

@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -85,17 +84,25 @@ _CLASSICAL_DUALS = (Family.SP, Family.SO_ODD, Family.SO_EVEN)
 def _sorted_blocks(dual: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]
                    ) -> tuple[tuple[IrrLabel, int], ...]:
     """The blocks sorted by (label name, size), as both parameter doors take
-    them: under a classical dual each size is read by ``as_int`` unless it is
-    an exact int already; under any other dual, the one problem, no size is
-    read and blocks whose sizes do not compare stay as given."""
-    if dual.family not in _CLASSICAL_DUALS:
-        blocks = tuple(blocks)
-        with suppress(TypeError):
-            blocks = tuple(sorted(blocks, key=_block_key))
-        return blocks
-    blocks = [(label, a if type(a) is int else as_int(a)) for label, a in blocks]
-    blocks.sort(key=_block_key)
-    return tuple(blocks)
+    them.  Under every dual a block that is not an (IrrLabel, size) pair is
+    a ``TypeError``; under a classical dual each size is read by ``as_int``
+    unless it is an exact int already; under any other dual, the one
+    problem, no size is read and blocks whose sizes do not compare stay as
+    given."""
+    classical = dual.family in _CLASSICAL_DUALS
+    pairs = []
+    for block in blocks:
+        try:
+            label, a = block
+        except (TypeError, ValueError):
+            label = None
+        if not isinstance(label, IrrLabel):
+            raise TypeError(f"a block is an (IrrLabel, size) pair, got {block!r}")
+        pairs.append((label, a if type(a) is int or not classical else as_int(a)))
+    try:
+        return tuple(sorted(pairs, key=_block_key))
+    except TypeError:  # only sizes no one read may fail to compare
+        return tuple(pairs)
 
 
 @dataclass(frozen=True)

@@ -225,29 +225,6 @@ class OCase(Enum):
     III = "III"
 
 
-class WeylTag(Enum):
-    BASE = "base"
-    EXTENDED = "extended"
-    INDUCED = "induced"
-
-
-@dataclass(frozen=True)
-class QuasiLevi:
-    """Centralizer of a torus in O_N: a torus part and one O-block."""
-
-    torus_rank: int
-    o_size: int
-
-    def __str__(self) -> str:
-        if self.torus_rank and self.o_size:
-            return f"(C*)^{self.torus_rank} x O_{self.o_size}"
-        if self.torus_rank:
-            return f"(C*)^{self.torus_rank}"
-        if self.o_size:
-            return f"O_{self.o_size}"
-        return "1"
-
-
 @dataclass(frozen=True)
 class OSpringerDatum:
     """Output of the correspondence for the full orthogonal group.
@@ -258,17 +235,17 @@ class OSpringerDatum:
     rides on the Weyl-group representation instead.  Case III (degenerate
     partition): the two special-orthogonal classes fuse into one O-class, the
     component group is trivial and the Weyl representation is induced.
+
+    The rest is read off these fields.  The quasi-Levi is (C*)^r x O_{d^2},
+    r the datum's torus rank and d its size parameter, a factor left out
+    when it is trivial; it keeps an O-block (d >= 1) exactly in case I.  The
+    Weyl-group representation is the base one in case I, extended by chi in
+    case II and induced in case III, where the fused classes are I and II.
     """
 
     case: OCase
-    quasi_levi: QuasiLevi
     datum: CuspidalDatum
-    weyl_rep: WeylTag
     chi: Optional[int]
-    fused_orbit_tags: tuple[str, ...] = ()
-
-
-_WEYL_REP = {OCase.I: WeylTag.BASE, OCase.II: WeylTag.EXTENDED, OCase.III: WeylTag.INDUCED}
 
 
 def springer_o(kind: GroupKind, p: Partition, signs: Sequence[int]) -> OSpringerDatum:
@@ -317,10 +294,9 @@ def springer_o(kind: GroupKind, p: Partition, signs: Sequence[int]) -> OSpringer
     cusp_signs = staircase_signs(d, first)
     if case is OCase.I and math.prod(cusp_signs) != central:
         raise InternalCheckError(f"central values disagree in the even case on {p}, {signs}")
-    torus_rank = _torus_rank(kind, d, p, signs)
-    datum = CuspidalDatum(classical_kind(1, n), torus_rank, staircase(1, d), cusp_signs, d, dprime)
-    return OSpringerDatum(case, QuasiLevi(torus_rank, d * d), datum, _WEYL_REP[case], chi,
-                          ("I", "II") if case is OCase.III else ())
+    datum = CuspidalDatum(classical_kind(1, n), _torus_rank(kind, d, p, signs), staircase(1, d),
+                          cusp_signs, d, dprime)
+    return OSpringerDatum(case, datum, chi)
 
 
 # -- index-two subgroup of a product of orthogonal groups --------------------
@@ -337,26 +313,22 @@ class ProductFactor:
 class ProductSpringerDatum:
     """Staged datum for the determinant-one subgroup of a product of O_m's.
 
-    Factors are grouped by their individual case: ``block_i`` (case I-like),
-    ``block_ii``, ``block_iii`` hold the 0-based factor indices.  The
+    ``factor_data`` holds each factor's :func:`springer_o` result, in factor
+    order; their cases group the factors into the three blocks.  The
     generator sets of the three extension stages are recorded verbatim as
-    products ``s_i s_j`` of the per-factor flips; characters of the first
-    two stages are evaluated on their generators (case-III factors carry no
-    values, their stage is an induction).
+    products ``s_i s_j`` of the per-factor flips (0-based indices);
+    characters of the first two stages are evaluated on their generators
+    (case-III factors carry no values, their stage is an induction).  The
+    Weyl-group representation is extended when ``c_orbit`` is non-empty and
+    induced when ``c_induction`` is.
     """
 
-    block_i: tuple[int, ...]
-    block_ii: tuple[int, ...]
-    block_iii: tuple[int, ...]
+    factor_data: tuple[OSpringerDatum, ...]
     c_levi: tuple[tuple[int, int], ...]
     c_orbit: tuple[tuple[int, int], ...]
     c_induction: tuple[tuple[int, int], ...]
-    quasi_levi: tuple[QuasiLevi, ...]
-    cusp_data: tuple[CuspidalDatum, ...]
     chi_levi: tuple[int, ...]
     chi_orbit: tuple[int, ...]
-    extended: bool
-    induced: bool
 
     def generator_labels(self, pairs: tuple[tuple[int, int], ...]) -> tuple[str, ...]:
         return tuple(f"s{i + 1}*s{j + 1}" for i, j in pairs)
@@ -372,8 +344,8 @@ def springer_product(factors: Sequence[ProductFactor]) -> ProductSpringerDatum:
     """
     if not factors:
         raise InvalidPartition("a product needs at least one orthogonal factor")
-    subs = [springer_o(GroupKind(Family.O_ODD if f.partition.total % 2 else Family.O_EVEN,
-                                 f.partition.total), f.partition, f.signs) for f in factors]
+    subs = tuple(springer_o(GroupKind(Family.O_ODD if f.partition.total % 2 else Family.O_EVEN,
+                                 f.partition.total), f.partition, f.signs) for f in factors)
     ones = tuple(i for i, sub in enumerate(subs) if sub.case is OCase.I)
     twos = tuple(i for i, sub in enumerate(subs) if sub.case is OCase.II)
     threes = tuple(i for i, sub in enumerate(subs) if sub.case is OCase.III)
@@ -398,8 +370,4 @@ def springer_product(factors: Sequence[ProductFactor]) -> ProductSpringerDatum:
     chi_levi = tuple(pair_value(g) for g in c_levi)
     chi_orbit = tuple(pair_value(g) for g in c_orbit)
 
-    return ProductSpringerDatum(
-        ones, twos, threes, c_levi, c_orbit, c_induction,
-        tuple(sub.quasi_levi for sub in subs), tuple(sub.datum for sub in subs),
-        chi_levi, chi_orbit,
-        extended=bool(c_orbit), induced=bool(c_induction))
+    return ProductSpringerDatum(subs, c_levi, c_orbit, c_induction, chi_levi, chi_orbit)

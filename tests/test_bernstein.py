@@ -221,6 +221,15 @@ def test_gl_factor_reads_its_integers_through_the_one_integer_door():
             assert str(err.value) == text
 
 
+def test_gl_factor_refuses_a_label_that_is_not_an_irr_label():
+    # the label is read first, before the integers
+    for label, shown in (("r", "str"), (None, "NoneType"), (("r", 1, "orthogonal"), "tuple")):
+        for build in (lambda: GLFactor(label, 1), lambda: GLFactor(label, 1.5)):
+            with pytest.raises(TypeError) as err:
+                build()
+            assert str(err.value) == f"a factor label is an IrrLabel, got {shown}"
+
+
 def test_triple_refuses_a_classical_part_of_another_family():
     # an SOeven_0 classical part under an Sp_4 ambient group
     with pytest.raises(NormalizationError,

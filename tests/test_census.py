@@ -417,3 +417,29 @@ def test_run_all_reports_a_crash_as_a_failed_check(monkeypatch):
     results = verifications.run_all(verifications.Limits(2, 2, 2, 2, 2))
     assert results[0] == ("count-identity", False, "ValueError: no census")
     assert [ok for _, ok, _ in results] == [False] + [True] * 5
+
+
+def test_unipotent_cuspidal_count_matches_lusztig():
+    # Lusztig: a unipotent supercuspidal of split Sp_2n is induced from a
+    # maximal parahoric with quotient Sp_2a(q) x Sp_2b(q), a + b = n, and
+    # Sp_2a(q) has one cuspidal unipotent character iff a = s(s+1); so there
+    # are L(n) = #{(s, t) >= 0 : s(s+1) + t(t+1) = n} of them.  On the Galois
+    # side they are the cuspidal pairs of SO_{2n+1} on the unramified labels
+    # 1 and xi, with the staircases of sizes (odd, even) of (s + t + 1, |s - t|)
+    one = IrrLabel("1", 1, SelfDualType.ORTHOGONAL)
+    xi = IrrLabel("xi", 1, SelfDualType.ORTHOGONAL)
+    for n in range(1, 17):
+        cuspidal = [p for p, eta in enumerate_parameters(GroupKind(Family.SO_ODD, 2 * n + 1),
+                                                         (one, xi)) if is_cuspidal(p, eta)]
+        # formal labels cannot see det phi = xi^(xi-total), which must be 1
+        unramified = [p for p in cuspidal if sum(a for label, a in p.blocks if label == xi) % 2 == 0]
+        solutions = [(s, t) for s in range(n + 1) for t in range(n + 1)
+                     if s * (s + 1) + t * (t + 1) == n]
+        assert len(unramified) == len(solutions)
+        blocks = [(sum(label == one for label, _ in p.blocks),
+                   sum(label == xi for label, _ in p.blocks)) for p in unramified]
+        sizes = [tuple(sorted((s + t + 1, abs(s - t)), key=lambda k: 1 - k % 2))
+                 for s, t in solutions]
+        assert sorted(blocks) == sorted(sizes)
+        # twisting by xi swaps the labels: without the filter, twice as many
+        assert len(cuspidal) == 2 * len(unramified)

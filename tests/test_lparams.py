@@ -107,6 +107,19 @@ def test_parameter_refuses_a_bool_block_size():
         DiscreteParameter(GroupKind(Family.SO_ODD, 1), [(ORTH1, True)])
 
 
+@pytest.mark.parametrize("dual", [SP4, GroupKind(Family.GL, 3)])
+@pytest.mark.parametrize("block", [("u", 3), (ORTH1,), (ORTH1, 2, 2), 3, (2, ORTH1)])
+def test_both_parameter_doors_refuse_a_block_that_is_not_a_label_and_a_size(dual, block):
+    # one block door for both parameter doors, under a classical dual and
+    # under any other: the same TypeError, naming the block, before any sort
+    text = f"a block is an (IrrLabel, size) pair, got {block!r}"
+    for blocks in ([block], [(ORTH1, 2), block]):
+        for read in (validate_parameter, DiscreteParameter):
+            with pytest.raises(TypeError) as err:
+                read(dual, blocks)
+            assert type(err.value) is TypeError and str(err.value) == text
+
+
 def test_label_refuses_a_dimension_that_is_not_an_integer():
     for dim in (1.5, 1.0, True, "1"):
         with pytest.raises(TypeError):

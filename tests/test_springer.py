@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from cusp_atlas import springer, verifications
+from cusp_atlas.cli import parse_input, run
 from cusp_atlas.census import (
     bipartition_count,
     classical_kinds,
@@ -31,7 +32,6 @@ from cusp_atlas.orbits import (
 from cusp_atlas.springer import (
     OCase,
     ProductFactor,
-    WeylTag,
     d_from_defect,
     d_from_normal_form,
     eliminate,
@@ -76,6 +76,24 @@ def test_elimination_refuses_signs_that_are_not_aligned(run):
 
 def o_kind(n: int) -> GroupKind:
     return GroupKind(Family.O_ODD if n % 2 else Family.O_EVEN, n)
+
+
+def o_job(parts, signs) -> dict:
+    """The output document of the CLI's springer job on O_N, N the parts' total."""
+    kind = o_kind(sum(parts))
+    return run(parse_input({"command": "springer",
+                            "group": {"family": kind.family.value, "N": kind.size},
+                            "partition": list(parts), "signs": list(signs)}))
+
+
+def product_job(factors) -> dict:
+    """The output document of the CLI's springer job on a product of O_m's."""
+    return run(parse_input({"command": "springer", "factors": [
+        {"partition": list(f.partition.parts), "signs": list(f.signs)} for f in factors]}))
+
+
+def factor_cases(out) -> tuple[OCase, ...]:
+    return tuple(sub.case for sub in out.factor_data)
 
 
 def test_springer_datum_reads_its_character_on_the_parts():
@@ -135,7 +153,7 @@ def test_springer_product_reads_no_character(signs_read):
     factors = [ProductFactor(Partition((3, 1)), (1, -1)),
                ProductFactor(Partition((2, 2, 1, 1)), (-1,)), ProductFactor(Partition((2, 2)), ())]
     out = springer_product(factors)
-    assert (out.block_i, out.block_ii, out.block_iii) == ((0,), (1,), (2,))
+    assert factor_cases(out) == (OCase.I, OCase.II, OCase.III)
     assert out.chi_orbit == (-1,)
     assert signs_read == []
 
@@ -450,12 +468,14 @@ def test_springer_o_case_one_odd():
     pair = cuspidal_pair(GroupKind(Family.SO_ODD, 9))
     out = springer_o(O9, pair.partition, (1, -1, 1))
     assert out.case is OCase.I
-    assert (out.quasi_levi.torus_rank, out.quasi_levi.o_size) == (0, 9)
-    assert out.weyl_rep is WeylTag.BASE
+    assert (out.datum.torus_rank, out.datum.d ** 2) == (0, 9)
+    job = o_job(pair.partition.parts, (1, -1, 1))
+    assert (job["quasi_levi"], job["weyl_rep"]) == ("O_9", "base")
     # ... while a torus-heavy character descends to the size-1 block
     out = springer_o(O9, Partition((5, 3, 1)), (-1, -1, 1))
     assert out.case is OCase.I
-    assert (out.quasi_levi.torus_rank, out.quasi_levi.o_size) == (4, 1)
+    assert (out.datum.torus_rank, out.datum.d ** 2) == (4, 1)
+    assert o_job((5, 3, 1), (-1, -1, 1))["quasi_levi"] == "(C*)^4 x O_1"
     assert out.datum.d == 1
 
 
@@ -463,17 +483,19 @@ def test_springer_o_case_two():
     for sign in (1, -1):
         out = springer_o(GroupKind(Family.O_EVEN, 6), Partition((2, 2, 1, 1)), (sign,))
         assert out.case is OCase.II
-        assert out.weyl_rep is WeylTag.EXTENDED
         assert out.chi == sign
-        assert out.quasi_levi.o_size == 0
+        assert out.datum.d == 0
+        job = o_job((2, 2, 1, 1), (sign,))
+        assert (job["quasi_levi"], job["weyl_rep"]) == ("(C*)^3", "extended")
 
 
 def test_springer_o_case_three():
     out = springer_o(O4, Partition((2, 2)), ())
     assert out.case is OCase.III
-    assert out.weyl_rep is WeylTag.INDUCED
-    assert out.fused_orbit_tags == ("I", "II")
-    assert out.quasi_levi.torus_rank == 2
+    assert out.datum.torus_rank == 2
+    job = o_job((2, 2), ())
+    assert (job["quasi_levi"], job["weyl_rep"]) == ("(C*)^2", "induced")
+    assert job["fused_orbits"] == ["I", "II"]
 
 
 def test_springer_o_central_value_matches():
@@ -488,6 +510,35 @@ def test_springer_o_central_value_matches():
                 if out.case is OCase.I:
                     central = [s for q, s in zip(odd, signs) if p.parts.count(q) % 2]
                     assert math.prod(out.datum.cusp_signs) == math.prod(central)
+
+
+def test_o_side_facts_follow_the_case_on_every_pair():
+    # what the CLI writes from the case and the datum, on every O_N pair
+    # with N <= 16: the quasi-Levi keeps an O-block exactly in case I, where
+    # d > 0, and its torus part is (N - d^2)/2; the Weyl representation and
+    # the fused classes follow the case
+    weyl = {OCase.I: "base", OCase.II: "extended", OCase.III: "induced"}
+    pairs = 0
+    for n in range(1, 17):
+        kind_o = o_kind(n)
+        for orbit in group_partitions(kind_o):
+            p = orbit.partition
+            for signs in characters_of(component_group(orbit)):
+                out = springer_o(kind_o, p, signs)
+                job = o_job(p.parts, signs)
+                d = out.datum.d
+                assert (out.case is OCase.I) == (d > 0)
+                factors = job["quasi_levi"].split(" x ")
+                o_blocks = [f for f in factors if f.startswith("O_")]
+                assert o_blocks == ([f"O_{d * d}"] if out.case is OCase.I else [])
+                torus_rank, odd = divmod(n - d * d, 2)
+                assert out.datum.torus_rank == torus_rank and odd == 0
+                tori = [f for f in factors if f not in o_blocks]
+                assert tori == ([f"(C*)^{torus_rank}"] if torus_rank else [])
+                assert job["weyl_rep"] == weyl[out.case]
+                assert job["fused_orbits"] == (["I", "II"] if out.case is OCase.III else [])
+                pairs += 1
+    assert pairs == 1247
 
 
 def test_o4_torus_series_has_hyperoctahedral_size():
@@ -508,31 +559,38 @@ def test_o4_torus_series_has_hyperoctahedral_size():
 def test_springer_product_two_case_one_factors():
     f = ProductFactor(Partition((3, 1)), (1, -1))
     out = springer_product([f, f])
-    assert out.block_i == (0, 1) and not out.block_ii and not out.block_iii
+    assert factor_cases(out) == (OCase.I, OCase.I)
     assert out.generator_labels(out.c_levi) == ("s1*s2",)
     assert out.c_orbit == () and out.c_induction == ()
     assert out.chi_levi == (1,)
-    assert not out.extended and not out.induced
+    job = product_job([f, f])
+    assert job["blocks"] == {"case_I": [0, 1], "case_II": [], "case_III": []}
+    assert job["weyl_rep"] == {"extended": False, "induced": False}
 
 
 def test_springer_product_case_two_plus_three():
     g = ProductFactor(Partition((2, 2, 1, 1)), (-1,))
     h = ProductFactor(Partition((2, 2)), ())
     out = springer_product([g, h])
-    assert out.block_ii == (0,) and out.block_iii == (1,)
+    assert factor_cases(out) == (OCase.II, OCase.III)
     assert out.c_orbit == ()
     assert out.generator_labels(out.c_induction) == ("s1*s2",)
-    assert out.induced and not out.extended
+    job = product_job([g, h])
+    assert job["blocks"] == {"case_I": [], "case_II": [0], "case_III": [1]}
+    assert job["weyl_rep"] == {"extended": False, "induced": True}
 
 
 def test_springer_product_single_factor_degenerates():
     f = ProductFactor(Partition((5, 3, 1)), (1, -1, 1))
     out = springer_product([f])
     sub = springer_o(O9, f.partition, f.signs)
-    assert out.block_i == (0,)
-    assert out.quasi_levi == (sub.quasi_levi,)
-    assert out.cusp_data == (sub.datum,)
+    assert sub.case is OCase.I
+    assert out.factor_data == (sub,)
     assert out.c_levi == () and out.c_orbit == () and out.c_induction == ()
+    job, sub_job = product_job([f]), o_job(f.partition.parts, f.signs)
+    assert job["blocks"] == {"case_I": [0], "case_II": [], "case_III": []}
+    assert job["quasi_levi"] == [sub_job["quasi_levi"]]
+    assert job["cusp_data"] == [sub_job["datum"]]
 
 
 def test_springer_product_mixed_blocks():
@@ -540,21 +598,23 @@ def test_springer_product_mixed_blocks():
     f2 = ProductFactor(Partition((2, 2, 1, 1)), (1,))      # case II
     f3 = ProductFactor(Partition((2, 2)), ())              # case III
     out = springer_product([f1, f2, f3])
-    assert (out.block_i, out.block_ii, out.block_iii) == ((0,), (1,), (2,))
+    assert factor_cases(out) == (OCase.I, OCase.II, OCase.III)
     # anchored at the last case-I factor
     assert out.generator_labels(out.c_orbit) == ("s1*s2",)
     assert out.generator_labels(out.c_induction) == ("s1*s3",)
-    assert out.extended and out.induced
+    job = product_job([f1, f2, f3])
+    assert job["blocks"] == {"case_I": [0], "case_II": [1], "case_III": [2]}
+    assert job["weyl_rep"] == {"extended": True, "induced": True}
 
 
 def test_springer_product_computes_each_factor_once(validated):
-    # each factor's case, datum and quasi-Levi come from one springer_o call,
-    # which validates the factor once
+    # each factor's result comes from one springer_o call, which validates
+    # the factor once
     f = ProductFactor(Partition((3, 1)), (1, -1))
     g = ProductFactor(Partition((5, 3, 1)), (1, -1, 1))
     out = springer_product([f, g])
     assert validated == [f.partition.parts, g.partition.parts]
-    assert out.block_i == (0, 1)
+    assert factor_cases(out) == (OCase.I, OCase.I)
 
 
 @pytest.mark.parametrize("parts,signs", [
