@@ -68,7 +68,6 @@ from .bernstein import (
     InertialTriple,
     WeylDescriptor,
     hecke_parameters,
-    torus_dim,
     weyl_descriptor,
 )
 from .census import (

@@ -12,11 +12,12 @@ the parameter.  The relative Weyl group decomposes factorwise:
     self-dual, o-side,  m' != 0    -> type B_ell
     self-dual, o-side,  m' = 0     -> type D_ell, flagged (*)
 
-with ell = 0 giving a trivial factor.  Degenerate ranks (A_0, D_1, D_2) are
+with ell = 0 giving a trivial factor; the flagged (*) factor is the type-D
+factor, read off its root type.  Degenerate ranks (A_0, D_1, D_2) are
 emitted with their explicit rank tags, never silently reclassified.  The
-complement R-group is generated by the flips s_{i,ell_i} of the starred
+complement R-group is generated by the flips s_{i,ell_i} of the type-D
 factors; for an even special-orthogonal group whose Levi has no classical
-block of size >= 4 the odd-dimensional starred factors only enter through
+block of size >= 4 the odd-dimensional type-D factors only enter through
 pairwise products, and the generator list is stored verbatim.
 
 Hecke parameters per self-dual factor: x+ is the reducibility point of
@@ -28,9 +29,10 @@ sign theta; every other simple root carries 2.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Optional
 
 from .errors import NormalizationError
 from .lparams import (
@@ -73,8 +75,14 @@ class InertialTriple:
 
     def __init__(self, dual_group: GroupKind, gl_factors: Iterable[GLFactor],
                  cusp_param: DiscreteParameter):
+        gl_factors = tuple(gl_factors)
+        for what, value, kind in (("an ambient group", dual_group, GroupKind),
+                                  *(("a factor", f, GLFactor) for f in gl_factors),
+                                  ("a classical part", cusp_param, DiscreteParameter)):
+            if not isinstance(value, kind):
+                raise TypeError(f"{what} is a {kind.__name__}, got {type(value).__name__}")
         object.__setattr__(self, "dual_group", dual_group)
-        object.__setattr__(self, "gl_factors", tuple(gl_factors))
+        object.__setattr__(self, "gl_factors", gl_factors)
         object.__setattr__(self, "cusp_param", cusp_param)
         self._validate()
 
@@ -123,7 +131,6 @@ class WeylFactor:
     label: IrrLabel
     root_type: RootType
     rank: int
-    star: bool = False
 
 
 @dataclass(frozen=True)
@@ -153,20 +160,20 @@ def _factor_type(triple: InertialTriple, factor: GLFactor) -> WeylFactor:
         return WeylFactor(factor.label, RootType.B, factor.ell)
     if block_group_type(triple.dual_group, factor.label) == 0:
         return WeylFactor(factor.label, RootType.C, factor.ell)
-    return WeylFactor(factor.label, RootType.D, factor.ell, star=True)
+    return WeylFactor(factor.label, RootType.D, factor.ell)
 
 
 def weyl_descriptor(triple: InertialTriple) -> WeylDescriptor:
     """Weyl factor types plus the R-group generator list."""
     factors = tuple(_factor_type(triple, f) for f in triple.gl_factors)
-    starred = [i for i, f in enumerate(factors) if f.star]
+    starred = [i for i, f in enumerate(factors) if f.root_type is RootType.D]
 
     def flip(i: int) -> str:
         return f"s{i + 1},{triple.gl_factors[i].ell}"
 
     family = triple.dual_group.family
     if family is not Family.SO_EVEN or triple.n_sharp >= 4:
-        # The flip of a starred factor normalizes everything on its own
+        # The flip of a type-D factor normalizes everything on its own
         # (the classical orthogonal block absorbs the determinant).
         case = "split" if family is not Family.SO_EVEN else "so-even-classical"
         gens = tuple(flip(i) for i in starred)
@@ -191,12 +198,10 @@ def _staircase_top(parity: int, total: int) -> int:
 
 @dataclass(frozen=True)
 class HeckeFactorParams:
-    """Hecke data of one factor, None where it has none.  The half-integers
+    """Hecke data of one factor and its Weyl factor, None where it has none.
     x+, x-, lam = x+ + x-, lam_star = x+ - x- and mu_short are held doubled."""
 
-    label: IrrLabel
-    root_type: RootType
-    rank: int
+    weyl: WeylFactor
     x_plus: Optional[int]
     x_minus: Optional[int]
     lam: Optional[int]
@@ -208,17 +213,20 @@ class HeckeFactorParams:
 def hecke_parameters(triple: InertialTriple,
                      theta: Optional[Mapping[str, int]] = None) -> tuple[HeckeFactorParams, ...]:
     """Graded parameter function per factor; theta maps label name -> +-1."""
-    theta = dict(theta or {})
+    if theta is None:
+        theta = {}
+    elif not isinstance(theta, Mapping):
+        raise TypeError("theta is a Mapping of label name -> +1 or -1, "
+                        f"got {type(theta).__name__}")
     for name, sign in theta.items():
         if type(sign) is not int or sign not in (1, -1):
             raise NormalizationError(f"theta[{name!r}] must be +1 or -1")
-    descriptor = weyl_descriptor(triple)
     out = []
-    for factor, wf in zip(triple.gl_factors, descriptor.factors):
+    for factor in triple.gl_factors:
+        wf = _factor_type(triple, factor)
+        mu_other = 2 if wf.rank and not (wf.root_type is RootType.B and wf.rank == 1) else None
         if factor.label.sd_type is SelfDualType.GL_PAIR:
-            out.append(HeckeFactorParams(factor.label, wf.root_type, wf.rank,
-                                         None, None, None, None, None,
-                                         2 if wf.rank else None))
+            out.append(HeckeFactorParams(wf, None, None, None, None, None, mu_other))
             continue
         x_plus = reducibility_point(factor.label, triple.cusp_param.blocks, triple.dual_group)
         if factor.partner_mprime:
@@ -239,20 +247,5 @@ def hecke_parameters(triple: InertialTriple,
             mu_short = lam + lam_star * sign
         else:
             mu_short = None
-        mu_other = 2 if wf.rank and not (wf.root_type is RootType.B and wf.rank == 1) else None
-        out.append(HeckeFactorParams(factor.label, wf.root_type, wf.rank,
-                                     x_plus, x_minus, lam, lam_star, mu_short, mu_other))
+        out.append(HeckeFactorParams(wf, x_plus, x_minus, lam, lam_star, mu_short, mu_other))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class TorusDimension:
-    total: int
-    torsions: tuple[tuple[str, int, int], ...]  # (label name, ell, torsion)
-
-
-def torus_dim(triple: InertialTriple) -> TorusDimension:
-    """Dimension of the inertial parameter torus, torsions carried verbatim."""
-    return TorusDimension(
-        sum(f.ell for f in triple.gl_factors),
-        tuple((f.label.name, f.ell, f.torsion) for f in triple.gl_factors))

@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii as _ascii
 from typing import Any, Optional
 
 from . import census, verifications
-from .bernstein import GLFactor, InertialTriple, hecke_parameters, torus_dim, weyl_descriptor
+from .bernstein import GLFactor, InertialTriple, RootType, hecke_parameters, weyl_descriptor
 from .cuspsupport import SUPPORT_CHECKS, check_support
 from .errors import (
     BoundExceeded,
@@ -475,15 +475,14 @@ def _run_reducibility(payload, bound: int) -> dict:
 def _run_bernstein(payload, bound: int) -> dict:
     triple, _ = payload
     descriptor = weyl_descriptor(triple)
-    torus = torus_dim(triple)
     return {
-        "factors": [{"pi": w.label.name, "type": w.root_type.value,
-                     "rank": w.rank, "star": w.star} for w in descriptor.factors],
+        "factors": [{"pi": w.label.name, "type": w.root_type.value, "rank": w.rank,
+                     "star": w.root_type is RootType.D} for w in descriptor.factors],
         "r_group": {"case": descriptor.r_group.case,
                     "generators": list(descriptor.r_group.generators),
                     "order": descriptor.r_group.order},
-        "torus_dim": torus.total,
-        "torsions": [list(t) for t in torus.torsions],
+        "torus_dim": sum(f.ell for f in triple.gl_factors),
+        "torsions": [[f.label.name, f.ell, f.torsion] for f in triple.gl_factors],
         "n_sharp": triple.n_sharp,
     }
 
@@ -491,9 +490,9 @@ def _run_bernstein(payload, bound: int) -> dict:
 def _run_hecke(payload, bound: int) -> dict:
     triple, theta = payload
     return {"factors": [{
-        "pi": f.label.name,
-        "type": f.root_type.value,
-        "rank": f.rank,
+        "pi": f.weyl.label.name,
+        "type": f.weyl.root_type.value,
+        "rank": f.weyl.rank,
         "x_plus": _half_or_null(f.x_plus),
         "x_minus": _half_or_null(f.x_minus),
         "lambda": _half_or_null(f.lam),

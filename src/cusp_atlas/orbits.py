@@ -68,12 +68,18 @@ _GENERATOR_PARITY = {Family.SP: 0, **dict.fromkeys(_SPECIAL_ORTHOGONAL | _FULL_O
 
 @dataclass(frozen=True)
 class GroupKind:
-    """A complex classical group, given by its family and matrix size."""
+    """A complex classical group, given by its family (a Family or its value) and matrix size."""
 
     family: Family
     size: int
 
     def __post_init__(self):
+        if self.family.__class__ is not Family:  # a member passes as it is
+            try:
+                object.__setattr__(self, "family", Family(self.family))
+            except ValueError:
+                raise ValueError(f"group family {self.family!r} is not one of "
+                                 + ", ".join(f.value for f in Family)) from None
         if type(self.size) is not int:  # an exact int is read as it is
             object.__setattr__(self, "size", as_int(self.size))
         if self.size < 0:

@@ -1,3 +1,6 @@
+import itertools
+import types
+
 import pytest
 
 from cusp_atlas.bernstein import (
@@ -5,9 +8,9 @@ from cusp_atlas.bernstein import (
     InertialTriple,
     RootType,
     hecke_parameters,
-    torus_dim,
     weyl_descriptor,
 )
+from cusp_atlas.cli import parse_input, run
 from cusp_atlas.errors import NormalizationError
 from cusp_atlas.lparams import DiscreteParameter, IrrLabel, SelfDualType
 from cusp_atlas.orbits import Family, GroupKind, Partition
@@ -26,12 +29,25 @@ def sp_triple(factors, blocks, total):
     return InertialTriple(GroupKind(Family.SP, total), factors, cusp)
 
 
+def bernstein_job(triple):
+    """The output document of the CLI `bernstein` job on the triple, run in process."""
+    def pi(label):
+        return {"name": label.name, "dim": label.dim, "type": label.sd_type.value}
+
+    doc = {"command": "bernstein",
+           "group": {"family": triple.dual_group.family.value, "N": triple.dual_group.size},
+           "gl_factors": [{"pi": pi(f.label), "ell": f.ell, "torsion": f.torsion,
+                           "partner_mprime": f.partner_mprime} for f in triple.gl_factors],
+           "cusp_blocks": [{"pi": pi(label), "a": a} for label, a in triple.cusp_param.blocks]}
+    return run(parse_input(doc))
+
+
 def test_weyl_factor_types():
     # self-dual label with classical blocks: type B
     t = sp_triple([GLFactor(R, 2)], [(R, 2), (R, 4)], 10)
     wd = weyl_descriptor(t)
-    assert (wd.factors[0].root_type, wd.factors[0].rank, wd.factors[0].star) == \
-        (RootType.B, 2, False)
+    assert (wd.factors[0].root_type, wd.factors[0].rank) == (RootType.B, 2)
+    assert bernstein_job(t)["factors"] == [{"pi": "r", "type": "B", "rank": 2, "star": False}]
 
     # gl-pair label: type A_{ell-1}
     t = sp_triple([GLFactor(G, 3)], [(R, 2), (R, 4)], 12)
@@ -42,10 +58,11 @@ def test_weyl_factor_types():
     t = sp_triple([GLFactor(T, 2)], [(R, 2), (R, 4)], 10)
     assert weyl_descriptor(t).factors[0].root_type is RootType.C
 
-    # o-side label absent: type D with star
+    # o-side label absent: type D, written with its star
     t = sp_triple([GLFactor(S, 2)], [(R, 2), (R, 4)], 14)
     wf = weyl_descriptor(t).factors[0]
-    assert (wf.root_type, wf.star) == (RootType.D, True)
+    assert (wf.root_type, wf.rank) == (RootType.D, 2)
+    assert bernstein_job(t)["factors"] == [{"pi": "s", "type": "D", "rank": 2, "star": True}]
 
     # ell = 0: trivial tag
     t = sp_triple([GLFactor(R, 0)], [(R, 2), (R, 4)], 6)
@@ -55,10 +72,12 @@ def test_weyl_factor_types():
 def test_star_only_for_o_side_without_blocks():
     t = sp_triple([GLFactor(S, 2), GLFactor(T, 1), GLFactor(G, 2)],
                   [(R, 2), (R, 4)], 20)
-    for wf in weyl_descriptor(t).factors:
-        if wf.star:
-            assert wf.root_type is RootType.D
-    assert [wf.star for wf in weyl_descriptor(t).factors] == [True, False, False]
+    assert [wf.root_type for wf in weyl_descriptor(t).factors] == \
+        [RootType.D, RootType.C, RootType.A]
+    factors = bernstein_job(t)["factors"]
+    for factor in factors:
+        assert factor["star"] is (factor["type"] == "D")
+    assert [factor["star"] for factor in factors] == [True, False, False]
 
 
 def test_r_group_split_case():
@@ -100,7 +119,7 @@ def test_weyl_descriptor_invariant_under_factor_permutation():
     left = weyl_descriptor(sp_triple([f1, f2], blocks, 16))
     right = weyl_descriptor(sp_triple([f2, f1], blocks, 16))
     def facts(descriptor):
-        return sorted((f.label.name, f.root_type, f.rank, f.star) for f in descriptor.factors)
+        return sorted((f.label.name, f.root_type, f.rank) for f in descriptor.factors)
 
     assert facts(left) == facts(right)
     assert left.r_group.order == right.r_group.order
@@ -175,7 +194,8 @@ def test_hecke_parameters_absent_mismatch():
     t = sp_triple([GLFactor(T, 2)], [(R, 2), (R, 4)], 10)
     f = hecke_parameters(t)[0]
     assert f.x_plus == 0 and f.x_minus == 0
-    assert f.root_type is RootType.C and f.mu_short is None and f.mu_other == 2
+    assert f.weyl.root_type is RootType.C and f.mu_short is None and f.mu_other == 2
+    assert f.weyl == weyl_descriptor(t).factors[0]
 
 
 def test_hecke_gl_pair_factor_is_constant():
@@ -246,10 +266,67 @@ def test_hecke_parameters_refuse_a_theta_sign_that_is_not_the_int_1_or_minus_1()
 
 
 def test_torus_dim():
+    # the bernstein job writes the torus dimension as the factors' sum of ell,
+    # and each factor's (label name, ell, torsion) as it was given
     t = sp_triple([GLFactor(R, 2), GLFactor(G, 3, torsion=2)], [(R, 2), (R, 4)], 16)
-    td = torus_dim(t)
-    assert td.total == 5
-    assert td.torsions == (("r", 2, 1), ("g", 3, 2))
+    out = bernstein_job(t)
+    assert out["torus_dim"] == 5
+    assert out["torsions"] == [["r", 2, 1], ["g", 3, 2]]
     empty = InertialTriple(GroupKind(Family.SP, 6), [],
                            DiscreteParameter(GroupKind(Family.SP, 6), [(R, 2), (R, 4)]))
-    assert torus_dim(empty).total == 0
+    out = bernstein_job(empty)
+    assert out["torus_dim"] == 0 and out["torsions"] == []
+
+
+def test_bernstein_entry_points_refuse_wrong_types_with_their_own_text():
+    cusp = DiscreteParameter(GroupKind(Family.SP, 6), [(R, 2), (R, 4)])
+    sp8 = GroupKind(Family.SP, 8)
+    triple = InertialTriple(sp8, [GLFactor(R, 1)], cusp)
+    for build, text in (
+            (lambda: InertialTriple(sp8, ["r"], cusp), "a factor is a GLFactor, got str"),
+            (lambda: InertialTriple(sp8, [GLFactor(R, 1), ("r", 1)], cusp),
+             "a factor is a GLFactor, got tuple"),
+            (lambda: InertialTriple(sp8, [GLFactor(R, 1)], "cusp"),
+             "a classical part is a DiscreteParameter, got str"),
+            (lambda: InertialTriple("Sp", [GLFactor(R, 1)], cusp),
+             "an ambient group is a GroupKind, got str"),
+            (lambda: hecke_parameters(triple, "u"),
+             "theta is a Mapping of label name -> +1 or -1, got str"),
+            # a list of pairs is not a Mapping either
+            (lambda: hecke_parameters(triple, [("r", -1)]),
+             "theta is a Mapping of label name -> +1 or -1, got list")):
+        with pytest.raises(TypeError) as err:
+            build()
+        assert str(err.value) == text
+    # any Mapping is read, not only a dict
+    theta = types.MappingProxyType({"r": -1})
+    assert hecke_parameters(triple, theta) == hecke_parameters(triple, {"r": -1})
+    assert hecke_parameters(triple) == hecke_parameters(triple, {}) == \
+        hecke_parameters(triple, {"r": 1})
+
+
+UNIPOTENT = IrrLabel("1", 1, SelfDualType.ORTHOGONAL)
+XI = IrrLabel("ξ", 1, SelfDualType.ORTHOGONAL)
+
+
+@pytest.mark.parametrize("s, t", [
+    pytest.param(s, t, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2: with the partner label absent, x- reads "
+        "the absent-label reducibility point 1/2 where Lusztig's end parameter needs 0"))
+    if s == t else (s, t)
+    for s, t in itertools.combinations_with_replacement(range(4), 2)])
+def test_hecke_parameters_match_lusztig_on_unipotent_blocks(s, t):
+    # Lusztig (IMRN 1995): the unipotent block (s, t) of split Sp_2n has an
+    # affine Hecke algebra of type C~ whose end parameters are q^(2s+1) and
+    # q^(2t+1).  On the dual side its cuspidal part is the staircase of
+    # d = s+t+1 on 1 and of d' = |s-t| on xi, and one GL_1 factor of rank 2
+    # carries x+ and x- as the tops of the two staircases.
+    d, d_prime = s + t + 1, abs(s - t)
+    blocks = [(UNIPOTENT, 2 * i - 1) for i in range(1, d + 1)]
+    blocks += [(XI, 2 * i - 1) for i in range(1, d_prime + 1)]
+    cusp = DiscreteParameter(GroupKind(Family.SO_ODD, d * d + d_prime * d_prime), blocks)
+    triple = InertialTriple(GroupKind(Family.SO_ODD, d * d + d_prime * d_prime + 4),
+                            [GLFactor(UNIPOTENT, 2, partner_mprime=d_prime * d_prime)], cusp)
+    factor, = hecke_parameters(triple)
+    assert factor.weyl.root_type is RootType.B
+    assert {factor.lam, factor.lam_star} == {2 * (2 * max(s, t) + 1), 2 * (2 * min(s, t) + 1)}

@@ -29,7 +29,8 @@ from cusp_atlas.orbits import (
     staircase_signs,
     validate_partition,
 )
-from cusp_atlas.census import group_partitions, partitions_of
+from cusp_atlas.census import group_partitions, partitions_of, unipotent_census
+from cusp_atlas.lparams import DiscreteParameter, IrrLabel, SelfDualType, sgroup_factors
 
 SP4 = GroupKind(Family.SP, 4)
 SP6 = GroupKind(Family.SP, 6)
@@ -46,6 +47,25 @@ def test_group_kind_parity_rules():
     with pytest.raises(ValueError):
         GroupKind(Family.O_EVEN, 7)
     assert GroupKind(Family.SO_ODD, 9).size == 9
+
+
+def test_group_kind_reads_its_family_through_family():
+    # a member passes as it is and a member's value becomes that member, so
+    # every family test (all of them `is` tests) sees the member
+    for value in (Family.SO_EVEN, "SOeven"):
+        kind = GroupKind(value, 4)
+        assert kind.family is Family.SO_EVEN and str(kind) == "SOeven_4"
+        assert orbit_count(require_valid(kind, Partition((2, 2)))) == 2
+    assert unipotent_census(GroupKind("SOeven", 8)) == unipotent_census(SO8)
+    assert unipotent_census(GroupKind("SOeven", 8))["pairs"] == 18
+    u = IrrLabel("u", 1, SelfDualType.ORTHOGONAL)
+    param = DiscreteParameter(GroupKind("SOodd", 3), [(u, 3)])
+    assert sgroup_factors(param, SignCharacter({("u", 3): -1})) is True
+    for value in ("Xx", "sp", None, 3, [1]):
+        with pytest.raises(ValueError) as err:
+            GroupKind(value, 4)
+        assert str(err.value) == (f"group family {value!r} is not one of "
+                                  "Sp, SOodd, SOeven, Oodd, Oeven, GL")
 
 
 def test_partition_is_stored_decreasing():
