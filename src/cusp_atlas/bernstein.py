@@ -163,8 +163,14 @@ def _factor_type(triple: InertialTriple, factor: GLFactor) -> WeylFactor:
     return WeylFactor(factor.label, RootType.D, factor.ell)
 
 
+def _require_triple(triple: InertialTriple) -> None:
+    if not isinstance(triple, InertialTriple):
+        raise TypeError(f"a triple is an InertialTriple, got {type(triple).__name__}")
+
+
 def weyl_descriptor(triple: InertialTriple) -> WeylDescriptor:
     """Weyl factor types plus the R-group generator list."""
+    _require_triple(triple)
     factors = tuple(_factor_type(triple, f) for f in triple.gl_factors)
     starred = [i for i, f in enumerate(factors) if f.root_type is RootType.D]
 
@@ -213,6 +219,7 @@ class HeckeFactorParams:
 def hecke_parameters(triple: InertialTriple,
                      theta: Optional[Mapping[str, int]] = None) -> tuple[HeckeFactorParams, ...]:
     """Graded parameter function per factor; theta maps label name -> +-1."""
+    _require_triple(triple)
     if theta is None:
         theta = {}
     elif not isinstance(theta, Mapping):

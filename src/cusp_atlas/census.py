@@ -8,6 +8,7 @@ Each partition is validated once, where it is enumerated: the enumerators
 yield ``orbits.ValidOrbit`` values, which only ``validate_partition``
 makes, and every function taking one reads it as admissible without
 checking it again.  So the type, not a convention, carries the check.
+Only the partitions that are classes of the group are enumerated.
 
 The census does per partition what depends on the partition alone: it
 counts its classes, lists its characters as signs on the generators and
@@ -85,8 +86,21 @@ def _valid_orbits(kind: GroupKind, partitions: Iterable[tuple[int, ...]]) -> Ite
 
 
 def group_partitions(kind: GroupKind) -> Iterator[ValidOrbit]:
-    """Orbits of the partitions classifying unipotent classes of the group."""
-    yield from _valid_orbits(kind, partitions_of(kind.size))
+    """Orbits of the partitions classifying unipotent classes of the group,
+    built as such: the multiplicity of each part of the paired parity (odd for
+    Sp, even for SO and O, none for GL) steps by 2.  The largest part comes
+    first and each multiplicity counts down: decreasing lexicographic order."""
+    paired = None if kind.generator_parity is None else 1 - kind.generator_parity
+    def parts(rest: int, top: int) -> Iterator[tuple[int, ...]]:
+        if not rest:
+            yield ()
+        for q in range(min(rest, top), 0, -1):
+            step = 2 if q % 2 == paired else 1
+            for m in range(rest // q // step * step, 0, -step):
+                head = (q,) * m
+                for tail in parts(rest - q * m, q - 1):
+                    yield head + tail
+    yield from _valid_orbits(kind, parts(kind.size, kind.size))
 
 
 def distinct_part_partitions(n: int, parity: int) -> Iterator[tuple[int, ...]]:

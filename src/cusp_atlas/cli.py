@@ -67,9 +67,9 @@ DEFAULT_BOUND = 24
 MAX_GROUP_SIZE = 10**6
 # Largest `enumerate` size and `selfcheck` range, whatever the bound.  In a
 # cold process on a 2-vCPU host whose speed drifts, `enumerate` of Sp_32 takes
-# 0.25-0.39 s and `selfcheck` with every range at 32 takes 2.4-3.0 s (counting
-# each orbit's multiplicities three or four times, run alternately: 0.33-0.51 s
-# and 2.5-3.9 s); the Sp count identity takes 0.34-0.40 s at 36 in-process.
+# 0.19-0.31 s and `selfcheck` with every range at 32 takes 2.0-2.4 s (building
+# and rejecting the invalid partitions of 32 too, run alternately: 0.31-0.36 s
+# and 2.0-2.8 s); the Sp count identity takes 0.34-0.40 s at 36 in-process.
 MAX_CENSUS_SIZE = 32
 
 

@@ -290,6 +290,10 @@ def test_bernstein_entry_points_refuse_wrong_types_with_their_own_text():
              "a classical part is a DiscreteParameter, got str"),
             (lambda: InertialTriple("Sp", [GLFactor(R, 1)], cusp),
              "an ambient group is a GroupKind, got str"),
+            (lambda: weyl_descriptor("u"), "a triple is an InertialTriple, got str"),
+            (lambda: hecke_parameters("u", {}), "a triple is an InertialTriple, got str"),
+            (lambda: hecke_parameters(cusp, "u"), "a triple is an InertialTriple, "
+             "got DiscreteParameter"),
             (lambda: hecke_parameters(triple, "u"),
              "theta is a Mapping of label name -> +1 or -1, got str"),
             # a list of pairs is not a Mapping either

@@ -6,7 +6,7 @@ import pytest
 from conftest import (_spy, det_flip, pair_symbol, reference_kept_characters, row_bits,
                       set_algebra_swapped_symbol)
 
-from cusp_atlas.cli import main
+from cusp_atlas.cli import MAX_CENSUS_SIZE, main
 
 from cusp_atlas.census import (
     DEFAULT_SIGNATURE,
@@ -70,6 +70,43 @@ def test_distinct_part_partitions():
 def test_group_partitions_counts():
     assert sum(1 for _ in group_partitions(GroupKind(Family.SP, 4))) == 4
     assert sum(1 for _ in group_partitions(GroupKind(Family.GL, 4))) == 5
+
+
+# the parity of the parts that come in pairs: odd in Sp, even in SO and O
+PAIRED_PARITY = {Family.SP: 1, Family.SO_ODD: 0, Family.SO_EVEN: 0,
+                 Family.O_ODD: 0, Family.O_EVEN: 0, Family.GL: None}
+
+
+def admissible_kinds(family, limit):
+    for n in range(1, limit + 1):
+        try:
+            yield GroupKind(family, n)
+        except ValueError:  # a size of the wrong parity
+            continue
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_group_partitions_count_is_the_generating_function_coefficient(family):
+    # prod over q of 1/(1 - t^(q k_q)), k_q = 2 on a part of the paired parity
+    # and 1 otherwise, expanded by polynomial multiplication up to t^limit
+    limit = MAX_CENSUS_SIZE
+    coeffs = [1] + [0] * limit
+    for q in range(1, limit + 1):
+        step = q * (2 if q % 2 == PAIRED_PARITY[family] else 1)
+        for i in range(step, limit + 1):
+            coeffs[i] += coeffs[i - step]
+    kinds = list(admissible_kinds(family, limit))
+    assert len(kinds) == (limit if family is Family.GL else limit // 2)
+    for kind in kinds:
+        assert sum(1 for _ in group_partitions(kind)) == coeffs[kind.size], kind
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_group_partitions_are_the_filter_of_all_partitions_in_order(family):
+    for kind in admissible_kinds(family, 20):
+        expected = [parts for parts in partitions_of(kind.size)
+                    if validate_partition(kind, Partition(parts))]
+        assert [o.partition.parts for o in group_partitions(kind)] == expected, kind
 
 
 def test_unipotent_census_sp4():
@@ -346,10 +383,20 @@ def test_slices_are_the_per_label_filter_of_the_blocks():
 
 @pytest.mark.parametrize("family", [Family.SP, Family.SO_EVEN], ids=lambda f: f.value)
 def test_census_validates_each_partition_once(family, validated):
+    # only the classes of the group are built: each is validated once, no
+    # invalid partition is, and they come in the order of the filter
     kind = GroupKind(family, 12)
     table = unipotent_census(kind)
     assert table["pairs"] > 0
-    assert sorted(validated) == sorted(partitions_of(12))
+    seen = list(validated)
+    validated.clear()
+    yielded = [o.partition.parts for o in group_partitions(kind)]
+    assert validated == yielded == seen
+    assert len(set(seen)) == len(seen)
+    expected = [parts for parts in partitions_of(12)
+                if validate_partition(kind, Partition(parts))]
+    assert seen == expected
+    assert 0 < len(expected) < partition_count(12)
 
 
 def test_validate_job_validates_its_partition_once(validated, feed_stdin, capsys):
