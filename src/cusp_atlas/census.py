@@ -1,8 +1,9 @@
 """Exhaustive enumeration of classes, characters and parameters.
 
-Everything here is brute force on purpose: these generators feed the
+The census side is brute force on purpose: these generators feed the
 property checks and the census tables, so they must be independent of the
-closed formulas they exercise.
+closed formulas they exercise.  The predicted side of the count identity,
+p(n), bip(m) and #Irr W(D_m), is closed recurrences.
 
 Each partition is validated once, where it is enumerated: the enumerators
 yield ``orbits.ValidOrbit`` values, which only ``validate_partition``
@@ -26,7 +27,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidParameter
+from .errors import InternalCheckError, InvalidParameter
 from .lparams import (
     DiscreteParameter,
     IrrLabel,
@@ -50,57 +51,38 @@ from .springer import d_from_defect
 from .symbols import interval_structure, swapped_symbol
 
 
-def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of n, parts weakly decreasing, in decreasing
-    lexicographic order: (n), (n-1, 1), (n-2, 2), (n-2, 1, 1), ..."""
-    if n == 0:
-        yield ()
-        return
-    parts = [n]
-    while True:
-        yield tuple(parts)
-        # the next one: lower the last part above 1 by one, then spend that
-        # unit and the trailing 1s on parts as large as the lowered one
-        ones = 0
-        while parts and parts[-1] == 1:
-            parts.pop()
-            ones += 1
-        if not parts:
-            return
-        top = parts[-1] - 1
-        parts[-1] = top
-        rest = ones + 1
-        while rest > top:
-            parts.append(top)
-            rest -= top
-        if rest:
-            parts.append(rest)
-
-
 def _valid_orbits(kind: GroupKind, partitions: Iterable[tuple[int, ...]]) -> Iterator[ValidOrbit]:
-    """The orbits of the partitions that are valid for the group, each validated once."""
+    """The orbits of the partitions a generator builds as classes of the group,
+    each validated once: a partition its verdict refuses is a generator's bug."""
     for parts in partitions:
-        orbit = validate_partition(kind, Partition(parts)).orbit
-        if orbit is not None:
-            yield orbit
+        verdict = validate_partition(kind, Partition(parts))
+        orbit = verdict.orbit
+        if orbit is None:
+            raise InternalCheckError(f"the census built {Partition(parts)}, which is not a "
+                                     f"{kind} partition: " + "; ".join(verdict.problems))
+        yield orbit
+
+
+def class_partitions(n: int, paired: int | None, top: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into parts at most top, the multiplicity of each part
+    of the paired parity stepping by 2: largest part first, each multiplicity
+    counting down (decreasing lexicographic order)."""
+    if not n:
+        yield ()
+    for q in range(min(n, top), 0, -1):
+        step = 2 if q % 2 == paired else 1
+        for m in range(n // q // step * step, 0, -step):
+            head = (q,) * m
+            for tail in class_partitions(n - q * m, paired, q - 1):
+                yield head + tail
 
 
 def group_partitions(kind: GroupKind) -> Iterator[ValidOrbit]:
     """Orbits of the partitions classifying unipotent classes of the group,
-    built as such: the multiplicity of each part of the paired parity (odd for
-    Sp, even for SO and O, none for GL) steps by 2.  The largest part comes
-    first and each multiplicity counts down: decreasing lexicographic order."""
+    built as such: the parts of the paired parity (odd for Sp, even for SO
+    and O, none for GL) come in pairs."""
     paired = None if kind.generator_parity is None else 1 - kind.generator_parity
-    def parts(rest: int, top: int) -> Iterator[tuple[int, ...]]:
-        if not rest:
-            yield ()
-        for q in range(min(rest, top), 0, -1):
-            step = 2 if q % 2 == paired else 1
-            for m in range(rest // q // step * step, 0, -step):
-                head = (q,) * m
-                for tail in parts(rest - q * m, q - 1):
-                    yield head + tail
-    yield from _valid_orbits(kind, parts(kind.size, kind.size))
+    yield from _valid_orbits(kind, class_partitions(kind.size, paired, kind.size))
 
 
 def distinct_part_partitions(n: int, parity: int) -> Iterator[tuple[int, ...]]:
@@ -135,9 +117,14 @@ def distinguished_pairs(kind: GroupKind) -> Iterator[tuple[Partition, tuple[int,
 
 @lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
+    """p(n), by admitting the parts of each size k in turn; 0 for negative n."""
     if n < 0:
         return 0
-    return sum(1 for _ in partitions_of(n))
+    counts = [1] + [0] * n
+    for k in range(1, n + 1):
+        for m in range(k, n + 1):
+            counts[m] += counts[m - k]
+    return counts[n]
 
 
 def bipartition_count(n: int) -> int:

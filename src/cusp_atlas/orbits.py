@@ -444,7 +444,7 @@ def characters_of(descriptor: ComponentGroupDescriptor) -> list[tuple[int, ...]]
     flip name the same character; one representative per class is returned,
     the one whose sign on the smallest generator is +1.
     """
-    vectors = itertools.product((1, -1), repeat=len(descriptor.generators))
-    if descriptor.relation is _QUOTIENT and descriptor.generators:
-        return [signs for signs in vectors if signs[0] == 1]
-    return list(vectors)
+    g = len(descriptor.generators)
+    if descriptor.relation is _QUOTIENT and g:
+        return [(1,) + rest for rest in itertools.product((1, -1), repeat=g - 1)]
+    return list(itertools.product((1, -1), repeat=g))

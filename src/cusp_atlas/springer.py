@@ -308,6 +308,10 @@ class ProductFactor:
     partition: Partition
     signs: tuple[int, ...]
 
+    def __post_init__(self):
+        if not isinstance(p := self.partition, Partition):
+            raise TypeError(f"a factor partition is a Partition, got {type(p).__name__}")
+
 
 @dataclass(frozen=True)
 class ProductSpringerDatum:
@@ -344,6 +348,9 @@ def springer_product(factors: Sequence[ProductFactor]) -> ProductSpringerDatum:
     """
     if not factors:
         raise InvalidPartition("a product needs at least one orthogonal factor")
+    for f in factors:
+        if not isinstance(f, ProductFactor):
+            raise TypeError(f"a factor is a ProductFactor, got {type(f).__name__}")
     subs = tuple(springer_o(GroupKind(Family.O_ODD if f.partition.total % 2 else Family.O_EVEN,
                                  f.partition.total), f.partition, f.signs) for f in factors)
     ones = tuple(i for i, sub in enumerate(subs) if sub.case is OCase.I)

@@ -1,7 +1,8 @@
-"""Fixtures shared by the support tests of the library and of the CLI, a
-byte-backed standard input for CLI jobs, spies on partition validation, on
-character reads, on `Partition` construction and on `springer_datum` calls,
-the symbol and closed-form defect of a pair from a bare partition, the
+"""Fixtures shared by the support tests of the library and of the CLI, the
+partitions of n by the textbook recursion, a byte-backed standard input for
+CLI jobs, spies on partition validation, on character reads, on
+`Partition` construction and on `springer_datum` calls, the symbol and
+closed-form defect of a pair from a bare partition, the
 counting validator of parameters the one-pass one is held to, the
 bitset of a row given as integers and the readers of a symbol's bitsets
 (its rows as increasing tuples and its size), the two-row split route to a base
@@ -27,6 +28,17 @@ from cusp_atlas.errors import DomainMismatch
 from cusp_atlas.lparams import DiscreteParameter, IrrLabel, ParameterCharacter, SelfDualType
 from cusp_atlas.orbits import Family, GroupKind, Partition, SignCharacter, as_int, require_valid
 from cusp_atlas.symbols import USymbol, defect_formula, interval_structure, swapped_symbol
+
+
+def recursive_partitions(n: int, top: int | None = None) -> Iterable[tuple[int, ...]]:
+    """The partitions of n by the textbook recursion, largest part first,
+    then the rest below it: decreasing lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, top or n), 0, -1):
+        for rest in recursive_partitions(n - first, first):
+            yield (first,) + rest
 
 
 def pair_symbol(kind: GroupKind, p: Partition, signs: Sequence[int]) -> USymbol:

@@ -240,6 +240,17 @@ def test_gl_factor_reads_its_integers_through_the_one_integer_door():
                 build()
             assert str(err.value) == text
 
+    class Three:  # an exact integer that is not an int
+        def __index__(self):
+            return 3
+
+    # one read through `__index__` each, stored as the int it gives
+    for factor, name in ((GLFactor(R, Three()), "ell"),
+                         (GLFactor(R, 1, torsion=Three()), "torsion"),
+                         (GLFactor(R, 1, partner_mprime=Three()), "partner_mprime")):
+        value = getattr(factor, name)
+        assert value == 3 and type(value) is int
+
 
 def test_gl_factor_refuses_a_label_that_is_not_an_irr_label():
     # the label is read first, before the integers

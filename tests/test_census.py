@@ -3,8 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import (_spy, det_flip, pair_symbol, reference_kept_characters, row_bits,
-                      set_algebra_swapped_symbol)
+from conftest import (_spy, det_flip, pair_symbol, recursive_partitions,
+                      reference_kept_characters, row_bits, set_algebra_swapped_symbol)
 
 from cusp_atlas.cli import MAX_CENSUS_SIZE, main
 
@@ -17,7 +17,6 @@ from cusp_atlas.census import (
     enumerate_parameters,
     group_partitions,
     partition_count,
-    partitions_of,
     unipotent_census,
 )
 from cusp_atlas.cuspsupport import check_support
@@ -46,13 +45,36 @@ from cusp_atlas.verifications import (
 def brute_bipartitions(n):
     out = 0
     for a in range(n + 1):
-        out += sum(1 for _ in partitions_of(a)) * sum(1 for _ in partitions_of(n - a))
+        out += len(list(recursive_partitions(a))) * len(list(recursive_partitions(n - a)))
     return out
 
 
 def test_partition_count_matches_enumeration():
     known = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     assert [partition_count(n) for n in range(11)] == known
+    # the recurrence against the GL census, which builds every partition as a
+    # class, and against the textbook recursion; none below 0
+    for n in range(25):
+        walks = (group_partitions(GroupKind(Family.GL, n)), recursive_partitions(n))
+        assert [partition_count(n)] * 2 == [sum(1 for _ in walk) for walk in walks], n
+    assert [partition_count(n) for n in range(-5, 0)] == [0] * 5
+
+
+@pytest.mark.parametrize("enumerator, generator, built", [
+    (group_partitions, "class_partitions", lambda n, paired, top: iter([(4,), (3, 1)])),
+    (census.distinguished_orbits, "distinct_part_partitions", lambda n, parity: iter([(1, 3)])),
+], ids=["group_partitions", "distinguished_orbits"])
+def test_a_built_partition_that_is_not_a_class_is_an_internal_error(
+        monkeypatch, enumerator, generator, built):
+    # Sp_4 has no class (3, 1): the census refuses it rather than drop it
+    monkeypatch.setattr(census, generator, built)
+    orbits_built = enumerator(GroupKind(Family.SP, 4))
+    if enumerator is group_partitions:
+        assert next(orbits_built).partition.parts == (4,)
+    with pytest.raises(InternalCheckError) as err:
+        next(orbits_built)
+    assert str(err.value) == ("the census built (3,1), which is not a Sp_4 partition: "
+                              "odd part 1 has odd multiplicity 1; odd part 3 has odd multiplicity 1")
 
 
 def test_bipartition_count_against_brute_force():
@@ -104,7 +126,7 @@ def test_group_partitions_count_is_the_generating_function_coefficient(family):
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
 def test_group_partitions_are_the_filter_of_all_partitions_in_order(family):
     for kind in admissible_kinds(family, 20):
-        expected = [parts for parts in partitions_of(kind.size)
+        expected = [parts for parts in recursive_partitions(kind.size)
                     if validate_partition(kind, Partition(parts))]
         assert [o.partition.parts for o in group_partitions(kind)] == expected, kind
 
@@ -112,21 +134,6 @@ def test_group_partitions_are_the_filter_of_all_partitions_in_order(family):
 def test_unipotent_census_sp4():
     table = unipotent_census(GroupKind(Family.SP, 4))
     assert table == {"pairs": 7, "by_d": {0: 5, 1: 2}}
-
-
-def recursive_partitions(n, top=None):
-    """The textbook recursion: largest part first, then the rest below it."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, top or n), 0, -1):
-        for rest in recursive_partitions(n - first, first):
-            yield (first,) + rest
-
-
-def test_partitions_of_matches_the_recursion_in_order():
-    for n in range(21):
-        assert list(partitions_of(n)) == list(recursive_partitions(n)), n
 
 
 def census_one_symbol_per_pair(kind):
@@ -393,7 +400,7 @@ def test_census_validates_each_partition_once(family, validated):
     yielded = [o.partition.parts for o in group_partitions(kind)]
     assert validated == yielded == seen
     assert len(set(seen)) == len(seen)
-    expected = [parts for parts in partitions_of(12)
+    expected = [parts for parts in recursive_partitions(12)
                 if validate_partition(kind, Partition(parts))]
     assert seen == expected
     assert 0 < len(expected) < partition_count(12)

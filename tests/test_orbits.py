@@ -1,12 +1,16 @@
 import collections
 import dataclasses
+import itertools
 import timeit
 import types
 
 import pytest
 
+from conftest import recursive_partitions
+
 from cusp_atlas.errors import DomainMismatch, InvalidPartition
 from cusp_atlas.orbits import (
+    ComponentGroupDescriptor,
     Family,
     GroupKind,
     Partition,
@@ -29,7 +33,7 @@ from cusp_atlas.orbits import (
     staircase_signs,
     validate_partition,
 )
-from cusp_atlas.census import group_partitions, partitions_of, unipotent_census
+from cusp_atlas.census import group_partitions, unipotent_census
 from cusp_atlas.lparams import DiscreteParameter, IrrLabel, SelfDualType, sgroup_factors
 
 SP4 = GroupKind(Family.SP, 4)
@@ -336,7 +340,7 @@ def test_an_orbit_carries_the_multiplicity_table_of_its_partition():
             except ValueError:  # a size of the wrong parity for the family
                 continue
             parity = kind.generator_parity
-            for parts in partitions_of(n):
+            for parts in recursive_partitions(n):
                 p = Partition(parts)
                 orbit = validate_partition(kind, p).orbit
                 if orbit is None:
@@ -380,6 +384,18 @@ def test_characters_of_gives_the_signs_aligned_with_the_generators():
     assert quotient.generators == (1, 3, 5)
     assert characters_of(quotient) == [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]
     assert characters_of(component_group(require_valid(SP6, Partition((1,) * 6)))) == [()]
+
+
+@pytest.mark.parametrize("relation", list(Relation), ids=lambda r: r.value)
+def test_characters_of_is_the_product_filtered_to_one_sign_vector_per_class(relation):
+    # every sign vector, and in the quotient those with +1 on the smallest
+    # generator: the same list in the same order, for 0 to 8 generators
+    for g in range(9):
+        vectors = list(itertools.product((1, -1), repeat=g))
+        if relation is Relation.QUOTIENT_BY_FULL_PRODUCT and g:
+            vectors = [signs for signs in vectors if signs[0] == 1]
+        descriptor = ComponentGroupDescriptor(tuple(range(1, 2 * g, 2)), relation, len(vectors))
+        assert characters_of(descriptor) == vectors, g
 
 
 @pytest.mark.parametrize("parts, signs, message", [

@@ -670,6 +670,21 @@ def test_springer_product_needs_factors():
         springer_product([])
 
 
+@pytest.mark.parametrize("factors, shown", [([1], "int"), ("ab", "str"), ([None], "NoneType"),
+                                            ([((3, 1), (1, -1))], "tuple")])
+def test_springer_product_refuses_a_factor_that_is_not_a_product_factor(factors, shown):
+    with pytest.raises(TypeError) as err:
+        springer_product(factors)
+    assert str(err.value) == f"a factor is a ProductFactor, got {shown}"
+
+
+@pytest.mark.parametrize("parts, shown", [([3, 1], "list"), ((3, 1), "tuple"), (None, "NoneType")])
+def test_product_factor_refuses_a_partition_that_is_not_a_partition(parts, shown):
+    with pytest.raises(TypeError) as err:
+        ProductFactor(parts, (1, -1))
+    assert str(err.value) == f"a factor partition is a Partition, got {shown}"
+
+
 @pytest.mark.parametrize("family,moved_part,detail", [
     (Family.SP, "torus_rank", "Sp_2 cuspidal pair moved"),
     (Family.SP, "cusp_character", "Sp_2 cuspidal pair moved"),
