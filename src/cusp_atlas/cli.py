@@ -80,63 +80,77 @@ class JobSpec:
 
 
 # -- schema helpers ----------------------------------------------------------
+#
+# A checker takes a JSON value and returns it checked.  It raises SchemaError
+# with the pointer relative to that value ("" for the value itself), and
+# `_expect_object` and `_list` put the member's token in front as the error
+# passes up: a pointer is written only while an error propagates, never per
+# field.  `parse_input` writes the root pointer "" as "/".
 
 def _child(pointer: str, token) -> str:
     """The JSON pointer of member ``token`` below ``pointer`` (RFC 6901)."""
     return f"{pointer}/" + str(token).replace("~", "~0").replace("/", "~1")
 
 
-def _expect_object(doc, pointer: str, required: dict, optional: dict = {}) -> dict:
+def _expect_object(doc, required: dict, optional: dict = {}) -> dict:
     if not isinstance(doc, dict):
-        raise SchemaError(pointer or "/", "expected an object")
+        raise SchemaError("", "expected an object")
     out = {}
-    for key, checker in required.items():
-        if key not in doc:
-            raise SchemaError(_child(pointer, key), "missing required field")
-        out[key] = checker(doc[key], _child(pointer, key))
-    for key, checker in optional.items():
-        if key in doc:
-            out[key] = checker(doc[key], _child(pointer, key))
-    unknown = set(doc) - set(required) - set(optional)
-    if unknown:
-        key = sorted(unknown)[0]
-        raise SchemaError(_child(pointer, key), "unknown field")
+    try:
+        for key, checker in required.items():
+            if key not in doc:
+                raise SchemaError("", "missing required field")
+            out[key] = checker(doc[key])
+        for key, checker in optional.items():
+            if key in doc:
+                out[key] = checker(doc[key])
+    except SchemaError as exc:
+        raise SchemaError(_child("", key) + exc.pointer, exc.message) from None
+    if len(out) < len(doc):
+        key = min(set(doc) - required.keys() - optional.keys())
+        raise SchemaError(_child("", key), "unknown field")
     return out
 
 
-def _int(value, pointer: str) -> int:
+def _int(value) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(pointer, "expected an integer")
+        raise SchemaError("", "expected an integer")
     return value
 
 
-def _positive_int(value, pointer: str) -> int:
-    if _int(value, pointer) < 1:
-        raise SchemaError(pointer, "expected a positive integer")
+def _positive_int(value) -> int:
+    if _int(value) < 1:
+        raise SchemaError("", "expected a positive integer")
     return value
 
 
-def _string(value, pointer: str) -> str:
+def _string(value) -> str:
     if not isinstance(value, str):
-        raise SchemaError(pointer, "expected a string")
+        raise SchemaError("", "expected a string")
     return value
 
 
-def _sign(value, pointer: str) -> int:
+def _sign(value) -> int:
     if type(value) is not int or value not in (1, -1):
-        raise SchemaError(pointer, "expected +1 or -1")
+        raise SchemaError("", "expected +1 or -1")
     return value
 
 
-def _list(value, pointer: str, item) -> list:
-    """``item(element, pointer)`` over the elements of a JSON list.
+def _list(value, item) -> list:
+    """``item(element)`` over the elements of a JSON list.
 
-    An index is decimal digits, which RFC 6901 never escapes, so its pointer
+    An index is decimal digits, which RFC 6901 never escapes, so its token
     needs no :func:`_child`.
     """
     if not isinstance(value, list):
-        raise SchemaError(pointer, "expected a list")
-    return [item(x, f"{pointer}/{i}") for i, x in enumerate(value)]
+        raise SchemaError("", "expected a list")
+    out = []
+    try:
+        for x in value:
+            out.append(item(x))
+    except SchemaError as exc:  # the failing element's index is len(out)
+        raise SchemaError(f"/{len(out)}{exc.pointer}", exc.message) from None
+    return out
 
 
 def _capped(n: int) -> None:
@@ -150,70 +164,71 @@ def _census_capped(n: int, what: str) -> None:
             f"{what} {n} exceeds the cap {MAX_CENSUS_SIZE} on enumerate and selfcheck")
 
 
-def _group(value, pointer: str) -> GroupKind:
-    fields = _expect_object(value, pointer, {"family": _string, "N": _int})
+def _group(value) -> GroupKind:
+    fields = _expect_object(value, {"family": _string, "N": _int})
     try:
         family = Family(fields["family"])
     except ValueError:
-        raise SchemaError(_child(pointer, "family"),
-                          f"unknown family {fields['family']!r}") from None
+        raise SchemaError("/family", f"unknown family {fields['family']!r}") from None
     _capped(fields["N"])
     try:
         return GroupKind(family, fields["N"])
     except ValueError as exc:
-        raise SchemaError(_child(pointer, "N"), str(exc)) from None
+        raise SchemaError("/N", str(exc)) from None
 
 
 class _LabelRegistry:
     def __init__(self):
         self.by_name: dict[str, IrrLabel] = {}
 
-    def resolve(self, value, pointer: str) -> IrrLabel:
+    def resolve(self, value) -> IrrLabel:
         if isinstance(value, str):
             if value not in self.by_name:
-                raise SchemaError(pointer, f"label {value!r} has not been defined")
+                raise SchemaError("", f"label {value!r} has not been defined")
             return self.by_name[value]
-        fields = _expect_object(value, pointer,
-                                {"name": _string, "dim": _positive_int, "type": _string})
+        fields = _expect_object(value, {"name": _string, "dim": _positive_int, "type": _string})
         try:  # the name is a str and the dimension positive: only the type can fail
             label = IrrLabel(fields["name"], fields["dim"], fields["type"])
         except ValueError:
-            raise SchemaError(_child(pointer, "type"),
-                              f"unknown type {fields['type']!r}") from None
+            raise SchemaError("/type", f"unknown type {fields['type']!r}") from None
         prior = self.by_name.setdefault(label.name, label)
         if prior != label:
-            raise SchemaError(pointer, f"label {label.name!r} redefined with new data")
+            raise SchemaError("", f"label {label.name!r} redefined with new data")
         return label
 
 
-def _blocks(value, pointer: str, registry: _LabelRegistry, with_signs: bool):
+def _blocks(value, registry: _LabelRegistry, with_signs: bool):
     spec = {"pi": registry.resolve, "a": _positive_int}
     if with_signs:
         spec["sign"] = _sign
-    items = _list(value, pointer, lambda item, here: _expect_object(item, here, spec))
+    items = _list(value, lambda item: _expect_object(item, spec))
     blocks = [(fields["pi"], fields["a"]) for fields in items]
     if not with_signs:
         return blocks, {}
     return blocks, {(fields["pi"].name, fields["a"]): fields["sign"] for fields in items}
 
 
-def _part(value, pointer: str) -> int:
-    if _int(value, pointer) < 1:
-        raise SchemaError(pointer, "parts are positive integers")
+def _part(value) -> int:
+    if _int(value) < 1:
+        raise SchemaError("", "parts are positive integers")
     return value
 
 
-def _partition(value, pointer: str) -> Partition:
-    return Partition(_list(value, pointer, _part))
+def _partition(value) -> Partition:
+    return Partition(_list(value, _part))
 
 
-def _signs_for(parts: tuple[int, ...], value, pointer: str) -> tuple[int, ...]:
-    raw = value if isinstance(value, list) else None
-    if raw is None:
-        raise SchemaError(pointer, "expected a list of +1/-1")
-    if len(raw) != len(parts):
-        raise SchemaError(pointer, f"expected {len(parts)} signs for generators {list(parts)}")
-    return tuple(_sign(s, f"{pointer}/{i}") for i, s in enumerate(raw))
+def _signs_for(parts: tuple[int, ...], value) -> tuple[int, ...]:
+    """The "signs" field of an object, one sign per part of ``parts``; the
+    pointer is relative to the object."""
+    if not isinstance(value, list):
+        raise SchemaError("/signs", "expected a list of +1/-1")
+    if len(value) != len(parts):
+        raise SchemaError("/signs", f"expected {len(parts)} signs for generators {list(parts)}")
+    try:
+        return tuple(_list(value, _sign))
+    except SchemaError as exc:
+        raise SchemaError("/signs" + exc.pointer, exc.message) from None
 
 
 # -- payload parsing ---------------------------------------------------------
@@ -223,21 +238,20 @@ def _signs_for(parts: tuple[int, ...], value, pointer: str) -> tuple[int, ...]:
 def _parse_orbit_payload(doc, with_signs: bool):
     spec = {"group": _group, "partition": _partition}
     if with_signs:
-        spec["signs"] = lambda v, p: v  # validated against the group below
-    fields = _expect_object(doc, "", spec)
+        spec["signs"] = lambda v: v  # validated against the group below
+    fields = _expect_object(doc, spec)
     kind, p = fields["group"], fields["partition"]
     if not with_signs:
         return kind, p
     parity = kind.generator_parity
     gens = p.distinct_parts_of_parity(parity) if parity is not None else ()
-    return kind, p, _signs_for(gens, fields["signs"], "/signs")
+    return kind, p, _signs_for(gens, fields["signs"])
 
 
 def _parse_parameter_payload(doc, with_signs: bool):
     registry = _LabelRegistry()
     fields = _expect_object(
-        doc, "",
-        {"group": _group, "blocks": lambda v, p: _blocks(v, p, registry, with_signs)})
+        doc, {"group": _group, "blocks": lambda v: _blocks(v, registry, with_signs)})
     blocks, signs = fields["blocks"]
     if not with_signs:
         return fields["group"], blocks
@@ -252,19 +266,18 @@ def _parse_validate(doc):
 
 def _parse_springer(doc):
     if "factors" in doc:
-        return _expect_object(doc, "", {"factors": _product_factors})["factors"]
+        return _expect_object(doc, {"factors": _product_factors})["factors"]
     return _parse_orbit_payload(doc, with_signs=True)
 
 
-def _product_factor(value, pointer) -> ProductFactor:
-    fields = _expect_object(value, pointer, {"partition": _partition, "signs": lambda v, p: v})
+def _product_factor(value) -> ProductFactor:
+    fields = _expect_object(value, {"partition": _partition, "signs": lambda v: v})
     p = fields["partition"]
-    return ProductFactor(p, _signs_for(p.distinct_parts_of_parity(1), fields["signs"],
-                                       _child(pointer, "signs")))
+    return ProductFactor(p, _signs_for(p.distinct_parts_of_parity(1), fields["signs"]))
 
 
-def _product_factors(value, pointer):
-    out = _list(value, pointer, _product_factor)
+def _product_factors(value):
+    out = _list(value, _product_factor)
     _capped(sum(f.partition.total for f in out))
     return out
 
@@ -272,9 +285,9 @@ def _product_factors(value, pointer):
 def _parse_reducibility(doc):
     registry = _LabelRegistry()
     fields = _expect_object(
-        doc, "",
+        doc,
         {"group": _group,
-         "blocks": lambda v, p: _blocks(v, p, registry, with_signs=False),
+         "blocks": lambda v: _blocks(v, registry, with_signs=False),
          "pi": registry.resolve})
     blocks, _ = fields["blocks"]
     return fields["group"], blocks, fields["pi"]
@@ -283,18 +296,18 @@ def _parse_reducibility(doc):
 def _parse_triple(doc, with_theta: bool):
     registry = _LabelRegistry()
 
-    def factor(value, pointer) -> GLFactor:
-        fields = _expect_object(value, pointer, {"pi": registry.resolve, "ell": _int},
+    def factor(value) -> GLFactor:
+        fields = _expect_object(value, {"pi": registry.resolve, "ell": _int},
                                 {"torsion": _int, "partner_mprime": _int})
         try:
             return GLFactor(fields["pi"], fields["ell"], fields.get("torsion", 1),
                             fields.get("partner_mprime", 0))
         except ValueError as exc:
-            raise SchemaError(pointer, str(exc)) from None
+            raise SchemaError("", str(exc)) from None
 
-    spec = {"group": _group, "gl_factors": lambda v, p: _list(v, p, factor),
-            "cusp_blocks": lambda v, p: _blocks(v, p, registry, with_signs=False)}
-    fields = _expect_object(doc, "", spec, {"theta": _theta} if with_theta else {})
+    spec = {"group": _group, "gl_factors": lambda v: _list(v, factor),
+            "cusp_blocks": lambda v: _blocks(v, registry, with_signs=False)}
+    fields = _expect_object(doc, spec, {"theta": _theta} if with_theta else {})
     blocks, _ = fields["cusp_blocks"]
     n_sharp = sum(label.dim * a for label, a in blocks)
     try:
@@ -305,23 +318,26 @@ def _parse_triple(doc, with_theta: bool):
     triple = InertialTriple(fields["group"], fields["gl_factors"], cusp)
     theta = fields.get("theta", {})
     for name in theta:
-        registry.resolve(name, _child("/theta", name))
+        try:
+            registry.resolve(name)
+        except SchemaError as exc:
+            raise SchemaError(_child("/theta", name) + exc.pointer, exc.message) from None
     return triple, theta
 
 
-def _theta(value, pointer):
+def _theta(value):
     if not isinstance(value, dict):
-        raise SchemaError(pointer, "expected an object of label -> +1/-1")
-    return {name: _sign(sign, _child(pointer, name)) for name, sign in value.items()}
+        raise SchemaError("", "expected an object of label -> +1/-1")
+    return _expect_object(value, {}, dict.fromkeys(value, _sign))
 
 
 def _parse_selfcheck(doc):
-    return _expect_object(doc, "", {}, {"bounds": _selfcheck_bounds}).get("bounds", {})
+    return _expect_object(doc, {}, {"bounds": _selfcheck_bounds}).get("bounds", {})
 
 
-def _selfcheck_bounds(value, pointer):
+def _selfcheck_bounds(value):
     allowed = {f.name: _positive_int for f in dataclasses.fields(verifications.Limits)}
-    return _expect_object(value, pointer, {}, allowed)
+    return _expect_object(value, {}, allowed)
 
 
 # -- output rendering --------------------------------------------------------
@@ -530,7 +546,7 @@ COMMANDS = {
     "reducibility": (_parse_reducibility, _run_reducibility),
     "bernstein": (lambda doc: _parse_triple(doc, with_theta=False), _run_bernstein),
     "hecke": (lambda doc: _parse_triple(doc, with_theta=True), _run_hecke),
-    "enumerate": (lambda doc: _expect_object(doc, "", {"group": _group})["group"], _run_enumerate),
+    "enumerate": (lambda doc: _expect_object(doc, {"group": _group})["group"], _run_enumerate),
     "selfcheck": (_parse_selfcheck, _run_selfcheck),
 }
 
@@ -553,7 +569,10 @@ def parse_input(document, command: Optional[str] = None) -> JobSpec:
         raise SchemaError("/command", f"document says {declared!r}, requested {command!r}")
     if not isinstance(declared, str) or declared not in COMMANDS:
         raise SchemaError("/command", f"unknown command {declared!r}")
-    return JobSpec(declared, COMMANDS[declared][0](doc))
+    try:
+        return JobSpec(declared, COMMANDS[declared][0](doc))
+    except SchemaError as exc:
+        raise SchemaError(exc.pointer or "/", exc.message) from None
 
 
 def _env_bound() -> int:

@@ -10,7 +10,8 @@ class InvalidPartition(CuspAtlasError, ValueError):
 
 
 class InvalidParameter(CuspAtlasError, ValueError):
-    """A Jordan-block datum violates the discrete-parameter rules."""
+    """A Jordan-block datum violates the discrete-parameter rules, or a
+    generator parity or staircase is out of range."""
 
 
 class DomainMismatch(CuspAtlasError, ValueError):

@@ -501,6 +501,8 @@ def reducibility_point(label: IrrLabel, blocks: Iterable[tuple[IrrLabel, int]],
     label occurs among them, 1/2 when absent with its type matching the
     dual group, 0 when absent with the types different.
     """
+    if not isinstance(label, IrrLabel):
+        raise TypeError(f"a label is an IrrLabel, got {type(label).__name__}")
     if label.sd_type is _GL_PAIR:
         raise InvalidParameter("reducibility points are defined for self-dual labels only")
     sizes = [a for lab, a in blocks if lab == label]

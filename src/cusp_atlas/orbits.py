@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainMismatch, InvalidPartition
+from .errors import DomainMismatch, InvalidParameter, InvalidPartition
 
 
 def as_int(value) -> int:
@@ -119,6 +119,8 @@ def classical_kind(parity: int, n: int) -> GroupKind:
     Sp_n for 0, SO_n for 1 (the inverse of :attr:`GroupKind.generator_parity`)."""
     if parity == 0:
         return GroupKind(_SP, n)
+    if parity != 1:
+        raise InvalidParameter(f"a generator parity is 0 or 1, got {parity!r}")
     return GroupKind(_SO_ODD if n % 2 else _SO_EVEN, n)
 
 
@@ -400,6 +402,9 @@ def staircase_signs(d: int, first: int) -> tuple[int, ...]:
     orthogonal lifts to the O-level group are ``first = +1`` and ``-1``,
     +-(-1)^(i+1) on z_{2i-1}.
     """
+    if d < 0 or first not in (1, -1):
+        raise InvalidParameter(f"a staircase has d >= 0 parts and a first sign of +1 or -1, "
+                               f"got d = {d!r} and first = {first!r}")
     return ((first, -first) * ((d + 1) // 2))[:d]
 
 

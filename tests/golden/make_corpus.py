@@ -235,6 +235,20 @@ JOBS = [
     ("schema-unknown-family", ["enumerate"], {"command": "enumerate", "group": group("Xp", 4)}),
     ("schema-bad-size", ["enumerate"], {"command": "enumerate", "group": group("Sp", 5)}),
     ("schema-bad-integer", ["enumerate"], {"command": "enumerate", "group": group("Sp", "4")}),
+    # schema errors deep in a job: each pointer runs through lists and objects
+    ("schema-validate-part", ["validate"], orbit("validate", "Sp", 6, [2, 2, 1, 0])),
+    ("schema-springer-product-sign", ["springer"],
+     {"command": "springer", "factors": [{"partition": [3, 1], "signs": [1, -1]},
+                                         {"partition": [3, 1], "signs": [0, 1]}]}),
+    ("schema-cuspidal-test-sign", ["cuspidal-test"],
+     param("cuspidal-test", "Sp", 12, blocks(P, [2, 4, 6], [1, -1, 0]))),
+    ("schema-bernstein-cusp-parity", ["bernstein"],
+     triple("bernstein", "Sp", 10, [{"pi": R, "ell": 2}], blocks(R, [3]))),
+    ("schema-hecke-gl-factor-type", ["hecke"],
+     triple("hecke", "Sp", 10, [{"pi": dict(R, type="unitary"), "ell": 2}], blocks(R, [2, 4]))),
+    # a theta key holding "/" is escaped as "~1" in the pointer
+    ("schema-hecke-theta-escaped", ["hecke"],
+     triple("hecke", "Sp", 10, [{"pi": R, "ell": 2}], blocks(R, [2, 4]), theta={"r/x": 0})),
 ]
 
 def build_jobs() -> list[dict]:

@@ -575,25 +575,39 @@ def test_selfcheck_bounds_report_the_first_field_first():
     assert (err.value.pointer, err.value.message) == ("/bounds/checks", "unknown field")
 
 
-def test_list_elements_get_their_pointers_without_escaping(monkeypatch):
-    # an index needs no RFC 6901 escaping, so no element of a valid list goes
-    # through _child; a bad element still names its index
+@pytest.fixture
+def child_calls(monkeypatch) -> list:
+    """The tokens `cli._child` is called on, in order."""
     calls = []
     child = cli._child
     monkeypatch.setattr(cli, "_child", lambda pointer, token: calls.append(token) or
                         child(pointer, token))
+    return calls
+
+
+def test_list_elements_get_their_pointers_without_escaping(child_calls):
+    # a pointer is written only while an error propagates, so a valid job
+    # calls _child not at all; a bad element still names its index
     ones = {"command": "validate", "group": {"family": "Sp", "N": 1000}, "partition": [1] * 1000}
     odd = list(range(1, 40, 2))
     signs = {"command": "springer", "group": {"family": "SOeven", "N": sum(odd)},
              "partition": odd, "signs": [1, -1] * 10}
     for doc in (ones, signs):
         parse_input(doc)
-    assert all(isinstance(token, str) for token in calls), calls
+    assert child_calls == []
     for doc, path, pointer in ((ones, ("partition", 737), "/partition/737"),
                                (signs, ("signs", 13), "/signs/13")):
         with pytest.raises(SchemaError) as err:
             parse_input(with_value(doc, path, 0))
         assert err.value.pointer == pointer
+
+
+def test_golden_jobs_that_succeed_write_no_pointer(child_calls):
+    jobs = [job for job in GOLDEN if job["exit"] == 0 and job["stdin"]]
+    assert len(jobs) > 50
+    for job in jobs:
+        parse_input(json.loads(job["stdin"]), job["argv"][0])
+    assert child_calls == []
 
 
 CLI = [sys.executable, "-m", "cusp_atlas.cli"]

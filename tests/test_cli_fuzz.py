@@ -9,14 +9,17 @@ rather than a hypothesis draw per field.  Integers stay small because
 `support` and `validate` run unbounded on a large block.
 """
 
+import copy
 import json
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cusp_atlas.cli import COMMANDS, emit, parse_input, run
-from cusp_atlas.errors import CuspAtlasError
+from cusp_atlas.errors import CuspAtlasError, SchemaError
 
 KEYS = ("command", "group", "family", "N", "partition", "signs", "factors", "blocks",
         "pi", "a", "sign", "name", "dim", "type", "gl_factors", "cusp_blocks", "ell",
@@ -80,8 +83,9 @@ def labelled_blocks(rnd, names, key: str, with_sign: bool, family: str):
     return blocks, size
 
 
-def clean_document(rnd) -> dict:
-    """A job of a random command whose sizes match, built as the schema asks."""
+def clean_document(rnd, names=NAMES) -> dict:
+    """A job of a random command whose sizes match, built as the schema asks,
+    its labels named from ``names``."""
     command = rnd.choice(tuple(COMMANDS))
     family = rnd.choice(FAMILIES)
     doc = {"command": command}
@@ -95,17 +99,17 @@ def clean_document(rnd) -> dict:
         doc["factors"] = [{"partition": f, "signs": sign_list(rnd, f, 1)} for f in factors]
     elif command in ("validate", "support", "cuspidal-test", "reducibility"):
         with_sign = command in ("support", "cuspidal-test")
-        blocks, size = labelled_blocks(rnd, NAMES, "a", with_sign, family)
+        blocks, size = labelled_blocks(rnd, names, "a", with_sign, family)
         doc.update(group={"family": family, "N": size}, blocks=blocks)
         if command == "reducibility":
-            doc["pi"] = rnd.choice(NAMES)
+            doc["pi"] = rnd.choice(names)
     elif command in ("bernstein", "hecke"):
-        cusp, n_sharp = labelled_blocks(rnd, NAMES[:2], "a", False, family)
-        factors, size = labelled_blocks(rnd, NAMES[2:], "ell", False, family)
+        cusp, n_sharp = labelled_blocks(rnd, names[:2], "a", False, family)
+        factors, size = labelled_blocks(rnd, names[2:], "ell", False, family)
         doc.update(group={"family": family, "N": n_sharp + 2 * size},
                    gl_factors=factors, cusp_blocks=cusp)
         if command == "hecke":
-            doc["theta"] = {rnd.choice(NAMES): rnd.choice(SIGNS) for _ in range(rnd.randint(0, 2))}
+            doc["theta"] = {rnd.choice(names): rnd.choice(SIGNS) for _ in range(rnd.randint(0, 2))}
     elif command == "enumerate":
         doc["group"] = {"family": family, "N": rnd.randint(0, 8)}
     elif rnd.random() < 0.5:
@@ -173,3 +177,54 @@ def test_any_command(rnd, command):
 @given(st.randoms(use_true_random=True))
 def test_command_payloads(rnd):
     assert_contract(mutated_document(rnd))
+
+
+# label names that RFC 6901 escapes, so that a theta key's token is escaped
+ESCAPED_NAMES = ("p", "q/x", "r~y")
+# for a leaf of each type, values of other JSON types; none is an object, which
+# a label slot reads as a label definition and checks below the leaf
+WRONG_TYPE = {int: ("1", None, True, 0.5, []), str: (1, None, True, 0.5, [])}
+
+
+def well_formed_documents(command: str, count: int) -> list:
+    """``count`` jobs of ``command`` from `clean_document` that parse."""
+    rnd, out = random.Random(command), []
+    while len(out) < count:
+        doc = clean_document(rnd, ESCAPED_NAMES)
+        if doc["command"] == command:
+            try:
+                parse_input(doc)
+            except CuspAtlasError:
+                continue
+            out.append(doc)
+    return out
+
+
+def escaped(token) -> str:
+    return str(token).replace("~", "~0").replace("/", "~1")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_leaf_of_the_wrong_type_is_pointed_at(command):
+    # every int, string or sign of a well-formed job, replaced by a value of
+    # another JSON type, gives a SchemaError whose pointer names that leaf or
+    # one of its ancestors
+    damaged = 0
+    for doc in well_formed_documents(command, 50):
+        for path in spots(doc):
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            leaf = parent[path[-1]]
+            for wrong in WRONG_TYPE.get(type(leaf), ()):
+                bad = copy.deepcopy(doc)
+                inner = bad
+                for key in path[:-1]:
+                    inner = inner[key]
+                inner[path[-1]] = wrong
+                with pytest.raises(SchemaError) as err:
+                    parse_input(bad)
+                tokens = err.value.pointer.split("/")[1:]
+                assert tokens == [escaped(key) for key in path[:len(tokens)]], (bad, err.value)
+                damaged += 1
+    assert damaged >= 50

@@ -454,6 +454,9 @@ def test_reducibility_point():
     assert reducibility_point(absent_diff, (), SP6) == 0
     with pytest.raises(InvalidParameter):
         reducibility_point(GLP, jord.blocks, SP6)
+    # once a bare AttributeError
+    with pytest.raises(TypeError, match=r"^a label is an IrrLabel, got str$"):
+        reducibility_point("p", jord.blocks, SP6)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the absent-label branch of "

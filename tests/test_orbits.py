@@ -8,7 +8,7 @@ import pytest
 
 from conftest import recursive_partitions
 
-from cusp_atlas.errors import DomainMismatch, InvalidPartition
+from cusp_atlas.errors import CuspAtlasError, DomainMismatch, InvalidParameter, InvalidPartition
 from cusp_atlas.orbits import (
     ComponentGroupDescriptor,
     Family,
@@ -20,6 +20,7 @@ from cusp_atlas.orbits import (
     as_int,
     characters_of,
     check_aligned,
+    classical_kind,
     component_group,
     cuspidal_pair,
     is_degenerate,
@@ -200,6 +201,18 @@ def test_staircase_character_is_the_closed_form_of_each_side(d):
             pairs = staircase_pairs(parity, d, first)
             assert tuple(q for q, _ in pairs) == staircase(parity, d).increasing()
             assert tuple(s for _, s in pairs) == staircase_signs(d, first)
+
+
+def test_classical_kind_and_staircase_signs_refuse_out_of_range_arguments():
+    # once these returned SOeven_4, () and (5, -5, 5) with no error
+    assert issubclass(InvalidParameter, CuspAtlasError) and issubclass(InvalidParameter, ValueError)
+    with pytest.raises(InvalidParameter, match=r"^a generator parity is 0 or 1, got 2$"):
+        classical_kind(2, 4)
+    for d, first in ((-1, 1), (3, 5)):
+        with pytest.raises(InvalidParameter) as err:
+            staircase_signs(d, first)
+        assert str(err.value) == ("a staircase has d >= 0 parts and a first sign of +1 or -1, "
+                                  f"got d = {d} and first = {first}")
 
 
 def test_cuspidal_pair_gl():
