@@ -29,7 +29,7 @@ sign theta; every other simple root carries 2.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -43,7 +43,7 @@ from .lparams import (
     half_str,
     reducibility_point,
 )
-from .orbits import Family, GroupKind, as_int, staircase_d
+from .orbits import Family, GroupKind, as_int, require_type, staircase_d
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ class GLFactor:
     partner_mprime: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.label, IrrLabel):
-            raise TypeError(f"a factor label is an IrrLabel, got {type(self.label).__name__}")
+        require_type(self.label, IrrLabel, "a factor label")
         for name, least, problem in (("ell", 0, "a factor exponent must be nonnegative"),
                                      ("torsion", 1, "torsion is a positive integer"),
                                      ("partner_mprime", 0, "a block total is nonnegative")):
@@ -73,20 +72,12 @@ class InertialTriple:
     gl_factors: tuple[GLFactor, ...]
     cusp_param: DiscreteParameter
 
-    def __init__(self, dual_group: GroupKind, gl_factors: Iterable[GLFactor],
-                 cusp_param: DiscreteParameter):
-        gl_factors = tuple(gl_factors)
-        for what, value, kind in (("an ambient group", dual_group, GroupKind),
-                                  *(("a factor", f, GLFactor) for f in gl_factors),
-                                  ("a classical part", cusp_param, DiscreteParameter)):
-            if not isinstance(value, kind):
-                raise TypeError(f"{what} is a {kind.__name__}, got {type(value).__name__}")
-        object.__setattr__(self, "dual_group", dual_group)
-        object.__setattr__(self, "gl_factors", gl_factors)
-        object.__setattr__(self, "cusp_param", cusp_param)
-        self._validate()
-
-    def _validate(self):
+    def __post_init__(self):
+        object.__setattr__(self, "gl_factors", tuple(self.gl_factors))
+        require_type(self.dual_group, GroupKind, "an ambient group")
+        for f in self.gl_factors:
+            require_type(f, GLFactor, "a factor")
+        require_type(self.cusp_param, DiscreteParameter, "a classical part")
         if self.cusp_param.dual_group.family is not self.dual_group.family:
             raise NormalizationError("classical part must have the ambient family")
         names = [f.label.name for f in self.gl_factors]
@@ -163,14 +154,9 @@ def _factor_type(triple: InertialTriple, factor: GLFactor) -> WeylFactor:
     return WeylFactor(factor.label, RootType.D, factor.ell)
 
 
-def _require_triple(triple: InertialTriple) -> None:
-    if not isinstance(triple, InertialTriple):
-        raise TypeError(f"a triple is an InertialTriple, got {type(triple).__name__}")
-
-
 def weyl_descriptor(triple: InertialTriple) -> WeylDescriptor:
     """Weyl factor types plus the R-group generator list."""
-    _require_triple(triple)
+    require_type(triple, InertialTriple, "a triple")
     factors = tuple(_factor_type(triple, f) for f in triple.gl_factors)
     starred = [i for i, f in enumerate(factors) if f.root_type is RootType.D]
 
@@ -219,7 +205,7 @@ class HeckeFactorParams:
 def hecke_parameters(triple: InertialTriple,
                      theta: Optional[Mapping[str, int]] = None) -> tuple[HeckeFactorParams, ...]:
     """Graded parameter function per factor; theta maps label name -> +-1."""
-    _require_triple(triple)
+    require_type(triple, InertialTriple, "a triple")
     if theta is None:
         theta = {}
     elif not isinstance(theta, Mapping):
@@ -243,7 +229,7 @@ def hecke_parameters(triple: InertialTriple,
             # the companion twist has the same self-duality type as the label
             x_minus = reducibility_point(factor.label, (), triple.dual_group)
         if x_plus < x_minus:
-            # A guard: _validate already makes x+ >= x-; a search over the Sp,
+            # A guard: __post_init__ already makes x+ >= x-; a search over the Sp,
             # SOodd and SOeven cusps of size <= 16 finds no triple that gets here.
             raise NormalizationError(
                 f"factor {factor.label}: x+={half_str(x_plus)} < x-={half_str(x_minus)}; "

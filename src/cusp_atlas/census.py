@@ -45,6 +45,7 @@ from .orbits import (
     classical_kind,
     component_group,
     orbit_count,
+    require_type,
     validate_partition,
 )
 from .springer import d_from_defect
@@ -143,6 +144,7 @@ def classical_kinds(limit: int) -> Iterator[GroupKind]:
 
 def unipotent_census(kind: GroupKind) -> dict:
     """Count enhanced unipotent classes, bucketed by cuspidal datum size d."""
+    require_type(kind, GroupKind, "a group")
     if kind.family not in (Family.SP, Family.SO_ODD, Family.SO_EVEN):
         raise InvalidParameter(f"census supports Sp and SO groups, not {kind}")
     by_d: dict[int, int] = {}
@@ -200,7 +202,7 @@ def enumerate_parameters(
     compared before any character is built, and one is built per yield.
     """
     labels = tuple(signature)
-    if len({lab.name for lab in labels}) != len(labels):
+    if len({require_type(lab, IrrLabel, "a label").name for lab in labels}) != len(labels):
         raise InvalidParameter("signature labels must have distinct names")
     for lab in labels:
         if lab.sd_type is SelfDualType.GL_PAIR:

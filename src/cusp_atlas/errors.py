@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its error contract: a public
+function given arguments of its documented types returns or raises a CuspAtlasError,
+an argument of the wrong Python type raises a TypeError whose text the library wrote
+(through ``orbits.require_type``), and InternalCheckError means a bug and nothing else."""
 
 
 class CuspAtlasError(Exception):

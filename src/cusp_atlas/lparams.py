@@ -36,7 +36,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .errors import InvalidParameter
-from .orbits import Family, GroupKind, SignCharacter, Verdict, as_int, signs_on
+from .orbits import Family, GroupKind, SignCharacter, Verdict, as_int, require_type, signs_on
 
 
 class SelfDualType(str, Enum):
@@ -54,8 +54,7 @@ class IrrLabel:
     sd_type: SelfDualType
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise TypeError(f"a label name is a str, got {type(self.name).__name__}")
+        require_type(self.name, str, "a label name")
         object.__setattr__(self, "dim", as_int(self.dim))
         if self.dim < 1:
             raise ValueError(f"label dimension must be positive, got {self.dim}")
@@ -89,7 +88,7 @@ def _sorted_blocks(dual: GroupKind, blocks: Iterable[tuple[IrrLabel, int]]
     unless it is an exact int already; under any other dual, the one
     problem, no size is read and blocks whose sizes do not compare stay as
     given."""
-    classical = dual.family in _CLASSICAL_DUALS
+    classical = require_type(dual, GroupKind, "a dual group").family in _CLASSICAL_DUALS
     pairs = []
     for block in blocks:
         try:
@@ -247,6 +246,7 @@ def signed_slices(p: DiscreteParameter, eta: ParameterCharacter
                   ) -> list[tuple[IrrLabel, tuple[int, ...], tuple[int, ...]]]:
     """Per label, in name order: (label, its block sizes increasing, eta's
     signs on those blocks), with eta read once, on exactly the blocks."""
+    require_type(p, DiscreteParameter, "a parameter")
     signs = iter(signs_on(eta, p.block_keys(), "blocks", p))
     return [(label, sizes, tuple(itertools.islice(signs, len(sizes))))
             for label, sizes in p.slices()]
@@ -491,7 +491,8 @@ def slice_exponents(label: IrrLabel, sizes: Iterable[int]) -> ExponentMultiset:
 
 
 def infinitesimal_character(p: DiscreteParameter) -> ExponentMultiset:
-    return ExponentMultiset.union_all(slice_exponents(label, sizes) for label, sizes in p.slices())
+    slices = require_type(p, DiscreteParameter, "a parameter").slices()
+    return ExponentMultiset.union_all(slice_exponents(label, sizes) for label, sizes in slices)
 
 
 def reducibility_point(label: IrrLabel, blocks: Iterable[tuple[IrrLabel, int]],
@@ -501,9 +502,7 @@ def reducibility_point(label: IrrLabel, blocks: Iterable[tuple[IrrLabel, int]],
     label occurs among them, 1/2 when absent with its type matching the
     dual group, 0 when absent with the types different.
     """
-    if not isinstance(label, IrrLabel):
-        raise TypeError(f"a label is an IrrLabel, got {type(label).__name__}")
-    if label.sd_type is _GL_PAIR:
+    if require_type(label, IrrLabel, "a label").sd_type is _GL_PAIR:
         raise InvalidParameter("reducibility points are defined for self-dual labels only")
     sizes = [a for lab, a in blocks if lab == label]
     if sizes:

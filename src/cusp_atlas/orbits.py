@@ -44,6 +44,15 @@ def as_int(value) -> int:
     return operator.index(value)
 
 
+def require_type(value, cls: type, what: str):
+    """The one type door of the public API: value, or TypeError
+    "<what> is a/an <class>, got <type>"."""
+    if isinstance(value, cls):
+        return value
+    article = "an" if cls.__name__[0] in "AEIOUaeiou" else "a"
+    raise TypeError(f"{what} is {article} {cls.__name__}, got {type(value).__name__}")
+
+
 class Family(str, Enum):
     SP = "Sp"
     SO_ODD = "SOodd"
@@ -117,10 +126,10 @@ class GroupKind:
 def classical_kind(parity: int, n: int) -> GroupKind:
     """The group of size n with z-generators on the parts of the given parity:
     Sp_n for 0, SO_n for 1 (the inverse of :attr:`GroupKind.generator_parity`)."""
+    if type(parity) is bool or parity not in (0, 1):
+        raise InvalidParameter(f"a generator parity is 0 or 1, got {parity!r}")
     if parity == 0:
         return GroupKind(_SP, n)
-    if parity != 1:
-        raise InvalidParameter(f"a generator parity is 0 or 1, got {parity!r}")
     return GroupKind(_SO_ODD if n % 2 else _SO_EVEN, n)
 
 
@@ -234,7 +243,7 @@ def signs_on(eta: SignCharacter, keys: Iterable, what: str, owner) -> tuple[int,
     does not match <what> of <owner>".  A tuple of eta's own generators,
     increasing, is read straight off its value table.
     """
-    if eta.keys() == keys:
+    if require_type(eta, SignCharacter, "a character").keys() == keys:
         return tuple(map(operator.itemgetter(1), eta.values))
     keys = tuple(keys)
     table = dict(eta.values)
@@ -402,7 +411,9 @@ def staircase_signs(d: int, first: int) -> tuple[int, ...]:
     orthogonal lifts to the O-level group are ``first = +1`` and ``-1``,
     +-(-1)^(i+1) on z_{2i-1}.
     """
-    if d < 0 or first not in (1, -1):
+    if type(d) is not int:  # an exact int is read as it is
+        d = as_int(d)
+    if d < 0 or type(first) is bool or first not in (1, -1):
         raise InvalidParameter(f"a staircase has d >= 0 parts and a first sign of +1 or -1, "
                                f"got d = {d!r} and first = {first!r}")
     return ((first, -first) * ((d + 1) // 2))[:d]
@@ -431,7 +442,7 @@ class CuspidalPair:
 
 def cuspidal_pair(kind: GroupKind) -> Optional[CuspidalPair]:
     """Cuspidal pair of the group, or None when the size is not admissible."""
-    n = kind.size
+    n = require_type(kind, GroupKind, "a group").size
     if kind.is_gl:
         return CuspidalPair(Partition((1,)), ((),)) if n == 1 else None
     parity = kind.generator_parity

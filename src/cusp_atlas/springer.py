@@ -43,6 +43,7 @@ from .orbits import (
     check_signs,
     classical_kind,
     is_degenerate,
+    require_type,
     require_valid,
     staircase,
     staircase_signs,
@@ -203,16 +204,17 @@ def springer_datum(kind: GroupKind, p: Partition, signs: Sequence[int]) -> Cuspi
     """Cuspidal datum of a distinguished enhanced class of Sp_N or SO_N.
 
     ``signs`` are the character's on the increasing parts, and the datum's
-    ``cusp_signs`` those of the cuspidal character.  The checks run:
-    values, kind (O_N is :func:`springer_o`'s), validity, distinguishedness, count.
+    ``cusp_signs`` those of the cuspidal character.  The checks run: values, kind
+    (its type, then O_N is :func:`springer_o`'s), p's type, validity, distinguished, count.
     d' comes from the closed defect formula and d from the normal form; the
     two are tied by d = d'-1 (d' >= 1) or -d' in the symplectic case and
     d = |d'| in the orthogonal one, and the agreement is enforced.
     """
     check_signs(signs)
-    if kind.is_full_orthogonal:
+    if require_type(kind, GroupKind, "a group").is_full_orthogonal:
         raise InvalidPartition(f"{kind} is a full orthogonal group: its map is springer_o")
-    d, dprime, torus_rank, first = _slice_datum(require_valid(kind, p), signs)
+    orbit = require_valid(kind, require_type(p, Partition, "a partition"))
+    d, dprime, torus_rank, first = _slice_datum(orbit, signs)
     return CuspidalDatum(kind, torus_rank, staircase(kind.generator_parity, d),
                          staircase_signs(d, first), d, dprime)
 
@@ -252,8 +254,8 @@ def springer_o(kind: GroupKind, p: Partition, signs: Sequence[int]) -> OSpringer
     """Correspondence for O_N on a class with character at the O-level.
 
     ``kind`` is O_N, and ``signs`` an honest character of the O-component
-    group: its signs on the distinct odd parts, increasing.  The checks run
-    in the order sign values, kind, validity, sign count, N.  The three cases:
+    group: its signs on the distinct odd parts, increasing.  Checks run in order:
+    sign values, kind (its type, then O_N), p's type, validity, sign count, N.  Cases:
 
     * III when the partition is degenerate (only even parts, all even
       multiplicities): one fused class, trivial character required;
@@ -270,9 +272,9 @@ def springer_o(kind: GroupKind, p: Partition, signs: Sequence[int]) -> OSpringer
     sign from, so it is rejected.
     """
     check_signs(signs)
-    if not kind.is_full_orthogonal:
+    if not require_type(kind, GroupKind, "a group").is_full_orthogonal:
         raise InvalidPartition(f"{kind} is not a full orthogonal group: springer_o takes O_N")
-    orbit = require_valid(kind, p)
+    orbit = require_valid(kind, require_type(p, Partition, "a partition"))
     multiplicity = dict(orbit.multiplicities)
     odd = tuple(q for q in multiplicity if q % 2)
     check_aligned(odd, signs, increasing=True)
@@ -309,8 +311,7 @@ class ProductFactor:
     signs: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(p := self.partition, Partition):
-            raise TypeError(f"a factor partition is a Partition, got {type(p).__name__}")
+        require_type(self.partition, Partition, "a factor partition")
 
 
 @dataclass(frozen=True)
@@ -349,8 +350,7 @@ def springer_product(factors: Sequence[ProductFactor]) -> ProductSpringerDatum:
     if not factors:
         raise InvalidPartition("a product needs at least one orthogonal factor")
     for f in factors:
-        if not isinstance(f, ProductFactor):
-            raise TypeError(f"a factor is a ProductFactor, got {type(f).__name__}")
+        require_type(f, ProductFactor, "a factor")
     subs = tuple(springer_o(GroupKind(Family.O_ODD if f.partition.total % 2 else Family.O_EVEN,
                                  f.partition.total), f.partition, f.signs) for f in factors)
     ones = tuple(i for i, sub in enumerate(subs) if sub.case is OCase.I)
